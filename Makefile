@@ -1,10 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test sanitize memcheck lint flow prove dist profile bench-sanitize bench-profile bench-flow bench-prove bench-dist serve-bench bench-dynamic bench-cluster
+.PHONY: check test sanitize memcheck lint flow prove dist profile bench-sanitize bench-profile bench-flow bench-prove bench-dist serve-bench bench-dynamic bench-cluster bench-e2e
 
-## check: the CI gate — tests, strict lint, flow analysis, prove + dist certification, kernel race+memcheck sweep, profiler selftest, dynamic + prove + dist + cluster benches
-check: test lint flow prove dist sanitize memcheck profile bench-dynamic bench-prove bench-dist bench-cluster
+## check: the CI gate — tests, strict lint, flow analysis, prove + dist certification, kernel race+memcheck sweep, profiler selftest, dynamic + prove + dist + cluster benches, end-to-end benchmark self-test
+check: test lint flow prove dist sanitize memcheck profile bench-dynamic bench-prove bench-dist bench-cluster bench-e2e
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -74,3 +74,7 @@ bench-dynamic:
 ## bench-cluster: refresh benchmarks/results/BENCH_cluster.json (distributed decomposition + fault-tolerant sharded serving)
 bench-cluster:
 	$(PYTHON) benchmarks/bench_cluster.py
+
+## bench-e2e: quick self-test of the end-to-end benchmark (all five workloads on small graphs, ~11 s)
+bench-e2e:
+	$(PYTHON) -m pytest -q benchmarks/e2e

@@ -147,6 +147,7 @@ def run() -> dict:
             "prove": {
                 "wall_s": wall_prove,
                 "kernels": len(report.certificates),
+                "kernel_names": sorted(report.certificates),
                 "certified": len(certified),
                 "fully_proven": sorted(fully),
                 "obligations": obligations,

@@ -105,6 +105,8 @@ def phcd_build_hcd(
     # use recorded plain writes (each shell vertex owns its own slot).
     tid = builder.tid  # shared alias; builder maintains it
     tid_arr = AtomicArray.from_array(builder.tid, name="tid")
+    # the kernels scan native ints: one conversion per call, not per read
+    coreness_list = coreness.tolist()
 
     for k in range(kmax, -1, -1):
         shell = shells[k]
@@ -114,7 +116,7 @@ def phcd_build_hcd(
             _phcd_level(
                 pool, k, shell, builder, uf, tid, tid_arr,
                 kpc_pivot=AtomicSet(name=f"kpc_pivot_k{k}"),
-                coreness=coreness, indptr=indptr, indices=indices,
+                coreness=coreness_list, indptr=indptr, indices=indices,
             )
 
     return builder.build()
@@ -130,13 +132,12 @@ def _phcd_level(
     SimProf ``phcd:level-k`` phase annotation (attribution only — the
     phase context manager never charges the clock).
     """
-    shell_list = [int(v) for v in shell]
+    shell_list = shell.tolist()
 
     # --- Step 1: pivots of components the shell will absorb -------
     def collect_child_pivots(v: int, ctx) -> None:
         ctx.charge(1)
-        for u in indices[indptr[v] : indptr[v + 1]]:
-            u = int(u)
+        for u in indices[indptr[v] : indptr[v + 1]].tolist():
             ctx.charge(SCAN_CHARGE)
             if coreness[u] > k:
                 pvt = uf.get_pivot(u, ctx)
@@ -151,8 +152,7 @@ def _phcd_level(
     # --- Step 2: union shell into the growing graph ---------------
     def connect(v: int, ctx) -> None:
         ctx.charge(1)
-        for u in indices[indptr[v] : indptr[v + 1]]:
-            u = int(u)
+        for u in indices[indptr[v] : indptr[v + 1]].tolist():
             ctx.charge(SCAN_CHARGE)
             if coreness[u] >= k:
                 uf.union(v, u, ctx)

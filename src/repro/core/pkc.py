@@ -50,7 +50,7 @@ def pkc_core_decomposition(graph: Graph, pool: SimulatedPool) -> np.ndarray:
             undecided = np.flatnonzero(~settled)
             # items are positions into an n-sized mask  # prove: item in [0, n)
             hits = pool.parallel_for(
-                [int(v) for v in undecided], scan, label=f"pkc:scan_k{k}"
+                undecided.tolist(), scan, label=f"pkc:scan_k{k}"
             )
             frontier = [v for v in hits if v >= 0]
             while frontier:
@@ -62,8 +62,7 @@ def pkc_core_decomposition(graph: Graph, pool: SimulatedPool) -> np.ndarray:
                     # each frontier vertex owns its coreness slot
                     ctx.write(("pkc_core", int(v)))
                     coreness[v] = k
-                    for u in indices[indptr[v] : indptr[v + 1]]:
-                        u = int(u)
+                    for u in indices[indptr[v] : indptr[v + 1]].tolist():
                         ctx.charge(1)
                         if settled[u]:
                             continue

@@ -23,6 +23,7 @@ Every generator takes an integer ``seed`` and is fully deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -41,7 +42,15 @@ __all__ = [
     "core_chain",
     "CoreChainSpec",
     "CoreChainResult",
+    "RMAT_MAX_SAMPLES",
 ]
+
+#: Largest number of directed samples :func:`rmat` will draw
+#: (``edge_factor * 2**scale``).  Generation holds about 100 bytes of
+#: numpy working memory per sample, so the cap keeps a call within a
+#: few GiB; scale 26 stays reachable at edge factor 1.  Larger requests
+#: raise :class:`~repro.errors.GraphBuildError` before any allocation.
+RMAT_MAX_SAMPLES = 1 << 26
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -187,16 +196,29 @@ def rmat(
 
     Generates ``edge_factor * 2**scale`` directed samples, symmetrized
     and deduplicated — the skewed, web-crawl-like family (high kmax,
-    hub-dominated shells).
+    hub-dominated shells).  ``edge_factor`` must be an integer >= 1 and
+    the sample count at most :data:`RMAT_MAX_SAMPLES`.
     """
     if scale < 1 or scale > 26:
         raise GraphBuildError("scale must be in [1, 26]")
+    if isinstance(edge_factor, bool) or not isinstance(edge_factor, Integral):
+        raise GraphBuildError(
+            f"edge_factor must be an integer, got {edge_factor!r}"
+        )
+    factor = int(edge_factor)
+    if factor < 1:
+        raise GraphBuildError(f"edge_factor must be >= 1, got {factor}")
+    n = 1 << scale
+    num_samples = factor * n
+    if num_samples > RMAT_MAX_SAMPLES:
+        raise GraphBuildError(
+            f"rmat({scale}, {factor}) needs {num_samples} samples, "
+            f"above RMAT_MAX_SAMPLES={RMAT_MAX_SAMPLES}"
+        )
     d = 1.0 - a - b - c
     if d < -1e-9 or min(a, b, c) < 0:
         raise GraphBuildError("R-MAT probabilities must be a valid distribution")
     rng = _rng(seed)
-    n = 1 << scale
-    num_samples = int(edge_factor) * n
     u = np.zeros(num_samples, dtype=np.int64)
     v = np.zeros(num_samples, dtype=np.int64)
     for level in range(scale):

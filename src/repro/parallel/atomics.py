@@ -22,6 +22,11 @@ uncharged, invisible to the detector, and — on a real machine — racy.
 The static lint pass (:mod:`repro.sanitizer.lint`) flags them inside
 worker bodies; kernels use :meth:`AtomicArray.load` /
 :meth:`AtomicCounter.load` instead.
+
+Word keys and uncontended location keys feed only the observers, so
+they are built only while ``ctx.observed`` is true.  Contended location
+keys are always built: cross-thread overlap on them is part of the
+sim clock (the contention penalty).
 """
 
 from __future__ import annotations
@@ -99,6 +104,10 @@ class AtomicArray:
         """Exact-word key used for race detection."""
         return (self._name, int(index))
 
+    def _observed_word(self, ctx: ThreadContext, index: int):
+        """:meth:`_word` when an observer is attached, else ``None``."""
+        return (self._name, int(index)) if ctx.observed else None
+
     def add(self, ctx: ThreadContext, index: int, delta):
         """Atomic ``data[index] += delta`` (relaxed fetch-add).
 
@@ -106,21 +115,25 @@ class AtomicArray:
         branch on the fetch-add result, never on a later raw re-read
         of the slot (which would race with other decrements).
         """
-        ctx.atomic(self._key(index), contended=False, word=self._word(index))
-        old = self.data[index]
-        self.data[index] += delta
+        if ctx.observed:
+            ctx.atomic(self._key(index), contended=False, word=self._word(index))
+        else:
+            ctx.atomic(None, contended=False)
+        data = self.data
+        old = data[index]
+        data[index] = old + delta
         return old
 
     def store(self, ctx: ThreadContext, index: int, value) -> None:
         """Atomic ``data[index] = value`` (publication, contends)."""
-        ctx.atomic(self._key(index), word=self._word(index))
+        ctx.atomic(self._key(index), word=self._observed_word(ctx, index))
         self.data[index] = value
 
     def compare_and_swap(
         self, ctx: ThreadContext, index: int, expected, value
     ) -> bool:
         """CAS: write ``value`` iff the slot holds ``expected``."""
-        ctx.atomic(self._key(index), word=self._word(index))
+        ctx.atomic(self._key(index), word=self._observed_word(ctx, index))
         if self.data[index] == expected:
             self.data[index] = value
             return True
@@ -135,15 +148,15 @@ class AtomicArray:
         """
         old = self.data[index]
         if value < old:
-            ctx.atomic(self._key(index), word=self._word(index))
+            ctx.atomic(self._key(index), word=self._observed_word(ctx, index))
             self.data[index] = value
         else:
-            ctx.atomic_load(self._word(index))
+            ctx.atomic_load(self._observed_word(ctx, index))
         return old
 
     def load(self, ctx: ThreadContext, index: int):
         """Charged atomic load of ``data[index]`` (one work unit)."""
-        ctx.atomic_load(self._word(index))
+        ctx.atomic_load(self._observed_word(ctx, index))
         return self.data[index]
 
     def __len__(self) -> int:
@@ -177,13 +190,11 @@ class AtomicSet:
         so two threads racing on the *same* element pair as atomic
         read vs. atomic write (synchronized, as in a concurrent set).
         """
-        ctx.atomic_load(("setitem", self._name, item), units=0.3)
+        word = ("setitem", self._name, item) if ctx.observed else None
+        ctx.atomic_load(word, units=0.3)
         if item in self._items:
             return False
-        ctx.atomic(
-            (self._name, hash(item) % self._buckets),
-            word=("setitem", self._name, item),
-        )
+        ctx.atomic((self._name, hash(item) % self._buckets), word=word)
         self._items.add(item)
         return True
 

@@ -20,6 +20,17 @@ races that the deterministic sequential execution of virtual threads
 would otherwise mask forever.  Recording is off by default
 (``_events is None``) and costs one predicate test per charge site.
 
+Observed and unobserved runs
+----------------------------
+:attr:`ThreadContext.observed` is true exactly while race recording
+(:meth:`begin_recording` .. :meth:`end_recording`) or a memcheck
+barrier (:meth:`set_memcheck`) is active on the context.  It is derived
+from those two hooks, never configured.  The shared structures
+(:mod:`repro.parallel.atomics`, :mod:`repro.unionfind`) read it to skip
+building word and location keys that only an observer consumes; they
+apply the same charges in the same order either way, so the sim clock
+of an unobserved run is bit-identical to that of an observed one.
+
 Event kinds are small ints so hot paths append plain tuples:
 
 ========================  =====================================================
@@ -79,6 +90,7 @@ class ThreadContext:
         "_atomic_locations",
         "_events",
         "_memcheck",
+        "observed",
         "proven",
         "barrier_units",
         "elided",
@@ -100,6 +112,10 @@ class ThreadContext:
         #: so uninitialized reads and out-of-bounds indices report the
         #: exact serial order the substrate executed.  Charge-free.
         self._memcheck: object | None = None
+        #: True while recording or a memcheck barrier is active; kept in
+        #: step by :meth:`begin_recording`, :meth:`end_recording` and
+        #: :meth:`set_memcheck`.  Read-only for everyone else.
+        self.observed = False
         #: SimProve fast path.  ``None`` = no certificate; ``True`` =
         #: every access of this region is statically proven in-bounds;
         #: a ``frozenset`` = only accesses to these location names are
@@ -278,12 +294,19 @@ class ThreadContext:
     def begin_recording(self) -> None:
         """Start (or reset) memory-access event recording."""
         self._events = []
+        self.observed = True
 
     def end_recording(self) -> list[tuple[int, object]]:
         """Stop recording and return the event stream."""
         events = self._events or []
         self._events = None
+        self.observed = self._memcheck is not None
         return events
+
+    def set_memcheck(self, checker: object | None) -> None:
+        """Install (or, with ``None``, remove) the memcheck barrier."""
+        self._memcheck = checker
+        self.observed = checker is not None or self._events is not None
 
     @property
     def events(self) -> list[tuple[int, object]]:

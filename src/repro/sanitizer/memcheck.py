@@ -356,14 +356,14 @@ class MemChecker:
     def on_region_begin(self, label: str, contexts) -> None:
         self._region = label
         for ctx in contexts:
-            ctx._memcheck = self
+            ctx.set_memcheck(self)
             ctx.barrier_units = self.barrier_units
             ctx.proven = self._proven
 
     def on_region_end(self, label: str, contexts) -> None:
         self.regions_checked += 1
         for ctx in contexts:
-            ctx._memcheck = None
+            ctx.set_memcheck(None)
             self.elided_events += ctx.elided
             ctx.elided = 0
             ctx.proven = None

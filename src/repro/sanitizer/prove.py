@@ -582,6 +582,16 @@ def _iter_interval(
         and node.args
     ):
         node = node.args[0]
+    # <expr>.tolist() yields the same values as <expr>; any argument
+    # (or an unknown receiver, below) stays top
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "tolist"
+        and not node.args
+        and not node.keywords
+    ):
+        node = node.func.value
     if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)

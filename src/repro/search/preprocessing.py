@@ -46,7 +46,8 @@ def preprocess_neighbor_counts(
     pool: SimulatedPool,
 ) -> NeighborCorenessCounts:
     """One O(m) parallel pass computing the comparison counts."""
-    coreness = np.asarray(coreness, dtype=np.int64)
+    # the kernel reads native ints: one conversion per call
+    coreness = np.asarray(coreness, dtype=np.int64).tolist()
     n = graph.num_vertices
     gt = np.zeros(n, dtype=np.int64)
     eq = np.zeros(n, dtype=np.int64)
@@ -58,7 +59,7 @@ def preprocess_neighbor_counts(
         cv = coreness[v]
         g = 0
         e = 0
-        for u in indices[indptr[v] : indptr[v + 1]]:
+        for u in indices[indptr[v] : indptr[v + 1]].tolist():
             ctx.charge(1)
             cu = coreness[u]
             if cu > cv:

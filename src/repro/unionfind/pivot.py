@@ -19,7 +19,12 @@ CAS or an atomic load, so cross-thread overlap is synchronized by
 construction.  The events ride on the existing flat charges
 (:data:`FIND_CHARGE`, the per-union atomic) via
 :meth:`~repro.parallel.context.ThreadContext.record`, so simulated
-timings are unchanged by recording.
+timings are unchanged by recording.  The event keys are built only
+while ``ctx.observed`` is true; the charges never depend on it.
+
+``parent``, ``rank`` and ``pivot`` are Python lists of native ints:
+every operation touches single slots, where numpy scalar access would
+box a fresh object per read.
 """
 
 from __future__ import annotations
@@ -55,25 +60,14 @@ class PivotUnionFind:
 
     def __init__(self, ranks: np.ndarray, name: str = "puf") -> None:
         size = int(np.asarray(ranks).size)
-        self.parent = np.arange(size, dtype=np.int64)
-        self.rank = np.zeros(size, dtype=np.int8)  # union-by-rank heights
-        self.pivot = np.arange(size, dtype=np.int64)  # pivot at cardinal elem
-        self._ranks = np.asarray(ranks, dtype=np.int64)
+        self.parent = list(range(size))
+        self.rank = [0] * size  # union-by-rank heights
+        self.pivot = list(range(size))  # pivot at cardinal elem
+        self._ranks = np.asarray(ranks, dtype=np.int64).tolist()
         self._components = size
         self._name = name
 
     # ------------------------------------------------------------------
-
-    def _charge(self, ctx: ThreadContext | None, units: float) -> None:
-        if ctx is not None:
-            ctx.charge(units)
-
-    def _charge_atomic(
-        self, ctx: ThreadContext | None, slot: int, word: object
-    ) -> None:
-        if ctx is not None:
-            # per exact slot: links target distinct roots (see waitfree)
-            ctx.atomic(("uf", slot), word=word)
 
     def find(self, x: int, ctx: ThreadContext | None = None) -> int:
         """Cardinal element of ``x``'s set, with path compression.
@@ -82,27 +76,29 @@ class PivotUnionFind:
         count is O(alpha(n)) — the "scales stably" constant the paper
         contrasts with LCPS's dynamic arrays.
         """
+        x = int(x)
         parent = self.parent
         root = x
         while parent[root] != root:
-            root = int(parent[root])
+            root = parent[root]
         compressed = parent[x] != root
         while parent[x] != root:
-            parent[x], x = root, int(parent[x])
-        self._charge(ctx, FIND_CHARGE)
+            parent[x], x = root, parent[x]
         if ctx is not None:
-            # concurrent finds use atomic loads / CAS repointing
-            ctx.record(EV_ATOMIC_READ, ("ufp", self._name, int(root)))
-            if compressed:
-                ctx.record(EV_ATOMIC_WRITE, ("ufp", self._name, int(root)))
+            ctx.charge(FIND_CHARGE)
+            if ctx.observed:
+                # concurrent finds use atomic loads / CAS repointing
+                ctx.record(EV_ATOMIC_READ, ("ufp", self._name, root))
+                if compressed:
+                    ctx.record(EV_ATOMIC_WRITE, ("ufp", self._name, root))
         return root
 
     def get_pivot(self, x: int, ctx: ThreadContext | None = None) -> int:
         """Pivot (lowest-rank member) of ``x``'s component."""
         root = self.find(x, ctx)
-        if ctx is not None:
-            ctx.record(EV_ATOMIC_READ, ("ufpv", self._name, int(root)))
-        return int(self.pivot[root])
+        if ctx is not None and ctx.observed:
+            ctx.record(EV_ATOMIC_READ, ("ufpv", self._name, root))
+        return self.pivot[root]
 
     def union(self, x: int, y: int, ctx: ThreadContext | None = None) -> int:
         """Merge ``x``'s and ``y``'s sets, keeping the lower-rank pivot.
@@ -115,24 +111,30 @@ class PivotUnionFind:
         ry = self.find(y, ctx)
         if rx == ry:
             return rx
-        if self.rank[rx] < self.rank[ry]:
+        rank = self.rank
+        if rank[rx] < rank[ry]:
             rx, ry = ry, rx
         self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-        # the link itself is the CAS on the loser root's parent slot
-        self._charge_atomic(ctx, rx, word=("ufp", self._name, int(ry)))
+        if rank[rx] == rank[ry]:
+            rank[rx] += 1
+        observed = ctx is not None and ctx.observed
+        if ctx is not None:
+            # the link itself is the CAS on the loser root's parent slot,
+            # keyed per exact slot: links target distinct roots (see
+            # waitfree)
+            word = ("ufp", self._name, ry) if observed else None
+            ctx.atomic(("uf", rx), word=word)
         # pivot of the merged set = lower-vertex-rank of the two pivots;
         # concurrently this is an atomic-min (load both, CAS the winner) —
         # cost is folded into the link charge, events recorded raw.
-        px, py = int(self.pivot[rx]), int(self.pivot[ry])
-        if ctx is not None:
-            ctx.record(EV_ATOMIC_READ, ("ufpv", self._name, int(rx)))
-            ctx.record(EV_ATOMIC_READ, ("ufpv", self._name, int(ry)))
+        px, py = self.pivot[rx], self.pivot[ry]
+        if observed:
+            ctx.record(EV_ATOMIC_READ, ("ufpv", self._name, rx))
+            ctx.record(EV_ATOMIC_READ, ("ufpv", self._name, ry))
         if self._ranks[py] < self._ranks[px]:
             self.pivot[rx] = py
-            if ctx is not None:
-                ctx.record(EV_ATOMIC_WRITE, ("ufpv", self._name, int(rx)))
+            if observed:
+                ctx.record(EV_ATOMIC_WRITE, ("ufpv", self._name, rx))
         self._components -= 1
         return rx
 
@@ -146,4 +148,4 @@ class PivotUnionFind:
         return self._components
 
     def __len__(self) -> int:
-        return int(self.parent.size)
+        return len(self.parent)

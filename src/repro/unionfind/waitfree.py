@@ -17,6 +17,10 @@ re-minimized after every successful link.  Because a failed CAS only
 retries (never corrupts state), results are identical to the sequential
 :class:`~repro.unionfind.pivot.PivotUnionFind` — which the test suite
 asserts.
+
+State lives in Python lists (``parent``, ``pivot`` and the rank table):
+the simulated CAS loop touches one slot at a time, and list slots are
+native ints, where a numpy scalar access would box a new object.
 """
 
 from __future__ import annotations
@@ -87,9 +91,9 @@ class SimulatedWaitFreeUnionFind:
         name: str = "wfuf",
     ) -> None:
         size = int(np.asarray(ranks).size)
-        self.parent = np.arange(size, dtype=np.int64)
-        self.pivot = np.arange(size, dtype=np.int64)
-        self._ranks = np.asarray(ranks, dtype=np.int64)
+        self.parent = list(range(size))
+        self.pivot = list(range(size))
+        self._ranks = np.asarray(ranks, dtype=np.int64).tolist()
         self._failures = _DeterministicFailures(failure_rate, seed)
         self.cas_failures = 0
         self.cas_attempts = 0
@@ -106,7 +110,8 @@ class SimulatedWaitFreeUnionFind:
             # Contention is keyed per exact slot: every successful link
             # targets a distinct loser-root, so two threads only queue
             # when they genuinely race for the same root.
-            ctx.atomic(("wfuf", slot), word=("ufp", self._name, int(slot)))
+            word = ("ufp", self._name, slot) if ctx.observed else None
+            ctx.atomic(("wfuf", slot), word=word)
         if self._failures.next_fails():
             self.cas_failures += 1
             return False
@@ -120,10 +125,11 @@ class SimulatedWaitFreeUnionFind:
 
         Charged at a flat unit — amortized O(alpha(n)) hops.
         """
+        x = int(x)
         parent = self.parent
         split = False
         while parent[x] != x:
-            grand = int(parent[int(parent[x])])
+            grand = parent[parent[x]]
             # path splitting: point x at its grandparent (an atomic
             # store in Anderson-Woll; lost updates only delay
             # compression, never break the structure)
@@ -132,10 +138,11 @@ class SimulatedWaitFreeUnionFind:
             split = True
         if ctx is not None:
             ctx.charge(FIND_CHARGE)
-            ctx.record(EV_ATOMIC_READ, ("ufp", self._name, int(x)))
-            if split:
-                ctx.record(EV_ATOMIC_WRITE, ("ufp", self._name, int(x)))
-        return int(x)
+            if ctx.observed:
+                ctx.record(EV_ATOMIC_READ, ("ufp", self._name, x))
+                if split:
+                    ctx.record(EV_ATOMIC_WRITE, ("ufp", self._name, x))
+        return x
 
     def union(self, x: int, y: int, ctx: ThreadContext | None = None) -> int:
         """Merge by index-rank with CAS retry loop; returns the new root."""
@@ -154,25 +161,24 @@ class SimulatedWaitFreeUnionFind:
                 # loop concurrently (load both pivots, CAS the better
                 # one in).  Cost rides on the link CAS already charged;
                 # the accesses are recorded as atomic events.
-                px, py = int(self.pivot[rx]), int(self.pivot[ry])
-                if ctx is not None:
-                    ctx.record(EV_ATOMIC_READ, ("ufpv", self._name, int(rx)))
-                    ctx.record(EV_ATOMIC_READ, ("ufpv", self._name, int(ry)))
+                px, py = self.pivot[rx], self.pivot[ry]
+                observed = ctx is not None and ctx.observed
+                if observed:
+                    ctx.record(EV_ATOMIC_READ, ("ufpv", self._name, rx))
+                    ctx.record(EV_ATOMIC_READ, ("ufpv", self._name, ry))
                 if self._ranks[py] < self._ranks[px]:
                     self.pivot[rx] = py
-                    if ctx is not None:
-                        ctx.record(
-                            EV_ATOMIC_WRITE, ("ufpv", self._name, int(rx))
-                        )
+                    if observed:
+                        ctx.record(EV_ATOMIC_WRITE, ("ufpv", self._name, rx))
                 return rx
             # CAS failed (injected or raced) -> retry from fresh roots
 
     def get_pivot(self, x: int, ctx: ThreadContext | None = None) -> int:
         """Pivot (lowest-rank member) of ``x``'s component."""
         root = self.find(x, ctx)
-        if ctx is not None:
-            ctx.record(EV_ATOMIC_READ, ("ufpv", self._name, int(root)))
-        return int(self.pivot[root])
+        if ctx is not None and ctx.observed:
+            ctx.record(EV_ATOMIC_READ, ("ufpv", self._name, root))
+        return self.pivot[root]
 
     def same_set(self, x: int, y: int, ctx: ThreadContext | None = None) -> bool:
         """Whether ``x`` and ``y`` are connected."""
@@ -181,8 +187,8 @@ class SimulatedWaitFreeUnionFind:
     @property
     def num_components(self) -> int:
         """Number of disjoint sets (O(n) scan; intended for tests)."""
-        roots = {self.find(i) for i in range(self.parent.size)}
+        roots = {self.find(i) for i in range(len(self.parent))}
         return len(roots)
 
     def __len__(self) -> int:
-        return int(self.parent.size)
+        return len(self.parent)

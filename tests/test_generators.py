@@ -6,6 +6,7 @@ import pytest
 from repro.core.decomposition import core_decomposition
 from repro.errors import GraphBuildError
 from repro.graph.generators import (
+    RMAT_MAX_SAMPLES,
     CoreChainResult,
     barabasi_albert,
     complete_graph,
@@ -108,6 +109,30 @@ class TestRmat:
     def test_invalid_probabilities(self):
         with pytest.raises(GraphBuildError):
             rmat(5, 4, a=0.9, b=0.2, c=0.2)
+
+    def test_negative_edge_factor(self):
+        with pytest.raises(GraphBuildError, match="edge_factor must be >= 1"):
+            rmat(10, -1)
+
+    def test_fractional_edge_factor(self):
+        with pytest.raises(GraphBuildError, match="must be an integer"):
+            rmat(10, 2.5)
+
+    def test_oversized_sample_count(self):
+        # 2**31 samples would need ~200 GiB; rejected before allocating
+        with pytest.raises(GraphBuildError, match="RMAT_MAX_SAMPLES"):
+            rmat(14, 131072)
+
+    def test_edge_factor_edge_cases(self):
+        for bad in (0, True, "8", None):
+            with pytest.raises(GraphBuildError):
+                rmat(6, bad)
+        assert rmat(6, np.int64(4), seed=3) == rmat(6, 4, seed=3)
+
+    def test_sample_cap_boundary(self):
+        # scale 1 has two vertices: one factor past half the cap is over
+        with pytest.raises(GraphBuildError, match="RMAT_MAX_SAMPLES"):
+            rmat(1, RMAT_MAX_SAMPLES // 2 + 1)
 
 
 class TestPlantedPartition:

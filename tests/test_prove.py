@@ -11,6 +11,7 @@ elision fast path.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +176,35 @@ class TestFailClosed:
             for ob in cert.obligations
         )
 
+    def test_tolist_of_unknown_receiver_is_top(self):
+        # .tolist() is unwrapped, but `stuff` carries no value facts
+        src = _single_worker(
+            "    def worker(i, ctx):\n"
+            "        for j in stuff.tolist():\n"
+            "            out[j] = 0.0\n"
+        )
+        cert, codes = self._outcomes(src)
+        assert "SAN501" not in codes
+        assert "SAN502" in codes
+        assert not cert.fully_proven
+
+    def test_tolist_with_argument_is_top(self):
+        # only the bare, argument-free call is a value-preserving view
+        src = (
+            "def run(pool, indptr, indices, settled, n):\n"
+            "    def worker(v, ctx):  # prove: item in [0, n)\n"
+            "        for u in indices[indptr[v] : indptr[v + 1]].tolist(1):\n"
+            "            ctx.read(('settled', int(u)))\n"
+            "    pool.parallel_for(front, worker, label='csr')\n"
+        )
+        report = prove_source(
+            src,
+            extents={"indptr": "n + 1", "indices": "2 * m", "settled": "n"},
+        )
+        cert = report.certificates["<source>"]
+        assert not cert.fully_proven
+        assert "SAN501" not in [f.code for f in report.findings]
+
     def test_unknown_item_domain_is_top(self):
         # no assumption comment, items expression opaque: item is top
         src = _single_worker(
@@ -219,6 +249,28 @@ class TestProofs:
         assert cert.fully_proven, [
             (o.outcome, o.index_repr, o.reason) for o in cert.obligations
         ]
+
+    def test_csr_slice_tolist_proves(self):
+        # the listified row carries the same CSR value facts as the
+        # slice, and a listified item array the same item domain
+        src = (
+            "def run(pool, indptr, indices, settled, n):\n"
+            "    def worker(v, ctx):  # prove: item in [0, n)\n"
+            "        for u in indices[indptr[v] : indptr[v + 1]].tolist():\n"
+            "            ctx.read(('settled', int(u)))\n"
+            "            if settled[u]:\n"
+            "                continue\n"
+            "    pool.parallel_for(front, worker, label='csr')\n"
+        )
+        report = prove_source(
+            src,
+            extents={"indptr": "n + 1", "indices": "2 * m", "settled": "n"},
+        )
+        cert = report.certificates["<source>"]
+        assert cert.fully_proven, [
+            (o.outcome, o.index_repr, o.reason) for o in cert.obligations
+        ]
+        assert "settled" in cert.proven_arrays
 
     def test_assumption_is_recorded_not_convicting(self):
         src = (
@@ -287,6 +339,18 @@ class TestKernels:
         )
         assert any("pkc" in line for line in drift)
         assert any("vertex_rank" in line for line in drift)
+
+    def test_committed_bench_covers_manifest_kernels(self):
+        # BENCH_prove.json must be re-recorded whenever a kernel joins
+        # (or leaves) the certified registry
+        bench = (
+            Path(__file__).resolve().parents[1]
+            / "benchmarks" / "results" / "BENCH_prove.json"
+        )
+        stage = json.loads(bench.read_text())["stages"]["prove"]
+        kernels = set(load_manifest()["kernels"])
+        assert set(stage["kernel_names"]) == kernels
+        assert stage["kernels"] == len(kernels)
 
     def test_missing_manifest_is_drift(self, report):
         drift = diff_manifest(manifest_payload(report), None)
