@@ -28,7 +28,12 @@ from repro.search.primary_values import GraphTotals, PrimaryValues
 from repro.search.result import best_finite_index
 from repro.sanitizer.memcheck import san_empty
 
-__all__ = ["BestKResult", "compute_level_values", "find_best_k"]
+__all__ = [
+    "BestKResult",
+    "bestk_type_b_contributions",
+    "compute_level_values",
+    "find_best_k",
+]
 
 _N, _M, _B, _TRI, _TRIP = range(5)
 
@@ -68,18 +73,16 @@ def compute_level_values(
     if counts is None:
         counts = preprocess_neighbor_counts(graph, coreness, pool)
     levels = AtomicArray((kmax + 1) * 5, dtype=np.float64, name="bestk_vals")
-    indptr, indices = graph.indptr, graph.indices
-    degrees = graph.degrees()
+    # the kernel reads native ints: one conversion per call
+    core = coreness.tolist()
+    gt, eq, lt = counts.gt.tolist(), counts.eq.tolist(), counts.lt.tolist()
 
     def contribute_a(v: int, ctx) -> None:
         ctx.charge(3)
-        k = int(coreness[v])
-        gt = int(counts.gt[v])
-        eq = int(counts.eq[v])
-        lt = int(counts.lt[v])
+        k = core[v]
         levels.add(ctx, k * 5 + _N, 1.0)
-        levels.add(ctx, k * 5 + _M, gt + 0.5 * eq)
-        levels.add(ctx, k * 5 + _B, lt - gt)
+        levels.add(ctx, k * 5 + _M, gt[v] + 0.5 * eq[v])
+        levels.add(ctx, k * 5 + _B, lt[v] - gt[v])
 
     pool.parallel_for(
         range(n), contribute_a, label="bestk:typeA", chunking="dynamic", grain=32
@@ -88,51 +91,8 @@ def compute_level_values(
     if need_type_b:
         if rank_result is None:
             rank_result = compute_vertex_rank(graph, coreness, pool)
-        ranks = rank_result.rank
-
-        def contribute_b(v: int, ctx) -> None:
-            dv = int(degrees[v])
-            cv = int(coreness[v])
-            row_v = indices[indptr[v] : indptr[v + 1]]
-            for u in row_v:
-                u = int(u)
-                ctx.charge(1)
-                du = int(degrees[u])
-                if (du, u) >= (dv, v):
-                    continue
-                for w in indices[indptr[u] : indptr[u + 1]]:
-                    w = int(w)
-                    ctx.charge(2)
-                    if w == v:
-                        continue
-                    pos = int(np.searchsorted(row_v, w))
-                    if pos >= row_v.size or row_v[pos] != w:
-                        continue
-                    if ranks[w] < ranks[u] and ranks[w] < ranks[v]:
-                        levels.add(ctx, int(coreness[w]) * 5 + _TRI, 1.0)
-            ge = int(counts.gt[v] + counts.eq[v])
-            ctx.charge(1)
-            levels.add(ctx, cv * 5 + _TRIP, ge * (ge - 1) / 2.0)
-            lower: dict[int, int] = {}
-            for u in row_v:
-                u = int(u)
-                ctx.charge(1)
-                cu = int(coreness[u])
-                if cu < cv:
-                    lower[cu] = lower.get(cu, 0) + 1
-            gt_running = ge
-            for k in sorted(lower, reverse=True):
-                cnt_k = lower[k]
-                ctx.charge(1)
-                levels.add(
-                    ctx,
-                    k * 5 + _TRIP,
-                    cnt_k * (cnt_k - 1) / 2.0 + gt_running * cnt_k,
-                )
-                gt_running += cnt_k
-
-        pool.parallel_for(
-            range(n), contribute_b, label="bestk:typeB", chunking="dynamic", grain=4
+        bestk_type_b_contributions(
+            graph, coreness, counts, rank_result.rank, pool, levels
         )
 
     per_level = levels.data.reshape(kmax + 1, 5)
@@ -141,6 +101,80 @@ def compute_level_values(
     with pool.serial_region("bestk:suffix") as ctx:
         ctx.charge(kmax + 1)
     return values
+
+
+def bestk_type_b_contributions(
+    graph: Graph,
+    coreness: np.ndarray,
+    counts: NeighborCorenessCounts,
+    ranks: np.ndarray,
+    pool: SimulatedPool,
+    levels: AtomicArray,
+) -> None:
+    """Triangle and triplet contributions credited to coreness levels.
+
+    PBKS's Algorithm 5 motifs, vertex-centric: every edge is directed
+    from its higher-(degree, id) endpoint ``v``, and the wedges through
+    each directed ``u`` are closed by membership in a hash set of
+    ``N(v)``.  A triangle is credited to the level of its lowest-rank
+    corner; the triplets centered at ``v`` to the level at which they
+    appear, as in PBKS.
+    """
+    indptr, indices = graph.indptr, graph.indices
+    # the kernel reads native values: one conversion per call
+    degrees = graph.degrees().tolist()
+    coreness = np.asarray(coreness).tolist()
+    ranks = np.asarray(ranks).tolist()
+    gt, eq = counts.gt.tolist(), counts.eq.tolist()
+
+    def contribute_b(v: int, ctx) -> None:
+        row_v = indices[indptr[v] : indptr[v + 1]].tolist()
+        dv = degrees[v]
+        cv = coreness[v]
+        nbrs_v = set(row_v)
+        # one unit per scanned u and two per wedge through a directed
+        # u, in one charge: exact because every addend of ``work`` in
+        # this region is an integer (docs/cost_model.md, "When a bulk
+        # charge is exact")
+        units = len(row_v)
+        for u in row_v:
+            if (degrees[u], u) >= (dv, v):
+                continue
+            row_u = indices[indptr[u] : indptr[u + 1]].tolist()
+            units += 2 * len(row_u)
+            lowest = min(ranks[u], ranks[v])
+            for w in row_u:
+                # w == v never passes: the graph has no self-loops
+                if w in nbrs_v and ranks[w] < lowest:
+                    levels.add(ctx, coreness[w] * 5 + _TRI, 1.0)
+        ctx.charge(units)
+        ge = gt[v] + eq[v]
+        ctx.charge(1)
+        levels.add(ctx, cv * 5 + _TRIP, ge * (ge - 1) / 2.0)
+        lower: dict[int, int] = {}
+        for u in row_v:
+            ctx.charge(1)
+            cu = coreness[u]
+            if cu < cv:
+                lower[cu] = lower.get(cu, 0) + 1
+        gt_running = ge
+        for k in sorted(lower, reverse=True):
+            cnt_k = lower[k]
+            ctx.charge(1)
+            levels.add(
+                ctx,
+                k * 5 + _TRIP,
+                cnt_k * (cnt_k - 1) / 2.0 + gt_running * cnt_k,
+            )
+            gt_running += cnt_k
+
+    pool.parallel_for(
+        range(graph.num_vertices),
+        contribute_b,
+        label="bestk:typeB",
+        chunking="dynamic",
+        grain=4,
+    )
 
 
 def find_best_k(

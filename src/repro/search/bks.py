@@ -94,8 +94,10 @@ def bks_search(
     if sorted_adj is None:
         sorted_adj = build_coreness_sorted_adjacency(graph, coreness, pool)
 
-    tid = hcd.tid
     degrees = graph.degrees()
+    if metric.kind == "B":
+        # the motif walk reads native values: one conversion per search
+        native = _NativeGraph(graph, coreness, hcd)
     values = np.zeros((t, 5), dtype=np.float64)
     scores = np.full(t, float("-inf"), dtype=np.float64)
 
@@ -125,9 +127,7 @@ def bks_search(
                 values[node, _M] += gt + 0.5 * eq
                 values[node, _B] += lt - gt
                 if metric.kind == "B":
-                    charged += _count_motifs_at(
-                        graph, coreness, hcd, sorted_adj, v, values
-                    )
+                    charged += _count_motifs_at(native, sorted_adj, v, values)
         for node in level_nodes:
             # children (all at higher levels) are already folded in
             n_, m_, b_, tri, trip = values[node]
@@ -167,10 +167,25 @@ def bks_search(
     )
 
 
+class _NativeGraph:
+    """Python-list copies of the arrays the per-vertex motif walk reads.
+
+    Made once per search, so the walk indexes native ints instead of
+    numpy scalars.
+    """
+
+    __slots__ = ("tid", "coreness", "degrees", "indptr", "indices")
+
+    def __init__(self, graph: Graph, coreness: np.ndarray, hcd: HCD) -> None:
+        self.tid = hcd.tid.tolist()
+        self.coreness = coreness.tolist()
+        self.degrees = graph.degrees().tolist()
+        self.indptr = graph.indptr.tolist()
+        self.indices = graph.indices.tolist()
+
+
 def _count_motifs_at(
-    graph: Graph,
-    coreness: np.ndarray,
-    hcd: HCD,
+    native: _NativeGraph,
     sorted_adj: list[np.ndarray],
     v: int,
     values: np.ndarray,
@@ -179,49 +194,48 @@ def _count_motifs_at(
 
     Counts the same motifs as PBKS with the same lowest-rank
     attribution, but walks the coreness-sorted adjacency lists and
-    returns the number of charged operations.
+    returns the number of charged operations: one per neighbor ``u``
+    of ``v``, two per wedge through a ``u`` the edge is directed to,
+    and two per coreness level of the triplet walk.
     """
-    tid = hcd.tid
-    degrees = graph.degrees()
-    indptr, indices = graph.indptr, graph.indices
-    cv = int(coreness[v])
-    dv = int(degrees[v])
-    charged = 0
-    row_v_sorted = graph.neighbors(v)  # id-sorted, for membership tests
+    tid, coreness, degrees = native.tid, native.coreness, native.degrees
+    indptr, indices = native.indptr, native.indices
+    row_v = indices[indptr[v] : indptr[v + 1]]
+    cv = coreness[v]
+    dv = degrees[v]
+    nbrs_v = set(row_v)
+    charged = len(row_v)
 
-    def rank_lt(a: int, b: int) -> bool:
-        return (int(coreness[a]), a) < (int(coreness[b]), b)
-
-    # triangles: direct the edge to the lower-(degree, id) endpoint
-    for u in row_v_sorted:
-        u = int(u)
-        charged += 1
-        du = int(degrees[u])
-        if (du, u) >= (dv, v):
+    # triangles: direct the edge to the lower-(degree, id) endpoint;
+    # rank = (coreness, id)
+    rank_v = (cv, v)
+    for u in row_v:
+        if (degrees[u], u) >= (dv, v):
             continue
-        for w in indices[indptr[u] : indptr[u + 1]]:
-            w = int(w)
-            charged += 2
-            if w == v:
-                continue
-            pos = int(np.searchsorted(row_v_sorted, w))
-            if pos >= row_v_sorted.size or row_v_sorted[pos] != w:
-                continue
-            if rank_lt(w, u) and rank_lt(w, v):
-                values[int(tid[w]), _TRI] += 1.0
+        row_u = indices[indptr[u] : indptr[u + 1]]
+        charged += 2 * len(row_u)
+        lowest = min((coreness[u], u), rank_v)
+        for w in row_u:
+            # w == v never passes: the graph has no self-loops
+            if w in nbrs_v and (coreness[w], w) < lowest:
+                values[tid[w], _TRI] += 1.0
     # triplets centered at v, by descending neighbor coreness level
-    row = sorted_adj[v]
-    ge = int(np.searchsorted(-coreness[row], -cv, side="right"))
-    values[int(tid[v]), _TRIP] += ge * (ge - 1) / 2.0
+    row = sorted_adj[v].tolist()
+    ge = 0
+    while ge < len(row) and coreness[row[ge]] >= cv:
+        ge += 1
+    values[tid[v], _TRIP] += ge * (ge - 1) / 2.0
     charged += 2
     idx = ge
     gt_running = ge
-    while idx < row.size:
-        k = int(coreness[row[idx]])
-        end = int(np.searchsorted(-coreness[row], -k, side="right"))
+    while idx < len(row):
+        witness = row[idx]
+        k = coreness[witness]
+        end = idx + 1
+        while end < len(row) and coreness[row[end]] == k:
+            end += 1
         cnt_k = end - idx
-        witness = int(row[idx])
-        values[int(tid[witness]), _TRIP] += (
+        values[tid[witness], _TRIP] += (
             cnt_k * (cnt_k - 1) / 2.0 + gt_running * cnt_k
         )
         gt_running += cnt_k

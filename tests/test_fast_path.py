@@ -6,6 +6,12 @@ detector and memcheck read.  The charges they apply must not depend on
 that: every kernel below runs once per observer setting, and the pool
 clock, every region's accounting and the outputs must match the
 unobserved run bit for bit.
+
+The search kernels (PBKS, best-k, BKS) close wedges by hash-set
+membership and fold the unit charges of a directed edge's wedges into
+one integer charge.  They are checked against the per-wedge
+formulation (one binary search and one unit charge per wedge), kept
+here as the reference.
 """
 
 from __future__ import annotations
@@ -16,13 +22,27 @@ import pytest
 from repro.core.phcd import phcd_build_hcd
 from repro.core.pkc import pkc_core_decomposition
 from repro.core.vertex_rank import compute_vertex_rank
-from repro.graph.generators import erdos_renyi, powerlaw_cluster, rmat
+from repro.graph.generators import (
+    complete_graph,
+    erdos_renyi,
+    powerlaw_cluster,
+    rmat,
+    star_graph,
+)
+from repro.graph.graph import Graph
+from repro.parallel.atomics import AtomicArray
 from repro.parallel.context import ThreadContext
 from repro.parallel.cost_model import DEFAULT_COST_MODEL
 from repro.parallel.observers import ObserverFanout
 from repro.parallel.scheduler import SimulatedPool
 from repro.sanitizer.detector import RaceDetector
 from repro.sanitizer.memcheck import MemChecker
+from repro.search import bks
+from repro.search.best_k import bestk_type_b_contributions
+from repro.search.pbks import (
+    pbks_type_a_contributions,
+    pbks_type_b_contributions,
+)
 from repro.search.preprocessing import preprocess_neighbor_counts
 
 GRAPHS = {
@@ -167,3 +187,356 @@ class TestObservedFlag:
         # derived, never configured: no constructor argument sets it
         with pytest.raises(TypeError):
             ThreadContext(0, DEFAULT_COST_MODEL, observed=True)
+
+
+# ---------------------------------------------------------------------------
+# search kernels: hash-set wedge closing and folded integer charges
+# ---------------------------------------------------------------------------
+
+_N, _M, _B, _TRI, _TRIP = range(5)
+
+
+def _with_isolated():
+    # 12 isolated vertices after a random graph's last id
+    edges = erdos_renyi(60, 0.12, seed=4).edge_array().tolist()
+    return Graph.from_edges(edges, num_vertices=72)
+
+
+SEARCH_GRAPHS = {
+    "star": lambda: star_graph(24),
+    "clique": lambda: complete_graph(9),
+    "isolated": _with_isolated,
+    "rmat": lambda: rmat(8, 4, seed=7),
+}
+#: barrier_units=1.0 adds one integer unit per memcheck barrier, so the
+#: folded charges are checked with extra addends interleaved
+SEARCH_OBSERVERS = ("none", "races", "memcheck_units", "both")
+#: regions whose folded charge relies on integer-only work
+FOLDED_REGIONS = ("pbks:typeB_triangles", "pbks:typeB_triplets", "bestk:typeB")
+
+
+class _LoggedArray(AtomicArray):
+    """An ``AtomicArray`` that logs every ``add`` in call order."""
+
+    def __init__(self, size: int, name: str) -> None:
+        super().__init__(size, dtype=np.float64, name=name)
+        self.log: list[tuple[int, int, float]] = []
+
+    def add(self, ctx, index, delta):
+        self.log.append((ctx.thread_id, index, delta))
+        return super().add(ctx, index, delta)
+
+
+def _ref_pbks_type_a(graph, coreness, hcd, counts, pool, out, num_nodes):
+    tid = hcd.tid
+
+    def contribute(v, ctx):
+        ctx.charge(3)
+        node = int(tid[v])
+        gt, eq, lt = int(counts.gt[v]), int(counts.eq[v]), int(counts.lt[v])
+        out.add(ctx, node * 5 + _N, 1.0)
+        out.add(ctx, node * 5 + _M, gt + 0.5 * eq)
+        out.add(ctx, node * 5 + _B, lt - gt)
+
+    pool.parallel_for(
+        range(graph.num_vertices), contribute, label="pbks:typeA",
+        chunking="dynamic", grain=32,
+    )
+
+
+def _ref_pbks_type_b(graph, coreness, hcd, counts, ranks, pool, out, num_nodes):
+    tid = hcd.tid
+    indptr, indices = graph.indptr, graph.indices
+    degrees = graph.degrees()
+    directed_edges = []
+    for v in range(graph.num_vertices):
+        dv = int(degrees[v])
+        for u in indices[indptr[v] : indptr[v + 1]]:
+            u = int(u)
+            if (int(degrees[u]), u) < (dv, v):
+                directed_edges.append((v, u))
+
+    def close_wedges(edge, ctx):
+        v, u = edge
+        ctx.charge(1)
+        row_v = indices[indptr[v] : indptr[v + 1]]
+        for w in indices[indptr[u] : indptr[u + 1]]:
+            w = int(w)
+            ctx.charge(1)
+            if w == v:
+                continue
+            pos = int(np.searchsorted(row_v, w))
+            ctx.charge(1)
+            if pos >= row_v.size or row_v[pos] != w:
+                continue
+            if ranks[w] < ranks[u] and ranks[w] < ranks[v]:
+                out.add(ctx, int(tid[w]) * 5 + _TRI, 1.0)
+
+    pool.parallel_for(
+        directed_edges, close_wedges, label="pbks:typeB_triangles",
+        chunking="dynamic", grain=16,
+    )
+
+    def contribute(v, ctx):
+        row_v = indices[indptr[v] : indptr[v + 1]]
+        ge = int(counts.gt[v] + counts.eq[v])
+        ctx.charge(1)
+        out.add(ctx, int(tid[v]) * 5 + _TRIP, ge * (ge - 1) / 2.0)
+        lower = {}
+        cv = int(coreness[v])
+        for u in row_v:
+            u = int(u)
+            ctx.charge(1)
+            cu = int(coreness[u])
+            if cu < cv:
+                cnt, _ = lower.get(cu, (0, u))
+                lower[cu] = (cnt + 1, u)
+        gt_running = ge
+        for k in sorted(lower, reverse=True):
+            cnt_k, witness = lower[k]
+            ctx.charge(1)
+            out.add(
+                ctx, int(tid[witness]) * 5 + _TRIP,
+                cnt_k * (cnt_k - 1) / 2.0 + gt_running * cnt_k,
+            )
+            gt_running += cnt_k
+
+    pool.parallel_for(
+        range(graph.num_vertices), contribute, label="pbks:typeB_triplets",
+        chunking="dynamic", grain=16,
+    )
+
+
+def _ref_bestk_type_b(graph, coreness, counts, ranks, pool, levels):
+    indptr, indices = graph.indptr, graph.indices
+    degrees = graph.degrees()
+
+    def contribute_b(v, ctx):
+        dv = int(degrees[v])
+        cv = int(coreness[v])
+        row_v = indices[indptr[v] : indptr[v + 1]]
+        for u in row_v:
+            u = int(u)
+            ctx.charge(1)
+            if (int(degrees[u]), u) >= (dv, v):
+                continue
+            for w in indices[indptr[u] : indptr[u + 1]]:
+                w = int(w)
+                ctx.charge(2)
+                if w == v:
+                    continue
+                pos = int(np.searchsorted(row_v, w))
+                if pos >= row_v.size or row_v[pos] != w:
+                    continue
+                if ranks[w] < ranks[u] and ranks[w] < ranks[v]:
+                    levels.add(ctx, int(coreness[w]) * 5 + _TRI, 1.0)
+        ge = int(counts.gt[v] + counts.eq[v])
+        ctx.charge(1)
+        levels.add(ctx, cv * 5 + _TRIP, ge * (ge - 1) / 2.0)
+        lower = {}
+        for u in row_v:
+            ctx.charge(1)
+            cu = int(coreness[int(u)])
+            if cu < cv:
+                lower[cu] = lower.get(cu, 0) + 1
+        gt_running = ge
+        for k in sorted(lower, reverse=True):
+            cnt_k = lower[k]
+            ctx.charge(1)
+            levels.add(
+                ctx, k * 5 + _TRIP,
+                cnt_k * (cnt_k - 1) / 2.0 + gt_running * cnt_k,
+            )
+            gt_running += cnt_k
+
+    pool.parallel_for(
+        range(graph.num_vertices), contribute_b, label="bestk:typeB",
+        chunking="dynamic", grain=4,
+    )
+
+
+def _ref_bks_motifs(graph, coreness, hcd, sorted_adj, v, values):
+    tid = hcd.tid
+    degrees = graph.degrees()
+    indptr, indices = graph.indptr, graph.indices
+    cv, dv = int(coreness[v]), int(degrees[v])
+    charged = 0
+    row_v = graph.neighbors(v)
+
+    def rank_lt(a, b):
+        return (int(coreness[a]), a) < (int(coreness[b]), b)
+
+    for u in row_v:
+        u = int(u)
+        charged += 1
+        if (int(degrees[u]), u) >= (dv, v):
+            continue
+        for w in indices[indptr[u] : indptr[u + 1]]:
+            w = int(w)
+            charged += 2
+            if w == v:
+                continue
+            pos = int(np.searchsorted(row_v, w))
+            if pos >= row_v.size or row_v[pos] != w:
+                continue
+            if rank_lt(w, u) and rank_lt(w, v):
+                values[int(tid[w]), _TRI] += 1.0
+    row = sorted_adj[v]
+    ge = int(np.searchsorted(-coreness[row], -cv, side="right"))
+    values[int(tid[v]), _TRIP] += ge * (ge - 1) / 2.0
+    charged += 2
+    idx = gt_running = ge
+    while idx < row.size:
+        k = int(coreness[row[idx]])
+        end = int(np.searchsorted(-coreness[row], -k, side="right"))
+        cnt_k = end - idx
+        values[int(tid[row[idx]]), _TRIP] += (
+            cnt_k * (cnt_k - 1) / 2.0 + gt_running * cnt_k
+        )
+        gt_running += cnt_k
+        idx = end
+        charged += 2
+    return charged
+
+
+def _prepared(graph):
+    """Coreness, ranks, HCD and counts, built on a pool of their own."""
+    pool = SimulatedPool(threads=2)
+    coreness = pkc_core_decomposition(graph, pool)
+    rank = compute_vertex_rank(graph, coreness, pool)
+    hcd = phcd_build_hcd(graph, coreness, pool, rank_result=rank)
+    counts = preprocess_neighbor_counts(graph, coreness, pool)
+    return coreness, rank.rank, hcd, counts
+
+
+# kernel name -> (kernel, reference, call(fn, prep, pool, out), out size)
+SEARCH_KERNELS = {
+    "pbks_typeA": (
+        pbks_type_a_contributions,
+        _ref_pbks_type_a,
+        lambda fn, g, c, r, h, k, pool, out: fn(
+            g, c, h, k, pool, out, h.num_nodes
+        ),
+        lambda c, h: h.num_nodes * 5,
+    ),
+    "pbks_typeB": (
+        pbks_type_b_contributions,
+        _ref_pbks_type_b,
+        lambda fn, g, c, r, h, k, pool, out: fn(
+            g, c, h, k, r, pool, out, h.num_nodes
+        ),
+        lambda c, h: h.num_nodes * 5,
+    ),
+    "bestk_typeB": (
+        bestk_type_b_contributions,
+        _ref_bestk_type_b,
+        lambda fn, g, c, r, h, k, pool, out: fn(g, c, k, r, pool, out),
+        lambda c, h: (int(c.max()) + 1) * 5,
+    ),
+}
+
+
+def _run_search_kernel(fn, call, size, graph, threads, observer):
+    coreness, ranks, hcd, counts = _prepared(graph)
+    pool = SimulatedPool(threads=threads)
+    detector = RaceDetector() if observer in ("races", "both") else None
+    checker = (
+        MemChecker(barrier_units=1.0)
+        if observer in ("memcheck_units", "both")
+        else None
+    )
+    if checker is not None:
+        checker.activate()
+    pool.set_observer(ObserverFanout([detector, checker]))
+    out = _LoggedArray(size(coreness, hcd), name="search_vals")
+    try:
+        call(fn, graph, coreness, ranks, hcd, counts, pool, out)
+    finally:
+        pool.set_observer(None)
+        if checker is not None:
+            checker.deactivate()
+    if detector is not None:
+        assert detector.races == []
+    if checker is not None:
+        assert checker.findings == []
+    regions = [
+        (r.label, r.items, r.work_total, r.work_max, r.atomic_ops,
+         r.contention_penalty, r.elapsed)
+        for r in pool.regions
+    ]
+    return pool.clock, regions, out.data.tobytes(), out.log
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+@pytest.mark.parametrize("graph_name", sorted(SEARCH_GRAPHS))
+@pytest.mark.parametrize("kernel", sorted(SEARCH_KERNELS))
+def test_search_kernels_match_per_wedge_reference(kernel, graph_name, threads):
+    fn, ref, call, size = SEARCH_KERNELS[kernel]
+    graph = SEARCH_GRAPHS[graph_name]()
+    unobserved = None
+    for observer in SEARCH_OBSERVERS:
+        got = _run_search_kernel(fn, call, size, graph, threads, observer)
+        want = _run_search_kernel(ref, call, size, graph, threads, observer)
+        clock, regions, values, log = got
+        assert clock == want[0], observer
+        assert regions == want[1], observer
+        assert values == want[2], observer
+        assert log == want[3], observer  # same out.add order
+        for label, _, work_total, work_max, *_ in regions:
+            if label in FOLDED_REGIONS:
+                assert float(work_total).is_integer(), (label, observer)
+                assert float(work_max).is_integer(), (label, observer)
+        if observer == "none":
+            unobserved = got
+        elif observer == "races":
+            # recording adds no charge
+            assert got == unobserved
+
+
+@pytest.mark.parametrize("graph_name", sorted(SEARCH_GRAPHS))
+def test_bks_motif_walk_matches_per_wedge_reference(graph_name):
+    graph = SEARCH_GRAPHS[graph_name]()
+    coreness, _, hcd, _ = _prepared(graph)
+    coreness = np.asarray(coreness, dtype=np.int64)
+    sorted_adj = bks.build_coreness_sorted_adjacency(graph, coreness)
+    native = bks._NativeGraph(graph, coreness, hcd)
+    got = np.zeros((hcd.num_nodes, 5))
+    want = np.zeros((hcd.num_nodes, 5))
+    for v in range(graph.num_vertices):
+        charged = bks._count_motifs_at(native, sorted_adj, v, got)
+        assert charged == _ref_bks_motifs(
+            graph, coreness, hcd, sorted_adj, v, want
+        )
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("graph_name", sorted(SEARCH_GRAPHS))
+def test_bks_type_b_regions_unchanged_by_observers(graph_name):
+    graph = SEARCH_GRAPHS[graph_name]()
+    coreness, _, hcd, _ = _prepared(graph)
+    runs = []
+    for observer in SEARCH_OBSERVERS:
+        pool = SimulatedPool(threads=1)
+        detector = RaceDetector() if observer in ("races", "both") else None
+        checker = (
+            MemChecker(barrier_units=1.0)
+            if observer in ("memcheck_units", "both")
+            else None
+        )
+        if checker is not None:
+            checker.activate()
+        pool.set_observer(ObserverFanout([detector, checker]))
+        try:
+            result = bks.bks_search(
+                graph, coreness, hcd, "clustering_coefficient", pool
+            )
+        finally:
+            pool.set_observer(None)
+            if checker is not None:
+                checker.deactivate()
+        regions = [(r.label, r.work_total, r.elapsed) for r in pool.regions]
+        runs.append(
+            (pool.clock, regions, result.scores.tobytes(),
+             result.values.tobytes())
+        )
+    assert all(run == runs[0] for run in runs[1:])
