@@ -3,8 +3,8 @@ export PYTHONPATH := src
 
 .PHONY: check test sanitize memcheck lint flow prove dist profile bench-sanitize bench-profile bench-flow bench-prove bench-dist serve-bench bench-dynamic bench-cluster bench-e2e
 
-## check: the CI gate — tests, strict lint, flow analysis, prove + dist certification, kernel race+memcheck sweep, profiler selftest, dynamic + prove + dist + cluster benches, end-to-end benchmark self-test
-check: test lint flow prove dist sanitize memcheck profile bench-dynamic bench-prove bench-dist bench-cluster bench-e2e
+## check: the CI gate — tests, strict lint, flow analysis, prove + dist certification, kernel race+memcheck sweep, profiler selftest, serve + dynamic + prove + dist + cluster benches, end-to-end benchmark self-test
+check: test lint flow prove dist sanitize memcheck profile serve-bench bench-dynamic bench-prove bench-dist bench-cluster bench-e2e
 
 test:
 	$(PYTHON) -m pytest -x -q

@@ -18,6 +18,11 @@ It also replays the same trace in per-query baseline mode (batch size
 batched service beats it on the simulated clock — the build-once/
 query-many payoff the serving layer exists for.
 
+Every recorded number is a work-unit or sim-clock quantity, so the
+committed file is exactly reproducible: ``tests/test_serve.py`` rebuilds
+:func:`serve_payload` in-process and requires it to equal
+``BENCH_serve.json``.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_serve.py
@@ -32,11 +37,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-
-from common import emit, paper_table, results_dir  # noqa: E402
-from repro.analysis.datasets import load  # noqa: E402
-from repro.serve import (  # noqa: E402
+from repro.analysis.datasets import load
+from repro.serve import (
     HCDService,
     ServiceConfig,
     SnapshotCatalog,
@@ -60,7 +62,8 @@ def _signature(report) -> dict:
     return payload
 
 
-def run() -> dict:
+def serve_payload() -> dict:
+    """The ``BENCH_serve.json`` payload (asserts determinism + the win)."""
     dataset = load(DATASET)
     trace = synthetic_trace(TRACE_REQUESTS, seed=TRACE_SEED)
     assert len(trace) >= 32, "speedup claim requires a >=32-query trace"
@@ -135,7 +138,10 @@ def run() -> dict:
 
 
 def main() -> int:
-    payload = run()
+    sys.path.insert(0, str(Path(__file__).parent))
+    from common import emit, paper_table, results_dir
+
+    payload = serve_payload()
     out = results_dir() / "BENCH_serve.json"
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     rows = [
@@ -180,7 +186,7 @@ def main() -> int:
 
 def test_bench_serve():
     """Pytest entry: determinism across threads + the batching win."""
-    payload = run()
+    payload = serve_payload()
     assert payload["deterministic_across_threads"]
     assert payload["batched_speedup"] > 1.0
     hit_rates = {r["cache_hit_rate"] for r in payload["threads"]}

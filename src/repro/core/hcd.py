@@ -55,7 +55,11 @@ class HCD:
         "tid",
         "_node_vertices",
         "_depths",
+        "_parent_coreness",
     )
+
+    #: parent coreness recorded for roots: below every query ``k``
+    ROOT_PARENT_CORENESS = int(np.iinfo(np.int64).min)
 
     def __init__(
         self,
@@ -78,6 +82,7 @@ class HCD:
                 children[pa].append(node)
         self.children = children
         self._depths: np.ndarray | None = None
+        self._parent_coreness: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -184,16 +189,23 @@ class HCD:
         """Tree nodes whose original cores are exactly the k-cores of G.
 
         These are the nodes with coreness >= k whose parent sits below
-        k — one per connected k-core (the k-core *set* partition).
+        k — one per connected k-core (the k-core *set* partition).  The
+        parent coreness of every node is cached on the first call (a
+        root's is :attr:`ROOT_PARENT_CORENESS`), so each query is one
+        vectorized mask over the |T| nodes; the ids come back
+        ascending, as Python ints.
         """
-        out = []
-        for node in range(self.num_nodes):
-            if int(self.node_coreness[node]) < k:
-                continue
-            pa = int(self.parent[node])
-            if pa < 0 or int(self.node_coreness[pa]) < k:
-                out.append(node)
-        return out
+        if self._parent_coreness is None:
+            has_parent = self.parent >= 0
+            parent_coreness = np.full(
+                self.num_nodes, self.ROOT_PARENT_CORENESS, dtype=np.int64
+            )
+            parent_coreness[has_parent] = self.node_coreness[
+                self.parent[has_parent]
+            ]
+            self._parent_coreness = parent_coreness
+        mask = (self.node_coreness >= k) & (self._parent_coreness < k)
+        return np.flatnonzero(mask).tolist()
 
     # ------------------------------------------------------------------
     # comparison & validation

@@ -9,9 +9,12 @@ original cores of the HCD nodes whose parent falls below ``k``.
 
 :class:`InfluentialCommunityIndex` materializes, in one bottom-up pass
 (a *min* tree accumulation — the same primitive PBKS uses with sums),
-the influence of every tree node's original core; afterwards any
-``(k, r)`` query is answered from the index alone, in time linear in
-the number of candidate cores — no graph access.
+the influence of every tree node's original core, and ranks every
+node once by (influence, core size, node id).  Afterwards any
+``(k, r)`` query is answered from the index alone, with no graph
+access: one vectorized pass over the |T| tree nodes selects the
+candidate cores (:meth:`~repro.core.hcd.HCD.maximal_core_nodes`) and a
+sort of the candidates by their precomputed rank picks the top ``r``.
 """
 
 from __future__ import annotations
@@ -74,40 +77,64 @@ class InfluentialCommunityIndex:
         node_min = AtomicArray(t, dtype=np.float64, name="inf_min")
         node_min.data[:] = np.inf
         sizes = AtomicArray(t, dtype=np.int64, name="inf_size")
+        tid = hcd.tid.tolist()
+        weight = weights.tolist()
 
         # per-node minima over the node's own vertices
         def fold_vertex(v: int, ctx) -> None:
             ctx.charge(1)
-            node = int(hcd.tid[v])
-            node_min.fetch_min(ctx, node, weights[v])
+            node = tid[v]
+            node_min.fetch_min(ctx, node, weight[v])
             sizes.add(ctx, node, 1)
 
         if hcd.num_vertices:
             pool.parallel_for(
                 range(hcd.num_vertices), fold_vertex, label="influence:fold"
             )
-        node_min = node_min.data
-        sizes = sizes.data
+        node_min = node_min.data.tolist()
+        sizes = sizes.data.tolist()
 
         # bottom-up min accumulation: influence of a core is the min
-        # over its subtree (children processed before parents)
+        # over its subtree (children processed before parents).  NaN
+        # weights never win a fetch_min, so a core whose members all
+        # weigh NaN keeps the +inf start value; `weighted` tells it
+        # apart from a real +inf minimum (uncharged bookkeeping).
+        weighted = np.zeros(t, dtype=bool)
+        weighted[hcd.tid[~np.isnan(weights)]] = True
+        weighted = weighted.tolist()
+        parent = hcd.parent.tolist()
         for node in hcd.nodes_bottom_up():
-            pa = int(hcd.parent[node])
+            pa = parent[node]
             if pa >= 0:
                 if node_min[node] < node_min[pa]:
                     node_min[pa] = node_min[node]
                 sizes[pa] += sizes[node]
+                if weighted[node]:
+                    weighted[pa] = True
         with pool.serial_region("influence:accumulate") as ctx:
             ctx.charge(t)
 
-        self._influence = node_min
-        self._core_sizes = sizes
+        self._influence = np.array(node_min, dtype=np.float64)
+        self._core_sizes = np.array(sizes, dtype=np.int64)
+        # what answers report: NaN for a core with no non-NaN member
+        weighted = np.array(weighted, dtype=bool)
+        self._reported = np.where(weighted, self._influence, np.nan)
+        # rank position of every node (the inverse of the sort order):
+        # influence descending with cores that have no non-NaN member
+        # last, then smaller cores, then node id
+        order = np.lexsort(
+            (np.arange(t), self._core_sizes, -self._influence, ~weighted)
+        )
+        self._rank = np.argsort(order)
 
     # ------------------------------------------------------------------
 
     def influence_of(self, node: int) -> float:
-        """Influence (min member weight) of the node's original core."""
-        return float(self._influence[node])
+        """Influence (min member weight) of the node's original core.
+
+        NaN when no member of the core has a non-NaN weight.
+        """
+        return float(self._reported[node])
 
     def core_size(self, node: int) -> int:
         """Number of vertices in the node's original core."""
@@ -117,34 +144,21 @@ class InfluentialCommunityIndex:
         """The ``r`` most influential maximal k-cores, best first.
 
         Ties break toward smaller communities (more cohesive), then by
-        node id for determinism.
+        node id for determinism.  A core whose members all weigh NaN
+        ranks last and reports influence NaN.
         """
         if r < 1:
             return []
-        candidates = self._hcd.maximal_core_nodes(k)
-
-        def sort_key(node: int):
-            influence = float(self._influence[node])
-            # NaN weights (and the +inf sentinel of an all-NaN node)
-            # must not outrank real communities: treat non-finite
-            # influence as -inf so such nodes sort last, and NaN never
-            # poisons the comparison chain
-            if not np.isfinite(influence):
-                influence = float("-inf")
-            return (-influence, self._core_sizes[node], node)
-
-        ranked = sorted(candidates, key=sort_key)
-        out = []
-        for node in ranked[:r]:
-            out.append(
-                InfluentialCommunity(
-                    node=node,
-                    k=k,
-                    influence=float(self._influence[node]),
-                    size=int(self._core_sizes[node]),
-                )
+        candidates = np.asarray(self._hcd.maximal_core_nodes(k), dtype=np.int64)
+        best = candidates[np.argsort(self._rank[candidates])[:r]]
+        return [
+            InfluentialCommunity(node=node, k=k, influence=influence, size=size)
+            for node, influence, size in zip(
+                best.tolist(),
+                self._reported[best].tolist(),
+                self._core_sizes[best].tolist(),
             )
-        return out
+        ]
 
     def members(self, community: InfluentialCommunity) -> np.ndarray:
         """Vertex set of a returned community."""

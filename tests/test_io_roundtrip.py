@@ -20,6 +20,7 @@ from repro.parallel.scheduler import SimulatedPool
 from repro.pipeline import decompose
 from repro.search.bks import bks_search
 from repro.search.best_k import find_best_k
+from repro.search import metrics
 from repro.search.influential import InfluentialCommunityIndex
 from repro.search.metrics import register_metric
 from repro.search.pbks import pbks_search
@@ -168,6 +169,12 @@ class TestBestFiniteIndex:
 
 
 class TestNanMetricGuards:
+    @pytest.fixture(autouse=True)
+    def _scratch_registry(self, monkeypatch):
+        # the metrics registered here must not leak into later tests
+        # (the synthetic serving trace draws from metric_names())
+        monkeypatch.setattr(metrics, "_REGISTRY", dict(metrics._REGISTRY))
+
     @pytest.fixture()
     def deco(self, paper_like_graph):
         return decompose(paper_like_graph, threads=4, parallel=True)

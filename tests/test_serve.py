@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -700,3 +702,19 @@ class TestServeCli:
         )
         assert code == 1
         assert "serve failed" in capsys.readouterr().err
+
+
+def test_committed_bench_serve_is_reproduced():
+    # BENCH_serve.json records only work-unit and sim-clock numbers, so
+    # the bench must rebuild the committed file exactly; re-record it
+    # (make serve-bench) whenever serving accounting legitimately moves
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "bench_serve", root / "benchmarks" / "bench_serve.py"
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    committed = json.loads(
+        (root / "benchmarks" / "results" / "BENCH_serve.json").read_text()
+    )
+    assert json.loads(json.dumps(bench.serve_payload())) == committed
