@@ -30,6 +30,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_cluster.py
 
 Writes ``benchmarks/results/BENCH_cluster.json`` and prints a table.
+The ``serving`` section records only work-unit numbers and digests, so
+it is exactly reproducible: ``tests/test_cluster.py`` rebuilds
+:func:`_serving` in-process and requires it to equal the committed one.
 """
 
 from __future__ import annotations
@@ -41,21 +44,18 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).parent))
-
-from common import emit, paper_table, results_dir  # noqa: E402
-from repro.analysis.datasets import load  # noqa: E402
-from repro.cluster import (  # noqa: E402
+from repro.analysis.datasets import load
+from repro.cluster import (
     ClusterService,
     ClusterServiceConfig,
     SimCluster,
     distributed_core_decomposition,
     shard_graph,
 )
-from repro.core.decomposition import core_decomposition  # noqa: E402
-from repro.core.distributed import mpm_core_decomposition  # noqa: E402
-from repro.parallel.scheduler import SimulatedPool  # noqa: E402
-from repro.serve import (  # noqa: E402
+from repro.core.decomposition import core_decomposition
+from repro.core.distributed import mpm_core_decomposition
+from repro.parallel.scheduler import SimulatedPool
+from repro.serve import (
     HCDService,
     SnapshotCatalog,
     build_snapshot,
@@ -265,6 +265,9 @@ def run() -> dict:
 
 
 def main() -> int:
+    sys.path.insert(0, str(Path(__file__).parent))
+    from common import emit, paper_table, results_dir
+
     payload = run()
     out = results_dir() / "BENCH_cluster.json"
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -24,7 +24,9 @@ class SimNode:
     per-node clocks, it never reaches inside them.  For sanitizer
     kernel runs a single externally-watched pool can be aliased into
     every node (``pool=...``); nodes execute sequentially in
-    simulation, so sharing is observationally equivalent.
+    simulation, so sharing is observationally equivalent.  Serving
+    counts a replica's regions once, in the router's dispatch cost,
+    even when they land on the router's own pool.
 
     Fault state lives here too: ``slow_factor`` scales the node's
     compute deltas on the cluster clock, ``crash_at`` arms a

@@ -5,10 +5,11 @@ hashed to a shard, and each shard is served by ``replicas`` nodes that
 all hold the same published snapshot (replication for availability,
 sharding for cache affinity — a shard's replicas only ever see their
 slice of the fingerprint space, so their result caches and memoized
-shared passes stay hot on it).  The replay loop mirrors
-:class:`~repro.serve.service.HCDService` — admit, plan, then dispatch
-each shard's sub-batch to its primary replica — and advances the same
-deterministic work-unit clock, with three distribution-only stages:
+shared passes stay hot on it).  The replay loop is the single-node
+one, :func:`~repro.serve.service.replay_trace`: admission, planning,
+the work-unit clock and completion are shared, and the router only
+supplies the dispatch step, which sends each shard's sub-batch to its
+primary replica.  That step has three distribution-only stages:
 
 * **routing**: request and response messages are charged through the
   :class:`~repro.cluster.network.Network` cost model and count toward
@@ -37,21 +38,21 @@ bit-identically at any per-node thread count.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 from repro.cluster.cluster import SimCluster, SuperstepRecord
 from repro.cluster.network import NetworkConfig
 from repro.cluster.node import SimNode
-from repro.errors import WorkloadError
 from repro.parallel.scheduler import SimulatedPool
+from repro.serve.cache import CacheStats
 from repro.serve.catalog import SnapshotCatalog
-from repro.serve.planner import QueryPlanner, normalize_request
+from repro.serve.planner import QueryPlanner
 from repro.serve.service import (
-    RequestRecord,
+    HCDService,
     ServiceConfig,
     ServiceReport,
-    HCDService,
+    replay_trace,
 )
 
 __all__ = [
@@ -119,7 +120,6 @@ class ClusterReport(ServiceReport):
 
     num_shards: int = 0
     replicas: int = 0
-    failed: int = 0
     failovers: int = 0
     hedges: int = 0
     recoveries: int = 0
@@ -339,223 +339,90 @@ class ClusterService:
         return {}, {}, cost, pool_delta, events
 
     # ------------------------------------------------------------------
-    # the replay loop
+    # the router's dispatch step
     # ------------------------------------------------------------------
+
+    def _route(
+        self, report: ClusterReport, plan, now: float
+    ) -> tuple[dict, dict, float]:
+        """Split ``plan`` by shard and answer each group on its replicas.
+
+        The dispatch step of :func:`~repro.serve.service.replay_trace`:
+        per-shard stats go to ``report.per_shard`` and the batch is one
+        serving superstep on the cluster clock.
+        """
+        groups: dict[int, list[str]] = {}
+        for fingerprint in plan.queries:
+            shard = shard_of(fingerprint, self.config.num_shards)
+            groups.setdefault(shard, []).append(fingerprint)
+        answers: dict[str, object] = {}
+        statuses: dict[str, str] = {}
+        comms0 = self.cluster.network.total_cost
+        messages0 = self.cluster.network.messages
+        bytes0 = self.cluster.network.bytes_sent
+        group_costs: dict[int, float] = {}
+        group_deltas: dict[int, float] = {}
+        for shard in sorted(groups):
+            fps = groups[shard]
+            sub_plan = self.planner.plan(
+                [(plan.requesters[fp][0], plan.queries[fp]) for fp in fps]
+            )
+            results, group_statuses, cost, pool_delta, events = (
+                self._dispatch_group(shard, sub_plan, now)
+            )
+            answers.update(results)
+            statuses.update(group_statuses)
+            group_costs[shard] = cost
+            group_deltas[shard] = pool_delta
+            stats = report.per_shard[shard]
+            stats["requests"] += len(fps)
+            stats["work"] += cost
+            for key, count in events.items():
+                stats[key] += count
+        # shard groups run concurrently on different nodes: the batch
+        # completes when the slowest group does (the same max-compose
+        # rule as the decomposition supersteps)
+        compute = max(group_deltas.values(), default=0.0)
+        self.cluster.compute_clock += compute
+        self.cluster.supersteps.append(
+            SuperstepRecord(
+                index=len(self.cluster.supersteps),
+                # the loop counts a batch before dispatching it
+                label=f"serve:batch{report.batches - 1}",
+                compute=compute,
+                comms=self.cluster.network.total_cost - comms0,
+                node_compute=group_deltas,
+                messages=self.cluster.network.messages - messages0,
+                bytes=self.cluster.network.bytes_sent - bytes0,
+            )
+        )
+        return answers, statuses, now + max(group_costs.values(), default=0.0)
 
     def serve(self, trace: list[dict], refresh: bool = True) -> ClusterReport:
         """Replay a trace through the sharded router; see module docs."""
-        config = self.service_config
         for node in self.cluster.nodes[:-1]:
             if refresh and node.alive and node.service is not None:
                 node.service.refresh()
-        reference = self.replica_nodes(0)[0].service
         pool = self.router.pool
-        pending: deque[tuple[int, float, dict]] = deque()
-        last_arrival = float("-inf")
-        for rid, entry in enumerate(trace):
-            if not isinstance(entry, dict):
-                raise WorkloadError(
-                    f"trace[{rid}]: entry must be an object, "
-                    f"got {type(entry).__name__}"
-                )
-            arrival = entry.get("arrival", 0)
-            if not isinstance(arrival, (int, float)) or isinstance(arrival, bool):
-                raise WorkloadError(
-                    f"trace[{rid}]: field 'arrival' must be a number, "
-                    f"got {arrival!r}"
-                )
-            arrival = float(arrival)
-            if arrival < last_arrival:
-                raise WorkloadError(
-                    f"trace[{rid}]: field 'arrival' decreased "
-                    f"({arrival} after {last_arrival})"
-                )
-            last_arrival = arrival
-            pending.append((rid, arrival, entry))
-
         report = ClusterReport(
-            snapshot=reference.snapshot.version_id,
+            snapshot=self.replica_nodes(0)[0].service.snapshot.version_id,
             threads=pool.threads,
             num_shards=self.config.num_shards,
             replicas=self.config.replicas,
+            per_shard=[
+                dict(shard=s, requests=0, dispatches=0, work=0.0, hedges=0, failovers=0)
+                for s in range(self.config.num_shards)
+            ],
         )
-        shard_stats = [
-            {
-                "shard": s,
-                "requests": 0,
-                "dispatches": 0,
-                "work": 0.0,
-                "hedges": 0,
-                "failovers": 0,
-            }
-            for s in range(self.config.num_shards)
-        ]
-        queue: deque[tuple[int, float, dict]] = deque()
-        region_cursor = len(pool.regions)
-        now = 0.0
-
-        def drain() -> None:
-            """Advance the clock by router-local regions (admit/plan)."""
-            nonlocal now, region_cursor
-            regions = pool.regions
-            while region_cursor < len(regions):
-                stats = regions[region_cursor]
-                now += stats.work_total + stats.atomic_ops
-                region_cursor += 1
-
-        while pending or queue:
-            # ---- admit (identical to the single-node service) --------
-            if not queue and pending and pending[0][1] > now:
-                now = pending[0][1]
-            arrivals = []
-            while pending and pending[0][1] <= now:
-                arrivals.append(pending.popleft())
-            if arrivals:
-                with pool.phase("cluster.admit"):
-                    with pool.serial_region("cluster:admit") as ctx:
-                        ctx.charge(config.admit_cost * len(arrivals))
-                for rid, arrival, entry in arrivals:
-                    if len(queue) >= config.queue_capacity:
-                        report.shed += 1
-                        report.records.append(
-                            RequestRecord(
-                                rid=rid,
-                                fingerprint="",
-                                status="shed",
-                                arrival=arrival,
-                                latency=0.0,
-                                batch=-1,
-                            )
-                        )
-                    else:
-                        queue.append((rid, arrival, entry))
-                drain()
-            if not queue:
-                continue
-
-            # ---- plan ------------------------------------------------
-            batch_id = report.batches
-            report.batches += 1
-            taken = [
-                queue.popleft()
-                for _ in range(min(config.max_batch, len(queue)))
-            ]
-            report.admitted += len(taken)
-            normalized = []
-            with pool.phase("cluster.plan"):
-                with pool.serial_region("cluster:plan") as ctx:
-                    ctx.charge(config.plan_cost * len(taken))
-            for rid, arrival, entry in taken:
-                try:
-                    query = normalize_request(entry, where=f"trace[{rid}]")
-                except WorkloadError:
-                    report.invalid += 1
-                    report.records.append(
-                        RequestRecord(
-                            rid=rid,
-                            fingerprint="",
-                            status="invalid",
-                            arrival=arrival,
-                            latency=0.0,
-                            batch=batch_id,
-                        )
-                    )
-                    continue
-                normalized.append((rid, arrival, query))
-            plan = self.planner.plan([(rid, q) for rid, _, q in normalized])
-            report.coalesced += plan.coalesced
-            drain()
-
-            # ---- route + dispatch (shards work in parallel) ----------
-            groups: dict[int, list[str]] = {}
-            for fingerprint in plan.queries:
-                shard = shard_of(fingerprint, self.config.num_shards)
-                groups.setdefault(shard, []).append(fingerprint)
-            answers: dict[str, object] = {}
-            statuses: dict[str, str] = {}
-            comms0 = self.cluster.network.total_cost
-            messages0 = self.cluster.network.messages
-            bytes0 = self.cluster.network.bytes_sent
-            group_costs: dict[int, float] = {}
-            group_deltas: dict[int, float] = {}
-            for shard in sorted(groups):
-                fps = groups[shard]
-                sub_plan = self.planner.plan(
-                    [
-                        (plan.requesters[fp][0], plan.queries[fp])
-                        for fp in fps
-                    ]
-                )
-                results, group_statuses, cost, pool_delta, events = (
-                    self._dispatch_group(shard, sub_plan, now)
-                )
-                answers.update(results)
-                statuses.update(group_statuses)
-                group_costs[shard] = cost
-                group_deltas[shard] = pool_delta
-                stats = shard_stats[shard]
-                stats["requests"] += len(fps)
-                stats["dispatches"] += events["dispatches"]
-                stats["work"] += cost
-                stats["hedges"] += events["hedges"]
-                stats["failovers"] += events["failovers"]
-            # shard groups run concurrently on different nodes: the
-            # batch completes when the slowest group does (the same
-            # max-compose rule as the decomposition supersteps)
-            batch_cost = max(group_costs.values(), default=0.0)
-            now += batch_cost
-            self.cluster.compute_clock += max(
-                group_deltas.values(), default=0.0
-            )
-            self.cluster.supersteps.append(
-                SuperstepRecord(
-                    index=len(self.cluster.supersteps),
-                    label=f"serve:batch{batch_id}",
-                    compute=max(group_deltas.values(), default=0.0),
-                    comms=self.cluster.network.total_cost - comms0,
-                    node_compute=group_deltas,
-                    messages=self.cluster.network.messages - messages0,
-                    bytes=self.cluster.network.bytes_sent - bytes0,
-                )
-            )
-
-            # ---- complete --------------------------------------------
-            completion = now
-            leaders = {fp: rids[0] for fp, rids in plan.requesters.items()}
-            for rid, arrival, query in normalized:
-                fingerprint = query.fingerprint
-                if fingerprint not in answers:
-                    status = "failed"
-                    report.failed += 1
-                elif leaders.get(fingerprint) != rid:
-                    status = "shared"
-                    report.shared += 1
-                elif statuses.get(fingerprint) == "hit":
-                    status = "hit"
-                    report.hits += 1
-                else:
-                    status = "ok"
-                    report.computed += 1
-                if fingerprint in answers:
-                    report.results[rid] = answers[fingerprint]
-                report.records.append(
-                    RequestRecord(
-                        rid=rid,
-                        fingerprint=fingerprint,
-                        status=status,
-                        arrival=arrival,
-                        latency=(
-                            completion - arrival
-                            if fingerprint in answers
-                            else 0.0
-                        ),
-                        batch=batch_id,
-                    )
-                )
-
-        report.records.sort(key=lambda r: r.rid)
-        report.work_units = now
-        report.sim_clock = self.router.pool.clock
+        replay_trace(
+            trace,
+            report,
+            pool,
+            self.planner,
+            self.service_config,
+            partial(self._route, report),
+            prefix="cluster",
+        )
         report.failovers = self.failovers
         report.hedges = self.hedges
         report.recoveries = self.recoveries
@@ -564,16 +431,13 @@ class ClusterService:
         self.cluster.comms_clock = self.cluster.network.total_cost
         report.cluster_clock = self.cluster.clock
         report.network = self.cluster.network.stats()
-        report.per_shard = shard_stats
         # cache counters summed over every replica (hit_rate recomputed)
-        totals = {"hits": 0, "misses": 0, "evictions": 0, "puts": 0, "size": 0, "capacity": 0}
-        for node in self.cluster.nodes[:-1]:
-            if node.service is None:
-                continue
-            stats = node.service.cache.stats()
-            for key in totals:
-                totals[key] += getattr(stats, key)
-        probes = totals["hits"] + totals["misses"]
-        totals["hit_rate"] = totals["hits"] / probes if probes else 0.0
-        report.cache = totals
+        caches = [
+            node.service.cache.stats()
+            for node in self.cluster.nodes[:-1]
+            if node.service is not None
+        ]
+        report.cache = CacheStats(
+            **{f.name: sum(getattr(c, f.name) for c in caches) for f in fields(CacheStats)}
+        ).as_dict()
         return report

@@ -185,6 +185,11 @@ class SimulatedPool:
         return list(self._regions)
 
     @property
+    def region_count(self) -> int:
+        """``len(regions)`` without copying the record list."""
+        return len(self._regions)
+
+    @property
     def last_region(self) -> RegionStats | None:
         """The most recently completed region's record, or ``None``."""
         return self._regions[-1] if self._regions else None

@@ -26,7 +26,10 @@ charges no matter how the pool slices it — so the latency histogram
 and cache stats are bit-identical at ``-p 1/2/4/8``.
 
 All four stages run under SimProf-visible phases ``serve.admit``,
-``serve.plan``, ``serve.cache``, ``serve.execute``.
+``serve.plan``, ``serve.cache``, ``serve.execute``.  Admit and plan
+belong to :func:`replay_trace`, the one replay loop; the cache probe
+and execute stages are this service's dispatch step.  The cluster
+router runs the same loop with its own dispatch step.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +49,7 @@ from repro.parallel.scheduler import SimulatedPool
 from repro.serve.cache import ResultCache
 from repro.serve.catalog import SnapshotCatalog
 from repro.serve.executor import QueryResult, SnapshotExecutor
-from repro.serve.planner import QueryPlanner, normalize_request
+from repro.serve.planner import BatchPlan, QueryPlanner, normalize_request
 from repro.serve.snapshot import snapshot_from_dynamic
 
 __all__ = [
@@ -54,6 +58,7 @@ __all__ = [
     "ServiceReport",
     "HCDService",
     "DynamicServingFeed",
+    "replay_trace",
     "synthetic_trace",
     "load_trace",
     "save_trace",
@@ -97,9 +102,9 @@ class RequestRecord:
 
     rid: int
     fingerprint: str   # "" for shed/invalid requests
-    status: str        # "ok" | "hit" | "shared" | "shed" | "invalid"
+    status: str        # "ok" | "hit" | "shared" | "shed" | "invalid" | "failed"
     arrival: float     # work-unit timestamp from the trace
-    latency: float     # completion - arrival, in work units (0 if shed)
+    latency: float     # completion - arrival, in work units (0 if unanswered)
     batch: int         # batch index that answered it (-1 if never batched)
 
     def as_dict(self) -> dict:
@@ -148,6 +153,7 @@ class ServiceReport:
     admitted: int = 0
     shed: int = 0
     invalid: int = 0
+    failed: int = 0            # dispatch had no answer (cluster only)
     hits: int = 0
     computed: int = 0
     shared: int = 0
@@ -236,6 +242,181 @@ class ServiceReport:
             "cache": dict(self.cache),
             "answers_digest": self.answers_digest(),
         }
+
+
+# ----------------------------------------------------------------------
+# the replay loop
+# ----------------------------------------------------------------------
+
+
+def _advance(
+    now: float, pool: SimulatedPool, cursor: int
+) -> tuple[float, int]:
+    """``(now, cursor)`` advanced past ``pool``'s regions from ``cursor``.
+
+    Regions are added one at a time: a pre-summed cost can differ from
+    that float sum in the last bit.
+    """
+    regions = pool.regions
+    for stats in regions[cursor:]:
+        now += stats.work_total + stats.atomic_ops
+    return now, len(regions)
+
+
+def replay_trace(
+    trace: list[dict],
+    report: ServiceReport,
+    pool: SimulatedPool,
+    planner: QueryPlanner,
+    config: ServiceConfig,
+    dispatch: Callable[[BatchPlan, float], tuple[dict, dict, float]],
+    prefix: str = "serve",
+) -> None:
+    """Replay ``trace`` into ``report``: the one serving loop.
+
+    Cycles admit -> plan (``{prefix}.admit``/``{prefix}.plan`` phases
+    on ``pool``) -> dispatch -> complete.  ``dispatch(plan, now)``
+    answers a batch starting at work-unit time ``now`` and returns
+    ``(answers, statuses, completion)`` keyed on fingerprint; a
+    fingerprint without an answer is recorded as ``"failed"``.  The
+    clock jumps to ``completion``, and the loop's region cursor skips
+    whatever the dispatch step ran on ``pool``: that work is already
+    in ``completion``, and every region is counted once.
+    """
+    pending: deque[tuple[int, float, dict]] = deque()
+    last_arrival = float("-inf")
+    for rid, entry in enumerate(trace):
+        if not isinstance(entry, dict):
+            raise WorkloadError(
+                f"trace[{rid}]: entry must be an object, "
+                f"got {type(entry).__name__}"
+            )
+        arrival = entry.get("arrival", 0)
+        if not isinstance(arrival, (int, float)) or isinstance(arrival, bool):
+            raise WorkloadError(
+                f"trace[{rid}]: field 'arrival' must be a number, "
+                f"got {arrival!r}"
+            )
+        arrival = float(arrival)
+        if arrival < last_arrival:
+            raise WorkloadError(
+                f"trace[{rid}]: field 'arrival' decreased "
+                f"({arrival} after {last_arrival})"
+            )
+        last_arrival = arrival
+        pending.append((rid, arrival, entry))
+
+    queue: deque[tuple[int, float, dict]] = deque()
+    clock_mark = pool.mark()
+    cursor = pool.region_count
+    now = 0.0
+
+    while pending or queue:
+        # ---- admit ----------------------------------------------------
+        if not queue and pending and pending[0][1] > now:
+            # idle service: jump to the next arrival
+            now = pending[0][1]
+        arrivals = []
+        while pending and pending[0][1] <= now:
+            arrivals.append(pending.popleft())
+        if arrivals:
+            with pool.phase(f"{prefix}.admit"):
+                with pool.serial_region(f"{prefix}:admit") as ctx:
+                    ctx.charge(config.admit_cost * len(arrivals))
+            for rid, arrival, entry in arrivals:
+                if len(queue) >= config.queue_capacity:
+                    report.shed += 1
+                    report.records.append(
+                        RequestRecord(
+                            rid=rid,
+                            fingerprint="",
+                            status="shed",
+                            arrival=arrival,
+                            latency=0.0,
+                            batch=-1,
+                        )
+                    )
+                else:
+                    queue.append((rid, arrival, entry))
+            now, cursor = _advance(now, pool, cursor)
+        if not queue:
+            continue
+
+        # ---- plan -----------------------------------------------------
+        batch_id = report.batches
+        report.batches += 1
+        taken = [queue.popleft() for _ in range(min(config.max_batch, len(queue)))]
+        report.admitted += len(taken)
+        normalized = []
+        with pool.phase(f"{prefix}.plan"):
+            with pool.serial_region(f"{prefix}:plan") as ctx:
+                ctx.charge(config.plan_cost * len(taken))
+        for rid, arrival, entry in taken:
+            try:
+                query = normalize_request(entry, where=f"trace[{rid}]")
+            except WorkloadError:
+                report.invalid += 1
+                report.records.append(
+                    RequestRecord(
+                        rid=rid,
+                        fingerprint="",
+                        status="invalid",
+                        arrival=arrival,
+                        latency=0.0,
+                        batch=batch_id,
+                    )
+                )
+                continue
+            normalized.append((rid, arrival, query))
+        plan = planner.plan([(rid, q) for rid, _, q in normalized])
+        report.coalesced += plan.coalesced
+        now, cursor = _advance(now, pool, cursor)
+
+        # ---- dispatch -------------------------------------------------
+        answers, statuses, now = dispatch(plan, now)
+        cursor = pool.region_count
+
+        # ---- complete -------------------------------------------------
+        # The leader (first requester) of each fingerprint is the
+        # request whose outcome reflects real work: a cache probe
+        # ("hit") or an executor computation ("ok").  Coalesced
+        # followers ride on the leader's result and are recorded as
+        # "shared" — counting them as computed would overstate
+        # executor work against BatchPlan.coalesced and the
+        # ResultCache counters (hits + computed + shared reconciles
+        # with both).
+        leaders = {fp: rids[0] for fp, rids in plan.requesters.items()}
+        for rid, arrival, query in normalized:
+            fingerprint = query.fingerprint
+            answered = fingerprint in answers
+            if not answered:
+                status = "failed"
+                report.failed += 1
+            elif leaders.get(fingerprint) != rid:
+                status = "shared"
+                report.shared += 1
+            elif statuses.get(fingerprint) == "hit":
+                status = "hit"
+                report.hits += 1
+            else:
+                status = "ok"
+                report.computed += 1
+            if answered:
+                report.results[rid] = answers[fingerprint]
+            report.records.append(
+                RequestRecord(
+                    rid=rid,
+                    fingerprint=fingerprint,
+                    status=status,
+                    arrival=arrival,
+                    latency=now - arrival if answered else 0.0,
+                    batch=batch_id,
+                )
+            )
+
+    report.records.sort(key=lambda r: r.rid)
+    report.work_units = now
+    report.sim_clock = pool.elapsed_since(clock_mark)
 
 
 # ----------------------------------------------------------------------
@@ -334,161 +515,33 @@ class HCDService:
 
     # ------------------------------------------------------------------
 
+    def _dispatch(
+        self, plan: BatchPlan, now: float
+    ) -> tuple[dict[str, QueryResult], dict[str, str], float]:
+        """The single-node dispatch step: :meth:`answer`, timed in work units."""
+        cursor = self.pool.region_count
+        answers, statuses = self.answer(plan)
+        now, _ = _advance(now, self.pool, cursor)
+        return answers, statuses, now
+
     def serve(self, trace: list[dict], refresh: bool = True) -> ServiceReport:
         """Replay a request trace and report latencies and cache stats.
 
         ``trace`` entries are mappings with an ``arrival`` work-unit
         timestamp plus the query fields of
         :func:`~repro.serve.planner.normalize_request`.  Arrivals must
-        be non-decreasing (:class:`WorkloadError` otherwise).
+        be non-decreasing (:class:`WorkloadError` otherwise).  The loop
+        is :func:`replay_trace`; this service's dispatch step is
+        :meth:`answer`.
         """
         if refresh:
             self.refresh()
-        config = self.config
-        pool = self.pool
-        pending: deque[tuple[int, float, dict]] = deque()
-        last_arrival = float("-inf")
-        for rid, entry in enumerate(trace):
-            if not isinstance(entry, dict):
-                raise WorkloadError(
-                    f"trace[{rid}]: entry must be an object, "
-                    f"got {type(entry).__name__}"
-                )
-            arrival = entry.get("arrival", 0)
-            if not isinstance(arrival, (int, float)) or isinstance(arrival, bool):
-                raise WorkloadError(
-                    f"trace[{rid}]: field 'arrival' must be a number, "
-                    f"got {arrival!r}"
-                )
-            arrival = float(arrival)
-            if arrival < last_arrival:
-                raise WorkloadError(
-                    f"trace[{rid}]: field 'arrival' decreased "
-                    f"({arrival} after {last_arrival})"
-                )
-            last_arrival = arrival
-            pending.append((rid, arrival, entry))
-
         report = ServiceReport(
-            snapshot=self.snapshot.version_id, threads=pool.threads
+            snapshot=self.snapshot.version_id, threads=self.pool.threads
         )
-        queue: deque[tuple[int, float, dict]] = deque()
-        clock_mark = pool.mark()
-        region_cursor = len(pool.regions)
-        now = 0.0
-
-        def drain() -> None:
-            """Advance the work-unit clock by regions run since last call."""
-            nonlocal now, region_cursor
-            regions = pool.regions
-            while region_cursor < len(regions):
-                stats = regions[region_cursor]
-                now += stats.work_total + stats.atomic_ops
-                region_cursor += 1
-
-        while pending or queue:
-            # ---- admit ------------------------------------------------
-            if not queue and pending and pending[0][1] > now:
-                # idle service: jump to the next arrival
-                now = pending[0][1]
-            arrivals = []
-            while pending and pending[0][1] <= now:
-                arrivals.append(pending.popleft())
-            if arrivals:
-                with pool.phase("serve.admit"):
-                    with pool.serial_region("serve:admit") as ctx:
-                        ctx.charge(config.admit_cost * len(arrivals))
-                for rid, arrival, entry in arrivals:
-                    if len(queue) >= config.queue_capacity:
-                        report.shed += 1
-                        report.records.append(
-                            RequestRecord(
-                                rid=rid,
-                                fingerprint="",
-                                status="shed",
-                                arrival=arrival,
-                                latency=0.0,
-                                batch=-1,
-                            )
-                        )
-                    else:
-                        queue.append((rid, arrival, entry))
-                drain()
-            if not queue:
-                continue
-
-            # ---- plan -------------------------------------------------
-            batch_id = report.batches
-            report.batches += 1
-            taken = [queue.popleft() for _ in range(min(config.max_batch, len(queue)))]
-            report.admitted += len(taken)
-            normalized = []
-            with pool.phase("serve.plan"):
-                with pool.serial_region("serve:plan") as ctx:
-                    ctx.charge(config.plan_cost * len(taken))
-            for rid, arrival, entry in taken:
-                try:
-                    query = normalize_request(entry, where=f"trace[{rid}]")
-                except WorkloadError:
-                    report.invalid += 1
-                    report.records.append(
-                        RequestRecord(
-                            rid=rid,
-                            fingerprint="",
-                            status="invalid",
-                            arrival=arrival,
-                            latency=0.0,
-                            batch=batch_id,
-                        )
-                    )
-                    continue
-                normalized.append((rid, arrival, query))
-            plan = self.planner.plan([(rid, q) for rid, _, q in normalized])
-            report.coalesced += plan.coalesced
-            drain()
-
-            # ---- cache probe + execute -------------------------------
-            answers, statuses = self.answer(plan)
-            drain()
-
-            # ---- complete --------------------------------------------
-            # The leader (first requester) of each fingerprint is the
-            # request whose outcome reflects real work: a cache probe
-            # ("hit") or an executor computation ("ok").  Coalesced
-            # followers ride on the leader's result and are recorded as
-            # "shared" — counting them as computed would overstate
-            # executor work against BatchPlan.coalesced and the
-            # ResultCache counters (hits + computed + shared reconciles
-            # with both).
-            completion = now
-            leaders = {fp: rids[0] for fp, rids in plan.requesters.items()}
-            for rid, arrival, query in normalized:
-                fingerprint = query.fingerprint
-                if leaders.get(fingerprint) != rid:
-                    status = "shared"
-                    report.shared += 1
-                elif statuses.get(fingerprint) == "hit":
-                    status = "hit"
-                    report.hits += 1
-                else:
-                    status = "ok"
-                    report.computed += 1
-                if fingerprint in answers:
-                    report.results[rid] = answers[fingerprint]
-                report.records.append(
-                    RequestRecord(
-                        rid=rid,
-                        fingerprint=fingerprint,
-                        status=status,
-                        arrival=arrival,
-                        latency=completion - arrival,
-                        batch=batch_id,
-                    )
-                )
-
-        report.records.sort(key=lambda r: r.rid)
-        report.work_units = now
-        report.sim_clock = pool.elapsed_since(clock_mark)
+        replay_trace(
+            trace, report, self.pool, self.planner, self.config, self._dispatch
+        )
         report.cache = self.cache.stats().as_dict()
         return report
 

@@ -4,7 +4,9 @@ cluster profiler."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -508,6 +510,56 @@ class TestClusterService:
         assert sum(s["requests"] for s in payload["per_shard"]) > 0
         assert payload["cluster_clock"] > 0
         json.dumps(payload)
+
+    def test_shared_pool_counts_replica_work_once(self, serve_setup):
+        # with one pool aliased into every node the replicas' regions
+        # land on the router's pool too; the dispatch cost already
+        # holds them, so the replay must match per-node pools exactly
+        catalog, trace, _ = serve_setup
+
+        def run(pool):
+            service = ClusterService(
+                catalog,
+                "as",
+                config=ClusterServiceConfig(num_shards=1, replicas=1),
+                pool=pool,
+            )
+            return service.serve(trace)
+
+        per_node, shared = run(None), run(SimulatedPool(threads=4))
+        assert shared.work_units == per_node.work_units
+        assert [r.as_dict() for r in shared.records] == [
+            r.as_dict() for r in per_node.records
+        ]
+
+    def test_sim_clock_is_per_call(self, serve_setup):
+        catalog, trace, _ = serve_setup
+        service = ClusterService(
+            catalog,
+            "as",
+            config=ClusterServiceConfig(num_shards=2, replicas=2),
+        )
+        first = service.serve(trace[:24])
+        second = service.serve(trace[:24])
+        assert first.sim_clock == second.sim_clock > 0
+
+    def test_committed_bench_cluster_serving_is_reproduced(self):
+        # the serving section of BENCH_cluster.json holds only work-unit
+        # numbers and digests: p50/p99, work units and network numbers
+        # at four topologies, under a crash and with hedging.  The bench
+        # must rebuild it exactly; re-record it (make bench-cluster)
+        # whenever serving accounting legitimately moves
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "bench_cluster", root / "benchmarks" / "bench_cluster.py"
+        )
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        committed = json.loads(
+            (root / "benchmarks" / "results" / "BENCH_cluster.json").read_text()
+        )
+        serving = bench._serving(load("AS").graph)
+        assert json.loads(json.dumps(serving)) == committed["serving"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

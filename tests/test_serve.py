@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterService, ClusterServiceConfig
 from repro.core.decomposition import core_decomposition
 from repro.dynamic import DynamicGraph
 from repro.errors import SnapshotError, WorkloadError
@@ -466,6 +467,25 @@ class TestExecutor:
 # ----------------------------------------------------------------------
 
 
+@pytest.fixture(params=["single", "cluster-1x1", "cluster-2x2"])
+def serve_with(request, catalog):
+    """Build a service of each kind on ``catalog``; one loop serves all."""
+
+    def build(config: ServiceConfig | None = None):
+        if request.param == "single":
+            return HCDService(catalog, "base", threads=2, config=config)
+        shards, replicas = map(int, request.param.split("-")[1].split("x"))
+        return ClusterService(
+            catalog,
+            "base",
+            config=ClusterServiceConfig(num_shards=shards, replicas=replicas),
+            service_config=config,
+            threads=2,
+        )
+
+    return build
+
+
 class TestService:
     def test_serve_accounts_every_request(self, catalog):
         service = HCDService(catalog, "base", threads=4)
@@ -501,9 +521,8 @@ class TestService:
         assert report.coalesced == 4
         assert service.cache.stats().puts == 1
 
-    def test_bounded_queue_sheds(self, catalog):
-        config = ServiceConfig(queue_capacity=2, max_batch=2)
-        service = HCDService(catalog, "base", threads=2, config=config)
+    def test_bounded_queue_sheds(self, serve_with):
+        service = serve_with(ServiceConfig(queue_capacity=2, max_batch=2))
         trace = [
             {"kind": "pbks", "metric": "average_degree", "arrival": 0}
             for _ in range(6)
@@ -511,11 +530,15 @@ class TestService:
         report = service.serve(trace)
         assert report.shed == 4
         assert report.admitted == 2
+        assert (report.computed, report.shared, report.batches) == (1, 1, 1)
+        statuses = [r.status for r in report.records]
+        assert statuses == ["ok", "shared"] + ["shed"] * 4
+        assert [r.batch for r in report.records] == [0, 0, -1, -1, -1, -1]
         shed = [r for r in report.records if r.status == "shed"]
         assert all(r.latency == 0.0 for r in shed)
 
-    def test_invalid_requests_are_counted_not_fatal(self, catalog):
-        service = HCDService(catalog, "base", threads=2)
+    def test_invalid_requests_are_counted_not_fatal(self, serve_with):
+        service = serve_with()
         trace = [
             {"kind": "pbks", "metric": "average_degree", "arrival": 0},
             {"kind": "bogus", "arrival": 1},
@@ -523,17 +546,34 @@ class TestService:
         report = service.serve(trace)
         assert report.invalid == 1
         assert report.computed == 1
-        statuses = {r.rid: r.status for r in report.records}
-        assert statuses[1] == "invalid"
+        assert (report.admitted, report.batches, report.failed) == (2, 2, 0)
+        assert [r.status for r in report.records] == ["ok", "invalid"]
+        assert [r.batch for r in report.records] == [0, 1]
+        assert report.records[1].latency == 0.0
 
-    def test_decreasing_arrivals_rejected(self, catalog):
-        service = HCDService(catalog, "base", threads=2)
-        trace = [
-            {"kind": "densest", "arrival": 5},
-            {"kind": "densest", "arrival": 1},
-        ]
-        with pytest.raises(WorkloadError, match="arrival"):
+    @pytest.mark.parametrize(
+        "trace,message",
+        [
+            (
+                [{"kind": "densest", "arrival": 5}, {"kind": "densest", "arrival": 1}],
+                "trace[1]: field 'arrival' decreased (1.0 after 5.0)",
+            ),
+            (
+                [{"kind": "densest", "arrival": True}],
+                "trace[0]: field 'arrival' must be a number, got True",
+            ),
+            (
+                [{"kind": "densest", "arrival": 0}, ["densest"]],
+                "trace[1]: entry must be an object, got list",
+            ),
+        ],
+        ids=["decreasing", "boolean", "non-object"],
+    )
+    def test_malformed_traces_rejected(self, serve_with, trace, message):
+        service = serve_with()
+        with pytest.raises(WorkloadError) as excinfo:
             service.serve(trace)
+        assert str(excinfo.value) == message
 
     def test_latency_percentiles_ordered(self, catalog):
         service = HCDService(catalog, "base", threads=4)
