@@ -157,12 +157,27 @@ def _merge_parts(parts: list[list[int]]) -> list[int]:
     return sorted(y for part in parts for y in part)
 
 
+@dataclass
+class _RepairState:
+    """What one :func:`batch_repair` call reads, as native values.
+
+    The adjacency does not change during a repair, so ``starts`` and
+    ``lens`` are listed once per call; ``core`` mirrors ``coreness``
+    and :func:`_apply_level` writes both.  The kernels keep only
+    candidate-sized state of their own, so a small batch on a large
+    graph costs one O(n) listing per repair, not per kernel call.
+    """
+
+    coreness: np.ndarray
+    indices: np.ndarray
+    starts: list[int]
+    lens: list[int]
+    core: list[int]
+
+
 def _collect_subcore(
     pool: SimulatedPool,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    row_len: np.ndarray,
-    coreness: np.ndarray,
+    state: _RepairState,
     roots: list[int],
     k: int,
     tag: str,
@@ -175,9 +190,13 @@ def _collect_subcore(
     One BFS claims the whole ``>= k`` reachable region through an
     exactly-once CAS per vertex, so the claimed set — and the total
     work — is independent of how the pool partitions each frontier.
+    Each row's coreness reads and ``visited`` CAS attempts are charged
+    in bulk (one unit per entry, integers only).
     """
-    n = coreness.size
-    visited = AtomicArray(n, name="visited")
+    indices, starts, lens, core = (
+        state.indices, state.starts, state.lens, state.core
+    )
+    visited = AtomicArray(len(core), name="visited")
     nthreads = pool.threads
     seed_parts: list[list[int]] = [[] for _ in range(nthreads)]
 
@@ -191,20 +210,17 @@ def _collect_subcore(
     frontier = _merge_parts(seed_parts)
     members: list[int] = []
     while frontier:
-        members.extend(x for x in frontier if int(coreness[x]) == k)
+        members.extend(x for x in frontier if core[x] == k)
         next_parts: list[list[int]] = [[] for _ in range(nthreads)]
 
         def expand(x, ctx) -> None:
             xi = int(x)
             ctx.read(("row_len", xi))
-            base = int(indptr[xi])
-            deg = int(row_len[xi])
-            for j in range(deg):
-                y = int(indices[base + j])
-                ctx.read(("coreness", y))
-                if int(coreness[y]) >= k:
-                    if visited.compare_and_swap(ctx, y, 0, 1):
-                        next_parts[ctx.thread_id].append(y)
+            base = starts[xi]
+            row = indices[base : base + lens[xi]].tolist()
+            ctx.read_row("coreness", row)
+            claimed = visited.claim(ctx, [y for y in row if core[y] >= k])
+            next_parts[ctx.thread_id].extend(claimed)
 
         pool.parallel_for(frontier, expand, label=f"dyn_expand:{tag}")
         frontier = _merge_parts(next_parts)
@@ -213,10 +229,7 @@ def _collect_subcore(
 
 def _peel_promote(
     pool: SimulatedPool,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    row_len: np.ndarray,
-    coreness: np.ndarray,
+    state: _RepairState,
     cand: list[int],
     k: int,
     tag: str,
@@ -230,26 +243,25 @@ def _peel_promote(
     against a frozen ``alive`` snapshot, then evictions applied to
     disjoint slots — bit-identical at any thread count.
     """
-    n = coreness.size
-    alive = np.zeros(n, dtype=np.int64)
-    supp = np.zeros(n, dtype=np.int64)
+    indices, starts, lens, core = (
+        state.indices, state.starts, state.lens, state.core
+    )
     alive_list = sorted(cand)
-    for x in alive_list:
-        alive[x] = 1
+    alive = dict.fromkeys(alive_list, 1)
+    supp: dict[int, int] = {}
     nthreads = pool.threads
     while alive_list:
 
         def count_support(x, ctx) -> None:
             xi = int(x)
             ctx.read(("row_len", xi))
-            base = int(indptr[xi])
-            deg = int(row_len[xi])
+            base = starts[xi]
+            row = indices[base : base + lens[xi]].tolist()
+            ctx.read_row("coreness", row)
+            ctx.read_row("alive", row)
             s = 0
-            for j in range(deg):
-                y = int(indices[base + j])
-                ctx.read(("coreness", y))
-                ctx.read(("alive", y))
-                if int(coreness[y]) > k or alive[y]:
+            for y in row:
+                if core[y] > k or alive.get(y, 0):
                     s += 1
             ctx.write(("supp", xi))
             supp[xi] = s
@@ -260,7 +272,7 @@ def _peel_promote(
         def evict(x, ctx) -> None:
             xi = int(x)
             ctx.read(("supp", xi))
-            if int(supp[xi]) <= k:
+            if supp[xi] <= k:
                 ctx.write(("alive", xi))
                 alive[xi] = 0
                 out_parts[ctx.thread_id].append(xi)
@@ -274,10 +286,7 @@ def _peel_promote(
 
 def _peel_demote(
     pool: SimulatedPool,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    row_len: np.ndarray,
-    coreness: np.ndarray,
+    state: _RepairState,
     cand: list[int],
     k: int,
     tag: str,
@@ -290,9 +299,11 @@ def _peel_demote(
     not written here).  Same two-phase snapshot discipline as the
     promote peel.
     """
-    n = coreness.size
-    dropped = np.zeros(n, dtype=np.int64)
-    supp = np.zeros(n, dtype=np.int64)
+    indices, starts, lens, core = (
+        state.indices, state.starts, state.lens, state.core
+    )
+    dropped: dict[int, int] = {}
+    supp: dict[int, int] = {}
     active = sorted(cand)
     all_dropped: list[int] = []
     nthreads = pool.threads
@@ -301,15 +312,14 @@ def _peel_demote(
         def count_support(x, ctx) -> None:
             xi = int(x)
             ctx.read(("row_len", xi))
-            base = int(indptr[xi])
-            deg = int(row_len[xi])
+            base = starts[xi]
+            row = indices[base : base + lens[xi]].tolist()
+            ctx.read_row("coreness", row)
+            ctx.read_row("dropped", row)
             s = 0
-            for j in range(deg):
-                y = int(indices[base + j])
-                ctx.read(("coreness", y))
-                ctx.read(("dropped", y))
-                cy = int(coreness[y])
-                if cy > k or (cy == k and not dropped[y]):
+            for y in row:
+                cy = core[y]
+                if cy > k or (cy == k and y not in dropped):
                     s += 1
             ctx.write(("supp", xi))
             supp[xi] = s
@@ -320,7 +330,7 @@ def _peel_demote(
         def evict(x, ctx) -> None:
             xi = int(x)
             ctx.read(("supp", xi))
-            if int(supp[xi]) < k:
+            if supp[xi] < k:
                 ctx.write(("dropped", xi))
                 dropped[xi] = 1
                 out_parts[ctx.thread_id].append(xi)
@@ -330,18 +340,19 @@ def _peel_demote(
         if not evicted:
             break
         all_dropped.extend(evicted)
-        active = [x for x in active if not dropped[x]]
+        active = [x for x in active if x not in dropped]
     return sorted(all_dropped)
 
 
 def _apply_level(
     pool: SimulatedPool,
-    coreness: np.ndarray,
+    state: _RepairState,
     vertices: list[int],
     level: int,
     tag: str,
 ) -> None:
     """Write ``level`` into every vertex's coreness slot (disjoint)."""
+    coreness = state.coreness
 
     def assign(x, ctx) -> None:
         xi = int(x)
@@ -349,6 +360,8 @@ def _apply_level(
         coreness[xi] = level
 
     pool.parallel_for(sorted(vertices), assign, label=f"dyn_apply:{tag}")
+    for x in vertices:
+        state.core[x] = level
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +370,7 @@ def _apply_level(
 
 
 def _group_by_level(
-    coreness: np.ndarray,
+    core: list[int],
     edges: list[tuple[int, int]],
     seeds: set[int],
     dirty_levels: set[int],
@@ -370,49 +383,43 @@ def _group_by_level(
     """
     level_roots: dict[int, set[int]] = {}
     for u, v in edges:
-        k = int(min(coreness[u], coreness[v]))
+        k = min(core[u], core[v])
         dirty_levels.add(k)
         for x in (u, v):
-            if int(coreness[x]) == k:
+            if core[x] == k:
                 level_roots.setdefault(k, set()).add(x)
     for x in seeds:
-        level_roots.setdefault(int(coreness[x]), set()).add(x)
+        level_roots.setdefault(core[x], set()).add(x)
     return level_roots
 
 
 def _demote_phase(
     pool: SimulatedPool,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    row_len: np.ndarray,
-    coreness: np.ndarray,
+    state: _RepairState,
     deleted: list[tuple[int, int]],
     changed: set[int],
     dirty_levels: set[int],
 ) -> int:
     """Worklist demotion rounds to quiescence; returns rounds run."""
+    core = state.core
     seeds: set[int] = set()
     rounds = 0
     while True:
         rounds += 1
-        level_roots = _group_by_level(coreness, deleted, seeds, dirty_levels)
+        level_roots = _group_by_level(core, deleted, seeds, dirty_levels)
         seeds = set()
         any_change = False
         for k in sorted(level_roots, reverse=True):
             if k < 1:
                 continue
-            roots = sorted(x for x in level_roots[k] if int(coreness[x]) == k)
+            roots = sorted(x for x in level_roots[k] if core[x] == k)
             if not roots:
                 continue
             with pool.phase(f"dynamic.demote:level-{k}"):
-                cand = _collect_subcore(
-                    pool, indptr, indices, row_len, coreness, roots, k, f"d{k}"
-                )
-                droppedv = _peel_demote(
-                    pool, indptr, indices, row_len, coreness, cand, k, f"d{k}"
-                )
+                cand = _collect_subcore(pool, state, roots, k, f"d{k}")
+                droppedv = _peel_demote(pool, state, cand, k, f"d{k}")
                 if droppedv:
-                    _apply_level(pool, coreness, droppedv, k - 1, f"d{k}")
+                    _apply_level(pool, state, droppedv, k - 1, f"d{k}")
             if droppedv:
                 any_change = True
                 dirty_levels.update((k - 1, k))
@@ -424,35 +431,29 @@ def _demote_phase(
 
 def _promote_phase(
     pool: SimulatedPool,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    row_len: np.ndarray,
-    coreness: np.ndarray,
+    state: _RepairState,
     inserted: list[tuple[int, int]],
     changed: set[int],
     dirty_levels: set[int],
 ) -> int:
     """Worklist promotion rounds to quiescence; returns rounds run."""
+    core = state.core
     seeds: set[int] = set()
     rounds = 0
     while True:
         rounds += 1
-        level_roots = _group_by_level(coreness, inserted, seeds, dirty_levels)
+        level_roots = _group_by_level(core, inserted, seeds, dirty_levels)
         seeds = set()
         any_change = False
         for k in sorted(level_roots):
-            roots = sorted(x for x in level_roots[k] if int(coreness[x]) == k)
+            roots = sorted(x for x in level_roots[k] if core[x] == k)
             if not roots:
                 continue
             with pool.phase(f"dynamic.promote:level-{k}"):
-                cand = _collect_subcore(
-                    pool, indptr, indices, row_len, coreness, roots, k, f"i{k}"
-                )
-                survivors = _peel_promote(
-                    pool, indptr, indices, row_len, coreness, cand, k, f"i{k}"
-                )
+                cand = _collect_subcore(pool, state, roots, k, f"i{k}")
+                survivors = _peel_promote(pool, state, cand, k, f"i{k}")
                 if survivors:
-                    _apply_level(pool, coreness, survivors, k + 1, f"i{k}")
+                    _apply_level(pool, state, survivors, k + 1, f"i{k}")
             if survivors:
                 any_change = True
                 dirty_levels.update((k, k + 1))
@@ -464,10 +465,7 @@ def _promote_phase(
 
 def _verify_demote(
     pool: SimulatedPool,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    row_len: np.ndarray,
-    coreness: np.ndarray,
+    state: _RepairState,
     changed: set[int],
     dirty_levels: set[int],
 ) -> int:
@@ -479,15 +477,13 @@ def _verify_demote(
         for k in sorted(dirty_levels, reverse=True):
             if k < 1:
                 continue
-            cand = [int(x) for x in np.flatnonzero(coreness == k)]
+            cand = np.flatnonzero(state.coreness == k).tolist()
             if not cand:
                 continue
             with pool.phase(f"dynamic.verify-demote:level-{k}"):
-                droppedv = _peel_demote(
-                    pool, indptr, indices, row_len, coreness, cand, k, f"v{k}"
-                )
+                droppedv = _peel_demote(pool, state, cand, k, f"v{k}")
                 if droppedv:
-                    _apply_level(pool, coreness, droppedv, k - 1, f"v{k}")
+                    _apply_level(pool, state, droppedv, k - 1, f"v{k}")
             if droppedv:
                 any_change = True
                 dirty_levels.add(k - 1)
@@ -498,10 +494,7 @@ def _verify_demote(
 
 def _verify_promote(
     pool: SimulatedPool,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    row_len: np.ndarray,
-    coreness: np.ndarray,
+    state: _RepairState,
     changed: set[int],
     dirty_levels: set[int],
 ) -> int:
@@ -511,15 +504,13 @@ def _verify_promote(
         sweeps += 1
         any_change = False
         for k in sorted(dirty_levels):
-            cand = [int(x) for x in np.flatnonzero(coreness == k)]
+            cand = np.flatnonzero(state.coreness == k).tolist()
             if not cand:
                 continue
             with pool.phase(f"dynamic.verify-promote:level-{k}"):
-                survivors = _peel_promote(
-                    pool, indptr, indices, row_len, coreness, cand, k, f"v{k}"
-                )
+                survivors = _peel_promote(pool, state, cand, k, f"v{k}")
                 if survivors:
-                    _apply_level(pool, coreness, survivors, k + 1, f"v{k}")
+                    _apply_level(pool, state, survivors, k + 1, f"v{k}")
             if survivors:
                 any_change = True
                 dirty_levels.add(k + 1)
@@ -542,26 +533,20 @@ def batch_repair(
     and ``deleted`` are the canonical edge lists that were actually
     applied.  Returns ``(changed_vertices, worklist_rounds)``.
     """
-    indptr = acsr.indptr
-    indices = acsr.indices
-    row_len = acsr.lens
+    state = _RepairState(
+        coreness,
+        acsr.indices,
+        acsr.indptr.tolist(),
+        acsr.lens.tolist(),
+        coreness.tolist(),
+    )
     changed: set[int] = set()
     dirty_levels: set[int] = set()
     rounds = 0
     if deleted:
-        rounds += _demote_phase(
-            pool, indptr, indices, row_len, coreness, deleted,
-            changed, dirty_levels,
-        )
-        _verify_demote(
-            pool, indptr, indices, row_len, coreness, changed, dirty_levels
-        )
+        rounds += _demote_phase(pool, state, deleted, changed, dirty_levels)
+        _verify_demote(pool, state, changed, dirty_levels)
     if inserted:
-        rounds += _promote_phase(
-            pool, indptr, indices, row_len, coreness, inserted,
-            changed, dirty_levels,
-        )
-        _verify_promote(
-            pool, indptr, indices, row_len, coreness, changed, dirty_levels
-        )
+        rounds += _promote_phase(pool, state, inserted, changed, dirty_levels)
+        _verify_promote(pool, state, changed, dirty_levels)
     return changed, rounds

@@ -139,6 +139,24 @@ class AtomicArray:
             return True
         return False
 
+    def claim(self, ctx: ThreadContext, indices: list[int]) -> list[int]:
+        """Bulk ``0 -> 1`` CAS: ``compare_and_swap(ctx, i, 0, 1)`` per index.
+
+        Returns the indices this call flipped, in order.  Every index
+        pays one contended atomic, claimed or not, on the keys
+        :meth:`compare_and_swap` uses, through one
+        :meth:`ThreadContext.atomic_row` call (per-element calls, word
+        keys included, while an observer is attached).
+        """
+        ctx.atomic_row(self._name, indices)
+        slots = memoryview(self.data)
+        claimed = []
+        for i in indices:
+            if slots[i] == 0:
+                slots[i] = 1
+                claimed.append(i)
+        return claimed
+
     def fetch_min(self, ctx: ThreadContext, index: int, value):
         """Atomic ``data[index] = min(data[index], value)``; returns old.
 

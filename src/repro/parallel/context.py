@@ -31,6 +31,13 @@ building word and location keys that only an observer consumes; they
 apply the same charges in the same order either way, so the sim clock
 of an unobserved run is bit-identical to that of an observed one.
 
+Two bulk calls, :meth:`ThreadContext.read_row` and
+:meth:`ThreadContext.atomic_row`, charge a whole adjacency row at once
+when unobserved and make the per-element calls when observed.  Their
+folded charges equal the per-element ones only in regions whose every
+work addend is an integer (docs/cost_model.md, "When a bulk charge is
+exact").
+
 Event kinds are small ints so hot paths append plain tuples:
 
 ========================  =====================================================
@@ -223,6 +230,22 @@ class ThreadContext:
                     self.work += self.barrier_units
                 self._memcheck.on_read_event(location, self.thread_id)
 
+    def read_row(self, name: str, indices: list[int]) -> None:
+        """Charge a plain read of ``(name, i)`` for every ``i`` in ``indices``.
+
+        Unobserved, this is one ``len(indices)`` charge, equal to the
+        per-element :meth:`read` calls while every addend of the
+        region's ``work`` is an integer (docs/cost_model.md, "When a
+        bulk charge is exact").  With an observer attached it makes
+        those per-element calls, so the detector and memcheck see every
+        word.
+        """
+        if self.observed:
+            for i in indices:
+                self.read((name, i))
+        else:
+            self.work += len(indices)
+
     def write(
         self, location: object, units: float = 1.0, value: object = None
     ) -> None:
@@ -269,6 +292,29 @@ class ThreadContext:
                 if self.barrier_units:
                     self.work += self.barrier_units
                 self._memcheck.on_read_event(location, self.thread_id)
+
+    def atomic_row(self, name: str, indices: list[int]) -> None:
+        """Charge one contended atomic on ``(name, i)`` per ``i`` in ``indices``.
+
+        The same charges as ``atomic((name, i // CACHELINE_WORDS),
+        word=(name, i))`` per index, the key
+        :meth:`AtomicArray.compare_and_swap
+        <repro.parallel.atomics.AtomicArray.compare_and_swap>` uses.
+        Unobserved, ``atomic_ops`` and ``work`` grow by ``len(indices)``
+        at once and each index's cache line is tallied in order, so the
+        location histogram is the per-element one.  With an observer
+        attached it makes the per-element calls.
+        """
+        if self.observed:
+            for i in indices:
+                self.atomic((name, i // CACHELINE_WORDS), word=(name, i))
+            return
+        self.atomic_ops += len(indices)
+        self.work += len(indices)
+        locations = self._atomic_locations
+        for i in indices:
+            key = (name, i // CACHELINE_WORDS)
+            locations[key] = locations.get(key, 0) + 1
 
     def record(self, kind: int, location: object) -> None:
         """Append a raw access event without charging.

@@ -1427,7 +1427,7 @@ def _worker_effects(
                         atomics.add(tag)
                     elif inner.func.attr == "write":
                         writes.add(tag)
-                    elif inner.func.attr == "read":
+                    elif inner.func.attr in ("read", "read_row"):
                         reads.add(tag)
                     continue
                 passes_ctx = worker.ctx is not None and (

@@ -449,14 +449,16 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
     "dynamic_batch": {
         "reads": (
             "alive",
+            "core",
             "coreness",
             "dropped",
             "indices",
-            "indptr",
+            "lens",
             "next_parts",
             "out_parts",
             "row_len",
             "seed_parts",
+            "starts",
             "supp",
         ),
         "writes": (
@@ -612,7 +614,7 @@ KERNEL_EXTENTS: dict[str, dict[str, str]] = {
     "unionfind_waitfree": {},
     "vertex_rank": dict(_CSR_EXTENTS),
     "serve_batch": dict(_CSR_EXTENTS),
-    "dynamic_batch": {"coreness": "n"},
+    "dynamic_batch": {"coreness": "n", "core": "n"},
     "dynamic_publish": dict(_CSR_EXTENTS),
     "cluster_decompose": {
         "indptr": "n + 1",

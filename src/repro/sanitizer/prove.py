@@ -17,7 +17,9 @@ registry), recorded ``ctx.read/write/atomic(("name", idx))`` accesses
 whose constant name has a declared extent, and Atomic* method calls
 whose constructor is resolvable in-module (an ``AtomicArray(n,
 name="pkc_deg")`` receiver self-declares extent ``n`` for location
-name ``"pkc_deg"``).  Each obligation is judged by an interval
+name ``"pkc_deg"``).  The list argument of a bulk call
+(``ctx.read_row("name", seq)``, ``recv.claim(ctx, seq)``) is one
+obligation on an element of ``seq``.  Each obligation is judged by an interval
 fixpoint over the worker's CFG (:mod:`repro.sanitizer.intervals`):
 ``range`` loops bind tight intervals, ``start, end = item`` chunk
 unpacking binds ``[0, n]``, CSR idioms supply value facts (elements of
@@ -30,13 +32,13 @@ from *tight* intervals whose attained endpoint provably escapes).
 **Determinism certification (SAN503).**  Combining operations
 reachable from ``parallel_for`` are classified: integer
 ``fetch_add``/``add``, ``fetch_min``/``fetch_max``, CAS-claim
-(``compare_and_swap``/``add_if_absent``) and the pivot union-find ops
-commute bitwise under the substrate's deterministic schedule; float
-``fetch_add``/``add`` and ``AtomicList.append`` do not and are flagged
-SAN503 (order-sensitive reduction).  Receiver dtypes resolve from
-in-module constructor sites (``AtomicArray``'s default is
-``np.int64``); unresolvable sites are recorded as *assumed* — listed
-on the certificate, never silently commutative.
+(``compare_and_swap``/``claim``/``add_if_absent``) and the pivot
+union-find ops commute bitwise under the substrate's deterministic
+schedule; float ``fetch_add``/``add`` and ``AtomicList.append`` do
+not and are flagged SAN503 (order-sensitive reduction).  Receiver
+dtypes resolve from in-module constructor sites (``AtomicArray``'s
+default is ``np.int64``); unresolvable sites are recorded as
+*assumed* — listed on the certificate, never silently commutative.
 
 **Certificates + manifest.**  Each kernel gets a
 :class:`KernelCertificate` — ``certified`` iff zero SAN501 and not
@@ -117,6 +119,7 @@ _COMMUTATIVE_METHODS = frozenset(
         "fetch_min",
         "fetch_max",
         "compare_and_swap",
+        "claim",
         "add_if_absent",
         "union",
         "get_pivot",
@@ -131,6 +134,11 @@ _RMW_METHODS = frozenset({"add"})
 _INDEXED_ATOMIC_METHODS = frozenset(
     {"add", "store", "compare_and_swap", "fetch_min", "fetch_max", "load"}
 )
+#: Bulk atomic methods with an ``(ctx, indices)`` signature — every
+#: element of the index list is a bounds obligation.
+_BULK_ATOMIC_METHODS = frozenset({"claim"})
+#: Receivers of either kind self-declare their extent.
+_EXTENT_ATOMIC_METHODS = _INDEXED_ATOMIC_METHODS | _BULK_ATOMIC_METHODS
 
 #: ``# prove: item in [lo, hi)`` / ``# prove: chunks of [0, hi)``
 #: assumption markers, attached to the ``parallel_for`` call line or
@@ -912,9 +920,54 @@ class _ObligationCollector:
         )
         self._add(kind, base.id, node.slice, line, outcome, reason)
 
+    def _element(self, seq: ast.AST) -> tuple[Interval, str]:
+        """Interval and repr of one element of an index-list argument.
+
+        ``[e for v in it ...]`` yields ``e`` with ``v`` ranging over
+        ``it`` (filters only narrow it); any other list is named
+        ``*seq`` and ranges over what iterating it yields.
+        """
+        if (
+            isinstance(seq, ast.ListComp)
+            and len(seq.generators) == 1
+            and isinstance(seq.generators[0].target, ast.Name)
+        ):
+            gen = seq.generators[0]
+            env = dict(self.env)
+            env[gen.target.id] = _iter_interval(gen.iter, self.env, self.scope)
+            return _eval(seq.elt, env, self.scope), _index_repr(seq.elt)
+        return (
+            _iter_interval(seq, self.env, self.scope),
+            "*" + _index_repr(seq),
+        )
+
     def _call(self, node: ast.Call) -> None:
         func = node.func
         if not isinstance(func, ast.Attribute):
+            return
+        # bulk recorded reads: ctx.read_row("name", seq) reads name[v]
+        # for every element v of seq
+        if (
+            isinstance(func.value, ast.Name)
+            and func.value.id == self.scope.worker.ctx
+            and func.attr == "read_row"
+            and len(node.args) >= 2
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ):
+            array = node.args[0].value
+            if array in self.scope.extents:
+                iv, index_repr = self._element(node.args[1])
+                outcome, reason = _judge_index(
+                    iv,
+                    self.scope.extents[array],
+                    self.scope.facts,
+                    neg_is_violation=True,
+                )
+                self._add(
+                    "recorded", array, None, node.lineno, outcome, reason,
+                    index_repr=index_repr,
+                )
             return
         # recorded accesses: ctx.read/write/atomic/atomic_load(("name", i))
         if (
@@ -943,11 +996,12 @@ class _ObligationCollector:
                         outcome, reason,
                     )
             return
-        # indexed Atomic* methods: recv.add(ctx, index, ...) — the
-        # ctor's size argument self-declares the extent
+        # indexed Atomic* methods: recv.add(ctx, index, ...), and bulk
+        # ones: recv.claim(ctx, indices) — the ctor's size argument
+        # self-declares the extent
         if (
             isinstance(func.value, ast.Name)
-            and func.attr in _INDEXED_ATOMIC_METHODS
+            and func.attr in _EXTENT_ATOMIC_METHODS
             and len(node.args) >= 2
             and isinstance(node.args[0], ast.Name)
             and node.args[0].id == self.scope.worker.ctx
@@ -956,18 +1010,22 @@ class _ObligationCollector:
             ctor = self.atomic_extents.get(recv)
             if ctor is None:
                 return  # not a resolvable Atomic* receiver: no claim
-            index_node = node.args[1]
-            iv = _eval(index_node, self.env, self.scope)
+            if func.attr in _BULK_ATOMIC_METHODS:
+                iv, index_repr = self._element(node.args[1])
+            else:
+                iv = _eval(node.args[1], self.env, self.scope)
+                index_repr = _index_repr(node.args[1])
             outcome, reason = _judge_index(
                 iv, ctor.extent, self.scope.facts, neg_is_violation=True
             )
             self._add(
                 "atomic",
                 ctor.runtime_name or recv,
-                index_node,
+                None,
                 node.lineno,
                 outcome,
                 reason,
+                index_repr=index_repr,
             )
 
 
@@ -1265,7 +1323,7 @@ class ProveAnalyzer:
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and isinstance(node.func.value, ast.Name)
-                    and node.func.attr in _INDEXED_ATOMIC_METHODS
+                    and node.func.attr in _EXTENT_ATOMIC_METHODS
                 ):
                     recv = node.func.value.id
                     if recv not in ctor_cache:
@@ -1468,7 +1526,7 @@ def prove_source(
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and isinstance(node.func.value, ast.Name)
-                and node.func.attr in _INDEXED_ATOMIC_METHODS
+                and node.func.attr in _EXTENT_ATOMIC_METHODS
             ):
                 recv = node.func.value.id
                 if recv not in ctor_cache:

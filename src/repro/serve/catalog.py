@@ -47,6 +47,11 @@ def _check_name(name: str) -> str:
     return name
 
 
+def _is_published(bundle: str) -> bool:
+    """A bundle directory counts as published once its manifest exists."""
+    return os.path.exists(os.path.join(bundle, MANIFEST_FILE))
+
+
 class SnapshotCatalog:
     """Open-by-name access to a directory of versioned snapshot bundles."""
 
@@ -67,23 +72,41 @@ class SnapshotCatalog:
                     out.append(entry.name)
         return out
 
-    def versions(self, name: str) -> list[int]:
-        """Published versions of ``name``, ascending (empty if none)."""
+    def _version_dirs(self, name: str) -> list[tuple[int, str]]:
+        """``(version, path)`` of every ``v%08d`` entry of ``name``,
+        ascending, from one directory listing (published or not)."""
         _check_name(name)
-        base = self.root / name
-        if not base.is_dir():
+        try:
+            with os.scandir(self.root / name) as entries:
+                found = [
+                    (int(match.group(1)), entry.path)
+                    for entry in entries
+                    if (match := _VERSION_RE.match(entry.name))
+                ]
+        except (FileNotFoundError, NotADirectoryError):
             return []
-        found = []
-        for entry in base.iterdir():
-            match = _VERSION_RE.match(entry.name)
-            if match and entry.is_dir() and (entry / MANIFEST_FILE).exists():
-                found.append(int(match.group(1)))
         return sorted(found)
 
+    def versions(self, name: str) -> list[int]:
+        """Published versions of ``name``, ascending (empty if none)."""
+        return [
+            version
+            for version, path in self._version_dirs(name)
+            if _is_published(path)
+        ]
+
     def latest_version(self, name: str) -> int | None:
-        """Newest published version of ``name``, or ``None``."""
-        versions = self.versions(name)
-        return versions[-1] if versions else None
+        """Newest published version of ``name``, or ``None``.
+
+        Probes manifests from the newest entry down and stops at the
+        first complete bundle, so the staleness check a service makes
+        on every ``serve()`` costs one listing and (normally) one
+        ``stat``, however many versions are kept.
+        """
+        for version, path in reversed(self._version_dirs(name)):
+            if _is_published(path):
+                return version
+        return None
 
     def is_stale(self, name: str, version: int) -> bool:
         """Whether a newer version than ``version`` has been published."""

@@ -12,16 +12,26 @@ membership and fold the unit charges of a directed edge's wedges into
 one integer charge.  They are checked against the per-wedge
 formulation (one binary search and one unit charge per wedge), kept
 here as the reference.
+
+Batched dynamic repair charges each scanned row's reads and ``visited``
+CAS attempts in bulk (``ThreadContext.read_row``, ``AtomicArray.claim``).
+Its three kernels are checked against the per-access formulation, also
+kept here, and the two bulk operations against the per-element calls
+they replace.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.core.decomposition import core_decomposition
 from repro.core.phcd import phcd_build_hcd
 from repro.core.pkc import pkc_core_decomposition
 from repro.core.vertex_rank import compute_vertex_rank
+from repro.dynamic import DynamicCSR, batch
 from repro.graph.generators import (
     complete_graph,
     erdos_renyi,
@@ -540,3 +550,333 @@ def test_bks_type_b_regions_unchanged_by_observers(graph_name):
              result.values.tobytes())
         )
     assert all(run == runs[0] for run in runs[1:])
+
+
+# ---------------------------------------------------------------------------
+# batched dynamic repair: bulk row reads and bulk visited claims
+# ---------------------------------------------------------------------------
+
+
+def _ref_collect_subcore(pool, state, roots, k, tag):
+    coreness, indices = state.coreness, state.indices
+    visited = AtomicArray(coreness.size, name="visited")
+    seed_parts = [[] for _ in range(pool.threads)]
+
+    def claim_root(x, ctx):
+        xi = int(x)
+        ctx.read(("coreness", xi))
+        if visited.compare_and_swap(ctx, xi, 0, 1):
+            seed_parts[ctx.thread_id].append(xi)
+
+    pool.parallel_for(list(roots), claim_root, label=f"dyn_seed:{tag}")
+    frontier = batch._merge_parts(seed_parts)
+    members = []
+    while frontier:
+        members.extend(x for x in frontier if int(coreness[x]) == k)
+        next_parts = [[] for _ in range(pool.threads)]
+
+        def expand(x, ctx):
+            xi = int(x)
+            ctx.read(("row_len", xi))
+            base = state.starts[xi]
+            for j in range(state.lens[xi]):
+                y = int(indices[base + j])
+                ctx.read(("coreness", y))
+                if int(coreness[y]) >= k:
+                    if visited.compare_and_swap(ctx, y, 0, 1):
+                        next_parts[ctx.thread_id].append(y)
+
+        pool.parallel_for(frontier, expand, label=f"dyn_expand:{tag}")
+        frontier = batch._merge_parts(next_parts)
+    return sorted(members)
+
+
+def _ref_peel_promote(pool, state, cand, k, tag):
+    coreness, indices = state.coreness, state.indices
+    alive = np.zeros(coreness.size, dtype=np.int64)
+    supp = np.zeros(coreness.size, dtype=np.int64)
+    alive_list = sorted(cand)
+    for x in alive_list:
+        alive[x] = 1
+    while alive_list:
+
+        def count_support(x, ctx):
+            xi = int(x)
+            ctx.read(("row_len", xi))
+            base = state.starts[xi]
+            s = 0
+            for j in range(state.lens[xi]):
+                y = int(indices[base + j])
+                ctx.read(("coreness", y))
+                ctx.read(("alive", y))
+                if int(coreness[y]) > k or alive[y]:
+                    s += 1
+            ctx.write(("supp", xi))
+            supp[xi] = s
+
+        pool.parallel_for(alive_list, count_support, label=f"dyn_support:{tag}")
+        parts = [[] for _ in range(pool.threads)]
+
+        def evict(x, ctx):
+            xi = int(x)
+            ctx.read(("supp", xi))
+            if int(supp[xi]) <= k:
+                ctx.write(("alive", xi))
+                alive[xi] = 0
+                parts[ctx.thread_id].append(xi)
+
+        pool.parallel_for(alive_list, evict, label=f"dyn_evict:{tag}")
+        if not any(parts):
+            break
+        alive_list = [x for x in alive_list if alive[x]]
+    return alive_list
+
+
+def _ref_peel_demote(pool, state, cand, k, tag):
+    coreness, indices = state.coreness, state.indices
+    dropped = np.zeros(coreness.size, dtype=np.int64)
+    supp = np.zeros(coreness.size, dtype=np.int64)
+    active = sorted(cand)
+    all_dropped = []
+    while active:
+
+        def count_support(x, ctx):
+            xi = int(x)
+            ctx.read(("row_len", xi))
+            base = state.starts[xi]
+            s = 0
+            for j in range(state.lens[xi]):
+                y = int(indices[base + j])
+                ctx.read(("coreness", y))
+                ctx.read(("dropped", y))
+                cy = int(coreness[y])
+                if cy > k or (cy == k and not dropped[y]):
+                    s += 1
+            ctx.write(("supp", xi))
+            supp[xi] = s
+
+        pool.parallel_for(active, count_support, label=f"dyn_support:{tag}")
+        parts = [[] for _ in range(pool.threads)]
+
+        def evict(x, ctx):
+            xi = int(x)
+            ctx.read(("supp", xi))
+            if int(supp[xi]) < k:
+                ctx.write(("dropped", xi))
+                dropped[xi] = 1
+                parts[ctx.thread_id].append(xi)
+
+        pool.parallel_for(active, evict, label=f"dyn_evict:{tag}")
+        evicted = batch._merge_parts(parts)
+        if not evicted:
+            break
+        all_dropped.extend(evicted)
+        active = [x for x in active if not dropped[x]]
+    return sorted(all_dropped)
+
+
+#: the per-access formulation of the three repair kernels
+REF_REPAIR_KERNELS = {
+    "_collect_subcore": _ref_collect_subcore,
+    "_peel_promote": _ref_peel_promote,
+    "_peel_demote": _ref_peel_demote,
+}
+
+
+class _RegionCapture:
+    """Observer keeping each thread's contention histogram and events.
+
+    Listed before the race detector in a fanout, so it reads the event
+    streams before the detector drains them.
+    """
+
+    def __init__(self) -> None:
+        self.records = []
+
+    def on_region_begin(self, label, contexts) -> None:
+        pass
+
+    def on_region_end(self, label, contexts) -> None:
+        for ctx in contexts:
+            self.records.append(
+                (label, ctx.thread_id, dict(ctx.atomic_locations),
+                 Counter(ctx.events))
+            )
+
+
+def _repair_batches(graph, seed=5):
+    """Two mixed batches; the second re-inserts edges the first deleted,
+    so even a clique gets insertions."""
+    present = {tuple(e) for e in graph.edge_array().tolist()}
+    deleted = sorted(present)[:: max(1, len(present) // 5)][:5]
+    rng = np.random.default_rng(seed)
+    n = graph.num_vertices
+    inserted = []
+    for _ in range(200):
+        u, v = sorted(rng.integers(0, n, 2).tolist())
+        if u != v and (u, v) not in present and (u, v) not in inserted:
+            inserted.append((u, v))
+        if len(inserted) == 5:
+            break
+    later = sorted(present - set(deleted))[1::7][:3]
+    return [(inserted, deleted), (deleted[::2], later)]
+
+
+def _run_repair(graph, threads, observer, kernels):
+    coreness = core_decomposition(graph).astype(np.int64)
+    acsr = DynamicCSR.from_graph(graph)
+    pool = SimulatedPool(threads=threads)
+    capture = _RegionCapture()
+    detector = RaceDetector() if observer in ("races", "both") else None
+    checker = (
+        MemChecker(barrier_units=1.0)
+        if observer in ("memcheck_units", "both")
+        else None
+    )
+    if checker is not None:
+        checker.activate()
+    pool.set_observer(ObserverFanout([capture, detector, checker]))
+    outputs = []
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            for name, fn in kernels.items():
+                mp.setattr(batch, name, fn)
+            for inserted, deleted in _repair_batches(graph):
+                for u, v in inserted:
+                    acsr.insert(u, v)
+                for u, v in deleted:
+                    acsr.remove(u, v)
+                changed, rounds = batch.batch_repair(
+                    acsr, coreness, inserted, deleted, pool
+                )
+                outputs.append((coreness.tobytes(), sorted(changed), rounds))
+    finally:
+        pool.set_observer(None)
+        if checker is not None:
+            checker.deactivate()
+    if detector is not None:
+        assert detector.races == []
+    if checker is not None:
+        assert checker.findings == []
+    regions = [
+        (r.label, r.items, r.work_total, r.work_max, r.atomic_ops,
+         r.contention_penalty, r.elapsed)
+        for r in pool.regions
+    ]
+    return pool.clock, regions, capture.records, outputs
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+@pytest.mark.parametrize("graph_name", sorted(SEARCH_GRAPHS))
+def test_batch_repair_matches_per_access_reference(graph_name, threads):
+    graph = SEARCH_GRAPHS[graph_name]()
+    for observer in SEARCH_OBSERVERS:
+        got = _run_repair(graph, threads, observer, {})
+        want = _run_repair(graph, threads, observer, REF_REPAIR_KERNELS)
+        clock, regions, records, outputs = got
+        assert clock == want[0], observer
+        assert regions == want[1], observer
+        # per (region, thread): same histogram, same events as a multiset
+        assert records == want[2], observer
+        assert outputs == want[3], observer
+        assert any(o[1] for o in outputs)  # the batches move coreness
+        for label, _, work_total, work_max, *_ in regions:
+            if label.startswith("dyn_"):
+                assert float(work_total).is_integer(), (label, observer)
+                assert float(work_max).is_integer(), (label, observer)
+
+
+def test_batch_repair_contention_is_tallied():
+    graph = SEARCH_GRAPHS["rmat"]()
+    _, regions, records, _ = _run_repair(graph, 8, "none", {})
+    expand = [r for r in regions if r[0].startswith("dyn_expand")]
+    assert sum(r[5] for r in expand) > 0
+    assert any(hist for label, _, hist, _ in records if "expand" in label)
+
+
+# ---------------------------------------------------------------------------
+# the two bulk operations against the per-element calls they replace
+# ---------------------------------------------------------------------------
+
+#: per thread, the script of one region: ("cas", i) | ("claim", [i...])
+#: | ("read", i) | ("row", [i...]).  Index 5 is claimed by both threads,
+#: 3 and 5 share a cache line, both threads claim an empty row, and
+#: each mixes per-element and bulk calls.
+BULK_SCRIPT = (
+    [("cas", 1), ("claim", [3, 5, 17]), ("claim", []), ("read", 2),
+     ("row", [4, 9, 9]), ("cas", 17)],
+    [("row", []), ("claim", [5, 9, 40, 41]), ("cas", 6), ("claim", []),
+     ("row", [0, 1]), ("claim", [6, 7])],
+)
+
+
+def _bulk_region(observer: str, bulk: bool):
+    pool = SimulatedPool(threads=2)
+    capture = _RegionCapture()
+    detector = RaceDetector() if observer == "races" else None
+    checker = MemChecker(barrier_units=1.0) if observer == "memcheck_units" else None
+    pool.set_observer(ObserverFanout([capture, detector, checker]))
+    arr = AtomicArray(48, name="flags")
+    claimed = [[], []]
+
+    def run(t, ctx):
+        for op, arg in BULK_SCRIPT[t]:
+            if op == "cas":
+                if arr.compare_and_swap(ctx, arg, 0, 1):
+                    claimed[t].append(arg)
+            elif op == "claim" and bulk:
+                claimed[t].extend(arr.claim(ctx, arg))
+            elif op == "claim":
+                claimed[t].extend(
+                    i for i in arg if arr.compare_and_swap(ctx, i, 0, 1)
+                )
+            elif op == "read":
+                ctx.read(("flags", arg))
+            elif bulk:
+                ctx.read_row("flags", arg)
+            else:
+                for i in arg:
+                    ctx.read(("flags", i))
+
+    pool.parallel_for([0, 1], run, label="bulk")
+    pool.set_observer(None)
+    (region,) = pool.regions
+    stats = (region.work_total, region.work_max, region.atomic_ops,
+             region.contention_penalty, region.elapsed)
+    return stats, capture.records, claimed, arr.data.tolist()
+
+
+@pytest.mark.parametrize("observer", ("none", "races", "memcheck_units"))
+def test_bulk_operations_match_per_element_calls(observer):
+    got = _bulk_region(observer, bulk=True)
+    want = _bulk_region(observer, bulk=False)
+    assert got == want
+    stats, records, claimed, _ = got
+    assert stats[3] > 0  # the shared cache lines contend
+    assert claimed == [[1, 3, 5, 17], [9, 40, 41, 6, 7]]
+    hist = records[0][2]
+    assert hist[("flags", 0)] == 3 and hist[("flags", 2)] == 2
+
+
+def _claimed_contexts(bulk: bool) -> list[ThreadContext]:
+    contexts = [ThreadContext(t, DEFAULT_COST_MODEL) for t in range(2)]
+    arr = AtomicArray(64, name="v")
+    for ctx, row in zip(contexts, ([0, 1, 8, 9, 10, 63], [1, 2, 3, 9, 62])):
+        if bulk:
+            arr.claim(ctx, row)
+        else:
+            for i in row:
+                arr.compare_and_swap(ctx, i, 0, 1)
+    return contexts
+
+
+def test_bulk_contention_matches_per_element_penalty():
+    pool = SimulatedPool(threads=2)
+    bulk, per_element = _claimed_contexts(True), _claimed_contexts(False)
+    # lines 0, 1 and 7 queue 2, 1 and 1 ops behind the busiest thread
+    penalty = 4 * DEFAULT_COST_MODEL.contended_atomic_cost
+    assert pool._contention_penalty(bulk) == penalty
+    assert pool._contention_penalty(per_element) == penalty
+    for got, want in zip(bulk, per_element):
+        assert (got.work, got.atomic_ops) == (want.work, want.atomic_ops)
+        assert got.atomic_locations == want.atomic_locations

@@ -272,6 +272,37 @@ class TestProofs:
         ]
         assert "settled" in cert.proven_arrays
 
+    def test_bulk_row_ops_oblige_every_element(self):
+        # ctx.read_row and AtomicArray.claim take an index list: each
+        # element is an obligation, named by the comprehension's
+        # element or as *seq
+        src = (
+            "def run(pool, indptr, indices, settled, n):\n"
+            "    seen = AtomicArray(n, name='seen')\n"
+            "    def worker(v, ctx):  # prove: item in [0, n)\n"
+            "        ctx.read_row('settled', indices[indptr[v] : indptr[v + 1]].tolist())\n"
+            "        seen.claim(ctx, [u for u in indices[indptr[v] : indptr[v + 1]] if u > v])\n"
+            "        row = indices[indptr[v] : indptr[v + 1]].tolist()\n"
+            "        ctx.read_row('settled', row)\n"
+            "        ctx.read_row('settled', list(range(n + 1)))\n"
+            "    pool.parallel_for(front, worker, label='csr')\n"
+        )
+        report = prove_source(
+            src,
+            extents={"indptr": "n + 1", "indices": "2 * m", "settled": "n"},
+        )
+        cert = report.certificates["<source>"]
+        got = {
+            (o.kind, o.array, o.index_repr): o.outcome
+            for o in cert.obligations
+        }
+        csr_row = "*indices[indptr[v]:indptr[v + 1]].tolist()"
+        assert got[("recorded", "settled", csr_row)] == "proven"
+        assert got[("atomic", "seen", "u")] == "proven"
+        assert got[("recorded", "settled", "*row")] == "unproven"
+        assert got[("recorded", "settled", "*list(range(n + 1))")] == "violation"
+        assert "SAN501" in [f.code for f in report.findings]
+
     def test_assumption_is_recorded_not_convicting(self):
         src = (
             "def run(pool, out, n):\n"

@@ -245,6 +245,64 @@ class TestCatalog:
         assert catalog.is_stale("base", 1)
         assert not catalog.is_stale("base", 2)
 
+    @staticmethod
+    def _probes_of_is_stale(monkeypatch, cat, version):
+        """Filesystem calls one ``is_stale`` makes: stats and listings."""
+        import os
+
+        calls = []
+        for fn in ("stat", "lstat", "scandir", "listdir"):
+            real = getattr(os, fn)
+
+            def probe(*args, _real=real, _fn=fn, **kwargs):
+                calls.append(_fn)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(os, fn, probe)
+        try:
+            stale = cat.is_stale("s", version)
+        finally:
+            monkeypatch.undo()
+        return stale, len(calls)
+
+    def test_staleness_probes_do_not_grow_with_versions(
+        self, tmp_path, monkeypatch, snapshot
+    ):
+        cat = SnapshotCatalog(tmp_path)
+        cat.publish(snapshot, name="s")
+        bundle = cat.path("s", 1)
+        for version in range(2, 41):
+            # a complete bundle is a v%08d directory holding a manifest
+            cat.path("s", version).mkdir()
+            (cat.path("s", version) / MANIFEST_FILE).write_bytes(
+                (bundle / MANIFEST_FILE).read_bytes()
+            )
+        assert cat.latest_version("s") == 40
+        assert cat.is_stale("s", 39) and not cat.is_stale("s", 40)
+        stale, probes = self._probes_of_is_stale(monkeypatch, cat, 1)
+        assert stale
+        assert probes <= 3, probes
+        # the same count as with two versions: independent of history
+        small = SnapshotCatalog(tmp_path / "small")
+        small.publish(snapshot, name="s")
+        small.publish(snapshot, name="s")
+        assert self._probes_of_is_stale(monkeypatch, small, 1) == (True, probes)
+
+    def test_crashed_publish_without_manifest_is_skipped(
+        self, tmp_path, snapshot
+    ):
+        cat = SnapshotCatalog(tmp_path)
+        cat.publish(snapshot, name="s")
+        cat.publish(snapshot, name="s")
+        # a newest v-directory with no manifest: a publish that died
+        # mid-write, left in place
+        cat.path("s", 3).mkdir()
+        (cat.path("s", 3) / ARRAYS_FILE).write_bytes(b"partial")
+        assert cat.latest_version("s") == 2
+        assert cat.versions("s") == [1, 2]
+        assert not cat.is_stale("s", 2)
+        assert cat.open("s").version == 2
+
     def test_invalid_name_rejected(self, tmp_path, snapshot):
         cat = SnapshotCatalog(tmp_path)
         with pytest.raises(SnapshotError, match="invalid snapshot name"):
