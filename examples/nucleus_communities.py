@@ -17,7 +17,12 @@ import numpy as np
 
 from repro import SimulatedPool
 from repro.graph.generators import planted_partition
-from repro.nucleus import TriangleIndex, nucleus_decomposition, nucleus_hierarchy
+from repro.nucleus import (
+    TriangleIndex,
+    nucleus_decomposition,
+    nucleus_hierarchy,
+    vertices_of_nucleus,
+)
 
 
 def main() -> None:
@@ -39,10 +44,10 @@ def main() -> None:
     print(f"\nnucleus hierarchy: {hierarchy.num_nodes} nodes")
     print(f"total simulated time: {pool.clock:.0f}")
 
-    deepest = int(np.argmax(hierarchy.node_theta))
-    k = int(hierarchy.node_theta[deepest])
-    members = hierarchy.vertices_of_nucleus(deepest)
-    tris = hierarchy.reconstruct_nucleus(deepest)
+    deepest = int(np.argmax(hierarchy.node_level))
+    k = int(hierarchy.node_level[deepest])
+    members = vertices_of_nucleus(hierarchy, deepest)
+    tris = hierarchy.reconstruct(deepest)
     print(
         f"\ndeepest community: a {k}-(3,4)-nucleus with {tris.size} "
         f"triangles over {members.size} vertices"

@@ -35,9 +35,9 @@ def main() -> None:
     print(f"total simulated time: {pool.clock:.0f}")
 
     # the deepest community: a tightly knit triangle-rich group
-    deepest = int(np.argmax(hierarchy.node_trussness))
-    k = int(hierarchy.node_trussness[deepest])
-    edge_ids = hierarchy.reconstruct_truss(deepest)
+    deepest = int(np.argmax(hierarchy.node_level))
+    k = int(hierarchy.node_level[deepest])
+    edge_ids = hierarchy.reconstruct(deepest)
     vertices = sorted(
         {int(x) for e in edge_ids for x in index.edges[e]}
     )

@@ -10,12 +10,12 @@ from repro.nucleus.decomposition import (
     nucleus_decomposition,
     triangle_supports,
 )
-from repro.nucleus.hierarchy import NucleusHierarchy, nucleus_hierarchy
+from repro.nucleus.hierarchy import nucleus_hierarchy, vertices_of_nucleus
 
 __all__ = [
     "TriangleIndex",
     "triangle_supports",
     "nucleus_decomposition",
-    "NucleusHierarchy",
     "nucleus_hierarchy",
+    "vertices_of_nucleus",
 ]

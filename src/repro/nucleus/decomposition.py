@@ -12,13 +12,15 @@ The paper's related work (Section VII) points out that hierarchy
 construction for nucleus decomposition *has no parallel solution* —
 :mod:`repro.nucleus.hierarchy` closes that gap with the PHCD
 framework; this module provides the decomposition it consumes, via the
-same bin-bucket peeling as k-core and k-truss, one motif level up.
+shared bin-bucket peel (:func:`~repro.core.element_hierarchy.peel_levels`)
+that k-truss uses, one motif level up.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.element_hierarchy import motif_supports, peel_levels
 from repro.graph.graph import Graph
 from repro.parallel.scheduler import SimulatedPool
 
@@ -72,7 +74,7 @@ class TriangleIndex:
         """Triangle id of ``{a, b, c}`` or None."""
         return self._lookup.get(tuple(sorted((a, b, c))))
 
-    def k4_companions(self, tid: int) -> list[tuple[int, int, int]]:
+    def companions(self, tid: int) -> list[tuple[int, int, int]]:
         """For triangle ``tid``, its K4s as companion triangle triples.
 
         Each common neighbor ``w`` of the triangle's corners closes a
@@ -85,14 +87,24 @@ class TriangleIndex:
             g.neighbors(c),
             assume_unique=True,
         )
+        return [
+            (self.id_of(a, b, w), self.id_of(a, c, w), self.id_of(b, c, w))
+            for w in map(int, commons)
+        ]
+
+    def outer_neighbors(self, tid: int) -> list[int]:
+        """Triangles sharing an edge with ``tid`` (outermost-level glue)."""
+        a, b, c = (int(x) for x in self.triangles[tid])
+        g = self._graph
         out = []
-        for w in commons:
-            w = int(w)
-            t1 = self.get(a, b, w)
-            t2 = self.get(a, c, w)
-            t3 = self.get(b, c, w)
-            if t1 is not None and t2 is not None and t3 is not None:
-                out.append((t1, t2, t3))
+        for u, v in ((a, b), (a, c), (b, c)):
+            commons = np.intersect1d(
+                g.neighbors(u), g.neighbors(v), assume_unique=True
+            )
+            for w in commons:
+                other = self.id_of(u, v, int(w))
+                if other != tid:
+                    out.append(other)
         return out
 
     def __len__(self) -> int:
@@ -103,11 +115,7 @@ def triangle_supports(
     graph: Graph, index: TriangleIndex | None = None
 ) -> np.ndarray:
     """Number of K4s through every triangle (by triangle id)."""
-    index = index or TriangleIndex(graph)
-    supports = np.zeros(len(index), dtype=np.int64)
-    for tid in range(len(index)):
-        supports[tid] = len(index.k4_companions(tid))
-    return supports
+    return motif_supports(index or TriangleIndex(graph))
 
 
 def nucleus_decomposition(
@@ -120,39 +128,4 @@ def nucleus_decomposition(
     Bin-bucket peeling over K4 supports, exactly the k-core/k-truss
     recipe one motif level up; charged to ``pool`` when given.
     """
-    index = index or TriangleIndex(graph)
-    t = len(index)
-    theta = np.zeros(t, dtype=np.int64)
-    if t == 0:
-        return theta
-    support = triangle_supports(graph, index)
-    charged = int(support.sum()) + t
-
-    alive = np.ones(t, dtype=bool)
-    buckets: list[list[int]] = [[] for _ in range(int(support.max()) + 1)]
-    for tid in range(t):
-        buckets[int(support[tid])].append(tid)
-    cursor = 0
-    removed = 0
-    while removed < t:
-        while cursor < len(buckets) and not buckets[cursor]:
-            cursor += 1
-        tid = buckets[cursor].pop()
-        if not alive[tid] or support[tid] != cursor:
-            continue  # stale entry
-        alive[tid] = False
-        removed += 1
-        theta[tid] = cursor
-        for companions in index.k4_companions(tid):
-            charged += 3
-            if not all(alive[x] for x in companions):
-                continue  # this K4 is already broken
-            for other in companions:
-                if support[other] > cursor:
-                    support[other] -= 1
-                    buckets[int(support[other])].append(other)
-    if pool is not None:
-        with pool.phase("nucleus:peel"):
-            with pool.serial_region("nucleus_decomposition") as ctx:
-                ctx.charge(charged)
-    return theta
+    return peel_levels(index or TriangleIndex(graph), pool, "nucleus")

@@ -4,131 +4,22 @@ The paper observes: "A parallel solution for local nucleus query ...
 is proposed in [44], but there is no parallel solution for the
 hierarchy construction of nucleus decomposition."  Since the PHCD
 paradigm only needs (i) elements arriving in descending decomposition
-level and (ii) a connectivity relation preserved across levels, it
-applies verbatim with *triangles* as elements and *K4 co-membership*
-as adjacency:
-
-* shells are (3,4)-nucleus-number classes, added in descending k;
-* a K4 carries connectivity at level k iff all four of its triangles
-  have theta >= k;
-* the outermost (theta = 0) level falls back to shared-edge
-  connectivity so the forest roots follow triangle connectivity;
-* a pivot union-find over triangle ids groups shell triangles into
-  tree nodes and finds parents — Algorithm 2's four steps unchanged.
+level and (ii) a connectivity relation preserved across levels, the
+shared element framework of :mod:`repro.core.element_hierarchy`
+applies verbatim with *triangles* as elements, *K4s* as motifs, and
+shared edges as the outermost (theta = 0) glue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.errors import HierarchyError
+from repro.core.element_hierarchy import ElementHierarchy, build_element_hierarchy
 from repro.graph.graph import Graph
-from repro.parallel.atomics import AtomicArray, AtomicSet
 from repro.parallel.scheduler import SimulatedPool
 from repro.nucleus.decomposition import TriangleIndex, nucleus_decomposition
-from repro.sanitizer.memcheck import san_empty
-from repro.unionfind.pivot import PivotUnionFind
 
-__all__ = ["NucleusHierarchy", "nucleus_hierarchy"]
-
-
-@dataclass
-class NucleusHierarchy:
-    """Forest over K4-connected nucleus components (triangles in nodes)."""
-
-    index: TriangleIndex
-    node_theta: np.ndarray
-    parent: np.ndarray
-    tid_node: np.ndarray  # triangle id -> owning node
-    _node_triangles: list[list[int]]
-    children: list[list[int]] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.children = [[] for _ in range(self.num_nodes)]
-        for node in range(self.num_nodes):
-            pa = int(self.parent[node])
-            if pa >= 0:
-                self.children[pa].append(node)
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.node_theta.size)
-
-    def triangles_of(self, node: int) -> np.ndarray:
-        """Triangle ids stored directly in ``node``."""
-        return np.asarray(self._node_triangles[node], dtype=np.int64)
-
-    def reconstruct_nucleus(self, node: int) -> np.ndarray:
-        """All triangle ids of the node's original nucleus (subtree)."""
-        out: list[int] = []
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            out.extend(self._node_triangles[cur])
-            stack.extend(self.children[cur])
-        return np.asarray(sorted(out), dtype=np.int64)
-
-    def vertices_of_nucleus(self, node: int) -> np.ndarray:
-        """Distinct corners of the node's nucleus triangles."""
-        tris = self.index.triangles[self.reconstruct_nucleus(node)]
-        return np.unique(tris.reshape(-1))
-
-    def canonical_form(self):
-        """Order-independent content description (for equality tests)."""
-        entries = []
-        for node in range(self.num_nodes):
-            tris = tuple(sorted(self._node_triangles[node]))
-            pa = int(self.parent[node])
-            pkey = (
-                (-1, ())
-                if pa < 0
-                else (int(self.node_theta[pa]), tuple(sorted(self._node_triangles[pa])))
-            )
-            entries.append((int(self.node_theta[node]), tris, pkey[0], pkey[1]))
-        entries.sort()
-        return entries
-
-    def validate(self, theta: np.ndarray) -> None:
-        """Partition + monotone-parent checks."""
-        t = len(self.index)
-        seen = np.zeros(t, dtype=bool)
-        for node in range(self.num_nodes):
-            k = int(self.node_theta[node])
-            for tid in self._node_triangles[node]:
-                if seen[tid]:
-                    raise HierarchyError(f"triangle {tid} in two nodes")
-                seen[tid] = True
-                if int(theta[tid]) != k:
-                    raise HierarchyError(
-                        f"triangle {tid} theta {theta[tid]} in k={k} node"
-                    )
-                if int(self.tid_node[tid]) != node:
-                    raise HierarchyError(f"tid_node({tid}) != {node}")
-            pa = int(self.parent[node])
-            if pa >= 0 and int(self.node_theta[pa]) >= k:
-                raise HierarchyError("parent theta must be smaller")
-        if t and not bool(seen.all()):
-            missing = int(np.flatnonzero(~seen)[0])
-            raise HierarchyError(f"triangle {missing} missing from hierarchy")
-
-
-def _edge_neighbors(
-    graph: Graph, index: TriangleIndex, tid: int
-) -> list[int]:
-    """Triangles sharing an edge with ``tid`` (outermost-level glue)."""
-    a, b, c = (int(x) for x in index.triangles[tid])
-    out = []
-    for u, v in ((a, b), (a, c), (b, c)):
-        commons = np.intersect1d(
-            graph.neighbors(u), graph.neighbors(v), assume_unique=True
-        )
-        for w in commons:
-            other = index.get(u, v, int(w))
-            if other is not None and other != tid:
-                out.append(other)
-    return out
+__all__ = ["nucleus_hierarchy", "vertices_of_nucleus"]
 
 
 def nucleus_hierarchy(
@@ -136,126 +27,18 @@ def nucleus_hierarchy(
     theta: np.ndarray | None = None,
     pool: SimulatedPool | None = None,
     index: TriangleIndex | None = None,
-) -> NucleusHierarchy:
+) -> ElementHierarchy:
     """Build the (3,4)-nucleus hierarchy with the PHCD paradigm."""
     pool = pool or SimulatedPool(threads=1)
     index = index or TriangleIndex(graph)
-    t = len(index)
     if theta is None:
         theta = nucleus_decomposition(graph, index, pool)
-    theta = np.asarray(theta, dtype=np.int64)
-    if t == 0:
-        return NucleusHierarchy(
-            index=index,
-            node_theta=np.empty(0, dtype=np.int64),
-            parent=np.empty(0, dtype=np.int64),
-            tid_node=np.empty(0, dtype=np.int64),
-            _node_triangles=[],
-        )
-
-    kmax = int(theta.max())
-    order = np.lexsort((np.arange(t), theta))
-    rank = san_empty(t, np.int64, name="nucleus_rank")
-    rank[order] = np.arange(t)
-    shells: list[list[int]] = [[] for _ in range(kmax + 1)]
-    for tid in range(t):
-        shells[int(theta[tid])].append(tid)
-
-    uf = PivotUnionFind(rank, name="nucleus_uf")
-    tid_node = np.full(t, -1, dtype=np.int64)
-    tid_arr = AtomicArray.from_array(tid_node, name="nucleus_tid")
-    node_theta: list[int] = []
-    node_parent: list[int] = []
-    node_triangles: list[list[int]] = []
-
-    def new_node(k: int) -> int:
-        node_theta.append(k)
-        node_parent.append(-1)
-        node_triangles.append([])
-        return len(node_theta) - 1
-
-    for k in range(kmax, -1, -1):
-        shell = shells[k]
-        if not shell:
-            continue
-        kpc_pivot = AtomicSet(name=f"nucleus_kpc_{k}")
-
-        # Step 1: capture pivots of higher components this shell joins.
-        def collect(tid: int, ctx) -> None:
-            ctx.charge(1)
-            for companions in index.k4_companions(tid):
-                ctx.charge(1)
-                if all(theta[x] >= k for x in companions):
-                    for other in companions:
-                        if theta[other] > k:
-                            kpc_pivot.add_if_absent(
-                                ctx, uf.get_pivot(other, ctx)
-                            )
-
-        pool.parallel_for(shell, collect, label=f"nucleus:step1_k{k}")
-        if k == 0:
-            def collect_edges(tid: int, ctx) -> None:
-                for other in _edge_neighbors(graph, index, tid):
-                    ctx.charge(1)
-                    if theta[other] > 0:
-                        kpc_pivot.add_if_absent(ctx, uf.get_pivot(other, ctx))
-
-            pool.parallel_for(shell, collect_edges, label="nucleus:step1b_k0")
-
-        # Step 2: union along K4s wholly inside the k-nucleus.
-        def connect(tid: int, ctx) -> None:
-            ctx.charge(1)
-            for companions in index.k4_companions(tid):
-                ctx.charge(1)
-                if all(theta[x] >= k for x in companions):
-                    for other in companions:
-                        uf.union(tid, other, ctx)
-
-        pool.parallel_for(shell, connect, label=f"nucleus:step2_k{k}")
-        if k == 0:
-            def connect_edges(tid: int, ctx) -> None:
-                for other in _edge_neighbors(graph, index, tid):
-                    ctx.charge(1)
-                    uf.union(tid, other, ctx)
-
-            pool.parallel_for(shell, connect_edges, label="nucleus:step2b_k0")
-
-        # Step 3: group shell triangles into nodes by pivot.
-        def group(tid: int, ctx) -> None:
-            pvt = uf.get_pivot(tid, ctx)
-            node = int(tid_arr.load(ctx, pvt))
-            if node < 0:
-                # create-node race between shell triangles of one
-                # component: allocate, publish via CAS, loser re-reads
-                fresh = new_node(k)
-                ctx.atomic(("nucleus_nodes",), contended=False)
-                if tid_arr.compare_and_swap(ctx, pvt, -1, fresh):
-                    node = fresh
-                else:
-                    node = int(tid_arr.load(ctx, pvt))
-            if tid != pvt:
-                # each shell triangle owns its tid_node slot this round
-                ctx.write(("nucleus_tid", int(tid)), 0.0)
-                tid_node[tid] = node
-            ctx.atomic(("nucleus_members", node), contended=False)
-            node_triangles[node].append(tid)  # sani: ok - tail append, charged atomic above
-
-        pool.parallel_for(shell, group, label=f"nucleus:step3_k{k}")
-
-        # Step 4: attach captured children under the new nodes.
-        def attach(old_pivot: int, ctx) -> None:
-            pvt = uf.get_pivot(old_pivot, ctx)
-            child = int(tid_arr.load(ctx, old_pivot))
-            parent = int(tid_arr.load(ctx, pvt))
-            ctx.write(("nucleus_parent", child), 0.0)
-            node_parent[child] = parent  # sani: ok - distinct old pivots, distinct children
-
-        pool.parallel_for(list(kpc_pivot), attach, label=f"nucleus:step4_k{k}")
-
-    return NucleusHierarchy(
-        index=index,
-        node_theta=np.asarray(node_theta, dtype=np.int64),
-        parent=np.asarray(node_parent, dtype=np.int64),
-        tid_node=tid_node,
-        _node_triangles=node_triangles,
+    return build_element_hierarchy(
+        index, theta, pool, floor=0, prefix="nucleus", slot="tid"
     )
+
+
+def vertices_of_nucleus(hierarchy: ElementHierarchy, node: int) -> np.ndarray:
+    """Distinct corners of the node's nucleus triangles."""
+    tris = hierarchy.index.triangles[hierarchy.reconstruct(node)]
+    return np.unique(tris.reshape(-1))

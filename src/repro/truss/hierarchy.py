@@ -8,142 +8,21 @@ This module carries that out.
 The k-trusses (for triangle connectivity, the standard community
 notion of Huang et al.) nest exactly like k-cores: every triangle-
 connected k-truss component is contained in one (k-1)-truss component.
-:func:`truss_hierarchy` therefore reruns Algorithm 2 with edges in the
-role of vertices:
-
-* *shells* are trussness classes, added in descending ``k``;
-* *adjacency* is triangle co-membership: edge ``e`` connects to the two
-  companion edges of every triangle it closes whose trussness is >= k;
-* a pivot union-find over edge ids groups shell edges into tree nodes
-  and finds parents, exactly as in PHCD's four steps.
-
-The result is a :class:`TrussHierarchy` — the HCD's shape with edge
-sets in the nodes.
+:func:`truss_hierarchy` therefore runs the shared element framework of
+:mod:`repro.core.element_hierarchy` with edges as elements, triangles
+as motifs, and shared endpoints as the outermost (k = 2) glue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.errors import HierarchyError
+from repro.core.element_hierarchy import ElementHierarchy, build_element_hierarchy
 from repro.graph.graph import Graph
-from repro.parallel.atomics import AtomicArray, AtomicSet
 from repro.parallel.scheduler import SimulatedPool
 from repro.truss.decomposition import EdgeIndex, truss_decomposition
-from repro.sanitizer.memcheck import san_empty
-from repro.unionfind.pivot import PivotUnionFind
 
-__all__ = ["TrussHierarchy", "truss_hierarchy"]
-
-
-@dataclass
-class TrussHierarchy:
-    """Forest over triangle-connected k-truss components.
-
-    Mirrors the HCD index: ``node_trussness[i]`` is node i's k,
-    ``parent[i]`` its parent (-1 for roots), ``eid_node[e]`` the node
-    holding edge ``e``, and :meth:`edges_of` / :meth:`reconstruct_truss`
-    recover node contents / whole components.
-    """
-
-    index: EdgeIndex
-    node_trussness: np.ndarray
-    parent: np.ndarray
-    eid_node: np.ndarray
-    _node_edges: list[list[int]]
-    children: list[list[int]] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.children = [[] for _ in range(self.num_nodes)]
-        for node in range(self.num_nodes):
-            pa = int(self.parent[node])
-            if pa >= 0:
-                self.children[pa].append(node)
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.node_trussness.size)
-
-    def edges_of(self, node: int) -> np.ndarray:
-        """Edge ids stored directly in ``node``."""
-        return np.asarray(self._node_edges[node], dtype=np.int64)
-
-    def subtree_nodes(self, node: int) -> list[int]:
-        out = []
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            out.append(cur)
-            stack.extend(self.children[cur])
-        return out
-
-    def reconstruct_truss(self, node: int) -> np.ndarray:
-        """All edge ids of the node's original k-truss component."""
-        parts = [self._node_edges[i] for i in self.subtree_nodes(node)]
-        flat = [e for part in parts for e in part]
-        return np.asarray(sorted(flat), dtype=np.int64)
-
-    def canonical_form(self):
-        """Order-independent content description (for equality tests)."""
-        entries = []
-        for node in range(self.num_nodes):
-            edges = tuple(sorted(self._node_edges[node]))
-            pa = int(self.parent[node])
-            pkey = (
-                (-1, ())
-                if pa < 0
-                else (
-                    int(self.node_trussness[pa]),
-                    tuple(sorted(self._node_edges[pa])),
-                )
-            )
-            entries.append(
-                (int(self.node_trussness[node]), edges, pkey[0], pkey[1])
-            )
-        entries.sort()
-        return entries
-
-    def validate(self, graph: Graph, trussness: np.ndarray) -> None:
-        """Structural checks: partition, monotone parents, connectivity."""
-        m = len(self.index)
-        seen = np.zeros(m, dtype=bool)
-        for node in range(self.num_nodes):
-            k = int(self.node_trussness[node])
-            for e in self._node_edges[node]:
-                if seen[e]:
-                    raise HierarchyError(f"edge {e} in two truss nodes")
-                seen[e] = True
-                if int(trussness[e]) != k:
-                    raise HierarchyError(
-                        f"edge {e} trussness {trussness[e]} in k={k} node"
-                    )
-                if int(self.eid_node[e]) != node:
-                    raise HierarchyError(f"eid_node({e}) != {node}")
-            pa = int(self.parent[node])
-            if pa >= 0 and int(self.node_trussness[pa]) >= k:
-                raise HierarchyError("parent trussness must be smaller")
-        if m and not bool(seen.all()):
-            missing = int(np.flatnonzero(~seen)[0])
-            raise HierarchyError(f"edge {missing} missing from hierarchy")
-
-
-def _triangle_companions(
-    graph: Graph, index: EdgeIndex, eid: int
-) -> list[tuple[int, int]]:
-    """For edge ``eid``, the companion edge id pairs of its triangles."""
-    u, v = (int(x) for x in index.edges[eid])
-    out = []
-    for w in np.intersect1d(
-        graph.neighbors(u), graph.neighbors(v), assume_unique=True
-    ):
-        w = int(w)
-        e1 = index.get(u, w)
-        e2 = index.get(v, w)
-        if e1 is not None and e2 is not None:
-            out.append((e1, e2))
-    return out
+__all__ = ["truss_hierarchy"]
 
 
 def truss_hierarchy(
@@ -151,160 +30,20 @@ def truss_hierarchy(
     trussness: np.ndarray | None = None,
     pool: SimulatedPool | None = None,
     index: EdgeIndex | None = None,
-) -> TrussHierarchy:
+) -> ElementHierarchy:
     """Build the truss hierarchy with the PHCD paradigm on edges.
 
     ``trussness`` may be precomputed (else it is computed here, charged
-    to the pool).  Isolated-from-triangles edges (trussness 2) form the
-    outermost components by plain shared-endpoint connectivity? — no:
-    triangle connectivity leaves each triangle-free edge its own
-    2-truss class; following Huang et al. we keep *triangle*
-    connectivity for k >= 3 and group the 2-level by the edges'
-    subgraph connectivity so the forest has one root per connected
-    chunk of the graph.
+    to the pool).  Triangle connectivity leaves each triangle-free edge
+    its own 2-truss class, so, following Huang et al., the forest keeps
+    *triangle* connectivity for k >= 3 and groups the 2-level by the
+    edges' subgraph connectivity: one root per connected chunk of the
+    graph.
     """
     pool = pool or SimulatedPool(threads=1)
     index = index or EdgeIndex(graph)
-    m = len(index)
     if trussness is None:
         trussness = truss_decomposition(graph, index, pool)
-    trussness = np.asarray(trussness, dtype=np.int64)
-    if m == 0:
-        return TrussHierarchy(
-            index=index,
-            node_trussness=np.empty(0, dtype=np.int64),
-            parent=np.empty(0, dtype=np.int64),
-            eid_node=np.empty(0, dtype=np.int64),
-            _node_edges=[],
-        )
-
-    tmax = int(trussness.max())
-    # edge rank: (trussness, id) — Definition 4 transplanted to edges
-    order = np.lexsort((np.arange(m), trussness))
-    rank = san_empty(m, np.int64, name="truss_rank")
-    rank[order] = np.arange(m)
-    shells: list[list[int]] = [[] for _ in range(tmax + 1)]
-    for eid in range(m):
-        shells[int(trussness[eid])].append(eid)
-
-    uf = PivotUnionFind(rank, name="truss_uf")
-    eid_node = np.full(m, -1, dtype=np.int64)
-    eid_arr = AtomicArray.from_array(eid_node, name="truss_eid")
-    node_trussness: list[int] = []
-    node_parent: list[int] = []
-    node_edges: list[list[int]] = []
-
-    def new_node(k: int) -> int:
-        node_trussness.append(k)
-        node_parent.append(-1)
-        node_edges.append([])
-        return len(node_trussness) - 1
-
-    for k in range(tmax, 1, -1):
-        shell = shells[k]
-        if not shell:
-            continue
-        kpc_pivot = AtomicSet(name=f"truss_kpc_{k}")
-
-        # Step 1: capture pivots of higher-truss components this shell
-        # will absorb.  A triangle only carries k-truss connectivity
-        # when all three of its edges have trussness >= k; any companion
-        # strictly above k then belongs to an existing component.
-        def collect(eid: int, ctx) -> None:
-            ctx.charge(1)
-            for e1, e2 in _triangle_companions(graph, index, eid):
-                ctx.charge(1)
-                if trussness[e1] >= k and trussness[e2] >= k:
-                    for companion in (e1, e2):
-                        if trussness[companion] > k:
-                            kpc_pivot.add_if_absent(
-                                ctx, uf.get_pivot(companion, ctx)
-                            )
-
-        pool.parallel_for(shell, collect, label=f"truss:step1_k{k}")
-
-        # At the outermost level the forest switches to plain subgraph
-        # connectivity, so higher components reachable through a shared
-        # endpoint (no triangle) must be captured too.
-        if k == 2:
-            def collect_endpoints(eid: int, ctx) -> None:
-                u, v = (int(x) for x in index.edges[eid])
-                for x in (u, v):
-                    for w in graph.neighbors(x):
-                        other = index.get(x, int(w))
-                        ctx.charge(1)
-                        if other is not None and trussness[other] > 2:
-                            kpc_pivot.add_if_absent(
-                                ctx, uf.get_pivot(other, ctx)
-                            )
-
-            pool.parallel_for(
-                shell, collect_endpoints, label="truss:step1b_k2"
-            )
-
-        # Step 2: union along triangles wholly inside the k-truss.
-        def connect(eid: int, ctx) -> None:
-            ctx.charge(1)
-            for e1, e2 in _triangle_companions(graph, index, eid):
-                ctx.charge(1)
-                if trussness[e1] >= k and trussness[e2] >= k:
-                    uf.union(eid, e1, ctx)
-                    uf.union(eid, e2, ctx)
-
-        pool.parallel_for(shell, connect, label=f"truss:step2_k{k}")
-
-        # 2-level special case: also connect by shared endpoints so the
-        # outermost components match graph connectivity.
-        if k == 2:
-            def connect_endpoints(eid: int, ctx) -> None:
-                u, v = (int(x) for x in index.edges[eid])
-                for x in (u, v):
-                    for w in graph.neighbors(x):
-                        other = index.get(x, int(w))
-                        ctx.charge(1)
-                        if other is not None:
-                            uf.union(eid, other, ctx)
-
-            pool.parallel_for(
-                shell, connect_endpoints, label="truss:step2b_k2"
-            )
-
-        # Step 3: group shell edges into nodes by pivot.
-        def group(eid: int, ctx) -> None:
-            pvt = uf.get_pivot(eid, ctx)
-            node = int(eid_arr.load(ctx, pvt))
-            if node < 0:
-                # create-node race between shell edges of one
-                # component: allocate, publish via CAS, loser re-reads
-                fresh = new_node(k)
-                ctx.atomic(("truss_nodes",), contended=False)
-                if eid_arr.compare_and_swap(ctx, pvt, -1, fresh):
-                    node = fresh
-                else:
-                    node = int(eid_arr.load(ctx, pvt))
-            if eid != pvt:
-                # each shell edge owns its eid_node slot this round
-                ctx.write(("truss_eid", int(eid)), 0.0)
-                eid_node[eid] = node
-            ctx.atomic(("truss_members", node), contended=False)
-            node_edges[node].append(eid)  # sani: ok - tail append, charged atomic above
-
-        pool.parallel_for(shell, group, label=f"truss:step3_k{k}")
-
-        # Step 4: attach captured children under the new nodes.
-        def attach(old_pivot: int, ctx) -> None:
-            pvt = uf.get_pivot(old_pivot, ctx)
-            child = int(eid_arr.load(ctx, old_pivot))
-            parent = int(eid_arr.load(ctx, pvt))
-            ctx.write(("truss_parent", child), 0.0)
-            node_parent[child] = parent  # sani: ok - distinct old pivots, distinct children
-
-        pool.parallel_for(list(kpc_pivot), attach, label=f"truss:step4_k{k}")
-
-    return TrussHierarchy(
-        index=index,
-        node_trussness=np.asarray(node_trussness, dtype=np.int64),
-        parent=np.asarray(node_parent, dtype=np.int64),
-        eid_node=eid_node,
-        _node_edges=node_edges,
+    return build_element_hierarchy(
+        index, trussness, pool, floor=2, prefix="truss", slot="eid"
     )

@@ -26,12 +26,12 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.element_hierarchy import ElementHierarchy
 from repro.graph.graph import Graph
 from repro.parallel.atomics import AtomicArray
 from repro.parallel.scheduler import SimulatedPool
 from repro.search.result import best_finite_index
 from repro.truss.decomposition import EdgeIndex
-from repro.truss.hierarchy import TrussHierarchy, _triangle_companions
 
 __all__ = ["TrussSearchResult", "best_truss", "TRUSS_METRICS"]
 
@@ -63,13 +63,13 @@ class TrussSearchResult:
     best_score: float
     scores: np.ndarray
     values: np.ndarray  # (|T|, 2): accumulated (m, triangles) per node
-    hierarchy: TrussHierarchy
+    hierarchy: ElementHierarchy
 
     def best_edges(self) -> np.ndarray:
         """Edge ids of the winning community."""
         if self.best_node < 0:
             return np.empty(0, dtype=np.int64)
-        return self.hierarchy.reconstruct_truss(self.best_node)
+        return self.hierarchy.reconstruct(self.best_node)
 
     def best_vertices(self) -> np.ndarray:
         """Distinct endpoints of the winning community's edges."""
@@ -79,7 +79,7 @@ class TrussSearchResult:
 
 def best_truss(
     graph: Graph,
-    hierarchy: TrussHierarchy,
+    hierarchy: ElementHierarchy,
     trussness: np.ndarray,
     pool: SimulatedPool,
     metric: str = "average_support",
@@ -107,11 +107,11 @@ def best_truss(
     contributions = AtomicArray(t * 2, dtype=np.float64, name="truss_vals")
 
     def contribute(eid: int, ctx) -> None:
-        node = int(hierarchy.eid_node[eid])
+        node = int(hierarchy.elem_node[eid])
         ctx.charge(1)
         contributions.add(ctx, node * 2, 1.0)  # one edge
         # triangles charged to the min-(trussness, id)-rank edge
-        for e1, e2 in _triangle_companions(graph, index, eid):
+        for e1, e2 in index.companions(eid):
             ctx.charge(1)
             rank = (int(trussness[eid]), eid)
             if rank < (int(trussness[e1]), e1) and rank < (
@@ -132,7 +132,7 @@ def best_truss(
     # bottom-up accumulation over the truss forest
     values = contributions.data.reshape(t, 2).copy()
     order = sorted(
-        range(t), key=lambda node: -int(hierarchy.node_trussness[node])
+        range(t), key=lambda node: -int(hierarchy.node_level[node])
     )
     for node in order:
         pa = int(hierarchy.parent[node])
@@ -146,21 +146,11 @@ def best_truss(
         [score_fn(float(m_), float(tri)) for m_, tri in values]
     )
     best = best_finite_index(scores)
-    if best < 0:
-        return TrussSearchResult(
-            metric_name=metric,
-            best_node=-1,
-            best_k=-1,
-            best_score=float("-inf"),
-            scores=scores,
-            values=values,
-            hierarchy=hierarchy,
-        )
     return TrussSearchResult(
         metric_name=metric,
         best_node=best,
-        best_k=int(hierarchy.node_trussness[best]),
-        best_score=float(scores[best]),
+        best_k=int(hierarchy.node_level[best]) if best >= 0 else -1,
+        best_score=float(scores[best]) if best >= 0 else float("-inf"),
         scores=scores,
         values=values,
         hierarchy=hierarchy,

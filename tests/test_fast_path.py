@@ -40,6 +40,7 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.graph import Graph
+from repro.nucleus import nucleus_decomposition, nucleus_hierarchy
 from repro.parallel.atomics import AtomicArray
 from repro.parallel.context import ThreadContext
 from repro.parallel.cost_model import DEFAULT_COST_MODEL
@@ -54,6 +55,7 @@ from repro.search.pbks import (
     pbks_type_b_contributions,
 )
 from repro.search.preprocessing import preprocess_neighbor_counts
+from repro.truss import truss_decomposition, truss_hierarchy
 
 GRAPHS = {
     "rmat": lambda: rmat(8, 4, seed=7),
@@ -79,7 +81,24 @@ def _pipeline(graph, pool):
     return outputs
 
 
-def _run(graph, threads: int, observer: str):
+def _element_pipeline(graph, pool):
+    """Truss and nucleus: decomposition -> hierarchy (shared framework)."""
+    outputs = []
+    for decompose, build in (
+        (truss_decomposition, truss_hierarchy),
+        (nucleus_decomposition, nucleus_hierarchy),
+    ):
+        levels = decompose(graph, pool=pool)
+        h = build(graph, levels, pool)
+        members = [e for i in range(h.num_nodes) for e in h.members_of(i)]
+        outputs.extend([
+            levels, h.node_level, h.parent, h.elem_node,
+            np.asarray(members, dtype=np.int64),
+        ])
+    return outputs
+
+
+def _run(graph, threads: int, observer: str, pipeline=_pipeline):
     pool = SimulatedPool(threads=threads)
     detector = RaceDetector() if observer in ("races", "both") else None
     checker = MemChecker() if observer in ("memcheck", "both") else None
@@ -87,7 +106,7 @@ def _run(graph, threads: int, observer: str):
         checker.activate()
     pool.set_observer(ObserverFanout([detector, checker]))
     try:
-        outputs = _pipeline(graph, pool)
+        outputs = pipeline(graph, pool)
     finally:
         pool.set_observer(None)
         if checker is not None:
@@ -108,11 +127,20 @@ def _run(graph, threads: int, observer: str):
 @pytest.mark.parametrize("threads", [1, 8])
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_observers_leave_clock_and_outputs_bit_identical(name, threads):
-    graph = GRAPHS[name]()
-    clock, regions, outputs = _run(graph, threads, "none")
+    _check_observers(GRAPHS[name](), threads, _pipeline)
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_observers_leave_element_hierarchies_bit_identical(name, threads):
+    _check_observers(GRAPHS[name](), threads, _element_pipeline)
+
+
+def _check_observers(graph, threads: int, pipeline) -> None:
+    clock, regions, outputs = _run(graph, threads, "none", pipeline)
     assert clock > 0
     for observer in OBSERVERS[1:]:
-        o_clock, o_regions, o_outputs = _run(graph, threads, observer)
+        o_clock, o_regions, o_outputs = _run(graph, threads, observer, pipeline)
         assert o_clock == clock, observer
         assert o_regions == regions, observer
         assert len(o_outputs) == len(outputs)

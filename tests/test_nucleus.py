@@ -13,6 +13,7 @@ from repro.nucleus import (
     nucleus_decomposition,
     nucleus_hierarchy,
     triangle_supports,
+    vertices_of_nucleus,
 )
 from repro.parallel.scheduler import SimulatedPool
 
@@ -34,7 +35,7 @@ class TestTriangleIndex:
         index = TriangleIndex(g)
         assert len(index) == 4
         for tid in range(4):
-            companions = index.k4_companions(tid)
+            companions = index.companions(tid)
             assert len(companions) == 1
             assert sorted(companions[0]) == sorted(
                 x for x in range(4) if x != tid
@@ -78,7 +79,7 @@ class TestNucleusDecomposition:
             for tid in members:
                 intact = sum(
                     1
-                    for comp in index.k4_companions(tid)
+                    for comp in index.companions(tid)
                     if all(x in members for x in comp)
                 )
                 assert intact >= k
@@ -117,7 +118,7 @@ class TestNucleusDecomposition:
             for tid in members:
                 intact = sum(
                     1
-                    for comp in index.k4_companions(tid)
+                    for comp in index.companions(tid)
                     if all(x in members for x in comp)
                 )
                 assert intact >= k
@@ -133,9 +134,9 @@ class TestNucleusHierarchy:
         theta = nucleus_decomposition(g, index)
         h = nucleus_hierarchy(g, theta, SimulatedPool(), index=index)
         h.validate(theta)
-        deep = [i for i in range(h.num_nodes) if h.node_theta[i] == 2]
+        deep = [i for i in range(h.num_nodes) if h.node_level[i] == 2]
         assert len(deep) == 2
-        sides = {frozenset(h.vertices_of_nucleus(i).tolist()) for i in deep}
+        sides = {frozenset(vertices_of_nucleus(h, i).tolist()) for i in deep}
         assert sides == {frozenset(range(5)), frozenset(range(5, 10))}
 
     def test_nested_levels(self):
@@ -147,7 +148,7 @@ class TestNucleusHierarchy:
         theta = nucleus_decomposition(g, index)
         h = nucleus_hierarchy(g, theta, SimulatedPool(threads=2), index=index)
         h.validate(theta)
-        assert int(h.node_theta.max()) >= 3
+        assert int(h.node_level.max()) >= 3
 
     @pytest.mark.parametrize("threads", [1, 3, 6])
     def test_thread_invariance(self, threads):
@@ -166,10 +167,10 @@ class TestNucleusHierarchy:
         theta = nucleus_decomposition(g, index)
         h = nucleus_hierarchy(g, theta, SimulatedPool(), index=index)
         for node in range(h.num_nodes):
-            k = int(h.node_theta[node])
-            tris = h.reconstruct_nucleus(node)
+            k = int(h.node_level[node])
+            tris = h.reconstruct(node)
             assert np.all(theta[tris] >= k)
-            own = h.triangles_of(node)
+            own = h.members_of(node)
             assert np.all(theta[own] == k)
 
     def test_empty_graph(self):

@@ -96,3 +96,15 @@ class TestExamplesSmoke:
         _run_example("scaling_study.py", ["AS"])
         out = capsys.readouterr().out
         assert "PHCD's speedup over serial LCPS" in out
+
+    def test_truss_communities(self, capsys):
+        _run_example("truss_communities.py")
+        out = capsys.readouterr().out
+        assert "truss hierarchy:" in out
+        assert "deepest community: a 5-truss" in out
+
+    def test_nucleus_communities(self, capsys):
+        _run_example("nucleus_communities.py")
+        out = capsys.readouterr().out
+        assert "nucleus hierarchy:" in out
+        assert "deepest community: a 4-(3,4)-nucleus" in out

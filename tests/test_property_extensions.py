@@ -58,12 +58,12 @@ def test_truss_hierarchy_invariants(edges, threads):
     th = truss_hierarchy(
         g, trussness, SimulatedPool(threads=threads), index=index
     )
-    th.validate(g, trussness)
+    th.validate(trussness)
     # partition + parent monotonicity are inside validate; additionally
     # every reconstructed community's edges share one trussness floor
     for node in range(th.num_nodes):
-        k = int(th.node_trussness[node])
-        edges_of = th.reconstruct_truss(node)
+        k = int(th.node_level[node])
+        edges_of = th.reconstruct(node)
         assert np.all(trussness[edges_of] >= k)
 
 

@@ -12,7 +12,8 @@ from repro.graph.generators import (
 from repro.graph.graph import Graph
 from repro.parallel.scheduler import SimulatedPool
 from repro.truss.decomposition import EdgeIndex, edge_supports, truss_decomposition
-from repro.truss.hierarchy import TrussHierarchy, truss_hierarchy
+from repro.truss.hierarchy import truss_hierarchy
+from tests.test_element_hierarchy import definitional_hierarchy, hierarchy_nodes
 
 
 def nx_truss_edges(graph: Graph, k: int) -> set[tuple[int, int]]:
@@ -74,47 +75,6 @@ class TestTrussDecomposition:
         assert pool.clock > 0
 
 
-def definitional_hierarchy(graph: Graph, index, trussness):
-    """Oracle: per-level triangle-connectivity classes by BFS."""
-    m = len(index)
-    tmax = int(trussness.max()) if m else 0
-    # adjacency between edges through valid triangles at >= k
-    from repro.truss.hierarchy import _triangle_companions
-
-    nodes = []
-    for k in range(tmax, 1, -1):
-        members = set(int(e) for e in np.flatnonzero(trussness >= k))
-        seen: set[int] = set()
-        for start in sorted(members):
-            if start in seen:
-                continue
-            comp = {start}
-            seen.add(start)
-            stack = [start]
-            while stack:
-                e = stack.pop()
-                neighbors = []
-                for e1, e2 in _triangle_companions(graph, index, e):
-                    if trussness[e1] >= k and trussness[e2] >= k:
-                        neighbors += [e1, e2]
-                if k == 2:
-                    u, v = (int(x) for x in index.edges[e])
-                    for x in (u, v):
-                        for w in graph.neighbors(x):
-                            other = index.get(x, int(w))
-                            if other is not None:
-                                neighbors.append(other)
-                for other in neighbors:
-                    if other in members and other not in seen:
-                        seen.add(other)
-                        comp.add(other)
-                        stack.append(other)
-            shell = frozenset(e for e in comp if trussness[e] == k)
-            if shell:
-                nodes.append((k, shell))
-    return sorted(nodes)
-
-
 class TestTrussHierarchy:
     @pytest.mark.parametrize("threads", [1, 3, 6])
     def test_nodes_match_definitional_oracle(self, threads):
@@ -122,12 +82,8 @@ class TestTrussHierarchy:
         index = EdgeIndex(g)
         trussness = truss_decomposition(g, index)
         th = truss_hierarchy(g, trussness, SimulatedPool(threads=threads), index=index)
-        th.validate(g, trussness)
-        mine = sorted(
-            (int(th.node_trussness[i]), frozenset(int(e) for e in th.edges_of(i)))
-            for i in range(th.num_nodes)
-        )
-        assert mine == definitional_hierarchy(g, index, trussness)
+        th.validate(trussness)
+        assert hierarchy_nodes(th) == definitional_hierarchy(index, trussness, 2)
 
     def test_thread_invariance(self):
         g = erdos_renyi(40, 0.15, seed=3)
@@ -144,10 +100,10 @@ class TestTrussHierarchy:
         trussness = truss_decomposition(g, index)
         th = truss_hierarchy(g, trussness, SimulatedPool(threads=2), index=index)
         for node in range(th.num_nodes):
-            k = int(th.node_trussness[node])
-            edges = th.reconstruct_truss(node)
+            k = int(th.node_level[node])
+            edges = th.reconstruct(node)
             assert np.all(trussness[edges] >= k)
-            own = th.edges_of(node)
+            own = th.members_of(node)
             assert np.all(trussness[own] == k)
 
     def test_two_cliques_give_two_deep_nodes(self):
@@ -157,10 +113,10 @@ class TestTrussHierarchy:
         g = Graph.from_edges(edges)
         trussness = truss_decomposition(g)
         th = truss_hierarchy(g, trussness, SimulatedPool())
-        ks = sorted(int(k) for k in th.node_trussness)
+        ks = sorted(int(k) for k in th.node_level)
         assert ks == [2, 5, 5]
         # both K5 nodes hang under the level-2 root
-        root = [i for i in range(3) if th.node_trussness[i] == 2][0]
+        root = [i for i in range(3) if th.node_level[i] == 2][0]
         assert sorted(th.children[root]) == [
             i for i in range(3) if i != root
         ]
@@ -172,8 +128,8 @@ class TestTrussHierarchy:
         g = Graph.from_edges(edges)
         trussness = truss_decomposition(g)
         th = truss_hierarchy(g, trussness, SimulatedPool(threads=2))
-        th.validate(g, trussness)
-        ks = sorted(int(k) for k in th.node_trussness)
+        th.validate(trussness)
+        ks = sorted(int(k) for k in th.node_level)
         assert ks[-1] == 6
         assert 3 in ks
 
