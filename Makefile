@@ -9,11 +9,9 @@ check: test lint flow prove dist sanitize memcheck profile serve-bench bench-dyn
 test:
 	$(PYTHON) -m pytest -x -q
 
-## sanitize: race-check every kernel, lint src/, run the seeded selftest
+## sanitize: every family (races, lint, flow, prove, dist), the SAN002 dead-marker audit and the seeded selftests, warnings gating
 sanitize:
-	$(PYTHON) -m repro sanitize --all-kernels
-	$(PYTHON) -m repro sanitize --lint
-	$(PYTHON) -m repro sanitize --selftest
+	$(PYTHON) -m repro sanitize --strict
 
 ## memcheck: SimCheck sweep — kernels + seeded selftests under the memory sanitizer
 memcheck:

@@ -70,8 +70,8 @@ def run() -> dict:
                 "files": report.files,
                 "workers": report.workers,
                 "findings": len(report.findings),
-                "errors": report.errors,
-                "warnings": report.warnings,
+                "errors": len(report.errors),
+                "warnings": len(report.warnings),
                 "verified_disjoint": len(report.verified),
             },
             "effects": {

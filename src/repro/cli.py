@@ -563,9 +563,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+    from importlib import import_module
+    from pathlib import Path
+
     from repro.sanitizer import (
         KERNELS,
+        Report,
         lint_paths,
+        manifest,
         memcheck_selftest,
         run_kernel,
         selftest,
@@ -575,8 +581,6 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         for name in KERNELS:
             print(name)
         return 0
-
-    from pathlib import Path
 
     # default mode: everything
     explicit = bool(
@@ -593,26 +597,16 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     do_kernels = list(args.kernel)
     if args.all_kernels or not explicit:
         do_kernels = list(KERNELS)
-    do_lint = args.lint if args.lint is not None else (
-        None
-        if args.selftest
-        or args.kernel
-        or args.all_kernels
-        or args.flow
-        or args.prove
-        or args.dist
-        or args.write_manifest
-        else list(default_scope)
-    )
-    if args.lint is not None and not args.lint:
-        do_lint = list(default_scope)
+    do_lint = None
+    if args.lint is not None or not explicit:
+        do_lint = args.lint or list(default_scope)
     do_selftest = args.selftest or not explicit
     do_flow = args.flow or not explicit
     do_prove = args.prove or args.write_manifest or not explicit
     do_dist = args.dist or args.write_manifest or not explicit
     # SimFlow analyzes the lint scope (or the default scope when only
     # --flow was given); effect signatures cover the selected kernels
-    flow_paths = do_lint if do_lint else list(default_scope)
+    flow_paths = do_lint or list(default_scope)
 
     if args.threads < 1:
         print(
@@ -633,13 +627,32 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         "schema": "sanitize-report/v1",
         "threads": args.threads,
     }
+    strict = " [strict]" if args.strict else ""
+
+    def failures(errors: int, warnings: int = 0) -> int:
+        # warnings (and stale baseline entries) gate only under --strict
+        return errors + (warnings if args.strict else 0)
+
+    def listing(lines: list) -> None:
+        for line in lines:
+            print(f"  {line}")
+        if not lines:
+            print("  clean")
+
+    def manifest_step(payload: dict, path: Path, flag: str) -> list[str]:
+        # refresh the committed manifest, or report every drift line
+        if args.write_manifest:
+            manifest.write(payload, path)
+            print(f"  manifest refreshed: {path}")
+            return []
+        drift = manifest.drift(payload, path, flag)
+        for line in drift:
+            print(f"  manifest drift: {line}")
+        return drift
 
     if do_kernels:
         mode = "races + memcheck" if args.memcheck else "race detection"
         print(f"== {mode} ({args.threads} virtual threads) ==")
-        race_count = 0
-        mem_count = 0
-        nan_count = 0
         kernel_rows = []
         for name in do_kernels:
             report = run_kernel(
@@ -655,9 +668,6 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
                 print(f"    {race}")
             for finding in report.memcheck_findings:
                 print(f"    {finding}")
-            race_count += len(report.races)
-            mem_count += len(report.memcheck_findings)
-            nan_count += len(report.nan_origins)
             kernel_rows.append(
                 {
                     "name": name,
@@ -668,38 +678,40 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
                     "nan_origins": [str(o) for o in report.nan_origins],
                 }
             )
+        races, mem, nans = (
+            sum(len(row[key]) for row in kernel_rows)
+            for key in ("races", "memcheck", "nan_origins")
+        )
         families["races"] = (
-            race_count,
-            f"{race_count} finding(s) over {len(do_kernels)} kernel(s)",
+            races,
+            f"{races} finding(s) over {len(do_kernels)} kernel(s)",
         )
         if args.memcheck:
             families["memcheck"] = (
-                mem_count,
-                f"{mem_count} finding(s), {nan_count} NaN origin(s)",
+                mem,
+                f"{mem} finding(s), {nans} NaN origin(s)",
             )
         report_json["kernels"] = kernel_rows
+
+    missing = [p for p in do_lint or [] if not Path(p).exists()]
+    if missing:
+        for p in missing:
+            print(f"no such lint path: {p}", file=sys.stderr)
+        return 2
 
     # SimFlow runs before the lint report so its disjoint-write proofs
     # can downgrade SAN201 warnings at verified sites
     flow_report = None
-    flow_active: list = []
-    flow_baselined: list = []
-    flow_stale: list[str] = []
     downgrade_lines: set[tuple[str, int]] = set()
     if do_flow:
         from repro.sanitizer.flow import (
-            analyze_paths as flow_analyze_paths,
+            analyze_paths,
             apply_baseline,
             check_kernel_effects,
             load_baseline,
             stale_baseline_entries,
         )
 
-        missing = [p for p in flow_paths if not Path(p).exists()]
-        if missing:
-            for p in missing:
-                print(f"no such lint path: {p}", file=sys.stderr)
-            return 2
         try:
             baseline = load_baseline(args.flow_baseline)
         except (OSError, ValueError) as exc:
@@ -709,27 +721,26 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        flow_report = flow_analyze_paths(flow_paths)
-        effect_findings, inferred = check_kernel_effects(
+        flow_report = analyze_paths(flow_paths)
+        effect_findings, flow_report.effects = check_kernel_effects(
             names=do_kernels or None
         )
         flow_report.findings.extend(effect_findings)
-        flow_report.effects = inferred
         flow_active, flow_baselined = apply_baseline(
             flow_report.findings, baseline
         )
-        flow_stale = stale_baseline_entries(flow_report.findings, baseline)
+        flow_stale = stale_baseline_entries(
+            flow_report.findings,
+            baseline,
+            flow_report.file_names,
+            set(flow_report.effects),
+        )
         downgrade_lines = {
             (str(Path(p).resolve()), line)
             for p, line in flow_report.verified_lines()
         }
 
     if do_lint:
-        missing = [p for p in do_lint if not Path(p).exists()]
-        if missing:
-            for p in missing:
-                print(f"no such lint path: {p}", file=sys.stderr)
-            return 2
         print(f"== lint ({', '.join(str(p) for p in do_lint)}) ==")
         findings = lint_paths(do_lint)
         # a disjointness *proof* trumps the pattern checks: SAN201
@@ -741,63 +752,49 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             if f.code in ("SAN101", "SAN201")
             and (str(Path(f.path).resolve()), f.line) in downgrade_lines
         ]
-        findings = [f for f in findings if f not in downgraded]
-        errors = sum(1 for f in findings if f.severity == "error")
-        warnings = len(findings) - errors
-        for finding in findings:
-            print(f"  {finding}")
-        for finding in downgraded:
-            print(f"  {finding} [downgraded: verified-disjoint]")
-        if not findings and not downgraded:
-            print("  clean")
-        lint_failures = errors + (warnings if args.strict else 0)
+        lint = Report([f for f in findings if f not in downgraded])
+        listing(
+            lint.findings
+            + [f"{f} [downgraded: verified-disjoint]" for f in downgraded]
+        )
+        errors, warnings = len(lint.errors), len(lint.warnings)
         suffix = f"{errors} error(s), {warnings} warning(s)"
         if downgraded:
             suffix += f", {len(downgraded)} downgraded"
-        families["lint"] = (
-            lint_failures,
-            suffix + (" [strict]" if args.strict else ""),
-        )
-        report_json["lint"] = [str(f) for f in findings]
+        families["lint"] = (failures(errors, warnings), suffix + strict)
+        report_json["lint"] = [str(f) for f in lint.findings]
         report_json["lint_downgraded"] = [str(f) for f in downgraded]
 
-    if do_flow and flow_report is not None:
+    if flow_report is not None:
         print(f"== flow ({', '.join(str(p) for p in flow_paths)}) ==")
         cwd = Path.cwd()
 
-        def _rel(path: str) -> str:
+        def rel(path: str) -> str:
             try:
                 return str(Path(path).resolve().relative_to(cwd))
             except ValueError:
                 return path
 
-        for finding in flow_active:
-            print(f"  {_rel(finding.path)}:{finding.line}:{finding.col} "
-                  f"{finding.code} [{finding.severity}] {finding.message}")
-        for finding, reason in flow_baselined:
-            print(f"  {finding.code} baselined ({finding.key}): {reason}")
-        for key in flow_stale:
-            print(
-                f"  stale baseline entry (matches no current finding):"
-                f" {key}"
-            )
-        if not flow_active and not flow_baselined and not flow_stale:
-            print("  clean")
-        flow_errors = sum(
-            1 for f in flow_active if f.severity == "error"
+        listing(
+            [replace(f, path=rel(f.path)) for f in flow_active]
+            + [
+                f"{f.code} baselined ({f.key}): {reason}"
+                for f, reason in flow_baselined
+            ]
+            + [
+                f"stale baseline entry (matches no current finding): {key}"
+                for key in flow_stale
+            ]
         )
-        flow_warnings = len(flow_active) - flow_errors
-        flow_failures = flow_errors + (
-            flow_warnings + len(flow_stale) if args.strict else 0
-        )
+        active = Report(flow_active)
+        errors, warnings = len(active.errors), len(active.warnings)
         families["flow"] = (
-            flow_failures,
-            f"{flow_errors} error(s), {flow_warnings} warning(s), "
+            failures(errors, warnings + len(flow_stale)),
+            f"{errors} error(s), {warnings} warning(s), "
             f"{len(flow_report.verified)} verified-disjoint, "
             f"{len(flow_baselined)} baselined, "
             f"{len(flow_stale)} stale baseline entr(ies), "
-            f"effects over {len(flow_report.effects)} kernel(s)"
-            + (" [strict]" if args.strict else ""),
+            f"effects over {len(flow_report.effects)} kernel(s)" + strict,
         )
         report_json["flow"] = {
             "findings": [str(f) for f in flow_active],
@@ -805,7 +802,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
                 {"key": f.key, "reason": reason}
                 for f, reason in flow_baselined
             ],
-            "stale_baseline": list(flow_stale),
+            "stale_baseline": flow_stale,
             "verified_disjoint": [str(v) for v in flow_report.verified],
             "effects": {
                 name: sig.as_dict()
@@ -820,23 +817,19 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     if do_prove:
         from repro.sanitizer.prove import (
             DEFAULT_MANIFEST_PATH,
-            diff_manifest,
-            load_manifest,
             manifest_payload,
-            prove_kernels as run_prove,
-            write_manifest,
+            prove_kernels,
         )
 
         print("== prove (SimProve SAN5xx static certification) ==")
         # --write-manifest always re-proves the full registry so the
         # committed manifest never shrinks to a subset
-        full_set = (
+        prove_full = (
             args.write_manifest
             or not do_kernels
             or set(do_kernels) == set(KERNELS)
         )
-        prove_report = run_prove(None if full_set else do_kernels)
-        prove_full = full_set
+        prove_report = prove_kernels(None if prove_full else do_kernels)
         for name, cert in sorted(prove_report.certificates.items()):
             bounds = cert.bounds
             tag = "fully-proven" if cert.fully_proven else cert.status
@@ -846,27 +839,13 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
                 f"{bounds['unproven']:3d} unproven "
                 f"{bounds['violations']} violation(s)"
             )
-        prove_errors = [
-            f for f in prove_report.findings if f.severity == "error"
-        ]
-        for finding in prove_errors:
+        for finding in prove_report.errors:
             print(f"  {finding}")
-        n_503 = sum(
-            1 for f in prove_report.findings if f.code == "SAN503"
-        )
-        n_502 = sum(
-            1 for f in prove_report.findings if f.code == "SAN502"
-        )
+        codes = [f.code for f in prove_report.findings]
+        payload = manifest_payload(prove_report)
         drift: list[str] = []
-        if args.write_manifest:
-            write_manifest(prove_report)
-            print(f"  manifest refreshed: {DEFAULT_MANIFEST_PATH}")
-        elif full_set:
-            drift = diff_manifest(
-                manifest_payload(prove_report), load_manifest()
-            )
-            for line in drift:
-                print(f"  manifest drift: {line}")
+        if prove_full:
+            drift = manifest_step(payload, DEFAULT_MANIFEST_PATH, "--prove")
         else:
             print(
                 "  (subset proven — manifest drift check skipped; "
@@ -875,31 +854,25 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         # SAN502/SAN503 are acknowledged by the committed manifest —
         # the manifest IS the prove baseline — so --strict does not
         # promote them; only provable OOB and unacknowledged drift gate
-        prove_failures = len(prove_errors) + len(drift)
         families["prove"] = (
-            prove_failures,
+            len(prove_report.errors) + len(drift),
             f"{len(prove_report.certified)} certified / "
             f"{len(prove_report.certificates)} kernel(s), "
-            f"{len(prove_errors)} SAN501, {n_502} SAN502, "
-            f"{n_503} SAN503, {len(drift)} drift line(s)",
+            f"{len(prove_report.errors)} SAN501, "
+            f"{codes.count('SAN502')} SAN502, "
+            f"{codes.count('SAN503')} SAN503, {len(drift)} drift line(s)",
         )
         report_json["prove"] = {
-            "certificates": {
-                name: cert.as_dict()
-                for name, cert in sorted(prove_report.certificates.items())
-            },
+            "certificates": payload["kernels"],
             "findings": [str(f) for f in prove_report.findings],
-            "drift": list(drift),
+            "drift": drift,
         }
 
     if do_dist:
         from repro.sanitizer.dist import (
             DEFAULT_DIST_MANIFEST_PATH,
             analyze_dist,
-            diff_dist_manifest,
             dist_manifest_payload,
-            load_dist_manifest,
-            write_dist_manifest,
         )
 
         print("== dist (SimDist SAN6xx protocol certification) ==")
@@ -913,45 +886,28 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             )
         for finding in dist_report.findings:
             print(f"  {finding}")
-        dist_errors = dist_report.errors
-        dist_warnings = dist_report.warnings
-        dist_drift: list[str] = []
-        if args.write_manifest:
-            write_dist_manifest(dist_report)
-            print(f"  manifest refreshed: {DEFAULT_DIST_MANIFEST_PATH}")
-        else:
-            dist_drift = diff_dist_manifest(
-                dist_manifest_payload(dist_report), load_dist_manifest()
-            )
-            for line in dist_drift:
-                print(f"  manifest drift: {line}")
-        unclassified = sorted(
-            k for k, v in dist_report.kernels.items() if v == "unclassified"
+        payload = dist_manifest_payload(dist_report)
+        dist_drift = manifest_step(
+            payload, DEFAULT_DIST_MANIFEST_PATH, "--dist"
         )
-        dist_failures = (
-            len(dist_errors)
-            + len(dist_drift)
-            + (len(dist_warnings) if args.strict else 0)
+        errors = len(dist_report.errors)
+        warnings = len(dist_report.warnings)
+        classified = sum(
+            v != "unclassified" for v in dist_report.kernels.values()
         )
         families["dist"] = (
-            dist_failures,
+            failures(errors + len(dist_drift), warnings),
             f"{len(dist_report.certified)} certified / "
             f"{len(dist_report.certificates)} protocol(s), "
-            f"{len(dist_report.kernels) - len(unclassified)}/"
-            f"{len(dist_report.kernels)} kernel(s) classified, "
-            f"{len(dist_errors)} error(s), "
-            f"{len(dist_warnings)} warning(s), "
-            f"{len(dist_drift)} drift line(s)"
-            + (" [strict]" if args.strict else ""),
+            f"{classified}/{len(dist_report.kernels)} kernel(s) classified, "
+            f"{errors} error(s), {warnings} warning(s), "
+            f"{len(dist_drift)} drift line(s)" + strict,
         )
         report_json["dist"] = {
-            "certificates": {
-                name: cert.as_dict()
-                for name, cert in sorted(dist_report.certificates.items())
-            },
+            "certificates": payload["protocols"],
             "findings": [str(f) for f in dist_report.findings],
-            "kernels": dict(sorted(dist_report.kernels.items())),
-            "drift": list(dist_drift),
+            "kernels": payload["kernels"],
+            "drift": dist_drift,
         }
 
     # SAN002 dead-suppression audit: a sani-ok / prove-assume marker
@@ -959,93 +915,67 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     # run — lint (unsuppressed pass), flow (suppressed_hits), and a
     # full prove (used_marker_lines) — so the audit only fires in
     # default/full mode, never on a single-family invocation
-    if (
-        do_lint
-        and do_flow
-        and flow_report is not None
-        and prove_report is not None
-        and prove_full
-    ):
+    if do_lint and flow_report is not None and prove_full:
         from repro.sanitizer.lint import (
             ASSUME_MARKER,
             SUPPRESS_MARKER,
             dead_suppressions,
+            source_files,
         )
 
         used_by_file: dict[str, set[int]] = {}
-        for p, ln in getattr(flow_report, "suppressed_hits", set()):
-            used_by_file.setdefault(str(Path(p).resolve()), set()).add(ln)
-        for p, ln in getattr(prove_report, "used_marker_lines", set()):
+        hits = flow_report.suppressed_hits | prove_report.used_marker_lines
+        for p, ln in hits:
             used_by_file.setdefault(str(Path(p).resolve()), set()).add(ln)
         dead: list = []
-        for root in do_lint:
-            rp = Path(root)
-            files = [rp] if rp.is_file() else sorted(rp.rglob("*.py"))
-            for fp in files:
-                try:
-                    source = fp.read_text(encoding="utf-8")
-                except (OSError, UnicodeDecodeError):
-                    continue
-                if (
-                    SUPPRESS_MARKER not in source
-                    and ASSUME_MARKER not in source
-                ):
-                    continue
-                used = used_by_file.get(str(fp.resolve()), set())
-                dead.extend(
-                    dead_suppressions(
-                        source, path=str(fp), used_lines=frozenset(used)
-                    )
+        for fp in source_files(do_lint):
+            try:
+                source = fp.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError):
+                continue
+            if SUPPRESS_MARKER not in source and ASSUME_MARKER not in source:
+                continue
+            used = used_by_file.get(str(fp.resolve()), set())
+            dead.extend(
+                dead_suppressions(
+                    source, path=str(fp), used_lines=frozenset(used)
                 )
+            )
         print("== suppressions (SAN002 dead-marker audit) ==")
-        for finding in dead:
-            print(f"  {finding}")
-        if not dead:
-            print("  clean")
-        suppress_failures = len(dead) if args.strict else 0
+        listing(dead)
         families["suppress"] = (
-            suppress_failures,
-            f"{len(dead)} dead suppression(s)"
-            + (" [strict]" if args.strict else ""),
+            failures(0, len(dead)),
+            f"{len(dead)} dead suppression(s)" + strict,
         )
         report_json["suppressions"] = [str(f) for f in dead]
 
     if do_selftest:
         print("== selftest (seeded-bug kernels) ==")
-        ok, message = selftest(threads=max(args.threads, 2))
-        print(f"  {message}")
-        selftest_failures = 0 if ok else 1
+        checks = [("", lambda: selftest(threads=max(args.threads, 2)))]
         if args.memcheck:
-            mok, mmessage = memcheck_selftest(threads=max(args.threads, 4))
-            print(f"  {mmessage}")
-            if not mok:
-                selftest_failures += 1
-        if do_flow:
-            from repro.sanitizer.flow import flow_selftest
-
-            fok, fmessage = flow_selftest()
-            print(f"  [flow] {fmessage}")
-            if not fok:
-                selftest_failures += 1
-        if do_prove:
-            from repro.sanitizer.prove import prove_selftest
-
-            pok, pmessage = prove_selftest()
-            print(f"  [prove] {pmessage}")
-            if not pok:
-                selftest_failures += 1
-        if do_dist:
-            from repro.sanitizer.dist import dist_selftest
-
-            dok, dmessage = dist_selftest()
-            print(f"  [dist] {dmessage}")
-            if not dok:
-                selftest_failures += 1
+            checks.append(
+                ("", lambda: memcheck_selftest(threads=max(args.threads, 4)))
+            )
+        for family, on in (
+            ("flow", do_flow),
+            ("prove", do_prove),
+            ("dist", do_dist),
+        ):
+            if on:
+                module = import_module(f"repro.sanitizer.{family}")
+                checks.append(
+                    (f"[{family}] ", getattr(module, f"{family}_selftest"))
+                )
+        failed_checks = 0
+        for tag, check in checks:
+            ok, message = check()
+            print(f"  {tag}{message}")
+            failed_checks += not ok
         families["selftest"] = (
-            selftest_failures,
-            "ok" if selftest_failures == 0 else f"{selftest_failures} FAILED",
+            failed_checks,
+            "ok" if failed_checks == 0 else f"{failed_checks} FAILED",
         )
-        report_json["selftest"] = selftest_failures == 0
+        report_json["selftest"] = failed_checks == 0
 
     failed = any(count for count, _ in families.values())
 

@@ -43,21 +43,17 @@ Entry points: ``repro sanitize`` (CLI; ``--memcheck`` adds SimCheck,
 ``--flow`` adds SimFlow, ``--prove`` adds SimProve, ``--dist`` adds
 SimDist), ``pytest --sanitize [--memcheck] [--prove] [--dist]``
 (test suite under the observers, gated on the proof manifests),
-:func:`repro.sanitizer.kernels.run_all_kernels` (programmatic).  Also
-importable as :mod:`repro.analysis.sanitizer`.
+:func:`repro.sanitizer.kernels.run_all_kernels` (programmatic).
+
+This package re-exports only the runtime half (detector, memcheck,
+kernel registry, selftest) plus the lint: every kernel imports
+:func:`san_empty`, so everything imported here loads in every
+process.  The static analyzers (flow, prove, dist, intervals, the
+shared :mod:`~repro.sanitizer.manifest` checker) are imported from
+their own modules.
 """
 
 from repro.sanitizer.detector import RaceDetector, RaceReport
-from repro.sanitizer.flow import (
-    EffectSignature,
-    FlowFinding,
-    FlowReport,
-    VerifiedStore,
-    analyze_paths as flow_analyze_paths,
-    check_kernel_effects,
-    flow_selftest,
-    infer_kernel_effects,
-)
 from repro.sanitizer.kernels import (
     KERNEL_EFFECTS,
     KERNELS,
@@ -65,22 +61,9 @@ from repro.sanitizer.kernels import (
     run_all_kernels,
     run_kernel,
 )
-from repro.sanitizer.dist import (
-    DEFAULT_DIST_MANIFEST_PATH,
-    DistAnalyzer,
-    DistFinding,
-    DistReport,
-    ProtocolCertificate,
-    analyze_dist,
-    diff_dist_manifest,
-    dist_manifest_payload,
-    dist_selftest,
-    load_dist_manifest,
-    verify_dist_manifest,
-    write_dist_manifest,
-)
 from repro.sanitizer.lint import (
-    LintFinding,
+    Finding,
+    Report,
     dead_suppressions,
     lint_file,
     lint_paths,
@@ -97,23 +80,8 @@ from repro.sanitizer.memcheck import (
     san_empty,
     trap_value,
 )
-from repro.sanitizer.prove import (
-    DEFAULT_MANIFEST_PATH,
-    KernelCertificate,
-    ProveFinding,
-    ProveReport,
-    diff_manifest,
-    load_manifest,
-    manifest_payload,
-    prove_kernels,
-    prove_selftest,
-    prove_source,
-    verify_manifest,
-    write_manifest,
-)
 from repro.sanitizer.selftest import (
     SELFTEST_PREFIX,
-    family_selftests,
     run_racy_kernel,
     selftest,
 )
@@ -123,52 +91,20 @@ __all__ = [
     "RaceDetector",
     "RaceReport",
     "VectorClock",
-    "LintFinding",
+    "Finding",
+    "Report",
     "lint_source",
     "lint_file",
     "lint_paths",
+    "dead_suppressions",
     "KERNELS",
     "KERNEL_EFFECTS",
     "KernelReport",
     "run_kernel",
     "run_all_kernels",
-    "EffectSignature",
-    "FlowFinding",
-    "FlowReport",
-    "VerifiedStore",
-    "flow_analyze_paths",
-    "flow_selftest",
-    "infer_kernel_effects",
-    "check_kernel_effects",
-    "ProveFinding",
-    "KernelCertificate",
-    "ProveReport",
-    "prove_kernels",
-    "prove_source",
-    "prove_selftest",
-    "manifest_payload",
-    "load_manifest",
-    "write_manifest",
-    "diff_manifest",
-    "verify_manifest",
-    "DEFAULT_MANIFEST_PATH",
-    "DistFinding",
-    "ProtocolCertificate",
-    "DistReport",
-    "DistAnalyzer",
-    "analyze_dist",
-    "dist_selftest",
-    "dist_manifest_payload",
-    "load_dist_manifest",
-    "write_dist_manifest",
-    "diff_dist_manifest",
-    "verify_dist_manifest",
-    "DEFAULT_DIST_MANIFEST_PATH",
-    "dead_suppressions",
     "SELFTEST_PREFIX",
     "run_racy_kernel",
     "selftest",
-    "family_selftests",
     "MemChecker",
     "MemcheckFinding",
     "NanOrigin",

@@ -50,24 +50,24 @@ SAN606   error     message handler reachable from a failover path has a
 =======  ========  =====================================================
 
 The certified result ships as ``dist_manifest.json`` next to this
-file; :func:`verify_dist_manifest` detects drift exactly like the
-SAN5xx proof manifest.
+file; :func:`verify_dist_manifest` detects drift through the shared
+:mod:`repro.sanitizer.manifest` checker, exactly like the SAN5xx
+proof manifest.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.sanitizer import manifest
 from repro.sanitizer.cfg import guarding_tests
 from repro.sanitizer.flow import ModuleIndex, ModuleInfo, default_index
-from repro.sanitizer.intervals import aff_add, aff_const, aff_split, aff_sub
-from repro.sanitizer.lint import LintFinding
+from repro.sanitizer.intervals import aff_const, affine_of
+from repro.sanitizer.lint import Finding, Report
 
 __all__ = [
-    "DistFinding",
     "ProtocolCertificate",
     "DistReport",
     "DistAnalyzer",
@@ -76,9 +76,6 @@ __all__ = [
     "DIST_MANIFEST_SCHEMA",
     "DEFAULT_DIST_MANIFEST_PATH",
     "dist_manifest_payload",
-    "load_dist_manifest",
-    "write_dist_manifest",
-    "diff_dist_manifest",
     "verify_dist_manifest",
     "dist_selftest",
 ]
@@ -109,13 +106,6 @@ _MUTATORS = frozenset(
         "setdefault",
     }
 )
-
-
-@dataclass(frozen=True)
-class DistFinding(LintFinding):
-    """A SAN6xx finding plus its protocol-stable key."""
-
-    key: str = ""
 
 
 @dataclass(frozen=True)
@@ -164,24 +154,15 @@ class ProtocolCertificate:
 
 
 @dataclass
-class DistReport:
+class DistReport(Report):
     """Outcome of one SimDist run over the cluster layer."""
 
     certificates: dict[str, ProtocolCertificate] = field(default_factory=dict)
-    findings: list[DistFinding] = field(default_factory=list)
     #: kernel name -> owning protocol (or "unclassified")
     kernels: dict[str, str] = field(default_factory=dict)
     #: declared MESSAGE_SCHEMAS, verbatim
     schemas: dict = field(default_factory=dict)
     modules: int = 0
-
-    @property
-    def errors(self) -> list[DistFinding]:
-        return [f for f in self.findings if f.severity == "error"]
-
-    @property
-    def warnings(self) -> list[DistFinding]:
-        return [f for f in self.findings if f.severity == "warning"]
 
     @property
     def certified(self) -> list[str]:
@@ -344,36 +325,12 @@ def _module_int_literals(info: ModuleInfo) -> dict[str, int]:
     return out
 
 
-def _byte_affine(expr: ast.AST, literals: dict[str, int]):
-    """Affine form of a byte-count expression over module constants."""
-    if (
-        isinstance(expr, ast.Constant)
-        and isinstance(expr.value, int)
-        and not isinstance(expr.value, bool)
-    ):
-        return aff_const(expr.value)
-    if isinstance(expr, ast.Name):
-        value = literals.get(expr.id)
-        if value is not None:
-            return aff_const(value)
-        return None
-    if isinstance(expr, ast.BinOp) and isinstance(expr.op, (ast.Add, ast.Sub)):
-        left = _byte_affine(expr.left, literals)
-        right = _byte_affine(expr.right, literals)
-        if left is None or right is None:
-            return None
-        if isinstance(expr.op, ast.Add):
-            return aff_add(left, right)
-        return aff_sub(left, right)
-    return None
-
-
 def _const_bytes(expr: ast.AST, literals: dict[str, int]) -> int | None:
-    aff = _byte_affine(expr, literals)
-    if aff is None:
-        return None
-    const, syms = aff_split(aff)
-    return const if not syms else None
+    """Constant value of a byte-count expression over module constants."""
+    aff = affine_of(
+        expr, lambda name: aff_const(literals[name]) if name in literals else None
+    )
+    return None if aff is None else aff[""]
 
 
 def _looks_like_count(expr: ast.AST) -> bool:
@@ -1397,7 +1354,7 @@ class DistAnalyzer:
         key: str = "",
     ) -> None:
         report.findings.append(
-            DistFinding(
+            Finding(
                 path=info.path,
                 line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0),
@@ -1550,7 +1507,7 @@ class DistAnalyzer:
         for key, (kernel, _desc) in sorted(declared.items()):
             if key not in derived and kernels_info is not None:
                 report.findings.append(
-                    DistFinding(
+                    Finding(
                         path=kernels_info.path,
                         line=_literal_line(kernels_info, "MESSAGE_SCHEMAS"),
                         col=0,
@@ -1874,84 +1831,19 @@ def dist_manifest_payload(report: DistReport) -> dict:
     }
 
 
-def load_dist_manifest(path: Path | None = None) -> dict | None:
-    path = path or DEFAULT_DIST_MANIFEST_PATH
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-
-
-def write_dist_manifest(report: DistReport, path: Path | None = None) -> Path:
-    path = path or DEFAULT_DIST_MANIFEST_PATH
-    payload = dist_manifest_payload(report)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return path
-
-
-def diff_dist_manifest(current: dict, committed: dict | None) -> list[str]:
-    """Human-readable drift lines between a fresh run and the
-    committed manifest (empty = in sync)."""
-    if committed is None:
-        return [
-            "dist manifest missing — run `repro sanitize --dist "
-            "--write-manifest` and commit it"
-        ]
-    problems: list[str] = []
-    if committed.get("schema") != current.get("schema"):
-        problems.append(
-            f"manifest schema {committed.get('schema')!r} != "
-            f"{current.get('schema')!r}"
-        )
-    cur_protocols = current.get("protocols", {})
-    old_protocols = committed.get("protocols", {})
-    for name in sorted(set(cur_protocols) | set(old_protocols)):
-        if name not in old_protocols:
-            problems.append(f"protocol {name!r} missing from manifest")
-            continue
-        if name not in cur_protocols:
-            problems.append(
-                f"manifest lists unknown protocol {name!r} (removed?)"
-            )
-            continue
-        cur, old = cur_protocols[name], old_protocols[name]
-        for fld in sorted(set(cur) | set(old)):
-            if cur.get(fld) != old.get(fld):
-                problems.append(
-                    f"protocol {name!r} field {fld!r} drifted: manifest "
-                    f"{old.get(fld)!r} != current {cur.get(fld)!r}"
-                )
-    for fld in ("kernels", "message_schemas"):
-        if current.get(fld) != committed.get(fld):
-            problems.append(
-                f"manifest field {fld!r} drifted from the current "
-                "declarations"
-            )
-    return problems
-
-
 def verify_dist_manifest(path: Path | None = None) -> tuple[bool, str]:
     """Re-analyze and compare against the committed manifest.
 
-    Returns ``(ok, message)`` — the pytest ``--dist`` gate and the
-    CLI both consume this.
+    Returns ``(ok, message)`` — the pytest ``--dist`` gate.
     """
     report = analyze_dist()
-    problems = [f"{f.path}:{f.line} {f.code} {f.message}" for f in report.errors]
-    current = dist_manifest_payload(report)
-    committed = load_dist_manifest(path)
-    problems.extend(diff_dist_manifest(current, committed))
-    if problems:
-        head = "; ".join(problems[:6])
-        more = f" (+{len(problems) - 6} more)" if len(problems) > 6 else ""
-        return False, head + more
-    n = len(report.certified)
-    return True, (
-        f"{n}/{len(report.certificates)} protocols certified, "
-        "manifest in sync"
+    return manifest.verify(
+        [f"{f.path}:{f.line} {f.code} {f.message}" for f in report.errors],
+        dist_manifest_payload(report),
+        path or DEFAULT_DIST_MANIFEST_PATH,
+        "--dist",
+        f"{len(report.certified)}/{len(report.certificates)} "
+        "protocols certified",
     )
 
 

@@ -82,20 +82,28 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.sanitizer.cfg import CFG, build_cfg
+from repro.sanitizer.intervals import (
+    aff_add,
+    aff_const,
+    aff_scale,
+    aff_sub,
+    aff_sym,
+)
 from repro.sanitizer.lint import (
     MUTATING_METHODS,
     SAFE_BUILTINS,
-    LintFinding,
+    Finding,
+    Report,
     _assigned_names,
     _base_name,
     _find_workers,
     _free_names,
     _suppressed_lines,
     _WorkerInfo,
+    source_files,
 )
 
 __all__ = [
-    "FlowFinding",
     "VerifiedStore",
     "FlowReport",
     "EffectSignature",
@@ -126,13 +134,6 @@ MAX_CALL_DEPTH = 4
 
 
 @dataclass(frozen=True)
-class FlowFinding(LintFinding):
-    """A SAN4xx finding plus its line-stable baseline key."""
-
-    key: str = ""
-
-
-@dataclass(frozen=True)
 class VerifiedStore:
     """One subscript store proved disjoint across virtual threads."""
 
@@ -150,26 +151,19 @@ class VerifiedStore:
 
 
 @dataclass
-class FlowReport:
+class FlowReport(Report):
     """Outcome of one SimFlow run over a path set and/or kernel set."""
 
-    findings: list[FlowFinding] = field(default_factory=list)
     verified: list[VerifiedStore] = field(default_factory=list)
     files: int = 0
+    #: base names of the analyzed files (the SAN401-403 baseline scope)
+    file_names: set = field(default_factory=set)
     workers: int = 0
     #: kernel name -> inferred EffectSignature (when kernels were checked)
     effects: dict[str, "EffectSignature"] = field(default_factory=dict)
     #: (path, line) of suppression markers that actually swallowed a
     #: finding this run — SAN002 (dead-suppression) treats these alive
     suppressed_hits: set = field(default_factory=set)
-
-    @property
-    def errors(self) -> int:
-        return sum(1 for f in self.findings if f.severity == "error")
-
-    @property
-    def warnings(self) -> int:
-        return sum(1 for f in self.findings if f.severity == "warning")
 
     def verified_lines(self) -> set[tuple[str, int]]:
         """(path, line) pairs eligible for a SAN201 downgrade."""
@@ -269,8 +263,8 @@ class ModuleIndex:
         try:
             source = path.read_text(encoding="utf-8")
             info = ModuleInfo(module_name, str(path), source)
-        except (OSError, SyntaxError):
-            return None  # the lint pass reports syntax errors (SAN000)
+        except (OSError, SyntaxError, UnicodeDecodeError):
+            return None  # the lint pass reports these as SAN000
         self.modules[module_name] = info
         self.by_path[key] = info
         return info
@@ -347,25 +341,6 @@ def default_index() -> ModuleIndex:
 _NON_INJECTIVE = object()
 
 
-def _aff_const(c: int) -> dict[str, int]:
-    return {"": c}
-
-
-def _aff_sym(name: str) -> dict[str, int]:
-    return {"": 0, name: 1}
-
-
-def _aff_add(a: dict[str, int], b: dict[str, int], sign: int) -> dict[str, int]:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + sign * v
-    return {k: v for k, v in out.items() if k == "" or v != 0} or {"": 0}
-
-
-def _aff_scale(a: dict[str, int], k: int) -> dict[str, int]:
-    return {key: v * k for key, v in a.items()}
-
-
 class _AffineEnv:
     """Evaluates expressions to affine forms over the worker's symbols."""
 
@@ -386,13 +361,13 @@ class _AffineEnv:
         if isinstance(expr, ast.Constant):
             if isinstance(expr.value, bool) or not isinstance(expr.value, int):
                 return None
-            return _aff_const(expr.value)
+            return aff_const(expr.value)
         if isinstance(expr, ast.Name):
             return self._name(expr.id)
         if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.USub):
             inner = self.eval(expr.operand)
             if isinstance(inner, dict):
-                return _aff_scale(inner, -1)
+                return aff_scale(inner, -1)
             return inner
         if isinstance(expr, ast.Call):
             # int(x) is affine-transparent; everything else is opaque
@@ -410,7 +385,7 @@ class _AffineEnv:
 
     def _name(self, name: str) -> object:
         if name in self.symbols:
-            return _aff_sym(name)
+            return aff_sym(name)
         if name in self._cache:
             return self._cache[name]
         bound = self.bindings.get(name)
@@ -445,14 +420,14 @@ class _AffineEnv:
         if not isinstance(left, dict) or not isinstance(right, dict):
             return None
         if isinstance(expr.op, ast.Add):
-            return _aff_add(left, right, 1)
+            return aff_add(left, right)
         if isinstance(expr.op, ast.Sub):
-            return _aff_add(left, right, -1)
+            return aff_sub(left, right)
         if isinstance(expr.op, ast.Mult):
             if set(left) == {""}:
-                return _aff_scale(right, left[""])
+                return aff_scale(right, left[""])
             if set(right) == {""}:
-                return _aff_scale(left, right[""])
+                return aff_scale(left, right[""])
         return None
 
 
@@ -476,7 +451,7 @@ def _range_bounds(
         if not (isinstance(step, ast.Constant) and step.value == 1):
             return None
     if len(call.args) == 1:
-        lo: object = _aff_const(0)
+        lo: object = aff_const(0)
         hi = env.eval(call.args[0])
     else:
         lo = env.eval(call.args[0])
@@ -515,14 +490,7 @@ class FlowAnalyzer:
 
     def analyze_paths(self, paths: list) -> FlowReport:
         report = FlowReport()
-        files: list[Path] = []
-        for entry in paths:
-            p = Path(entry)
-            if p.is_dir():
-                files.extend(sorted(p.rglob("*.py")))
-            else:
-                files.append(p)
-        for f in files:
+        for f in source_files(paths):
             self._analyze_file(f, report)
         _finish(report)
         return report
@@ -539,6 +507,7 @@ class FlowAnalyzer:
         if info is None:
             return
         report.files += 1
+        report.file_names.add(path.name)
         self.analyze_module(info, report)
 
     def analyze_module(self, info: ModuleInfo, report: FlowReport) -> None:
@@ -848,7 +817,7 @@ class FlowAnalyzer:
             report.suppressed_hits.add((info.path, line))
             return
         report.findings.append(
-            FlowFinding(
+            Finding(
                 path=info.path,
                 line=line,
                 col=0,
@@ -1011,7 +980,7 @@ class FlowAnalyzer:
                     report.suppressed_hits.add((info.path, line))
                 elif contiguous:
                     report.findings.append(
-                        FlowFinding(
+                        Finding(
                             path=info.path,
                             line=line,
                             col=target.col_offset,
@@ -1072,7 +1041,7 @@ class FlowAnalyzer:
 
         for var, lo, hi in reversed(loop_stack):
             coef = affine.get(var, 0)
-            hi_minus_1 = _aff_add(hi, _aff_const(1), -1)
+            hi_minus_1 = aff_sub(hi, aff_const(1))
             if coef >= 0:
                 lo_aff = subst(lo_aff, var, lo)
                 hi_aff = subst(hi_aff, var, hi_minus_1)
@@ -1092,7 +1061,7 @@ class FlowAnalyzer:
                 report.suppressed_hits.add((info.path, line))
                 return
             report.findings.append(
-                FlowFinding(
+                Finding(
                     path=info.path,
                     line=line,
                     col=0,
@@ -1230,10 +1199,13 @@ class FlowAnalyzer:
             out[name] = self._effects_from(ref)
         return out
 
-    def _effects_from(self, entry: FunctionRef) -> EffectSignature:
-        reads: set[str] = set()
-        writes: set[str] = set()
-        atomics: set[str] = set()
+    def reachable_workers(
+        self, entry: FunctionRef
+    ) -> list[tuple[FunctionRef, _WorkerInfo]]:
+        """(enclosing function, worker) pairs reachable from ``entry``
+        through the in-repo call graph — the universe both effect
+        inference and SimProve's certificates cover."""
+        out: list = []
         visited: set[str] = set()
         seen_workers: set[int] = set()
         queue: list[FunctionRef] = [entry]
@@ -1243,20 +1215,28 @@ class FlowAnalyzer:
                 continue
             visited.add(ref.qualname)
             scope = tuple(ref.qualpath.split("."))
-            for worker in _find_workers_in(ref.node):
+            for worker in _find_workers(ref.node):
                 if id(worker.node) in seen_workers:
                     continue
                 seen_workers.add(id(worker.node))
-                r, w, a = _worker_effects(worker)
-                reads |= r
-                writes |= w
-                atomics |= a
+                out.append((ref, worker))
             for call in ast.walk(ref.node):
                 if not isinstance(call, ast.Call):
                     continue
                 target = self.index.resolve_call(ref.module, scope, call)
                 if target is not None and target.qualname not in visited:
                     queue.append(target)
+        return out
+
+    def _effects_from(self, entry: FunctionRef) -> EffectSignature:
+        reads: set[str] = set()
+        writes: set[str] = set()
+        atomics: set[str] = set()
+        for _, worker in self.reachable_workers(entry):
+            r, w, a = _worker_effects(worker)
+            reads |= r
+            writes |= w
+            atomics |= a
         return EffectSignature(
             reads=tuple(sorted(reads)),
             writes=tuple(sorted(writes)),
@@ -1268,12 +1248,12 @@ class FlowAnalyzer:
         declared: dict[str, EffectSignature],
         names: list[str] | None = None,
         kernels_module: str = "repro.sanitizer.kernels",
-    ) -> tuple[list[FlowFinding], dict[str, EffectSignature]]:
+    ) -> tuple[list[Finding], dict[str, EffectSignature]]:
         """SAN404/405 drift between inferred and declared signatures."""
         inferred = self.infer_kernel_effects(names, kernels_module)
         info = self.index.modules.get(kernels_module)
         table = self.kernel_table(kernels_module)
-        findings: list[FlowFinding] = []
+        findings: list[Finding] = []
         for kernel, signature in inferred.items():
             decl = declared.get(kernel)
             fn = (
@@ -1285,7 +1265,7 @@ class FlowAnalyzer:
             path = info.path if info is not None else kernels_module
             if decl is None:
                 findings.append(
-                    FlowFinding(
+                    Finding(
                         path=path,
                         line=line,
                         col=0,
@@ -1305,7 +1285,7 @@ class FlowAnalyzer:
                 dec = set(getattr(decl, category))
                 for name in sorted(inf - dec):
                     findings.append(
-                        FlowFinding(
+                        Finding(
                             path=path,
                             line=line,
                             col=0,
@@ -1323,7 +1303,7 @@ class FlowAnalyzer:
                     )
                 for name in sorted(dec - inf):
                     findings.append(
-                        FlowFinding(
+                        Finding(
                             path=path,
                             line=line,
                             col=0,
@@ -1338,12 +1318,6 @@ class FlowAnalyzer:
                         )
                     )
         return findings, inferred
-
-
-def _find_workers_in(fn: ast.FunctionDef) -> list[_WorkerInfo]:
-    """Workers of ``parallel_for`` calls textually inside ``fn``."""
-    wrapper = ast.Module(body=[fn], type_ignores=[])
-    return _find_workers(wrapper)  # type: ignore[arg-type]
 
 
 def _worker_effects(
@@ -1480,11 +1454,11 @@ def load_baseline(path: str | Path | None = None) -> dict[str, str]:
 
 
 def apply_baseline(
-    findings: list[FlowFinding], baseline: dict[str, str]
-) -> tuple[list[FlowFinding], list[tuple[FlowFinding, str]]]:
+    findings: list[Finding], baseline: dict[str, str]
+) -> tuple[list[Finding], list[tuple[Finding, str]]]:
     """Split findings into (active, baselined-with-reason)."""
-    active: list[FlowFinding] = []
-    suppressed: list[tuple[FlowFinding, str]] = []
+    active: list[Finding] = []
+    suppressed: list[tuple[Finding, str]] = []
     for f in findings:
         reason = baseline.get(f.key)
         if reason is None:
@@ -1495,17 +1469,34 @@ def apply_baseline(
 
 
 def stale_baseline_entries(
-    findings: list[FlowFinding], baseline: dict[str, str]
+    findings: list[Finding],
+    baseline: dict[str, str],
+    files: set[str],
+    kernels: set[str],
 ) -> list[str]:
-    """Baseline keys no longer matched by any current finding.
+    """Baseline keys this run could have matched but no finding did.
 
     A stale entry means the acknowledged drift was fixed (or the code
     moved) without pruning ``flow_baseline.json`` — left alone it would
     silently re-suppress a *future* finding with the same key.  The CLI
-    reports these as warnings (failures under ``--strict``).
+    reports these as warnings (failures under ``--strict``).  A key's
+    second field names a file (SAN401-403) or a kernel (SAN404/405);
+    an entry is in scope only when that file was analyzed (``files``,
+    base names) or that kernel checked (``kernels``).  Keys of any
+    other code are always in scope.
     """
     live = {f.key for f in findings}
-    return sorted(key for key in baseline if key not in live)
+
+    def in_scope(key: str) -> bool:
+        code, _, rest = key.partition(":")
+        name = rest.partition(":")[0]
+        if code in ("SAN401", "SAN402", "SAN403"):
+            return name in files
+        if code in ("SAN404", "SAN405"):
+            return name in kernels
+        return True
+
+    return sorted(k for k in baseline if k not in live and in_scope(k))
 
 
 # ======================================================================
@@ -1548,7 +1539,7 @@ def check_kernel_effects(
     declared: dict[str, EffectSignature] | None = None,
     names: list[str] | None = None,
     index: ModuleIndex | None = None,
-) -> tuple[list[FlowFinding], dict[str, EffectSignature]]:
+) -> tuple[list[Finding], dict[str, EffectSignature]]:
     """SAN404/405 drift check against the registry declarations."""
     if declared is None:
         from repro.sanitizer.kernels import KERNEL_EFFECTS

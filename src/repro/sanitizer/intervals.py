@@ -34,6 +34,8 @@ constant makes the query answer "unknown", never "proven".
 
 from __future__ import annotations
 
+import ast
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -47,9 +49,9 @@ __all__ = [
     "aff_neg",
     "aff_repr",
     "aff_scale",
-    "aff_split",
     "aff_sub",
     "aff_sym",
+    "affine_of",
     "lower_const",
     "prove_le",
     "prove_lt",
@@ -107,15 +109,41 @@ def aff_is_const(a: Affine) -> bool:
     return all(c == 0 for sym, c in a.items() if sym != "")
 
 
-def aff_split(a: Affine) -> tuple[int, dict]:
-    """Split an affine form into ``(constant, {symbol: coeff})``.
+def affine_of(
+    node: ast.AST, leaf: Callable[[str], Affine | None]
+) -> Affine | None:
+    """Affine form of an expression AST; None when non-affine.
 
-    Zero-coefficient symbols are dropped.  SimDist uses this to
-    normalize wire byte-count expressions (``header + per_item *
-    count``) against declared message schemas.
+    Int constants, ``+``, ``-``, unary ``-`` and multiplication by a
+    constant stay affine; ``leaf`` maps each ``Name`` to its form (or
+    None).  Subscripts, calls, floats and bools all fail closed.
     """
-    clean = _clean(a)
-    return clean.get("", 0), {s: c for s, c in clean.items() if s != ""}
+    if isinstance(node, ast.Constant):
+        value = node.value
+        if isinstance(value, int) and not isinstance(value, bool):
+            return aff_const(value)
+        return None
+    if isinstance(node, ast.Name):
+        return leaf(node.id)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        inner = affine_of(node.operand, leaf)
+        return None if inner is None else aff_neg(inner)
+    if not isinstance(node, ast.BinOp):
+        return None
+    left = affine_of(node.left, leaf)
+    right = affine_of(node.right, leaf)
+    if left is None or right is None:
+        return None
+    if isinstance(node.op, ast.Add):
+        return aff_add(left, right)
+    if isinstance(node.op, ast.Sub):
+        return aff_sub(left, right)
+    if isinstance(node.op, ast.Mult):
+        if aff_is_const(left):
+            return aff_scale(right, left.get("", 0))
+        if aff_is_const(right):
+            return aff_scale(left, right.get("", 0))
+    return None
 
 
 def aff_eq(a: Affine | None, b: Affine | None) -> bool:

@@ -75,14 +75,16 @@ Escapes
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 __all__ = [
-    "LintFinding",
+    "Finding",
+    "Report",
     "lint_source",
     "lint_file",
     "lint_paths",
+    "source_files",
     "dead_suppressions",
 ]
 
@@ -189,8 +191,13 @@ _ARRAY_ALLOCATORS = frozenset(
 
 
 @dataclass(frozen=True)
-class LintFinding:
-    """One lint finding, printable as ``path:line:col CODE message``."""
+class Finding:
+    """One static finding of any SAN family, printable as
+    ``path:line:col CODE [severity] message``.
+
+    ``key`` is the line-free identity the flow baseline and the proof
+    manifests match on; lint findings leave it empty.
+    """
 
     path: str
     line: int
@@ -198,12 +205,28 @@ class LintFinding:
     code: str
     severity: str  # "error" | "warning"
     message: str
+    key: str = ""
 
     def __str__(self) -> str:
         return (
             f"{self.path}:{self.line}:{self.col} {self.code} "
             f"[{self.severity}] {self.message}"
         )
+
+
+@dataclass
+class Report:
+    """Findings of one flow/prove/dist run, split by severity."""
+
+    findings: list = field(default_factory=list)
+
+    @property
+    def errors(self) -> list:
+        return [f for f in self.findings if f.severity == "error"]
+
+    @property
+    def warnings(self) -> list:
+        return [f for f in self.findings if f.severity == "warning"]
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +371,7 @@ def _suppressed_lines(source: str) -> set[int]:
     }
 
 
-def _bare_suppressions(source: str, path: str) -> list["LintFinding"]:
+def _bare_suppressions(source: str, path: str) -> list["Finding"]:
     """SAN001: suppression markers with no trailing reason.
 
     Only real ``COMMENT`` tokens count — the marker may legitimately
@@ -359,7 +382,7 @@ def _bare_suppressions(source: str, path: str) -> list["LintFinding"]:
     import io
     import tokenize
 
-    findings: list[LintFinding] = []
+    findings: list[Finding] = []
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         for tok in tokens:
@@ -373,7 +396,7 @@ def _bare_suppressions(source: str, path: str) -> list["LintFinding"]:
             if rest.startswith("-") and rest[1:].strip():
                 continue
             findings.append(
-                LintFinding(
+                Finding(
                     path=path,
                     line=tok.start[0],
                     col=tok.start[1],
@@ -549,7 +572,7 @@ class _WorkerLinter:
         self.suppressed = suppressed
         self.path = path
         self.trusted_csr = trusted_csr or set()
-        self.findings: list[LintFinding] = []
+        self.findings: list[Finding] = []
         body = worker.node.body
         self.body_nodes = body if isinstance(body, list) else [body]
         self.locals = set()
@@ -660,7 +683,7 @@ class _WorkerLinter:
         if line in self.suppressed:
             return
         self.findings.append(
-            LintFinding(
+            Finding(
                 path=self.path,
                 line=line,
                 col=getattr(node, "col_offset", 0),
@@ -680,7 +703,7 @@ class _WorkerLinter:
 
     # -- rules ---------------------------------------------------------
 
-    def run(self) -> list[LintFinding]:
+    def run(self) -> list[Finding]:
         nonlocal_names: set[str] = set()
         for stmt in self.body_nodes:
             for node in ast.walk(stmt):
@@ -882,14 +905,14 @@ class _ModuleLinter:
         self.suppressed = suppressed
         self.path = path
         self.int_arrays = _collect_int_arrays(tree)
-        self.findings: list[LintFinding] = []
+        self.findings: list[Finding] = []
 
     def _emit(self, node: ast.AST, code: str, message: str) -> None:
         line = getattr(node, "lineno", 0)
         if line in self.suppressed:
             return
         self.findings.append(
-            LintFinding(
+            Finding(
                 path=self.path,
                 line=line,
                 col=getattr(node, "col_offset", 0),
@@ -899,7 +922,7 @@ class _ModuleLinter:
             )
         )
 
-    def run(self) -> list[LintFinding]:
+    def run(self) -> list[Finding]:
         for node in ast.walk(self.tree):
             if isinstance(node, ast.Call):
                 self._check_empty(node)
@@ -1010,13 +1033,13 @@ class _ModuleLinter:
 # ----------------------------------------------------------------------
 
 
-def lint_source(source: str, path: str = "<string>") -> list[LintFinding]:
+def lint_source(source: str, path: str = "<string>") -> list[Finding]:
     """Lint one module's source text; returns findings sorted by line."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         return [
-            LintFinding(
+            Finding(
                 path=path,
                 line=exc.lineno or 0,
                 col=exc.offset or 0,
@@ -1028,7 +1051,7 @@ def lint_source(source: str, path: str = "<string>") -> list[LintFinding]:
     atomic_names = _collect_atomic_names(tree)
     trusted_csr = _collect_trusted_csr(tree)
     suppressed = _suppressed_lines(source)
-    findings: list[LintFinding] = []
+    findings: list[Finding] = []
     for worker in _find_workers(tree):
         findings.extend(
             _WorkerLinter(
@@ -1041,7 +1064,7 @@ def lint_source(source: str, path: str = "<string>") -> list[LintFinding]:
     return findings
 
 
-def _findings_unsuppressed(source: str, path: str) -> list[LintFinding]:
+def _findings_unsuppressed(source: str, path: str) -> list[Finding]:
     """The SAN1xx-3xx findings a module would get with every
     ``# sani: ok`` marker disabled (SAN002 support: a marker is alive
     only if this run flags its line)."""
@@ -1051,7 +1074,7 @@ def _findings_unsuppressed(source: str, path: str) -> list[LintFinding]:
         return []
     atomic_names = _collect_atomic_names(tree)
     trusted_csr = _collect_trusted_csr(tree)
-    findings: list[LintFinding] = []
+    findings: list[Finding] = []
     for worker in _find_workers(tree):
         findings.extend(
             _WorkerLinter(
@@ -1066,7 +1089,7 @@ def dead_suppressions(
     source: str,
     path: str = "<string>",
     used_lines: frozenset[int] | set[int] = frozenset(),
-) -> list[LintFinding]:
+) -> list[Finding]:
     """SAN002: suppression/assumption markers that suppress nothing.
 
     A reasoned ``# sani: ok`` is alive if a suppression-disabled lint
@@ -1081,7 +1104,7 @@ def dead_suppressions(
     import tokenize
 
     flagged = {f.line for f in _findings_unsuppressed(source, path)}
-    findings: list[LintFinding] = []
+    findings: list[Finding] = []
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         for tok in tokens:
@@ -1104,7 +1127,7 @@ def dead_suppressions(
             else:
                 continue
             findings.append(
-                LintFinding(
+                Finding(
                     path=path,
                     line=line,
                     col=tok.start[1],
@@ -1122,20 +1145,34 @@ def dead_suppressions(
     return findings
 
 
-def lint_file(path: str | Path) -> list[LintFinding]:
-    """Lint one Python file."""
+def lint_file(path: str | Path) -> list[Finding]:
+    """Lint one Python file; undecodable bytes are a SAN000 error."""
     p = Path(path)
-    return lint_source(p.read_text(encoding="utf-8"), str(p))
+    try:
+        source = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        return [
+            Finding(
+                path=str(p),
+                line=0,
+                col=0,
+                code="SAN000",
+                severity="error",
+                message=f"cannot decode source: {exc}",
+            )
+        ]
+    return lint_source(source, str(p))
 
 
-def lint_paths(paths: list[str | Path]) -> list[LintFinding]:
-    """Lint files and/or directories (recursing into ``*.py``)."""
-    findings: list[LintFinding] = []
+def source_files(paths: list[str | Path]) -> list[Path]:
+    """The files, plus every ``*.py`` under the directories, in order."""
+    files: list[Path] = []
     for entry in paths:
         p = Path(entry)
-        if p.is_dir():
-            for f in sorted(p.rglob("*.py")):
-                findings.extend(lint_file(f))
-        else:
-            findings.extend(lint_file(p))
-    return findings
+        files.extend(sorted(p.rglob("*.py")) if p.is_dir() else [p])
+    return files
+
+
+def lint_paths(paths: list[str | Path]) -> list[Finding]:
+    """Lint files and/or directories (recursing into ``*.py``)."""
+    return [f for p in source_files(paths) for f in lint_file(p)]

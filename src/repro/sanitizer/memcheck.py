@@ -52,7 +52,6 @@ import numpy as np
 
 from repro.errors import MemcheckError, NumericSoundnessError
 from repro.parallel.scheduler import SimulatedPool
-from repro.sanitizer.selftest import SELFTEST_PREFIX
 
 __all__ = [
     "trap_value",
@@ -711,7 +710,3 @@ def memcheck_selftest(threads: int = 4) -> tuple[bool, str]:
         f"seeded memcheck bugs detected: {len(checker.findings)} finding(s) "
         f"+ NaN origin in {origin.region!r}"
     )
-
-
-# re-exported for guard logic symmetry with the race selftest
-MEMCHECK_SELFTEST_PREFIX = SELFTEST_PREFIX

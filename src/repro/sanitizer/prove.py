@@ -54,11 +54,11 @@ every other SAN family.
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.sanitizer import manifest
 from repro.sanitizer.cfg import CFG, build_cfg
 from repro.sanitizer.flow import (
     FlowAnalyzer,
@@ -66,12 +66,12 @@ from repro.sanitizer.flow import (
     ModuleIndex,
     ModuleInfo,
     default_index,
-    _find_workers_in,
 )
 from repro.sanitizer.intervals import (
     Affine,
     Interval,
     SymbolFacts,
+    affine_of,
     aff_const,
     aff_repr,
     aff_sub,
@@ -81,7 +81,8 @@ from repro.sanitizer.intervals import (
     upper_const,
 )
 from repro.sanitizer.lint import (
-    LintFinding,
+    Finding,
+    Report,
     _find_workers,
     _WorkerInfo,
 )
@@ -92,16 +93,12 @@ __all__ = [
     "DEFAULT_MANIFEST_PATH",
     "KernelCertificate",
     "MANIFEST_SCHEMA",
-    "ProveFinding",
     "ProveReport",
-    "diff_manifest",
-    "load_manifest",
     "manifest_payload",
     "prove_kernels",
     "prove_selftest",
     "prove_source",
     "verify_manifest",
-    "write_manifest",
 ]
 
 #: Committed proof manifest, next to this module (like flow_baseline).
@@ -161,13 +158,6 @@ _WIDEN_AFTER = 2
 # ======================================================================
 # findings / certificates
 # ======================================================================
-
-
-@dataclass(frozen=True)
-class ProveFinding(LintFinding):
-    """A SAN5xx finding with a line-free key (manifest-stable)."""
-
-    key: str = ""
 
 
 @dataclass
@@ -252,21 +242,12 @@ class KernelCertificate:
 
 
 @dataclass
-class ProveReport:
+class ProveReport(Report):
     """Everything one ``--prove`` run produced."""
 
     certificates: dict = field(default_factory=dict)
-    findings: list = field(default_factory=list)
     #: (path, line) of ``# prove:`` markers consumed this run (SAN002)
     used_marker_lines: set = field(default_factory=set)
-
-    @property
-    def errors(self) -> list:
-        return [f for f in self.findings if f.severity == "error"]
-
-    @property
-    def warnings(self) -> list:
-        return [f for f in self.findings if f.severity == "warning"]
 
     @property
     def certified(self) -> list:
@@ -282,57 +263,13 @@ class ProveReport:
 # ======================================================================
 
 
-def _affine_from_ast(node: ast.AST) -> Affine | None:
-    """Affine form of a size/bound expression; None when non-affine.
-
-    Only ``Name``/int ``Constant``/``+``/``-``/constant ``*`` stay
-    affine — ``indptr[-1]``, calls, floats all fail closed to None.
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return aff_const(node.value)
-    if isinstance(node, ast.Name):
-        return aff_sym(node.id)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        inner = _affine_from_ast(node.operand)
-        return None if inner is None else {k: -v for k, v in inner.items()}
-    if isinstance(node, ast.BinOp):
-        left = _affine_from_ast(node.left)
-        right = _affine_from_ast(node.right)
-        if left is None or right is None:
-            return None
-        if isinstance(node.op, ast.Add):
-            out = dict(left)
-            for k, v in right.items():
-                out[k] = out.get(k, 0) + v
-            return out
-        if isinstance(node.op, ast.Sub):
-            out = dict(left)
-            for k, v in right.items():
-                out[k] = out.get(k, 0) - v
-            return out
-        if isinstance(node.op, ast.Mult):
-            const, other = None, None
-            if all(c == 0 for s, c in left.items() if s != ""):
-                const, other = left.get("", 0), right
-            elif all(c == 0 for s, c in right.items() if s != ""):
-                const, other = right.get("", 0), left
-            if const is None:
-                return None
-            return {k: v * const for k, v in other.items()}
-    return None
-
-
 def _parse_extent(expr: str) -> Affine | None:
     """Parse a ``KERNEL_EXTENTS`` value like ``"n + 1"`` / ``"2 * m"``."""
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError:
         return None
-    return _affine_from_ast(tree.body)
-
-
-def _parse_bound(expr: str) -> Affine | None:
-    return _parse_extent(expr)
+    return affine_of(tree.body, aff_sym)
 
 
 class _Assumptions:
@@ -347,12 +284,12 @@ class _Assumptions:
         for i, text in enumerate(source.splitlines(), start=1):
             m = _ASSUME_ITEM_RE.search(text)
             if m:
-                lo, hi = _parse_bound(m.group(1)), _parse_bound(m.group(2))
+                lo, hi = _parse_extent(m.group(1)), _parse_extent(m.group(2))
                 if lo is not None and hi is not None:
                     self.items[i] = (lo, hi, f"item in [{m.group(1)}, {m.group(2)})")
             m = _ASSUME_CHUNK_RE.search(text)
             if m:
-                lo, hi = _parse_bound(m.group(1)), _parse_bound(m.group(2))
+                lo, hi = _parse_extent(m.group(1)), _parse_extent(m.group(2))
                 if lo is not None and hi is not None:
                     self.chunks[i] = (lo, hi, f"chunks of [{m.group(1)}, {m.group(2)})")
 
@@ -462,7 +399,7 @@ def _resolve_ctor(info: ModuleInfo, recv: str) -> _Ctor | None:
                 _dtype_class(kwargs["dtype"]) if "dtype" in kwargs else "int"
             )  # the AtomicArray ctor defaults dtype=np.int64
             size = node.value.args[0] if node.value.args else None
-            ctor = _Ctor("array", dtype, _affine_from_ast(size), runtime_name)
+            ctor = _Ctor("array", dtype, affine_of(size, aff_sym), runtime_name)
         if found is not None and (found.kind, found.dtype) != (ctor.kind, ctor.dtype):
             return None
         found = ctor
@@ -1109,7 +1046,7 @@ def _seed_item_env(
         and items.func.attr == "partition"
         and items.args
     ):
-        extent = _affine_from_ast(items.args[0])
+        extent = affine_of(items.args[0], aff_sym)
         if extent is not None:
             scope.chunk_extent = extent
         return
@@ -1259,35 +1196,6 @@ class ProveAnalyzer:
             self._assumptions[info.path] = _Assumptions(source)
         return self._assumptions[info.path]
 
-    def _reachable_workers(
-        self, entry: FunctionRef
-    ) -> list[tuple[FunctionRef, _WorkerInfo]]:
-        """(enclosing function, worker) pairs reachable from ``entry``
-        through the in-repo call graph — same BFS as SimFlow's effect
-        inference, so certificates cover exactly the declared universe."""
-        out: list = []
-        visited: set[str] = set()
-        seen_workers: set[int] = set()
-        queue: list[FunctionRef] = [entry]
-        while queue:
-            ref = queue.pop()
-            if ref.qualname in visited:
-                continue
-            visited.add(ref.qualname)
-            scope = tuple(ref.qualpath.split("."))
-            for worker in _find_workers_in(ref.node):
-                if id(worker.node) in seen_workers:
-                    continue
-                seen_workers.add(id(worker.node))
-                out.append((ref, worker))
-            for call in ast.walk(ref.node):
-                if not isinstance(call, ast.Call):
-                    continue
-                target = self.index.resolve_call(ref.module, scope, call)
-                if target is not None and target.qualname not in visited:
-                    queue.append(target)
-        return out
-
     # ------------------------------------------------------------------
 
     def prove_entry(
@@ -1312,7 +1220,7 @@ class ProveAnalyzer:
         obligations: list = []
         sites: list = []
         assumptions_used: list = []
-        for ref, worker in self._reachable_workers(entry):
+        for ref, worker in self._flow.reachable_workers(entry):
             info = ref.module
             module_assumes = self._module_assumptions(info)
             ctor_cache = self._ctors.setdefault(info.path, {})
@@ -1364,7 +1272,7 @@ class ProveAnalyzer:
         assumed_sites = [s for s in sites if s.klass == "assumed"]
         for ob in violations:
             findings.append(
-                ProveFinding(
+                Finding(
                     path=ob.path,
                     line=ob.line,
                     col=0,
@@ -1380,7 +1288,7 @@ class ProveAnalyzer:
             )
         for ob in unproven:
             findings.append(
-                ProveFinding(
+                Finding(
                     path=ob.path,
                     line=ob.line,
                     col=0,
@@ -1396,7 +1304,7 @@ class ProveAnalyzer:
             )
         for site in order_sites:
             findings.append(
-                ProveFinding(
+                Finding(
                     path=site.path,
                     line=site.line,
                     col=0,
@@ -1565,98 +1473,22 @@ def manifest_payload(report: ProveReport) -> dict:
     }
 
 
-def load_manifest(path: str | Path | None = None) -> dict | None:
-    """The committed manifest, or None when absent/unreadable."""
-    p = Path(path) if path is not None else DEFAULT_MANIFEST_PATH
-    try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-
-
-def write_manifest(report: ProveReport, path: str | Path | None = None) -> Path:
-    p = Path(path) if path is not None else DEFAULT_MANIFEST_PATH
-    p.write_text(
-        json.dumps(manifest_payload(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return p
-
-
-def diff_manifest(current: dict, committed: dict | None) -> list:
-    """Human-readable drift lines between a fresh payload and the
-    committed manifest; empty means in sync."""
-    if committed is None:
-        return [
-            "prove manifest missing — run "
-            "`repro sanitize --prove --write-manifest` and commit it"
-        ]
-    drift: list = []
-    if committed.get("schema") != current.get("schema"):
-        drift.append(
-            f"manifest schema {committed.get('schema')!r} != "
-            f"{current.get('schema')!r}"
-        )
-    old = committed.get("kernels", {})
-    new = current.get("kernels", {})
-    for name in sorted(set(old) - set(new)):
-        drift.append(f"kernel {name!r}: in manifest but no longer registered")
-    for name in sorted(set(new) - set(old)):
-        drift.append(f"kernel {name!r}: registered but missing from manifest")
-    for name in sorted(set(new) & set(old)):
-        a, b = old[name], new[name]
-        if a == b:
-            continue
-        for field_name in (
-            "status",
-            "determinism",
-            "fully_proven",
-            "proven_arrays",
-            "assumptions",
-        ):
-            if a.get(field_name) != b.get(field_name):
-                drift.append(
-                    f"kernel {name!r}: {field_name} "
-                    f"{a.get(field_name)!r} -> {b.get(field_name)!r}"
-                )
-        for section in ("obligations", "atomics"):
-            sa, sb = a.get(section, {}), b.get(section, {})
-            for key in sorted(set(sa) - set(sb)):
-                drift.append(f"kernel {name!r}: {section[:-1]} gone: {key}")
-            for key in sorted(set(sb) - set(sa)):
-                drift.append(f"kernel {name!r}: new {section[:-1]}: {key}")
-            for key in sorted(set(sa) & set(sb)):
-                if sa[key] != sb[key]:
-                    drift.append(
-                        f"kernel {name!r}: {section[:-1]} {key}: "
-                        f"{sa[key]!r} -> {sb[key]!r}"
-                    )
-        if a.get("bounds") != b.get("bounds") and not any(
-            d.startswith(f"kernel {name!r}") for d in drift
-        ):
-            drift.append(
-                f"kernel {name!r}: bounds {a.get('bounds')} -> {b.get('bounds')}"
-            )
-    return drift
-
-
 def verify_manifest(
     index: ModuleIndex | None = None, path: str | Path | None = None
 ) -> tuple[bool, str]:
     """Regenerate proofs and compare with the committed manifest.
 
-    The single gate used by ``repro sanitize --prove``, ``make prove``
-    and pytest ``--prove``: fails on any SAN501 or manifest drift.
+    The pytest ``--prove`` gate (``repro sanitize --prove`` runs the
+    same ``manifest.drift``): fails on any SAN501 or manifest drift.
     """
     report = prove_kernels(index=index)
-    problems = [str(f) for f in report.errors]
-    problems += diff_manifest(manifest_payload(report), load_manifest(path))
-    if problems:
-        return False, "; ".join(problems[:6]) + (
-            f" (+{len(problems) - 6} more)" if len(problems) > 6 else ""
-        )
-    n = len(report.certified)
-    return True, f"{n}/{len(report.certificates)} kernels certified, manifest in sync"
+    return manifest.verify(
+        [str(f) for f in report.errors],
+        manifest_payload(report),
+        path or DEFAULT_MANIFEST_PATH,
+        "--prove",
+        f"{len(report.certified)}/{len(report.certificates)} kernels certified",
+    )
 
 
 # ======================================================================

@@ -21,7 +21,6 @@ __all__ = [
     "SELFTEST_PREFIX",
     "run_racy_kernel",
     "selftest",
-    "family_selftests",
 ]
 
 #: Region labels starting with this prefix are expected to race.
@@ -76,36 +75,3 @@ def selftest(threads: int = 4) -> tuple[bool, str]:
         return False, f"degenerate thread pair in report: {report}"
     return True, f"seeded race detected: {report}"
 
-
-def family_selftests() -> dict:
-    """Seeded selftests of every analysis family, by family name.
-
-    Each value is a zero-argument callable returning ``(ok, message)``.
-    Imports are lazy so asking for the registry never pulls in a
-    family's whole analysis stack.
-    """
-
-    def _race() -> tuple[bool, str]:
-        return selftest()
-
-    def _flow() -> tuple[bool, str]:
-        from repro.sanitizer.flow import flow_selftest
-
-        return flow_selftest()
-
-    def _prove() -> tuple[bool, str]:
-        from repro.sanitizer.prove import prove_selftest
-
-        return prove_selftest()
-
-    def _dist() -> tuple[bool, str]:
-        from repro.sanitizer.dist import dist_selftest
-
-        return dist_selftest()
-
-    return {
-        "race": _race,
-        "flow": _flow,
-        "prove": _prove,
-        "dist": _dist,
-    }

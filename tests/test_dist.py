@@ -14,17 +14,15 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.sanitizer import manifest
 from repro.sanitizer.dist import (
     DEFAULT_DIST_MANIFEST_PATH,
     DistAnalyzer,
     analyze_dist,
     analyze_protocol_source,
-    diff_dist_manifest,
     dist_manifest_payload,
     dist_selftest,
-    load_dist_manifest,
     verify_dist_manifest,
-    write_dist_manifest,
 )
 from repro.sanitizer.flow import ModuleIndex, ModuleInfo
 
@@ -294,44 +292,43 @@ class TestWireSchemas:
 
 class TestManifest:
     def test_round_trip_in_sync(self, tmp_path):
-        report = analyze_dist()
-        path = write_dist_manifest(report, tmp_path / "dist.json")
-        committed = load_dist_manifest(path)
+        payload = dist_manifest_payload(analyze_dist())
+        path = manifest.write(payload, tmp_path / "dist.json")
+        committed = manifest.load(path)
         assert committed["schema"] == "dist-manifest/v1"
-        assert diff_dist_manifest(
-            dist_manifest_payload(report), committed
-        ) == []
+        assert manifest.drift(payload, path, "--dist") == []
 
-    def test_missing_manifest_names_the_fix(self):
-        report = analyze_dist()
-        lines = diff_dist_manifest(dist_manifest_payload(report), None)
+    def test_missing_manifest_names_the_fix(self, tmp_path):
+        payload = dist_manifest_payload(analyze_dist())
+        lines = manifest.drift(payload, tmp_path / "absent.json", "--dist")
         assert lines and "--write-manifest" in lines[0]
 
     def test_protocol_field_tamper_detected(self, tmp_path):
-        report = analyze_dist()
-        path = write_dist_manifest(report, tmp_path / "dist.json")
-        committed = json.loads(path.read_text())
+        payload = dist_manifest_payload(analyze_dist())
+        committed = json.loads(json.dumps(payload))
         committed["protocols"]["decompose"]["status"] = "violations"
-        lines = diff_dist_manifest(
-            dist_manifest_payload(report), committed
-        )
-        assert any(
-            "decompose" in line and "status" in line for line in lines
-        )
+        path = manifest.write(committed, tmp_path / "dist.json")
+        lines = manifest.drift(payload, path, "--dist")
+        assert lines == [
+            "protocols.decompose.status: 'violations' -> 'certified'"
+        ]
 
     def test_message_schema_tamper_detected(self, tmp_path):
-        report = analyze_dist()
-        path = write_dist_manifest(report, tmp_path / "dist.json")
-        committed = json.loads(path.read_text())
+        payload = dist_manifest_payload(analyze_dist())
+        committed = json.loads(json.dumps(payload))
         committed["message_schemas"]["cluster_decompose"] = {}
-        lines = diff_dist_manifest(
-            dist_manifest_payload(report), committed
+        path = manifest.write(committed, tmp_path / "dist.json")
+        lines = manifest.drift(payload, path, "--dist")
+        assert lines and all(
+            line.startswith("message_schemas.cluster_decompose.")
+            for line in lines
         )
-        assert any("message_schemas" in line for line in lines)
 
     def test_tampered_manifest_fails_verify(self, tmp_path):
         report = analyze_dist()
-        path = write_dist_manifest(report, tmp_path / "dist.json")
+        path = manifest.write(
+            dist_manifest_payload(report), tmp_path / "dist.json"
+        )
         committed = json.loads(path.read_text())
         del committed["protocols"]["serve"]
         path.write_text(json.dumps(committed))
@@ -341,7 +338,7 @@ class TestManifest:
 
     def test_committed_manifest_file_exists(self):
         assert DEFAULT_DIST_MANIFEST_PATH.exists()
-        payload = load_dist_manifest()
+        payload = manifest.load(DEFAULT_DIST_MANIFEST_PATH)
         assert set(payload["protocols"]) == {"decompose", "serve"}
 
 

@@ -30,10 +30,9 @@ from repro.sanitizer.intervals import (
 )
 from repro.sanitizer.kernels import KERNEL_EXTENTS, KERNELS, run_kernel
 from repro.sanitizer.memcheck import MemChecker, MemcheckError
+from repro.sanitizer import manifest
 from repro.sanitizer.prove import (
     DEFAULT_MANIFEST_PATH,
-    diff_manifest,
-    load_manifest,
     manifest_payload,
     prove_kernels,
     prove_selftest,
@@ -352,7 +351,12 @@ class TestKernels:
 
     def test_manifest_in_sync(self, report):
         assert DEFAULT_MANIFEST_PATH.exists()
-        assert diff_manifest(manifest_payload(report), load_manifest()) == []
+        assert (
+            manifest.drift(
+                manifest_payload(report), DEFAULT_MANIFEST_PATH, "--prove"
+            )
+            == []
+        )
 
     def test_verify_manifest_gate(self):
         ok, message = verify_manifest()
@@ -365,11 +369,12 @@ class TestKernels:
         del payload["kernels"]["vertex_rank"]
         tampered = tmp_path / "manifest.json"
         tampered.write_text(json.dumps(payload))
-        drift = diff_manifest(
-            manifest_payload(report), load_manifest(tampered)
+        drift = manifest.drift(manifest_payload(report), tampered, "--prove")
+        assert (
+            "kernels.pkc.determinism: 'order-sensitive' -> 'commutative'"
+            in drift
         )
-        assert any("pkc" in line for line in drift)
-        assert any("vertex_rank" in line for line in drift)
+        assert "kernels.vertex_rank: absent -> {...}" in drift
 
     def test_committed_bench_covers_manifest_kernels(self):
         # BENCH_prove.json must be re-recorded whenever a kernel joins
@@ -379,12 +384,14 @@ class TestKernels:
             / "benchmarks" / "results" / "BENCH_prove.json"
         )
         stage = json.loads(bench.read_text())["stages"]["prove"]
-        kernels = set(load_manifest()["kernels"])
+        kernels = set(manifest.load(DEFAULT_MANIFEST_PATH)["kernels"])
         assert set(stage["kernel_names"]) == kernels
         assert stage["kernels"] == len(kernels)
 
-    def test_missing_manifest_is_drift(self, report):
-        drift = diff_manifest(manifest_payload(report), None)
+    def test_missing_manifest_is_drift(self, report, tmp_path):
+        drift = manifest.drift(
+            manifest_payload(report), tmp_path / "absent.json", "--prove"
+        )
         assert drift and "missing" in drift[0]
 
 
@@ -492,8 +499,24 @@ def test_stale_baseline_entries_helper():
 
     findings = [_F("SAN401:a"), _F("SAN403:b")]
     baseline = {"SAN401:a": "known", "SAN999:gone": "stale"}
-    assert stale_baseline_entries(findings, baseline) == ["SAN999:gone"]
-    assert stale_baseline_entries(findings, {}) == []
+    files, kernels = {"a", "b"}, {"pkc"}
+    assert stale_baseline_entries(findings, baseline, files, kernels) == [
+        "SAN999:gone"
+    ]
+    assert stale_baseline_entries(findings, {}, files, kernels) == []
+    # an entry naming an analyzed file or a checked kernel with no
+    # finding is stale; one naming a file or kernel outside the run's
+    # scope is not
+    scoped = {
+        "SAN403:b:w:out": "fixed",
+        "SAN402:c:w:phase:f": "unanalyzed file",
+        "SAN404:pkc:reads:x": "fixed",
+        "SAN405:bfs:reads:x": "unchecked kernel",
+    }
+    assert stale_baseline_entries(findings, scoped, files, kernels) == [
+        "SAN403:b:w:out",
+        "SAN404:pkc:reads:x",
+    ]
 
 
 def test_committed_flow_baseline_not_stale():

@@ -1,0 +1,142 @@
+"""The ``repro sanitize`` driver: shared steps and composed paths.
+
+Covers the paths single-family runs never reach: the SAN002
+dead-marker audit (lint + flow + full prove together),
+``--write-manifest`` reproducing both committed manifests, the flow
+baseline's stale-entry scope on a path-scoped run, SAN000 for source
+that is not UTF-8, the shared manifest checker's absent-vs-unreadable
+distinction, and the package import set of a runtime process.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main as cli_main
+from repro.sanitizer import dist, manifest, prove
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_dead_marker_audit_gates_under_strict(tmp_path, capsys):
+    (tmp_path / "mod.py").write_text(
+        "x = 1  # sani: ok - nothing on this line is ever flagged\n"
+    )
+    rc = cli_main(
+        ["sanitize", "--strict", "--lint", str(tmp_path), "--flow", "--prove"]
+    )
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "SAN002" in out
+    assert "suppress  FAILED 1 dead suppression(s) [strict]" in out
+
+
+def test_write_manifest_reproduces_committed_files(
+    tmp_path, monkeypatch, capsys
+):
+    prove_path = tmp_path / "prove_manifest.json"
+    dist_path = tmp_path / "dist_manifest.json"
+    monkeypatch.setattr(prove, "DEFAULT_MANIFEST_PATH", prove_path)
+    monkeypatch.setattr(dist, "DEFAULT_DIST_MANIFEST_PATH", dist_path)
+    assert cli_main(["sanitize", "--write-manifest"]) == 0
+    out = capsys.readouterr().out
+    assert f"manifest refreshed: {prove_path}" in out
+    assert f"manifest refreshed: {dist_path}" in out
+    package = Path(prove.__file__).parent
+    for name in ("prove_manifest.json", "dist_manifest.json"):
+        assert (tmp_path / name).read_bytes() == (package / name).read_bytes()
+
+
+def test_path_scoped_flow_run_has_no_stale_entries(capsys):
+    # the committed baseline names divide_conquer.py, outside this scope
+    rc = cli_main(
+        [
+            "sanitize",
+            "--strict",
+            "--flow",
+            "--lint",
+            str(SRC / "repro" / "search"),
+        ]
+    )
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "0 stale baseline entr(ies)" in out
+
+
+def test_in_scope_baseline_entry_without_finding_is_stale(tmp_path, capsys):
+    (tmp_path / "mod.py").write_text("x = 1\n")
+    baseline = tmp_path / "baseline.json"
+    key = "SAN401:mod.py:worker:barrier:worker"
+    baseline.write_text(json.dumps({"entries": {key: "fixed since"}}))
+    rc = cli_main(
+        [
+            "sanitize",
+            "--strict",
+            "--flow",
+            "--lint",
+            str(tmp_path / "mod.py"),
+            "--flow-baseline",
+            str(baseline),
+        ]
+    )
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert f"stale baseline entry (matches no current finding): {key}" in out
+
+
+@pytest.mark.parametrize("flow", [False, True])
+def test_non_utf8_source_is_san000(tmp_path, capsys, flow):
+    (tmp_path / "ok.py").write_text("x = 1\n")
+    (tmp_path / "latin1.py").write_bytes(b"name = '\xe9t\xe9'\n")
+    argv = ["sanitize", "--lint", str(tmp_path)]
+    rc = cli_main(argv + ["--flow"] if flow else argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in captured.err
+    assert "latin1.py:0:0 SAN000 [error] cannot decode source" in captured.out
+
+
+@pytest.mark.parametrize(
+    "flag, committed",
+    [
+        ("--prove", prove.DEFAULT_MANIFEST_PATH),
+        ("--dist", dist.DEFAULT_DIST_MANIFEST_PATH),
+    ],
+    ids=["prove", "dist"],
+)
+def test_corrupt_manifest_is_not_missing(tmp_path, flag, committed):
+    name = flag.lstrip("-")
+    truncated = tmp_path / committed.name
+    truncated.write_bytes(committed.read_bytes()[:100])
+    (line,) = manifest.drift({}, truncated, flag)
+    assert line.startswith(f"{name} manifest unreadable: ")
+    assert f"`repro sanitize {flag} --write-manifest`" in line
+    (line,) = manifest.drift({}, tmp_path / "absent.json", flag)
+    assert line.startswith(f"{name} manifest missing")
+    with pytest.raises(ValueError, match="unreadable"):
+        manifest.load(truncated)
+    assert manifest.load(tmp_path / "absent.json") is None
+
+
+def test_runtime_import_skips_static_analyzers():
+    code = (
+        "import json, sys, repro.pipeline\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('repro.')]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    loaded = set(json.loads(out))
+    assert "repro.sanitizer.memcheck" in loaded
+    for name in ("flow", "prove", "dist", "intervals", "manifest"):
+        assert f"repro.sanitizer.{name}" not in loaded
