@@ -75,6 +75,8 @@ def phcd_build_hcd(
     cas_failure_rate, seed:
         Failure-injection controls for the wait-free engine (the
         ``F`` term of the work bound); ignored by the sequential DSU.
+        The wait-free engine rejects a rate outside ``[0, 1)`` with
+        :class:`~repro.errors.UnionFindError`.
     """
     coreness = np.asarray(coreness, dtype=np.int64)
     n = graph.num_vertices
@@ -86,7 +88,9 @@ def phcd_build_hcd(
     ranks = rank_result.rank
     shells = rank_result.shells
     kmax = rank_result.kmax
-    indptr, indices = graph.indptr, graph.indices
+    # row bounds as native ints: slicing with them skips two numpy
+    # scalar reads per row
+    indptr, indices = graph.indptr.tolist(), graph.indices
 
     if use_waitfree is None:
         use_waitfree = pool.threads > 1
@@ -137,11 +141,9 @@ def _phcd_level(
     # --- Step 1: pivots of components the shell will absorb -------
     def collect_child_pivots(v: int, ctx) -> None:
         ctx.charge(1)
-        for u in indices[indptr[v] : indptr[v + 1]].tolist():
-            ctx.charge(SCAN_CHARGE)
-            if coreness[u] > k:
-                pvt = uf.get_pivot(u, ctx)
-                kpc_pivot.add_if_absent(ctx, pvt)
+        row = indices[indptr[v] : indptr[v + 1]].tolist()
+        # the pivot of every neighbor above k
+        kpc_pivot.add_pivots(ctx, uf, row, coreness, k + 1, SCAN_CHARGE)
 
     pool.parallel_for(
         shell_list,
@@ -152,10 +154,9 @@ def _phcd_level(
     # --- Step 2: union shell into the growing graph ---------------
     def connect(v: int, ctx) -> None:
         ctx.charge(1)
-        for u in indices[indptr[v] : indptr[v + 1]].tolist():
-            ctx.charge(SCAN_CHARGE)
-            if coreness[u] >= k:
-                uf.union(v, u, ctx)
+        row = indices[indptr[v] : indptr[v + 1]].tolist()
+        # union with every neighbor of coreness >= k
+        uf.union_row(v, row, coreness, k, ctx, SCAN_CHARGE)
 
     pool.parallel_for(
         shell_list,

@@ -31,10 +31,14 @@ def pkc_core_decomposition(graph: Graph, pool: SimulatedPool) -> np.ndarray:
     coreness = np.zeros(n, dtype=np.int64)
     if n == 0:
         return coreness
-    indptr, indices = graph.indptr, graph.indices
+    # row bounds as native ints: slicing with them skips two numpy
+    # scalar reads per row
+    indptr, indices = graph.indptr.tolist(), graph.indices
     degree = AtomicArray(n, dtype=np.int64, name="pkc_deg")
     degree.data[:] = graph.degrees()
-    settled = np.zeros(n, dtype=bool)
+    # native bytes for the per-neighbor reads, a numpy view for the scan
+    settled = bytearray(n)
+    settled_mask = np.frombuffer(settled, dtype=bool)
     remaining = n
     k = 0
     while remaining > 0:
@@ -47,7 +51,7 @@ def pkc_core_decomposition(graph: Graph, pool: SimulatedPool) -> np.ndarray:
                     return v
                 return -1
 
-            undecided = np.flatnonzero(~settled)
+            undecided = np.flatnonzero(~settled_mask)
             # items are positions into an n-sized mask  # prove: item in [0, n)
             hits = pool.parallel_for(
                 undecided.tolist(), scan, label=f"pkc:scan_k{k}"
@@ -55,25 +59,31 @@ def pkc_core_decomposition(graph: Graph, pool: SimulatedPool) -> np.ndarray:
             frontier = [v for v in hits if v >= 0]
             while frontier:
                 for v in frontier:
-                    settled[v] = True
+                    settled[v] = 1
                 next_parts: list[list[int]] = [[] for _ in range(pool.threads)]
 
                 def process(v: int, ctx) -> None:
                     # each frontier vertex owns its coreness slot
                     ctx.write(("pkc_core", int(v)))
                     coreness[v] = k
-                    for u in indices[indptr[v] : indptr[v + 1]].tolist():
-                        ctx.charge(1)
-                        if settled[u]:
-                            continue
-                        # branch on the fetch-add result, never on a raw
-                        # re-read of the slot: concurrent decrements would
-                        # make the re-read miss (or duplicate) the handoff
-                        old = degree.add(ctx, u, -1)
-                        if old - 1 == k:
-                            # local buffer append: PKC's low-sync design
-                            ctx.charge(1)
-                            next_parts[ctx.thread_id].append(u)
+                    # decrement every unsettled neighbor; the handoffs
+                    # are decided on the fetch-add results, never on a
+                    # raw re-read of the slots: concurrent decrements
+                    # would make the re-read miss (or duplicate) them
+                    handoff = degree.add_row(
+                        ctx,
+                        [
+                            u
+                            for u in indices[indptr[v] : indptr[v + 1]].tolist()
+                            if not settled[u]
+                        ],
+                        -1,
+                        k,
+                    )
+                    # one unit per scanned neighbor and per local buffer
+                    # append (PKC's low-sync design), folded: integers only
+                    ctx.charge(indptr[v + 1] - indptr[v] + len(handoff))
+                    next_parts[ctx.thread_id].extend(handoff)
 
                 # frontier holds vertex ids  # prove: item in [0, n)
                 pool.parallel_for(frontier, process, label=f"pkc:peel_k{k}")

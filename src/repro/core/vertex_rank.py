@@ -63,6 +63,8 @@ def compute_vertex_rank(
     n = graph.num_vertices
     coreness = np.asarray(coreness, dtype=np.int64)
     kmax = int(coreness.max()) if n else 0
+    # the kernels read native ints: one conversion per call, not per read
+    coreness = coreness.tolist()
     p = pool.threads
     # HL[t][k]: vertices of thread t's slice with coreness k, ascending id.
     bins: list[list[list[int]]] = [
@@ -74,8 +76,8 @@ def compute_vertex_rank(
         # The append targets the thread's own bin array; the paper
         # marks it atomic because the bins are shared storage, but no
         # other thread touches HL[p], so it never contends.
-        ctx.atomic(("HL", ctx.thread_id, int(coreness[v])), contended=False)
-        bins[ctx.thread_id][int(coreness[v])].append(v)
+        ctx.atomic(("HL", ctx.thread_id, coreness[v]), contended=False)
+        bins[ctx.thread_id][coreness[v]].append(v)
 
     with pool.phase("vertex-rank"):
         pool.parallel_for(range(n), bin_vertex, label="vertex_rank:bin")
@@ -95,11 +97,12 @@ def compute_vertex_rank(
         )
 
     # Line 9: Vsort = H_0 + H_1 + ... + H_kmax.
-    vsort = (
+    vsort_arr = (
         np.concatenate([s for s in shells if s.size])
         if any(s.size for s in shells)
         else np.empty(0, dtype=np.int64)
     )
+    vsort = vsort_arr.tolist()
 
     # Lines 10-11: r(v) = position of v in Vsort.
     rank = san_empty(n, np.int64, name="rank")
@@ -108,9 +111,9 @@ def compute_vertex_rank(
         # vsort is a permutation, so rank slots are written exactly
         # once; the detector proves word-disjointness at runtime, the
         # lint cannot prove the bijection statically
-        ctx.write(("rank", int(vsort[i])))
+        ctx.write(("rank", vsort[i]))
         rank[vsort[i]] = i  # sani: ok - permutation scatter, recorded above
 
     with pool.phase("vertex-rank"):
         pool.parallel_for(range(n), assign_rank, label="vertex_rank:rank")
-    return VertexRankResult(rank=rank, shells=shells, vsort=vsort)
+    return VertexRankResult(rank=rank, shells=shells, vsort=vsort_arr)

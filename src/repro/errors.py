@@ -30,6 +30,10 @@ class SchedulerError(ReproError):
     """The simulated-parallel scheduler was misused (e.g. nested regions)."""
 
 
+class UnionFindError(ReproError, ValueError):
+    """A union-find structure was configured with an invalid parameter."""
+
+
 class UnknownMetricError(ReproError, KeyError):
     """A community scoring metric name is not present in the registry."""
 

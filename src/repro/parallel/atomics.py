@@ -35,7 +35,10 @@ import numpy as np
 
 from repro.parallel.context import CACHELINE_WORDS, ThreadContext
 
-__all__ = ["AtomicCounter", "AtomicArray", "AtomicSet", "AtomicList"]
+__all__ = ["AtomicCounter", "AtomicArray", "AtomicSet", "AtomicList", "PROBE_CHARGE"]
+
+#: Work units of :meth:`AtomicSet.add_if_absent`'s membership probe.
+PROBE_CHARGE = 0.3
 
 
 class AtomicCounter:
@@ -76,11 +79,22 @@ class AtomicCounter:
 class AtomicArray:
     """A numpy array with atomically-charged element updates."""
 
-    __slots__ = ("data", "_name")
+    __slots__ = ("_data", "_slots", "_name")
 
     def __init__(self, size: int, dtype: type = np.int64, name: str = "arr") -> None:
         self.data = np.zeros(size, dtype=dtype)
         self._name = name
+
+    @property
+    def data(self) -> np.ndarray:
+        """The backing array — uncharged, for *post-region inspection only*."""
+        return self._data
+
+    @data.setter
+    def data(self, array: np.ndarray) -> None:
+        self._data = array
+        # native-value element access for load and the row operations
+        self._slots = memoryview(array)
 
     @classmethod
     def from_array(cls, data: np.ndarray, name: str = "arr") -> "AtomicArray":
@@ -119,7 +133,7 @@ class AtomicArray:
             ctx.atomic(self._key(index), contended=False, word=self._word(index))
         else:
             ctx.atomic(None, contended=False)
-        data = self.data
+        data = self._data
         old = data[index]
         data[index] = old + delta
         return old
@@ -127,15 +141,15 @@ class AtomicArray:
     def store(self, ctx: ThreadContext, index: int, value) -> None:
         """Atomic ``data[index] = value`` (publication, contends)."""
         ctx.atomic(self._key(index), word=self._observed_word(ctx, index))
-        self.data[index] = value
+        self._data[index] = value
 
     def compare_and_swap(
         self, ctx: ThreadContext, index: int, expected, value
     ) -> bool:
         """CAS: write ``value`` iff the slot holds ``expected``."""
         ctx.atomic(self._key(index), word=self._observed_word(ctx, index))
-        if self.data[index] == expected:
-            self.data[index] = value
+        if self._data[index] == expected:
+            self._data[index] = value
             return True
         return False
 
@@ -149,7 +163,7 @@ class AtomicArray:
         keys included, while an observer is attached).
         """
         ctx.atomic_row(self._name, indices)
-        slots = memoryview(self.data)
+        slots = self._slots
         claimed = []
         for i in indices:
             if slots[i] == 0:
@@ -164,21 +178,56 @@ class AtomicArray:
         pays one contended CAS, a non-improving one only the load.  On
         the sequential substrate the CAS succeeds on the first try.
         """
-        old = self.data[index]
+        old = self._data[index]
         if value < old:
             ctx.atomic(self._key(index), word=self._observed_word(ctx, index))
-            self.data[index] = value
+            self._data[index] = value
         else:
             ctx.atomic_load(self._observed_word(ctx, index))
         return old
 
+    def add_row(
+        self, ctx: ThreadContext, indices: list[int], delta, hit
+    ) -> list[int]:
+        """:meth:`add` of ``delta`` at every index in order; returns the
+        indices whose fetch-add result reached ``hit`` (``old + delta ==
+        hit``), in order.
+
+        The handoffs of a level-synchronous peel, decided on the
+        fetch-add results, never on a re-read of the slots.  Unobserved,
+        the ``len(indices)`` relaxed atomics are one charge, equal to the
+        per-element ones while every addend of the region's ``work`` is
+        an integer (docs/cost_model.md, "When a bulk charge is exact"),
+        and the slots are updated through a memoryview, so ``delta``
+        must suit the dtype without a cast.  With an observer attached
+        it makes the per-element :meth:`add` calls.
+        """
+        if ctx.observed:
+            return [i for i in indices if self.add(ctx, i, delta) + delta == hit]
+        # all that atomic(None, units=len(indices), contended=False)
+        # does with no observer
+        ctx.atomic_ops += len(indices)
+        ctx.work += len(indices)
+        slots = self._slots
+        reached = []
+        for i in indices:
+            new = slots[i] + delta
+            slots[i] = new
+            if new == hit:
+                reached.append(i)
+        return reached
+
     def load(self, ctx: ThreadContext, index: int):
-        """Charged atomic load of ``data[index]`` (one work unit)."""
-        ctx.atomic_load(self._observed_word(ctx, index))
-        return self.data[index]
+        """Charged atomic load of ``data[index]`` (one work unit), as a
+        native Python value."""
+        if ctx.observed:
+            ctx.atomic_load((self._name, int(index)))
+        else:
+            ctx.work += 1.0  # all that atomic_load does with no observer
+        return self._slots[index]
 
     def __len__(self) -> int:
-        return int(self.data.size)
+        return int(self._data.size)
 
 
 class AtomicSet:
@@ -209,12 +258,51 @@ class AtomicSet:
         read vs. atomic write (synchronized, as in a concurrent set).
         """
         word = ("setitem", self._name, item) if ctx.observed else None
-        ctx.atomic_load(word, units=0.3)
+        ctx.atomic_load(word, units=PROBE_CHARGE)
         if item in self._items:
             return False
         ctx.atomic((self._name, hash(item) % self._buckets), word=word)
         self._items.add(item)
         return True
+
+    def add_pivots(
+        self, ctx: ThreadContext, uf, row: list[int], level: list[int],
+        floor: int, scan: float,
+    ) -> None:
+        """PHCD step 1 over one adjacency row.
+
+        For every ``y`` in ``row``: charge ``scan``, and when
+        ``level[y] >= floor``, ``add_if_absent(ctx, uf.get_pivot(y,
+        ctx))``.  ``uf`` is either pivot union-find engine.  With an
+        observer attached these are the calls made.  Unobserved, the
+        pivots come from one uncharged ``uf.pivots(row, level, floor)``
+        call (the same finds in the same order) and the addends are
+        replayed on a local in per-element order: ``scan``, then
+        ``uf.FIND_CHARGE``, then :data:`PROBE_CHARGE`, then the bucket
+        CAS of a new pivot (:meth:`ThreadContext.commit_row`).
+        """
+        if ctx.observed:
+            for y in row:
+                ctx.charge(scan)
+                if level[y] >= floor:
+                    self.add_if_absent(ctx, uf.get_pivot(y, ctx))
+            return
+        pivots = iter(uf.pivots(row, level, floor))
+        find = uf.FIND_CHARGE
+        items, name, buckets = self._items, self._name, self._buckets
+        contended = []
+        work = ctx.work
+        for y in row:
+            work += scan
+            if level[y] >= floor:
+                pvt = next(pivots)
+                work += find
+                work += PROBE_CHARGE
+                if pvt not in items:
+                    work += 1
+                    contended.append((name, hash(pvt) % buckets))
+                    items.add(pvt)
+        ctx.commit_row(work, contended)
 
     def __contains__(self, item) -> bool:
         return item in self._items

@@ -36,7 +36,10 @@ Two bulk calls, :meth:`ThreadContext.read_row` and
 when unobserved and make the per-element calls when observed.  Their
 folded charges equal the per-element ones only in regions whose every
 work addend is an integer (docs/cost_model.md, "When a bulk charge is
-exact").
+exact").  Row operations over fractional charges (the union-find and
+:class:`~repro.parallel.atomics.AtomicSet` rows of PHCD) instead add
+each per-element addend in order to a local copy of ``work`` and store
+it back with :meth:`ThreadContext.commit_row`.
 
 Event kinds are small ints so hot paths append plain tuples:
 
@@ -314,6 +317,26 @@ class ThreadContext:
         locations = self._atomic_locations
         for i in indices:
             key = (name, i // CACHELINE_WORDS)
+            locations[key] = locations.get(key, 0) + 1
+
+    def commit_row(self, work: float, contended: list) -> None:
+        """Store back the charges a row operation replayed on locals.
+
+        ``work`` is the new running total: the row operation copied
+        :attr:`work` to a local and added the same addends, in the same
+        order, as the per-element calls it stands for, so the float64
+        sum rounds identically (docs/cost_model.md, "Replaying a
+        fractional row").  ``contended`` lists the location key of every
+        contended atomic it charged, in charge order; each counts one
+        atomic op and is tallied as :meth:`atomic` would.  The atomic's
+        own work unit must already be in ``work``.  Unobserved runs
+        only: with an observer attached, row operations make the
+        per-element calls instead.
+        """
+        self.work = work
+        self.atomic_ops += len(contended)
+        locations = self._atomic_locations
+        for key in contended:
             locations[key] = locations.get(key, 0) + 1
 
     def record(self, kind: int, location: object) -> None:

@@ -21,8 +21,24 @@ algorithm executions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-__all__ = ["CostModel", "DEFAULT_COST_MODEL"]
+__all__ = ["CostModel", "DEFAULT_COST_MODEL", "ordered_sum"]
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Sum ``values`` left to right, one float64 addition at a time.
+
+    Every recorded sim-clock figure is a float64 running sum.  The
+    builtin ``sum`` adds left to right only up to Python 3.11: from
+    3.12 it compensates float addition (Neumaier), which moves the last
+    digits of sums such as a region's ``work_total``.  Accounting code
+    uses this loop so a figure is the same on every Python version.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from repro.errors import SchedulerError
 from repro.parallel.context import ThreadContext
-from repro.parallel.cost_model import DEFAULT_COST_MODEL, CostModel
+from repro.parallel.cost_model import DEFAULT_COST_MODEL, CostModel, ordered_sum
 
 __all__ = ["SimulatedPool", "RegionStats"]
 
@@ -309,7 +309,7 @@ class SimulatedPool:
     ) -> None:
         """Fold per-thread charges into a region record and the clock."""
         cost = self.cost_model
-        work_total = sum(ctx.work for ctx in contexts)
+        work_total = ordered_sum(ctx.work for ctx in contexts)
         work_max = max(ctx.work for ctx in contexts)
         atomic_ops = sum(ctx.atomic_ops for ctx in contexts)
         local_max = max(ctx.local_time for ctx in contexts)

@@ -23,7 +23,7 @@ from repro.core.phcd import phcd_build_hcd
 from repro.core.pkc import pkc_core_decomposition
 from repro.core.vertex_rank import VertexRankResult, compute_vertex_rank
 from repro.graph.graph import Graph
-from repro.parallel.cost_model import CostModel
+from repro.parallel.cost_model import CostModel, ordered_sum
 from repro.parallel.scheduler import SimulatedPool
 from repro.search.bks import bks_search
 from repro.search.pbks import pbks_search
@@ -48,7 +48,7 @@ class DecompositionResult:
     @property
     def total_time(self) -> float:
         """Total simulated time across phases."""
-        return sum(self.phase_times.values())
+        return ordered_sum(self.phase_times.values())
 
 
 def decompose(

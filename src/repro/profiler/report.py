@@ -20,6 +20,7 @@ browser at hand.
 
 from __future__ import annotations
 
+from repro.parallel.cost_model import ordered_sum
 from repro.profiler.tracer import Span, SpanTracer
 
 __all__ = ["profile_report", "flame_summary", "phase_table"]
@@ -63,7 +64,7 @@ def _fold_region(agg: dict, span: Span) -> None:
 def _imbalance(thread_work: list[float]) -> float:
     if len(thread_work) <= 1:
         return 1.0
-    total = sum(thread_work)
+    total = ordered_sum(thread_work)
     if total <= 0:
         return 1.0
     return max(thread_work) * len(thread_work) / total

@@ -18,8 +18,10 @@ whose constant name has a declared extent, and Atomic* method calls
 whose constructor is resolvable in-module (an ``AtomicArray(n,
 name="pkc_deg")`` receiver self-declares extent ``n`` for location
 name ``"pkc_deg"``).  The list argument of a bulk call
-(``ctx.read_row("name", seq)``, ``recv.claim(ctx, seq)``) is one
-obligation on an element of ``seq``.  Each obligation is judged by an interval
+(``ctx.read_row("name", seq)``, ``recv.claim(ctx, seq)``,
+``recv.add_row(ctx, seq, ...)``) is one obligation on an element of
+``seq``, and a comprehension's target ranges over its iterable as a
+for loop's does.  Each obligation is judged by an interval
 fixpoint over the worker's CFG (:mod:`repro.sanitizer.intervals`):
 ``range`` loops bind tight intervals, ``start, end = item`` chunk
 unpacking binds ``[0, n]``, CSR idioms supply value facts (elements of
@@ -55,6 +57,8 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import deque
+from copy import copy
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,14 +122,16 @@ _COMMUTATIVE_METHODS = frozenset(
         "compare_and_swap",
         "claim",
         "add_if_absent",
+        "add_pivots",
         "union",
+        "union_row",
         "get_pivot",
     }
 )
 #: Methods whose result depends on arrival order for any dtype.
 _ORDER_SENSITIVE_METHODS = frozenset({"append"})
 #: Dtype-dependent read-modify-write: int commutes, float does not.
-_RMW_METHODS = frozenset({"add"})
+_RMW_METHODS = frozenset({"add", "add_row"})
 #: Atomic methods with an ``(ctx, index, ...)`` signature — their
 #: index argument is a bounds obligation against the ctor extent.
 _INDEXED_ATOMIC_METHODS = frozenset(
@@ -133,7 +139,7 @@ _INDEXED_ATOMIC_METHODS = frozenset(
 )
 #: Bulk atomic methods with an ``(ctx, indices)`` signature — every
 #: element of the index list is a bounds obligation.
-_BULK_ATOMIC_METHODS = frozenset({"claim"})
+_BULK_ATOMIC_METHODS = frozenset({"claim", "add_row"})
 #: Receivers of either kind self-declare their extent.
 _EXTENT_ATOMIC_METHODS = _INDEXED_ATOMIC_METHODS | _BULK_ATOMIC_METHODS
 
@@ -802,7 +808,28 @@ class _ObligationCollector:
         )
 
     def visit(self, node: ast.AST) -> None:
-        for sub in ast.walk(node):
+        # ast.walk's breadth-first order, except that a one-generator
+        # comprehension's element and filters are visited with its
+        # target bound to what iterating its iterable yields, as a for
+        # loop's body would be
+        todo = deque([node])
+        while todo:
+            sub = todo.popleft()
+            if (
+                isinstance(sub, (ast.ListComp, ast.SetComp, ast.GeneratorExp))
+                and len(sub.generators) == 1
+                and isinstance(sub.generators[0].target, ast.Name)
+            ):
+                gen = sub.generators[0]
+                todo.append(gen.iter)
+                env = dict(self.env)
+                env[gen.target.id] = _iter_interval(gen.iter, self.env, self.scope)
+                inner = copy(self)
+                inner.env = env
+                for part in (sub.elt, *gen.ifs):
+                    inner.visit(part)
+                continue
+            todo.extend(ast.iter_child_nodes(sub))
             if getattr(sub, "lineno", None) in self.suppressed:
                 continue
             if isinstance(sub, ast.Subscript):

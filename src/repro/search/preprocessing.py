@@ -51,16 +51,18 @@ def preprocess_neighbor_counts(
     n = graph.num_vertices
     gt = np.zeros(n, dtype=np.int64)
     eq = np.zeros(n, dtype=np.int64)
-    indptr, indices = graph.indptr, graph.indices
+    # row bounds as native ints: slicing with them skips two numpy
+    # scalar reads per row
+    indptr, indices = graph.indptr.tolist(), graph.indices
 
     def count(v: int, ctx) -> None:
-        # one recorded write covers the vertex's gt/eq output pair
-        ctx.write(("pre_counts", int(v)))
+        # one recorded write covers the vertex's gt/eq output pair; it
+        # carries the row's unit scan charges too (integers only)
+        ctx.write(("pre_counts", int(v)), 1 + indptr[v + 1] - indptr[v])
         cv = coreness[v]
         g = 0
         e = 0
         for u in indices[indptr[v] : indptr[v + 1]].tolist():
-            ctx.charge(1)
             cu = coreness[u]
             if cu > cv:
                 g += 1

@@ -58,6 +58,10 @@ class PivotUnionFind:
 
     __slots__ = ("parent", "rank", "pivot", "_ranks", "_components", "_name")
 
+    #: Work units of one charged find, for row operations of other
+    #: structures that replay :meth:`get_pivot` on a local.
+    FIND_CHARGE = FIND_CHARGE
+
     def __init__(self, ranks: np.ndarray, name: str = "puf") -> None:
         size = int(np.asarray(ranks).size)
         self.parent = list(range(size))
@@ -137,6 +141,59 @@ class PivotUnionFind:
                 ctx.record(EV_ATOMIC_WRITE, ("ufpv", self._name, rx))
         self._components -= 1
         return rx
+
+    def pivots(self, row: list[int], level: list[int], floor: int) -> list[int]:
+        """Uncharged ``get_pivot`` of every ``y`` in ``row`` with
+        ``level[y] >= floor``, in order, finds included."""
+        find, pivot = self.find, self.pivot
+        return [pivot[find(y)] for y in row if level[y] >= floor]
+
+    def union_row(
+        self, x: int, row: list[int], level: list[int], floor: int,
+        ctx: ThreadContext, scan: float,
+    ) -> None:
+        """PHCD step 2 over one adjacency row of ``x``.
+
+        For every ``y`` in ``row``: charge ``scan``, and when
+        ``level[y] >= floor``, ``union(x, y, ctx)``.  With an observer
+        attached these are the calls made.  Unobserved, the same finds
+        and links run uncharged while the addends (``scan``, then
+        :data:`FIND_CHARGE` twice, then the link atomic) are replayed on
+        a local in that order (:meth:`ThreadContext.commit_row`).
+        """
+        if ctx.observed:
+            for y in row:
+                ctx.charge(scan)
+                if level[y] >= floor:
+                    self.union(x, y, ctx)
+            return
+        find, parent, rank, pivot, ranks = (
+            self.find, self.parent, self.rank, self.pivot, self._ranks
+        )
+        contended = []
+        work = ctx.work
+        for y in row:
+            work += scan
+            if level[y] < floor:
+                continue
+            rx = find(x)
+            work += FIND_CHARGE
+            ry = find(y)
+            work += FIND_CHARGE
+            if rx == ry:
+                continue
+            if rank[rx] < rank[ry]:
+                rx, ry = ry, rx
+            parent[ry] = rx
+            if rank[rx] == rank[ry]:
+                rank[rx] += 1
+            work += 1
+            contended.append(("uf", rx))
+            px, py = pivot[rx], pivot[ry]
+            if ranks[py] < ranks[px]:
+                pivot[rx] = py
+            self._components -= 1
+        ctx.commit_row(work, contended)
 
     def same_set(self, x: int, y: int, ctx: ThreadContext | None = None) -> bool:
         """Whether ``x`` and ``y`` are connected."""

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import UnionFindError
 from repro.parallel.context import (
     EV_ATOMIC_READ,
     EV_ATOMIC_WRITE,
@@ -43,8 +44,15 @@ class _DeterministicFailures:
     __slots__ = ("_rate_num", "_rate_den", "_state")
 
     def __init__(self, failure_rate: float, seed: int) -> None:
+        rate = float(failure_rate)
+        # at rate 1 every CAS fails and a union retries forever; a NaN
+        # rate fails every comparison, so it is rejected here too
+        if not 0.0 <= rate < 1.0:
+            raise UnionFindError(
+                f"CAS failure rate must be finite and in [0, 1), got {failure_rate!r}"
+            )
         # store the rate as a fraction of 2**32 for branch-free compare
-        self._rate_num = int(max(0.0, min(1.0, failure_rate)) * (1 << 32))
+        self._rate_num = int(rate * (1 << 32))
         self._rate_den = 1 << 32
         self._state = (seed * 2654435761 + 1) & 0xFFFFFFFF
 
@@ -68,7 +76,8 @@ class SimulatedWaitFreeUnionFind:
     failure_rate:
         Probability that any single CAS attempt spuriously fails and is
         retried; the retries are counted in :attr:`cas_failures` (the
-        paper's ``F``).
+        paper's ``F``).  Must be finite and in ``[0, 1)``, else
+        :class:`~repro.errors.UnionFindError`.
     seed:
         Seed of the deterministic failure process.
     """
@@ -82,6 +91,10 @@ class SimulatedWaitFreeUnionFind:
         "cas_attempts",
         "_name",
     )
+
+    #: Work units of one charged find, for row operations of other
+    #: structures that replay :meth:`get_pivot` on a local.
+    FIND_CHARGE = FIND_CHARGE
 
     def __init__(
         self,
@@ -173,12 +186,89 @@ class SimulatedWaitFreeUnionFind:
                 return rx
             # CAS failed (injected or raced) -> retry from fresh roots
 
+    def union_row(
+        self, x: int, row: list[int], level: list[int], floor: int,
+        ctx: ThreadContext, scan: float,
+    ) -> None:
+        """PHCD step 2 over one adjacency row of ``x``.
+
+        For every ``y`` in ``row``: charge ``scan``, and when
+        ``level[y] >= floor``, ``union(x, y, ctx)``.  With an observer
+        attached these are the calls made.  Unobserved, the same finds,
+        CAS attempts (injected failures and retries included) and links
+        run with the addends replayed on a local in per-element order:
+        ``scan``, then per attempt :data:`FIND_CHARGE` twice and the
+        CAS atomic on ``("wfuf", slot)`` (:meth:`ThreadContext.commit_row`).
+        """
+        if ctx.observed:
+            for y in row:
+                ctx.charge(scan)
+                if level[y] >= floor:
+                    self.union(x, y, ctx)
+            return
+        parent, pivot, ranks = self.parent, self.pivot, self._ranks
+        next_fails = self._failures.next_fails
+        contended = []
+        work = ctx.work
+        for y in row:
+            work += scan
+            if level[y] < floor:
+                continue
+            while True:
+                # the two path-splitting finds of union(), inlined
+                rx = x
+                while parent[rx] != rx:
+                    grand = parent[parent[rx]]
+                    parent[rx] = grand
+                    rx = grand
+                work += FIND_CHARGE
+                ry = y
+                while parent[ry] != ry:
+                    grand = parent[parent[ry]]
+                    parent[ry] = grand
+                    ry = grand
+                work += FIND_CHARGE
+                if rx == ry:
+                    break
+                if rx > ry:
+                    rx, ry = ry, rx
+                # _cas_parent(ry, ry, rx)
+                self.cas_attempts += 1
+                work += 1
+                contended.append(("wfuf", ry))
+                if next_fails():
+                    self.cas_failures += 1
+                    continue
+                if parent[ry] != ry:
+                    continue
+                parent[ry] = rx
+                px, py = pivot[rx], pivot[ry]
+                if ranks[py] < ranks[px]:
+                    pivot[rx] = py
+                break
+        ctx.commit_row(work, contended)
+
     def get_pivot(self, x: int, ctx: ThreadContext | None = None) -> int:
         """Pivot (lowest-rank member) of ``x``'s component."""
         root = self.find(x, ctx)
         if ctx is not None and ctx.observed:
             ctx.record(EV_ATOMIC_READ, ("ufpv", self._name, root))
         return self.pivot[root]
+
+    def pivots(self, row: list[int], level: list[int], floor: int) -> list[int]:
+        """Uncharged ``get_pivot`` of every ``y`` in ``row`` with
+        ``level[y] >= floor``, in order, finds included."""
+        parent, pivot = self.parent, self.pivot
+        out = []
+        for x in row:
+            if level[x] < floor:
+                continue
+            while parent[x] != x:
+                grand = parent[parent[x]]
+                parent[x] = grand
+                x = grand
+            out.append(pivot[x])
+        return out
 
     def same_set(self, x: int, y: int, ctx: ThreadContext | None = None) -> bool:
         """Whether ``x`` and ``y`` are connected."""

@@ -18,6 +18,14 @@ CAS attempts in bulk (``ThreadContext.read_row``, ``AtomicArray.claim``).
 Its three kernels are checked against the per-access formulation, also
 kept here, and the two bulk operations against the per-element calls
 they replace.
+
+The construction kernels (PKC, vertex rank, PHCD on both union-find
+engines, preprocessing) hand each adjacency row to a row operation of
+the shared structures, which replays the per-element charges on a local
+(``union_row``, ``AtomicSet.add_pivots``) or folds integer ones
+(``AtomicArray.add_row``).  The pipeline is checked against the
+per-element formulation kept here, and each row operation against the
+per-element calls it stands for.
 """
 
 from __future__ import annotations
@@ -28,9 +36,10 @@ import numpy as np
 import pytest
 
 from repro.core.decomposition import core_decomposition
-from repro.core.phcd import phcd_build_hcd
+from repro.core.hcd import HCDBuilder
+from repro.core.phcd import SCAN_CHARGE, phcd_build_hcd
 from repro.core.pkc import pkc_core_decomposition
-from repro.core.vertex_rank import compute_vertex_rank
+from repro.core.vertex_rank import VertexRankResult, compute_vertex_rank
 from repro.dynamic import DynamicCSR, batch
 from repro.graph.generators import (
     complete_graph,
@@ -41,21 +50,26 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 from repro.nucleus import nucleus_decomposition, nucleus_hierarchy
-from repro.parallel.atomics import AtomicArray
+from repro.parallel.atomics import AtomicArray, AtomicSet
 from repro.parallel.context import ThreadContext
 from repro.parallel.cost_model import DEFAULT_COST_MODEL
 from repro.parallel.observers import ObserverFanout
 from repro.parallel.scheduler import SimulatedPool
 from repro.sanitizer.detector import RaceDetector
-from repro.sanitizer.memcheck import MemChecker
+from repro.sanitizer.memcheck import MemChecker, san_empty
 from repro.search import bks
 from repro.search.best_k import bestk_type_b_contributions
 from repro.search.pbks import (
     pbks_type_a_contributions,
     pbks_type_b_contributions,
 )
-from repro.search.preprocessing import preprocess_neighbor_counts
+from repro.search.preprocessing import (
+    NeighborCorenessCounts,
+    preprocess_neighbor_counts,
+)
 from repro.truss import truss_decomposition, truss_hierarchy
+from repro.unionfind.pivot import PivotUnionFind
+from repro.unionfind.waitfree import SimulatedWaitFreeUnionFind
 
 GRAPHS = {
     "rmat": lambda: rmat(8, 4, seed=7),
@@ -750,9 +764,12 @@ def _repair_batches(graph, seed=5):
     return [(inserted, deleted), (deleted[::2], later)]
 
 
-def _run_repair(graph, threads, observer, kernels):
-    coreness = core_decomposition(graph).astype(np.int64)
-    acsr = DynamicCSR.from_graph(graph)
+def _captured_run(threads, observer, body):
+    """``body(pool)`` under ``observer`` with a :class:`_RegionCapture`.
+
+    Returns the clock, the region records, the per-(region, thread)
+    capture records and ``body``'s outputs.
+    """
     pool = SimulatedPool(threads=threads)
     capture = _RegionCapture()
     detector = RaceDetector() if observer in ("races", "both") else None
@@ -764,20 +781,8 @@ def _run_repair(graph, threads, observer, kernels):
     if checker is not None:
         checker.activate()
     pool.set_observer(ObserverFanout([capture, detector, checker]))
-    outputs = []
     try:
-        with pytest.MonkeyPatch.context() as mp:
-            for name, fn in kernels.items():
-                mp.setattr(batch, name, fn)
-            for inserted, deleted in _repair_batches(graph):
-                for u, v in inserted:
-                    acsr.insert(u, v)
-                for u, v in deleted:
-                    acsr.remove(u, v)
-                changed, rounds = batch.batch_repair(
-                    acsr, coreness, inserted, deleted, pool
-                )
-                outputs.append((coreness.tobytes(), sorted(changed), rounds))
+        outputs = body(pool)
     finally:
         pool.set_observer(None)
         if checker is not None:
@@ -792,6 +797,29 @@ def _run_repair(graph, threads, observer, kernels):
         for r in pool.regions
     ]
     return pool.clock, regions, capture.records, outputs
+
+
+def _run_repair(graph, threads, observer, kernels):
+    coreness = core_decomposition(graph).astype(np.int64)
+    acsr = DynamicCSR.from_graph(graph)
+
+    def body(pool):
+        outputs = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name, fn in kernels.items():
+                mp.setattr(batch, name, fn)
+            for inserted, deleted in _repair_batches(graph):
+                for u, v in inserted:
+                    acsr.insert(u, v)
+                for u, v in deleted:
+                    acsr.remove(u, v)
+                changed, rounds = batch.batch_repair(
+                    acsr, coreness, inserted, deleted, pool
+                )
+                outputs.append((coreness.tobytes(), sorted(changed), rounds))
+        return outputs
+
+    return _captured_run(threads, observer, body)
 
 
 @pytest.mark.parametrize("threads", [1, 8])
@@ -908,3 +936,335 @@ def test_bulk_contention_matches_per_element_penalty():
     for got, want in zip(bulk, per_element):
         assert (got.work, got.atomic_ops) == (want.work, want.atomic_ops)
         assert got.atomic_locations == want.atomic_locations
+
+
+# ---------------------------------------------------------------------------
+# construction kernels: row operations against the per-element formulation
+# ---------------------------------------------------------------------------
+
+
+def _ref_pkc(graph, pool):
+    """PKC with one ``load`` per scan and one charge or ``add`` per neighbor."""
+    n = graph.num_vertices
+    coreness = np.zeros(n, dtype=np.int64)
+    indptr, indices = graph.indptr, graph.indices
+    degree = AtomicArray(n, dtype=np.int64, name="pkc_deg")
+    degree.data[:] = graph.degrees()
+    settled = np.zeros(n, dtype=bool)
+    remaining, k = n, 0
+    while remaining > 0:
+        with pool.phase(f"pkc:level-{k}"):
+
+            def scan(v, ctx):
+                ctx.atomic_load(degree._observed_word(ctx, v))
+                return v if degree.data[v] <= k else -1
+
+            undecided = np.flatnonzero(~settled).tolist()
+            hits = pool.parallel_for(undecided, scan, label=f"pkc:scan_k{k}")
+            frontier = [v for v in hits if v >= 0]
+            while frontier:
+                for v in frontier:
+                    settled[v] = True
+                next_parts = [[] for _ in range(pool.threads)]
+
+                def process(v, ctx):
+                    ctx.write(("pkc_core", int(v)))
+                    coreness[v] = k
+                    for u in indices[indptr[v] : indptr[v + 1]].tolist():
+                        ctx.charge(1)
+                        if settled[u]:
+                            continue
+                        if degree.add(ctx, u, -1) - 1 == k:
+                            ctx.charge(1)
+                            next_parts[ctx.thread_id].append(u)
+
+                pool.parallel_for(frontier, process, label=f"pkc:peel_k{k}")
+                remaining -= len(frontier)
+                merged, seen = [], set()
+                for part in next_parts:
+                    for u in part:
+                        if not settled[u] and u not in seen:
+                            seen.add(u)
+                            merged.append(u)
+                frontier = merged
+        k += 1
+    return coreness
+
+
+def _ref_vertex_rank(graph, coreness, pool):
+    """Algorithm 1 reading numpy scalars, as before the native-int lists."""
+    n = graph.num_vertices
+    coreness = np.asarray(coreness, dtype=np.int64)
+    kmax = int(coreness.max()) if n else 0
+    p = pool.threads
+    bins = [[[] for _ in range(kmax + 1)] for _ in range(p)]
+
+    def bin_vertex(v, ctx):
+        ctx.charge(1)
+        ctx.atomic(("HL", ctx.thread_id, int(coreness[v])), contended=False)
+        bins[ctx.thread_id][int(coreness[v])].append(v)
+
+    with pool.phase("vertex-rank"):
+        pool.parallel_for(range(n), bin_vertex, label="vertex_rank:bin")
+
+    def concat_shell(k, ctx):
+        parts = [bins[t][k] for t in range(p)]
+        total = sum(len(part) for part in parts)
+        ctx.charge(total + 1)
+        if total == 0:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate([np.asarray(q, dtype=np.int64) for q in parts if q])
+
+    with pool.phase("vertex-rank"):
+        shells = pool.parallel_for(
+            range(kmax + 1), concat_shell, label="vertex_rank:shells"
+        )
+    vsort = np.concatenate([s for s in shells if s.size])
+    rank = san_empty(n, np.int64, name="rank")
+
+    def assign_rank(i, ctx):
+        ctx.write(("rank", int(vsort[i])))
+        rank[vsort[i]] = i
+
+    with pool.phase("vertex-rank"):
+        pool.parallel_for(range(n), assign_rank, label="vertex_rank:rank")
+    return VertexRankResult(rank=rank, shells=shells, vsort=vsort)
+
+
+def _ref_phcd(graph, coreness, pool, rank_result, use_waitfree,
+              cas_failure_rate, seed):
+    """PHCD with one scan charge, find, probe or union per neighbor."""
+    coreness = np.asarray(coreness, dtype=np.int64)
+    builder = HCDBuilder(graph.num_vertices)
+    ranks, shells = rank_result.rank, rank_result.shells
+    uf = (
+        SimulatedWaitFreeUnionFind(ranks, failure_rate=cas_failure_rate, seed=seed)
+        if use_waitfree
+        else PivotUnionFind(ranks)
+    )
+    tid = builder.tid
+    tid_arr = AtomicArray.from_array(builder.tid, name="tid")
+    core = coreness.tolist()
+    indptr, indices = graph.indptr, graph.indices
+    for k in range(rank_result.kmax, -1, -1):
+        shell = shells[k].tolist()
+        if not shell:
+            continue
+        kpc_pivot = AtomicSet(name=f"kpc_pivot_k{k}")
+        with pool.phase(f"phcd:level-{k}"):
+
+            def collect_child_pivots(v, ctx):
+                ctx.charge(1)
+                for u in indices[indptr[v] : indptr[v + 1]].tolist():
+                    ctx.charge(SCAN_CHARGE)
+                    if core[u] > k:
+                        kpc_pivot.add_if_absent(ctx, uf.get_pivot(u, ctx))
+
+            pool.parallel_for(shell, collect_child_pivots, label=f"phcd:step1_k{k}")
+
+            def connect(v, ctx):
+                ctx.charge(1)
+                for u in indices[indptr[v] : indptr[v + 1]].tolist():
+                    ctx.charge(SCAN_CHARGE)
+                    if core[u] >= k:
+                        uf.union(v, u, ctx)
+
+            pool.parallel_for(shell, connect, label=f"phcd:step2_k{k}")
+
+            def group_by_pivot(v, ctx):
+                pvt = uf.get_pivot(v, ctx)
+                node = int(tid_arr.load(ctx, pvt))
+                if node < 0:
+                    fresh = builder.new_node(k)
+                    ctx.atomic(("hcd_nodes",), contended=False)
+                    if tid_arr.compare_and_swap(ctx, pvt, -1, fresh):
+                        node = fresh
+                    else:
+                        node = int(tid_arr.load(ctx, pvt))
+                if v != pvt:
+                    ctx.write(("tid", int(v)), 0.0)
+                    tid[v] = node
+                ctx.atomic(("node_members", node), contended=False)
+                builder.add_member(node, v)
+
+            pool.parallel_for(shell, group_by_pivot, label=f"phcd:step3_k{k}")
+
+            def attach_parent(old_pivot, ctx):
+                pvt = uf.get_pivot(old_pivot, ctx)
+                child = int(tid_arr.load(ctx, old_pivot))
+                parent = int(tid_arr.load(ctx, pvt))
+                ctx.write(("hcd_parent", child), 0.0)
+                builder.set_parent(child, parent)
+
+            pool.parallel_for(list(kpc_pivot), attach_parent, label=f"phcd:step4_k{k}")
+    return builder.build()
+
+
+def _ref_preprocess(graph, coreness, pool):
+    """Preprocessing with one unit charge per scanned neighbor."""
+    core = np.asarray(coreness, dtype=np.int64).tolist()
+    n = graph.num_vertices
+    gt = np.zeros(n, dtype=np.int64)
+    eq = np.zeros(n, dtype=np.int64)
+    indptr, indices = graph.indptr, graph.indices
+
+    def count(v, ctx):
+        ctx.write(("pre_counts", int(v)))
+        g = e = 0
+        for u in indices[indptr[v] : indptr[v + 1]].tolist():
+            ctx.charge(1)
+            if core[u] > core[v]:
+                g += 1
+            elif core[u] == core[v]:
+                e += 1
+        gt[v], eq[v] = g, e
+
+    with pool.phase("pbks:preprocess"):
+        pool.parallel_for(
+            range(n), count, label="pbks:preprocess", chunking="dynamic", grain=32
+        )
+    lt = graph.degrees().astype(np.int64) - gt - eq
+    return NeighborCorenessCounts(gt=gt, eq=eq, lt=lt)
+
+
+CONSTRUCT_ROW_OPS = (
+    pkc_core_decomposition, compute_vertex_rank, phcd_build_hcd,
+    preprocess_neighbor_counts,
+)
+CONSTRUCT_PER_ELEMENT = (_ref_pkc, _ref_vertex_rank, _ref_phcd, _ref_preprocess)
+#: regions whose folded charges rely on integer-only work
+INTEGER_PREFIXES = ("pkc:", "vertex_rank:", "pbks:preprocess")
+
+
+def _construct(kernels, graph, pool):
+    pkc, rank_fn, phcd, preprocess = kernels
+    coreness = pkc(graph, pool)
+    rank = rank_fn(graph, coreness, pool)
+    outputs = [coreness, rank.rank, rank.vsort]
+    # the wait-free engine with and without injected CAS failures, then
+    # the sequential pivot engine
+    for use_waitfree, rate in ((True, 0.0), (True, 0.1), (False, 0.0)):
+        hcd = phcd(
+            graph, coreness, pool, rank_result=rank,
+            use_waitfree=use_waitfree, cas_failure_rate=rate, seed=3,
+        )
+        outputs.extend(hcd.to_arrays().values())
+    counts = preprocess(graph, coreness, pool)
+    outputs.extend([counts.gt, counts.eq, counts.lt])
+    return outputs
+
+
+def _run_construct(graph, threads, observer, kernels):
+    return _captured_run(
+        threads, observer, lambda pool: _construct(kernels, graph, pool)
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+@pytest.mark.parametrize("graph_name", sorted(SEARCH_GRAPHS))
+def test_construction_row_ops_match_per_element_reference(graph_name, threads):
+    graph = SEARCH_GRAPHS[graph_name]()
+    for observer in SEARCH_OBSERVERS:
+        clock, regions, records, outputs = _run_construct(
+            graph, threads, observer, CONSTRUCT_ROW_OPS
+        )
+        want = _run_construct(graph, threads, observer, CONSTRUCT_PER_ELEMENT)
+        assert clock == want[0], observer
+        assert regions == want[1], observer
+        # per (region, thread): same histogram, same events as a multiset
+        assert records == want[2], observer
+        assert len(outputs) == len(want[3])
+        for got, ref in zip(outputs, want[3]):
+            assert np.array_equal(got, ref), observer
+        for label, _, work_total, work_max, *_ in regions:
+            if label.startswith(INTEGER_PREFIXES):
+                assert float(work_total).is_integer(), (label, observer)
+                assert float(work_max).is_integer(), (label, observer)
+
+
+#: per thread, the rows of one region: (x, row, level floor).  Rows
+#: share vertices across threads, repeat a union, and hold entries below
+#: the floor, so finds, failed CAS retries and set hits all occur.
+UF_ROWS = (
+    [(0, [1, 2, 3, 9], 1), (4, [5, 6, 0], 2), (7, [], 0), (8, [7, 9, 4], 1)],
+    [(10, [11, 0, 1], 1), (12, [13, 10, 3], 0), (1, [2, 0], 1), (14, [15], 3)],
+)
+UF_LEVELS = [1, 2, 2, 0, 3, 1, 2, 1, 2, 3, 1, 2, 0, 2, 3, 3]
+
+
+def _uf_rows_region(engine, rate, observer, bulk):
+    pool = SimulatedPool(threads=2)
+    capture = _RegionCapture()
+    detector = RaceDetector() if observer == "races" else None
+    checker = MemChecker(barrier_units=1.0) if observer == "memcheck_units" else None
+    pool.set_observer(ObserverFanout([capture, detector, checker]))
+    ranks = np.arange(16, dtype=np.int64)[::-1].copy()
+    uf = (
+        SimulatedWaitFreeUnionFind(ranks, failure_rate=rate, seed=4)
+        if engine == "waitfree"
+        else PivotUnionFind(ranks)
+    )
+    pivots = AtomicSet(name="pivots", buckets=4)
+
+    def run(t, ctx):
+        ctx.charge(0.1)  # replay from a fractional running total
+        for x, row, floor in UF_ROWS[t]:
+            if bulk:
+                pivots.add_pivots(ctx, uf, row, UF_LEVELS, floor + 1, SCAN_CHARGE)
+                uf.union_row(x, row, UF_LEVELS, floor, ctx, SCAN_CHARGE)
+                continue
+            for y in row:
+                ctx.charge(SCAN_CHARGE)
+                if UF_LEVELS[y] > floor:
+                    pivots.add_if_absent(ctx, uf.get_pivot(y, ctx))
+            for y in row:
+                ctx.charge(SCAN_CHARGE)
+                if UF_LEVELS[y] >= floor:
+                    uf.union(x, y, ctx)
+
+    pool.parallel_for([0, 1], run, label="uf_rows")
+    pool.set_observer(None)
+    (region,) = pool.regions
+    stats = (region.work_total, region.work_max, region.atomic_ops,
+             region.contention_penalty, region.elapsed)
+    # the histogram in tally order, not only as a mapping
+    order = [list(hist) for _, _, hist, _ in capture.records]
+    state = (list(uf.parent), list(uf.pivot), getattr(uf, "cas_failures", 0))
+    return stats, capture.records, order, state, list(pivots)
+
+
+@pytest.mark.parametrize("observer", ("none", "races", "memcheck_units"))
+@pytest.mark.parametrize(
+    "engine, rate", [("waitfree", 0.0), ("waitfree", 0.3), ("pivot", 0.0)]
+)
+def test_union_find_row_ops_match_per_element_calls(engine, rate, observer):
+    got = _uf_rows_region(engine, rate, observer, bulk=True)
+    want = _uf_rows_region(engine, rate, observer, bulk=False)
+    assert got == want
+    stats, _, _, state, pivots = got
+    assert not float(stats[0]).is_integer()  # fractional addends replayed
+    assert pivots
+    if rate:
+        assert state[2] > 0  # injected CAS failures were retried
+
+
+def _add_row_contexts(bulk):
+    contexts = [ThreadContext(t, DEFAULT_COST_MODEL) for t in range(2)]
+    arr = AtomicArray(16, name="deg")
+    arr.data[:] = 3
+    reached = []
+    for ctx, row in zip(contexts, ([0, 1, 2, 9], [1, 2, 15, 1])):
+        if bulk:
+            reached.append(arr.add_row(ctx, row, -1, 1))
+        else:
+            reached.append([i for i in row if arr.add(ctx, i, -1) - 1 == 1])
+    return contexts, reached, arr.data.tolist()
+
+
+def test_add_row_matches_per_element_adds():
+    bulk, per_element = _add_row_contexts(True), _add_row_contexts(False)
+    assert bulk[1:] == per_element[1:]
+    assert bulk[1] == [[], [1, 2]]  # index 1 is decremented twice: 3, 2, 1
+    for got, want in zip(bulk[0], per_element[0]):
+        assert (got.work, got.atomic_ops) == (want.work, want.atomic_ops)
+        assert got.atomic_locations == want.atomic_locations == {}

@@ -302,6 +302,39 @@ class TestProofs:
         assert got[("recorded", "settled", "*list(range(n + 1))")] == "violation"
         assert "SAN501" in [f.code for f in report.findings]
 
+    def test_comprehension_target_ranges_over_its_iterable(self):
+        # a comprehension's element and filters see its target bound
+        # like a for-loop body; add_row obliges every element of its list
+        src = (
+            "def run(pool, indptr, indices, settled, core, n):\n"
+            "    deg = AtomicArray(n, name='deg')\n"
+            "    def worker(v, ctx):  # prove: item in [0, n)\n"
+            "        deg.add_row(ctx, [u for u in indices[indptr[v] : indptr[v + 1]].tolist()\n"
+            "                          if not settled[u]], -1, 0)\n"
+            "        hot = [core[w] for w in range(n + 1)]\n"
+            "        cold = [core[w] for w in unknown]\n"
+            "    pool.parallel_for(front, worker, label='csr')\n"
+        )
+        report = prove_source(
+            src,
+            extents={
+                "indptr": "n + 1", "indices": "2 * m", "settled": "n",
+                "core": "n",
+            },
+        )
+        cert = report.certificates["<source>"]
+        got = {
+            (o.kind, o.array, o.index_repr): o.outcome
+            for o in cert.obligations
+        }
+        assert got[("load", "settled", "u")] == "proven"
+        assert got[("atomic", "deg", "u")] == "proven"
+        # range(n + 1) reaches n: convicted; an unknown iterable: unproven
+        outcomes = {
+            o.outcome for o in cert.obligations if o.array == "core"
+        }
+        assert outcomes == {"violation", "unproven"}
+
     def test_assumption_is_recorded_not_convicting(self):
         src = (
             "def run(pool, out, n):\n"

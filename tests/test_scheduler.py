@@ -4,8 +4,10 @@ import pytest
 
 from repro.errors import SchedulerError
 from repro.parallel.context import ThreadContext
-from repro.parallel.cost_model import DEFAULT_COST_MODEL, CostModel
+from repro.parallel.cost_model import DEFAULT_COST_MODEL, CostModel, ordered_sum
 from repro.parallel.scheduler import SimulatedPool
+from repro.pipeline import DecompositionResult
+from repro.profiler.report import _imbalance
 
 
 class TestPartitioning:
@@ -250,3 +252,28 @@ class TestCostModel:
         assert region.items == 3
         assert region.threads == 2
         assert region.work_total == pytest.approx(3)
+
+
+class TestOrderedSums:
+    """Recorded sums add left to right on every Python version."""
+
+    def test_ordered_sum_adds_left_to_right(self):
+        # a compensated sum (builtin sum from Python 3.12) gives 1.0
+        assert ordered_sum([0.1] * 10) == 0.9999999999999999
+        assert ordered_sum([]) == 0
+        assert ordered_sum([3, 4]) == 7
+
+    def test_region_work_total(self):
+        pool = SimulatedPool(threads=10)
+        pool.parallel_for(range(10), lambda v, ctx: ctx.charge(0.1), label="r")
+        (region,) = pool.regions
+        assert region.work_total == 0.9999999999999999
+        assert region.work_max == 0.1
+
+    def test_profiler_imbalance_and_pipeline_total(self):
+        assert _imbalance([0.1] * 10) == 0.1 * 10 / 0.9999999999999999
+        result = DecompositionResult(
+            graph=None, coreness=None, hcd=None, rank_result=None, pool=None,
+            phase_times={f"p{i}": 0.1 for i in range(10)},
+        )
+        assert result.total_time == 0.9999999999999999

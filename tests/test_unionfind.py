@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.core.decomposition import core_decomposition
+from repro.core.phcd import phcd_build_hcd
+from repro.errors import ReproError, UnionFindError
 from repro.graph.generators import erdos_renyi
 from repro.parallel.context import ThreadContext
 from repro.parallel.cost_model import DEFAULT_COST_MODEL
+from repro.parallel.scheduler import SimulatedPool
 from repro.unionfind.pivot import PivotUnionFind
 from repro.unionfind.sequential import UnionFind
-from repro.unionfind.waitfree import SimulatedWaitFreeUnionFind
+from repro.unionfind.waitfree import (
+    SimulatedWaitFreeUnionFind,
+    _DeterministicFailures,
+)
 
 
 class TestSequential:
@@ -144,3 +151,42 @@ class TestWaitFree:
         wf.union(0, 1, ctx)
         assert ctx.atomic_ops >= 1
         assert len(ctx.atomic_locations) >= 1
+
+
+class TestFailureRateValidation:
+    """A rate of 1 (or NaN, which clamped to 1) made every CAS fail and
+    ``union`` retry forever; such rates are rejected up front."""
+
+    BAD = [1.0, 1.5, -0.1, float("nan"), float("inf"), float("-inf")]
+
+    @pytest.mark.parametrize("rate", BAD)
+    def test_waitfree_rejects(self, rate):
+        with pytest.raises(UnionFindError):
+            SimulatedWaitFreeUnionFind(_ranks(4), failure_rate=rate)
+        with pytest.raises(UnionFindError):
+            SimulatedWaitFreeUnionFind(_ranks(4), rate, 3)
+
+    @pytest.mark.parametrize("rate", BAD)
+    def test_failure_process_rejects(self, rate):
+        with pytest.raises(UnionFindError):
+            _DeterministicFailures(rate, seed=0)
+
+    @pytest.mark.parametrize("rate", BAD)
+    def test_phcd_inherits_the_check(self, rate):
+        g = erdos_renyi(30, 0.2, seed=1)
+        coreness = core_decomposition(g)
+        with pytest.raises(UnionFindError):
+            phcd_build_hcd(
+                g, coreness, SimulatedPool(threads=2),
+                use_waitfree=True, cas_failure_rate=rate,
+            )
+
+    def test_error_is_a_value_error(self):
+        assert issubclass(UnionFindError, ReproError)
+        assert issubclass(UnionFindError, ValueError)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5, 0.999])
+    def test_valid_rates_terminate(self, rate):
+        wf = SimulatedWaitFreeUnionFind(_ranks(4), failure_rate=rate, seed=2)
+        wf.union(0, 1, ThreadContext(0, DEFAULT_COST_MODEL))
+        assert wf.same_set(0, 1)
