@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test sanitize memcheck lint flow prove dist profile bench-sanitize bench-profile bench-flow bench-prove bench-dist serve-bench bench-dynamic bench-cluster bench-e2e
+.PHONY: check test sanitize memcheck lint flow prove dist profile bench-sanitize bench-profile bench-flow bench-prove bench-dist serve-bench bench-dynamic bench-cluster bench-e2e construct-layers
 
 ## check: the CI gate — tests, strict lint, flow analysis, prove + dist certification, kernel race+memcheck sweep, profiler selftest, serve + dynamic + prove + dist + cluster benches, end-to-end benchmark self-test
 check: test lint flow prove dist sanitize memcheck profile serve-bench bench-dynamic bench-prove bench-dist bench-cluster bench-e2e
@@ -76,3 +76,8 @@ bench-cluster:
 ## bench-e2e: quick self-test of the end-to-end benchmark (all five workloads on small graphs, ~11 s)
 bench-e2e:
 	$(PYTHON) -m pytest -q benchmarks/e2e
+
+## construct-layers: per-layer two-clock breakdown of the construct workload on seed SEED (default 41); writes nothing
+SEED ?= 41
+construct-layers:
+	$(PYTHON) benchmarks/construct_layers.py --seed $(SEED)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+from repro.parallel.cost_model import ordered_sum
+
 __all__ = ["format_table", "geometric_mean", "speedup", "format_seconds", "ascii_series"]
 
 
@@ -35,7 +37,8 @@ def geometric_mean(values: Iterable[float]) -> float:
     vals = [float(v) for v in values]
     if not vals:
         return 0.0
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))
+    # left to right on every Python version, like the recorded sums
+    return math.exp(ordered_sum(math.log(v) for v in vals) / len(vals))
 
 
 def speedup(baseline: float, candidate: float) -> float:

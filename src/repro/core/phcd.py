@@ -88,9 +88,9 @@ def phcd_build_hcd(
     ranks = rank_result.rank
     shells = rank_result.shells
     kmax = rank_result.kmax
-    # row bounds as native ints: slicing with them skips two numpy
-    # scalar reads per row
-    indptr, indices = graph.indptr.tolist(), graph.indices
+    # the CSR as native ints, listed once: the slice kernels cut each
+    # row out of the list without a numpy scalar read
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
 
     if use_waitfree is None:
         use_waitfree = pool.threads > 1
@@ -139,56 +139,58 @@ def _phcd_level(
     shell_list = shell.tolist()
 
     # --- Step 1: pivots of components the shell will absorb -------
-    def collect_child_pivots(v: int, ctx) -> None:
-        ctx.charge(1)
-        row = indices[indptr[v] : indptr[v + 1]].tolist()
+    def collect_child_pivots(vs: list[int], ctx) -> None:
+        rows = [indices[indptr[v] : indptr[v + 1]] for v in vs]
         # the pivot of every neighbor above k
-        kpc_pivot.add_pivots(ctx, uf, row, coreness, k + 1, SCAN_CHARGE)
+        kpc_pivot.add_pivots(ctx, uf, rows, coreness, k + 1, SCAN_CHARGE)
 
-    pool.parallel_for(
+    # slices of the shell's vertex ids  # prove: slice of [0, n)
+    pool.parallel_slices(
         shell_list,
         collect_child_pivots,
         label=f"phcd:step1_k{k}",
     )
 
     # --- Step 2: union shell into the growing graph ---------------
-    def connect(v: int, ctx) -> None:
-        ctx.charge(1)
-        row = indices[indptr[v] : indptr[v + 1]].tolist()
+    def connect(vs: list[int], ctx) -> None:
+        rows = [indices[indptr[v] : indptr[v + 1]] for v in vs]
         # union with every neighbor of coreness >= k
-        uf.union_row(v, row, coreness, k, ctx, SCAN_CHARGE)
+        uf.union_rows(vs, rows, coreness, k, ctx, SCAN_CHARGE)
 
-    pool.parallel_for(
+    # slices of the shell's vertex ids  # prove: slice of [0, n)
+    pool.parallel_slices(
         shell_list,
         connect,
         label=f"phcd:step2_k{k}",
     )
 
     # --- Step 3: one tree node per distinct pivot ------------------
-    def group_by_pivot(v: int, ctx) -> None:
-        pvt = uf.get_pivot(v, ctx)
-        node = int(tid_arr.load(ctx, pvt))
-        if node < 0:
-            # Two threads holding vertices of one component race to
-            # create its node: allocate, then publish via CAS — the
-            # loser re-reads the winner's node.  (On the sequential
-            # substrate the CAS never loses; a real backend would
-            # also retire the orphaned allocation.)
-            fresh = builder.new_node(k)
-            ctx.atomic(("hcd_nodes",), contended=False)
-            if tid_arr.compare_and_swap(ctx, pvt, -1, fresh):
-                node = fresh
-            else:
-                node = int(tid_arr.load(ctx, pvt))
-        if v != pvt:
-            # each shell vertex owns its own tid slot this round
-            ctx.write(("tid", int(v)), 0.0)
-            tid[v] = node
-        # member append: relaxed fetch-add on the node's tail
-        ctx.atomic(("node_members", node), contended=False)
-        builder.add_member(node, v)
+    def group_by_pivot(vs: list[int], ctx) -> None:
+        for v in vs:
+            pvt = uf.get_pivot(v, ctx)
+            node = tid_arr.load(ctx, pvt)
+            if node < 0:
+                # Two threads holding vertices of one component race
+                # to create its node: allocate, then publish via CAS —
+                # the loser re-reads the winner's node.  (On the
+                # sequential substrate the CAS never loses; a real
+                # backend would also retire the orphaned allocation.)
+                fresh = builder.new_node(k)
+                ctx.atomic(("hcd_nodes",), contended=False)
+                if tid_arr.compare_and_swap(ctx, pvt, -1, fresh):
+                    node = fresh
+                else:
+                    node = tid_arr.load(ctx, pvt)
+            if v != pvt:
+                # each shell vertex owns its own tid slot this round
+                ctx.write(("tid", v), 0.0)
+                tid[v] = node
+            # member append: relaxed fetch-add on the node's tail
+            ctx.atomic(("node_members", node), contended=False)
+            builder.add_member(node, v)
 
-    pool.parallel_for(
+    # slices of the shell's vertex ids
+    pool.parallel_slices(
         shell_list,
         group_by_pivot,
         label=f"phcd:step3_k{k}",

@@ -63,24 +63,27 @@ def compute_vertex_rank(
     n = graph.num_vertices
     coreness = np.asarray(coreness, dtype=np.int64)
     kmax = int(coreness.max()) if n else 0
-    # the kernels read native ints: one conversion per call, not per read
-    coreness = coreness.tolist()
     p = pool.threads
-    # HL[t][k]: vertices of thread t's slice with coreness k, ascending id.
-    bins: list[list[list[int]]] = [
-        [[] for _ in range(kmax + 1)] for _ in range(p)
-    ]
+    # HL[t][k]: vertices of thread t's slice with coreness k, ascending
+    # id (an array, or an empty list while the bin is empty).
+    bins: list[list] = [[[] for _ in range(kmax + 1)] for _ in range(p)]
 
-    def bin_vertex(v: int, ctx) -> None:
-        ctx.charge(1)
-        # The append targets the thread's own bin array; the paper
-        # marks it atomic because the bins are shared storage, but no
-        # other thread touches HL[p], so it never contends.
-        ctx.atomic(("HL", ctx.thread_id, coreness[v]), contended=False)
-        bins[ctx.thread_id][coreness[v]].append(v)
+    def bin_vertices(vs: range, ctx) -> None:
+        ctx.charge(len(vs))
+        # The appends target the thread's own bin array; the paper
+        # marks them atomic because the bins are shared storage, but no
+        # other thread touches HL[p], so they never contend.
+        levels = coreness[vs.start : vs.stop]
+        ctx.relaxed_row(("HL", ctx.thread_id), levels)
+        # a stable sort by coreness keeps each bin in ascending id
+        order = np.argsort(levels, kind="stable")
+        cuts = np.searchsorted(levels[order], np.arange(kmax + 2))
+        ids = order + vs.start
+        for c in np.flatnonzero(np.diff(cuts)).tolist():
+            bins[ctx.thread_id][c] = ids[cuts[c] : cuts[c + 1]]
 
     with pool.phase("vertex-rank"):
-        pool.parallel_for(range(n), bin_vertex, label="vertex_rank:bin")
+        pool.parallel_slices(range(n), bin_vertices, label="vertex_rank:bin")
 
     # Lines 7-8: H_k is the concatenation HL[1][k] + ... + HL[p][k].
     def concat_shell(k: int, ctx) -> np.ndarray:
@@ -89,7 +92,9 @@ def compute_vertex_rank(
         ctx.charge(total + 1)
         if total == 0:
             return np.empty(0, dtype=np.int64)
-        return np.concatenate([np.asarray(part, dtype=np.int64) for part in parts if part])
+        return np.concatenate(
+            [np.asarray(part, dtype=np.int64) for part in parts if len(part)]
+        )
 
     with pool.phase("vertex-rank"):
         shells = pool.parallel_for(
@@ -97,23 +102,23 @@ def compute_vertex_rank(
         )
 
     # Line 9: Vsort = H_0 + H_1 + ... + H_kmax.
-    vsort_arr = (
+    vsort = (
         np.concatenate([s for s in shells if s.size])
         if any(s.size for s in shells)
         else np.empty(0, dtype=np.int64)
     )
-    vsort = vsort_arr.tolist()
 
     # Lines 10-11: r(v) = position of v in Vsort.
     rank = san_empty(n, np.int64, name="rank")
 
-    def assign_rank(i: int, ctx) -> None:
+    def assign_ranks(positions: range, ctx) -> None:
         # vsort is a permutation, so rank slots are written exactly
         # once; the detector proves word-disjointness at runtime, the
         # lint cannot prove the bijection statically
-        ctx.write(("rank", vsort[i]))
-        rank[vsort[i]] = i  # sani: ok - permutation scatter, recorded above
+        owned = vsort[positions.start : positions.stop]
+        ctx.write_row("rank", owned)
+        rank[owned] = np.arange(positions.start, positions.stop)  # sani: ok - permutation scatter, recorded above
 
     with pool.phase("vertex-rank"):
-        pool.parallel_for(range(n), assign_rank, label="vertex_rank:rank")
-    return VertexRankResult(rank=rank, shells=shells, vsort=vsort_arr)
+        pool.parallel_slices(range(n), assign_ranks, label="vertex_rank:rank")
+    return VertexRankResult(rank=rank, shells=shells, vsort=vsort)

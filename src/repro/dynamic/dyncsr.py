@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphBuildError
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, row_offsets
 
 __all__ = ["DynamicCSR"]
 
@@ -236,8 +236,8 @@ class DynamicCSR:
         buf = np.zeros(max(tail, 1), dtype=np.int64)
         total = int(degs.sum())
         if total:
-            old_pos = np.repeat(self._starts, degs) + _intra_row_offsets(degs)
-            new_pos = np.repeat(starts, degs) + _intra_row_offsets(degs)
+            old_pos = np.repeat(self._starts, degs) + row_offsets(degs)
+            new_pos = np.repeat(starts, degs) + row_offsets(degs)
             buf[new_pos] = self._buf[old_pos]
         self._starts = starts
         self._caps = caps
@@ -259,18 +259,8 @@ class DynamicCSR:
         indptr = np.concatenate([[0], np.cumsum(degs)]).astype(np.int64)
         total = int(indptr[-1])
         if total:
-            pos = np.repeat(self._starts, degs) + _intra_row_offsets(degs)
+            pos = np.repeat(self._starts, degs) + row_offsets(degs)
             indices = np.ascontiguousarray(self._buf[pos])
         else:
             indices = np.empty(0, dtype=np.int64)
         return Graph(indptr, indices, validate=False)
-
-
-def _intra_row_offsets(lens: np.ndarray) -> np.ndarray:
-    """``[0..lens[0]), [0..lens[1]), ...`` concatenated, vectorized."""
-    total = int(lens.sum())
-    if not total:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(lens)
-    reset = np.repeat(ends - lens, lens)
-    return np.arange(total, dtype=np.int64) - reset

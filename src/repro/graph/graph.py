@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import GraphBuildError, GraphFormatError
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "row_offsets"]
 
 #: Largest vertex count for which the scalar dedup key ``lo * n + hi``
 #: provably fits int64 (``n**2 <= 2**63 - 1``).  Beyond it the key
@@ -206,6 +206,15 @@ class Graph:
         """Sorted neighbor array of vertex ``v`` (a read-only view)."""
         return self._indices[self._indptr[v] : self._indptr[v + 1]]
 
+    def gather_rows(self, vertices) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbor lists of ``vertices``, concatenated in order, and
+        their lengths, vectorized (``vertices`` is any int sequence)."""
+        vs = np.asarray(vertices, dtype=np.int64)
+        starts = self._indptr[vs]
+        lens = self._indptr[vs + 1] - starts
+        offsets = np.repeat(starts, lens) + row_offsets(lens)
+        return self._indices[offsets], lens
+
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``{u, v}`` exists."""
         row = self.neighbors(u)
@@ -311,3 +320,13 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self._m})"
+
+
+def row_offsets(lens: np.ndarray) -> np.ndarray:
+    """``[0..lens[0]), [0..lens[1]), ...`` concatenated, vectorized."""
+    total = int(lens.sum())
+    if not total:
+        return np.empty(0, dtype=np.int64)
+    ends = np.cumsum(lens)
+    reset = np.repeat(ends - lens, lens)
+    return np.arange(total, dtype=np.int64) - reset

@@ -33,7 +33,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel.context import CACHELINE_WORDS, ThreadContext
+from repro.parallel.context import (
+    CACHELINE_WORDS,
+    SLICE_VECTOR_MIN,
+    ThreadContext,
+    native,
+)
 
 __all__ = ["AtomicCounter", "AtomicArray", "AtomicSet", "AtomicList", "PROBE_CHARGE"]
 
@@ -187,35 +192,85 @@ class AtomicArray:
         return old
 
     def add_row(
-        self, ctx: ThreadContext, indices: list[int], delta, hit
+        self, ctx: ThreadContext, indices, delta: int, hit: int
     ) -> list[int]:
         """:meth:`add` of ``delta`` at every index in order; returns the
         indices whose fetch-add result reached ``hit`` (``old + delta ==
         hit``), in order.
 
         The handoffs of a level-synchronous peel, decided on the
-        fetch-add results, never on a re-read of the slots.  Unobserved,
-        the ``len(indices)`` relaxed atomics are one charge, equal to the
-        per-element ones while every addend of the region's ``work`` is
-        an integer (docs/cost_model.md, "When a bulk charge is exact"),
-        and the slots are updated through a memoryview, so ``delta``
-        must suit the dtype without a cast.  With an observer attached
-        it makes the per-element :meth:`add` calls.
+        fetch-add results, never on a re-read of the slots.  ``indices``
+        is one row or a whole slice's rows (a list or an int64 array);
+        the array must hold integers, and ``delta`` and ``hit`` are
+        ints.  Unobserved, the ``len(indices)`` relaxed atomics are one
+        charge, equal to the per-element ones while every addend of the
+        region's ``work`` is an integer (docs/cost_model.md, "When a bulk
+        charge is exact"); at least :data:`SLICE_VECTOR_MIN` indices take
+        the vectorized ordered fetch-add (:func:`_ordered_add`).  With an
+        observer attached it makes the per-element :meth:`add` calls.
         """
         if ctx.observed:
-            return [i for i in indices if self.add(ctx, i, delta) + delta == hit]
+            return [
+                i for i in native(indices)
+                if self.add(ctx, i, delta) + delta == hit
+            ]
         # all that atomic(None, units=len(indices), contended=False)
         # does with no observer
         ctx.atomic_ops += len(indices)
         ctx.work += len(indices)
+        if len(indices) >= SLICE_VECTOR_MIN:
+            return _ordered_add(self._data, indices, delta, hit)
         slots = self._slots
         reached = []
-        for i in indices:
+        for i in native(indices):
             new = slots[i] + delta
             slots[i] = new
             if new == hit:
                 reached.append(i)
         return reached
+
+    def load_le(self, ctx: ThreadContext, indices, bound) -> list[int]:
+        """:meth:`load` of every index in order; returns the indices
+        whose value is at most ``bound``, in order.
+
+        The seed scan of a level-synchronous peel over one thread's
+        slice (a list or an int64 array).  Unobserved, the loads are one
+        ``len(indices)`` charge, exact while every addend of the
+        region's ``work`` is an integer, and at least
+        :data:`SLICE_VECTOR_MIN` indices select with one numpy mask.
+        With an observer attached it makes the per-element :meth:`load`
+        calls.
+        """
+        if ctx.observed:
+            return [i for i in native(indices) if self.load(ctx, i) <= bound]
+        ctx.work += len(indices)
+        if len(indices) >= SLICE_VECTOR_MIN:
+            idx = np.asarray(indices, dtype=np.int64)
+            return idx[self._data[idx] <= bound].tolist()
+        slots = self._slots
+        return [i for i in native(indices) if slots[i] <= bound]
+
+    def add_many(self, ctx: ThreadContext, indices, values) -> None:
+        """:meth:`add` of ``values[j]`` at ``indices[j]`` for every ``j``,
+        in order.
+
+        A slice's relaxed fetch-adds whose results nobody reads.
+        Unobserved, the atomics are one ``len(indices)`` charge, exact
+        while every addend of the region's ``work`` is an integer, and
+        one ``np.add.at``, which adds element by element in index order,
+        so even a float slot receives its addends in the per-element
+        order.  With an observer attached it makes the per-element
+        :meth:`add` calls.
+        """
+        if ctx.observed:
+            for i, value in zip(native(indices), native(values)):
+                self.add(ctx, i, value)
+            return
+        ctx.atomic_ops += len(indices)
+        ctx.work += len(indices)
+        np.add.at(
+            self._data, np.asarray(indices, dtype=np.int64), np.asarray(values)
+        )
 
     def load(self, ctx: ThreadContext, index: int):
         """Charged atomic load of ``data[index]`` (one work unit), as a
@@ -266,42 +321,47 @@ class AtomicSet:
         return True
 
     def add_pivots(
-        self, ctx: ThreadContext, uf, row: list[int], level: list[int],
-        floor: int, scan: float,
+        self, ctx: ThreadContext, uf, rows: list[list[int]],
+        level: list[int], floor: int, scan: float,
     ) -> None:
-        """PHCD step 1 over one adjacency row.
+        """PHCD step 1 over one thread's slice of adjacency rows.
 
-        For every ``y`` in ``row``: charge ``scan``, and when
-        ``level[y] >= floor``, ``add_if_absent(ctx, uf.get_pivot(y,
-        ctx))``.  ``uf`` is either pivot union-find engine.  With an
-        observer attached these are the calls made.  Unobserved, the
-        pivots come from one uncharged ``uf.pivots(row, level, floor)``
-        call (the same finds in the same order) and the addends are
-        replayed on a local in per-element order: ``scan``, then
-        ``uf.FIND_CHARGE``, then :data:`PROBE_CHARGE`, then the bucket
-        CAS of a new pivot (:meth:`ThreadContext.commit_row`).
+        For every row: charge 1 (the row's own vertex), then for every
+        ``y`` in it charge ``scan`` and, when ``level[y] >= floor``,
+        ``add_if_absent(ctx, uf.get_pivot(y, ctx))``.  ``uf`` is either
+        pivot union-find engine.  With an observer attached these are
+        the calls made.  Unobserved, the pivots come from one uncharged
+        ``uf.pivots`` call over the concatenated rows (the same finds in
+        the same order) and the addends are replayed on one local in
+        per-element order: 1, then per ``y`` ``scan``, ``uf.FIND_CHARGE``,
+        :data:`PROBE_CHARGE` and the bucket CAS of a new pivot, stored
+        back once (:meth:`ThreadContext.commit_row`).
         """
         if ctx.observed:
-            for y in row:
-                ctx.charge(scan)
-                if level[y] >= floor:
-                    self.add_if_absent(ctx, uf.get_pivot(y, ctx))
+            for row in rows:
+                ctx.charge(1)
+                for y in row:
+                    ctx.charge(scan)
+                    if level[y] >= floor:
+                        self.add_if_absent(ctx, uf.get_pivot(y, ctx))
             return
-        pivots = iter(uf.pivots(row, level, floor))
+        pivots = iter(uf.pivots([y for row in rows for y in row], level, floor))
         find = uf.FIND_CHARGE
         items, name, buckets = self._items, self._name, self._buckets
         contended = []
         work = ctx.work
-        for y in row:
-            work += scan
-            if level[y] >= floor:
-                pvt = next(pivots)
-                work += find
-                work += PROBE_CHARGE
-                if pvt not in items:
-                    work += 1
-                    contended.append((name, hash(pvt) % buckets))
-                    items.add(pvt)
+        for row in rows:
+            work += 1
+            for y in row:
+                work += scan
+                if level[y] >= floor:
+                    pvt = next(pivots)
+                    work += find
+                    work += PROBE_CHARGE
+                    if pvt not in items:
+                        work += 1
+                        contended.append((name, hash(pvt) % buckets))
+                        items.add(pvt)
         ctx.commit_row(work, contended)
 
     def __contains__(self, item) -> bool:
@@ -313,6 +373,31 @@ class AtomicSet:
     def __iter__(self):
         # Deterministic iteration order regardless of insertion pattern.
         return iter(sorted(self._items))
+
+
+def _ordered_add(data: np.ndarray, indices, delta: int, hit: int) -> list[int]:
+    """``data[i] += delta`` for every ``i`` in ``indices``, in order, on an
+    integer array; returns the indices whose result reached ``hit``.
+
+    The ``j``-th occurrence of an index (from 0) leaves its start value
+    plus ``(j + 1) * delta``, which integer arithmetic makes exact
+    whatever the grouping.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    if not idx.size:
+        return []
+    order = np.argsort(idx, kind="stable")
+    grouped = idx[order]
+    first = np.concatenate(([True], grouped[1:] != grouped[:-1]))
+    positions = np.arange(grouped.size)
+    # occurrence number of each entry among the entries of its index
+    seen = positions - np.maximum.accumulate(np.where(first, positions, 0))
+    results = data[grouped] + (seen + 1) * delta
+    reached = np.sort(order[results == hit])
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, grouped.size))
+    data[grouped[starts]] += counts * delta
+    return idx[reached].tolist()
 
 
 class AtomicList:

@@ -31,15 +31,22 @@ building word and location keys that only an observer consumes; they
 apply the same charges in the same order either way, so the sim clock
 of an unobserved run is bit-identical to that of an observed one.
 
-Two bulk calls, :meth:`ThreadContext.read_row` and
-:meth:`ThreadContext.atomic_row`, charge a whole adjacency row at once
+Four bulk calls, :meth:`ThreadContext.read_row`,
+:meth:`ThreadContext.write_row`, :meth:`ThreadContext.relaxed_row` and
+:meth:`ThreadContext.atomic_row`, charge a whole row or slice at once
 when unobserved and make the per-element calls when observed.  Their
 folded charges equal the per-element ones only in regions whose every
 work addend is an integer (docs/cost_model.md, "When a bulk charge is
-exact").  Row operations over fractional charges (the union-find and
-:class:`~repro.parallel.atomics.AtomicSet` rows of PHCD) instead add
-each per-element addend in order to a local copy of ``work`` and store
-it back with :meth:`ThreadContext.commit_row`.
+exact").  Slice operations over fractional charges (the union-find and
+:class:`~repro.parallel.atomics.AtomicSet` slices of PHCD) instead add each
+per-element addend in order to a local copy of ``work`` and store it
+back with :meth:`ThreadContext.commit_row`.
+
+The slice operations of PKC's peel (docs/cost_model.md, "Slice
+operations") take a numpy path for sequences of at least
+:data:`SLICE_VECTOR_MIN` elements and a Python loop below it, because
+peel frontiers are often short.  Both paths charge the same; only wall
+time differs.
 
 Event kinds are small ints so hot paths append plain tuples:
 
@@ -58,17 +65,29 @@ from repro.parallel.cost_model import CostModel
 __all__ = [
     "ThreadContext",
     "CACHELINE_WORDS",
+    "SLICE_VECTOR_MIN",
     "EV_READ",
     "EV_WRITE",
     "EV_ATOMIC_READ",
     "EV_ATOMIC_WRITE",
     "EVENT_NAMES",
+    "native",
 ]
 
 #: Atomic locations are coalesced at this granularity to model false
 #: sharing: two threads hitting nearby array slots contend for the same
 #: cache line.
 CACHELINE_WORDS = 8
+
+#: PKC's peel and the slice operations it calls
+#: (:meth:`~repro.parallel.atomics.AtomicArray.load_le`,
+#: :meth:`~repro.parallel.atomics.AtomicArray.add_row`) take their numpy
+#: path for sequences of at least this many elements and loop in Python
+#: below it, where numpy's fixed cost per call exceeds the per-element
+#: work it saves (docs/cost_model.md, "Slice operations", has the
+#: measured crossover).  A constant, not a parameter: both paths charge
+#: the same, so it moves wall time only.
+SLICE_VECTOR_MIN = 64
 
 EV_READ = 0
 EV_WRITE = 1
@@ -249,6 +268,20 @@ class ThreadContext:
         else:
             self.work += len(indices)
 
+    def write_row(self, name: str, indices) -> None:
+        """Charge a plain write of ``(name, i)`` for every ``i`` in ``indices``.
+
+        The write counterpart of :meth:`read_row`, for slices whose
+        every element owns its slot: one ``len(indices)`` charge
+        unobserved, the per-element :meth:`write` calls (with native
+        ints) when observed.
+        """
+        if self.observed:
+            for i in native(indices):
+                self.write((name, i))
+        else:
+            self.work += len(indices)
+
     def write(
         self, location: object, units: float = 1.0, value: object = None
     ) -> None:
@@ -319,6 +352,22 @@ class ThreadContext:
             key = (name, i // CACHELINE_WORDS)
             locations[key] = locations.get(key, 0) + 1
 
+    def relaxed_row(self, prefix: tuple, suffixes) -> None:
+        """Charge one uncontended atomic on ``prefix + (s,)`` per ``s``.
+
+        The same charges as ``atomic(prefix + (s,), contended=False)``
+        per element (an append to a per-thread buffer, a relaxed
+        fetch-add): unobserved, ``atomic_ops`` and ``work`` grow by
+        ``len(suffixes)`` at once and no key is built; with an observer
+        attached it makes the per-element calls.
+        """
+        if self.observed:
+            for s in native(suffixes):
+                self.atomic(prefix + (s,), contended=False)
+            return
+        self.atomic_ops += len(suffixes)
+        self.work += len(suffixes)
+
     def commit_row(self, work: float, contended: list) -> None:
         """Store back the charges a row operation replayed on locals.
 
@@ -330,8 +379,8 @@ class ThreadContext:
         contended atomic it charged, in charge order; each counts one
         atomic op and is tallied as :meth:`atomic` would.  The atomic's
         own work unit must already be in ``work``.  Unobserved runs
-        only: with an observer attached, row operations make the
-        per-element calls instead.
+        only: with an observer attached, row and slice operations make
+        the per-element calls instead.
         """
         self.work = work
         self.atomic_ops += len(contended)
@@ -400,3 +449,9 @@ class ThreadContext:
             f"ThreadContext(t={self.thread_id}, work={self.work}, "
             f"atomics={self.atomic_ops})"
         )
+
+
+def native(items):
+    """``items`` as a sequence of Python ints: numpy arrays become lists
+    (one C-level conversion), lists and ranges pass through."""
+    return items.tolist() if hasattr(items, "tolist") else items

@@ -259,30 +259,57 @@ class SimulatedPool:
         ``chunking='static'`` gives each virtual thread one contiguous
         slice (OpenMP ``schedule(static)``); ``'dynamic'`` deals
         ``grain``-sized chunks round-robin (``schedule(dynamic, grain)``)
-        which improves simulated load balance on skewed work.
+        which improves simulated load balance on skewed work.  A thin
+        per-item wrapper over :meth:`parallel_slices`, which records the
+        region.
+        """
+        results: list[R] = [None] * len(items)  # type: ignore[list-item]
+
+        def run(positions: Sequence[int], ctx: ThreadContext) -> None:
+            for i in positions:
+                results[i] = fn(items[i], ctx)  # sani: ok - the engine's own result slots, one per item
+
+        self.parallel_slices(range(len(items)), run, label, chunking, grain)
+        return results
+
+    def parallel_slices(
+        self,
+        items: Sequence[T],
+        fn: Callable[[Sequence[T], ThreadContext], R],
+        label: str = "parallel_slices",
+        chunking: str = "static",
+        grain: int = 64,
+    ) -> list[R]:
+        """Run ``fn(thread_items, ctx)`` once per virtual thread.
+
+        ``thread_items`` holds the items :meth:`parallel_for` would run
+        on that thread, in the same order: with ``chunking='static'``
+        the thread's contiguous slice of ``items`` (a slice of the same
+        type, so a ``range`` stays a ``range``), with ``'dynamic'`` its
+        ``grain``-sized chunks in round-robin order, as a list.  Returns
+        ``fn``'s result per thread, in thread order.  The region record
+        counts ``len(items)`` items, exactly as :meth:`parallel_for`
+        does, so a slice kernel that charges what the per-item kernel
+        charged closes an identical region.
         """
         if self._in_region:
             raise SchedulerError("nested parallel regions are not supported")
         if chunking not in ("static", "dynamic"):
             raise SchedulerError(f"unknown chunking {chunking!r}")
         count = len(items)
-        results: list[R] = [None] * count  # type: ignore[list-item]
         contexts = [
             ThreadContext(t, self.cost_model) for t in range(self.threads)
         ]
         if chunking == "static":
-            assignment = self.partition(count)
+            slices = [items[r.start : r.stop] for r in self.partition(count)]
         else:
-            assignment = self._dynamic_assignment(count, grain)
+            slices = self._dynamic_slices(items, grain)
         observer = self._observer
         if observer is not None:
             observer.on_region_begin(label, contexts)
         self._in_region = True
         try:
-            for t, idx_range in enumerate(assignment):
-                ctx = contexts[t]
-                for i in idx_range:
-                    results[i] = fn(items[i], ctx)
+            results = [fn(part, ctx) for part, ctx in zip(slices, contexts)]
         finally:
             self._in_region = False
         self._close_region(label, count, contexts)
@@ -290,18 +317,14 @@ class SimulatedPool:
             observer.on_region_end(label, contexts)
         return results
 
-    def _dynamic_assignment(self, count: int, grain: int) -> list[list[int]]:
-        """Deal ``grain``-sized chunks of indices round-robin to threads."""
+    def _dynamic_slices(self, items: Sequence[T], grain: int) -> list[list[T]]:
+        """Deal ``grain``-sized chunks of ``items`` round-robin to threads."""
         if grain < 1:
             raise SchedulerError("grain must be >= 1")
-        buckets: list[list[int]] = [[] for _ in range(self.threads)]
-        chunk_start = 0
-        t = 0
-        while chunk_start < count:
-            chunk_end = min(chunk_start + grain, count)
-            buckets[t].extend(range(chunk_start, chunk_end))
-            chunk_start = chunk_end
-            t = (t + 1) % self.threads
+        p = self.threads
+        buckets: list[list[T]] = [[] for _ in range(p)]
+        for t, start in enumerate(range(0, len(items), grain)):
+            buckets[t % p].extend(items[start : start + grain])
         return buckets
 
     def _close_region(

@@ -4,7 +4,8 @@ The SAN1xx–3xx lints are per-statement AST pattern checks.  SimFlow is
 the next rung: it builds a control-flow graph per function
 (:mod:`repro.sanitizer.cfg`), a call graph over ``src/repro`` (plus any
 extra analyzed trees), and runs three flow-sensitive analyses over
-every ``parallel_for`` worker closure *and the helpers it calls*:
+every ``parallel_for`` / ``parallel_slices`` worker closure *and the
+helpers it calls*:
 
 **Divergent-sync analysis (SAN401/SAN402).**  The substrate's kernels
 are bulk-synchronous: every virtual thread must reach the same sync
@@ -121,9 +122,11 @@ __all__ = [
 ]
 
 #: Barrier-class attribute names: reaching one is a collective act.
-BARRIER_ATTRS = frozenset({"parallel_for", "serial_region", "phase", "barrier"})
+BARRIER_ATTRS = frozenset(
+    {"parallel_for", "parallel_slices", "serial_region", "phase", "barrier"}
+)
 #: Barrier attrs that open a region (nested-region warning applies).
-REGION_ATTRS = frozenset({"parallel_for", "serial_region"})
+REGION_ATTRS = frozenset({"parallel_for", "parallel_slices", "serial_region"})
 
 #: Committed drift baseline shipped with the package.
 DEFAULT_BASELINE_PATH = Path(__file__).with_name("flow_baseline.json")
@@ -353,6 +356,8 @@ class _AffineEnv:
         self.symbols = symbols  # item / chunk bounds / loop vars
         self.bindings = bindings  # single-assignment name -> value expr
         self.item = item
+        #: loop variables over a thread's slice, each standing for an item
+        self.aliases: set[str] = set()
         self._cache: dict[str, object] = {}
         self._busy: set[str] = set()
 
@@ -364,6 +369,13 @@ class _AffineEnv:
             return aff_const(expr.value)
         if isinstance(expr, ast.Name):
             return self._name(expr.id)
+        if (
+            isinstance(expr, ast.Attribute)
+            and isinstance(expr.value, ast.Name)
+            and f"{expr.value.id}.{expr.attr}" in self.symbols
+        ):
+            # a slice's bounds: vs.start / vs.stop
+            return aff_sym(f"{expr.value.id}.{expr.attr}")
         if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.USub):
             inner = self.eval(expr.operand)
             if isinstance(inner, dict):
@@ -384,6 +396,8 @@ class _AffineEnv:
         return None
 
     def _name(self, name: str) -> object:
+        if name in self.aliases:
+            return aff_sym(self.item)
         if name in self.symbols:
             return aff_sym(name)
         if name in self._cache:
@@ -896,6 +910,18 @@ class FlowAnalyzer:
                     break
 
         item_ok = worker.item is not None and counts.get(worker.item, 0) == 0
+        # the slice idiom: a parallel_slices worker over a range owns
+        # [vs.start, vs.stop)
+        if worker.slices and item_ok and chunk is None:
+            bounds = {
+                inner.attr
+                for inner in ast.walk(node)
+                if isinstance(inner, ast.Attribute)
+                and isinstance(inner.value, ast.Name)
+                and inner.value.id == worker.item
+            }
+            if {"start", "stop"} <= bounds:
+                chunk = (f"{worker.item}.start", f"{worker.item}.stop")
         symbols: set[str] = set()
         if item_ok and chunk is None:
             symbols.add(worker.item)  # type: ignore[arg-type]
@@ -929,6 +955,13 @@ class FlowAnalyzer:
                         visit(stmt.orelse)
                         loop_stack.pop()
                         symbols.discard(stmt.target.id)
+                    elif item_ok and chunk is None and worker.slice_loop(stmt):
+                        # each element of the thread's slice is an item
+                        env.aliases.add(stmt.target.id)
+                        check_stmt(stmt)
+                        visit(stmt.body)
+                        visit(stmt.orelse)
+                        env.aliases.discard(stmt.target.id)
                     else:
                         check_stmt(stmt)
                         visit(stmt.body)
@@ -1397,9 +1430,9 @@ def _worker_effects(
                     tag = location_tag(loc)
                     if tag is None:
                         continue
-                    if inner.func.attr == "atomic":
+                    if inner.func.attr in ("atomic", "relaxed_row"):
                         atomics.add(tag)
-                    elif inner.func.attr == "write":
+                    elif inner.func.attr in ("write", "write_row"):
                         writes.add(tag)
                     elif inner.func.attr in ("read", "read_row"):
                         reads.add(tag)
@@ -1597,14 +1630,27 @@ def run(pool, out, chunks):
 '''
 
 
+#: A slice writer that stores one slot past its owned [vs.start,
+#: vs.stop) range — the same bug through ``parallel_slices``.
+_CROSS_SLICE_SOURCE = '''\
+def run(pool, out, n):
+    def worker(vs, ctx):
+        ctx.write_row("out", vs)
+        for i in range(vs.start, vs.stop):
+            out[i + 1] = i
+    pool.parallel_slices(range(n), worker, label="selftest:cross_slice")
+'''
+_CROSS_SLICE_LINE = 5
+
+
 def flow_selftest() -> tuple[bool, str]:
-    """Prove the analyzer catches both seeded SAN4xx bugs.
+    """Prove the analyzer catches every seeded SAN4xx bug.
 
     An analyzer that reports nothing is indistinguishable from one
-    that checks nothing: this runs SimFlow over two intentionally
+    that checks nothing: this runs SimFlow over three intentionally
     buggy worker sources and requires SAN401 (divergent sync) and
-    SAN403 (cross-chunk store) with exact line attribution — plus a
-    fixed variant that must come back verified-disjoint and clean.
+    SAN403 (cross-chunk and cross-slice stores) with exact line
+    attribution — plus fixed variants that must come back clean.
     """
     divergent = analyze_source(_DIVERGENT_SYNC_SOURCE, "selftest_divergent.py")
     hits = [
@@ -1634,6 +1680,30 @@ def flow_selftest() -> tuple[bool, str]:
             f"{[str(f) for f in cross.findings]}",
         )
 
+    cross = analyze_source(_CROSS_SLICE_SOURCE, "selftest_cross_slice.py")
+    hits = [
+        f
+        for f in cross.findings
+        if f.code == "SAN403" and f.line == _CROSS_SLICE_LINE
+    ]
+    if not hits:
+        return (
+            False,
+            "seeded cross-slice store NOT caught: expected SAN403 at "
+            f"line {_CROSS_SLICE_LINE}, got "
+            f"{[str(f) for f in cross.findings]}",
+        )
+    fixed = analyze_source(
+        _CROSS_SLICE_SOURCE.replace("out[i + 1]", "out[i]"),
+        "selftest_safe_slice.py",
+    )
+    if fixed.findings or not fixed.verified:
+        return (
+            False,
+            "safe slice writer misjudged: expected verified-disjoint and "
+            f"no findings, got {[str(f) for f in fixed.findings]}",
+        )
+
     safe = analyze_source(_SAFE_CHUNK_SOURCE, "selftest_safe_chunk.py")
     if safe.findings or not safe.verified:
         return (
@@ -1645,7 +1715,7 @@ def flow_selftest() -> tuple[bool, str]:
         )
     return (
         True,
-        "seeded SAN401 (divergent sync) and SAN403 (cross-chunk store) "
-        "both caught with exact attribution; fixed variant "
-        "verified-disjoint",
+        "seeded SAN401 (divergent sync) and SAN403 (cross-chunk and "
+        "cross-slice stores) all caught with exact attribution; fixed "
+        "variants verified-disjoint",
     )

@@ -4,8 +4,10 @@ The dynamic detector only sees accesses that were recorded; a worker
 that mutates captured Python state *without* going through the
 ``ctx``/``Atomic*`` APIs is invisible to it — and uncharged, which
 also skews the cost model.  This pass closes that hole by walking
-every ``pool.parallel_for(items, worker, ...)`` call site and
-analysing the worker body syntactically.
+every ``pool.parallel_for(items, worker, ...)`` and
+``pool.parallel_slices(items, worker, ...)`` call site and analysing the
+worker body syntactically (a slice worker's first parameter is its
+thread's slice of the items).
 
 Rules
 -----
@@ -288,7 +290,8 @@ def _collect_atomic_names(tree: ast.Module) -> set[str]:
 
 
 def _collect_trusted_csr(tree: ast.Module) -> set[str]:
-    """Names assigned from ``<x>.indptr`` / ``<x>.indices`` anywhere.
+    """Names assigned from ``<x>.indptr`` / ``<x>.indices`` (or their
+    ``.tolist()``) anywhere.
 
     Those arrays come out of a validated :class:`Graph` (or a
     ``CheckedGraph`` for untrusted inputs), so data-dependent indexing
@@ -298,6 +301,14 @@ def _collect_trusted_csr(tree: ast.Module) -> set[str]:
     trusted: set[str] = set()
 
     def _bind(target: ast.expr, value: ast.expr) -> None:
+        # <x>.indices.tolist() holds the same values as a list
+        if (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Attribute)
+            and value.func.attr == "tolist"
+            and not value.args
+        ):
+            value = value.func.value
         if (
             isinstance(target, ast.Name)
             and isinstance(value, ast.Attribute)
@@ -481,9 +492,12 @@ class _WorkerInfo:
     ``items`` is the first argument of the ``parallel_for`` call (the
     iterable of work items) — the SimFlow disjoint-write analysis uses
     it to decide whether items are provably contiguous integers.
+    ``slices`` marks a ``parallel_slices`` worker, whose first parameter
+    is the thread's slice of the items rather than one item: iterating
+    it yields items, and distinct threads' slices are disjoint.
     """
 
-    __slots__ = ("node", "item", "ctx", "call_line", "items")
+    __slots__ = ("node", "item", "ctx", "call_line", "items", "slices")
 
     def __init__(
         self,
@@ -492,12 +506,30 @@ class _WorkerInfo:
         ctx: str | None,
         call_line: int,
         items: ast.expr | None = None,
+        slices: bool = False,
     ):
         self.node = node
         self.item = item
         self.ctx = ctx
         self.call_line = call_line
         self.items = items
+        self.slices = slices
+
+    def slice_loop(self, node: ast.AST) -> bool:
+        """Whether ``node`` is a ``for`` loop or comprehension over the
+        slice parameter itself (its target then ranges over items)."""
+        return (
+            self.slices
+            and isinstance(node, (ast.For, ast.comprehension))
+            and isinstance(node.iter, ast.Name)
+            and node.iter.id == self.item
+            and isinstance(node.target, ast.Name)
+        )
+
+
+#: ``pool.<attr>(items, worker, ...)`` calls that run a worker closure
+#: inside a parallel region, and whether its first parameter is a slice.
+WORKER_ATTRS = {"parallel_for": False, "parallel_slices": True}
 
 
 def _worker_params(fn) -> tuple[str | None, str | None]:
@@ -508,7 +540,8 @@ def _worker_params(fn) -> tuple[str | None, str | None]:
 
 
 def _find_workers(tree: ast.Module) -> list[_WorkerInfo]:
-    """Resolve the worker function of every ``parallel_for`` call."""
+    """Resolve the worker function of every ``parallel_for`` and
+    ``parallel_slices`` call."""
     defs: list[ast.FunctionDef] = [
         n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
     ]
@@ -517,8 +550,9 @@ def _find_workers(tree: ast.Module) -> list[_WorkerInfo]:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "parallel_for"):
+        if not (isinstance(func, ast.Attribute) and func.attr in WORKER_ATTRS):
             continue
+        slices = WORKER_ATTRS[func.attr]
         worker_expr = None
         items_expr = node.args[0] if node.args else None
         if len(node.args) >= 2:
@@ -534,7 +568,9 @@ def _find_workers(tree: ast.Module) -> list[_WorkerInfo]:
             item = args[0].arg if len(args) >= 1 else None
             ctx = args[1].arg if len(args) >= 2 else None
             workers.append(
-                _WorkerInfo(worker_expr, item, ctx, node.lineno, items_expr)
+                _WorkerInfo(
+                    worker_expr, item, ctx, node.lineno, items_expr, slices
+                )
             )
         elif isinstance(worker_expr, ast.Name):
             # nearest preceding def with that name (closures are defined
@@ -548,7 +584,7 @@ def _find_workers(tree: ast.Module) -> list[_WorkerInfo]:
                 fn = max(candidates, key=lambda d: d.lineno)
                 item, ctx = _worker_params(fn)
                 workers.append(
-                    _WorkerInfo(fn, item, ctx, node.lineno, items_expr)
+                    _WorkerInfo(fn, item, ctx, node.lineno, items_expr, slices)
                 )
     return workers
 
@@ -622,6 +658,12 @@ class _WorkerLinter:
             changed = False
             for stmt in self.body_nodes:
                 for node in ast.walk(stmt):
+                    if self.w.slice_loop(node):
+                        # each element of a thread's slice is an item
+                        if node.target.id not in self.derived:
+                            self.derived.add(node.target.id)
+                            changed = True
+                        continue
                     if not isinstance(node, ast.Assign):
                         continue
                     if not self._item_derived(node.value):
@@ -670,7 +712,7 @@ class _WorkerLinter:
 
     def _has_record_call(self) -> bool:
         return any(
-            call.func.attr in ("write", "read", "record")
+            call.func.attr in ("write", "read", "record", "write_row", "read_row")
             for call in self._ctx_calls()
         )
 

@@ -10,11 +10,12 @@ by ``benchmarks/bench_prove.py``).
 Three analyses over the PR-5 CFG/call-graph machinery:
 
 **Bounds proofs (SAN501/SAN502).**  For every kernel in the registry,
-walk the call graph to its ``parallel_for`` workers and collect one
-*obligation* per array access: numpy subscript stores/loads and slices
-of arrays with declared extents (``KERNEL_EXTENTS`` on the kernels
-registry), recorded ``ctx.read/write/atomic(("name", idx))`` accesses
-whose constant name has a declared extent, and Atomic* method calls
+walk the call graph to its ``parallel_for`` / ``parallel_slices``
+workers and collect one *obligation* per array access: numpy subscript
+stores/loads and slices of arrays with declared extents
+(``KERNEL_EXTENTS`` on the kernels registry), recorded
+``ctx.read/write/atomic(("name", idx))`` accesses whose constant name
+has a declared extent, and Atomic* method calls
 whose constructor is resolvable in-module (an ``AtomicArray(n,
 name="pkc_deg")`` receiver self-declares extent ``n`` for location
 name ``"pkc_deg"``).  The list argument of a bulk call
@@ -124,14 +125,14 @@ _COMMUTATIVE_METHODS = frozenset(
         "add_if_absent",
         "add_pivots",
         "union",
-        "union_row",
+        "union_rows",
         "get_pivot",
     }
 )
 #: Methods whose result depends on arrival order for any dtype.
 _ORDER_SENSITIVE_METHODS = frozenset({"append"})
 #: Dtype-dependent read-modify-write: int commutes, float does not.
-_RMW_METHODS = frozenset({"add", "add_row"})
+_RMW_METHODS = frozenset({"add", "add_row", "add_many"})
 #: Atomic methods with an ``(ctx, index, ...)`` signature — their
 #: index argument is a bounds obligation against the ctor extent.
 _INDEXED_ATOMIC_METHODS = frozenset(
@@ -139,22 +140,27 @@ _INDEXED_ATOMIC_METHODS = frozenset(
 )
 #: Bulk atomic methods with an ``(ctx, indices)`` signature — every
 #: element of the index list is a bounds obligation.
-_BULK_ATOMIC_METHODS = frozenset({"claim", "add_row"})
+_BULK_ATOMIC_METHODS = frozenset({"claim", "add_row", "add_many", "load_le"})
 #: Receivers of either kind self-declare their extent.
 _EXTENT_ATOMIC_METHODS = _INDEXED_ATOMIC_METHODS | _BULK_ATOMIC_METHODS
 
-#: ``# prove: item in [lo, hi)`` / ``# prove: chunks of [0, hi)``
-#: assumption markers, attached to the ``parallel_for`` call line or
-#: the worker ``def`` line.  They declare the work-item domain when it
-#: is data-dependent (a frontier of vertex ids) — an assume-guarantee
-#: boundary recorded verbatim on the certificate.  Assumed intervals
-#: are never tight, so they can prove accesses in-bounds but can never
-#: escalate to SAN501.
+#: ``# prove: item in [lo, hi)`` / ``# prove: chunks of [0, hi)`` /
+#: ``# prove: slice of [lo, hi)`` assumption markers, attached to the
+#: ``parallel_for`` / ``parallel_slices`` call line or the worker
+#: ``def`` line.  They declare the work-item domain when it is
+#: data-dependent (a frontier of vertex ids) — an assume-guarantee
+#: boundary recorded verbatim on the certificate; the slice form says
+#: every element of a ``parallel_slices`` worker's slice lies in the
+#: range.  Assumed intervals are never tight, so they can prove
+#: accesses in-bounds but can never escalate to SAN501.
 _ASSUME_ITEM_RE = re.compile(
     r"#\s*prove:\s*item\s+in\s+\[\s*([^,\]]+?)\s*,\s*([^)\]]+?)\s*\)"
 )
 _ASSUME_CHUNK_RE = re.compile(
     r"#\s*prove:\s*chunks\s+of\s+\[\s*([^,\]]+?)\s*,\s*([^)\]]+?)\s*\)"
+)
+_ASSUME_SLICE_RE = re.compile(
+    r"#\s*prove:\s*slice\s+of\s+\[\s*([^,\]]+?)\s*,\s*([^)\]]+?)\s*\)"
 )
 
 _MAX_BLOCK_VISITS = 8
@@ -284,6 +290,7 @@ class _Assumptions:
     def __init__(self, source: str) -> None:
         self.items: dict[int, tuple] = {}
         self.chunks: dict[int, tuple] = {}
+        self.slices: dict[int, tuple] = {}
         #: lines whose marker actually seeded an environment this run
         #: (SAN002 dead-suppression support)
         self.used_lines: set[int] = set()
@@ -298,6 +305,11 @@ class _Assumptions:
                 lo, hi = _parse_extent(m.group(1)), _parse_extent(m.group(2))
                 if lo is not None and hi is not None:
                     self.chunks[i] = (lo, hi, f"chunks of [{m.group(1)}, {m.group(2)})")
+            m = _ASSUME_SLICE_RE.search(text)
+            if m:
+                lo, hi = _parse_extent(m.group(1)), _parse_extent(m.group(2))
+                if lo is not None and hi is not None:
+                    self.slices[i] = (lo, hi, f"slice of [{m.group(1)}, {m.group(2)})")
 
     def item_at(self, *lines: int) -> tuple | None:
         for ln in lines:
@@ -311,6 +323,13 @@ class _Assumptions:
             if ln in self.chunks:
                 self.used_lines.add(ln)
                 return self.chunks[ln]
+        return None
+
+    def slice_at(self, *lines: int) -> tuple | None:
+        for ln in lines:
+            if ln in self.slices:
+                self.used_lines.add(ln)
+                return self.slices[ln]
         return None
 
 
@@ -435,6 +454,12 @@ class _WorkerScope:
         self.value_facts = value_facts
         self.facts = facts
         self.chunk_extent = chunk_extent
+        #: ``parallel_slices`` worker over a range: the bounds of its
+        #: slice's ``start`` and ``stop``
+        self.slice_bounds: Interval | None = None
+        #: locals holding index sequences with an element fact
+        #: (:func:`_seed_slice_locals`), bound in the env but never scalars
+        self.sequence_locals: set[str] = set()
 
 
 def _eval(node: ast.AST, env: dict, scope: _WorkerScope) -> Interval:
@@ -451,6 +476,14 @@ def _eval(node: ast.AST, env: dict, scope: _WorkerScope) -> Interval:
         return Interval.sym(node.id)  # captured name: terminal symbol
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         return _eval(node.operand, env, scope).neg()
+    if (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("start", "stop")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == scope.worker.item
+        and scope.slice_bounds is not None
+    ):
+        return scope.slice_bounds
     if isinstance(node, ast.BinOp):
         left = _eval(node.left, env, scope)
         right = _eval(node.right, env, scope)
@@ -875,6 +908,26 @@ class _ObligationCollector:
             return
         if isinstance(node.slice, ast.Tuple):
             return  # multi-dim fancy indexing: out of scope, no claim
+        if (
+            isinstance(node.slice, ast.Name)
+            and (
+                node.slice.id not in self.env
+                or node.slice.id in self.scope.sequence_locals
+            )
+            and node.slice.id in self.scope.value_facts
+        ):
+            # fancy indexing by a sequence whose elements are bounded
+            # (a thread's slice, a CSR array): every element is an index
+            iv = self.scope.value_facts[node.slice.id]
+            kind = "store" if isinstance(node.ctx, ast.Store) else "load"
+            outcome, reason = _judge_index(
+                iv, extent, self.scope.facts, neg_is_violation=False
+            )
+            self._add(
+                kind, base.id, None, line, outcome, reason,
+                index_repr="*" + node.slice.id,
+            )
+            return
         iv = _eval(node.slice, self.env, self.scope)
         kind = "store" if isinstance(node.ctx, ast.Store) else "load"
         # numpy subscripts wrap negative indices, so only the upper
@@ -909,12 +962,12 @@ class _ObligationCollector:
         func = node.func
         if not isinstance(func, ast.Attribute):
             return
-        # bulk recorded reads: ctx.read_row("name", seq) reads name[v]
-        # for every element v of seq
+        # bulk recorded accesses: ctx.read_row("name", seq) reads
+        # name[v] for every element v of seq, ctx.write_row writes it
         if (
             isinstance(func.value, ast.Name)
             and func.value.id == self.scope.worker.ctx
-            and func.attr == "read_row"
+            and func.attr in ("read_row", "write_row")
             and len(node.args) >= 2
             and isinstance(node.args[0], ast.Constant)
             and isinstance(node.args[0].value, str)
@@ -1049,6 +1102,9 @@ def _seed_item_env(
         worker.node.lineno,
         worker.node.lineno - 1,
     )
+    if worker.slices:
+        _seed_slice_env(worker, scope, assumptions, used, lines)
+        return
     assumed = assumptions.item_at(*lines)
     if assumed is not None:
         lo, hi, text = assumed
@@ -1082,6 +1138,171 @@ def _seed_item_env(
         scope.base_env[worker.item] = iv
 
 
+def _seed_slice_env(
+    worker: _WorkerInfo,
+    scope: _WorkerScope,
+    assumptions: _Assumptions,
+    used: list,
+    lines: tuple,
+) -> None:
+    """Bind what iterating a ``parallel_slices`` worker's slice yields,
+    from a ``# prove: slice of`` assumption or a ``range`` items
+    expression (whose slices are ranges: ``start`` and ``stop`` are
+    bounded too); unknown domains stay unbound."""
+    assumed = assumptions.slice_at(*lines)
+    if assumed is not None:
+        lo, hi, text = assumed
+        scope.value_facts[worker.item] = Interval(
+            lo, aff_sub(hi, aff_const(1)), False
+        )
+        used.append(f"{_worker_name(worker)}: {text}")
+        return
+    if worker.items is None:
+        return
+    iv = _iter_interval(worker.items, {}, scope)
+    if iv.lo is None or iv.hi is None:
+        return
+    scope.value_facts[worker.item] = Interval(iv.lo, iv.hi, False)
+    if (
+        isinstance(worker.items, ast.Call)
+        and isinstance(worker.items.func, ast.Name)
+        and worker.items.func.id == "range"
+    ):
+        scope.slice_bounds = Interval(
+            iv.lo, aff_sub(iv.hi, aff_const(-1)), False
+        )
+
+
+def _seed_slice_locals(worker: _WorkerInfo, scope: _WorkerScope) -> None:
+    """Element facts of a slice worker's local index sequences.
+
+    A local all of whose assignments build a sequence of known elements
+    — an empty list, a one-generator comprehension yielding its target
+    (filters only narrow it), the rows ``<g>.gather_rows(...)`` returns
+    first (elements of ``indices``) or a subscript of a sequence with
+    the same fact (a mask or a fancy index keeps elements) — iterates
+    over the join of those facts, like a declared array.  A local the
+    worker may change in any other way gets no fact: a method call on
+    it other than :data:`_READ_ONLY_METHODS`, a store into or deletion
+    of one of its elements, any other augmented assignment, or a
+    rebinding by ``for``, ``with``, ``:=``, ``del`` or a tuple target.
+    """
+    found: dict = {}
+    changed = _changed_locals(worker.node)
+    for node in ast.walk(worker.node):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+            target, value = node.target, node.value
+        else:
+            continue
+        if (
+            isinstance(target, ast.Tuple)
+            and target.elts
+            and isinstance(target.elts[0], ast.Name)
+            and isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Attribute)
+            and value.func.attr == "gather_rows"
+        ):
+            found.setdefault(target.elts[0].id, []).append(
+                scope.value_facts.get("indices")
+            )
+        elif isinstance(target, ast.Name):
+            found.setdefault(target.id, []).append(value)
+    for name, values in found.items():
+        fact = None
+        for value in values:
+            if isinstance(value, Interval) or value is None:
+                iv = value
+            elif isinstance(value, ast.List) and not value.elts:
+                continue
+            elif (
+                isinstance(value, ast.ListComp)
+                and len(value.generators) == 1
+                and isinstance(value.elt, ast.Name)
+                and isinstance(value.generators[0].target, ast.Name)
+                and value.elt.id == value.generators[0].target.id
+            ):
+                iv = _iter_interval(value.generators[0].iter, {}, scope)
+            elif (
+                isinstance(value, ast.Subscript)
+                and isinstance(value.value, ast.Name)
+                and value.value.id == name
+            ):
+                continue
+            else:
+                iv = None
+            if iv is None or iv.lo is None or iv.hi is None:
+                fact = None
+                break
+            fact = iv if fact is None else fact.join(iv, scope.facts)
+        if (
+            fact is not None
+            and name not in changed
+            and name not in scope.value_facts
+        ):
+            scope.value_facts[name] = Interval(fact.lo, fact.hi, False)
+            scope.sequence_locals.add(name)
+
+
+#: Methods that leave a local index sequence's elements as they are.
+_READ_ONLY_METHODS = frozenset({"tolist", "copy", "astype", "index", "count"})
+
+
+def _changed_locals(func: ast.AST) -> set[str]:
+    """Names whose elements ``func`` may change other than by the
+    ``=`` / ``+=`` assignments :func:`_seed_slice_locals` reads."""
+    changed: set[str] = set()
+
+    def names(target: ast.AST) -> None:
+        changed.update(
+            n.id for n in ast.walk(target) if isinstance(n, ast.Name)
+        )
+
+    for node in ast.walk(func):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            names(node.target)
+        elif isinstance(node, ast.withitem) and node.optional_vars:
+            names(node.optional_vars)
+        elif isinstance(node, ast.NamedExpr):
+            names(node.target)
+        elif isinstance(node, ast.Delete):
+            for target in node.targets:
+                names(target)
+        elif isinstance(node, ast.AnnAssign):
+            names(node.target)
+        elif isinstance(node, ast.AugAssign) and not isinstance(node.op, ast.Add):
+            names(node.target)
+        elif isinstance(node, ast.Assign) and (
+            len(node.targets) > 1 or not isinstance(node.targets[0], ast.Name)
+        ):
+            gathered = (
+                isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr == "gather_rows"
+            )
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and gathered:
+                    for elt in target.elts[1:]:
+                        names(elt)
+                elif not isinstance(target, ast.Subscript):
+                    names(target)
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and isinstance(node.value, ast.Name)
+        ):
+            changed.add(node.value.id)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.attr not in _READ_ONLY_METHODS
+        ):
+            changed.add(node.func.value.id)
+    return changed
+
+
 def _prove_worker(
     kernel: str,
     info: ModuleInfo,
@@ -1102,6 +1323,8 @@ def _prove_worker(
     )
     scope.base_env = {}
     _seed_item_env(worker, scope, assumptions, used_assumptions)
+    if worker.slices:
+        _seed_slice_locals(worker, scope)
     cfg = build_cfg(node)
     envs = _fixpoint(cfg, scope.base_env, scope)
     obligations: list = []
@@ -1165,7 +1388,7 @@ def _classify_sites(
             continue
         method = func.attr
         recv = func.value.id
-        if method in ("load", "atomic_load", "snapshot", "value"):
+        if method in ("load", "load_le", "atomic_load", "snapshot", "value"):
             continue  # pure reads do not combine
         if node.lineno in info.suppressed:
             continue

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import UnknownMetricError
+from repro.parallel.cost_model import ordered_sum
 from repro.search.primary_values import GraphTotals, PrimaryValues
 
 __all__ = [
@@ -222,7 +223,9 @@ def combine_metrics(
     kind = "B" if any(m.kind == "B" for m, _ in components) else "A"
 
     def score(values: PrimaryValues, totals: GraphTotals) -> float:
-        return sum(w * m(values, totals) for m, w in components)
+        # left to right on every Python version (builtin sum compensates
+        # float addition from 3.12 on)
+        return ordered_sum(w * m(values, totals) for m, w in components)
 
     metric = Metric(name=name, kind=kind, score=score)
     if register:

@@ -66,18 +66,23 @@ def pbks_type_a_contributions(
     and ``lt - gt`` boundary edges (``lt`` edges leave the new core,
     ``gt`` former boundary edges become internal).
     """
-    # the kernel reads native ints: one conversion per call
-    tid = hcd.tid.tolist()
-    gt, eq, lt = counts.gt.tolist(), counts.eq.tolist(), counts.lt.tolist()
+    tid, gt, eq, lt = hcd.tid, counts.gt, counts.eq, counts.lt
 
-    def contribute(v: int, ctx) -> None:
-        ctx.charge(3)
-        node = tid[v]
-        out.add(ctx, node * 5 + _N, 1.0)
-        out.add(ctx, node * 5 + _M, gt[v] + 0.5 * eq[v])
-        out.add(ctx, node * 5 + _B, lt[v] - gt[v])
+    def contribute(vs: list[int], ctx) -> None:
+        # per vertex: three units, then one relaxed fetch-add on each of
+        # the n, m and b slots of its node, in that order.  Every value
+        # is a multiple of 0.5, so each float slot sums exactly.
+        ctx.charge(3 * len(vs))
+        base = tid[vs] * 5
+        g = gt[vs]
+        slots = np.column_stack((base + _N, base + _M, base + _B))
+        values = np.column_stack(
+            (np.ones(len(vs)), g + 0.5 * eq[vs], lt[vs] - g)
+        )
+        out.add_many(ctx, slots.ravel(), values.ravel())
 
-    pool.parallel_for(
+    # slices of vertex ids  # prove: slice of [0, n)
+    pool.parallel_slices(
         range(graph.num_vertices),
         contribute,
         label="pbks:typeA",

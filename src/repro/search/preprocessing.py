@@ -45,34 +45,30 @@ def preprocess_neighbor_counts(
     coreness: np.ndarray,
     pool: SimulatedPool,
 ) -> NeighborCorenessCounts:
-    """One O(m) parallel pass computing the comparison counts."""
-    # the kernel reads native ints: one conversion per call
-    coreness = np.asarray(coreness, dtype=np.int64).tolist()
+    """One O(m) parallel pass computing the comparison counts.
+
+    Each virtual thread counts its slice of vertices in one call,
+    comparing its gathered rows with numpy.
+    """
+    coreness = np.asarray(coreness, dtype=np.int64)
     n = graph.num_vertices
     gt = np.zeros(n, dtype=np.int64)
     eq = np.zeros(n, dtype=np.int64)
-    # row bounds as native ints: slicing with them skips two numpy
-    # scalar reads per row
-    indptr, indices = graph.indptr.tolist(), graph.indices
 
-    def count(v: int, ctx) -> None:
-        # one recorded write covers the vertex's gt/eq output pair; it
-        # carries the row's unit scan charges too (integers only)
-        ctx.write(("pre_counts", int(v)), 1 + indptr[v + 1] - indptr[v])
-        cv = coreness[v]
-        g = 0
-        e = 0
-        for u in indices[indptr[v] : indptr[v + 1]].tolist():
-            cu = coreness[u]
-            if cu > cv:
-                g += 1
-            elif cu == cv:
-                e += 1
-        gt[v] = g
-        eq[v] = e
+    def count(vs: list[int], ctx) -> None:
+        # one recorded write per vertex covers its gt/eq output pair
+        ctx.write_row("pre_counts", vs)
+        nbrs, lens = graph.gather_rows(vs)
+        # one unit per scanned neighbor, folded: integers only
+        ctx.charge(len(nbrs))
+        cv = np.repeat(coreness[vs], lens)
+        cu = coreness[nbrs]
+        gt[vs] = _row_sums(cu > cv, lens)
+        eq[vs] = _row_sums(cu == cv, lens)
 
     with pool.phase("pbks:preprocess"):
-        pool.parallel_for(
+        # slices of vertex ids  # prove: slice of [0, n)
+        pool.parallel_slices(
             range(n),
             count,
             label="pbks:preprocess",
@@ -81,3 +77,11 @@ def preprocess_neighbor_counts(
         )
     lt = graph.degrees().astype(np.int64) - gt - eq
     return NeighborCorenessCounts(gt=gt, eq=eq, lt=lt)
+
+
+def _row_sums(flags: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """How many ``flags`` are set in each row, for rows of lengths
+    ``lens`` concatenated in order (an empty row counts zero)."""
+    totals = np.concatenate(([0], np.cumsum(flags)))
+    ends = np.cumsum(lens)
+    return totals[ends] - totals[ends - lens]

@@ -148,51 +148,58 @@ class PivotUnionFind:
         find, pivot = self.find, self.pivot
         return [pivot[find(y)] for y in row if level[y] >= floor]
 
-    def union_row(
-        self, x: int, row: list[int], level: list[int], floor: int,
-        ctx: ThreadContext, scan: float,
+    def union_rows(
+        self, xs: list[int], rows: list[list[int]], level: list[int],
+        floor: int, ctx: ThreadContext, scan: float,
     ) -> None:
-        """PHCD step 2 over one adjacency row of ``x``.
+        """PHCD step 2 over one thread's slice: ``rows[j]`` is the
+        adjacency row of ``xs[j]``.
 
-        For every ``y`` in ``row``: charge ``scan``, and when
-        ``level[y] >= floor``, ``union(x, y, ctx)``.  With an observer
-        attached these are the calls made.  Unobserved, the same finds
-        and links run uncharged while the addends (``scan``, then
-        :data:`FIND_CHARGE` twice, then the link atomic) are replayed on
-        a local in that order (:meth:`ThreadContext.commit_row`).
+        For every row: charge 1 (the row's own vertex), then for every
+        ``y`` in it charge ``scan`` and, when ``level[y] >= floor``,
+        ``union(x, y, ctx)``.  With an observer attached these are the
+        calls made.  Unobserved, the same finds and links run uncharged
+        while the addends (1, then per ``y`` ``scan``,
+        :data:`FIND_CHARGE` twice and the link atomic) are replayed on
+        one local in that order and stored back once
+        (:meth:`ThreadContext.commit_row`).
         """
         if ctx.observed:
-            for y in row:
-                ctx.charge(scan)
-                if level[y] >= floor:
-                    self.union(x, y, ctx)
+            for x, row in zip(xs, rows):
+                ctx.charge(1)
+                for y in row:
+                    ctx.charge(scan)
+                    if level[y] >= floor:
+                        self.union(x, y, ctx)
             return
         find, parent, rank, pivot, ranks = (
             self.find, self.parent, self.rank, self.pivot, self._ranks
         )
         contended = []
         work = ctx.work
-        for y in row:
-            work += scan
-            if level[y] < floor:
-                continue
-            rx = find(x)
-            work += FIND_CHARGE
-            ry = find(y)
-            work += FIND_CHARGE
-            if rx == ry:
-                continue
-            if rank[rx] < rank[ry]:
-                rx, ry = ry, rx
-            parent[ry] = rx
-            if rank[rx] == rank[ry]:
-                rank[rx] += 1
+        for x, row in zip(xs, rows):
             work += 1
-            contended.append(("uf", rx))
-            px, py = pivot[rx], pivot[ry]
-            if ranks[py] < ranks[px]:
-                pivot[rx] = py
-            self._components -= 1
+            for y in row:
+                work += scan
+                if level[y] < floor:
+                    continue
+                rx = find(x)
+                work += FIND_CHARGE
+                ry = find(y)
+                work += FIND_CHARGE
+                if rx == ry:
+                    continue
+                if rank[rx] < rank[ry]:
+                    rx, ry = ry, rx
+                parent[ry] = rx
+                if rank[rx] == rank[ry]:
+                    rank[rx] += 1
+                work += 1
+                contended.append(("uf", rx))
+                px, py = pivot[rx], pivot[ry]
+                if ranks[py] < ranks[px]:
+                    pivot[rx] = py
+                self._components -= 1
         ctx.commit_row(work, contended)
 
     def same_set(self, x: int, y: int, ctx: ThreadContext | None = None) -> bool:

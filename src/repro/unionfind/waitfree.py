@@ -41,7 +41,7 @@ __all__ = ["SimulatedWaitFreeUnionFind"]
 class _DeterministicFailures:
     """Counter-based PRNG deciding which CAS attempts fail."""
 
-    __slots__ = ("_rate_num", "_rate_den", "_state")
+    __slots__ = ("_rate_num", "_rate_den", "_state", "fails")
 
     def __init__(self, failure_rate: float, seed: int) -> None:
         rate = float(failure_rate)
@@ -55,6 +55,10 @@ class _DeterministicFailures:
         self._rate_num = int(rate * (1 << 32))
         self._rate_den = 1 << 32
         self._state = (seed * 2654435761 + 1) & 0xFFFFFFFF
+        #: :meth:`next_fails`, or ``None`` when no draw can fail (rate
+        #: zero): CAS attempts then skip the draw, while at rates above
+        #: zero every attempt draws, in the same sequence as always
+        self.fails = self.next_fails if self._rate_num else None
 
     def next_fails(self) -> bool:
         # xorshift32 step
@@ -125,7 +129,8 @@ class SimulatedWaitFreeUnionFind:
             # when they genuinely race for the same root.
             word = ("ufp", self._name, slot) if ctx.observed else None
             ctx.atomic(("wfuf", slot), word=word)
-        if self._failures.next_fails():
+        fails = self._failures.fails
+        if fails is not None and fails():
             self.cas_failures += 1
             return False
         if self.parent[slot] != expected:
@@ -186,66 +191,73 @@ class SimulatedWaitFreeUnionFind:
                 return rx
             # CAS failed (injected or raced) -> retry from fresh roots
 
-    def union_row(
-        self, x: int, row: list[int], level: list[int], floor: int,
-        ctx: ThreadContext, scan: float,
+    def union_rows(
+        self, xs: list[int], rows: list[list[int]], level: list[int],
+        floor: int, ctx: ThreadContext, scan: float,
     ) -> None:
-        """PHCD step 2 over one adjacency row of ``x``.
+        """PHCD step 2 over one thread's slice: ``rows[j]`` is the
+        adjacency row of ``xs[j]``.
 
-        For every ``y`` in ``row``: charge ``scan``, and when
-        ``level[y] >= floor``, ``union(x, y, ctx)``.  With an observer
-        attached these are the calls made.  Unobserved, the same finds,
-        CAS attempts (injected failures and retries included) and links
-        run with the addends replayed on a local in per-element order:
-        ``scan``, then per attempt :data:`FIND_CHARGE` twice and the
-        CAS atomic on ``("wfuf", slot)`` (:meth:`ThreadContext.commit_row`).
+        For every row: charge 1 (the row's own vertex), then for every
+        ``y`` in it charge ``scan`` and, when ``level[y] >= floor``,
+        ``union(x, y, ctx)``.  With an observer attached these are the
+        calls made.  Unobserved, the same finds, CAS attempts (injected
+        failures and retries included) and links run with the addends
+        replayed on one local in per-element order: 1, then per ``y``
+        ``scan`` and per attempt :data:`FIND_CHARGE` twice and the CAS
+        atomic on ``("wfuf", slot)``, stored back once
+        (:meth:`ThreadContext.commit_row`).
         """
         if ctx.observed:
-            for y in row:
-                ctx.charge(scan)
-                if level[y] >= floor:
-                    self.union(x, y, ctx)
+            for x, row in zip(xs, rows):
+                ctx.charge(1)
+                for y in row:
+                    ctx.charge(scan)
+                    if level[y] >= floor:
+                        self.union(x, y, ctx)
             return
         parent, pivot, ranks = self.parent, self.pivot, self._ranks
-        next_fails = self._failures.next_fails
+        fails = self._failures.fails
         contended = []
         work = ctx.work
-        for y in row:
-            work += scan
-            if level[y] < floor:
-                continue
-            while True:
-                # the two path-splitting finds of union(), inlined
-                rx = x
-                while parent[rx] != rx:
-                    grand = parent[parent[rx]]
-                    parent[rx] = grand
-                    rx = grand
-                work += FIND_CHARGE
-                ry = y
-                while parent[ry] != ry:
-                    grand = parent[parent[ry]]
-                    parent[ry] = grand
-                    ry = grand
-                work += FIND_CHARGE
-                if rx == ry:
+        for x, row in zip(xs, rows):
+            work += 1
+            for y in row:
+                work += scan
+                if level[y] < floor:
+                    continue
+                while True:
+                    # the two path-splitting finds of union(), inlined
+                    rx = x
+                    while parent[rx] != rx:
+                        grand = parent[parent[rx]]
+                        parent[rx] = grand
+                        rx = grand
+                    work += FIND_CHARGE
+                    ry = y
+                    while parent[ry] != ry:
+                        grand = parent[parent[ry]]
+                        parent[ry] = grand
+                        ry = grand
+                    work += FIND_CHARGE
+                    if rx == ry:
+                        break
+                    if rx > ry:
+                        rx, ry = ry, rx
+                    # _cas_parent(ry, ry, rx)
+                    self.cas_attempts += 1
+                    work += 1
+                    contended.append(("wfuf", ry))
+                    if fails is not None and fails():
+                        self.cas_failures += 1
+                        continue
+                    if parent[ry] != ry:
+                        continue
+                    parent[ry] = rx
+                    px, py = pivot[rx], pivot[ry]
+                    if ranks[py] < ranks[px]:
+                        pivot[rx] = py
                     break
-                if rx > ry:
-                    rx, ry = ry, rx
-                # _cas_parent(ry, ry, rx)
-                self.cas_attempts += 1
-                work += 1
-                contended.append(("wfuf", ry))
-                if next_fails():
-                    self.cas_failures += 1
-                    continue
-                if parent[ry] != ry:
-                    continue
-                parent[ry] = rx
-                px, py = pivot[rx], pivot[ry]
-                if ranks[py] < ranks[px]:
-                    pivot[rx] = py
-                break
         ctx.commit_row(work, contended)
 
     def get_pivot(self, x: int, ctx: ThreadContext | None = None) -> int:

@@ -2,14 +2,18 @@
 
 PKC -> vertex rank -> PHCD on both union-find engines -> preprocessing
 -> PBKS on one pool, for ``rmat(10, 8)`` at two seeds and 1 and 8
-threads.  Each case digests the pool clock (its ``repr``), every region
+threads, and for ``rmat(13, 8)`` at two seeds and 8 threads, whose
+slices are long enough to take the vectorized paths of the slice
+operations.  Each case digests the pool clock (its ``repr``), every region
 record and every output, so a change to the work charged, to its
 float64 summation order, or to an output fails here in tier-1 rather
 than only in the end-to-end benchmark.
 
 ``tests/data/construct_golden.json`` was recorded from the per-element
 kernels that the row operations of ``ThreadContext``, ``AtomicArray``,
-``AtomicSet`` and both union-find engines replaced.  Refresh it with
+``AtomicSet`` and both union-find engines replaced; the ``rmat13``
+cases from the row operations, before the slice operations replaced
+them.  Refresh it with
 ``PYTHONPATH=src python -m tests.test_construct_golden`` only for a
 deliberate cost or output change.
 """
@@ -30,17 +34,20 @@ from repro.search.preprocessing import preprocess_neighbor_counts
 
 GOLDEN = Path(__file__).parent / "data" / "construct_golden.json"
 
-SEEDS = (0, 1)
-THREADS = (1, 8)
+#: (scale, seed, threads) of every case
+CASES = tuple(
+    [(10, seed, threads) for seed in (0, 1) for threads in (1, 8)]
+    + [(13, seed, 8) for seed in (0, 1)]
+)
 
 
 def _sha(value) -> str:
     return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
 
 
-def digest(seed: int, threads: int) -> dict[str, str]:
+def digest(scale: int, seed: int, threads: int) -> dict[str, str]:
     """Run the pipeline on one pool; digest everything observable."""
-    graph = rmat(10, 8, seed=seed)
+    graph = rmat(scale, 8, seed=seed)
     pool = SimulatedPool(threads=threads)
     coreness = pkc_core_decomposition(graph, pool)
     rank = compute_vertex_rank(graph, coreness, pool)
@@ -90,12 +97,13 @@ def digest(seed: int, threads: int) -> dict[str, str]:
 
 
 def _cases():
-    return [f"rmat10-s{seed}/{threads}" for seed in SEEDS for threads in THREADS]
+    return [f"rmat{scale}-s{seed}/{threads}" for scale, seed, threads in CASES]
 
 
-def _parse(case: str) -> tuple[int, int]:
+def _parse(case: str) -> tuple[int, int, int]:
     graph, threads = case.split("/")
-    return int(graph.rsplit("-s", 1)[1]), int(threads)
+    scale, seed = graph.removeprefix("rmat").split("-s")
+    return int(scale), int(seed), int(threads)
 
 
 @pytest.mark.parametrize("case", _cases())

@@ -20,12 +20,16 @@ kept here, and the two bulk operations against the per-element calls
 they replace.
 
 The construction kernels (PKC, vertex rank, PHCD on both union-find
-engines, preprocessing) hand each adjacency row to a row operation of
-the shared structures, which replays the per-element charges on a local
-(``union_row``, ``AtomicSet.add_pivots``) or folds integer ones
-(``AtomicArray.add_row``).  The pipeline is checked against the
-per-element formulation kept here, and each row operation against the
-per-element calls it stands for.
+engines, preprocessing) are slice kernels: each virtual thread hands its
+whole slice to slice operations of the shared structures, which replay
+the per-element charges on a local (``union_rows``,
+``AtomicSet.add_pivots``) or fold integer ones
+(``AtomicArray.load_le``/``add_row``/``add_many``,
+``ThreadContext.write_row``) in numpy; PKC's peel does so from
+``SLICE_VECTOR_MIN`` elements up.  The pipeline is checked against the
+per-element formulation kept here, on graphs below and above that
+crossover, and the union-find slice operations against the per-element
+calls they stand for.
 """
 
 from __future__ import annotations
@@ -50,8 +54,9 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 from repro.nucleus import nucleus_decomposition, nucleus_hierarchy
+from repro.parallel import atomics
 from repro.parallel.atomics import AtomicArray, AtomicSet
-from repro.parallel.context import ThreadContext
+from repro.parallel.context import SLICE_VECTOR_MIN, ThreadContext, native
 from repro.parallel.cost_model import DEFAULT_COST_MODEL
 from repro.parallel.observers import ObserverFanout
 from repro.parallel.scheduler import SimulatedPool
@@ -268,7 +273,8 @@ FOLDED_REGIONS = ("pbks:typeB_triangles", "pbks:typeB_triplets", "bestk:typeB")
 
 
 class _LoggedArray(AtomicArray):
-    """An ``AtomicArray`` that logs every ``add`` in call order."""
+    """An ``AtomicArray`` that logs every ``add`` in call order, the
+    per-element adds a slice's ``add_many`` stands for included."""
 
     def __init__(self, size: int, name: str) -> None:
         super().__init__(size, dtype=np.float64, name=name)
@@ -277,6 +283,14 @@ class _LoggedArray(AtomicArray):
     def add(self, ctx, index, delta):
         self.log.append((ctx.thread_id, index, delta))
         return super().add(ctx, index, delta)
+
+    def add_many(self, ctx, indices, values):
+        if not ctx.observed:  # observed, add_many calls add
+            self.log.extend(
+                (ctx.thread_id, i, v)
+                for i, v in zip(native(indices), native(values))
+            )
+        return super().add_many(ctx, indices, values)
 
 
 def _ref_pbks_type_a(graph, coreness, hcd, counts, pool, out, num_nodes):
@@ -1160,10 +1174,16 @@ def _run_construct(graph, threads, observer, kernels):
     )
 
 
+#: the search graphs, whose slices stay below ``SLICE_VECTOR_MIN`` at 8
+#: threads, and one whose slices cross it, so the vectorized and the
+#: Python paths of PKC's slice operations both meet the reference
+CONSTRUCT_GRAPHS = dict(SEARCH_GRAPHS, rmat_sliced=lambda: rmat(10, 8, seed=2))
+
+
 @pytest.mark.parametrize("threads", [1, 8])
-@pytest.mark.parametrize("graph_name", sorted(SEARCH_GRAPHS))
+@pytest.mark.parametrize("graph_name", sorted(CONSTRUCT_GRAPHS))
 def test_construction_row_ops_match_per_element_reference(graph_name, threads):
-    graph = SEARCH_GRAPHS[graph_name]()
+    graph = CONSTRUCT_GRAPHS[graph_name]()
     for observer in SEARCH_OBSERVERS:
         clock, regions, records, outputs = _run_construct(
             graph, threads, observer, CONSTRUCT_ROW_OPS
@@ -1182,12 +1202,61 @@ def test_construction_row_ops_match_per_element_reference(graph_name, threads):
                 assert float(work_max).is_integer(), (label, observer)
 
 
-#: per thread, the rows of one region: (x, row, level floor).  Rows
-#: share vertices across threads, repeat a union, and hold entries below
-#: the floor, so finds, failed CAS retries and set hits all occur.
-UF_ROWS = (
-    [(0, [1, 2, 3, 9], 1), (4, [5, 6, 0], 2), (7, [], 0), (8, [7, 9, 4], 1)],
-    [(10, [11, 0, 1], 1), (12, [13, 10, 3], 0), (1, [2, 0], 1), (14, [15], 3)],
+#: slice kernels that loop in Python below ``SLICE_VECTOR_MIN``, by
+#: region label family
+GATED_FAMILIES = ("pkc:scan", "pkc:peel")
+
+
+def test_construction_slices_take_both_paths(monkeypatch):
+    """Fails if the sliced graph stops reaching PKC's vectorized
+    branches (or stops leaving some peel slices below the crossover)."""
+    lengths: dict[str, list[int]] = {}
+    vectorized = Counter()
+    slices = SimulatedPool.parallel_slices
+
+    def spy_slices(self, items, fn, label="parallel_slices", *args, **kwargs):
+        family = label.split("_k")[0]
+
+        def watched(part, ctx):
+            if not ctx.observed:
+                lengths.setdefault(family, []).append(len(part))
+            return fn(part, ctx)
+
+        return slices(self, items, watched, label, *args, **kwargs)
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            vectorized[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(SimulatedPool, "parallel_slices", spy_slices)
+    monkeypatch.setattr(Graph, "gather_rows", counted("rows", Graph.gather_rows))
+    monkeypatch.setattr(
+        atomics, "_ordered_add", counted("add_row", atomics._ordered_add)
+    )
+    graph = CONSTRUCT_GRAPHS["rmat_sliced"]()
+    # the thread counts the reference comparison runs: one thread's
+    # slice is a whole peel frontier
+    for threads in (1, 8):
+        pkc_core_decomposition(graph, SimulatedPool(threads=threads))
+    for family in GATED_FAMILIES:
+        assert max(lengths[family]) >= SLICE_VECTOR_MIN, family
+    peel = [n for n in lengths["pkc:peel"] if n]
+    assert min(peel) < SLICE_VECTOR_MIN  # small frontiers stay in Python
+    assert vectorized["rows"] and vectorized["add_row"]
+
+
+#: per thread, the slices of one region: (level floor, [(x, row)...]).
+#: Rows share vertices across threads, repeat a union, and hold entries
+#: below the floor, so finds, failed CAS retries and set hits all occur;
+#: slices hold several rows, one row, an empty row and no row.
+UF_SLICES = (
+    [(1, [(0, [1, 2, 3, 9]), (8, [7, 9, 4])]), (2, [(4, [5, 6, 0])]),
+     (0, [(7, [])]), (1, [])],
+    [(1, [(10, [11, 0, 1]), (1, [2, 0])]), (0, [(12, [13, 10, 3])]),
+     (3, [(14, [15])])],
 )
 UF_LEVELS = [1, 2, 2, 0, 3, 1, 2, 1, 2, 3, 1, 2, 0, 2, 3, 3]
 
@@ -1208,19 +1277,25 @@ def _uf_rows_region(engine, rate, observer, bulk):
 
     def run(t, ctx):
         ctx.charge(0.1)  # replay from a fractional running total
-        for x, row, floor in UF_ROWS[t]:
+        for floor, pairs in UF_SLICES[t]:
+            xs = [x for x, _ in pairs]
+            rows = [row for _, row in pairs]
             if bulk:
-                pivots.add_pivots(ctx, uf, row, UF_LEVELS, floor + 1, SCAN_CHARGE)
-                uf.union_row(x, row, UF_LEVELS, floor, ctx, SCAN_CHARGE)
+                pivots.add_pivots(ctx, uf, rows, UF_LEVELS, floor + 1, SCAN_CHARGE)
+                uf.union_rows(xs, rows, UF_LEVELS, floor, ctx, SCAN_CHARGE)
                 continue
-            for y in row:
-                ctx.charge(SCAN_CHARGE)
-                if UF_LEVELS[y] > floor:
-                    pivots.add_if_absent(ctx, uf.get_pivot(y, ctx))
-            for y in row:
-                ctx.charge(SCAN_CHARGE)
-                if UF_LEVELS[y] >= floor:
-                    uf.union(x, y, ctx)
+            for row in rows:
+                ctx.charge(1)
+                for y in row:
+                    ctx.charge(SCAN_CHARGE)
+                    if UF_LEVELS[y] > floor:
+                        pivots.add_if_absent(ctx, uf.get_pivot(y, ctx))
+            for x, row in zip(xs, rows):
+                ctx.charge(1)
+                for y in row:
+                    ctx.charge(SCAN_CHARGE)
+                    if UF_LEVELS[y] >= floor:
+                        uf.union(x, y, ctx)
 
     pool.parallel_for([0, 1], run, label="uf_rows")
     pool.set_observer(None)
@@ -1268,3 +1343,35 @@ def test_add_row_matches_per_element_adds():
     for got, want in zip(bulk[0], per_element[0]):
         assert (got.work, got.atomic_ops) == (want.work, want.atomic_ops)
         assert got.atomic_locations == want.atomic_locations == {}
+
+
+def _vectorized_contexts(bulk):
+    """Each thread: add_row, load_le and add_many on a long index list
+    with repeats (their numpy paths), a short one and an empty one, or
+    the per-element calls."""
+    rng = np.random.default_rng(11)
+    contexts = [ThreadContext(t, DEFAULT_COST_MODEL) for t in range(2)]
+    deg = AtomicArray(40, name="deg")
+    deg.data[:] = rng.integers(0, 12, 40)
+    vals = AtomicArray(40, dtype=np.float64, name="vals")
+    got = []
+    for ctx, size in zip(contexts * 3, (3 * SLICE_VECTOR_MIN, 7, 0) * 2):
+        row = rng.integers(0, 40, size)
+        weights = rng.integers(-4, 5, row.size) * 0.5
+        if bulk:
+            got.append(deg.add_row(ctx, row, -1, 2))
+            got.append(deg.load_le(ctx, row, 3))
+            vals.add_many(ctx, row, weights)
+            continue
+        got.append([i for i in row.tolist() if deg.add(ctx, i, -1) - 1 == 2])
+        got.append([i for i in row.tolist() if deg.load(ctx, i) <= 3])
+        for i, w in zip(row.tolist(), weights.tolist()):
+            vals.add(ctx, i, w)
+    counters = [(c.work, c.atomic_ops, dict(c.atomic_locations)) for c in contexts]
+    return got, counters, deg.data.tolist(), vals.data.tobytes()
+
+
+def test_vectorized_slice_ops_match_per_element_calls():
+    bulk, per_element = _vectorized_contexts(True), _vectorized_contexts(False)
+    assert bulk == per_element
+    assert any(bulk[0][0::2])  # some fetch-adds hit the handoff value

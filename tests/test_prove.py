@@ -335,6 +335,89 @@ class TestProofs:
         }
         assert outcomes == {"violation", "unproven"}
 
+    def test_slice_worker_elements_range_over_the_marked_domain(self):
+        # a parallel_slices worker's slice: iterating it, fancy-indexing
+        # with it, its bulk ops and locals built from it all see the
+        # marker's domain; a range slice's start/stop are bounded too
+        src = (
+            "def run(pool, graph, indptr, indices, core, n):\n"
+            "    deg = AtomicArray(n, name='deg')\n"
+            "    def worker(vs, ctx):\n"
+            "        ctx.write_row('core', vs)\n"
+            "        core[vs] = 0\n"
+            "        hits = deg.load_le(ctx, vs, 3)\n"
+            "        if len(vs) > 64:\n"
+            "            nbrs, _ = graph.gather_rows(vs)\n"
+            "        else:\n"
+            "            nbrs = []\n"
+            "            for v in vs:\n"
+            "                nbrs += [u for u in indices[indptr[v] : indptr[v + 1]]]\n"
+            "        deg.add_row(ctx, nbrs, -1, 0)\n"
+            "    # prove: slice of [0, n)\n"
+            "    pool.parallel_slices(front, worker, label='s')\n"
+            "    def ranged(ps, ctx):\n"
+            "        ctx.read_row('core', core[ps.start : ps.stop])\n"
+            "        core[ps.stop] = 1\n"
+            "    pool.parallel_slices(range(n), ranged, label='r')\n"
+        )
+        report = prove_source(
+            src,
+            extents={"indptr": "n + 1", "indices": "2 * m", "core": "n"},
+        )
+        cert = report.certificates["<source>"]
+        got = {
+            (o.kind, o.array, o.index_repr): o.outcome
+            for o in cert.obligations
+        }
+        assert got[("recorded", "core", "*vs")] == "proven"
+        assert got[("store", "core", "*vs")] == "proven"
+        assert got[("atomic", "deg", "*vs")] == "proven"
+        assert got[("atomic", "deg", "*nbrs")] == "proven"
+        assert got[("load", "indptr", "v + 1")] == "proven"
+        assert got[("slice", "core", "ps.start:ps.stop")] == "proven"
+        # ps.stop reaches n: not provably in bounds
+        assert got[("store", "core", "ps.stop")] != "proven"
+        assert any("slice of [0, n)" in a for a in cert.assumptions)
+
+    def test_slice_local_changed_in_place_gets_no_fact(self):
+        # only =/+= assignments give a local its element fact: an
+        # append, an element store or a loop rebinding may put an
+        # out-of-range value in it
+        src = (
+            "def run(pool, n):\n"
+            "    deg = AtomicArray(n, name='deg')\n"
+            "    def worker(vs, ctx):\n"
+            "        xs = [v for v in vs]\n"
+            "        xs.append(n)\n"
+            "        deg.add_row(ctx, xs, -1, 0)\n"
+            "        ys = [v for v in vs]\n"
+            "        ys[0] = n\n"
+            "        deg.add_row(ctx, ys, -1, 0)\n"
+            "        zs = [v for v in vs]\n"
+            "        for zs in [[n]]:\n"
+            "            pass\n"
+            "        deg.add_row(ctx, zs, -1, 0)\n"
+            "        ok = [v for v in vs]\n"
+            "        deg.add_row(ctx, ok.copy(), -1, 0)\n"
+            "        deg.add_row(ctx, ok, -1, 0)\n"
+            "        core[xs] = 0\n"
+            "        core[ok] = 0\n"
+            "    # prove: slice of [0, n)\n"
+            "    pool.parallel_slices(front, worker, label='s')\n"
+        )
+        report = prove_source(src, extents={"core": "n"})
+        cert = report.certificates["<source>"]
+        got = {
+            (o.kind, o.array, o.index_repr): o.outcome
+            for o in cert.obligations
+        }
+        for name in ("xs", "ys", "zs"):
+            assert got[("atomic", "deg", f"*{name}")] == "unproven", name
+        assert got[("atomic", "deg", "*ok")] == "proven"
+        # fancy indexing by a local: by its elements only with a fact
+        assert got[("store", "core", "xs")] == "unproven"
+        assert got[("store", "core", "*ok")] == "proven"
+
     def test_assumption_is_recorded_not_convicting(self):
         src = (
             "def run(pool, out, n):\n"

@@ -325,6 +325,27 @@ class TestLint:
         )
         assert not codes
 
+    def test_slice_worker_elements_are_items(self):
+        # iterating a parallel_slices worker's slice yields items; a
+        # loop over anything else does not, nor in a per-item worker
+        source = (
+            "import numpy as np\n"
+            "out = np.zeros(10)\n"
+            "def worker(vs, ctx):\n"
+            "    ctx.write_row('out', vs)\n"
+            "    out[vs] = 0\n"
+            "    for v in vs:\n"
+            "        out[v] = 1\n"
+            "pool.parallel_slices(items, worker)\n"
+        )
+        assert not _lint_codes(source)
+        assert "SAN101" in _lint_codes(
+            source.replace("for v in vs:", "for v in other:")
+        )
+        assert "SAN101" in _lint_codes(
+            source.replace("parallel_slices", "parallel_for")
+        )
+
     def test_attribute_store_is_error(self):
         codes = _lint_codes(
             "def worker(v, ctx):\n"

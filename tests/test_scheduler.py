@@ -4,10 +4,14 @@ import pytest
 
 from repro.errors import SchedulerError
 from repro.parallel.context import ThreadContext
+import math
+
+from repro.analysis.stats import geometric_mean
 from repro.parallel.cost_model import DEFAULT_COST_MODEL, CostModel, ordered_sum
 from repro.parallel.scheduler import SimulatedPool
 from repro.pipeline import DecompositionResult
 from repro.profiler.report import _imbalance
+from repro.search import metrics
 
 
 class TestPartitioning:
@@ -29,7 +33,7 @@ class TestPartitioning:
 
     def test_dynamic_assignment_covers_all(self):
         pool = SimulatedPool(threads=3)
-        buckets = pool._dynamic_assignment(20, grain=4)
+        buckets = pool._dynamic_slices(range(20), grain=4)
         flat = sorted(i for b in buckets for i in b)
         assert flat == list(range(20))
 
@@ -277,3 +281,74 @@ class TestOrderedSums:
             phase_times={f"p{i}": 0.1 for i in range(10)},
         )
         assert result.total_time == 0.9999999999999999
+
+    def test_metric_scores_and_geometric_mean_add_left_to_right(self, monkeypatch):
+        # inputs whose left-to-right sum (0.0) differs from the
+        # compensated one (builtin sum from Python 3.12, math.fsum)
+        addends = [1e16, 1.0, -1e16]
+        assert ordered_sum(addends) == 0.0 != math.fsum(addends)
+        for key, value in zip(("a", "b", "c"), addends):
+            monkeypatch.setitem(
+                metrics._REGISTRY,
+                key,
+                metrics.Metric(key, "A", lambda v, t, value=value: value),
+            )
+        combined = metrics.combine_metrics(
+            "abc", {"c": 1.0, "a": 1.0, "b": 1.0}, register=False
+        )
+        assert combined(None, None) == 0.0
+        logs = [700.0, 1e-14, -700.0]
+        assert ordered_sum(logs) == 0.0 != math.fsum(logs)
+        assert geometric_mean([math.exp(x) for x in logs]) == 1.0
+
+
+class TestParallelSlices:
+    """One worker call per virtual thread, the same region record."""
+
+    def test_static_slices_keep_the_item_type(self):
+        pool = SimulatedPool(threads=3)
+        got = pool.parallel_slices(range(10), lambda vs, ctx: vs)
+        assert got == [range(0, 4), range(4, 7), range(7, 10)]
+        got = pool.parallel_slices([5, 6, 7], lambda vs, ctx: vs)
+        assert got == [[5], [6], [7]]
+
+    def test_dynamic_slices_deal_chunks_round_robin(self):
+        pool = SimulatedPool(threads=2)
+        got = pool.parallel_slices(
+            list(range(10)), lambda vs, ctx: vs, chunking="dynamic", grain=3
+        )
+        assert got == [[0, 1, 2, 6, 7, 8], [3, 4, 5, 9]]
+
+    @pytest.mark.parametrize("chunking", ["static", "dynamic"])
+    def test_region_matches_parallel_for(self, chunking):
+        def charge(v, ctx):
+            ctx.charge(0.1 * v)
+            ctx.atomic(("cell", v % 3))
+
+        def charge_slice(vs, ctx):
+            for v in vs:
+                charge(v, ctx)
+
+        records = []
+        for run in (
+            lambda p: p.parallel_for(range(50), charge, "r", chunking, 4),
+            lambda p: p.parallel_slices(range(50), charge_slice, "r", chunking, 4),
+        ):
+            pool = SimulatedPool(threads=4)
+            run(pool)
+            (region,) = pool.regions
+            records.append((pool.clock, repr(region), region.work_total,
+                            region.work_max, region.atomic_ops,
+                            region.contention_penalty))
+        assert records[0] == records[1]
+        assert records[0][5] > 0  # the shared cells contend
+
+    def test_slices_reject_nesting_and_bad_chunking(self):
+        pool = SimulatedPool(threads=2)
+        with pytest.raises(SchedulerError):
+            pool.parallel_slices([1], lambda vs, c: vs, chunking="guided")
+        with pytest.raises(SchedulerError):
+            pool.parallel_slices(
+                [1, 2],
+                lambda vs, c: pool.parallel_slices([1], lambda w, d: w),
+            )

@@ -129,6 +129,21 @@ class TestWaitFree:
             wf.union(x, x + 1)
         assert wf.cas_failures == 0
 
+    def test_zero_rate_makes_no_draws(self):
+        # no draw can fail at rate zero, so none is made; above zero
+        # every CAS attempt draws, one xorshift step each
+        draws = []
+        for rate in (0.0, 0.3):
+            wf = SimulatedWaitFreeUnionFind(_ranks(20), failure_rate=rate, seed=7)
+            start = wf._failures._state
+            wf.union_rows(list(range(19)), [[x + 1] for x in range(19)],
+                          [0] * 20, 0, ThreadContext(0, DEFAULT_COST_MODEL), 0.2)
+            for x in range(19):
+                wf.union(x, (x + 2) % 20)
+            draws.append((wf._failures._state != start, wf.cas_attempts))
+        assert draws[0] == (False, 19)
+        assert draws[1][0] and draws[1][1] > 19
+
     def test_deterministic_failure_process(self):
         ranks = _ranks(30)
         runs = []
