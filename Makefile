@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test sanitize memcheck lint flow prove dist profile bench-sanitize bench-profile bench-flow bench-prove bench-dist serve-bench bench-dynamic bench-cluster bench-e2e construct-layers
+.PHONY: check test sanitize memcheck lint flow prove dist profile bench-sanitize bench-profile bench-flow bench-prove bench-dist serve-bench bench-dynamic bench-cluster bench-e2e construct-layers cluster-layers
 
 ## check: the CI gate — tests, strict lint, flow analysis, prove + dist certification, kernel race+memcheck sweep, profiler selftest, serve + dynamic + prove + dist + cluster benches, end-to-end benchmark self-test
 check: test lint flow prove dist sanitize memcheck profile serve-bench bench-dynamic bench-prove bench-dist bench-cluster bench-e2e
@@ -81,3 +81,7 @@ bench-e2e:
 SEED ?= 41
 construct-layers:
 	$(PYTHON) benchmarks/construct_layers.py --seed $(SEED)
+
+## cluster-layers: the same breakdown of the cluster workload (sharding, snapshot build, decomposition, serving) on seed SEED; writes nothing
+cluster-layers:
+	$(PYTHON) benchmarks/construct_layers.py --workload cluster --seed $(SEED)

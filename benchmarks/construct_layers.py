@@ -1,17 +1,28 @@
-"""Per-layer two-clock breakdown of the construct workload.
+"""Per-layer two-clock breakdown of one e2e workload.
 
-Runs ``benchmarks/e2e/run.py --workload construct --trace 1`` on one
-seed in a child process and prints, per layer (PKC, vertex rank, PHCD,
-preprocessing, PBKS), the wall time in calibrated seconds next to the
-sim clock and the work charged, then the region-level counters.  The
-wall column says where an optimization should aim; the sim and work
-columns must not move unless a change means to re-baseline the cost
-model.
+Runs ``benchmarks/e2e/run.py --workload <workload> --trace 1`` on one
+seed in a child process and prints, per layer, the wall time in
+calibrated seconds next to the sim clock and the work charged, then the
+workload's counters.  Two tables:
+
+* ``construct``: PKC, vertex rank, PHCD, preprocessing, PBKS, then the
+  region-level counters;
+* ``cluster``: label-propagation sharding, the snapshot build and
+  publish, the distributed decomposition and the sharded serving
+  calls, then the cluster's compute and comms clocks and its network
+  counters (the cluster layers report wall time only; their sim time
+  is in ``cluster.compute_clock``/``comms_clock``).
+
+The wall column says where an optimization should aim; the sim and
+work columns and the counters must not move unless a change means to
+re-baseline the cost model.
 
 Usage::
 
     python benchmarks/construct_layers.py --seed 41
+    python benchmarks/construct_layers.py --workload cluster --seed 41
     make construct-layers SEED=41
+    make cluster-layers SEED=41
 
 Writes nothing: ``run.py --workload`` without ``--out`` only prints.
 """
@@ -26,59 +37,86 @@ from pathlib import Path
 
 RUN = Path(__file__).parent / "e2e" / "run.py"
 
-#: (layer, metric prefix), in pipeline order
-LAYERS = (
-    ("PKC", "core.pkc"),
-    ("vertex rank", "core.rank"),
-    ("PHCD", "core.phcd"),
-    ("preprocessing", "search.preprocess"),
-    ("PBKS", "search.pbks"),
-)
-COUNTERS = (
-    "parallel.regions",
-    "parallel.items",
-    "parallel.work_units",
-    "parallel.atomic_ops",
-    "parallel.contention",
-    "sim_clock",
-)
+#: per workload: the (layer, metric prefix) rows in pipeline order, then
+#: the counters printed below them
+TABLES = {
+    "construct": (
+        (
+            ("PKC", "core.pkc"),
+            ("vertex rank", "core.rank"),
+            ("PHCD", "core.phcd"),
+            ("preprocessing", "search.preprocess"),
+            ("PBKS", "search.pbks"),
+        ),
+        (
+            "parallel.regions",
+            "parallel.items",
+            "parallel.work_units",
+            "parallel.atomic_ops",
+            "parallel.contention",
+            "sim_clock",
+        ),
+    ),
+    "cluster": (
+        (
+            ("shard (lp)", "cluster.shard"),
+            ("serve build", "serve.build"),
+            ("serve publish", "serve.publish"),
+            ("decompose", "cluster.decompose"),
+            ("serve", "cluster.serve"),
+        ),
+        (
+            "cluster.compute_clock",
+            "cluster.comms_clock",
+            "cluster.supersteps",
+            "cluster.local_rounds",
+            "cluster.messages",
+            "cluster.bytes",
+            "cluster.edge_cut",
+            "sim_clock",
+        ),
+    ),
+}
 
 
-def layer_table(metrics: dict) -> list[str]:
+def layer_table(metrics: dict, workload: str = "construct") -> list[str]:
     """The breakdown as printable lines, from ``run.py``'s metrics."""
+    layers, counters = TABLES[workload]
 
     def value(name: str) -> float | None:
         entry = metrics.get(name)
         return None if entry is None else entry["value"]
 
-    def cell(number: float | None, fmt: str) -> str:
-        return "-" if number is None else format(number, fmt)
+    def cell(number: float | None, spec: str, width: int = 0) -> str:
+        text = "-" if number is None else format(number, spec)
+        return text.rjust(width)
 
     lines = [f"{'layer':<14} {'wall s':>8} {'sim':>14} {'work':>14}"]
-    for layer, prefix in LAYERS:
+    for layer, prefix in layers:
         lines.append(
-            f"{layer:<14} {cell(value(prefix + '_s'), '8.3f')} "
-            f"{cell(value(prefix + '_sim'), '14.1f')} "
-            f"{cell(value(prefix + '_work'), '14.1f')}"
+            f"{layer:<14} {cell(value(prefix + '_s'), '.3f', 8)} "
+            f"{cell(value(prefix + '_sim'), '.1f', 14)} "
+            f"{cell(value(prefix + '_work'), '.1f', 14)}"
         )
     lines.append("")
-    for name in COUNTERS:
+    for name in counters:
         lines.append(f"{name:<22} {cell(value(name), '.10g')}")
     return lines
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=sorted(TABLES), default="construct")
     parser.add_argument("--seed", type=int, default=41)
     args = parser.parse_args(argv)
     proc = subprocess.run(
-        [sys.executable, str(RUN), "--workload", "construct",
+        [sys.executable, str(RUN), "--workload", args.workload,
          "--seed", str(args.seed), "--trace", "1"],
         capture_output=True, text=True, check=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    print(f"construct, seed {args.seed}, correct={result['correct']}")
-    print("\n".join(layer_table(result["metrics"])))
+    print(f"{args.workload}, seed {args.seed}, correct={result['correct']}")
+    print("\n".join(layer_table(result["metrics"], args.workload)))
     return 0
 
 

@@ -29,7 +29,8 @@ import numpy as np
 from repro.cluster.cluster import SimCluster
 from repro.cluster.node import SimNode
 from repro.cluster.shard import ShardedGraph
-from repro.graph.graph import Graph
+from repro.core.distributed import h_index_rows
+from repro.graph.graph import Graph, row_offsets
 
 __all__ = [
     "DistributedReport",
@@ -118,46 +119,40 @@ def _local_refine(
     """
     indptr, indices = graph.indptr, graph.indices
     local = committed.copy()
-    front = sorted(int(v) for v in frontier)
+    front = np.sort(np.asarray(frontier, dtype=np.int64))
     rounds = 0
     with node.pool.phase("cluster.local"):
-        while front:
+        while front.size:
             rounds += 1
             new_vals = local.copy()
 
-            def update(v: int, ctx) -> None:
+            def update(vs: np.ndarray, ctx) -> None:
                 # each frontier vertex owns its new_vals slot; local is
                 # read-only inside the round (double-buffered, as in MPM)
-                v = int(v)
-                start = int(indptr[v])
-                end = int(indptr[v + 1])
-                ctx.write(("cl_new", v))
-                ctx.charge(end - start + 1)
-                cap = int(local[v])
-                row = indices[start:end]
-                vals = np.minimum(local[row], cap)
-                counts = np.bincount(vals, minlength=cap + 1)
-                suffix = np.cumsum(counts[::-1])[::-1]
-                ok = np.flatnonzero(suffix >= np.arange(cap + 1))
-                new_vals[v] = int(ok[-1]) if ok.size else 0
+                starts = indptr[vs]
+                lens = indptr[vs + 1] - starts
+                nbrs = indices[np.repeat(starts, lens) + row_offsets(lens)]
+                ctx.write_row("cl_new", vs)
+                ctx.charge(len(nbrs) + len(vs))
+                h = h_index_rows(local[nbrs], lens, local[vs])
+                new_vals[vs] = np.minimum(h, local[vs])
 
-            node.pool.parallel_for(
+            # slices of the shard's frontier  # prove: slice of [0, n)
+            node.pool.parallel_slices(
                 front,
                 update,
                 label=f"cluster:s{shard_id}:step{step}:r{rounds}",
             )
-            changed = [v for v in front if new_vals[v] < local[v]]
+            changed = front[new_vals[front] < local[front]]
             local = new_vals
-            if not changed:
+            if not changed.size:
                 break
             # a drop wakes the vertex and its shard-local neighbors;
             # remote neighbors wait for the exchange
-            woken: set[int] = set()
-            for v in changed:
-                woken.add(v)
-                row = indices[indptr[v] : indptr[v + 1]]
-                woken.update(int(u) for u in row[owner[row] == shard_id])
-            front = sorted(woken)
+            nbrs = graph.gather_rows(changed)[0]
+            front = np.unique(
+                np.concatenate([changed, nbrs[owner[nbrs] == shard_id]])
+            )
     changed_ids = np.flatnonzero(local != committed).astype(np.int64)
     return changed_ids, local[changed_ids], rounds
 

@@ -132,32 +132,33 @@ def shard_graph(
         raise ValueError("num_shards must be >= 1")
     n = graph.num_vertices
     owner = _owner_labels(graph, num_shards, strategy, pool)
-    indptr, indices = graph.indptr, graph.indices
+    indices = graph.indices
 
-    # remote[v]: does v have any neighbor owned by another shard?
+    # cut[e]: does adjacency entry e cross to another shard?
+    source = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    source_owner = owner[source]
     neighbor_owner = owner[indices]
-    remote_mask = np.zeros(n, dtype=bool)
-    edge_cut = 0
-    for v in range(n):
-        row = neighbor_owner[indptr[v] : indptr[v + 1]]
-        if row.size and bool(np.any(row != owner[v])):
-            remote_mask[v] = True
-            edge_cut += int(np.count_nonzero(row != owner[v]))
-    edge_cut //= 2  # each cut edge seen from both endpoints
+    cut = neighbor_owner != source_owner
+    remote_mask = np.bincount(source[cut], minlength=n) > 0
+    edge_cut = int(np.count_nonzero(cut)) // 2  # each cut edge seen twice
 
     parts: list[ShardPart] = []
     for s in range(num_shards):
         owned = np.flatnonzero(owner == s).astype(np.int64)
         boundary = owned[remote_mask[owned]]
-        ghost_set: set[int] = set()
-        targets: dict[int, tuple[int, ...]] = {}
-        for v in boundary.tolist():
-            row = indices[indptr[v] : indptr[v + 1]]
-            row_owner = owner[row]
-            remote = row_owner != s
-            ghost_set.update(int(u) for u in row[remote])
-            targets[int(v)] = tuple(sorted(set(int(t) for t in row_owner[remote])))
-        ghosts = np.asarray(sorted(ghost_set), dtype=np.int64)
+        # the cut entries leaving shard s, by boundary vertex
+        mine = cut & (source_owner == s)
+        ghosts = np.unique(indices[mine])
+        # one (vertex, destination shard) pair per target, sorted
+        pairs = np.unique(source[mine] * num_shards + neighbor_owner[mine])
+        ends = np.searchsorted(pairs // num_shards, boundary, side="right")
+        dests = (pairs % num_shards).tolist()
+        targets = {
+            v: tuple(dests[start:end])
+            for v, start, end in zip(
+                boundary.tolist(), [0, *ends[:-1].tolist()], ends.tolist()
+            )
+        }
         parts.append(
             ShardPart(
                 shard_id=s,

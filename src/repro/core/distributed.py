@@ -9,30 +9,44 @@ true coreness in ``it_MPM < kmax << n`` rounds; total work is
 
 Each round is one parallel region over the active vertices (those with
 a changed neighbor), simulating the message-passing execution; the
-number of rounds is reported for the convergence claim.
+number of rounds is reported for the convergence claim.  Each virtual
+thread computes its slice's h-indices in one segmented pass
+(:func:`h_index_rows`), which the shard-local rounds of
+:mod:`repro.cluster.decomposition` share.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, row_offsets
 from repro.parallel.scheduler import SimulatedPool
 
-__all__ = ["mpm_core_decomposition"]
+__all__ = ["h_index_rows", "mpm_core_decomposition"]
 
 
-def _h_index(values: list[int], cap: int) -> int:
-    """Largest h <= cap with at least h entries >= h."""
-    counts = [0] * (cap + 1)
-    for value in values:
-        counts[min(value, cap)] += 1
-    total = 0
-    for h in range(cap, -1, -1):
-        total += counts[h]
-        if total >= h:
-            return h
-    return 0
+def h_index_rows(
+    values: np.ndarray, lens: np.ndarray, caps: np.ndarray
+) -> np.ndarray:
+    """The capped h-index of every row of a segmented array.
+
+    Row ``i`` is the next ``lens[i]`` entries of ``values`` (all >= 0);
+    its result is the largest ``h <= caps[i]`` with at least ``h``
+    entries >= ``h``, and 0 for an empty row.  One pass for all rows:
+    cap each entry at its row's cap, sort every row descending with one
+    single-key sort, and count the 1-based ranks ``j`` whose entry is
+    >= ``j`` (they form a prefix of the row, of length ``h``).
+    """
+    rows = len(lens)
+    if not len(values):
+        return np.zeros(rows, dtype=np.int64)
+    seg = np.repeat(np.arange(rows, dtype=np.int64), lens)
+    capped = np.minimum(values, np.repeat(caps, lens))
+    top = int(capped.max()) + 1
+    # row ascending, then value descending; rows keep their positions
+    keys = np.sort(seg * top + (top - 1 - capped))
+    desc = top - 1 - keys % top
+    return np.bincount(seg[desc > row_offsets(lens)], minlength=rows)
 
 
 def mpm_core_decomposition(
@@ -44,30 +58,26 @@ def mpm_core_decomposition(
     estimate = graph.degrees().astype(np.int64).copy()
     if n == 0:
         return estimate, 0
-    indptr, indices = graph.indptr, graph.indices
     active = np.ones(n, dtype=bool)
     rounds = 0
     while bool(active.any()):
         rounds += 1
-        frontier = [int(v) for v in np.flatnonzero(active)]
+        frontier = np.flatnonzero(active)
         new_vals = estimate.copy()
 
-        def update(v: int, ctx) -> None:
+        def update(vs, ctx) -> None:
             # each frontier vertex owns its new_vals slot; estimate is
             # read-only inside the round (double-buffered)
-            ctx.write(("mpm_new", int(v)))
-            neigh_vals = []
-            for u in indices[indptr[v] : indptr[v + 1]]:
-                ctx.charge(1)
-                neigh_vals.append(int(estimate[u]))
-            new_vals[v] = _h_index(neigh_vals, int(estimate[v]))
+            nbrs, lens = graph.gather_rows(vs)
+            ctx.write_row("mpm_new", vs)
+            ctx.charge(len(nbrs))
+            new_vals[vs] = h_index_rows(estimate[nbrs], lens, estimate[vs])
 
-        pool.parallel_for(frontier, update, label=f"mpm:round{rounds}")
+        pool.parallel_slices(frontier, update, label=f"mpm:round{rounds}")
         changed = np.flatnonzero(new_vals != estimate)
         estimate = new_vals
+        # a changed estimate wakes the vertex and its neighborhood
         active[:] = False
-        for v in changed:
-            # a changed estimate wakes the vertex's neighborhood
-            active[indices[indptr[v] : indptr[v + 1]]] = True
-            active[v] = True
+        active[graph.gather_rows(changed)[0]] = True
+        active[changed] = True
     return estimate, rounds

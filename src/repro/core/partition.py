@@ -46,23 +46,25 @@ def label_propagation_partition(
     for it in range(iterations):
         new_labels = labels.copy()
 
-        def relabel(v: int, ctx) -> None:
-            ctx.charge(1)
-            votes: dict[int, int] = {}
-            for u in indices[indptr[v] : indptr[v + 1]]:
-                ctx.charge(1)
-                lab = int(labels[u])
-                votes[lab] = votes.get(lab, 0) + 1
-            if not votes:
-                return
+        def relabel(vs: range, ctx) -> None:
+            lens = np.diff(indptr[vs.start : vs.stop + 1])
+            nbrs = indices[indptr[vs.start] : indptr[vs.stop]]
+            ctx.charge(len(vs) + len(nbrs))
+            # votes[i, lab]: neighbors of vertex vs[i] labelled lab
+            seg = np.repeat(np.arange(len(vs)), lens)
+            votes = np.bincount(
+                seg * num_parts + labels[nbrs], minlength=len(vs) * num_parts
+            ).reshape(-1, num_parts)
             # deterministic argmax: highest count, then lowest label
-            best = min(votes, key=lambda lab: (-votes[lab], lab))
-            if best != labels[v] and sizes[best] < capacity:
-                ctx.atomic(("part_sizes", best))
-                ctx.write(("part_newlab", int(v)), 0.0)
-                new_labels[v] = best
+            best = votes.argmax(axis=1)
+            own = labels[vs.start : vs.stop]
+            moves = (lens > 0) & (best != own) & (sizes[best] < capacity)
+            for i in np.flatnonzero(moves).tolist():
+                ctx.atomic(("part_sizes", int(best[i])))
+                ctx.write(("part_newlab", vs[i]), 0.0)
+            new_labels[vs.start : vs.stop] = np.where(moves, best, own)
 
-        pool.parallel_for(range(n), relabel, label=f"partition:iter{it}")
+        pool.parallel_slices(range(n), relabel, label=f"partition:iter{it}")
         moved = new_labels != labels
         # apply moves and rebalance bookkeeping (serial bookkeeping pass)
         with pool.serial_region("partition:apply") as ctx:

@@ -89,6 +89,12 @@ KERNELS_MODULE = "repro.sanitizer.kernels"
 #: ``min``-flavored callables accepted as min-combining folds.
 _MIN_ATTRS = ("minimum", "fmin", "min")
 
+#: Region calls whose worker runs shard-parallel: a ``parallel_for``
+#: worker's first parameter is its item, a ``parallel_slices`` worker's
+#: its thread's slice of the items; either way every store must be
+#: indexed by it (SAN603).
+_SHARD_PARALLEL_ATTRS = ("parallel_for", "parallel_slices")
+
 #: Container mutators checked for locality in handlers (SAN606) and
 #: counter-confinement on the wire path (SAN604).
 _MUTATORS = frozenset(
@@ -279,6 +285,26 @@ def _attr_chain(expr: ast.AST) -> list[str]:
     if isinstance(expr, ast.Name):
         chain.append(expr.id)
     return chain
+
+
+def _declared_write_slot(node: ast.AST) -> ast.AST | None:
+    """The slot a recorded write names: ``i`` of ``ctx.write((name, i))``
+    or the index sequence of ``ctx.write_row(name, indices)``."""
+    if not (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ):
+        return None
+    args = node.args
+    if (
+        node.func.attr == "write"
+        and args
+        and isinstance(args[0], ast.Tuple)
+        and len(args[0].elts) >= 2
+    ):
+        return args[0].elts[1]
+    if node.func.attr == "write_row" and len(args) >= 2:
+        return args[1]
+    return None
 
 
 def _strip_value(expr: ast.AST) -> ast.AST:
@@ -538,57 +564,6 @@ class DistAnalyzer:
                     return True
         return False
 
-    def _is_cap_hindex(
-        self,
-        info: ModuleInfo,
-        owner: str,
-        value: ast.AST,
-        est_names: frozenset[str],
-    ) -> bool:
-        """``int(ok[-1]) if ok.size else 0`` with
-        ``ok = flatnonzero(suffix >= arange(cap + 1))`` and
-        ``cap = int(<estimate>[v])`` — the h-index recompute is bounded
-        by the current estimate, hence non-increasing."""
-        if not isinstance(value, ast.IfExp):
-            return False
-        orelse = value.orelse
-        if not (isinstance(orelse, ast.Constant) and orelse.value == 0):
-            return False
-        for node in ast.walk(value.body):
-            if not isinstance(node, ast.Subscript):
-                continue
-            base = _base_name_of(node)
-            if base is None:
-                continue
-            entries, bind_owner = self._lookup(info, owner, base)
-            for kind, bexpr, _ in entries:
-                if kind != "expr":
-                    continue
-                if not (
-                    isinstance(bexpr, ast.Call)
-                    and isinstance(bexpr.func, ast.Attribute)
-                    and bexpr.func.attr == "flatnonzero"
-                    and len(bexpr.args) == 1
-                    and isinstance(bexpr.args[0], ast.Compare)
-                ):
-                    continue
-                cmp_ = bexpr.args[0]
-                if not all(
-                    isinstance(op, (ast.GtE, ast.Gt)) for op in cmp_.ops
-                ):
-                    continue
-                for sub in ast.walk(cmp_):
-                    if (
-                        isinstance(sub, ast.Call)
-                        and isinstance(sub.func, ast.Attribute)
-                        and sub.func.attr == "arange"
-                    ):
-                        if self._reads_estimate(
-                            info, bind_owner, sub, est_names
-                        ):
-                            return True
-        return False
-
     def _classify_estimate_store(
         self,
         info: ModuleInfo,
@@ -616,13 +591,10 @@ class DistAnalyzer:
                 for arg in value.args
             ):
                 return "min-combining"
-        # (c) cap-bounded h-index recompute
-        if self._is_cap_hindex(info, owner, value, est_names):
-            return "cap-bounded"
-        # (d) pure transport of an estimate already proven monotone
+        # (c) pure transport of an estimate already proven monotone
         if self._is_estimate_load(info, owner, value, est_names):
             return "transport"
-        # (e) store guarded by a strict decrease test
+        # (d) store guarded by a strict decrease test
         fn = info.functions.get(owner)
         if fn is not None:
             for test in guarding_tests(fn, store):
@@ -714,8 +686,8 @@ class DistAnalyzer:
                             "error",
                             f"store into estimate {base!r} in {owner} "
                             f"{why} — only fetch_min / min-combining / "
-                            "cap-bounded / guarded-decrease stores may "
-                            "flow into shipped boundary estimates",
+                            "guarded-decrease stores may flow into "
+                            "shipped boundary estimates",
                             key,
                         )
                     else:
@@ -1063,7 +1035,7 @@ class DistAnalyzer:
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "parallel_for"
+                    and node.func.attr in _SHARD_PARALLEL_ATTRS
                     and len(node.args) >= 2
                     and isinstance(node.args[1], ast.Name)
                 ):
@@ -1087,8 +1059,9 @@ class DistAnalyzer:
             )
         else:
             cert.obligations["ownership:parallel-writes"] = (
-                f"{checked} parallel_for worker(s): every store indexed "
-                "by the owned item — write-disjoint across shards"
+                f"{checked} shard-parallel worker(s): every store "
+                "indexed by the owned item or slice — write-disjoint "
+                "across shards"
             )
         frontier_ok = True
         inserts = 0
@@ -1182,15 +1155,9 @@ class DistAnalyzer:
                     "shards",
                     f"ownership:{worker.name}@{node.lineno}",
                 )
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "write"
-                and node.args
-                and isinstance(node.args[0], ast.Tuple)
-                and len(node.args[0].elts) >= 2
-            ):
-                declared = _strip_value(node.args[0].elts[1])
+            declared = _declared_write_slot(node)
+            if declared is not None:
+                declared = _strip_value(declared)
                 if not (
                     isinstance(declared, ast.Name) and declared.id == item
                 ):

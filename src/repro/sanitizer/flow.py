@@ -1004,11 +1004,19 @@ class FlowAnalyzer:
                 or base in SAFE_BUILTINS
             ):
                 return
-            if isinstance(target.slice, ast.Slice):
-                return
-            value = env.eval(target.slice)
             line = target.lineno
-            if value is _NON_INJECTIVE:
+            sl = target.slice
+            if isinstance(sl, ast.Slice):
+                # arr[lo:hi] writes lo .. hi - 1, judged like an index
+                if sl.lower is None or sl.upper is None or sl.step is not None:
+                    return
+                lowest, upper = env.eval(sl.lower), env.eval(sl.upper)
+                if not isinstance(upper, dict):
+                    return
+                highest = aff_sub(upper, aff_const(1))
+            else:
+                lowest = highest = env.eval(sl)
+            if lowest is _NON_INJECTIVE:
                 if contiguous and line in info.suppressed:
                     report.suppressed_hits.add((info.path, line))
                 elif contiguous:
@@ -1033,10 +1041,11 @@ class FlowAnalyzer:
                         )
                     )
                 return
-            if not isinstance(value, dict):
+            if not isinstance(lowest, dict):
                 return
             self._judge_store(
-                value,
+                lowest,
+                highest,
                 loop_stack,
                 chunk,
                 worker,
@@ -1051,7 +1060,8 @@ class FlowAnalyzer:
 
     def _judge_store(
         self,
-        affine: dict[str, int],
+        lowest: dict[str, int],
+        highest: dict[str, int],
         loop_stack: list,
         chunk: tuple[str, str] | None,
         worker: _WorkerInfo,
@@ -1061,9 +1071,10 @@ class FlowAnalyzer:
         report: FlowReport,
         worker_name: str,
     ) -> None:
-        # substitute loop variables by their interval endpoints
-        lo_aff = dict(affine)
-        hi_aff = dict(affine)
+        # substitute loop variables by their interval endpoints: the
+        # store writes indices lowest..highest (equal for a scalar index)
+        lo_aff = dict(lowest)
+        hi_aff = dict(highest)
 
         def subst(a: dict[str, int], var: str, repl: dict[str, int]) -> dict:
             coef = a.pop(var, 0)
@@ -1073,13 +1084,14 @@ class FlowAnalyzer:
             return a
 
         for var, lo, hi in reversed(loop_stack):
-            coef = affine.get(var, 0)
             hi_minus_1 = aff_sub(hi, aff_const(1))
-            if coef >= 0:
+            if lowest.get(var, 0) >= 0:
                 lo_aff = subst(lo_aff, var, lo)
-                hi_aff = subst(hi_aff, var, hi_minus_1)
             else:
                 lo_aff = subst(lo_aff, var, hi_minus_1)
+            if highest.get(var, 0) >= 0:
+                hi_aff = subst(hi_aff, var, hi_minus_1)
+            else:
                 hi_aff = subst(hi_aff, var, lo)
 
         def clean(a: dict[str, int]) -> dict[str, int]:

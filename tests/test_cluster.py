@@ -561,6 +561,25 @@ class TestClusterService:
         serving = bench._serving(load("AS").graph)
         assert json.loads(json.dumps(serving)) == committed["serving"]
 
+    def test_committed_bench_cluster_decomposition_is_reproduced(self):
+        # the decomposition section holds only sim-clock numbers: the
+        # range and lp shard sweeps, the threads-per-node sweep and the
+        # MPM baseline.  Same rule as the serving section: rebuilt
+        # exactly, re-recorded only when the accounting legitimately moves
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "bench_cluster", root / "benchmarks" / "bench_cluster.py"
+        )
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        committed = json.loads(
+            (root / "benchmarks" / "results" / "BENCH_cluster.json").read_text()
+        )
+        decomposition = bench._decomposition(load("AS").graph)
+        assert (
+            json.loads(json.dumps(decomposition)) == committed["decomposition"]
+        )
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ClusterServiceConfig(num_shards=0)

@@ -186,6 +186,79 @@ class TestReplay:
 
 
 # ----------------------------------------------------------------------
+# shard ownership (SAN603) of per-item and slice workers
+# ----------------------------------------------------------------------
+
+_OWNERSHIP_PROTOCOL = dict(
+    _PROTOCOL, estimates=("est", "local", "new_vals"), metrics=(), lww=()
+)
+
+_OWNERSHIP_TEMPLATE = """\
+import numpy as np
+
+def refine(node, local, front):
+    new_vals = local.copy()
+
+    def update(vs, ctx):
+        ctx.write_row("new", {declared})
+        new_vals[{stored}] = np.minimum(local[vs], 0)
+
+    node.pool.{region}(front, update)
+    return new_vals
+
+def driver(cluster, est, fronts):
+    committed = est.copy()
+
+    def run(node):
+        refine(node, committed, fronts[node.node_id])
+
+    def exchange():
+        pass
+    cluster.superstep("step", {{0: run}}, exchange)
+"""
+
+#: source line of the planted store and of the write_row declaration
+_STORE_LINE, _DECL_LINE = 8, 7
+
+
+def _ownership(region="parallel_slices", stored="vs", declared="vs"):
+    return analyze_protocol_source(
+        _OWNERSHIP_TEMPLATE.format(
+            region=region, stored=stored, declared=declared
+        ),
+        _OWNERSHIP_PROTOCOL,
+    )
+
+
+class TestOwnership:
+    def test_slice_worker_storing_its_slice_certifies(self):
+        report = _ownership()
+        assert not report.findings, [str(f) for f in report.findings]
+        obligations = report.certificates["toy"].obligations
+        assert obligations["ownership:parallel-writes"].startswith(
+            "1 shard-parallel worker(s)"
+        )
+        assert "min-combining=1" in obligations["monotone:updates"]
+
+    def test_slice_worker_storing_past_its_slice_is_san603(self):
+        report = _ownership(stored="vs + 1")
+        (finding,) = report.findings
+        assert (finding.code, finding.line) == ("SAN603", _STORE_LINE)
+        assert report.certificates["toy"].obligations[
+            "ownership:parallel-writes"
+        ].startswith("VIOLATED")
+
+    def test_slice_worker_declaring_past_its_slice_is_san603(self):
+        report = _ownership(declared="vs + 1")
+        (finding,) = report.findings
+        assert (finding.code, finding.line) == ("SAN603", _DECL_LINE)
+
+    def test_per_item_worker_still_checked(self):
+        report = _ownership(region="parallel_for", stored="vs + 1")
+        assert [f.code for f in report.findings] == ["SAN603"]
+
+
+# ----------------------------------------------------------------------
 # wire schemas (SAN604/605) on a synthetic cluster module
 # ----------------------------------------------------------------------
 

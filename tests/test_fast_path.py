@@ -39,6 +39,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.cluster import decomposition as cluster_decomposition
+from repro.cluster.cluster import SimCluster
+from repro.cluster.decomposition import distributed_core_decomposition
+from repro.cluster.shard import shard_graph
+from repro.core import distributed, partition
 from repro.core.decomposition import core_decomposition
 from repro.core.hcd import HCDBuilder
 from repro.core.phcd import SCAN_CHARGE, phcd_build_hcd
@@ -1375,3 +1380,212 @@ def test_vectorized_slice_ops_match_per_element_calls():
     bulk, per_element = _vectorized_contexts(True), _vectorized_contexts(False)
     assert bulk == per_element
     assert any(bulk[0][0::2])  # some fetch-adds hit the handoff value
+
+
+# ---------------------------------------------------------------------------
+# cluster kernels: slice kernels against the per-vertex formulation
+# ---------------------------------------------------------------------------
+
+
+def _ref_relabel(graph, num_parts, pool, iterations=10, balance_slack=1.10):
+    """Label propagation with one ``relabel`` call, one unit charge per
+    neighbor and a dict of votes per vertex."""
+    n = graph.num_vertices
+    if num_parts < 1:
+        raise ValueError("num_parts must be >= 1")
+    labels = (np.arange(n, dtype=np.int64) * num_parts) // max(n, 1)
+    if n == 0 or num_parts == 1:
+        return labels
+    capacity = int(balance_slack * n / num_parts) + 1
+    indptr, indices = graph.indptr, graph.indices
+    sizes = np.bincount(labels, minlength=num_parts)
+
+    for it in range(iterations):
+        new_labels = labels.copy()
+
+        def relabel(v, ctx):
+            ctx.charge(1)
+            votes = {}
+            for u in indices[indptr[v] : indptr[v + 1]]:
+                ctx.charge(1)
+                lab = int(labels[u])
+                votes[lab] = votes.get(lab, 0) + 1
+            if not votes:
+                return
+            best = min(votes, key=lambda lab: (-votes[lab], lab))
+            if best != labels[v] and sizes[best] < capacity:
+                ctx.atomic(("part_sizes", best))
+                ctx.write(("part_newlab", int(v)), 0.0)
+                new_labels[v] = best
+
+        pool.parallel_for(range(n), relabel, label=f"partition:iter{it}")
+        moved = new_labels != labels
+        with pool.serial_region("partition:apply") as ctx:
+            ctx.charge(int(np.count_nonzero(moved)) + num_parts)
+        labels = new_labels
+        sizes = np.bincount(labels, minlength=num_parts)
+        if not bool(moved.any()):
+            break
+    return labels
+
+
+def _ref_local_refine(node, graph, shard_id, owner, frontier, committed, step):
+    """One shard's local rounds with one ``update`` call and a bincount
+    h-index per frontier vertex."""
+    indptr, indices = graph.indptr, graph.indices
+    local = committed.copy()
+    front = sorted(int(v) for v in frontier)
+    rounds = 0
+    with node.pool.phase("cluster.local"):
+        while front:
+            rounds += 1
+            new_vals = local.copy()
+
+            def update(v, ctx):
+                v = int(v)
+                start = int(indptr[v])
+                end = int(indptr[v + 1])
+                ctx.write(("cl_new", v))
+                ctx.charge(end - start + 1)
+                cap = int(local[v])
+                row = indices[start:end]
+                vals = np.minimum(local[row], cap)
+                counts = np.bincount(vals, minlength=cap + 1)
+                suffix = np.cumsum(counts[::-1])[::-1]
+                ok = np.flatnonzero(suffix >= np.arange(cap + 1))
+                new_vals[v] = int(ok[-1]) if ok.size else 0
+
+            node.pool.parallel_for(
+                front,
+                update,
+                label=f"cluster:s{shard_id}:step{step}:r{rounds}",
+            )
+            changed = [v for v in front if new_vals[v] < local[v]]
+            local = new_vals
+            if not changed:
+                break
+            woken = set()
+            for v in changed:
+                woken.add(v)
+                row = indices[indptr[v] : indptr[v + 1]]
+                woken.update(int(u) for u in row[owner[row] == shard_id])
+            front = sorted(woken)
+    changed_ids = np.flatnonzero(local != committed).astype(np.int64)
+    return changed_ids, local[changed_ids], rounds
+
+
+def _ref_h_index(values, cap):
+    counts = [0] * (cap + 1)
+    for value in values:
+        counts[min(value, cap)] += 1
+    total = 0
+    for h in range(cap, -1, -1):
+        total += counts[h]
+        if total >= h:
+            return h
+    return 0
+
+
+def _ref_mpm(graph, pool):
+    """MPM with one ``update`` call and one unit charge per neighbor."""
+    n = graph.num_vertices
+    estimate = graph.degrees().astype(np.int64).copy()
+    if n == 0:
+        return estimate, 0
+    indptr, indices = graph.indptr, graph.indices
+    active = np.ones(n, dtype=bool)
+    rounds = 0
+    while bool(active.any()):
+        rounds += 1
+        frontier = [int(v) for v in np.flatnonzero(active)]
+        new_vals = estimate.copy()
+
+        def update(v, ctx):
+            ctx.write(("mpm_new", int(v)))
+            neigh_vals = []
+            for u in indices[indptr[v] : indptr[v + 1]]:
+                ctx.charge(1)
+                neigh_vals.append(int(estimate[u]))
+            new_vals[v] = _ref_h_index(neigh_vals, int(estimate[v]))
+
+        pool.parallel_for(frontier, update, label=f"mpm:round{rounds}")
+        changed = np.flatnonzero(new_vals != estimate)
+        estimate = new_vals
+        active[:] = False
+        for v in changed:
+            active[indices[indptr[v] : indptr[v + 1]]] = True
+            active[v] = True
+    return estimate, rounds
+
+
+#: (module, function name, per-vertex reference)
+CLUSTER_REFS = (
+    (partition, "label_propagation_partition", _ref_relabel),
+    (cluster_decomposition, "_local_refine", _ref_local_refine),
+    (distributed, "mpm_core_decomposition", _ref_mpm),
+)
+#: regions whose folded charges rely on integer-only work
+CLUSTER_PREFIXES = ("partition:", "cluster:", "mpm:")
+CLUSTER_SHARDS = 3
+
+
+def _cluster_run(graph, pool):
+    # shared-pool mode: the shards' local rounds land on the observed pool
+    sharded = shard_graph(graph, CLUSTER_SHARDS, strategy="lp", pool=pool)
+    cluster = SimCluster(CLUSTER_SHARDS, pool=pool)
+    report = distributed_core_decomposition(graph, cluster, sharded)
+    coreness, rounds = distributed.mpm_core_decomposition(graph, pool)
+    return (
+        sharded.owner.tolist(), report.coreness.tolist(), report.as_dict(),
+        coreness.tolist(), rounds,
+    )
+
+
+def _run_cluster(graph, threads, observer, reference):
+    def body(pool):
+        with pytest.MonkeyPatch.context() as mp:
+            if reference:
+                for module, name, fn in CLUSTER_REFS:
+                    mp.setattr(module, name, fn)
+            return _cluster_run(graph, pool)
+
+    return _captured_run(threads, observer, body)
+
+
+CLUSTER_GRAPHS = dict(SEARCH_GRAPHS, rmat_sliced=lambda: rmat(10, 8, seed=2))
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+@pytest.mark.parametrize("graph_name", sorted(CLUSTER_GRAPHS))
+def test_cluster_slice_kernels_match_per_vertex_reference(graph_name, threads):
+    graph = CLUSTER_GRAPHS[graph_name]()
+    for observer in SEARCH_OBSERVERS:
+        got = _run_cluster(graph, threads, observer, reference=False)
+        want = _run_cluster(graph, threads, observer, reference=True)
+        clock, regions, records, outputs = got
+        assert clock == want[0], observer
+        assert regions == want[1], observer
+        # per (region, thread): same histogram, same events as a multiset
+        assert records == want[2], observer
+        assert outputs == want[3], observer
+        assert outputs[1] == outputs[3] == core_decomposition(graph).tolist()
+        families = {label.split(":")[0] for label, *_ in regions}
+        assert {"partition", "cluster", "mpm"} <= families
+        for label, _, work_total, work_max, *_ in regions:
+            if label.startswith(CLUSTER_PREFIXES):
+                assert float(work_total).is_integer(), (label, observer)
+                assert float(work_max).is_integer(), (label, observer)
+
+
+def test_h_index_rows_matches_per_row_h_index():
+    rng = np.random.default_rng(17)
+    lens = rng.integers(0, 9, 300)
+    values = rng.integers(0, 12, int(lens.sum()))
+    caps = rng.integers(0, 10, lens.size)
+    want, start = [], 0
+    for size, cap in zip(lens.tolist(), caps.tolist()):
+        want.append(_ref_h_index(values[start : start + size].tolist(), cap))
+        start += size
+    assert distributed.h_index_rows(values, lens, caps).tolist() == want
+    empty = distributed.h_index_rows(np.empty(0, np.int64), np.zeros(3, np.int64), caps[:3])
+    assert empty.tolist() == [0, 0, 0]

@@ -296,6 +296,13 @@ def run(pool, out, n):
     pool.parallel_for(range(n), worker)
 """
 
+SLICE_STORE = """
+def run(pool, out, n):
+    def worker(vs, ctx):
+        out[vs.start : vs.stop{end}] = 1
+    pool.parallel_slices(range(n), worker)
+"""
+
 PER_ITEM_UNPROVEN = """
 def run(pool, out, items, perm):
     def worker(v, ctx):
@@ -329,6 +336,16 @@ class TestDisjointWrites:
     def test_modulo_fold_over_range_items_is_san403(self):
         rep = analyze_source(PER_ITEM_FOLD, "m.py")
         assert [f.code for f in rep.findings] == ["SAN403"]
+
+    def test_slice_store_inside_owned_range_verified(self):
+        rep = analyze_source(SLICE_STORE.format(end=""), "m.py")
+        assert not rep.findings
+        assert [v.mode for v in rep.verified] == ["chunk"]
+
+    def test_slice_store_past_owned_range_is_san403(self):
+        rep = analyze_source(SLICE_STORE.format(end=" + 1"), "m.py")
+        assert [f.code for f in rep.findings] == ["SAN403"]
+        assert not rep.verified
 
     def test_data_dependent_index_unproven_not_flagged(self):
         rep = analyze_source(PER_ITEM_UNPROVEN, "m.py")
