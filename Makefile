@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test sanitize memcheck lint flow prove dist profile bench-sanitize bench-profile bench-flow bench-prove bench-dist serve-bench bench-dynamic bench-cluster bench-e2e construct-layers cluster-layers
+.PHONY: check test sanitize memcheck lint flow prove dist profile bench-sanitize bench-profile bench-flow bench-prove bench-dist serve-bench bench-dynamic bench-cluster bench-e2e construct-layers cluster-layers serve-layers dynamic-layers
 
 ## check: the CI gate — tests, strict lint, flow analysis, prove + dist certification, kernel race+memcheck sweep, profiler selftest, serve + dynamic + prove + dist + cluster benches, end-to-end benchmark self-test
 check: test lint flow prove dist sanitize memcheck profile serve-bench bench-dynamic bench-prove bench-dist bench-cluster bench-e2e
@@ -85,3 +85,11 @@ construct-layers:
 ## cluster-layers: the same breakdown of the cluster workload (sharding, snapshot build, decomposition, serving) on seed SEED; writes nothing
 cluster-layers:
 	$(PYTHON) benchmarks/construct_layers.py --workload cluster --seed $(SEED)
+
+## serve-layers: the same breakdown of the serve workload (snapshot build, publish, open, warm, hit and miss calls, request-stage sim times) on seed SEED; writes nothing
+serve-layers:
+	$(PYTHON) benchmarks/construct_layers.py --workload serve --seed $(SEED)
+
+## dynamic-layers: the same breakdown of the dynamic workload (batched repair, delta publish, reader refresh, time to visibility) on seed SEED; writes nothing
+dynamic-layers:
+	$(PYTHON) benchmarks/construct_layers.py --workload dynamic --seed $(SEED)

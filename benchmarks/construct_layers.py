@@ -11,7 +11,13 @@ workload's counters.  Two tables:
   publish, the distributed decomposition and the sharded serving
   calls, then the cluster's compute and comms clocks and its network
   counters (the cluster layers report wall time only; their sim time
-  is in ``cluster.compute_clock``/``comms_clock``).
+  is in ``cluster.compute_clock``/``comms_clock``);
+* ``serve``: the snapshot build, publish, open and warm-up, then the
+  median hit and miss call in milliseconds, then the serving counters
+  and the sim time of each request stage;
+* ``dynamic``: the batched repair, the delta publish and the reader's
+  refresh, then the time from a batch's submission to its first answer
+  (``visible``), then the repair counters.
 
 The wall column says where an optimization should aim; the sim and
 work columns and the counters must not move unless a change means to
@@ -23,6 +29,8 @@ Usage::
     python benchmarks/construct_layers.py --workload cluster --seed 41
     make construct-layers SEED=41
     make cluster-layers SEED=41
+    make serve-layers SEED=41
+    make dynamic-layers SEED=41
 
 Writes nothing: ``run.py --workload`` without ``--out`` only prints.
 """
@@ -37,8 +45,9 @@ from pathlib import Path
 
 RUN = Path(__file__).parent / "e2e" / "run.py"
 
-#: per workload: the (layer, metric prefix) rows in pipeline order, then
-#: the counters printed below them
+#: per workload: the (layer, metric prefix[, wall unit]) rows in pipeline
+#: order, then the counters printed below them; the wall column reads
+#: ``<prefix>_<unit>``, seconds unless the row names another unit
 TABLES = {
     "construct": (
         (
@@ -76,6 +85,45 @@ TABLES = {
             "sim_clock",
         ),
     ),
+    "serve": (
+        (
+            ("build", "serve.build"),
+            ("publish", "serve.publish"),
+            ("open", "serve.open"),
+            ("warm", "serve.warm"),
+            ("hit call", "serve.hit_call", "ms"),
+            ("miss call", "serve.miss_call", "ms"),
+        ),
+        (
+            "serve.hit_rate",
+            "serve.computed",
+            "serve.coalesced",
+            "serve.batches",
+            "serve.admit_sim",
+            "serve.plan_sim",
+            "serve.cache_sim",
+            "serve.execute_sim",
+            "sim_clock",
+        ),
+    ),
+    "dynamic": (
+        (
+            ("apply", "dynamic.apply"),
+            ("publish", "serve.publish"),
+            ("refresh", "serve.refresh"),
+            ("visible", "visible"),
+        ),
+        (
+            "dynamic.changed",
+            "dynamic.rounds",
+            "dynamic.recompute_s",
+            "mutations_per_s",
+            "parallel.regions",
+            "parallel.work_units",
+            "parallel.atomic_ops",
+            "sim_clock",
+        ),
+    ),
 }
 
 
@@ -91,11 +139,12 @@ def layer_table(metrics: dict, workload: str = "construct") -> list[str]:
         text = "-" if number is None else format(number, spec)
         return text.rjust(width)
 
-    lines = [f"{'layer':<14} {'wall s':>8} {'sim':>14} {'work':>14}"]
-    for layer, prefix in layers:
+    lines = [f"{'layer':<14} {'wall':>8}    {'sim':>14} {'work':>14}"]
+    for layer, prefix, *unit in layers:
+        unit = unit[0] if unit else "s"
         lines.append(
-            f"{layer:<14} {cell(value(prefix + '_s'), '.3f', 8)} "
-            f"{cell(value(prefix + '_sim'), '.1f', 14)} "
+            f"{layer:<14} {cell(value(f'{prefix}_{unit}'), '.3f', 8)} "
+            f"{unit:<2} {cell(value(prefix + '_sim'), '.1f', 14)} "
             f"{cell(value(prefix + '_work'), '.1f', 14)}"
         )
     lines.append("")

@@ -118,17 +118,13 @@ def validate_csr(indptr: np.ndarray, indices: np.ndarray) -> None:
                     f"sorted (offset {int(bad[0])})"
                 )
         # Symmetry: the multiset of (src, dst) arcs must equal the
-        # multiset of (dst, src) arcs.  Sort both and compare.
-        fwd = np.lexsort((indices, src))
-        rev = np.lexsort((src, indices))
-        if not (
-            np.array_equal(src[fwd], indices[rev])
-            and np.array_equal(indices[fwd], src[rev])
-        ):
-            mismatch = np.flatnonzero(
-                (src[fwd] != indices[rev]) | (indices[fwd] != src[rev])
-            )
-            k = int(fwd[mismatch[0]])
+        # multiset of (dst, src) arcs.  The checks above leave the arcs
+        # sorted by (src, dst), and a stable sort by dst alone sorts
+        # them by (dst, src): one sort, and arc k is the first offender.
+        rev = np.argsort(indices, kind="stable")
+        mismatch = np.flatnonzero((src != indices[rev]) | (indices != src[rev]))
+        if mismatch.size:
+            k = int(mismatch[0])
             raise GraphFormatError(
                 f"graph is not symmetric: arc ({int(src[k])}, "
                 f"{int(indices[k])}) has no reverse arc"

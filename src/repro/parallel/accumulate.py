@@ -31,6 +31,39 @@ def tree_depths(parents: Sequence[int]) -> np.ndarray:
     """
     parents = np.asarray(parents, dtype=np.int64)
     n = parents.size
+    if n and parents.min() >= -1 and parents.max() < n:
+        depths = _doubled_depths(parents)
+        if depths is not None:
+            return depths
+    return _walked_depths(parents)
+
+
+def _doubled_depths(parents: np.ndarray) -> np.ndarray | None:
+    """Depths by pointer doubling, or ``None`` when the links have a cycle.
+
+    ``hop[v]`` is an ancestor of ``v`` (``-1`` once past the root) and
+    ``dist[v]`` the number of links from ``v`` up to it, or ``v``'s depth
+    once ``hop[v]`` is ``-1``.  Every round doubles the span, so a forest
+    of ``n`` nodes settles within ``ceil(log2 n)`` rounds; links still
+    unsettled after one more round run in a cycle.
+    """
+    n = parents.size
+    hop = parents.copy()
+    dist = (hop != -1).astype(np.int64)
+    for _ in range(int(n - 1).bit_length() + 1):
+        live = np.flatnonzero(hop != -1)
+        if not live.size:
+            return dist
+        up = hop[live]
+        dist[live] += dist[up]
+        hop[live] = hop[up]
+    return None
+
+
+def _walked_depths(parents: np.ndarray) -> np.ndarray:
+    """Depths by walking each node's path up to a known depth; names the
+    first out-of-range parent or cycle it meets."""
+    n = parents.size
     depths = np.full(n, -1, dtype=np.int64)
     for start in range(n):
         if depths[start] != -1:

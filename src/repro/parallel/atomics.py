@@ -191,6 +191,31 @@ class AtomicArray:
             ctx.atomic_load(self._observed_word(ctx, index))
         return old
 
+    def fetch_min_many(self, ctx: ThreadContext, indices, values) -> None:
+        """:meth:`fetch_min` of ``values[j]`` at ``indices[j]`` for every
+        ``j``, in order; the old values are not returned.
+
+        A slice's min-folds whose results nobody reads.  Unobserved, the
+        loads are one ``len(indices)`` charge, exact while every addend
+        of the region's ``work`` is an integer, and each improving value
+        adds one atomic op and tallies its cache line in order, as the
+        per-element CAS does.  "Improving" is ``value < slot``, as in
+        :meth:`fetch_min`: NaN never wins and the first stored of
+        ``0.0``/``-0.0`` stays.  With an observer attached it makes the
+        per-element :meth:`fetch_min` calls.
+        """
+        if ctx.observed:
+            for i, value in zip(native(indices), native(values)):
+                self.fetch_min(ctx, i, value)
+            return
+        data, slots, name = self._data, self._slots, self._name
+        contended = []
+        for i, value in zip(native(indices), native(values)):
+            if value < slots[i]:
+                data[i] = value
+                contended.append((name, i // CACHELINE_WORDS))
+        ctx.commit_row(ctx.work + len(indices), contended)
+
     def add_row(
         self, ctx: ThreadContext, indices, delta: int, hit: int
     ) -> list[int]:

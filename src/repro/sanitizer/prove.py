@@ -119,6 +119,7 @@ _COMMUTATIVE_METHODS = frozenset(
     {
         "fetch_add",
         "fetch_min",
+        "fetch_min_many",
         "fetch_max",
         "compare_and_swap",
         "claim",
@@ -140,7 +141,9 @@ _INDEXED_ATOMIC_METHODS = frozenset(
 )
 #: Bulk atomic methods with an ``(ctx, indices)`` signature — every
 #: element of the index list is a bounds obligation.
-_BULK_ATOMIC_METHODS = frozenset({"claim", "add_row", "add_many", "load_le"})
+_BULK_ATOMIC_METHODS = frozenset(
+    {"claim", "add_row", "add_many", "fetch_min_many", "load_le"}
+)
 #: Receivers of either kind self-declare their extent.
 _EXTENT_ATOMIC_METHODS = _INDEXED_ATOMIC_METHODS | _BULK_ATOMIC_METHODS
 

@@ -30,6 +30,7 @@ from repro.sanitizer.memcheck import san_empty
 
 __all__ = [
     "BestKResult",
+    "bestk_type_a_contributions",
     "bestk_type_b_contributions",
     "compute_level_values",
     "find_best_k",
@@ -73,20 +74,7 @@ def compute_level_values(
     if counts is None:
         counts = preprocess_neighbor_counts(graph, coreness, pool)
     levels = AtomicArray((kmax + 1) * 5, dtype=np.float64, name="bestk_vals")
-    # the kernel reads native ints: one conversion per call
-    core = coreness.tolist()
-    gt, eq, lt = counts.gt.tolist(), counts.eq.tolist(), counts.lt.tolist()
-
-    def contribute_a(v: int, ctx) -> None:
-        ctx.charge(3)
-        k = core[v]
-        levels.add(ctx, k * 5 + _N, 1.0)
-        levels.add(ctx, k * 5 + _M, gt[v] + 0.5 * eq[v])
-        levels.add(ctx, k * 5 + _B, lt[v] - gt[v])
-
-    pool.parallel_for(
-        range(n), contribute_a, label="bestk:typeA", chunking="dynamic", grain=32
-    )
+    bestk_type_a_contributions(coreness, counts, pool, levels)
 
     if need_type_b:
         if rank_result is None:
@@ -101,6 +89,42 @@ def compute_level_values(
     with pool.serial_region("bestk:suffix") as ctx:
         ctx.charge(kmax + 1)
     return values
+
+
+def bestk_type_a_contributions(
+    coreness: np.ndarray,
+    counts: NeighborCorenessCounts,
+    pool: SimulatedPool,
+    levels: AtomicArray,
+) -> None:
+    """Per-vertex (n, m, b) contributions credited to coreness levels.
+
+    PBKS's type-A contributions (Algorithm 4) indexed by the vertex's
+    coreness instead of its tree node: one vertex, ``gt + eq/2`` new
+    edges and ``lt - gt`` boundary edges.
+    """
+    gt, eq, lt = counts.gt, counts.eq, counts.lt
+
+    def contribute_a(vs: list[int], ctx) -> None:
+        # per vertex: three units, then one relaxed fetch-add on each of
+        # the n, m and b slots of its level, in that order; np.add.at
+        # adds in that order too, so the float slots are bit-identical
+        ctx.charge(3 * len(vs))
+        base = coreness[vs] * 5
+        g = gt[vs]
+        slots = np.column_stack((base + _N, base + _M, base + _B))
+        values = np.column_stack(
+            (np.ones(len(vs)), g + 0.5 * eq[vs], lt[vs] - g)
+        )
+        levels.add_many(ctx, slots.ravel(), values.ravel())
+
+    pool.parallel_slices(
+        range(len(coreness)),
+        contribute_a,
+        label="bestk:typeA",
+        chunking="dynamic",
+        grain=32,
+    )
 
 
 def bestk_type_b_contributions(

@@ -77,19 +77,21 @@ class InfluentialCommunityIndex:
         node_min = AtomicArray(t, dtype=np.float64, name="inf_min")
         node_min.data[:] = np.inf
         sizes = AtomicArray(t, dtype=np.int64, name="inf_size")
-        tid = hcd.tid.tolist()
-        weight = weights.tolist()
+        tid = hcd.tid
 
         # per-node minima over the node's own vertices
-        def fold_vertex(v: int, ctx) -> None:
-            ctx.charge(1)
-            node = tid[v]
-            node_min.fetch_min(ctx, node, weight[v])
-            sizes.add(ctx, node, 1)
+        def fold(vs: range, ctx) -> None:
+            # per vertex: one unit, a min-fold of its weight and a
+            # relaxed count into its node.  Every charge is an integer,
+            # so the slice's charges fold exactly.
+            ctx.charge(len(vs))
+            nodes = tid[vs.start : vs.stop]
+            node_min.fetch_min_many(ctx, nodes, weights[vs.start : vs.stop])
+            sizes.add_many(ctx, nodes, np.ones(len(vs), dtype=np.int64))
 
         if hcd.num_vertices:
-            pool.parallel_for(
-                range(hcd.num_vertices), fold_vertex, label="influence:fold"
+            pool.parallel_slices(
+                range(hcd.num_vertices), fold, label="influence:fold"
             )
         node_min = node_min.data.tolist()
         sizes = sizes.data.tolist()

@@ -164,22 +164,28 @@ class SnapshotExecutor:
         """Score every row of a values matrix; return (scores, argmax)."""
         metric = get_metric(metric_name)
         totals = self._totals
-        rows = values.shape[0]
-        scores = san_empty(rows, np.float64, name="serve_scores")
+        count = values.shape[0]
+        scores = san_empty(count, np.float64, name="serve_scores")
 
-        def score_row(i: int, ctx) -> None:
-            n_, m_, b_, tri, trip = values[i]
-            value = metric(
-                PrimaryValues(n=n_, m=m_, b=b_, triangles=tri, triplets=trip),
-                totals,
-            )
-            # each row owns its score slot; the value rides along so
-            # memcheck can name this kernel as a NaN origin
-            ctx.write(("serve_scores", int(i)), value=value)
-            scores[i] = value
+        def score_rows(rows: range, ctx) -> None:
+            # the slice's rows read once, column by column, so every
+            # field is still the np.float64 scalar a registered metric
+            # has always been given
+            block = values[rows.start : rows.stop]
+            out = []
+            for i, n_, m_, b_, tri, trip in zip(rows, *block.T):
+                value = metric(
+                    PrimaryValues(n=n_, m=m_, b=b_, triangles=tri, triplets=trip),
+                    totals,
+                )
+                # each row owns its score slot; the value rides along so
+                # memcheck can name this kernel as a NaN origin
+                ctx.write(("serve_scores", i), value=value)
+                out.append(value)
+            scores[rows.start : rows.stop] = out
 
-        if rows:
-            self.pool.parallel_for(range(rows), score_row, label=label)
+        if count:
+            self.pool.parallel_slices(range(count), score_rows, label=label)
         return scores, best_finite_index(scores)
 
     def _run_pbks(self, query: Query) -> QueryResult:

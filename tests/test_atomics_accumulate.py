@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import HierarchyError
+from repro.parallel import accumulate
 from repro.parallel.accumulate import tree_accumulate, tree_depths
 from repro.parallel.atomics import AtomicArray, AtomicCounter, AtomicList, AtomicSet
 from repro.parallel.context import ThreadContext
@@ -91,6 +92,66 @@ class TestTreeDepths:
 
     def test_empty(self):
         assert tree_depths([]).size == 0
+
+
+def _random_forest(rng, n, roots):
+    """Parents of a random forest on shuffled labels."""
+    order = rng.permutation(n)
+    parents = np.full(n, -1, dtype=np.int64)
+    for pos in range(roots, n):
+        parents[order[pos]] = order[rng.integers(0, pos)]
+    return parents
+
+
+def _forests():
+    rng = np.random.default_rng(3)
+    yield "single", np.array([-1])
+    for n in (2, 3, 17, 64, 65, 500):
+        yield f"random{n}", _random_forest(rng, n, 1 + n // 10)
+        yield f"chain{n}", np.arange(-1, n - 1)
+        labels = rng.permutation(n)
+        chain = np.full(n, -1, dtype=np.int64)
+        chain[labels[1:]] = labels[:-1]
+        yield f"shuffled_chain{n}", chain
+        yield f"star{n}", np.r_[-1, np.zeros(n - 1, dtype=np.int64)]
+    yield "roots", np.full(9, -1)
+
+
+class TestTreeDepthsDoubling:
+    """Pointer doubling against the per-node walk it falls back to."""
+
+    @pytest.mark.parametrize("name, parents", list(_forests()))
+    def test_matches_walk(self, name, parents, monkeypatch):
+        want = accumulate._walked_depths(parents)
+
+        def no_walk(parents):
+            raise AssertionError("a valid forest took the walk")
+
+        monkeypatch.setattr(accumulate, "_walked_depths", no_walk)
+        got = tree_depths(parents)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize(
+        "parents, message",
+        [
+            ([1, 0], "cycle detected in parent links"),
+            ([0], "cycle detected in parent links"),
+            # a tree, then a chain into a cycle
+            ([-1, 0, 1, 4, 5, 3, 2], "cycle detected in parent links"),
+            ([5], "parent 5 of node 0 out of range"),
+            ([-1, 0, -2], "parent -2 of node 2 out of range"),
+            ([-1, 3, 1], "parent 3 of node 1 out of range"),
+            # the walk meets the cycle before the bad parent
+            ([1, 0, 7], "cycle detected in parent links"),
+        ],
+    )
+    def test_errors_are_the_walks(self, parents, message):
+        with pytest.raises(HierarchyError) as doubled:
+            tree_depths(parents)
+        with pytest.raises(HierarchyError) as walked:
+            accumulate._walked_depths(np.asarray(parents, dtype=np.int64))
+        assert str(doubled.value) == str(walked.value) == message
 
 
 class TestTreeAccumulate:

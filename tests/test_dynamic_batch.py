@@ -454,3 +454,22 @@ def test_committed_bench_dynamic_repair_is_reproduced():
         "maintenance": committed["maintenance"],
         "threads": committed["threads"],
     }
+
+
+def test_committed_bench_dynamic_publishing_is_reproduced():
+    # the publishing section holds only publish counts, sim clocks and
+    # work units (serve_work_units covers the serving layer's shared
+    # passes and score folds), so the bench must rebuild it exactly
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "bench_dynamic", root / "benchmarks" / "bench_dynamic.py"
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    committed = json.loads(
+        (root / "benchmarks" / "results" / "BENCH_dynamic.json").read_text()
+    )
+    graph = load(bench.DATASET).graph
+    insertions, deletions = bench._mutation_batch(graph)
+    rebuilt = bench._publishing(graph, insertions, deletions)
+    assert json.loads(json.dumps(rebuilt)) == committed["publishing"]

@@ -30,6 +30,11 @@ the per-element charges on a local (``union_rows``,
 per-element formulation kept here, on graphs below and above that
 crossover, and the union-find slice operations against the per-element
 calls they stand for.
+
+Serving's shared passes (the influential-index fold, best-k type A) and
+its score folds are slice kernels too, checked through one whole
+``SnapshotExecutor.execute`` against the per-vertex and per-row kernels
+kept here.
 """
 
 from __future__ import annotations
@@ -68,7 +73,12 @@ from repro.parallel.scheduler import SimulatedPool
 from repro.sanitizer.detector import RaceDetector
 from repro.sanitizer.memcheck import MemChecker, san_empty
 from repro.search import bks
-from repro.search.best_k import bestk_type_b_contributions
+from repro.search import best_k
+from repro.search.best_k import (
+    bestk_type_a_contributions,
+    bestk_type_b_contributions,
+)
+from repro.search.metrics import get_metric
 from repro.search.pbks import (
     pbks_type_a_contributions,
     pbks_type_b_contributions,
@@ -77,6 +87,11 @@ from repro.search.preprocessing import (
     NeighborCorenessCounts,
     preprocess_neighbor_counts,
 )
+from repro.search.primary_values import PrimaryValues
+from repro.search.result import best_finite_index
+from repro.serve.executor import SnapshotExecutor
+from repro.serve.planner import QueryPlanner, normalize_request
+from repro.serve.snapshot import build_snapshot
 from repro.truss import truss_decomposition, truss_hierarchy
 from repro.unionfind.pivot import PivotUnionFind
 from repro.unionfind.waitfree import SimulatedWaitFreeUnionFind
@@ -378,6 +393,24 @@ def _ref_pbks_type_b(graph, coreness, hcd, counts, ranks, pool, out, num_nodes):
     )
 
 
+def _ref_contribute_a(coreness, counts, pool, levels):
+    """Best-k type A, one worker call and three ``add`` calls per vertex."""
+    core = coreness.tolist()
+    gt, eq, lt = counts.gt.tolist(), counts.eq.tolist(), counts.lt.tolist()
+
+    def contribute_a(v: int, ctx) -> None:
+        ctx.charge(3)
+        k = core[v]
+        levels.add(ctx, k * 5 + _N, 1.0)
+        levels.add(ctx, k * 5 + _M, gt[v] + 0.5 * eq[v])
+        levels.add(ctx, k * 5 + _B, lt[v] - gt[v])
+
+    pool.parallel_for(
+        range(len(core)), contribute_a, label="bestk:typeA",
+        chunking="dynamic", grain=32,
+    )
+
+
 def _ref_bestk_type_b(graph, coreness, counts, ranks, pool, levels):
     indptr, indices = graph.indptr, graph.indices
     degrees = graph.degrees()
@@ -497,6 +530,12 @@ SEARCH_KERNELS = {
             g, c, h, k, r, pool, out, h.num_nodes
         ),
         lambda c, h: h.num_nodes * 5,
+    ),
+    "bestk_typeA": (
+        bestk_type_a_contributions,
+        _ref_contribute_a,
+        lambda fn, g, c, r, h, k, pool, out: fn(c, k, pool, out),
+        lambda c, h: (int(c.max()) + 1) * 5,
     ),
     "bestk_typeB": (
         bestk_type_b_contributions,
@@ -1589,3 +1628,100 @@ def test_h_index_rows_matches_per_row_h_index():
     assert distributed.h_index_rows(values, lens, caps).tolist() == want
     empty = distributed.h_index_rows(np.empty(0, np.int64), np.zeros(3, np.int64), caps[:3])
     assert empty.tolist() == [0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# serving's shared passes and score folds: slice kernels vs per element
+# ---------------------------------------------------------------------------
+
+
+def _ref_score_fold(self, values, metric_name, label):
+    """``SnapshotExecutor._score_fold`` with one worker call per row."""
+    metric = get_metric(metric_name)
+    totals = self._totals
+    rows = values.shape[0]
+    scores = san_empty(rows, np.float64, name="serve_scores")
+
+    def score_row(i: int, ctx) -> None:
+        n_, m_, b_, tri, trip = values[i]
+        value = metric(
+            PrimaryValues(n=n_, m=m_, b=b_, triangles=tri, triplets=trip),
+            totals,
+        )
+        ctx.write(("serve_scores", int(i)), value=value)
+        scores[i] = value
+
+    if rows:
+        self.pool.parallel_for(range(rows), score_row, label=label)
+    return scores, best_finite_index(scores)
+
+
+#: type-A and type-B metrics over both values matrices, separability's
+#: infinite scores, and the influential index the executor memoizes
+SERVE_REQUESTS = (
+    {"kind": "pbks", "metric": "average_degree"},
+    {"kind": "pbks", "metric": "separability"},
+    {"kind": "pbks", "metric": "clustering_coefficient"},
+    {"kind": "best_k", "metric": "conductance"},
+    {"kind": "best_k", "metric": "triangle_participation"},
+    {"kind": "influential", "k": 2, "r": 3, "weights": "degree"},
+)
+
+
+def _run_serve(graph, threads, observer, reference):
+    plan = QueryPlanner().plan(
+        [(rid, normalize_request(dict(r))) for rid, r in enumerate(SERVE_REQUESTS)]
+    )
+
+    def body(pool):
+        snapshot = build_snapshot(graph, pool=pool, name="fast-path")
+        with pytest.MonkeyPatch.context() as mp:
+            if reference:
+                mp.setattr(best_k, "bestk_type_a_contributions", _ref_contribute_a)
+                mp.setattr(SnapshotExecutor, "_score_fold", _ref_score_fold)
+            executor = SnapshotExecutor(snapshot, pool)
+            results = executor.execute(plan)
+        answers = repr(sorted((fp, r.as_dict()) for fp, r in results.items()))
+        levels = [v.tobytes() for v in executor._level_values.values()]
+        return answers, levels
+
+    return _captured_run(threads, observer, body)
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+@pytest.mark.parametrize("graph_name", sorted(SEARCH_GRAPHS))
+def test_serve_slice_kernels_match_per_element_reference(graph_name, threads):
+    graph = SEARCH_GRAPHS[graph_name]()
+    for observer in SEARCH_OBSERVERS:
+        got = _run_serve(graph, threads, observer, reference=False)
+        want = _run_serve(graph, threads, observer, reference=True)
+        clock, regions, records, outputs = got
+        assert clock == want[0], observer
+        assert regions == want[1], observer
+        # per (region, thread): same histogram, same events as a multiset
+        assert records == want[2], observer
+        assert outputs == want[3], observer
+        labels = {label for label, *_ in regions}
+        assert {"bestk:typeA", "influence:fold"} <= labels
+        assert any(label.startswith("serve:score:") for label in labels)
+
+
+def test_score_fold_hands_metrics_float64_fields(monkeypatch):
+    from repro.search import metrics
+
+    seen = set()
+
+    def probe(v, totals):
+        seen.update(type(x) for x in v.as_tuple())
+        return float(v.n)
+
+    monkeypatch.setitem(
+        metrics._REGISTRY, "probe", metrics.Metric("probe", "A", probe)
+    )
+    snapshot = build_snapshot(rmat(8, 4, seed=7), pool=SimulatedPool(2))
+    executor = SnapshotExecutor(snapshot, SimulatedPool(threads=4))
+    values = executor._ensure_node_values(False)
+    scores, best = executor._score_fold(values, "probe", "serve:score:probe")
+    assert seen == {np.float64}
+    assert scores.tolist() == values[:, _N].tolist()
+    assert best == int(np.argmax(values[:, _N]))

@@ -11,6 +11,8 @@ from repro.core.local_search import local_core_search
 from repro.graph.generators import complete_graph, rmat, star_graph
 from repro.graph.graph import Graph
 from repro.parallel.atomics import AtomicArray
+from repro.parallel.context import ThreadContext, native
+from repro.parallel.cost_model import DEFAULT_COST_MODEL
 from repro.parallel.observers import ObserverFanout
 from repro.parallel.scheduler import SimulatedPool
 from repro.sanitizer.detector import RaceDetector
@@ -254,7 +256,9 @@ OBSERVERS = ("none", "races", "memcheck_units", "both")
 
 
 def _logging_atomics(log):
-    """An ``AtomicArray`` that logs every ``fetch_min``/``add`` in order."""
+    """An ``AtomicArray`` that logs every ``fetch_min``/``add`` in order,
+    the per-element calls a slice's ``fetch_min_many``/``add_many``
+    stands for included."""
 
     class Logged(AtomicArray):
         def fetch_min(self, ctx, index, value):
@@ -266,7 +270,35 @@ def _logging_atomics(log):
             log.append((ctx.thread_id, "add", self._name, int(index), delta))
             return super().add(ctx, index, delta)
 
+        def fetch_min_many(self, ctx, indices, values):
+            if not ctx.observed:  # observed, fetch_min_many calls fetch_min
+                log.extend(
+                    (ctx.thread_id, "min", self._name, i,
+                     np.float64(v).tobytes())
+                    for i, v in zip(native(indices), native(values))
+                )
+            return super().fetch_min_many(ctx, indices, values)
+
+        def add_many(self, ctx, indices, values):
+            if not ctx.observed:  # observed, add_many calls add
+                log.extend(
+                    (ctx.thread_id, "add", self._name, i, v)
+                    for i, v in zip(native(indices), native(values))
+                )
+            return super().add_many(ctx, indices, values)
+
     return Logged
+
+
+def _per_thread_array(log):
+    """The log split per (thread, array), each part in call order: a
+    slice kernel issues a thread's ``inf_min`` folds before its
+    ``inf_size`` counts, the per-vertex kernel interleaves them."""
+    parts: dict = {}
+    for entry in log:
+        thread, _, name, *_ = entry
+        parts.setdefault((thread, name), []).append(entry)
+    return parts
 
 
 def _ref_index_fold(hcd, weights, pool, atomics):
@@ -328,7 +360,7 @@ def _run_fold(fold, hcd, weights, threads, observer):
     ]
     events = detector.events_seen if detector is not None else None
     return (pool.clock, regions, influence.tobytes(), sizes.tobytes(),
-            log, events)
+            _per_thread_array(log), events)
 
 
 @pytest.mark.parametrize(
@@ -351,6 +383,48 @@ def test_index_fold_matches_per_vertex_reference(
         got = _run_fold(native, hcd, weights, threads, observer)
         want = _run_fold(_ref_index_fold, hcd, weights, threads, observer)
         assert got == want, observer
+
+
+def _fetch_min_contexts(palette, bulk, observed):
+    """Two threads folding palette values into a shared array with
+    repeated indices, by ``fetch_min_many`` or per-element ``fetch_min``."""
+    rng = np.random.default_rng(5)
+    contexts = [ThreadContext(t, DEFAULT_COST_MODEL) for t in range(2)]
+    arr = AtomicArray(20, dtype=np.float64, name="mins")
+    arr.data[:] = np.inf
+    arr.data[:4] = (0.0, -0.0, math.nan, 1.0)  # ties and a NaN start
+    values = np.array(palette)
+    for ctx in contexts:
+        if observed:
+            ctx.begin_recording()
+        for size in (40, 3, 0):
+            idx = rng.integers(0, 20, size)
+            vals = values[rng.integers(0, values.size, size)]
+            if bulk:
+                arr.fetch_min_many(ctx, idx, vals)
+            else:
+                for i, v in zip(idx.tolist(), vals.tolist()):
+                    arr.fetch_min(ctx, i, v)
+    events = [ctx.end_recording() if observed else None for ctx in contexts]
+    stats = [
+        (ctx.work, ctx.atomic_ops, list(ctx.atomic_locations.items()))
+        for ctx in contexts
+    ]
+    return arr.data.tobytes(), stats, events
+
+
+@pytest.mark.parametrize("observed", [False, True])
+@pytest.mark.parametrize(
+    "palette", [AWKWARD, SIGNED_ZEROS], ids=["awkward", "signed_zeros"]
+)
+def test_fetch_min_many_matches_per_element_fetch_min(palette, observed):
+    got = _fetch_min_contexts(palette, bulk=True, observed=observed)
+    want = _fetch_min_contexts(palette, bulk=False, observed=observed)
+    # data bits (signed zeros, NaN), work, atomic ops and the contention
+    # tally in order
+    assert got == want
+    stats = got[1]
+    assert all(atomic_ops > 0 for _, atomic_ops, _ in stats)
 
 
 class TestCli:

@@ -389,6 +389,90 @@ class TestCheckedGraphBoundaries:
         validate_csr(g.indptr, g.indices)  # must not raise
 
 
+def _ref_symmetry_error(indptr, indices):
+    """The symmetry check as two ``lexsort``s; ``None`` when symmetric.
+
+    Only meaningful on CSRs that pass every earlier check of
+    :func:`validate_csr`.
+    """
+    n = indptr.size - 1
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    fwd = np.lexsort((indices, src))
+    rev = np.lexsort((src, indices))
+    if np.array_equal(src[fwd], indices[rev]) and np.array_equal(
+        indices[fwd], src[rev]
+    ):
+        return None
+    mismatch = np.flatnonzero(
+        (src[fwd] != indices[rev]) | (indices[fwd] != src[rev])
+    )
+    k = int(fwd[mismatch[0]])
+    return (
+        f"graph is not symmetric: arc ({int(src[k])}, "
+        f"{int(indices[k])}) has no reverse arc"
+    )
+
+
+def _csr_of_arcs(arcs, n):
+    """CSR arrays of a set of directed arcs, rows strictly sorted."""
+    arcs = sorted(set(arcs))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for u, _ in arcs:
+        indptr[u + 1] += 1
+    return np.cumsum(indptr), np.asarray([v for _, v in arcs], dtype=np.int64)
+
+
+def _validation_error(indptr, indices):
+    try:
+        validate_csr(indptr, indices)
+    except GraphFormatError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed_csrs(seed):
+    """A random graph's arcs, then with a reverse arc dropped, an extra
+    arc added and an arc moved to another row."""
+    rng = np.random.default_rng(seed)
+    g = erdos_renyi(40, 0.12, seed=seed)
+    n = g.num_vertices
+    arcs = [tuple(a) for a in g.edge_array().tolist()]
+    arcs += [(v, u) for u, v in arcs]
+    yield "intact", arcs
+    for _ in range(4):
+        i = int(rng.integers(len(arcs)))
+        yield "dropped", arcs[:i] + arcs[i + 1 :]
+        u, v = rng.choice(n, 2, replace=False).tolist()
+        yield "extra", arcs + [(u, v)]
+        _, b = arcs[i]
+        row = int(rng.integers(n))
+        yield "moved", arcs[:i] + arcs[i + 1 :] + [(row, b)]
+    # a whole symmetric pair moved is still symmetric
+    a, b = arcs[0]
+    c = next(x for x in range(n) if x not in (a, b))
+    rest = [arc for arc in arcs if arc not in ((a, b), (b, a))]
+    yield "pair-moved", rest + [(c, b), (b, c)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_symmetry_check_matches_two_lexsorts(seed):
+    kinds = set()
+    for kind, arcs in _perturbed_csrs(seed):
+        arcs = [(u, v) for u, v in arcs if u != v]  # self-loops fail earlier
+        indptr, indices = _csr_of_arcs(arcs, 40)
+        got = _validation_error(indptr, indices)
+        want = _ref_symmetry_error(indptr, indices)
+        if want is None and indices.size % 2:
+            want = (
+                f"arc count {indices.size} is odd; a symmetric simple graph "
+                f"stores every edge twice"
+            )
+        assert got == want, kind
+        kinds.add((kind, got is None))
+    assert ("intact", True) in kinds and ("pair-moved", True) in kinds
+    assert {("dropped", False), ("extra", False), ("moved", False)} <= kinds
+
+
 class TestUntrustedIo:
     def test_load_npz_returns_checked_graph(self, tmp_path):
         g = erdos_renyi(30, 0.15, seed=2)
