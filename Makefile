@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test sanitize memcheck lint flow prove dist profile bench-sanitize bench-profile bench-flow bench-prove bench-dist serve-bench bench-dynamic bench-cluster bench-e2e construct-layers cluster-layers serve-layers dynamic-layers
+.PHONY: check test sanitize memcheck lint flow prove dist profile bench-sanitize bench-profile bench-flow bench-prove bench-dist serve-bench bench-dynamic bench-cluster bench-e2e construct-layers cluster-layers serve-layers dynamic-layers sanitize-reports
 
 ## check: the CI gate — tests, strict lint, flow analysis, prove + dist certification, kernel race+memcheck sweep, profiler selftest, serve + dynamic + prove + dist + cluster benches, end-to-end benchmark self-test
 check: test lint flow prove dist sanitize memcheck profile serve-bench bench-dynamic bench-prove bench-dist bench-cluster bench-e2e
@@ -37,6 +37,18 @@ dist:
 	$(PYTHON) -m repro sanitize --strict --dist
 	$(PYTHON) -m repro sanitize --dist --selftest
 
+## sanitize-reports: write the --report JSON of the seven CI sanitize families plus the flow and prove selftests into OUT (default sanitize-reports), checkout root stripped, exit codes in exit_codes.txt; `diff -r` two trees' outputs to check an analyzer refactor
+OUT ?= sanitize-reports
+SANITIZE_REPORTS := lint:--strict --lint|races:--strict --all-kernels|memcheck:--strict --memcheck --all-kernels|flow:--strict --flow --all-kernels|prove:--strict --prove|dist:--strict --dist|full:--strict|flow-selftest:--flow --selftest|prove-selftest:--prove --selftest
+sanitize-reports:
+	@mkdir -p $(OUT); rm -f $(OUT)/exit_codes.txt; \
+	runs='$(SANITIZE_REPORTS)'; IFS='|'; for run in $$runs; do \
+	  name=$${run%%:*}; args=$${run#*:}; IFS=' '; \
+	  $(PYTHON) -m repro sanitize $$args --report $(OUT)/$$name.json > /dev/null; \
+	  echo "$$name $$?" >> $(OUT)/exit_codes.txt; \
+	  sed -i 's|$(CURDIR)/||g' $(OUT)/$$name.json; IFS='|'; \
+	done; cat $(OUT)/exit_codes.txt
+
 ## profile: SimProf zero-perturbation selftest
 profile:
 	$(PYTHON) -m repro profile --selftest
@@ -53,7 +65,7 @@ bench-profile:
 bench-flow:
 	$(PYTHON) benchmarks/bench_flow.py
 
-## bench-prove: refresh benchmarks/results/BENCH_prove.json (certification + barrier elision)
+## bench-prove: refresh benchmarks/results/BENCH_prove.json (SimProve certification wall time + coverage)
 bench-prove:
 	$(PYTHON) benchmarks/bench_prove.py
 

@@ -120,9 +120,6 @@ class ThreadContext:
         "_events",
         "_memcheck",
         "observed",
-        "proven",
-        "barrier_units",
-        "elided",
     )
 
     def __init__(self, thread_id: int, cost_model: CostModel) -> None:
@@ -145,34 +142,6 @@ class ThreadContext:
         #: step by :meth:`begin_recording`, :meth:`end_recording` and
         #: :meth:`set_memcheck`.  Read-only for everyone else.
         self.observed = False
-        #: SimProve fast path.  ``None`` = no certificate; ``True`` =
-        #: every access of this region is statically proven in-bounds;
-        #: a ``frozenset`` = only accesses to these location names are
-        #: proven.  Proven accesses skip the memcheck barrier (and its
-        #: modeled ``barrier_units`` charge) — the certificate already
-        #: established what the barrier would check dynamically.
-        self.proven: object | None = None
-        #: Modeled sim-clock cost of one memcheck barrier crossing.
-        #: Zero by default so attaching a checker never perturbs the
-        #: cost model; ``bench_prove`` sets it to expose the savings
-        #: that certificate-driven elision buys.
-        self.barrier_units: float = 0.0
-        #: Number of barrier crossings elided via the certificate.
-        self.elided: int = 0
-
-    def _certified(self, location: object) -> bool:
-        """True when the active certificate covers ``location``."""
-        p = self.proven
-        if p is None:
-            return False
-        if p is True:
-            return True
-        name = (
-            location[0]
-            if type(location) is tuple and location
-            else location
-        )
-        return name in p
 
     def charge(self, units: float = 1) -> None:
         """Charge ``units`` of ordinary work.
@@ -221,13 +190,9 @@ class ThreadContext:
                 (EV_ATOMIC_WRITE, location if word is None else word)
             )
         if self._memcheck is not None:
-            key = location if word is None else word
-            if self._certified(key):
-                self.elided += 1
-            else:
-                if self.barrier_units:
-                    self.work += self.barrier_units
-                self._memcheck.on_write_event(key, None, self.thread_id)
+            self._memcheck.on_write_event(
+                location if word is None else word, None, self.thread_id
+            )
 
     # ------------------------------------------------------------------
     # recorded plain / atomic accesses (sanitizer-visible)
@@ -245,12 +210,7 @@ class ThreadContext:
         if self._events is not None:
             self._events.append((EV_READ, location))
         if self._memcheck is not None:
-            if self._certified(location):
-                self.elided += 1
-            else:
-                if self.barrier_units:
-                    self.work += self.barrier_units
-                self._memcheck.on_read_event(location, self.thread_id)
+            self._memcheck.on_read_event(location, self.thread_id)
 
     def read_row(self, name: str, indices: list[int]) -> None:
         """Charge a plain read of ``(name, i)`` for every ``i`` in ``indices``.
@@ -302,14 +262,7 @@ class ThreadContext:
         if self._events is not None:
             self._events.append((EV_WRITE, location))
         if self._memcheck is not None:
-            if self._certified(location):
-                self.elided += 1
-            else:
-                if self.barrier_units:
-                    self.work += self.barrier_units
-                self._memcheck.on_write_event(
-                    location, value, self.thread_id
-                )
+            self._memcheck.on_write_event(location, value, self.thread_id)
 
     def atomic_load(self, location: object, units: float = 1.0) -> None:
         """Charge an atomic (synchronized) load of ``location``.
@@ -322,12 +275,7 @@ class ThreadContext:
         if self._events is not None:
             self._events.append((EV_ATOMIC_READ, location))
         if self._memcheck is not None:
-            if self._certified(location):
-                self.elided += 1
-            else:
-                if self.barrier_units:
-                    self.work += self.barrier_units
-                self._memcheck.on_read_event(location, self.thread_id)
+            self._memcheck.on_read_event(location, self.thread_id)
 
     def atomic_row(self, name: str, indices: list[int]) -> None:
         """Charge one contended atomic on ``(name, i)`` per ``i`` in ``indices``.
@@ -398,15 +346,9 @@ class ThreadContext:
         if self._events is not None:
             self._events.append((kind, location))
         if self._memcheck is not None:
-            if self._certified(location):
-                self.elided += 1
-            elif kind in (EV_WRITE, EV_ATOMIC_WRITE):
-                if self.barrier_units:
-                    self.work += self.barrier_units
+            if kind in (EV_WRITE, EV_ATOMIC_WRITE):
                 self._memcheck.on_write_event(location, None, self.thread_id)
             else:
-                if self.barrier_units:
-                    self.work += self.barrier_units
                 self._memcheck.on_read_event(location, self.thread_id)
 
     def begin_recording(self) -> None:

@@ -28,8 +28,7 @@ Three complementary gates over the simulated-multicore kernels:
   extents (SAN501 provable OOB / SAN502 unproven), determinism
   classification of combining atomics (SAN503 order-sensitive float
   reductions), and per-kernel proof certificates committed to
-  ``prove_manifest.json`` — certified kernels may run with the
-  SimCheck barrier elided (:meth:`MemChecker.apply_certificate`);
+  ``prove_manifest.json``;
 * :mod:`repro.sanitizer.dist` — SimDist, the SAN6xx family over the
   distributed protocol: monotonicity certification of cross-shard
   estimate updates (SAN601), BSP phase discipline (SAN602),
@@ -38,6 +37,9 @@ Three complementary gates over the simulated-multicore kernels:
   ``Network.send`` site (SAN604/605), and replay safety of
   failover-reachable handlers (SAN606), with per-protocol proof
   certificates committed to ``dist_manifest.json``.
+
+The static analyzers (lint, flow, prove, dist) learn what each
+substrate call touches from one table, :mod:`repro.sanitizer.effects`.
 
 Entry points: ``repro sanitize`` (CLI; ``--memcheck`` adds SimCheck,
 ``--flow`` adds SimFlow, ``--prove`` adds SimProve, ``--dist`` adds

@@ -61,11 +61,11 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.sanitizer import manifest
+from repro.sanitizer import effects, manifest
 from repro.sanitizer.cfg import guarding_tests
 from repro.sanitizer.flow import ModuleIndex, ModuleInfo, default_index
 from repro.sanitizer.intervals import aff_const, affine_of
-from repro.sanitizer.lint import Finding, Report
+from repro.sanitizer.lint import MUTATING_METHODS, Finding, Report
 
 __all__ = [
     "ProtocolCertificate",
@@ -88,30 +88,6 @@ KERNELS_MODULE = "repro.sanitizer.kernels"
 
 #: ``min``-flavored callables accepted as min-combining folds.
 _MIN_ATTRS = ("minimum", "fmin", "min")
-
-#: Region calls whose worker runs shard-parallel: a ``parallel_for``
-#: worker's first parameter is its item, a ``parallel_slices`` worker's
-#: its thread's slice of the items; either way every store must be
-#: indexed by it (SAN603).
-_SHARD_PARALLEL_ATTRS = ("parallel_for", "parallel_slices")
-
-#: Container mutators checked for locality in handlers (SAN606) and
-#: counter-confinement on the wire path (SAN604).
-_MUTATORS = frozenset(
-    {
-        "append",
-        "add",
-        "update",
-        "extend",
-        "insert",
-        "discard",
-        "remove",
-        "pop",
-        "popitem",
-        "clear",
-        "setdefault",
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -172,11 +148,7 @@ class DistReport(Report):
 
     @property
     def certified(self) -> list[str]:
-        return sorted(
-            name
-            for name, cert in self.certificates.items()
-            if cert.status == "certified"
-        )
+        return manifest.certified(self.certificates)
 
 
 # ======================================================================
@@ -294,17 +266,10 @@ def _declared_write_slot(node: ast.AST) -> ast.AST | None:
         isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
     ):
         return None
-    args = node.args
-    if (
-        node.func.attr == "write"
-        and args
-        and isinstance(args[0], ast.Tuple)
-        and len(args[0].elts) >= 2
-    ):
-        return args[0].elts[1]
-    if node.func.attr == "write_row" and len(args) >= 2:
-        return args[1]
-    return None
+    eff = effects.ctx_call(node.func.attr)
+    if eff is None or eff.access != effects.WRITE:
+        return None
+    return effects.index_expr(eff, node)
 
 
 def _strip_value(expr: ast.AST) -> ast.AST:
@@ -577,7 +542,7 @@ class DistAnalyzer:
         if (
             isinstance(value, ast.Call)
             and isinstance(value.func, ast.Attribute)
-            and value.func.attr == "fetch_min"
+            and effects.agreed(value.func.attr, "access") == effects.MIN_FOLD
         ):
             return "fetch_min"
         # (b) min-combining fold against the current estimate
@@ -1035,7 +1000,7 @@ class DistAnalyzer:
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _SHARD_PARALLEL_ATTRS
+                    and effects.agreed(node.func.attr, "worker") is not None
                     and len(node.args) >= 2
                     and isinstance(node.args[1], ast.Name)
                 ):
@@ -1282,7 +1247,7 @@ class DistAnalyzer:
             elif (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _MUTATORS
+                and node.func.attr in MUTATING_METHODS
             ):
                 base = _base_name_of(_strip_value(node.func.value))
                 if base in locals_:
@@ -1559,7 +1524,7 @@ class DistAnalyzer:
                 if (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _MUTATORS
+                    and node.func.attr in MUTATING_METHODS
                     and isinstance(node.func.value, ast.Attribute)
                     and node.func.value.attr not in allowed
                 ):

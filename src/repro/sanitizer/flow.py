@@ -82,6 +82,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.sanitizer import effects
 from repro.sanitizer.cfg import CFG, build_cfg
 from repro.sanitizer.intervals import (
     aff_add,
@@ -99,6 +100,7 @@ from repro.sanitizer.lint import (
     _base_name,
     _find_workers,
     _free_names,
+    _passes,
     _suppressed_lines,
     _WorkerInfo,
     source_files,
@@ -120,13 +122,6 @@ __all__ = [
     "flow_selftest",
     "DEFAULT_BASELINE_PATH",
 ]
-
-#: Barrier-class attribute names: reaching one is a collective act.
-BARRIER_ATTRS = frozenset(
-    {"parallel_for", "parallel_slices", "serial_region", "phase", "barrier"}
-)
-#: Barrier attrs that open a region (nested-region warning applies).
-REGION_ATTRS = frozenset({"parallel_for", "parallel_slices", "serial_region"})
 
 #: Committed drift baseline shipped with the package.
 DEFAULT_BASELINE_PATH = Path(__file__).with_name("flow_baseline.json")
@@ -636,17 +631,25 @@ class FlowAnalyzer:
 
         if isinstance(func, ast.Attribute):
             base = _base_name(func.value)
-            if func.attr in BARRIER_ATTRS and base not in ctx_names:
+            # a region or phase of the pool (the only class declaring
+            # either) is a collective act
+            access = effects.agreed(func.attr, "access")
+            collective = access in (effects.REGION, effects.BARRIER)
+            if collective and base not in ctx_names:
                 if here_branch:
                     kind = "branch"
                 elif here_loop:
                     kind = "loop"
-                elif func.attr in REGION_ATTRS:
+                elif access == effects.REGION:
                     kind = "nested-region"
                 else:
                     kind = "uniform"
                 return [_SyncIssue(kind, func.attr, call.lineno, qualname)]
-            if func.attr == "atomic" and base in ctx_names:
+            # a scalar atomic on a tagged word (ctx.atomic)
+            eff = effects.ctx_call(func.attr) if base in ctx_names else None
+            if eff is not None and (eff.access, eff.index) == (
+                effects.RMW, effects.SCALAR
+            ):
                 contended = True
                 for kw in call.keywords:
                     if (
@@ -1400,18 +1403,6 @@ def _worker_effects(
                 if inner.returns is not None:
                     ann_nodes.update(id(a) for a in ast.walk(inner.returns))
 
-    def location_tag(expr: ast.expr | None) -> str | None:
-        if (
-            isinstance(expr, ast.Tuple)
-            and expr.elts
-            and isinstance(expr.elts[0], ast.Constant)
-            and isinstance(expr.elts[0].value, str)
-        ):
-            return expr.elts[0].value
-        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-            return expr.value
-        return None
-
     for stmt in body:
         for inner in ast.walk(stmt):
             if isinstance(inner, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
@@ -1438,29 +1429,19 @@ def _worker_effects(
             ):
                 base = _base_name(inner.func.value)
                 if base == worker.ctx:
-                    loc = inner.args[0] if inner.args else None
-                    tag = location_tag(loc)
+                    tag = effects.tag_of(inner)
                     if tag is None:
                         continue
-                    if inner.func.attr in ("atomic", "relaxed_row"):
+                    eff = effects.ctx_call(inner.func.attr)
+                    access = eff.access if eff is not None else None
+                    if access in effects.ATOMIC_WRITES:
                         atomics.add(tag)
-                    elif inner.func.attr in ("write", "write_row"):
+                    elif access == effects.WRITE:
                         writes.add(tag)
-                    elif inner.func.attr in ("read", "read_row"):
+                    elif access == effects.READ:
                         reads.add(tag)
                     continue
-                passes_ctx = worker.ctx is not None and (
-                    any(
-                        isinstance(a, ast.Name) and a.id == worker.ctx
-                        for a in inner.args
-                    )
-                    or any(
-                        isinstance(kw.value, ast.Name)
-                        and kw.value.id == worker.ctx
-                        for kw in inner.keywords
-                    )
-                )
-                if captured(base) and passes_ctx:
+                if captured(base) and _passes(inner, worker.ctx):
                     atomics.add(base)  # type: ignore[arg-type]
                 elif (
                     captured(base)

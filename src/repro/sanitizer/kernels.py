@@ -51,8 +51,6 @@ class KernelReport:
     memcheck_findings: list = field(default_factory=list)
     #: NaN origins tracked by memcheck (informational, never failing)
     nan_origins: list = field(default_factory=list)
-    #: memcheck barrier events skipped via a SimProve certificate
-    elided: int = 0
 
     @property
     def clean(self) -> bool:
@@ -666,8 +664,6 @@ def run_kernel(
     name: str,
     threads: int = 4,
     memcheck: bool = False,
-    barrier_units: float = 0.0,
-    certificate: object | None = None,
 ) -> KernelReport:
     """Run one named kernel under a fresh detector; returns its report.
 
@@ -675,13 +671,6 @@ def run_kernel(
     rides along on the same pool (composed with the detector via
     :class:`~repro.parallel.observers.ObserverFanout`), so the report
     also carries memory/numeric findings and NaN origins.
-
-    ``barrier_units`` models the sim-clock cost of one barrier
-    crossing (0.0 keeps the checker cost-transparent).  ``certificate``
-    is a SimProve :class:`~repro.sanitizer.prove.KernelCertificate`
-    whose proven accesses skip the barrier entirely; the report's
-    ``elided`` field counts the crossings saved.  Passing either
-    implies a checker even without ``memcheck=True``.
     """
     try:
         body = KERNELS[name]
@@ -691,13 +680,7 @@ def run_kernel(
         ) from None
     pool = SimulatedPool(threads=threads)
     detector = RaceDetector()
-    checker = (
-        MemChecker(barrier_units=barrier_units)
-        if memcheck or barrier_units or certificate is not None
-        else None
-    )
-    if checker is not None and certificate is not None:
-        checker.apply_certificate(certificate)
+    checker = MemChecker() if memcheck else None
     if checker is None:
         with detector.watch(pool):
             body(pool)
@@ -718,7 +701,6 @@ def run_kernel(
         clock=pool.clock,
         memcheck_findings=list(checker.findings) if checker else [],
         nan_origins=list(checker.nan_origins) if checker else [],
-        elided=checker.elided_events if checker else 0,
     )
 
 

@@ -80,6 +80,8 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.sanitizer import effects
+
 __all__ = [
     "Finding",
     "Report",
@@ -482,6 +484,14 @@ def _assigned_names(node: ast.AST) -> set[str]:
     return names
 
 
+def _passes(call: ast.Call, name: str | None) -> bool:
+    """Whether ``call`` passes the variable ``name`` as an argument."""
+    args = [*call.args, *(kw.value for kw in call.keywords)]
+    return name is not None and any(
+        isinstance(a, ast.Name) and a.id == name for a in args
+    )
+
+
 def _free_names(node: ast.expr) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
@@ -527,11 +537,6 @@ class _WorkerInfo:
         )
 
 
-#: ``pool.<attr>(items, worker, ...)`` calls that run a worker closure
-#: inside a parallel region, and whether its first parameter is a slice.
-WORKER_ATTRS = {"parallel_for": False, "parallel_slices": True}
-
-
 def _worker_params(fn) -> tuple[str | None, str | None]:
     args = fn.args.posonlyargs + fn.args.args
     item = args[0].arg if len(args) >= 1 else None
@@ -550,9 +555,15 @@ def _find_workers(tree: ast.Module) -> list[_WorkerInfo]:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr in WORKER_ATTRS):
+        # a region call that runs a worker closure per item or per slice
+        shape = (
+            effects.agreed(func.attr, "worker")
+            if isinstance(func, ast.Attribute)
+            else None
+        )
+        if shape is None:
             continue
-        slices = WORKER_ATTRS[func.attr]
+        slices = shape == "slice"
         worker_expr = None
         items_expr = node.args[0] if node.args else None
         if len(node.args) >= 2:
@@ -696,23 +707,17 @@ class _WorkerLinter:
         if any(True for _ in self._ctx_calls()):
             return True
         # calls that *pass* ctx (kernel helpers, Atomic methods) count too
-        ctx = self.w.ctx
-        if not ctx:
-            return False
-        for stmt in self.body_nodes:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call):
-                    for arg in node.args:
-                        if isinstance(arg, ast.Name) and arg.id == ctx:
-                            return True
-                    for kw in node.keywords:
-                        if isinstance(kw.value, ast.Name) and kw.value.id == ctx:
-                            return True
-        return False
+        return any(
+            isinstance(node, ast.Call) and _passes(node, self.w.ctx)
+            for stmt in self.body_nodes
+            for node in ast.walk(stmt)
+        )
 
     def _has_record_call(self) -> bool:
+        """A plain read or write (or a raw event) recorded through ctx."""
         return any(
-            call.func.attr in ("write", "read", "record", "write_row", "read_row")
+            getattr(effects.ctx_call(call.func.attr), "access", None)
+            in (effects.READ, effects.WRITE, effects.RAW)
             for call in self._ctx_calls()
         )
 

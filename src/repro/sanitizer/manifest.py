@@ -17,9 +17,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-__all__ = ["drift", "load", "verify", "write"]
+__all__ = ["certified", "drift", "load", "verify", "write"]
 
 _ABSENT = object()
+
+
+def certified(certificates: dict) -> list[str]:
+    """Sorted names of the certificates whose status is ``certified``."""
+    return sorted(n for n, c in certificates.items() if c.status == "certified")
 
 
 def load(path: str | Path) -> dict | None:

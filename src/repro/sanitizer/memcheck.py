@@ -233,50 +233,17 @@ class MemChecker:
     #: Stack of activated checkers; ``san_empty`` registers with the top.
     _active: list["MemChecker"] = []
 
-    def __init__(self, barrier_units: float = 0.0) -> None:
+    def __init__(self) -> None:
         self.findings: list[MemcheckFinding] = []
         self.nan_origins: list[NanOrigin] = []
         self.regions_checked = 0
         self.events_seen = 0
-        #: Modeled sim-clock cost of one barrier crossing (0.0 keeps
-        #: the checker cost-transparent; bench_prove raises it).
-        self.barrier_units = float(barrier_units)
-        #: Barrier crossings skipped via a SimProve certificate.
-        self.elided_events = 0
-        #: Certificate scope pushed onto contexts at region begin:
-        #: ``None`` (no certificate), ``True`` (fully proven kernel),
-        #: or a frozenset of proven location names.
-        self._proven: object | None = None
         self._allocs: dict[str, _Allocation] = {}
         self._seen: set[tuple] = set()
         self._nan_named: set[str] = set()
         self._region = "<no region>"
         self._phases: list[str] = []
         self._pool: SimulatedPool | None = None
-
-    def apply_certificate(self, certificate) -> None:
-        """Adopt a SimProve :class:`KernelCertificate` fast path.
-
-        A ``fully_proven`` certificate elides the barrier for every
-        access in the kernel's regions; a partially proven one elides
-        only accesses to its ``proven_arrays``.  Non-certified
-        certificates (violations / order-sensitive) are refused — the
-        barrier must stay up.
-        """
-        if certificate is None:
-            self._proven = None
-            return
-        if getattr(certificate, "status", None) != "certified":
-            raise MemcheckError(
-                "refusing fast path: certificate status is "
-                f"{getattr(certificate, 'status', None)!r}, not 'certified'"
-            )
-        if certificate.fully_proven:
-            self._proven = True
-        elif certificate.proven_arrays:
-            self._proven = frozenset(certificate.proven_arrays)
-        else:
-            self._proven = None
 
     # ------------------------------------------------------------------
     # activation / attachment
@@ -356,17 +323,11 @@ class MemChecker:
         self._region = label
         for ctx in contexts:
             ctx.set_memcheck(self)
-            ctx.barrier_units = self.barrier_units
-            ctx.proven = self._proven
 
     def on_region_end(self, label: str, contexts) -> None:
         self.regions_checked += 1
         for ctx in contexts:
             ctx.set_memcheck(None)
-            self.elided_events += ctx.elided
-            ctx.elided = 0
-            ctx.proven = None
-            ctx.barrier_units = 0.0
         self._region = "<no region>"
 
     def on_phase_begin(self, name: str) -> None:

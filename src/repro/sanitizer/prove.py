@@ -1,11 +1,12 @@
 """SimProve: SAN5xx static bounds proofs + determinism certification.
 
-SimCheck (PR 3) establishes memory soundness *dynamically*: every
-recorded access pays a read/write barrier, and only executed inputs
-are covered.  SimProve establishes the same properties *statically*,
-once per kernel, for all inputs — and lets proven kernels shed the
-barrier at runtime (the ``ThreadContext.proven`` fast path, measured
-by ``benchmarks/bench_prove.py``).
+SimCheck establishes memory soundness *dynamically*: every recorded
+access pays a read/write barrier, and only executed inputs are
+covered.  SimProve establishes the same properties *statically*, once
+per kernel, for all inputs (wall time measured by
+``benchmarks/bench_prove.py``).  Which call reads, writes or combines
+what, and which argument indexes it, comes from the substrate's
+effects table (:mod:`repro.sanitizer.effects`).
 
 Three analyses over the PR-5 CFG/call-graph machinery:
 
@@ -33,15 +34,18 @@ x)`` lands in ``[0, len(a)]``).  Verdicts: *proven*, *unproven*
 from *tight* intervals whose attained endpoint provably escapes).
 
 **Determinism certification (SAN503).**  Combining operations
-reachable from ``parallel_for`` are classified: integer
-``fetch_add``/``add``, ``fetch_min``/``fetch_max``, CAS-claim
-(``compare_and_swap``/``claim``/``add_if_absent``) and the pivot
-union-find ops commute bitwise under the substrate's deterministic
-schedule; float ``fetch_add``/``add`` and ``AtomicList.append`` do
-not and are flagged SAN503 (order-sensitive reduction).  Receiver
-dtypes resolve from in-module constructor sites (``AtomicArray``'s
-default is ``np.int64``); unresolvable sites are recorded as
-*assumed* — listed on the certificate, never silently commutative.
+reachable from ``parallel_for`` are classified by the combine class
+of their declaration: ``fetch_add``, the ``fetch_min`` folds, CAS
+claims (``compare_and_swap``/``claim``/``add_if_absent``) and the
+pivot union-find ops commute bitwise under the substrate's
+deterministic schedule; ``add``/``add_row``/``add_many`` commute on
+integers only, so float receivers are flagged SAN503 (order-sensitive
+reduction), as are ``AtomicList.append`` and ``AtomicArray.store``.
+A receiver's class and dtype resolve from its in-module constructor
+site (``AtomicArray``'s default is ``np.int64``); an unresolved
+receiver is looked up by method name only where every declaring
+class agrees, and anything else is recorded as *assumed* — listed on
+the certificate, never silently commutative.
 
 **Certificates + manifest.**  Each kernel gets a
 :class:`KernelCertificate` — ``certified`` iff zero SAN501 and not
@@ -63,7 +67,7 @@ from copy import copy
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.sanitizer import manifest
+from repro.sanitizer import effects, manifest
 from repro.sanitizer.cfg import CFG, build_cfg
 from repro.sanitizer.flow import (
     FlowAnalyzer,
@@ -86,9 +90,11 @@ from repro.sanitizer.intervals import (
     upper_const,
 )
 from repro.sanitizer.lint import (
+    _ATOMIC_CONSTRUCTORS,
     Finding,
     Report,
     _find_workers,
+    _passes,
     _WorkerInfo,
 )
 
@@ -109,43 +115,6 @@ __all__ = [
 #: Committed proof manifest, next to this module (like flow_baseline).
 DEFAULT_MANIFEST_PATH = Path(__file__).with_name("prove_manifest.json")
 MANIFEST_SCHEMA = "prove-manifest/v1"
-
-#: Atomic methods that commute bitwise regardless of dtype under the
-#: substrate's fixed schedule: counter increments are integer,
-#: min/max folds are idempotent-associative, CAS/claim ops publish
-#: exactly once, and the pivot union-find's merge order is fixed by
-#: the pivot rule (the paper's determinism argument).
-_COMMUTATIVE_METHODS = frozenset(
-    {
-        "fetch_add",
-        "fetch_min",
-        "fetch_min_many",
-        "fetch_max",
-        "compare_and_swap",
-        "claim",
-        "add_if_absent",
-        "add_pivots",
-        "union",
-        "union_rows",
-        "get_pivot",
-    }
-)
-#: Methods whose result depends on arrival order for any dtype.
-_ORDER_SENSITIVE_METHODS = frozenset({"append"})
-#: Dtype-dependent read-modify-write: int commutes, float does not.
-_RMW_METHODS = frozenset({"add", "add_row", "add_many"})
-#: Atomic methods with an ``(ctx, index, ...)`` signature — their
-#: index argument is a bounds obligation against the ctor extent.
-_INDEXED_ATOMIC_METHODS = frozenset(
-    {"add", "store", "compare_and_swap", "fetch_min", "fetch_max", "load"}
-)
-#: Bulk atomic methods with an ``(ctx, indices)`` signature — every
-#: element of the index list is a bounds obligation.
-_BULK_ATOMIC_METHODS = frozenset(
-    {"claim", "add_row", "add_many", "fetch_min_many", "load_le"}
-)
-#: Receivers of either kind self-declare their extent.
-_EXTENT_ATOMIC_METHODS = _INDEXED_ATOMIC_METHODS | _BULK_ATOMIC_METHODS
 
 #: ``# prove: item in [lo, hi)`` / ``# prove: chunks of [0, hi)`` /
 #: ``# prove: slice of [lo, hi)`` assumption markers, attached to the
@@ -265,12 +234,8 @@ class ProveReport(Report):
     used_marker_lines: set = field(default_factory=set)
 
     @property
-    def certified(self) -> list:
-        return sorted(
-            name
-            for name, cert in self.certificates.items()
-            if cert.status == "certified"
-        )
+    def certified(self) -> list[str]:
+        return manifest.certified(self.certificates)
 
 
 # ======================================================================
@@ -374,7 +339,7 @@ def _dtype_class(node: ast.AST | None) -> str:
 class _Ctor:
     """Resolved ``recv = Atomic*(...)`` constructor facts."""
 
-    kind: str  # "array" | "counter" | "set" | "list" | "unknown"
+    cls: str  # the Atomic* class the receiver is built from
     dtype: str  # "int" | "float" | "unknown" | "-"
     extent: Affine | None = None  # AtomicArray size argument
     runtime_name: str | None = None  # constant name= kwarg
@@ -404,7 +369,7 @@ def _resolve_ctor(info: ModuleInfo, recv: str) -> _Ctor | None:
             # classmethod, e.g. AtomicArray.from_array
             ctor_name = func.value.id
             from_array = func.attr == "from_array"
-        if ctor_name not in ("AtomicArray", "AtomicCounter", "AtomicSet", "AtomicList"):
+        if ctor_name not in _ATOMIC_CONSTRUCTORS:
             continue
         kwargs = {kw.arg: kw.value for kw in node.value.keywords if kw.arg}
         name_node = kwargs.get("name")
@@ -415,23 +380,47 @@ def _resolve_ctor(info: ModuleInfo, recv: str) -> _Ctor | None:
             else None
         )
         if ctor_name == "AtomicCounter":
-            ctor = _Ctor("counter", "int", None, runtime_name)
-        elif ctor_name == "AtomicSet":
-            ctor = _Ctor("set", "-", None, runtime_name)
-        elif ctor_name == "AtomicList":
-            ctor = _Ctor("list", "-", None, runtime_name)
+            ctor = _Ctor(ctor_name, "int", None, runtime_name)
+        elif ctor_name != "AtomicArray":
+            ctor = _Ctor(ctor_name, "-", None, runtime_name)
         elif from_array:
-            ctor = _Ctor("array", "unknown", None, runtime_name)
+            ctor = _Ctor(ctor_name, "unknown", None, runtime_name)
         else:
             dtype = (
                 _dtype_class(kwargs["dtype"]) if "dtype" in kwargs else "int"
             )  # the AtomicArray ctor defaults dtype=np.int64
             size = node.value.args[0] if node.value.args else None
-            ctor = _Ctor("array", dtype, affine_of(size, aff_sym), runtime_name)
-        if found is not None and (found.kind, found.dtype) != (ctor.kind, ctor.dtype):
+            ctor = _Ctor(ctor_name, dtype, affine_of(size, aff_sym), runtime_name)
+        if found is not None and (found.cls, found.dtype) != (ctor.cls, ctor.dtype):
             return None
         found = ctor
     return found
+
+
+def _indexed_array_call(method: str):
+    """The ``AtomicArray`` declaration of ``method`` if it takes an index."""
+    eff = effects.EFFECTS.get(("AtomicArray", method))
+    return eff if eff is not None and eff.index is not None else None
+
+
+def _atomic_extents(info: ModuleInfo, worker: _WorkerInfo, ctor_cache: dict) -> dict:
+    """Receivers of indexed ``AtomicArray`` calls in ``worker`` whose
+    constructor resolves in-module: each self-declares its extent."""
+    out: dict = {}
+    for node in ast.walk(worker.node):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and _indexed_array_call(node.func.attr) is not None
+        ):
+            recv = node.func.value.id
+            if recv not in ctor_cache:
+                ctor_cache[recv] = _resolve_ctor(info, recv)
+            ctor = ctor_cache[recv]
+            if ctor is not None and ctor.cls == "AtomicArray":
+                out[recv] = ctor
+    return out
 
 
 # ======================================================================
@@ -963,90 +952,52 @@ class _ObligationCollector:
 
     def _call(self, node: ast.Call) -> None:
         func = node.func
-        if not isinstance(func, ast.Attribute):
-            return
-        # bulk recorded accesses: ctx.read_row("name", seq) reads
-        # name[v] for every element v of seq, ctx.write_row writes it
-        if (
-            isinstance(func.value, ast.Name)
-            and func.value.id == self.scope.worker.ctx
-            and func.attr in ("read_row", "write_row")
-            and len(node.args) >= 2
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
+        if not (
+            isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
         ):
-            array = node.args[0].value
+            return
+        ctx = self.scope.worker.ctx
+        if func.value.id == ctx:
+            # recorded accesses: ctx.read(("name", i)), and per-element
+            # ones: ctx.read_row("name", seq) reads name[v] for v in seq
+            eff = effects.ctx_call(func.attr)
+            index = effects.index_expr(eff, node) if eff else None
+            array = effects.tag_of(node) if index is not None else None
             if array in self.scope.extents:
-                iv, index_repr = self._element(node.args[1])
-                outcome, reason = _judge_index(
-                    iv,
-                    self.scope.extents[array],
-                    self.scope.facts,
-                    neg_is_violation=True,
-                )
-                self._add(
-                    "recorded", array, None, node.lineno, outcome, reason,
-                    index_repr=index_repr,
+                self._judge(
+                    "recorded", array, self.scope.extents[array], eff,
+                    index, node.lineno,
                 )
             return
-        # recorded accesses: ctx.read/write/atomic/atomic_load(("name", i))
+        # indexed AtomicArray methods: recv.add(ctx, index, ...), and
+        # per-element ones: recv.claim(ctx, indices) — a resolvable
+        # receiver's ctor size argument self-declares the extent
+        eff = _indexed_array_call(func.attr)
+        ctor = self.atomic_extents.get(func.value.id)
         if (
-            isinstance(func.value, ast.Name)
-            and func.value.id == self.scope.worker.ctx
-            and func.attr in ("read", "write", "atomic", "atomic_load")
-            and node.args
-            and isinstance(node.args[0], ast.Tuple)
-            and len(node.args[0].elts) >= 2
+            eff is not None
+            and ctor is not None
+            and len(node.args) > max(eff.ctx, eff.arg)
+            and isinstance(node.args[eff.ctx], ast.Name)
+            and node.args[eff.ctx].id == ctx
         ):
-            name_node, index_node = node.args[0].elts[0], node.args[0].elts[1]
-            if isinstance(name_node, ast.Constant) and isinstance(
-                name_node.value, str
-            ):
-                array = name_node.value
-                if array in self.scope.extents:
-                    iv = _eval(index_node, self.env, self.scope)
-                    outcome, reason = _judge_index(
-                        iv,
-                        self.scope.extents[array],
-                        self.scope.facts,
-                        neg_is_violation=True,
-                    )
-                    self._add(
-                        "recorded", array, index_node, node.lineno,
-                        outcome, reason,
-                    )
-            return
-        # indexed Atomic* methods: recv.add(ctx, index, ...), and bulk
-        # ones: recv.claim(ctx, indices) — the ctor's size argument
-        # self-declares the extent
-        if (
-            isinstance(func.value, ast.Name)
-            and func.attr in _EXTENT_ATOMIC_METHODS
-            and len(node.args) >= 2
-            and isinstance(node.args[0], ast.Name)
-            and node.args[0].id == self.scope.worker.ctx
-        ):
-            recv = func.value.id
-            ctor = self.atomic_extents.get(recv)
-            if ctor is None:
-                return  # not a resolvable Atomic* receiver: no claim
-            if func.attr in _BULK_ATOMIC_METHODS:
-                iv, index_repr = self._element(node.args[1])
-            else:
-                iv = _eval(node.args[1], self.env, self.scope)
-                index_repr = _index_repr(node.args[1])
-            outcome, reason = _judge_index(
-                iv, ctor.extent, self.scope.facts, neg_is_violation=True
+            self._judge(
+                "atomic", ctor.runtime_name or func.value.id, ctor.extent,
+                eff, node.args[eff.arg], node.lineno,
             )
-            self._add(
-                "atomic",
-                ctor.runtime_name or recv,
-                None,
-                node.lineno,
-                outcome,
-                reason,
-                index_repr=index_repr,
-            )
+
+    def _judge(self, kind, array, extent, eff, index, line) -> None:
+        """One obligation on ``index``, or on an element of it for a
+        per-element access."""
+        if eff.index == effects.PER_ELEMENT:
+            iv, index_repr = self._element(index)
+        else:
+            iv = _eval(index, self.env, self.scope)
+            index_repr = _index_repr(index)
+        outcome, reason = _judge_index(
+            iv, extent, self.scope.facts, neg_is_violation=True
+        )
+        self._add(kind, array, None, line, outcome, reason, index_repr)
 
 
 # ======================================================================
@@ -1384,30 +1335,32 @@ def _classify_sites(
             and func.value.id != ctx_name
         ):
             continue
-        passes_ctx = any(
-            isinstance(a, ast.Name) and a.id == ctx_name for a in node.args
-        )
-        if not passes_ctx:
+        if not _passes(node, ctx_name):
             continue
         method = func.attr
         recv = func.value.id
-        if method in ("load", "load_le", "atomic_load", "snapshot", "value"):
-            continue  # pure reads do not combine
-        if node.lineno in info.suppressed:
-            continue
         if recv not in ctor_cache:
             ctor_cache[recv] = _resolve_ctor(info, recv)
         ctor = ctor_cache[recv]
+        # key by the constructor's class; an unresolved receiver by
+        # name, only where every declaring class agrees
+        combine = (
+            getattr(effects.EFFECTS.get((ctor.cls, method)), "combine", None)
+            if ctor is not None
+            else effects.agreed(method, "combine")
+        )
+        if combine == effects.PURE_READ:
+            continue  # pure reads do not combine
+        if node.lineno in info.suppressed:
+            continue
         dtype = ctor.dtype if ctor is not None else "unknown"
-        if method in _ORDER_SENSITIVE_METHODS:
-            klass = "order-sensitive"
-        elif method in _COMMUTATIVE_METHODS:
-            klass = "commutative"
-        elif method in _RMW_METHODS:
+        if combine == effects.DTYPE:
             klass = {
                 "int": "commutative",
                 "float": "order-sensitive",
             }.get(dtype, "assumed")
+        elif combine in (effects.COMMUTATIVE, effects.ORDER_SENSITIVE):
+            klass = combine
         else:
             klass = "assumed"
         sites.append(
@@ -1458,40 +1411,30 @@ class ProveAnalyzer:
         extent_exprs: dict,
     ) -> tuple[KernelCertificate, list]:
         """Prove one kernel entry point; returns (certificate, findings)."""
+        workers = [
+            (ref.module, ref.qualpath, worker)
+            for ref, worker in self._flow.reachable_workers(entry)
+        ]
+        return self._prove_workers(kernel, workers, extent_exprs)
+
+    def _prove_workers(
+        self, kernel: str, workers: list, extent_exprs: dict
+    ) -> tuple[KernelCertificate, list]:
+        """Prove ``(module, function name, worker)`` triples as one kernel."""
         extents: dict = {}
         facts = SymbolFacts()
         for array, expr in sorted(extent_exprs.items()):
             aff = _parse_extent(str(expr))
             extents[array] = aff  # None -> obligations fail closed
-            if aff is not None:
-                for sym in aff:
-                    if sym:
-                        # size symbols are nonnegative by construction
-                        facts.declare(
-                            sym, Interval(aff_const(0), None, False)
-                        )
+            for sym in aff or ():
+                if sym:
+                    # size symbols are nonnegative by construction
+                    facts.declare(sym, Interval(aff_const(0), None, False))
         obligations: list = []
         sites: list = []
         assumptions_used: list = []
-        for ref, worker in self._flow.reachable_workers(entry):
-            info = ref.module
-            module_assumes = self._module_assumptions(info)
+        for info, func_name, worker in workers:
             ctor_cache = self._ctors.setdefault(info.path, {})
-            # resolvable AtomicArray receivers self-declare extents
-            atomic_extents: dict = {}
-            for node in ast.walk(worker.node):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.attr in _EXTENT_ATOMIC_METHODS
-                ):
-                    recv = node.func.value.id
-                    if recv not in ctor_cache:
-                        ctor_cache[recv] = _resolve_ctor(info, recv)
-                    ctor = ctor_cache[recv]
-                    if ctor is not None and ctor.kind == "array":
-                        atomic_extents[recv] = ctor
             obligations.extend(
                 _prove_worker(
                     kernel,
@@ -1499,16 +1442,12 @@ class ProveAnalyzer:
                     worker,
                     extents,
                     facts,
-                    module_assumes,
-                    atomic_extents,
+                    self._module_assumptions(info),
+                    _atomic_extents(info, worker, ctor_cache),
                     assumptions_used,
                 )
             )
-            sites.extend(
-                _classify_sites(
-                    info, ref.qualpath, worker, ctor_cache
-                )
-            )
+            sites.extend(_classify_sites(info, func_name, worker, ctor_cache))
         return self._certify(kernel, obligations, sites, assumptions_used)
 
     def _certify(
@@ -1665,43 +1604,11 @@ def prove_source(
     info = ModuleInfo("<prove>", path, source)
     analyzer = ProveAnalyzer(ModuleIndex())
     analyzer._assumptions[info.path] = _Assumptions(source)
-    extent_exprs = dict(extents or {})
-    parsed: dict = {}
-    facts = SymbolFacts()
-    for array, expr in sorted(extent_exprs.items()):
-        aff = _parse_extent(str(expr))
-        parsed[array] = aff
-        if aff is not None:
-            for sym in aff:
-                if sym:
-                    facts.declare(sym, Interval(aff_const(0), None, False))
-    obligations: list = []
-    sites: list = []
-    used: list = []
-    ctor_cache: dict = {}
-    assumes = analyzer._assumptions[info.path]
-    for worker in _find_workers(info.tree):
-        atomic_extents: dict = {}
-        for node in ast.walk(worker.node):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.attr in _EXTENT_ATOMIC_METHODS
-            ):
-                recv = node.func.value.id
-                if recv not in ctor_cache:
-                    ctor_cache[recv] = _resolve_ctor(info, recv)
-                if ctor_cache[recv] is not None and ctor_cache[recv].kind == "array":
-                    atomic_extents[recv] = ctor_cache[recv]
-        obligations.extend(
-            _prove_worker(
-                kernel, info, worker, parsed, facts, assumes,
-                atomic_extents, used,
-            )
-        )
-        sites.extend(_classify_sites(info, "<module>", worker, ctor_cache))
-    cert, findings = analyzer._certify(kernel, obligations, sites, used)
+    cert, findings = analyzer._prove_workers(
+        kernel,
+        [(info, "<module>", worker) for worker in _find_workers(info.tree)],
+        dict(extents or {}),
+    )
     report = ProveReport()
     report.certificates[kernel] = cert
     report.findings.extend(findings)

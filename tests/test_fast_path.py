@@ -155,11 +155,7 @@ def _run(graph, threads: int, observer: str, pipeline=_pipeline):
         assert detector.events_seen > 0
     if checker is not None:
         assert checker.findings == []
-    regions = [
-        (r.label, r.items, r.work_total, r.work_max, r.atomic_ops,
-         r.contention_penalty, r.elapsed)
-        for r in pool.regions
-    ]
+    regions = _region_rows(pool)
     return pool.clock, regions, outputs
 
 
@@ -285,11 +281,43 @@ SEARCH_GRAPHS = {
     "isolated": _with_isolated,
     "rmat": lambda: rmat(8, 4, seed=7),
 }
-#: barrier_units=1.0 adds one integer unit per memcheck barrier, so the
-#: folded charges are checked with extra addends interleaved
+#: "memcheck_units" attaches a :class:`_CountingChecker`, so every
+#: region's barrier crossings are compared with the reference's too
 SEARCH_OBSERVERS = ("none", "races", "memcheck_units", "both")
 #: regions whose folded charge relies on integer-only work
 FOLDED_REGIONS = ("pbks:typeB_triangles", "pbks:typeB_triplets", "bestk:typeB")
+
+
+class _CountingChecker(MemChecker):
+    """A ``MemChecker`` that counts its barrier crossings, reads and
+    writes, per region in region order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.crossings: list[list[int]] = []
+
+    def on_region_begin(self, label, contexts) -> None:
+        super().on_region_begin(label, contexts)
+        self.crossings.append([0, 0])
+
+    def on_read_event(self, location, thread) -> None:
+        self.crossings[-1][0] += 1
+        super().on_read_event(location, thread)
+
+    def on_write_event(self, location, value, thread) -> None:
+        self.crossings[-1][1] += 1
+        super().on_write_event(location, value, thread)
+
+
+def _region_rows(pool, checker=None) -> list[tuple]:
+    """Every region's stats, plus its barrier crossings when a
+    :class:`_CountingChecker` watched the pool."""
+    counts = checker.crossings if checker is not None else [[]] * len(pool.regions)
+    return [
+        (r.label, r.items, r.work_total, r.work_max, r.atomic_ops,
+         r.contention_penalty, r.elapsed, *c)
+        for r, c in zip(pool.regions, counts, strict=True)
+    ]
 
 
 class _LoggedArray(AtomicArray):
@@ -551,7 +579,7 @@ def _run_search_kernel(fn, call, size, graph, threads, observer):
     pool = SimulatedPool(threads=threads)
     detector = RaceDetector() if observer in ("races", "both") else None
     checker = (
-        MemChecker(barrier_units=1.0)
+        _CountingChecker()
         if observer in ("memcheck_units", "both")
         else None
     )
@@ -569,11 +597,7 @@ def _run_search_kernel(fn, call, size, graph, threads, observer):
         assert detector.races == []
     if checker is not None:
         assert checker.findings == []
-    regions = [
-        (r.label, r.items, r.work_total, r.work_max, r.atomic_ops,
-         r.contention_penalty, r.elapsed)
-        for r in pool.regions
-    ]
+    regions = _region_rows(pool, checker)
     return pool.clock, regions, out.data.tobytes(), out.log
 
 
@@ -629,7 +653,7 @@ def test_bks_type_b_regions_unchanged_by_observers(graph_name):
         pool = SimulatedPool(threads=1)
         detector = RaceDetector() if observer in ("races", "both") else None
         checker = (
-            MemChecker(barrier_units=1.0)
+            _CountingChecker()
             if observer in ("memcheck_units", "both")
             else None
         )
@@ -644,6 +668,9 @@ def test_bks_type_b_regions_unchanged_by_observers(graph_name):
             pool.set_observer(None)
             if checker is not None:
                 checker.deactivate()
+        if checker is not None:
+            # BKS's regions record no access through the barrier
+            assert all(c == [0, 0] for c in checker.crossings)
         regions = [(r.label, r.work_total, r.elapsed) for r in pool.regions]
         runs.append(
             (pool.clock, regions, result.scores.tobytes(),
@@ -832,7 +859,7 @@ def _captured_run(threads, observer, body):
     capture = _RegionCapture()
     detector = RaceDetector() if observer in ("races", "both") else None
     checker = (
-        MemChecker(barrier_units=1.0)
+        _CountingChecker()
         if observer in ("memcheck_units", "both")
         else None
     )
@@ -849,11 +876,7 @@ def _captured_run(threads, observer, body):
         assert detector.races == []
     if checker is not None:
         assert checker.findings == []
-    regions = [
-        (r.label, r.items, r.work_total, r.work_max, r.atomic_ops,
-         r.contention_penalty, r.elapsed)
-        for r in pool.regions
-    ]
+    regions = _region_rows(pool, checker)
     return pool.clock, regions, capture.records, outputs
 
 
@@ -928,7 +951,7 @@ def _bulk_region(observer: str, bulk: bool):
     pool = SimulatedPool(threads=2)
     capture = _RegionCapture()
     detector = RaceDetector() if observer == "races" else None
-    checker = MemChecker(barrier_units=1.0) if observer == "memcheck_units" else None
+    checker = _CountingChecker() if observer == "memcheck_units" else None
     pool.set_observer(ObserverFanout([capture, detector, checker]))
     arr = AtomicArray(48, name="flags")
     claimed = [[], []]
@@ -954,9 +977,7 @@ def _bulk_region(observer: str, bulk: bool):
 
     pool.parallel_for([0, 1], run, label="bulk")
     pool.set_observer(None)
-    (region,) = pool.regions
-    stats = (region.work_total, region.work_max, region.atomic_ops,
-             region.contention_penalty, region.elapsed)
+    (stats,) = _region_rows(pool, checker)
     return stats, capture.records, claimed, arr.data.tolist()
 
 
@@ -966,7 +987,7 @@ def test_bulk_operations_match_per_element_calls(observer):
     want = _bulk_region(observer, bulk=False)
     assert got == want
     stats, records, claimed, _ = got
-    assert stats[3] > 0  # the shared cache lines contend
+    assert stats[5] > 0  # the shared cache lines contend
     assert claimed == [[1, 3, 5, 17], [9, 40, 41, 6, 7]]
     hist = records[0][2]
     assert hist[("flags", 0)] == 3 and hist[("flags", 2)] == 2
@@ -1309,7 +1330,7 @@ def _uf_rows_region(engine, rate, observer, bulk):
     pool = SimulatedPool(threads=2)
     capture = _RegionCapture()
     detector = RaceDetector() if observer == "races" else None
-    checker = MemChecker(barrier_units=1.0) if observer == "memcheck_units" else None
+    checker = _CountingChecker() if observer == "memcheck_units" else None
     pool.set_observer(ObserverFanout([capture, detector, checker]))
     ranks = np.arange(16, dtype=np.int64)[::-1].copy()
     uf = (
@@ -1343,9 +1364,7 @@ def _uf_rows_region(engine, rate, observer, bulk):
 
     pool.parallel_for([0, 1], run, label="uf_rows")
     pool.set_observer(None)
-    (region,) = pool.regions
-    stats = (region.work_total, region.work_max, region.atomic_ops,
-             region.contention_penalty, region.elapsed)
+    (stats,) = _region_rows(pool, checker)
     # the histogram in tally order, not only as a mapping
     order = [list(hist) for _, _, hist, _ in capture.records]
     state = (list(uf.parent), list(uf.pivot), getattr(uf, "cas_failures", 0))
@@ -1361,7 +1380,7 @@ def test_union_find_row_ops_match_per_element_calls(engine, rate, observer):
     want = _uf_rows_region(engine, rate, observer, bulk=False)
     assert got == want
     stats, _, _, state, pivots = got
-    assert not float(stats[0]).is_integer()  # fractional addends replayed
+    assert not float(stats[2]).is_integer()  # fractional addends replayed
     assert pivots
     if rate:
         assert state[2] > 0  # injected CAS failures were retried

@@ -16,9 +16,9 @@ from repro.parallel.cost_model import DEFAULT_COST_MODEL
 from repro.parallel.observers import ObserverFanout
 from repro.parallel.scheduler import SimulatedPool
 from repro.sanitizer.detector import RaceDetector
-from repro.sanitizer.memcheck import MemChecker
 from repro.search import influential
 from repro.search.influential import InfluentialCommunityIndex
+from tests.test_fast_path import _CountingChecker, _region_rows
 
 
 @pytest.fixture
@@ -335,7 +335,7 @@ def _run_fold(fold, hcd, weights, threads, observer):
     pool = SimulatedPool(threads=threads)
     detector = RaceDetector() if observer in ("races", "both") else None
     checker = (
-        MemChecker(barrier_units=1.0)
+        _CountingChecker()
         if observer in ("memcheck_units", "both")
         else None
     )
@@ -353,11 +353,7 @@ def _run_fold(fold, hcd, weights, threads, observer):
         assert detector.races == []
     if checker is not None:
         assert checker.findings == []
-    regions = [
-        (r.label, r.items, r.work_total, r.work_max, r.atomic_ops,
-         r.contention_penalty, r.elapsed)
-        for r in pool.regions
-    ]
+    regions = _region_rows(pool, checker)
     events = detector.events_seen if detector is not None else None
     return (pool.clock, regions, influence.tobytes(), sizes.tobytes(),
             _per_thread_array(log), events)

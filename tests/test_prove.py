@@ -4,8 +4,7 @@ Covers the interval lattice and affine substitution engine, the
 fail-closed edge cases the prover must never certify (empty ranges,
 backward steps, unresolvable symbolic endpoints, ``indptr[-1]``
 extents), certificate semantics, manifest round-trip + drift
-detection, the seeded selftest, and the proof-carrying barrier
-elision fast path.
+detection and the seeded selftest.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.sanitizer.intervals import (
@@ -28,8 +26,7 @@ from repro.sanitizer.intervals import (
     prove_nonneg,
     upper_const,
 )
-from repro.sanitizer.kernels import KERNEL_EXTENTS, KERNELS, run_kernel
-from repro.sanitizer.memcheck import MemChecker, MemcheckError
+from repro.sanitizer.kernels import KERNEL_EXTENTS, KERNELS
 from repro.sanitizer import manifest
 from repro.sanitizer.prove import (
     DEFAULT_MANIFEST_PATH,
@@ -515,57 +512,6 @@ def test_selftest_catches_planted_bugs():
     ok, message = prove_selftest()
     assert ok, message
     assert "SAN501" in message and "SAN503" in message
-
-
-# ----------------------------------------------------------------------
-# proof-carrying execution: barrier elision
-# ----------------------------------------------------------------------
-
-
-class TestElision:
-    @pytest.fixture(scope="class")
-    def pkc_cert(self):
-        return prove_kernels(["pkc"]).certificates["pkc"]
-
-    def test_defaults_are_cost_transparent(self):
-        # without barrier_units/certificate the checker must not
-        # perturb the sim clock (the bench_sanitize invariant)
-        plain = run_kernel("pkc")
-        checked = run_kernel("pkc", memcheck=True)
-        assert plain.clock == checked.clock
-        assert checked.elided == 0
-
-    def test_certificate_elides_and_saves(self, pkc_cert):
-        base = run_kernel("pkc", memcheck=True, barrier_units=1.0)
-        fast = run_kernel(
-            "pkc", memcheck=True, barrier_units=1.0, certificate=pkc_cert
-        )
-        assert fast.elided > 0
-        assert fast.clock < base.clock
-        assert [str(r) for r in base.races] == [str(r) for r in fast.races]
-        assert base.memcheck_findings == fast.memcheck_findings
-
-    def test_fully_proven_elides_every_barrier(self, pkc_cert):
-        # pkc is fully proven: with the certificate the barrier charge
-        # vanishes entirely, restoring the unbarriered clock
-        plain = run_kernel("pkc", memcheck=True)
-        fast = run_kernel(
-            "pkc", memcheck=True, barrier_units=1.0, certificate=pkc_cert
-        )
-        assert fast.clock == plain.clock
-
-    def test_uncertified_certificate_refused(self):
-        cert = prove_kernels(["accumulate"]).certificates["accumulate"]
-        assert cert.status == "order-sensitive"
-        checker = MemChecker()
-        with pytest.raises(MemcheckError):
-            checker.apply_certificate(cert)
-
-    def test_partial_certificate_scopes_to_proven_arrays(self):
-        checker = MemChecker(barrier_units=1.0)
-        cert = prove_kernels(["pkc"]).certificates["pkc"]
-        checker.apply_certificate(cert)
-        assert checker._proven is True  # fully proven -> blanket elision
 
 
 # ----------------------------------------------------------------------
