@@ -22,7 +22,7 @@ memcheck:
 lint:
 	$(PYTHON) -m repro sanitize --strict --lint
 
-## flow: SimFlow SAN4xx analysis — divergent sync, disjoint-write proofs, effect drift
+## flow: SimFlow SAN4xx analysis — divergent sync, disjoint-write proofs, drift of the inferred kernel effects against flow_manifest.json
 flow:
 	$(PYTHON) -m repro sanitize --strict --flow --all-kernels
 	$(PYTHON) -m repro sanitize --flow --selftest
@@ -32,7 +32,7 @@ prove:
 	$(PYTHON) -m repro sanitize --strict --prove
 	$(PYTHON) -m repro sanitize --prove --selftest
 
-## dist: SimDist SAN6xx certification — monotonicity, BSP phases, ownership, wire schemas, replay safety, manifest drift
+## dist: SimDist SAN6xx certification — monotonicity, BSP phases, ownership, derived wire shapes, replay safety, manifest drift
 dist:
 	$(PYTHON) -m repro sanitize --strict --dist
 	$(PYTHON) -m repro sanitize --dist --selftest

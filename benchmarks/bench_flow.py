@@ -6,7 +6,8 @@ Times the three SAN4xx stages separately over the repo's own trees:
   taint, and disjoint-write interval proofs over ``src/`` and
   ``benchmarks/``;
 * **effect inference** — the call-graph walk from every registered
-  kernel to its reachable workers;
+  kernel to its reachable workers, plus the drift check of the
+  inferred signatures against the committed ``flow_manifest.json``;
 * **selftest** — the seeded-bug round trip (two planted SAN4xx bugs
   plus a fixed variant that must verify).
 
@@ -32,10 +33,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from common import emit, paper_table, results_dir  # noqa: E402
+from repro.sanitizer import manifest  # noqa: E402
 from repro.sanitizer.flow import (  # noqa: E402
+    DEFAULT_FLOW_MANIFEST_PATH,
     analyze_paths,
-    check_kernel_effects,
+    flow_manifest_payload,
     flow_selftest,
+    infer_kernel_effects,
 )
 
 REPEATS = 3
@@ -53,11 +57,16 @@ def _timed(fn):
     return result, best
 
 
+def _effects_drift() -> tuple[dict, list[str]]:
+    """Inferred signatures of every kernel and their manifest drift."""
+    effects = infer_kernel_effects()
+    payload = flow_manifest_payload(effects)
+    return effects, manifest.drift(payload, DEFAULT_FLOW_MANIFEST_PATH, "--flow")
+
+
 def run() -> dict:
     report, wall_paths = _timed(lambda: analyze_paths(list(PATHS)))
-    (drift, effects), wall_effects = _timed(
-        lambda: check_kernel_effects()
-    )
+    (effects, drift), wall_effects = _timed(_effects_drift)
     (ok, _message), wall_selftest = _timed(flow_selftest)
     assert ok, "flow selftest must pass under the bench"
     return {
@@ -77,7 +86,7 @@ def run() -> dict:
             "effects": {
                 "wall_s": wall_effects,
                 "kernels": len(effects),
-                "drift_findings": len(drift),
+                "drift_lines": len(drift),
             },
             "selftest": {
                 "wall_s": wall_selftest,
@@ -104,7 +113,7 @@ def main() -> int:
             "effects",
             f"{s['effects']['wall_s'] * 1e3:.1f}",
             f"{s['effects']['kernels']} kernels",
-            f"{s['effects']['drift_findings']} drift finding(s)",
+            f"{s['effects']['drift_lines']} drift line(s)",
         ],
         [
             "selftest",
@@ -131,8 +140,9 @@ def test_bench_flow():
     payload = run()
     s = payload["stages"]
     assert s["paths"]["workers"] > 0
+    assert s["paths"]["findings"] == 0
     assert s["paths"]["verified_disjoint"] >= 3
-    assert s["effects"]["drift_findings"] == 0
+    assert s["effects"]["drift_lines"] == 0
     assert s["selftest"]["ok"]
 
 

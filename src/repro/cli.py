@@ -115,9 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Exit status: 0 when every family that ran is clean; "
             "1 when ANY family reports (a race, a memcheck finding, "
             "a lint or flow error, a SAN501 provable OOB, a SAN6xx "
-            "protocol violation, prove- or dist-manifest drift, a "
-            "stale flow-baseline entry or any warning under --strict, "
-            "or a failed selftest); 2 on usage errors.  One summary "
+            "protocol violation, flow-, prove- or dist-manifest "
+            "drift, any warning under --strict, or a failed "
+            "selftest); 2 on usage errors.  One summary "
             "line is printed per family."
         ),
     )
@@ -163,16 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "run the SimFlow SAN4xx analysis: divergent-sync taint "
             "over worker CFGs (SAN401/402), disjoint-write interval "
-            "proofs (SAN403 + SAN201 downgrades), and kernel effect "
-            "signature drift (SAN404/405) for the selected kernels"
-        ),
-    )
-    p_san.add_argument(
-        "--flow-baseline",
-        metavar="FILE",
-        help=(
-            "acknowledged-drift baseline for SAN4xx findings "
-            "(default: the committed flow_baseline.json)"
+            "proofs (SAN403 + SAN201 downgrades), and drift of the "
+            "selected kernels' inferred effects against the committed "
+            "flow_manifest.json"
         ),
     )
     p_san.add_argument(
@@ -194,10 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
             "run the SimDist SAN6xx analysis over the cluster layer: "
             "monotonicity certification of cross-shard estimate "
             "updates (SAN601), BSP phase discipline (SAN602), shard-"
-            "ownership disjoint-write proofs (SAN603), declared "
-            "MESSAGE_SCHEMAS vs derived wire effects of every "
-            "Network.send site (SAN604/605), replay safety of "
-            "failover-reachable handlers (SAN606), and drift "
+            "ownership disjoint-write proofs (SAN603), derivable "
+            "wire effects of every Network.send site (SAN604), "
+            "replay safety of failover-reachable handlers "
+            "(SAN606), and drift "
             "detection against the committed dist_manifest.json"
         ),
     )
@@ -205,8 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--write-manifest",
         action="store_true",
         help=(
-            "re-prove every kernel and re-certify every protocol, "
-            "refreshing the committed prove_manifest.json and "
+            "re-infer every kernel's effects, re-prove every kernel "
+            "and re-certify every protocol, refreshing the committed "
+            "flow_manifest.json, prove_manifest.json and "
             "dist_manifest.json instead of failing on drift"
         ),
     )
@@ -601,12 +595,22 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     if args.lint is not None or not explicit:
         do_lint = args.lint or list(default_scope)
     do_selftest = args.selftest or not explicit
-    do_flow = args.flow or not explicit
+    do_flow = args.flow or args.write_manifest or not explicit
     do_prove = args.prove or args.write_manifest or not explicit
     do_dist = args.dist or args.write_manifest or not explicit
     # SimFlow analyzes the lint scope (or the default scope when only
     # --flow was given); effect signatures cover the selected kernels
     flow_paths = do_lint or list(default_scope)
+    # a --kernel subset infers, proves and compares only its own
+    # kernels; --write-manifest always covers the full registry so a
+    # committed manifest never shrinks to a subset
+    subset = (
+        None
+        if args.write_manifest
+        or not do_kernels
+        or set(do_kernels) == set(KERNELS)
+        else do_kernels
+    )
 
     if args.threads < 1:
         print(
@@ -621,16 +625,22 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         print(f"available: {', '.join(KERNELS)}", file=sys.stderr)
         return 2
 
+    missing = [p for p in do_lint or [] if not Path(p).exists()]
+    if missing:
+        for p in missing:
+            print(f"no such lint path: {p}", file=sys.stderr)
+        return 2
+
     # per-family results: family -> (failure_count, summary_suffix)
     families: dict[str, tuple[int, str]] = {}
     report_json: dict[str, object] = {
-        "schema": "sanitize-report/v1",
+        "schema": "sanitize-report/v2",
         "threads": args.threads,
     }
     strict = " [strict]" if args.strict else ""
 
     def failures(errors: int, warnings: int = 0) -> int:
-        # warnings (and stale baseline entries) gate only under --strict
+        # warnings gate only under --strict
         return errors + (warnings if args.strict else 0)
 
     def listing(lines: list) -> None:
@@ -639,13 +649,15 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         if not lines:
             print("  clean")
 
-    def manifest_step(payload: dict, path: Path, flag: str) -> list[str]:
+    def manifest_step(
+        payload: dict, path: Path, flag: str, kernels: list | None = None
+    ) -> list[str]:
         # refresh the committed manifest, or report every drift line
         if args.write_manifest:
             manifest.write(payload, path)
             print(f"  manifest refreshed: {path}")
             return []
-        drift = manifest.drift(payload, path, flag)
+        drift = manifest.drift(payload, path, flag, kernels)
         for line in drift:
             print(f"  manifest drift: {line}")
         return drift
@@ -693,48 +705,20 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             )
         report_json["kernels"] = kernel_rows
 
-    missing = [p for p in do_lint or [] if not Path(p).exists()]
-    if missing:
-        for p in missing:
-            print(f"no such lint path: {p}", file=sys.stderr)
-        return 2
-
     # SimFlow runs before the lint report so its disjoint-write proofs
     # can downgrade SAN201 warnings at verified sites
     flow_report = None
     downgrade_lines: set[tuple[str, int]] = set()
     if do_flow:
         from repro.sanitizer.flow import (
+            DEFAULT_FLOW_MANIFEST_PATH,
             analyze_paths,
-            apply_baseline,
-            check_kernel_effects,
-            load_baseline,
-            stale_baseline_entries,
+            flow_manifest_payload,
+            infer_kernel_effects,
         )
 
-        try:
-            baseline = load_baseline(args.flow_baseline)
-        except (OSError, ValueError) as exc:
-            print(
-                f"cannot read flow baseline "
-                f"{args.flow_baseline}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
         flow_report = analyze_paths(flow_paths)
-        effect_findings, flow_report.effects = check_kernel_effects(
-            names=do_kernels or None
-        )
-        flow_report.findings.extend(effect_findings)
-        flow_active, flow_baselined = apply_baseline(
-            flow_report.findings, baseline
-        )
-        flow_stale = stale_baseline_entries(
-            flow_report.findings,
-            baseline,
-            flow_report.file_names,
-            set(flow_report.effects),
-        )
+        flow_effects = infer_kernel_effects(subset)
         downgrade_lines = {
             (str(Path(p).resolve()), line)
             for p, line in flow_report.verified_lines()
@@ -775,39 +759,25 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             except ValueError:
                 return path
 
-        listing(
-            [replace(f, path=rel(f.path)) for f in flow_active]
-            + [
-                f"{f.code} baselined ({f.key}): {reason}"
-                for f, reason in flow_baselined
-            ]
-            + [
-                f"stale baseline entry (matches no current finding): {key}"
-                for key in flow_stale
-            ]
+        listing([replace(f, path=rel(f.path)) for f in flow_report.findings])
+        payload = flow_manifest_payload(flow_effects)
+        flow_drift = manifest_step(
+            payload, DEFAULT_FLOW_MANIFEST_PATH, "--flow", subset
         )
-        active = Report(flow_active)
-        errors, warnings = len(active.errors), len(active.warnings)
+        errors = len(flow_report.errors)
+        warnings = len(flow_report.warnings)
         families["flow"] = (
-            failures(errors, warnings + len(flow_stale)),
+            failures(errors + len(flow_drift), warnings),
             f"{errors} error(s), {warnings} warning(s), "
             f"{len(flow_report.verified)} verified-disjoint, "
-            f"{len(flow_baselined)} baselined, "
-            f"{len(flow_stale)} stale baseline entr(ies), "
-            f"effects over {len(flow_report.effects)} kernel(s)" + strict,
+            f"effects over {len(flow_effects)} kernel(s), "
+            f"{len(flow_drift)} drift line(s)" + strict,
         )
         report_json["flow"] = {
-            "findings": [str(f) for f in flow_active],
-            "baselined": [
-                {"key": f.key, "reason": reason}
-                for f, reason in flow_baselined
-            ],
-            "stale_baseline": flow_stale,
+            "findings": [str(f) for f in flow_report.findings],
+            "drift": flow_drift,
             "verified_disjoint": [str(v) for v in flow_report.verified],
-            "effects": {
-                name: sig.as_dict()
-                for name, sig in flow_report.effects.items()
-            },
+            "effects": payload["kernels"],
             "workers": flow_report.workers,
             "files": flow_report.files,
         }
@@ -822,14 +792,8 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         )
 
         print("== prove (SimProve SAN5xx static certification) ==")
-        # --write-manifest always re-proves the full registry so the
-        # committed manifest never shrinks to a subset
-        prove_full = (
-            args.write_manifest
-            or not do_kernels
-            or set(do_kernels) == set(KERNELS)
-        )
-        prove_report = prove_kernels(None if prove_full else do_kernels)
+        prove_full = subset is None
+        prove_report = prove_kernels(subset)
         for name, cert in sorted(prove_report.certificates.items()):
             bounds = cert.bounds
             tag = "fully-proven" if cert.fully_proven else cert.status

@@ -238,7 +238,7 @@ def distributed_core_decomposition(
                         s,
                         dest,
                         MESSAGE_HEADER_BYTES
-                        + ESTIMATE_BYTES * per_dest[dest],
+                        + ESTIMATE_BYTES * per_dest[dest],  # per changed boundary estimate
                     )
             next_front: dict[int, set[int]] = {s: set() for s in frontiers}
             for s in sorted(results):

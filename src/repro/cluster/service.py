@@ -248,7 +248,7 @@ class ClusterService:
         request_cost = network.send(
             self.router.node_id,
             node.node_id,
-            config.request_bytes * max(sub_plan.distinct, 1),
+            config.request_bytes * max(sub_plan.distinct, 1),  # per routed query
         )
         cursor = node.work_cursor()
         pool_mark = node.pool.mark()
@@ -258,7 +258,7 @@ class ClusterService:
         response_cost = network.send(
             node.node_id,
             self.router.node_id,
-            config.response_bytes * max(len(results), 1),
+            config.response_bytes * max(len(results), 1),  # per answer
         )
         return results, statuses, request_cost + work + response_cost, pool_delta
 

@@ -87,7 +87,7 @@ def dnc_build_hcd(
         local_coreness = np.minimum(
             coreness[originals], sub.degrees().astype(np.int64)
         )
-        partial = lcps_build_hcd(sub, local_coreness)
+        partial = lcps_build_hcd(sub, local_coreness)  # sani: ok - pool=None, so its serial_region never runs
         ctx.charge(2 * (sub.num_vertices + sub.num_edges))
         return partial.num_nodes
 

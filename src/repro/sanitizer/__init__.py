@@ -19,9 +19,8 @@ Three complementary gates over the simulated-multicore kernels:
   family: divergent-sync taint analysis over worker control-flow
   graphs (SAN401/402), interval proofs that chunked stores stay in
   the owning thread's slice (SAN403 / verified-disjoint SAN201
-  downgrades), and per-kernel effect-signature drift against the
-  declared :data:`~repro.sanitizer.kernels.KERNEL_EFFECTS`
-  (SAN404/405) gated by a committed baseline;
+  downgrades), and per-kernel inferred effect signatures committed to
+  ``flow_manifest.json``;
 * :mod:`repro.sanitizer.prove` — SimProve, the SAN5xx abstract-
   interpretation family: fixpoint interval analysis over the worker
   CFGs proving every recorded access in-bounds against declared
@@ -32,11 +31,15 @@ Three complementary gates over the simulated-multicore kernels:
 * :mod:`repro.sanitizer.dist` — SimDist, the SAN6xx family over the
   distributed protocol: monotonicity certification of cross-shard
   estimate updates (SAN601), BSP phase discipline (SAN602),
-  shard-ownership disjoint-write proofs (SAN603), declared
-  ``MESSAGE_SCHEMAS`` vs statically-derived wire effects of every
-  ``Network.send`` site (SAN604/605), and replay safety of
-  failover-reachable handlers (SAN606), with per-protocol proof
-  certificates committed to ``dist_manifest.json``.
+  shard-ownership disjoint-write proofs (SAN603), statically-derived
+  wire effects of every ``Network.send`` site (SAN604), and replay
+  safety of failover-reachable handlers (SAN606), with per-protocol
+  proof certificates, derived wire shapes included, committed to
+  ``dist_manifest.json``.
+
+Each committed manifest records what its analyzer derives and gates
+changes to it as drift (:mod:`repro.sanitizer.manifest`); ``repro
+sanitize --write-manifest`` refreshes all three.
 
 The static analyzers (lint, flow, prove, dist) learn what each
 substrate call touches from one table, :mod:`repro.sanitizer.effects`.
@@ -57,7 +60,6 @@ their own modules.
 
 from repro.sanitizer.detector import RaceDetector, RaceReport
 from repro.sanitizer.kernels import (
-    KERNEL_EFFECTS,
     KERNELS,
     KernelReport,
     run_all_kernels,
@@ -100,7 +102,6 @@ __all__ = [
     "lint_paths",
     "dead_suppressions",
     "KERNELS",
-    "KERNEL_EFFECTS",
     "KernelReport",
     "run_kernel",
     "run_all_kernels",

@@ -37,12 +37,10 @@ SAN602   error     BSP phase violation: send outside the exchange
 SAN603   error     shard-ownership violation: parallel repair write not
                    provably confined to the owned item, or a frontier
                    insert not keyed by the inserted vertex's owner
-SAN604   error     wire effect of a ``Network.send`` site is undeclared
-                   in ``MESSAGE_SCHEMAS``, contradicts its declaration,
-                   is not statically derivable, or a non-counter field
-                   is written on the wire-accounting path
-SAN605   warning   stale ``MESSAGE_SCHEMAS`` declaration: no send site
-                   derives to this key any more
+SAN604   error     wire effect of a ``Network.send`` site is not
+                   statically derivable, a cluster kernel is claimed by
+                   no protocol, or a non-counter field is written on
+                   the wire-accounting path
 SAN606   error     message handler reachable from a failover path has a
                    write that is neither last-writer-wins on owned
                    state, min-combining, nor a declared metric —
@@ -52,7 +50,9 @@ SAN606   error     message handler reachable from a failover path has a
 The certified result ships as ``dist_manifest.json`` next to this
 file; :func:`verify_dist_manifest` detects drift through the shared
 :mod:`repro.sanitizer.manifest` checker, exactly like the SAN5xx
-proof manifest.
+proof manifest.  Each certificate's ``sends`` records the derived
+wire shape (``header_bytes + per_item_bytes * count``) of every send
+site, so a changed message format gates as drift.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ __all__ = [
 #: Package whose modules carry ``DIST_PROTOCOL`` declarations.
 CLUSTER_PACKAGE = "repro.cluster"
 
-#: Module holding the ``KERNELS`` registry and ``MESSAGE_SCHEMAS``.
+#: Module holding the ``KERNELS`` registry.
 KERNELS_MODULE = "repro.sanitizer.kernels"
 
 #: ``min``-flavored callables accepted as min-combining folds.
@@ -142,8 +142,6 @@ class DistReport(Report):
     certificates: dict[str, ProtocolCertificate] = field(default_factory=dict)
     #: kernel name -> owning protocol (or "unclassified")
     kernels: dict[str, str] = field(default_factory=dict)
-    #: declared MESSAGE_SCHEMAS, verbatim
-    schemas: dict = field(default_factory=dict)
     modules: int = 0
 
     @property
@@ -170,18 +168,6 @@ def _module_literal(info: ModuleInfo, name: str):
             except (ValueError, TypeError, SyntaxError):
                 return None
     return None
-
-
-def _literal_line(info: ModuleInfo, name: str) -> int:
-    for stmt in info.tree.body:
-        target = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-        elif isinstance(stmt, ast.AnnAssign):
-            target = stmt.target
-        if isinstance(target, ast.Name) and target.id == name:
-            return stmt.lineno
-    return 1
 
 
 def _assign_owners(tree: ast.Module) -> dict[int, str]:
@@ -1299,7 +1285,7 @@ class DistAnalyzer:
         if cert is not None and severity == "error":
             cert.status = "violations"
 
-    # -- wire effects vs MESSAGE_SCHEMAS (SAN604/605) ------------------
+    # -- wire effects (SAN604) -----------------------------------------
 
     def _wire_descriptor(
         self, expr: ast.AST, literals: dict[str, int]
@@ -1371,20 +1357,13 @@ class DistAnalyzer:
     def _check_wire(
         self,
         modules: dict[str, ModuleInfo],
-        schemas: dict,
-        kernels_info: ModuleInfo | None,
         network_info: ModuleInfo | None,
         wire_counters: tuple[str, ...],
         certs: list[ProtocolCertificate],
         report: DistReport,
     ) -> None:
-        declared: dict[str, tuple[str, dict]] = {}
-        for kernel, sites in schemas.items():
-            for key, desc in sites.items():
-                declared[key] = (kernel, desc)
-        derived = self._derive_sends(modules)
         site_map: dict[str, dict] = {}
-        for key, (desc, info, call) in derived.items():
+        for key, (desc, info, call) in self._derive_sends(modules).items():
             if desc is None:
                 self._fail_certs(certs)
                 self._emit(
@@ -1401,57 +1380,6 @@ class DistAnalyzer:
                 )
                 continue
             site_map[key] = desc
-            if key not in declared:
-                self._fail_certs(certs)
-                self._emit(
-                    report,
-                    None,
-                    info,
-                    call,
-                    "SAN604",
-                    "error",
-                    f"send site {key} has no MESSAGE_SCHEMAS "
-                    f"declaration (derived wire effect: {desc})",
-                    f"wire:{key}",
-                )
-                continue
-            _kernel, want = declared[key]
-            drift = [
-                fld
-                for fld in ("header_bytes", "per_item_bytes", "count")
-                if want.get(fld) != desc.get(fld)
-            ]
-            if drift:
-                self._fail_certs(certs)
-                self._emit(
-                    report,
-                    None,
-                    info,
-                    call,
-                    "SAN604",
-                    "error",
-                    f"send site {key} contradicts its MESSAGE_SCHEMAS "
-                    f"declaration on {drift}: declared "
-                    f"{ {f: want.get(f) for f in drift} }, derived "
-                    f"{ {f: desc.get(f) for f in drift} }",
-                    f"wire:{key}",
-                )
-        for key, (kernel, _desc) in sorted(declared.items()):
-            if key not in derived and kernels_info is not None:
-                report.findings.append(
-                    Finding(
-                        path=kernels_info.path,
-                        line=_literal_line(kernels_info, "MESSAGE_SCHEMAS"),
-                        col=0,
-                        code="SAN605",
-                        severity="warning",
-                        message=(
-                            f"stale MESSAGE_SCHEMAS declaration: no send "
-                            f"site derives to {key!r} (kernel {kernel!r})"
-                        ),
-                        key=f"wire:stale:{key}",
-                    )
-                )
         for cert in certs:
             for key, desc in site_map.items():
                 mod_tail = cert.module.rsplit(".", 1)[-1]
@@ -1641,12 +1569,6 @@ class DistAnalyzer:
             if cluster_info
             else None
         ) or "superstep"
-        schemas = (
-            _module_literal(kernels_info, "MESSAGE_SCHEMAS")
-            if kernels_info
-            else None
-        ) or {}
-        report.schemas = schemas
         certs: list[ProtocolCertificate] = []
         for name in sorted(modules):
             info = modules[name]
@@ -1668,8 +1590,6 @@ class DistAnalyzer:
             )
         self._check_wire(
             modules,
-            schemas,
-            kernels_info,
             network_info,
             wire_counters,
             certs,
@@ -1725,7 +1645,7 @@ def analyze_protocol_source(
 ) -> DistReport:
     """Certify one standalone module against an inline protocol spec.
 
-    Powers the seeded selftest: schema comparison, wire-counter and
+    Powers the seeded selftest: send-site derivation, wire-counter and
     partition obligations are skipped (the module stands alone), but
     SAN601/602/603/606 run in full.
     """
@@ -1759,7 +1679,6 @@ def dist_manifest_payload(report: DistReport) -> dict:
             for name in sorted(report.certificates)
         },
         "kernels": dict(sorted(report.kernels.items())),
-        "message_schemas": report.schemas,
     }
 
 

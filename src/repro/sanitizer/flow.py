@@ -50,26 +50,19 @@ subscript store into a captured container:
   or an index that folds contiguous items via ``% c`` / ``// c``).
 * *unproven* — neither; the SAN1xx/2xx lint verdict stands.
 
-**Kernel effect signatures (SAN404/SAN405).**  For every kernel on the
+**Kernel effect signatures.**  For every kernel on the
 :data:`repro.sanitizer.kernels.KERNELS` registry, SimFlow walks the
 call graph from the kernel body to every reachable ``parallel_for``
 worker and infers the kernel's effect sets — captured containers read
 and written, plus names synchronized through atomics (``Atomic*``
 receivers called with ``ctx`` and constant ``ctx.atomic`` location
-tags).  The inferred signature is checked against the declared
-:data:`~repro.sanitizer.kernels.KERNEL_EFFECTS`:
-
-========  ========  ====================================================
-SAN404    error     inferred effect missing from the declaration —
-                    the kernel's parallel footprint drifted
-SAN405    warning   declared effect no longer inferred (stale)
-========  ========  ====================================================
-
-Drift can be acknowledged through a committed baseline file
-(``flow_baseline.json`` next to this module, or ``--flow-baseline``):
-a mapping of finding keys to *reasons*; baselined findings are
-reported but do not fail the gate.  An empty ``entries`` object is the
-healthy state.
+tags).  The inferred signatures are recorded in ``flow_manifest.json``
+next to this module and checked by the shared
+:mod:`repro.sanitizer.manifest` drift check, like the SimProve and
+SimDist manifests: a kernel whose parallel footprint changed shows as
+one drift line per added or dropped name
+(``kernels.pkc.writes: [...] -> [...]``).  Refresh with
+``repro sanitize --write-manifest``.
 
 A trailing ``# sani: ok - reason`` comment suppresses SimFlow findings
 on that line, same as the SAN1xx–3xx lint.
@@ -78,7 +71,6 @@ on that line, same as the SAN1xx–3xx lint.
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -115,16 +107,15 @@ __all__ = [
     "analyze_paths",
     "analyze_source",
     "infer_kernel_effects",
-    "check_kernel_effects",
-    "load_baseline",
-    "apply_baseline",
-    "stale_baseline_entries",
+    "flow_manifest_payload",
     "flow_selftest",
-    "DEFAULT_BASELINE_PATH",
+    "DEFAULT_FLOW_MANIFEST_PATH",
+    "FLOW_MANIFEST_SCHEMA",
 ]
 
-#: Committed drift baseline shipped with the package.
-DEFAULT_BASELINE_PATH = Path(__file__).with_name("flow_baseline.json")
+#: Committed per-kernel effect record, next to this module.
+DEFAULT_FLOW_MANIFEST_PATH = Path(__file__).with_name("flow_manifest.json")
+FLOW_MANIFEST_SCHEMA = "flow-manifest/v1"
 
 #: Interprocedural recursion bound (call chains deeper than this are
 #: assumed sync-free; the repo's worker->helper chains are depth <= 2).
@@ -150,15 +141,11 @@ class VerifiedStore:
 
 @dataclass
 class FlowReport(Report):
-    """Outcome of one SimFlow run over a path set and/or kernel set."""
+    """Outcome of one SimFlow run over a path set."""
 
     verified: list[VerifiedStore] = field(default_factory=list)
     files: int = 0
-    #: base names of the analyzed files (the SAN401-403 baseline scope)
-    file_names: set = field(default_factory=set)
     workers: int = 0
-    #: kernel name -> inferred EffectSignature (when kernels were checked)
-    effects: dict[str, "EffectSignature"] = field(default_factory=dict)
     #: (path, line) of suppression markers that actually swallowed a
     #: finding this run — SAN002 (dead-suppression) treats these alive
     suppressed_hits: set = field(default_factory=set)
@@ -170,7 +157,7 @@ class FlowReport(Report):
 
 @dataclass(frozen=True)
 class EffectSignature:
-    """Inferred or declared read/write/atomic effect sets of a kernel."""
+    """Inferred read/write/atomic effect sets of a kernel."""
 
     reads: tuple[str, ...] = ()
     writes: tuple[str, ...] = ()
@@ -516,7 +503,6 @@ class FlowAnalyzer:
         if info is None:
             return
         report.files += 1
-        report.file_names.add(path.name)
         self.analyze_module(info, report)
 
     def analyze_module(self, info: ModuleInfo, report: FlowReport) -> None:
@@ -1291,82 +1277,6 @@ class FlowAnalyzer:
             atomics=tuple(sorted(atomics)),
         )
 
-    def check_kernel_effects(
-        self,
-        declared: dict[str, EffectSignature],
-        names: list[str] | None = None,
-        kernels_module: str = "repro.sanitizer.kernels",
-    ) -> tuple[list[Finding], dict[str, EffectSignature]]:
-        """SAN404/405 drift between inferred and declared signatures."""
-        inferred = self.infer_kernel_effects(names, kernels_module)
-        info = self.index.modules.get(kernels_module)
-        table = self.kernel_table(kernels_module)
-        findings: list[Finding] = []
-        for kernel, signature in inferred.items():
-            decl = declared.get(kernel)
-            fn = (
-                info.functions.get(table.get(kernel, ""))
-                if info is not None
-                else None
-            )
-            line = fn.lineno if fn is not None else 0
-            path = info.path if info is not None else kernels_module
-            if decl is None:
-                findings.append(
-                    Finding(
-                        path=path,
-                        line=line,
-                        col=0,
-                        code="SAN404",
-                        severity="error",
-                        message=(
-                            f"kernel {kernel!r} has no declared effect "
-                            "signature on KERNEL_EFFECTS; inferred "
-                            f"{signature.as_dict()}"
-                        ),
-                        key=f"SAN404:{kernel}:<missing>",
-                    )
-                )
-                continue
-            for category in ("reads", "writes", "atomics"):
-                inf = set(getattr(signature, category))
-                dec = set(getattr(decl, category))
-                for name in sorted(inf - dec):
-                    findings.append(
-                        Finding(
-                            path=path,
-                            line=line,
-                            col=0,
-                            code="SAN404",
-                            severity="error",
-                            message=(
-                                f"kernel {kernel!r} {category} "
-                                f"{name!r} but the registry does not "
-                                "declare it: the parallel footprint "
-                                "drifted — update KERNEL_EFFECTS or "
-                                "baseline the drift with a reason"
-                            ),
-                            key=f"SAN404:{kernel}:{category}:{name}",
-                        )
-                    )
-                for name in sorted(dec - inf):
-                    findings.append(
-                        Finding(
-                            path=path,
-                            line=line,
-                            col=0,
-                            code="SAN405",
-                            severity="warning",
-                            message=(
-                                f"kernel {kernel!r} declares {category} "
-                                f"{name!r} but SimFlow no longer infers "
-                                "it: stale declaration"
-                            ),
-                            key=f"SAN405:{kernel}:{category}:{name}",
-                        )
-                    )
-        return findings, inferred
-
 
 def _worker_effects(
     worker: _WorkerInfo,
@@ -1461,71 +1371,6 @@ def _finish(report: FlowReport) -> None:
 
 
 # ======================================================================
-# baseline
-# ======================================================================
-
-
-def load_baseline(path: str | Path | None = None) -> dict[str, str]:
-    """Finding-key -> reason mapping from a baseline JSON file.
-
-    A missing default file is an empty baseline; a missing *explicit*
-    file raises ``OSError`` (the caller turns that into a usage error).
-    """
-    p = Path(path) if path is not None else DEFAULT_BASELINE_PATH
-    if path is None and not p.exists():
-        return {}
-    data = json.loads(p.read_text(encoding="utf-8"))
-    entries = data.get("entries", {})
-    return {str(k): str(v) for k, v in entries.items()}
-
-
-def apply_baseline(
-    findings: list[Finding], baseline: dict[str, str]
-) -> tuple[list[Finding], list[tuple[Finding, str]]]:
-    """Split findings into (active, baselined-with-reason)."""
-    active: list[Finding] = []
-    suppressed: list[tuple[Finding, str]] = []
-    for f in findings:
-        reason = baseline.get(f.key)
-        if reason is None:
-            active.append(f)
-        else:
-            suppressed.append((f, reason))
-    return active, suppressed
-
-
-def stale_baseline_entries(
-    findings: list[Finding],
-    baseline: dict[str, str],
-    files: set[str],
-    kernels: set[str],
-) -> list[str]:
-    """Baseline keys this run could have matched but no finding did.
-
-    A stale entry means the acknowledged drift was fixed (or the code
-    moved) without pruning ``flow_baseline.json`` — left alone it would
-    silently re-suppress a *future* finding with the same key.  The CLI
-    reports these as warnings (failures under ``--strict``).  A key's
-    second field names a file (SAN401-403) or a kernel (SAN404/405);
-    an entry is in scope only when that file was analyzed (``files``,
-    base names) or that kernel checked (``kernels``).  Keys of any
-    other code are always in scope.
-    """
-    live = {f.key for f in findings}
-
-    def in_scope(key: str) -> bool:
-        code, _, rest = key.partition(":")
-        name = rest.partition(":")[0]
-        if code in ("SAN401", "SAN402", "SAN403"):
-            return name in files
-        if code in ("SAN404", "SAN405"):
-            return name in kernels
-        return True
-
-    return sorted(k for k in baseline if k not in live and in_scope(k))
-
-
-# ======================================================================
 # module-level convenience entry points
 # ======================================================================
 
@@ -1561,24 +1406,13 @@ def infer_kernel_effects(
     return FlowAnalyzer(index=index).infer_kernel_effects(names)
 
 
-def check_kernel_effects(
-    declared: dict[str, EffectSignature] | None = None,
-    names: list[str] | None = None,
-    index: ModuleIndex | None = None,
-) -> tuple[list[Finding], dict[str, EffectSignature]]:
-    """SAN404/405 drift check against the registry declarations."""
-    if declared is None:
-        from repro.sanitizer.kernels import KERNEL_EFFECTS
-
-        declared = {
-            name: EffectSignature(
-                reads=tuple(spec.get("reads", ())),
-                writes=tuple(spec.get("writes", ())),
-                atomics=tuple(spec.get("atomics", ())),
-            )
-            for name, spec in KERNEL_EFFECTS.items()
-        }
-    return FlowAnalyzer(index=index).check_kernel_effects(declared, names)
+def flow_manifest_payload(effects: dict[str, EffectSignature]) -> dict:
+    """Committed-manifest shape of inferred kernel effect signatures."""
+    return {
+        "schema": FLOW_MANIFEST_SCHEMA,
+        "version": 1,
+        "kernels": {name: effects[name].as_dict() for name in sorted(effects)},
+    }
 
 
 # ======================================================================

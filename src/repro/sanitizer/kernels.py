@@ -29,9 +29,7 @@ from repro.sanitizer.memcheck import MemChecker, san_empty
 __all__ = [
     "KernelReport",
     "KERNELS",
-    "KERNEL_EFFECTS",
     "KERNEL_EXTENTS",
-    "MESSAGE_SCHEMAS",
     "run_kernel",
     "run_all_kernels",
 ]
@@ -294,284 +292,6 @@ KERNELS: dict[str, object] = {
 }
 
 
-#: Declared parallel effect signatures, one per registered kernel:
-#: the captured containers each kernel's workers read and write plus
-#: the locations they synchronize through atomics.  SimFlow
-#: (``repro sanitize --flow``) infers the actual footprint from the
-#: call graph and reports drift as SAN404 (undeclared effect, error)
-#: / SAN405 (stale declaration, warning); update this table — or
-#: baseline the drift with a reason — when a kernel's parallel
-#: footprint legitimately changes.
-KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
-    "pkc": {
-        "reads": ("indices", "indptr", "next_parts", "settled"),
-        "writes": ("coreness", "next_parts", "pkc_core"),
-        "atomics": ("degree",),
-    },
-    "phcd": {
-        "reads": (
-            "bins",
-            "coreness",
-            "indices",
-            "indptr",
-            "next_parts",
-            "settled",
-            "vsort",
-        ),
-        "writes": (
-            "bins",
-            "coreness",
-            "hcd_parent",
-            "next_parts",
-            "pkc_core",
-            "rank",
-            "tid",
-        ),
-        "atomics": (
-            "HL",
-            "degree",
-            "hcd_nodes",
-            "kpc_pivot",
-            "node_members",
-            "tid_arr",
-            "uf",
-        ),
-    },
-    "phcd_pivot": {
-        "reads": (
-            "bins",
-            "coreness",
-            "indices",
-            "indptr",
-            "next_parts",
-            "settled",
-            "vsort",
-        ),
-        "writes": (
-            "bins",
-            "coreness",
-            "hcd_parent",
-            "next_parts",
-            "pkc_core",
-            "rank",
-            "tid",
-        ),
-        "atomics": (
-            "HL",
-            "degree",
-            "hcd_nodes",
-            "kpc_pivot",
-            "node_members",
-            "tid_arr",
-            "uf",
-        ),
-    },
-    "pbks": {
-        "reads": (
-            "accumulated",
-            "bins",
-            "coreness",
-            "eq",
-            "gt",
-            "indices",
-            "indptr",
-            "lt",
-            "nbr_sets",
-            "next_parts",
-            "parents",
-            "ranks",
-            "settled",
-            "tid",
-            "vals",
-            "vsort",
-        ),
-        "writes": (
-            "bins",
-            "coreness",
-            "eq",
-            "gt",
-            "hcd_parent",
-            "next_parts",
-            "pbks_scores",
-            "pkc_core",
-            "pre_counts",
-            "rank",
-            "scores",
-            "tid",
-        ),
-        "atomics": (
-            "HL",
-            "degree",
-            "hcd_nodes",
-            "kpc_pivot",
-            "node_members",
-            "out",
-            "sink",
-            "tid_arr",
-            "uf",
-        ),
-    },
-    "accumulate": {
-        "reads": ("parents", "vals"),
-        "writes": (),
-        "atomics": ("sink",),
-    },
-    "accumulate_euler": {
-        "reads": ("end", "prefix", "source", "start"),
-        "writes": ("out", "prefix"),
-        "atomics": (),
-    },
-    "unionfind_pivot": {
-        "reads": (),
-        "writes": (),
-        "atomics": ("uf",),
-    },
-    "unionfind_waitfree": {
-        "reads": (),
-        "writes": (),
-        "atomics": ("uf",),
-    },
-    "vertex_rank": {
-        "reads": (
-            "bins",
-            "coreness",
-            "indices",
-            "indptr",
-            "next_parts",
-            "settled",
-            "vsort",
-        ),
-        "writes": ("bins", "coreness", "next_parts", "pkc_core", "rank"),
-        "atomics": ("HL", "degree"),
-    },
-    "dynamic_batch": {
-        "reads": (
-            "alive",
-            "core",
-            "coreness",
-            "dropped",
-            "indices",
-            "lens",
-            "next_parts",
-            "out_parts",
-            "row_len",
-            "seed_parts",
-            "starts",
-            "supp",
-        ),
-        "writes": (
-            "alive",
-            "coreness",
-            "dropped",
-            "next_parts",
-            "out_parts",
-            "seed_parts",
-            "supp",
-        ),
-        "atomics": ("visited",),
-    },
-    "dynamic_publish": {
-        "reads": ("bins", "coreness", "indices", "indptr", "vsort"),
-        "writes": (
-            "bins",
-            "counts_eq",
-            "counts_gt",
-            "eq",
-            "gt",
-            "hcd_parent",
-            "pre_counts",
-            "rank",
-            "tid",
-        ),
-        "atomics": (
-            "HL",
-            "hcd_nodes",
-            "kpc_pivot",
-            "node_members",
-            "tid_arr",
-            "uf",
-        ),
-    },
-    "cluster_decompose": {
-        # the shard-local h-index rounds (cl_new/local/new_vals) plus
-        # the label-propagation partitioner reachable through
-        # shard_graph (labels/sizes/new_labels/part_* — flow is static,
-        # so the lp path counts even when the kernel runs strategy
-        # "range")
-        "reads": ("indices", "indptr", "labels", "local", "sizes"),
-        "writes": ("cl_new", "new_labels", "new_vals", "part_newlab"),
-        "atomics": ("part_sizes",),
-    },
-    "cluster_serve": {
-        # identical to serve_batch: the routed replica path reuses the
-        # snapshot build + executor kernels; the router itself only
-        # runs serial regions
-        "reads": (
-            "bins",
-            "coreness",
-            "indices",
-            "indptr",
-            "next_parts",
-            "settled",
-            "vsort",
-        ),
-        "writes": (
-            "bins",
-            "coreness",
-            "eq",
-            "gt",
-            "hcd_parent",
-            "next_parts",
-            "pkc_core",
-            "pre_counts",
-            "rank",
-            "tid",
-        ),
-        "atomics": (
-            "HL",
-            "degree",
-            "hcd_nodes",
-            "kpc_pivot",
-            "node_members",
-            "tid_arr",
-            "uf",
-        ),
-    },
-    "serve_batch": {
-        "reads": (
-            "bins",
-            "coreness",
-            "indices",
-            "indptr",
-            "next_parts",
-            "settled",
-            "vsort",
-        ),
-        "writes": (
-            "bins",
-            "coreness",
-            "eq",
-            "gt",
-            "hcd_parent",
-            "next_parts",
-            "pkc_core",
-            "pre_counts",
-            "rank",
-            "tid",
-        ),
-        "atomics": (
-            "HL",
-            "degree",
-            "hcd_nodes",
-            "kpc_pivot",
-            "node_members",
-            "tid_arr",
-            "uf",
-        ),
-    },
-}
-
-
 #: Declared array extents for SimProve (SAN5xx) bounds proofs: kernel
 #: name -> {array or recorded-location name -> extent expression over
 #: size symbols}.  Expressions must stay affine (``"n"``, ``"n + 1"``,
@@ -623,42 +343,6 @@ KERNEL_EXTENTS: dict[str, dict[str, str]] = {
     },
     "cluster_serve": dict(_CSR_EXTENTS),
 }
-
-#: Declared wire format of every ``Network.send`` site reachable from
-#: a cluster kernel, keyed ``<module>.<function>#<ordinal>``.  SimDist
-#: (SAN604/605) derives each site's byte-count expression statically
-#: (``header + per_item * count``, resolving module constants through
-#: the affine domain) and diffs it against this table: an undeclared
-#: or contradicting site is a SAN604 error, a stale entry a SAN605
-#: warning.  ``per_item_bytes`` is an int for fixed-size payloads or
-#: the config attribute the size is read from; ``count`` must equal
-#: the unparsed count expression at the send site; ``unit`` is
-#: documentation only.
-MESSAGE_SCHEMAS: dict[str, dict[str, dict]] = {
-    "cluster_decompose": {
-        "decomposition.exchange#1": {
-            "header_bytes": 16,
-            "per_item_bytes": 8,
-            "count": "per_dest[dest]",
-            "unit": "changed boundary estimate",
-        },
-    },
-    "cluster_serve": {
-        "service._dispatch_attempt#1": {
-            "header_bytes": 0,
-            "per_item_bytes": "request_bytes",
-            "count": "max(sub_plan.distinct, 1)",
-            "unit": "routed query",
-        },
-        "service._dispatch_attempt#2": {
-            "header_bytes": 0,
-            "per_item_bytes": "response_bytes",
-            "count": "max(len(results), 1)",
-            "unit": "answer",
-        },
-    },
-}
-
 
 def run_kernel(
     name: str,

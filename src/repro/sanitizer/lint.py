@@ -199,8 +199,8 @@ class Finding:
     """One static finding of any SAN family, printable as
     ``path:line:col CODE [severity] message``.
 
-    ``key`` is the line-free identity the flow baseline and the proof
-    manifests match on; lint findings leave it empty.
+    ``key`` is a line-free identity of the finding (SimProve orders its
+    findings by it); lint findings leave it empty.
     """
 
     path: str

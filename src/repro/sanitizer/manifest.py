@@ -1,10 +1,11 @@
-"""Committed proof manifests: load, write, drift and verify.
+"""Committed analysis manifests: load, write, drift and verify.
 
+SimFlow (``flow_manifest.json``, the inferred kernel effects),
 SimProve (``prove_manifest.json``) and SimDist (``dist_manifest.json``)
-each commit the certificates of a full run next to their module.  A
+each commit the derived result of a full run next to their module.  A
 run regenerates the payload and compares it with the committed file;
-every difference is one drift line and fails the run.  Refresh with
-``repro sanitize --write-manifest``.
+every difference is one drift line and fails the run.  Refresh all
+three with ``repro sanitize --write-manifest``.
 
 Drift lines name the changed leaf by its dotted key path, committed
 value first: ``kernels.pkc.determinism: 'commutative' ->
@@ -68,10 +69,17 @@ def _walk(old: object, new: object, key: str, out: list[str]) -> None:
         out.append(f"{key}: {_show(old)} -> {_show(new)}")
 
 
-def drift(current: dict, committed: str | Path, flag: str) -> list[str]:
+def drift(
+    current: dict,
+    committed: str | Path,
+    flag: str,
+    kernels: list[str] | None = None,
+) -> list[str]:
     """Drift lines between a fresh payload and the committed file at
-    ``committed``; empty means in sync.  ``flag`` (``--prove`` or
-    ``--dist``) names the family in the refresh hint."""
+    ``committed``; empty means in sync.  ``flag`` (``--flow``,
+    ``--prove`` or ``--dist``) names the family in the refresh hint.
+    ``kernels`` restricts the committed ``kernels`` object to those
+    entries, for a payload computed over a subset of the registry."""
     fix = f"run `repro sanitize {flag} --write-manifest` and commit it"
     name = flag.lstrip("-")
     try:
@@ -80,6 +88,13 @@ def drift(current: dict, committed: str | Path, flag: str) -> list[str]:
         return [f"{name} manifest {exc} — {fix}"]
     if old is None:
         return [f"{name} manifest missing — {fix}"]
+    if kernels is not None and isinstance(old.get("kernels"), dict):
+        old = {
+            **old,
+            "kernels": {
+                k: v for k, v in old["kernels"].items() if k in kernels
+            },
+        }
     out: list[str] = []
     _walk(old, current, "", out)
     return out

@@ -112,7 +112,7 @@ __all__ = [
     "verify_manifest",
 ]
 
-#: Committed proof manifest, next to this module (like flow_baseline).
+#: Committed proof manifest, next to this module.
 DEFAULT_MANIFEST_PATH = Path(__file__).with_name("prove_manifest.json")
 MANIFEST_SCHEMA = "prove-manifest/v1"
 

@@ -2,9 +2,10 @@
 
 Covers the in-tree certification (both cluster protocols must pass),
 the seeded selftest's exact line attribution, the committed-manifest
-drift detection, the wire-schema comparison (SAN604/605) on a
-synthetic cluster module, and the monotonicity / phase / replay
-judgements on standalone protocol sources.
+drift detection (the derived wire shape of every send site included),
+send-site derivation (SAN604) on a synthetic cluster module, and the
+monotonicity / phase / replay judgements on standalone protocol
+sources.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ class TestOwnership:
 
 
 # ----------------------------------------------------------------------
-# wire schemas (SAN604/605) on a synthetic cluster module
+# wire effects (SAN604) on a synthetic cluster module
 # ----------------------------------------------------------------------
 
 _TOY_CLUSTER = """\
@@ -282,15 +283,11 @@ def pump(network, ids):
 """
 
 
-def _toy_index(schemas: dict) -> ModuleIndex:
+def _toy_index(cluster_src: str = _TOY_CLUSTER) -> ModuleIndex:
     index = ModuleIndex()
-    kernels_src = (
-        f"MESSAGE_SCHEMAS = {schemas!r}\n"
-        "KERNELS: dict = {}\n"
-    )
     for name, path, src in [
-        ("repro.cluster.toy", "<toy>", _TOY_CLUSTER),
-        ("repro.sanitizer.kernels", "<toy-kernels>", kernels_src),
+        ("repro.cluster.toy", "<toy>", cluster_src),
+        ("repro.sanitizer.kernels", "<toy-kernels>", "KERNELS: dict = {}\n"),
     ]:
         info = ModuleInfo(name, path, src)
         index.modules[name] = info
@@ -298,21 +295,9 @@ def _toy_index(schemas: dict) -> ModuleIndex:
     return index
 
 
-_GOOD_SCHEMA = {
-    "cluster_toy": {
-        "toy.pump#1": {
-            "header_bytes": 16,
-            "per_item_bytes": 8,
-            "count": "len(ids)",
-            "unit": "toy item",
-        },
-    },
-}
-
-
 class TestWireSchemas:
     def test_matching_declaration_certifies(self):
-        report = DistAnalyzer(_toy_index(_GOOD_SCHEMA)).analyze()
+        report = DistAnalyzer(_toy_index()).analyze()
         assert not report.findings, [str(f) for f in report.findings]
         assert report.certificates["toy"].status == "certified"
         assert report.certificates["toy"].sends["toy.pump#1"] == {
@@ -321,42 +306,53 @@ class TestWireSchemas:
             "count": "len(ids)",
         }
 
-    def test_undeclared_send_is_san604(self):
-        report = DistAnalyzer(_toy_index({})).analyze()
-        codes = [f.code for f in report.findings]
-        assert "SAN604" in codes
-        assert report.certificates["toy"].status == "violations"
+    def test_underivable_send_is_san604(self):
+        # a byte count with no constant per-item size cannot be derived
+        source = _TOY_CLUSTER.replace("16 + 8 * len(ids)", "16 + sum(ids)")
+        report = DistAnalyzer(_toy_index(source)).analyze()
+        (finding,) = report.findings
+        assert finding.code == "SAN604"
+        assert "toy.pump#1" in finding.message
+        assert "not statically derivable" in finding.message
+        certificate = report.certificates["toy"]
+        assert certificate.status == "violations"
+        assert certificate.sends == {}
 
-    def test_field_mismatch_is_san604(self):
-        bad = {
-            "cluster_toy": {
-                "toy.pump#1": {
-                    "header_bytes": 16,
-                    "per_item_bytes": 4,
-                    "count": "len(ids)",
-                },
-            },
-        }
-        report = DistAnalyzer(_toy_index(bad)).analyze()
-        san604 = [f for f in report.findings if f.code == "SAN604"]
-        assert san604 and "per_item_bytes" in san604[0].message
+    @staticmethod
+    def _toy_drift(recorded_src: str, current_src: str, tmp_path):
+        recorded = dist_manifest_payload(
+            DistAnalyzer(_toy_index(recorded_src)).analyze()
+        )
+        path = manifest.write(recorded, tmp_path / "dist.json")
+        report = DistAnalyzer(_toy_index(current_src)).analyze()
+        return report, manifest.drift(
+            dist_manifest_payload(report), path, "--dist"
+        )
 
-    def test_stale_declaration_is_san605_warning(self):
-        stale = {
-            "cluster_toy": {
-                "toy.pump#1": _GOOD_SCHEMA["cluster_toy"]["toy.pump#1"],
-                "toy.pump#2": {
-                    "header_bytes": 16,
-                    "per_item_bytes": 8,
-                    "count": "len(ids)",
-                },
-            },
-        }
-        report = DistAnalyzer(_toy_index(stale)).analyze()
-        assert [f.code for f in report.findings] == ["SAN605"]
-        assert report.findings[0].severity == "warning"
-        # a stale declaration does not void the protocol's certificate
+    def test_changed_send_field_is_drift(self, tmp_path):
+        # a new wire shape at a recorded send site is one drift line
+        # for the changed field, not an analysis finding
+        source = _TOY_CLUSTER.replace("8 * len(ids)", "4 * len(ids)")
+        report, lines = self._toy_drift(_TOY_CLUSTER, source, tmp_path)
+        assert not report.findings, [str(f) for f in report.findings]
+        assert lines == [
+            "protocols.toy.sends.toy.pump#1.per_item_bytes: 8 -> 4"
+        ]
+
+    def test_removed_send_site_is_drift(self, tmp_path):
+        # a recorded send site that no longer exists reads as absent
+        # (beside the phase obligation's site count); the protocol
+        # itself stays certified
+        two_sends = _TOY_CLUSTER + "    network.send(1, 0, 16 + 8 * len(ids))\n"
+        report, lines = self._toy_drift(two_sends, _TOY_CLUSTER, tmp_path)
+        assert not report.findings, [str(f) for f in report.findings]
         assert report.certificates["toy"].status == "certified"
+        assert lines == [
+            "protocols.toy.obligations.phase:sends: "
+            "\"2 send site(s) confined to ['pump']\" -> "
+            "\"1 send site(s) confined to ['pump']\"",
+            "protocols.toy.sends.toy.pump#2: {...} -> absent",
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -387,15 +383,27 @@ class TestManifest:
         ]
 
     def test_message_schema_tamper_detected(self, tmp_path):
+        # the committed ``sends`` are the message schemas: a changed
+        # wire shape at a send site is one drift line per field
         payload = dist_manifest_payload(analyze_dist())
         committed = json.loads(json.dumps(payload))
-        committed["message_schemas"]["cluster_decompose"] = {}
+        sends = committed["protocols"]["decompose"]["sends"]
+        sends["decomposition.exchange#1"]["per_item_bytes"] = 4
         path = manifest.write(committed, tmp_path / "dist.json")
         lines = manifest.drift(payload, path, "--dist")
-        assert lines and all(
-            line.startswith("message_schemas.cluster_decompose.")
-            for line in lines
-        )
+        assert lines == [
+            "protocols.decompose.sends.decomposition.exchange#1."
+            "per_item_bytes: 4 -> 8"
+        ]
+        # a committed site no send derives any more reads as absent
+        sends["decomposition.exchange#1"]["per_item_bytes"] = 8
+        sends["decomposition.exchange#2"] = {"count": "n"}
+        path = manifest.write(committed, tmp_path / "dist.json")
+        lines = manifest.drift(payload, path, "--dist")
+        assert lines == [
+            "protocols.decompose.sends.decomposition.exchange#2: "
+            "{...} -> absent"
+        ]
 
     def test_tampered_manifest_fails_verify(self, tmp_path):
         report = analyze_dist()
@@ -439,7 +447,7 @@ class TestCli:
             cli_main(["sanitize", "--dist", "--report", str(out)]) == 0
         )
         payload = json.loads(out.read_text())
-        assert payload["schema"] == "sanitize-report/v1"
+        assert payload["schema"] == "sanitize-report/v2"
         assert set(payload["dist"]["certificates"]) == {
             "decompose",
             "serve",

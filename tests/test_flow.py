@@ -2,30 +2,32 @@
 
 Covers the CFG substrate, divergent-sync taint analysis, the
 disjoint-write interval prover (verification, SAN403, and SAN201
-downgrades), kernel effect signatures with baseline gating, the
-SAN001 suppression-hygiene lint, and the ``repro sanitize`` CLI
-exit-code contract (missing path, --strict promotion, --flow).
+downgrades), kernel effect signatures against the committed
+``flow_manifest.json``, the SAN001 suppression-hygiene lint, and the
+``repro sanitize`` CLI exit-code contract (missing path, --strict
+promotion, --flow).
 """
 
 from __future__ import annotations
 
 import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import repro.sanitizer
 from repro.cli import main as cli_main
+from repro.sanitizer import flow, manifest
 from repro.sanitizer.cfg import build_cfg
 from repro.sanitizer.flow import (
-    EffectSignature,
+    DEFAULT_FLOW_MANIFEST_PATH,
     FlowAnalyzer,
     ModuleIndex,
     analyze_source,
-    apply_baseline,
-    check_kernel_effects,
+    flow_manifest_payload,
     flow_selftest,
     infer_kernel_effects,
-    load_baseline,
 )
 from repro.sanitizer.lint import lint_source
 
@@ -390,8 +392,17 @@ class TestDisjointWrites:
 
 
 # ======================================================================
-# effect signatures (SAN404 / SAN405) + baseline
+# effect signatures + the committed flow manifest
 # ======================================================================
+
+
+def _committed_copy(tmp_path, kernel: str, category: str, edit) -> Path:
+    """The committed flow manifest with one kernel's category list
+    replaced by ``edit(list)``, written under ``tmp_path``."""
+    committed = json.loads(DEFAULT_FLOW_MANIFEST_PATH.read_text())
+    entry = committed["kernels"][kernel]
+    entry[category] = edit(entry[category])
+    return manifest.write(committed, tmp_path / "flow_manifest.json")
 
 
 class TestEffects:
@@ -402,8 +413,10 @@ class TestEffects:
         assert set(inferred) == set(KERNELS)
 
     def test_declared_matches_inferred_zero_drift(self):
-        findings, _ = check_kernel_effects()
-        assert findings == []
+        # the committed manifest is the declared record of every
+        # kernel's effects; a full inference must reproduce it
+        payload = flow_manifest_payload(infer_kernel_effects())
+        assert manifest.drift(payload, DEFAULT_FLOW_MANIFEST_PATH, "--flow") == []
 
     def test_pkc_signature_content(self):
         sig = infer_kernel_effects(["pkc"])["pkc"]
@@ -411,52 +424,40 @@ class TestEffects:
         assert "degree" in sig.atomics
         assert "indptr" in sig.reads
 
-    def test_undeclared_effect_is_san404_error(self):
-        declared = {"pkc": EffectSignature()}
-        findings, _ = check_kernel_effects(declared, names=["pkc"])
-        codes = {(f.code, f.severity) for f in findings}
-        assert ("SAN404", "error") in codes
-
-    def test_stale_declaration_is_san405_warning(self):
-        sig = infer_kernel_effects(["pkc"])["pkc"]
-        declared = {
-            "pkc": EffectSignature(
-                reads=sig.reads,
-                writes=sig.writes + ("ghost_array",),
-                atomics=sig.atomics,
-            )
-        }
-        findings, _ = check_kernel_effects(declared, names=["pkc"])
-        assert [(f.code, f.severity) for f in findings] == [
-            ("SAN405", "warning")
-        ]
-        assert "ghost_array" in findings[0].message
-
-    def test_baseline_suppresses_by_key(self, tmp_path):
-        declared = {"pkc": EffectSignature()}
-        findings, _ = check_kernel_effects(declared, names=["pkc"])
-        baseline = {f.key: "known drift, tracked in tests" for f in findings}
-        active, suppressed = apply_baseline(findings, baseline)
-        assert not active
-        assert len(suppressed) == len(findings)
-
-    def test_load_baseline_roundtrip(self, tmp_path):
-        p = tmp_path / "b.json"
-        p.write_text(
-            json.dumps(
-                {"version": 1, "entries": {"SAN404:x:writes:y": "why"}}
-            )
+    def test_undeclared_effect_is_drift(self, tmp_path):
+        committed = _committed_copy(
+            tmp_path, "pkc", "writes", lambda names: names[1:]
         )
-        assert load_baseline(p) == {"SAN404:x:writes:y": "why"}
+        payload = flow_manifest_payload(infer_kernel_effects(["pkc"]))
+        lines = manifest.drift(payload, committed, "--flow", ["pkc"])
+        assert len(lines) == 1
+        assert lines[0].startswith("kernels.pkc.writes: ")
 
-    def test_load_missing_explicit_baseline_raises(self, tmp_path):
-        with pytest.raises(OSError):
-            load_baseline(tmp_path / "absent.json")
+    def test_stale_declaration_is_drift(self, tmp_path):
+        committed = _committed_copy(
+            tmp_path, "pkc", "reads", lambda names: names + ["ghost_array"]
+        )
+        payload = flow_manifest_payload(infer_kernel_effects(["pkc"]))
+        lines = manifest.drift(payload, committed, "--flow", ["pkc"])
+        assert len(lines) == 1
+        assert lines[0].startswith("kernels.pkc.reads: ")
+        assert "ghost_array" in lines[0]
 
-    def test_committed_baseline_reasons_nonempty(self):
-        # the committed baseline must stay reason-annotated
-        for key, reason in load_baseline().items():
-            assert reason.strip(), key
+    def test_subset_run_compares_only_its_kernels(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        committed = _committed_copy(
+            tmp_path, "phcd", "writes", lambda names: names[1:]
+        )
+        monkeypatch.setattr(flow, "DEFAULT_FLOW_MANIFEST_PATH", committed)
+        rc = cli_main(["sanitize", "--kernel", "pkc", "--flow"])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "effects over 1 kernel(s), 0 drift line(s)" in out
+        rc = cli_main(["sanitize", "--kernel", "phcd", "--flow"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "manifest drift: kernels.phcd.writes: " in out
 
 
 # ======================================================================
@@ -511,6 +512,15 @@ class TestSanitizeCLI:
         assert rc == 2
         assert "no such lint path: no/such/dir" in capsys.readouterr().err
 
+    def test_missing_lint_path_runs_no_kernel(self, monkeypatch, capsys):
+        def run_kernel(*args, **kwargs):
+            raise AssertionError("a kernel ran before the usage check")
+
+        monkeypatch.setattr(repro.sanitizer, "run_kernel", run_kernel)
+        rc = cli_main(["sanitize", "--all-kernels", "--lint", "no/such/path"])
+        assert rc == 2
+        assert "no such lint path: no/such/path" in capsys.readouterr().err
+
     def test_strict_promotes_lint_warnings(self, tmp_path, capsys):
         warn = tmp_path / "warny.py"
         warn.write_text("x = 1  # sani: ok\n")
@@ -559,13 +569,6 @@ class TestSanitizeCLI:
         )
         assert rc == 1
 
-    def test_missing_explicit_flow_baseline_exits_2(self, capsys):
-        rc = cli_main(
-            ["sanitize", "--flow", "--flow-baseline", "no/such.json"]
-        )
-        assert rc == 2
-        assert "flow baseline" in capsys.readouterr().err
-
     def test_flow_downgrades_san201_in_lint_family(self, tmp_path, capsys):
         src = tmp_path / "plain.py"
         # bare item-indexed store, no ctx record: SAN201 without flow,
@@ -594,4 +597,5 @@ class TestSanitizeCLI:
         data = json.loads(report.read_text())
         assert "flow" in data
         assert data["flow"]["effects"]
+        assert data["flow"]["drift"] == []
         assert data["flow"]["verified_disjoint"]

@@ -2,10 +2,11 @@
 
 Covers the paths single-family runs never reach: the SAN002
 dead-marker audit (lint + flow + full prove together),
-``--write-manifest`` reproducing both committed manifests, the flow
-baseline's stale-entry scope on a path-scoped run, SAN000 for source
-that is not UTF-8, the shared manifest checker's absent-vs-unreadable
-distinction, and the package import set of a runtime process.
+``--write-manifest`` reproducing the three committed manifests, a
+path-scoped flow run still checking every kernel's effects, SAN000
+for source that is not UTF-8, the shared manifest checker's
+absent-vs-unreadable distinction, and the package import set of a
+runtime process.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.sanitizer import dist, manifest, prove
+from repro.sanitizer import KERNELS, dist, flow, manifest, prove
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -40,21 +41,25 @@ def test_dead_marker_audit_gates_under_strict(tmp_path, capsys):
 def test_write_manifest_reproduces_committed_files(
     tmp_path, monkeypatch, capsys
 ):
+    flow_path = tmp_path / "flow_manifest.json"
     prove_path = tmp_path / "prove_manifest.json"
     dist_path = tmp_path / "dist_manifest.json"
+    monkeypatch.setattr(flow, "DEFAULT_FLOW_MANIFEST_PATH", flow_path)
     monkeypatch.setattr(prove, "DEFAULT_MANIFEST_PATH", prove_path)
     monkeypatch.setattr(dist, "DEFAULT_DIST_MANIFEST_PATH", dist_path)
-    assert cli_main(["sanitize", "--write-manifest"]) == 0
+    # a kernel subset must not shrink the refreshed flow manifest
+    assert cli_main(["sanitize", "--kernel", "pkc", "--write-manifest"]) == 0
     out = capsys.readouterr().out
-    assert f"manifest refreshed: {prove_path}" in out
-    assert f"manifest refreshed: {dist_path}" in out
+    for path in (flow_path, prove_path, dist_path):
+        assert f"manifest refreshed: {path}" in out
     package = Path(prove.__file__).parent
-    for name in ("prove_manifest.json", "dist_manifest.json"):
-        assert (tmp_path / name).read_bytes() == (package / name).read_bytes()
+    for path in (flow_path, prove_path, dist_path):
+        assert path.read_bytes() == (package / path.name).read_bytes()
 
 
 def test_path_scoped_flow_run_has_no_stale_entries(capsys):
-    # the committed baseline names divide_conquer.py, outside this scope
+    # the path scope narrows the analyzed files, not the effect check:
+    # every kernel is still inferred and compared with the manifest
     rc = cli_main(
         [
             "sanitize",
@@ -66,28 +71,7 @@ def test_path_scoped_flow_run_has_no_stale_entries(capsys):
     )
     out = capsys.readouterr().out
     assert rc == 0, out
-    assert "0 stale baseline entr(ies)" in out
-
-
-def test_in_scope_baseline_entry_without_finding_is_stale(tmp_path, capsys):
-    (tmp_path / "mod.py").write_text("x = 1\n")
-    baseline = tmp_path / "baseline.json"
-    key = "SAN401:mod.py:worker:barrier:worker"
-    baseline.write_text(json.dumps({"entries": {key: "fixed since"}}))
-    rc = cli_main(
-        [
-            "sanitize",
-            "--strict",
-            "--flow",
-            "--lint",
-            str(tmp_path / "mod.py"),
-            "--flow-baseline",
-            str(baseline),
-        ]
-    )
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert f"stale baseline entry (matches no current finding): {key}" in out
+    assert f"effects over {len(KERNELS)} kernel(s), 0 drift line(s)" in out
 
 
 @pytest.mark.parametrize("flow", [False, True])
@@ -105,10 +89,11 @@ def test_non_utf8_source_is_san000(tmp_path, capsys, flow):
 @pytest.mark.parametrize(
     "flag, committed",
     [
+        ("--flow", flow.DEFAULT_FLOW_MANIFEST_PATH),
         ("--prove", prove.DEFAULT_MANIFEST_PATH),
         ("--dist", dist.DEFAULT_DIST_MANIFEST_PATH),
     ],
-    ids=["prove", "dist"],
+    ids=["flow", "prove", "dist"],
 )
 def test_corrupt_manifest_is_not_missing(tmp_path, flag, committed):
     name = flag.lstrip("-")
