@@ -1,10 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test sanitize memcheck lint flow prove dist profile bench-sanitize bench-profile bench-flow bench-prove bench-dist serve-bench bench-dynamic bench-cluster bench-e2e construct-layers cluster-layers serve-layers dynamic-layers sanitize-reports
+.PHONY: check test sanitize memcheck lint flow prove dist profile bench-analysis serve-bench bench-dynamic bench-cluster bench-e2e construct-layers cluster-layers serve-layers dynamic-layers sanitize-reports
 
-## check: the CI gate — tests, strict lint, flow analysis, prove + dist certification, kernel race+memcheck sweep, profiler selftest, serve + dynamic + prove + dist + cluster benches, end-to-end benchmark self-test
-check: test lint flow prove dist sanitize memcheck profile serve-bench bench-dynamic bench-prove bench-dist bench-cluster bench-e2e
+## check: the CI gate — tests, every sanitize family with its selftest (strict), kernel race+memcheck sweep, profiler selftest, analysis + serve + dynamic + cluster benches, end-to-end benchmark self-test
+check: test sanitize memcheck profile bench-analysis serve-bench bench-dynamic bench-cluster bench-e2e
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -53,25 +53,9 @@ sanitize-reports:
 profile:
 	$(PYTHON) -m repro profile --selftest
 
-## bench-sanitize: refresh benchmarks/results/BENCH_sanitize.json
-bench-sanitize:
-	$(PYTHON) benchmarks/bench_sanitize.py
-
-## bench-profile: refresh benchmarks/results/BENCH_profile.json
-bench-profile:
-	$(PYTHON) benchmarks/bench_profile.py
-
-## bench-flow: refresh benchmarks/results/BENCH_flow.json (SimFlow wall-time)
-bench-flow:
-	$(PYTHON) benchmarks/bench_flow.py
-
-## bench-prove: refresh benchmarks/results/BENCH_prove.json (SimProve certification wall time + coverage)
-bench-prove:
-	$(PYTHON) benchmarks/bench_prove.py
-
-## bench-dist: refresh benchmarks/results/BENCH_dist.json (protocol certification coverage + zero perturbation)
-bench-dist:
-	$(PYTHON) benchmarks/bench_dist.py
+## bench-analysis: refresh benchmarks/results/BENCH_analysis.json (observer overhead + zero perturbation, static analysis wall time + coverage)
+bench-analysis:
+	$(PYTHON) benchmarks/bench_analysis.py
 
 ## serve-bench: refresh benchmarks/results/BENCH_serve.json (HCDServe replay)
 serve-bench:

@@ -27,7 +27,7 @@ already maintains (``RegionStats``, per-context counters, the clock).
 Attaching or detaching it therefore changes ``pool.clock`` by exactly
 ``0.0`` on every workload — asserted by
 :func:`repro.profiler.selftest.selftest`,
-``benchmarks/bench_profile.py`` and the test suite.
+``benchmarks/bench_analysis.py`` and the test suite.
 """
 
 from __future__ import annotations

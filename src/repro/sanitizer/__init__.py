@@ -44,11 +44,12 @@ sanitize --write-manifest`` refreshes all three.
 The static analyzers (lint, flow, prove, dist) learn what each
 substrate call touches from one table, :mod:`repro.sanitizer.effects`.
 
-Entry points: ``repro sanitize`` (CLI; ``--memcheck`` adds SimCheck,
-``--flow`` adds SimFlow, ``--prove`` adds SimProve, ``--dist`` adds
-SimDist), ``pytest --sanitize [--memcheck] [--prove] [--dist]``
-(test suite under the observers, gated on the proof manifests),
-:func:`repro.sanitizer.kernels.run_all_kernels` (programmatic).
+Entry points: ``repro sanitize`` (CLI and the only gate; ``--memcheck``
+adds SimCheck, ``--flow``, ``--prove`` and ``--dist`` select SimFlow,
+SimProve and SimDist), ``pytest --sanitize [--memcheck]`` (test suite
+under the observers), :func:`repro.sanitizer.kernels.run_all_kernels`
+(programmatic).  ``benchmarks/bench_analysis.py`` records what every
+family costs.
 
 This package re-exports only the runtime half (detector, memcheck,
 kernel registry, selftest) plus the lint: every kernel imports

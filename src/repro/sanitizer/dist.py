@@ -48,7 +48,7 @@ SAN606   error     message handler reachable from a failover path has a
 =======  ========  =====================================================
 
 The certified result ships as ``dist_manifest.json`` next to this
-file; :func:`verify_dist_manifest` detects drift through the shared
+file; ``repro sanitize --dist`` detects drift through the shared
 :mod:`repro.sanitizer.manifest` checker, exactly like the SAN5xx
 proof manifest.  Each certificate's ``sends`` records the derived
 wire shape (``header_bytes + per_item_bytes * count``) of every send
@@ -63,7 +63,12 @@ from pathlib import Path
 
 from repro.sanitizer import effects, manifest
 from repro.sanitizer.cfg import guarding_tests
-from repro.sanitizer.flow import ModuleIndex, ModuleInfo, default_index
+from repro.sanitizer.flow import (
+    FlowAnalyzer,
+    ModuleIndex,
+    ModuleInfo,
+    default_index,
+)
 from repro.sanitizer.intervals import aff_const, affine_of
 from repro.sanitizer.lint import MUTATING_METHODS, Finding, Report
 
@@ -76,7 +81,6 @@ __all__ = [
     "DIST_MANIFEST_SCHEMA",
     "DEFAULT_DIST_MANIFEST_PATH",
     "dist_manifest_payload",
-    "verify_dist_manifest",
     "dist_selftest",
 ]
 
@@ -591,7 +595,6 @@ class DistAnalyzer:
         est_names = frozenset(spec.estimates) | frozenset(spec.live)
         owners = self._owners(info)
         counts: dict[str, int] = {}
-        ordinal: dict[str, int] = {}
         for node in ast.walk(info.tree):
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = (
@@ -606,8 +609,6 @@ class DistAnalyzer:
                     if base is None or base not in est_names:
                         continue
                     owner = owners.get(id(node), "<module>")
-                    ordinal[owner] = ordinal.get(owner, 0) + 1
-                    key = f"monotone:{owner}:{base}#{ordinal[owner]}"
                     if isinstance(node, ast.AugAssign):
                         self._emit(
                             report,
@@ -620,7 +621,6 @@ class DistAnalyzer:
                             f"{owner} may raise the estimate — only "
                             "fetch_min / guarded-decrease stores may "
                             "cross a shard boundary",
-                            key,
                         )
                         continue
                     cls = self._classify_estimate_store(
@@ -639,7 +639,6 @@ class DistAnalyzer:
                             f"{why} — only fetch_min / min-combining / "
                             "guarded-decrease stores may flow into "
                             "shipped boundary estimates",
-                            key,
                         )
                     else:
                         counts[cls] = counts.get(cls, 0) + 1
@@ -791,7 +790,6 @@ class DistAnalyzer:
                     f"Network.send outside the exchange phase (in "
                     f"{owner}; sends are confined to "
                     f"{sorted(allowed) or spec.send_scopes or 'the exchange closure'})",
-                    f"phase:{owner}:send@{node.lineno}",
                 )
         cert.obligations["phase:sends"] = (
             f"{len(sites)} send site(s) confined to "
@@ -821,7 +819,6 @@ class DistAnalyzer:
                             f"{node.id!r} without an intervening "
                             "superstep barrier — freeze it into a "
                             "snapshot before the superstep",
-                            f"phase:{qual}:read:{node.id}",
                         )
         if live and steps:
             for call, owner in steps:
@@ -856,7 +853,6 @@ class DistAnalyzer:
                         "error",
                         f"superstep driver {owner} never freezes live "
                         f"state {sorted(live)} into a snapshot",
-                        f"phase:{owner}:freeze",
                     )
                     cert.obligations["phase:freeze"] = (
                         "VIOLATED: missing pre-superstep freeze"
@@ -879,7 +875,6 @@ class DistAnalyzer:
                         "error",
                         f"declared recovery root {name!r} not found in "
                         f"{info.name}",
-                        f"phase:recovery:{name}",
                     )
                     continue
                 for qual, fn in resolved:
@@ -907,7 +902,6 @@ class DistAnalyzer:
                             f"recovery hook {qual} skips the snapshot "
                             f"rebuild (freeze) step — expected a call "
                             f"to one of {sorted(rebuilds)}",
-                            f"phase:recovery:{qual}",
                         )
                         cert.obligations["phase:recovery-rebuild"] = (
                             "VIOLATED: rebuild call missing"
@@ -971,7 +965,6 @@ class DistAnalyzer:
                     f"partition builder {builder!r} has no owner-"
                     "equality row selection — owned sets not provably "
                     "disjoint",
-                    "ownership:partition",
                 )
                 cert.obligations["ownership:partition"] = (
                     "VIOLATED: no disjoint owned-row derivation"
@@ -1057,7 +1050,6 @@ class DistAnalyzer:
                     "frontier insert is not keyed by the inserted "
                     f"vertex's owner ({owner_name}[v] must index the "
                     "slot that receives v)",
-                    f"ownership:frontier@{node.lineno}",
                 )
         if inserts:
             cert.obligations["ownership:frontier"] = (
@@ -1104,7 +1096,6 @@ class DistAnalyzer:
                     "slot not indexed by its owned item "
                     f"{item!r} — not provably write-disjoint across "
                     "shards",
-                    f"ownership:{worker.name}@{node.lineno}",
                 )
             declared = _declared_write_slot(node)
             if declared is not None:
@@ -1122,7 +1113,6 @@ class DistAnalyzer:
                         "error",
                         f"worker {worker.name!r} declares a write slot "
                         f"other than its owned item {item!r}",
-                        f"ownership:{worker.name}:decl@{node.lineno}",
                     )
         return ok
 
@@ -1150,7 +1140,6 @@ class DistAnalyzer:
                     "error",
                     f"declared handler root {name!r} not found in "
                     f"{info.name}",
-                    f"replay:{name}",
                 )
                 continue
             for qual, fn in resolved:
@@ -1219,7 +1208,6 @@ class DistAnalyzer:
                 f"handler {qual} write is neither last-writer-wins on "
                 "owned state, min-combining, nor a declared metric — "
                 "replaying this handler double-applies it",
-                f"replay:{qual}@{node.lineno}",
             )
 
         for node in _walk_local(fn):
@@ -1249,7 +1237,6 @@ class DistAnalyzer:
                         "error",
                         f"handler {qual} mutates non-local container "
                         f"via .{node.func.attr}() — not replay-safe",
-                        f"replay:{qual}:mut@{node.lineno}",
                     )
         if violated:
             return "VIOLATED: non-idempotent write"
@@ -1269,7 +1256,6 @@ class DistAnalyzer:
         code: str,
         severity: str,
         message: str,
-        key: str = "",
     ) -> None:
         report.findings.append(
             Finding(
@@ -1279,7 +1265,6 @@ class DistAnalyzer:
                 code=code,
                 severity=severity,
                 message=message,
-                key=key,
             )
         )
         if cert is not None and severity == "error":
@@ -1376,7 +1361,6 @@ class DistAnalyzer:
                     f"wire effect of send site {key} is not statically "
                     "derivable — byte count must be <const header> + "
                     "<const per-item> * <count>",
-                    f"wire:{key}",
                 )
                 continue
             site_map[key] = desc
@@ -1447,7 +1431,6 @@ class DistAnalyzer:
                             "error",
                             f"{qual} writes a field outside the "
                             f"declared wire counters {sorted(allowed)}",
-                            f"wire:counters:{qual}@{node.lineno}",
                         )
                 if (
                     isinstance(node, ast.Call)
@@ -1466,7 +1449,6 @@ class DistAnalyzer:
                         "error",
                         f"{qual} mutates a non-counter field via "
                         f".{node.func.attr}()",
-                        f"wire:counters:{qual}:mut@{node.lineno}",
                     )
 
     @staticmethod
@@ -1596,7 +1578,8 @@ class DistAnalyzer:
             report,
         )
         if kernels_info is not None:
-            for kernel in self._kernel_names(kernels_info):
+            table = FlowAnalyzer(self._index).kernel_table(KERNELS_MODULE)
+            for kernel in table:
                 if kernel.startswith("cluster") and kernel not in report.kernels:
                     report.kernels[kernel] = "unclassified"
                     self._fail_certs(certs)
@@ -1609,30 +1592,9 @@ class DistAnalyzer:
                         "error",
                         f"cluster kernel {kernel!r} is not claimed by "
                         "any DIST_PROTOCOL declaration",
-                        f"wire:kernel:{kernel}",
                     )
         report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
         return report
-
-    @staticmethod
-    def _kernel_names(kernels_info: ModuleInfo) -> list[str]:
-        for stmt in kernels_info.tree.body:
-            target = None
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target = stmt.targets[0]
-            elif isinstance(stmt, ast.AnnAssign):
-                target = stmt.target
-            if (
-                isinstance(target, ast.Name)
-                and target.id == "KERNELS"
-                and isinstance(getattr(stmt, "value", None), ast.Dict)
-            ):
-                return [
-                    k.value
-                    for k in stmt.value.keys
-                    if isinstance(k, ast.Constant) and isinstance(k.value, str)
-                ]
-        return []
 
 
 def analyze_dist(index: ModuleIndex | None = None) -> DistReport:
@@ -1680,22 +1642,6 @@ def dist_manifest_payload(report: DistReport) -> dict:
         },
         "kernels": dict(sorted(report.kernels.items())),
     }
-
-
-def verify_dist_manifest(path: Path | None = None) -> tuple[bool, str]:
-    """Re-analyze and compare against the committed manifest.
-
-    Returns ``(ok, message)`` — the pytest ``--dist`` gate.
-    """
-    report = analyze_dist()
-    return manifest.verify(
-        [f"{f.path}:{f.line} {f.code} {f.message}" for f in report.errors],
-        dist_manifest_payload(report),
-        path or DEFAULT_DIST_MANIFEST_PATH,
-        "--dist",
-        f"{len(report.certified)}/{len(report.certificates)} "
-        "protocols certified",
-    )
 
 
 # ======================================================================

@@ -827,10 +827,6 @@ class FlowAnalyzer:
                 code=code,
                 severity=severity,
                 message=message,
-                key=(
-                    f"{code}:{Path(info.path).name}:{worker_name}:"
-                    f"{issue.attr}:{issue.qualname.rsplit('.', 1)[-1]}"
-                ),
             )
         )
 
@@ -1023,10 +1019,6 @@ class FlowAnalyzer:
                                 "item): contiguous items provably "
                                 "collide across virtual threads",
                             )[0],
-                            key=(
-                                f"SAN403:{Path(info.path).name}:"
-                                f"{worker_name}:{base}"
-                            ),
                         )
                     )
                 return
@@ -1105,10 +1097,6 @@ class FlowAnalyzer:
                         f"store into captured {base!r} provably escapes "
                         f"the worker's owned slice: {reason} — another "
                         "virtual thread owns that slot"
-                    ),
-                    key=(
-                        f"SAN403:{Path(info.path).name}:"
-                        f"{worker_name}:{base}"
                     ),
                 )
             )

@@ -197,11 +197,7 @@ _ARRAY_ALLOCATORS = frozenset(
 @dataclass(frozen=True)
 class Finding:
     """One static finding of any SAN family, printable as
-    ``path:line:col CODE [severity] message``.
-
-    ``key`` is a line-free identity of the finding (SimProve orders its
-    findings by it); lint findings leave it empty.
-    """
+    ``path:line:col CODE [severity] message``."""
 
     path: str
     line: int
@@ -209,7 +205,6 @@ class Finding:
     code: str
     severity: str  # "error" | "warning"
     message: str
-    key: str = ""
 
     def __str__(self) -> str:
         return (

@@ -1,4 +1,4 @@
-"""Committed analysis manifests: load, write, drift and verify.
+"""Committed analysis manifests: load, write and drift.
 
 SimFlow (``flow_manifest.json``, the inferred kernel effects),
 SimProve (``prove_manifest.json``) and SimDist (``dist_manifest.json``)
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-__all__ = ["certified", "drift", "load", "verify", "write"]
+__all__ = ["certified", "drift", "load", "write"]
 
 _ABSENT = object()
 
@@ -98,24 +98,3 @@ def drift(
     out: list[str] = []
     _walk(old, current, "", out)
     return out
-
-
-def verify(
-    problems: list[str],
-    current: dict,
-    committed: str | Path,
-    flag: str,
-    certified: str,
-) -> tuple[bool, str]:
-    """The pytest gate: ``problems`` (the run's errors) plus drift.
-
-    Returns ``(ok, message)``; the message lists the first six
-    problems, or ``"<certified>, manifest in sync"``.
-    """
-    problems = problems + drift(current, committed, flag)
-    if problems:
-        more = len(problems) - 6
-        return False, "; ".join(problems[:6]) + (
-            f" (+{more} more)" if more > 0 else ""
-        )
-    return True, f"{certified}, manifest in sync"

@@ -25,7 +25,7 @@ serial order the substrate executes: bounds are verified against the
 registered allocation (catching negative-wrap and past-the-end
 indices) and the shadow init state is updated.  The barrier never
 charges the cost model, so attaching memcheck perturbs the simulated
-clock by exactly 0.0 (asserted by ``benchmarks/bench_sanitize.py``).
+clock by exactly 0.0 (asserted by ``benchmarks/bench_analysis.py``).
 
 **Numeric soundness** — :func:`checked_cast` / :func:`checked_sum`
 guard narrowing casts and accumulators: values outside the target

@@ -4,7 +4,7 @@ SimCheck establishes memory soundness *dynamically*: every recorded
 access pays a read/write barrier, and only executed inputs are
 covered.  SimProve establishes the same properties *statically*, once
 per kernel, for all inputs (wall time measured by
-``benchmarks/bench_prove.py``).  Which call reads, writes or combines
+``benchmarks/bench_analysis.py``).  Which call reads, writes or combines
 what, and which argument indexes it, comes from the substrate's
 effects table (:mod:`repro.sanitizer.effects`).
 
@@ -109,7 +109,6 @@ __all__ = [
     "prove_kernels",
     "prove_selftest",
     "prove_source",
-    "verify_manifest",
 ]
 
 #: Committed proof manifest, next to this module.
@@ -1410,7 +1409,8 @@ class ProveAnalyzer:
         entry: FunctionRef,
         extent_exprs: dict,
     ) -> tuple[KernelCertificate, list]:
-        """Prove one kernel entry point; returns (certificate, findings)."""
+        """Prove one kernel entry point; returns the certificate and
+        its findings as ``(ordering key, finding)`` pairs."""
         workers = [
             (ref.module, ref.qualpath, worker)
             for ref, worker in self._flow.reachable_workers(entry)
@@ -1457,12 +1457,15 @@ class ProveAnalyzer:
         sites: list,
         assumptions_used: list,
     ) -> tuple[KernelCertificate, list]:
+        # each finding's line-free ordering key, in step with findings
+        keys: list[str] = []
         findings: list = []
         violations = [o for o in obligations if o.outcome == "violation"]
         unproven = [o for o in obligations if o.outcome == "unproven"]
         order_sites = [s for s in sites if s.klass == "order-sensitive"]
         assumed_sites = [s for s in sites if s.klass == "assumed"]
         for ob in violations:
+            keys.append(f"SAN501:{kernel}:{ob.key}")
             findings.append(
                 Finding(
                     path=ob.path,
@@ -1475,10 +1478,10 @@ class ProveAnalyzer:
                         f"{ob.kind} {ob.array}[{ob.index_repr}] in worker "
                         f"{ob.worker!r}: {ob.reason}"
                     ),
-                    key=f"SAN501:{kernel}:{ob.key}",
                 )
             )
         for ob in unproven:
+            keys.append(f"SAN502:{kernel}:{ob.key}")
             findings.append(
                 Finding(
                     path=ob.path,
@@ -1491,10 +1494,10 @@ class ProveAnalyzer:
                         f"{ob.array}[{ob.index_repr}] in worker "
                         f"{ob.worker!r}: {ob.reason}"
                     ),
-                    key=f"SAN502:{kernel}:{ob.key}",
                 )
             )
         for site in order_sites:
+            keys.append(f"SAN503:{kernel}:{site.key}")
             findings.append(
                 Finding(
                     path=site.path,
@@ -1508,7 +1511,6 @@ class ProveAnalyzer:
                         f"reachable from parallel_for in {site.func!r}; "
                         "result depends on combining order"
                     ),
-                    key=f"SAN503:{kernel}:{site.key}",
                 )
             )
         if order_sites:
@@ -1547,7 +1549,7 @@ class ProveAnalyzer:
             atomics=sites,
             assumptions=tuple(assumptions_used),
         )
-        return cert, findings
+        return cert, list(zip(keys, findings))
 
     # ------------------------------------------------------------------
 
@@ -1563,6 +1565,7 @@ class ProveAnalyzer:
         report = ProveReport()
         if info is None:
             return report
+        keyed: list = []
         selected = names if names is not None else sorted(table)
         for name in selected:
             fn_name = table.get(name)
@@ -1575,12 +1578,19 @@ class ProveAnalyzer:
                 name, entry, KERNEL_EXTENTS.get(name, {})
             )
             report.certificates[name] = cert
-            report.findings.extend(findings)
+            keyed.extend(findings)
         for path, assumes in self._assumptions.items():
             for ln in assumes.used_lines:
                 report.used_marker_lines.add((path, ln))
-        report.findings.sort(key=lambda f: (f.path, f.line, f.key))
+        report.findings = _ordered(keyed)
         return report
+
+
+def _ordered(keyed: list) -> list:
+    """The findings of ``(key, finding)`` pairs by path, line and
+    line-free key, so their order never depends on the kernel order."""
+    keyed = sorted(keyed, key=lambda kf: (kf[1].path, kf[1].line, kf[0]))
+    return [finding for _, finding in keyed]
 
 
 def prove_kernels(
@@ -1611,8 +1621,7 @@ def prove_source(
     )
     report = ProveReport()
     report.certificates[kernel] = cert
-    report.findings.extend(findings)
-    report.findings.sort(key=lambda f: (f.path, f.line, f.key))
+    report.findings = _ordered(findings)
     return report
 
 
@@ -1631,24 +1640,6 @@ def manifest_payload(report: ProveReport) -> dict:
             for name in sorted(report.certificates)
         },
     }
-
-
-def verify_manifest(
-    index: ModuleIndex | None = None, path: str | Path | None = None
-) -> tuple[bool, str]:
-    """Regenerate proofs and compare with the committed manifest.
-
-    The pytest ``--prove`` gate (``repro sanitize --prove`` runs the
-    same ``manifest.drift``): fails on any SAN501 or manifest drift.
-    """
-    report = prove_kernels(index=index)
-    return manifest.verify(
-        [str(f) for f in report.errors],
-        manifest_payload(report),
-        path or DEFAULT_MANIFEST_PATH,
-        "--prove",
-        f"{len(report.certified)}/{len(report.certificates)} kernels certified",
-    )
 
 
 # ======================================================================

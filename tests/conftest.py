@@ -123,44 +123,9 @@ def pytest_addoption(parser):
             "overflow a checked cast; composes with --sanitize"
         ),
     )
-    parser.addoption(
-        "--prove",
-        action="store_true",
-        default=False,
-        help=(
-            "before running the suite, re-run the SimProve SAN5xx "
-            "certification and fail fast on any provable OOB or any "
-            "drift against the committed prove_manifest.json; "
-            "composes with --sanitize/--memcheck"
-        ),
-    )
-    parser.addoption(
-        "--dist",
-        action="store_true",
-        default=False,
-        help=(
-            "before running the suite, re-run the SimDist SAN6xx "
-            "distributed-protocol certification and fail fast on any "
-            "SAN6xx violation or any drift against the committed "
-            "dist_manifest.json; composes with --sanitize/--memcheck/"
-            "--prove"
-        ),
-    )
 
 
 def pytest_configure(config):
-    if config.getoption("--prove"):
-        from repro.sanitizer.prove import verify_manifest
-
-        ok, message = verify_manifest()
-        if not ok:
-            pytest.exit(f"--prove gate failed: {message}", returncode=1)
-    if config.getoption("--dist"):
-        from repro.sanitizer.dist import verify_dist_manifest
-
-        ok, message = verify_dist_manifest()
-        if not ok:
-            pytest.exit(f"--dist gate failed: {message}", returncode=1)
     sanitize = config.getoption("--sanitize")
     memcheck = config.getoption("--memcheck")
     if not (sanitize or memcheck):

@@ -23,7 +23,6 @@ from repro.sanitizer.dist import (
     analyze_protocol_source,
     dist_manifest_payload,
     dist_selftest,
-    verify_dist_manifest,
 )
 from repro.sanitizer.flow import ModuleIndex, ModuleInfo
 
@@ -63,9 +62,9 @@ class TestInTree:
         assert len(cert.sends) == 2
 
     def test_committed_manifest_in_sync(self):
-        ok, message = verify_dist_manifest()
-        assert ok, message
-        assert "manifest in sync" in message
+        payload = dist_manifest_payload(analyze_dist())
+        path = DEFAULT_DIST_MANIFEST_PATH
+        assert manifest.drift(payload, path, "--dist") == []
 
 
 # ----------------------------------------------------------------------
@@ -406,16 +405,13 @@ class TestManifest:
         ]
 
     def test_tampered_manifest_fails_verify(self, tmp_path):
-        report = analyze_dist()
-        path = manifest.write(
-            dist_manifest_payload(report), tmp_path / "dist.json"
-        )
+        payload = dist_manifest_payload(analyze_dist())
+        path = manifest.write(payload, tmp_path / "dist.json")
         committed = json.loads(path.read_text())
         del committed["protocols"]["serve"]
         path.write_text(json.dumps(committed))
-        ok, message = verify_dist_manifest(path)
-        assert not ok
-        assert "serve" in message
+        lines = manifest.drift(payload, path, "--dist")
+        assert lines == ["protocols.serve: absent -> {...}"]
 
     def test_committed_manifest_file_exists(self):
         assert DEFAULT_DIST_MANIFEST_PATH.exists()

@@ -28,13 +28,13 @@ from repro.sanitizer.intervals import (
 )
 from repro.sanitizer.kernels import KERNEL_EXTENTS, KERNELS
 from repro.sanitizer import manifest
+from repro.sanitizer.dist import DEFAULT_DIST_MANIFEST_PATH
 from repro.sanitizer.prove import (
     DEFAULT_MANIFEST_PATH,
     manifest_payload,
     prove_kernels,
     prove_selftest,
     prove_source,
-    verify_manifest,
 )
 
 
@@ -471,11 +471,6 @@ class TestKernels:
             == []
         )
 
-    def test_verify_manifest_gate(self):
-        ok, message = verify_manifest()
-        assert ok, message
-        assert "manifest in sync" in message
-
     def test_drift_detected_against_tampered_manifest(self, report, tmp_path):
         payload = json.loads(DEFAULT_MANIFEST_PATH.read_text())
         payload["kernels"]["pkc"]["determinism"] = "order-sensitive"
@@ -490,16 +485,18 @@ class TestKernels:
         assert "kernels.vertex_rank: absent -> {...}" in drift
 
     def test_committed_bench_covers_manifest_kernels(self):
-        # BENCH_prove.json must be re-recorded whenever a kernel joins
-        # (or leaves) the certified registry
+        # BENCH_analysis.json must be re-recorded whenever a kernel
+        # joins (or leaves) the certified registry, or a protocol the
+        # dist manifest
         bench = (
             Path(__file__).resolve().parents[1]
-            / "benchmarks" / "results" / "BENCH_prove.json"
+            / "benchmarks" / "results" / "BENCH_analysis.json"
         )
-        stage = json.loads(bench.read_text())["stages"]["prove"]
-        kernels = set(manifest.load(DEFAULT_MANIFEST_PATH)["kernels"])
-        assert set(stage["kernel_names"]) == kernels
-        assert stage["kernels"] == len(kernels)
+        static = json.loads(bench.read_text())["static"]
+        kernels = manifest.load(DEFAULT_MANIFEST_PATH)["kernels"]
+        assert set(static["prove"]["kernel_names"]) == set(kernels)
+        protocols = manifest.load(DEFAULT_DIST_MANIFEST_PATH)["protocols"]
+        assert set(static["dist"]["protocol_names"]) == set(protocols)
 
     def test_missing_manifest_is_drift(self, report, tmp_path):
         drift = manifest.drift(
