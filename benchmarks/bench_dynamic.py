@@ -18,7 +18,11 @@ units for each:
 * **determinism**: the batched repair is replayed at 1/2/4/8 simulated
   threads and the resulting coreness, changed-set size, round count,
   and work-unit totals are asserted bit-identical — only the pool
-  clock may move.
+  clock may move, and the 8-thread repair must run at least
+  :data:`MIN_SCALING` times faster than the 1-thread one.
+* **recompute**: the from-scratch reference — ``pipeline.decompose``
+  (coreness and hierarchy) of the final graph at the same thread
+  counts, sim clock and work units, next to the repair rows.
 
 Usage::
 
@@ -43,6 +47,7 @@ from repro.analysis.datasets import load  # noqa: E402
 from repro.core.decomposition import core_decomposition  # noqa: E402
 from repro.dynamic import DynamicGraph  # noqa: E402
 from repro.parallel.scheduler import SimulatedPool  # noqa: E402
+from repro.pipeline import decompose  # noqa: E402
 from repro.serve import (  # noqa: E402
     DynamicServingFeed,
     HCDService,
@@ -58,6 +63,8 @@ MUTATION_SEED = 5
 TRACE_REQUESTS = 32
 TRACE_SEED = 11
 BASE_THREADS = 4
+#: the 8-thread repair's sim clock must be this many times below 1 thread's
+MIN_SCALING = 3.0
 
 
 def _mutation_batch(graph):
@@ -217,6 +224,29 @@ def _determinism(graph, insertions, deletions) -> list[dict]:
             "batched repair diverged across thread counts — the repair "
             "must be bit-identical for any partition"
         )
+    clock = {row["threads"]: row["sim_clock"] for row in rows}
+    assert clock[1] >= MIN_SCALING * clock[8], (
+        f"the repair must scale: 1 thread {clock[1]:.0f} vs 8 threads "
+        f"{clock[8]:.0f} sim, below {MIN_SCALING}x"
+    )
+    return rows
+
+
+def _recompute(graph, insertions, deletions) -> list[dict]:
+    """``pipeline.decompose`` of the final graph at each thread count."""
+    dyn = DynamicGraph(graph)
+    dyn.apply_batch(insertions=insertions, deletions=deletions)
+    final = dyn.to_graph()
+    rows = []
+    for threads in THREADS:
+        pool = decompose(final, threads=threads).pool
+        rows.append(
+            {
+                "threads": threads,
+                "work_units": _pool_work(pool),
+                "sim_clock": pool.clock,
+            }
+        )
     return rows
 
 
@@ -229,6 +259,7 @@ def run() -> dict:
     maintenance = _maintenance(graph, insertions, deletions)
     publishing = _publishing(graph, insertions, deletions)
     thread_rows = _determinism(graph, insertions, deletions)
+    recompute_rows = _recompute(graph, insertions, deletions)
 
     return {
         "bench": "dynamic",
@@ -241,6 +272,7 @@ def run() -> dict:
         "maintenance": maintenance,
         "publishing": publishing,
         "threads": thread_rows,
+        "recompute": recompute_rows,
     }
 
 
@@ -265,6 +297,16 @@ def main() -> int:
             f"{p['clock_speedup']:.2f}x",
         ],
     ]
+    scaling = [
+        [
+            f"{repair['threads']}",
+            f"{repair['sim_clock']:.1f}",
+            f"{scratch['sim_clock']:.1f}",
+            f"{repair['work_units']:.1f}",
+            f"{scratch['work_units']:.1f}",
+        ]
+        for repair, scratch in zip(payload["threads"], payload["recompute"])
+    ]
     emit(
         "bench_dynamic",
         paper_table(
@@ -277,6 +319,13 @@ def main() -> int:
                 f"{payload['publishing']['publish_each']['publishes']} "
                 f"publishes)"
             ),
+        )
+        + "\n\n"
+        + paper_table(
+            ["threads", "repair sim", "recompute sim", "repair work",
+             "recompute work"],
+            scaling,
+            title="Batched repair vs pipeline.decompose of the final graph",
         ),
     )
     print(f"wrote {out}")

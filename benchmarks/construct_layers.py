@@ -17,7 +17,9 @@ workload's counters.  Two tables:
   and the sim time of each request stage;
 * ``dynamic``: the batched repair, the delta publish and the reader's
   refresh, then the time from a batch's submission to its first answer
-  (``visible``), then the repair counters.
+  (``visible``), then the repair counters and two ratios: the share of
+  the sim clock that is atomic contention, and the repair's wall time
+  against a from-scratch ``decompose`` of the final graph.
 
 The wall column says where an optimization should aim; the sim and
 work columns and the counters must not move unless a change means to
@@ -121,8 +123,19 @@ TABLES = {
             "parallel.regions",
             "parallel.work_units",
             "parallel.atomic_ops",
+            "parallel.contention",
             "sim_clock",
         ),
+    ),
+}
+
+
+#: per workload: (label, numerator, denominator) ratios of two metrics,
+#: printed below the counters
+RATIOS = {
+    "dynamic": (
+        ("contention share", "parallel.contention", "sim_clock"),
+        ("repair/recompute", "dynamic.apply_s", "dynamic.recompute_s"),
     ),
 }
 
@@ -150,6 +163,10 @@ def layer_table(metrics: dict, workload: str = "construct") -> list[str]:
     lines.append("")
     for name in counters:
         lines.append(f"{name:<22} {cell(value(name), '.10g')}")
+    for label, num, den in RATIOS.get(workload, ()):
+        top, bottom = value(num), value(den)
+        ratio = None if top is None or not bottom else top / bottom
+        lines.append(f"{label:<22} {cell(ratio, '.4f')}  ({num} / {den})")
     return lines
 
 

@@ -1,8 +1,9 @@
 """Dynamic-graph extension: incremental coreness maintenance.
 
-Per-edge traversal maintenance and batched parallel maintenance
-(:meth:`DynamicGraph.apply_batch` over :mod:`repro.dynamic.batch`)
-on a slack-capacity dynamic CSR (:mod:`repro.dynamic.dyncsr`).
+Level-grouped parallel traversal maintenance
+(:mod:`repro.dynamic.batch`) behind :class:`DynamicGraph`'s per-edge
+and batch updates, on a slack-capacity dynamic CSR
+(:mod:`repro.dynamic.dyncsr`).
 """
 
 from repro.dynamic.batch import BatchUpdateReport, batch_repair, normalize_batch

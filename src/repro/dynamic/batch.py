@@ -1,16 +1,14 @@
 """Batched parallel traversal maintenance of the coreness array.
 
-Per-edge traversal maintenance (:mod:`repro.dynamic.maintenance`)
-repairs one update at a time: collect the affected k-subcore, peel,
-adjust.  Under a *batch* of updates that wastes work twice over — the
-same subcore is re-collected for every edge that lands in it, and the
-repair runs as serial Python.  This module implements the batched
-alternative in the spirit of the level-grouped parallel maintenance
-literature (Liu & Dong's parallel k-core; Shi, Dhulipala & Shun's
-parallel hierarchy maintenance): group the pending updates by affected
-level ``k = min(c(u), c(v))``, collect the **joint** candidate subcore
-of all roots at that level once, and run candidate collection and
-localized peeling as ``parallel_for`` kernels on a
+The one repair engine behind :class:`~repro.dynamic.maintenance.DynamicGraph`:
+a batch of applied mutations (a single edge is a batch of one) is
+repaired level by level, in the spirit of the level-grouped parallel
+maintenance literature (Liu & Dong's parallel k-core; Shi, Dhulipala &
+Shun's parallel hierarchy maintenance) and of Sarıyüce et al.'s
+traversal algorithms.  Roots are grouped by level
+``k = min(c(u), c(v))``, each level is repaired once for all of its
+roots, and candidate collection and localized peeling run as
+``parallel_for`` kernels on a
 :class:`~repro.parallel.scheduler.SimulatedPool` — every access
 recorded through :class:`~repro.parallel.context.ThreadContext`, so
 SimTSan / SimCheck / SimFlow cover the kernels like any other in the
@@ -19,38 +17,38 @@ repo.
 Algorithm (``batch_repair``)
 ----------------------------
 Structural mutations are applied to the adjacency *before* repair.
-The repair then runs two monotone phases:
+The repair then runs two monotone phases, each one sweep over levels
+that repairs every level at most once (a *round*).  A level's roots
+are the mutated endpoints at their edge's level plus the vertices the
+sweep moved into the level:
 
-1. **Demotion** (only if the batch deletes edges): worklist rounds
-   seeded by the deleted edges — per round, group seeds by current
-   level, collect each level's joint subcore, run the demote peel
-   (a vertex keeps level ``k`` only with ``>= k`` supporters of
-   effective level ``>= k``), demote failures one level, and feed
-   them back as seeds — followed by a **verification sweep** that
-   re-runs the demote peel over *every* vertex of each dirty level
-   until a full sweep changes nothing.  Coreness only decreases.
-2. **Promotion** (only if the batch inserts edges): the mirror-image
-   worklist (promote peel at ``k + 1``: a candidate survives with
-   ``> k`` supporters among surviving candidates and higher cores;
-   survivors rise one level) followed by the promote verification
-   sweep over dirty levels.  Coreness only increases, and promotions
-   can never invalidate the demotion phase's quiescence (they only
-   add support).
+1. **Demotion** (only if the batch deletes edges), levels descending:
+   a frontier peel from the level's roots — a vertex keeps level ``k``
+   only with ``>= k`` supporters of effective level ``>= k``, and only
+   the support of an evicted vertex's level-``k`` neighbors moves.
+   Evicted vertices drop one level.  Coreness only decreases.
+2. **Promotion** (only if the batch inserts edges), levels ascending:
+   the level's candidates are the coreness-``k`` vertices reachable
+   from its roots through coreness-``k`` vertices with more than ``k``
+   neighbors of coreness ``>= k``; a peel evicts candidates without
+   ``> k`` supporters among surviving candidates and higher cores, and
+   the survivors rise one level.  Coreness only increases, and
+   promotions never break the demotion phase's result (they only add
+   support).
 
-Each phase alone terminates (monotone, bounded), and joint quiescence
-of the verification sweeps certifies exact coreness: every vertex has
-``>= c(v)`` neighbors of level ``>= c(v)`` (so ``c`` is a valid core
-witness, hence a lower bound of nothing above the true coreness), and
-no level's full peel can lift anyone (so no vertex is undervalued).
-Levels never marked dirty are untouched by construction — every level
-a vertex passes through, and every pending edge's current level, is
-marked.  Because coreness is canonical, the result is bit-identical
-to per-edge maintenance and to full recomputation; the property tests
-check exactly that at several thread counts.
+The sweep is complete: every vertex whose support at its own level
+can change is a root, a vertex the same peel updates, or a root of a
+level the sweep reaches later (DESIGN §12, "Locality"), so no level is
+ever scanned as a whole.  At the end every vertex has ``>= c(v)``
+neighbors of level ``>= c(v)`` and no set of level-``k`` vertices can
+sustain ``k + 1``, so ``c`` is
+the canonical coreness: bit-identical to per-edge maintenance and to
+full recomputation, which ``tests/test_dynamic_oracle.py`` checks on
+generated graphs and batches at several thread counts.
 
 Determinism across thread counts comes from the same discipline as
-the PKC kernel: exactly-once CAS claims on shared frontiers, two-phase
-(snapshot then apply) peels with per-vertex slots, per-thread output
+the PKC kernel: exactly-once claims on shared frontiers, two-phase
+(count then evict) peels with per-vertex slots, per-thread output
 buffers merged and sorted between regions.
 """
 
@@ -90,7 +88,7 @@ class BatchUpdateReport:
     applied_deletions: list[tuple[int, int]] = field(default_factory=list)
     skipped: list[tuple[int, int, str]] = field(default_factory=list)
     changed: int = 0     # vertices whose coreness moved
-    rounds: int = 0      # repair worklist rounds run
+    rounds: int = 0      # repair rounds run (one level each)
 
     @property
     def applied(self) -> int:
@@ -163,9 +161,11 @@ class _RepairState:
 
     The adjacency does not change during a repair, so ``starts`` and
     ``lens`` are listed once per call; ``core`` mirrors ``coreness``
-    and :func:`_apply_level` writes both.  The kernels keep only
-    candidate-sized state of their own, so a small batch on a large
-    graph costs one O(n) listing per repair, not per kernel call.
+    and :func:`_apply_level` writes both.  The kernels keep
+    candidate-sized state, apart from zeroed n-word numpy arrays (one
+    per BFS, one ``supp`` per peel, one ``touched`` per peel pass), so
+    the Python work of a small batch on a large graph is O(n) once per
+    repair.
     """
 
     coreness: np.ndarray
@@ -182,16 +182,18 @@ def _collect_subcore(
     k: int,
     tag: str,
 ) -> list[int]:
-    """Joint k-subcore of all roots: every coreness-``k`` vertex
-    connected to a root inside the k-core (paths may hop through
-    vertices of coreness ``> k`` — they glue subcore fragments of the
-    same k-core together, exactly like the per-edge bridge walk).
+    """Promote candidates at level ``k``: the coreness-``k`` vertices with
+    more than ``k`` neighbors of coreness ``>= k``, connected to a root
+    through such vertices only.
 
-    One BFS claims the whole ``>= k`` reachable region through an
-    exactly-once CAS per vertex, so the claimed set — and the total
-    work — is independent of how the pool partitions each frontier.
-    Each row's coreness reads and ``visited`` CAS attempts are charged
-    in bulk (one unit per entry, integers only).
+    No path hops through a higher core, and none through a vertex that
+    could not reach ``k + 1`` even if every level-``k`` neighbor rose
+    with it (DESIGN §12, "Locality").  One BFS claims each visited
+    vertex through a test-and-test-and-set (:meth:`AtomicArray.claim`),
+    so the candidates — and the total work — are independent of how the
+    pool partitions each frontier.  Each row's coreness reads and
+    ``visited`` loads and CAS attempts are charged in bulk (one unit per
+    entry, integers only).
     """
     indices, starts, lens, core = (
         state.indices, state.starts, state.lens, state.core
@@ -210,7 +212,7 @@ def _collect_subcore(
     frontier = _merge_parts(seed_parts)
     members: list[int] = []
     while frontier:
-        members.extend(x for x in frontier if core[x] == k)
+        member_parts: list[list[int]] = [[] for _ in range(nthreads)]
         next_parts: list[list[int]] = [[] for _ in range(nthreads)]
 
         def expand(x, ctx) -> None:
@@ -219,38 +221,54 @@ def _collect_subcore(
             base = starts[xi]
             row = indices[base : base + lens[xi]].tolist()
             ctx.read_row("coreness", row)
-            claimed = visited.claim(ctx, [y for y in row if core[y] >= k])
+            if sum(1 for y in row if core[y] >= k) <= k:
+                return
+            member_parts[ctx.thread_id].append(xi)
+            claimed = visited.claim(ctx, [y for y in row if core[y] == k])
             next_parts[ctx.thread_id].extend(claimed)
 
         pool.parallel_for(frontier, expand, label=f"dyn_expand:{tag}")
+        members.extend(_merge_parts(member_parts))
         frontier = _merge_parts(next_parts)
     return sorted(members)
 
 
-def _peel_promote(
+def _peel(
     pool: SimulatedPool,
     state: _RepairState,
-    cand: list[int],
+    active: list[int],
     k: int,
     tag: str,
+    cand: list[int] | None = None,
 ) -> list[int]:
-    """Localized promote peel at level ``k + 1`` over ``cand``.
+    """Localized peel at level ``k``; returns the sorted evicted vertices.
 
-    A candidate survives while it keeps ``> k`` neighbors among the
-    surviving candidates and the vertices of coreness ``> k``.
-    Returns the sorted survivors (their coreness is *not* written
-    here).  Two-phase per round: support counted into per-vertex slots
-    against a frozen ``alive`` snapshot, then evictions applied to
-    disjoint slots — bit-identical at any thread count.
+    A level-``k`` vertex is *live* until evicted: a member of ``cand``
+    for the promote peel, any coreness-``k`` vertex for the demote peel
+    (``cand`` is ``None``).  A vertex stays while it has ``need``
+    supporters — neighbors of coreness ``> k`` or live — where ``need``
+    is ``k + 1`` to rise and ``k`` to keep its level.  Each vertex's
+    support is counted once, when it is first reached (``active`` in
+    the first pass, then the uncounted live neighbors of evicted
+    vertices); after that every eviction decrements its counted live
+    neighbors, and a vertex is tested again only when a decrement takes
+    it below ``need`` (the fetch-add handoff of PKC's peel).  Every pass
+    is two-phase — support counted into per-vertex slots, then
+    evictions written to the evicted vertex's own slot, then the
+    decrements and the next pass's vertices claimed exactly once — so
+    the result is bit-identical at any thread count.
     """
     indices, starts, lens, core = (
         state.indices, state.starts, state.lens, state.core
     )
-    alive_list = sorted(cand)
-    alive = dict.fromkeys(alive_list, 1)
-    supp: dict[int, int] = {}
+    live = None if cand is None else dict.fromkeys(cand, 1)
+    need = k if cand is None else k + 1
+    status: dict[int, int] = {}  # 1: counted, 2: evicted
+    supp = AtomicArray(len(core), name="supp")
+    out: list[int] = []
     nthreads = pool.threads
-    while alive_list:
+    fresh, short = sorted(active), []
+    while fresh or short:
 
         def count_support(x, ctx) -> None:
             xi = int(x)
@@ -258,90 +276,60 @@ def _peel_promote(
             base = starts[xi]
             row = indices[base : base + lens[xi]].tolist()
             ctx.read_row("coreness", row)
-            ctx.read_row("alive", row)
-            s = 0
-            for y in row:
-                if core[y] > k or alive.get(y, 0):
-                    s += 1
-            ctx.write(("supp", xi))
-            supp[xi] = s
-
-        pool.parallel_for(alive_list, count_support, label=f"dyn_support:{tag}")
-        out_parts: list[list[int]] = [[] for _ in range(nthreads)]
-
-        def evict(x, ctx) -> None:
-            xi = int(x)
-            ctx.read(("supp", xi))
-            if supp[xi] <= k:
-                ctx.write(("alive", xi))
-                alive[xi] = 0
-                out_parts[ctx.thread_id].append(xi)
-
-        pool.parallel_for(alive_list, evict, label=f"dyn_evict:{tag}")
-        if not any(out_parts):
-            break
-        alive_list = [x for x in alive_list if alive[x]]
-    return alive_list
-
-
-def _peel_demote(
-    pool: SimulatedPool,
-    state: _RepairState,
-    cand: list[int],
-    k: int,
-    tag: str,
-) -> list[int]:
-    """Localized demote peel at level ``k`` over ``cand``.
-
-    A vertex keeps level ``k`` while it has ``>= k`` supporters of
-    effective level ``>= k`` (coreness ``> k``, or coreness ``k`` and
-    not yet dropped).  Returns the sorted dropped vertices (coreness
-    not written here).  Same two-phase snapshot discipline as the
-    promote peel.
-    """
-    indices, starts, lens, core = (
-        state.indices, state.starts, state.lens, state.core
-    )
-    dropped: dict[int, int] = {}
-    supp: dict[int, int] = {}
-    active = sorted(cand)
-    all_dropped: list[int] = []
-    nthreads = pool.threads
-    while active:
-
-        def count_support(x, ctx) -> None:
-            xi = int(x)
-            ctx.read(("row_len", xi))
-            base = starts[xi]
-            row = indices[base : base + lens[xi]].tolist()
-            ctx.read_row("coreness", row)
-            ctx.read_row("dropped", row)
+            ctx.read_row("status", row)
             s = 0
             for y in row:
                 cy = core[y]
-                if cy > k or (cy == k and y not in dropped):
+                if cy > k or (cy == k and status.get(y) != 2 and (
+                        live is None or y in live)):
                     s += 1
-            ctx.write(("supp", xi))
-            supp[xi] = s
+            supp.add(ctx, xi, s)
 
-        pool.parallel_for(active, count_support, label=f"dyn_support:{tag}")
+        pool.parallel_for(fresh, count_support, label=f"dyn_support:{tag}")
+        for x in fresh:
+            status[x] = 1
         out_parts: list[list[int]] = [[] for _ in range(nthreads)]
 
         def evict(x, ctx) -> None:
             xi = int(x)
-            ctx.read(("supp", xi))
-            if supp[xi] < k:
-                ctx.write(("dropped", xi))
-                dropped[xi] = 1
+            if supp.load(ctx, xi) < need:
+                ctx.write(("status", xi))
+                status[xi] = 2
                 out_parts[ctx.thread_id].append(xi)
 
-        pool.parallel_for(active, evict, label=f"dyn_evict:{tag}")
-        evicted = _merge_parts(out_parts)
-        if not evicted:
+        pool.parallel_for(
+            sorted(set(fresh).union(short)), evict, label=f"dyn_evict:{tag}"
+        )
+        gone = _merge_parts(out_parts)
+        if not gone:
             break
-        all_dropped.extend(evicted)
-        active = [x for x in active if x not in dropped]
-    return sorted(all_dropped)
+        out.extend(gone)
+        touched = AtomicArray(len(core), name="touched")
+        fresh_parts: list[list[int]] = [[] for _ in range(nthreads)]
+        short_parts: list[list[int]] = [[] for _ in range(nthreads)]
+
+        def touch(x, ctx) -> None:
+            xi = int(x)
+            ctx.read(("row_len", xi))
+            base = starts[xi]
+            row = indices[base : base + lens[xi]].tolist()
+            ctx.read_row("coreness", row)
+            ctx.read_row("status", row)
+            nbrs = [
+                y for y in row
+                if core[y] == k and status.get(y) != 2
+                and (live is None or y in live)
+            ]
+            short_parts[ctx.thread_id].extend(supp.add_row(
+                ctx, [y for y in nbrs if y in status], -1, need - 1
+            ))
+            fresh_parts[ctx.thread_id].extend(touched.claim(
+                ctx, [y for y in nbrs if y not in status]
+            ))
+
+        pool.parallel_for(gone, touch, label=f"dyn_touch:{tag}")
+        fresh, short = _merge_parts(fresh_parts), _merge_parts(short_parts)
+    return sorted(out)
 
 
 def _apply_level(
@@ -369,154 +357,50 @@ def _apply_level(
 # ----------------------------------------------------------------------
 
 
-def _group_by_level(
-    core: list[int],
+def _repair_phase(
+    pool: SimulatedPool,
+    state: _RepairState,
     edges: list[tuple[int, int]],
-    seeds: set[int],
-    dirty_levels: set[int],
-) -> dict[int, set[int]]:
-    """Map current level ``k`` to the repair roots at that level.
+    changed: set[int],
+    step: int,
+) -> int:
+    """One monotone phase as a single sweep over levels; returns the
+    rounds run, one per level repaired.
 
-    Every pending edge re-registers at its *current* ``min`` level each
-    round (levels move between rounds), and marks it dirty so the
-    verification sweep covers it even when the worklist finds nothing.
+    ``step`` is ``-1`` for the demote phase (levels descending) and
+    ``+1`` for the promote phase (levels ascending).  A level's roots
+    are the endpoints of ``edges`` at their edge's level, plus the
+    vertices the sweep moved into the level from the one before.  A
+    repair moves vertices only one level along the sweep, and never
+    changes the support of a level already repaired, so each level is
+    repaired once and the sweep is complete (DESIGN §12, "Locality").
     """
-    level_roots: dict[int, set[int]] = {}
+    core = state.core
+    phase, tag = ("demote", "d") if step < 0 else ("promote", "i")
+    pending: dict[int, set[int]] = {}
     for u, v in edges:
         k = min(core[u], core[v])
-        dirty_levels.add(k)
-        for x in (u, v):
-            if core[x] == k:
-                level_roots.setdefault(k, set()).add(x)
-    for x in seeds:
-        level_roots.setdefault(core[x], set()).add(x)
-    return level_roots
-
-
-def _demote_phase(
-    pool: SimulatedPool,
-    state: _RepairState,
-    deleted: list[tuple[int, int]],
-    changed: set[int],
-    dirty_levels: set[int],
-) -> int:
-    """Worklist demotion rounds to quiescence; returns rounds run."""
-    core = state.core
-    seeds: set[int] = set()
+        pending.setdefault(k, set()).update(x for x in (u, v) if core[x] == k)
     rounds = 0
-    while True:
+    while pending:
+        k = max(pending) if step < 0 else min(pending)
+        roots = sorted(pending.pop(k))
+        if k + step < 0:
+            continue
         rounds += 1
-        level_roots = _group_by_level(core, deleted, seeds, dirty_levels)
-        seeds = set()
-        any_change = False
-        for k in sorted(level_roots, reverse=True):
-            if k < 1:
-                continue
-            roots = sorted(x for x in level_roots[k] if core[x] == k)
-            if not roots:
-                continue
-            with pool.phase(f"dynamic.demote:level-{k}"):
-                cand = _collect_subcore(pool, state, roots, k, f"d{k}")
-                droppedv = _peel_demote(pool, state, cand, k, f"d{k}")
-                if droppedv:
-                    _apply_level(pool, state, droppedv, k - 1, f"d{k}")
-            if droppedv:
-                any_change = True
-                dirty_levels.update((k - 1, k))
-                changed.update(droppedv)
-                seeds.update(droppedv)
-        if not any_change:
-            return rounds
-
-
-def _promote_phase(
-    pool: SimulatedPool,
-    state: _RepairState,
-    inserted: list[tuple[int, int]],
-    changed: set[int],
-    dirty_levels: set[int],
-) -> int:
-    """Worklist promotion rounds to quiescence; returns rounds run."""
-    core = state.core
-    seeds: set[int] = set()
-    rounds = 0
-    while True:
-        rounds += 1
-        level_roots = _group_by_level(core, inserted, seeds, dirty_levels)
-        seeds = set()
-        any_change = False
-        for k in sorted(level_roots):
-            roots = sorted(x for x in level_roots[k] if core[x] == k)
-            if not roots:
-                continue
-            with pool.phase(f"dynamic.promote:level-{k}"):
-                cand = _collect_subcore(pool, state, roots, k, f"i{k}")
-                survivors = _peel_promote(pool, state, cand, k, f"i{k}")
-                if survivors:
-                    _apply_level(pool, state, survivors, k + 1, f"i{k}")
-            if survivors:
-                any_change = True
-                dirty_levels.update((k, k + 1))
-                changed.update(survivors)
-                seeds.update(survivors)
-        if not any_change:
-            return rounds
-
-
-def _verify_demote(
-    pool: SimulatedPool,
-    state: _RepairState,
-    changed: set[int],
-    dirty_levels: set[int],
-) -> int:
-    """Full-level demote sweeps over dirty levels until quiescent."""
-    sweeps = 0
-    while True:
-        sweeps += 1
-        any_change = False
-        for k in sorted(dirty_levels, reverse=True):
-            if k < 1:
-                continue
-            cand = np.flatnonzero(state.coreness == k).tolist()
-            if not cand:
-                continue
-            with pool.phase(f"dynamic.verify-demote:level-{k}"):
-                droppedv = _peel_demote(pool, state, cand, k, f"v{k}")
-                if droppedv:
-                    _apply_level(pool, state, droppedv, k - 1, f"v{k}")
-            if droppedv:
-                any_change = True
-                dirty_levels.add(k - 1)
-                changed.update(droppedv)
-        if not any_change:
-            return sweeps
-
-
-def _verify_promote(
-    pool: SimulatedPool,
-    state: _RepairState,
-    changed: set[int],
-    dirty_levels: set[int],
-) -> int:
-    """Full-level promote sweeps over dirty levels until quiescent."""
-    sweeps = 0
-    while True:
-        sweeps += 1
-        any_change = False
-        for k in sorted(dirty_levels):
-            cand = np.flatnonzero(state.coreness == k).tolist()
-            if not cand:
-                continue
-            with pool.phase(f"dynamic.verify-promote:level-{k}"):
-                survivors = _peel_promote(pool, state, cand, k, f"v{k}")
-                if survivors:
-                    _apply_level(pool, state, survivors, k + 1, f"v{k}")
-            if survivors:
-                any_change = True
-                dirty_levels.add(k + 1)
-                changed.update(survivors)
-        if not any_change:
-            return sweeps
+        with pool.phase(f"dynamic.{phase}:level-{k}"):
+            if step < 0:
+                moved = _peel(pool, state, roots, k, f"{tag}{k}")
+            else:
+                cand = _collect_subcore(pool, state, roots, k, f"{tag}{k}")
+                evicted = _peel(pool, state, cand, k, f"{tag}{k}", cand)
+                moved = sorted(set(cand) - set(evicted))
+            if moved:
+                _apply_level(pool, state, moved, k + step, f"{tag}{k}")
+        if moved:
+            changed.update(moved)
+            pending.setdefault(k + step, set()).update(moved)
+    return rounds
 
 
 def batch_repair(
@@ -531,7 +415,8 @@ def batch_repair(
     ``acsr`` is the already-mutated adjacency (``DynamicCSR`` or any
     object exposing ``indptr`` / ``indices`` / ``lens``); ``inserted``
     and ``deleted`` are the canonical edge lists that were actually
-    applied.  Returns ``(changed_vertices, worklist_rounds)``.
+    applied.  Returns ``(changed_vertices, rounds)``, one round per
+    level repaired.
     """
     state = _RepairState(
         coreness,
@@ -541,12 +426,9 @@ def batch_repair(
         coreness.tolist(),
     )
     changed: set[int] = set()
-    dirty_levels: set[int] = set()
     rounds = 0
     if deleted:
-        rounds += _demote_phase(pool, state, deleted, changed, dirty_levels)
-        _verify_demote(pool, state, changed, dirty_levels)
+        rounds += _repair_phase(pool, state, deleted, changed, -1)
     if inserted:
-        rounds += _promote_phase(pool, state, inserted, changed, dirty_levels)
-        _verify_promote(pool, state, changed, dirty_levels)
+        rounds += _repair_phase(pool, state, inserted, changed, +1)
     return changed, rounds

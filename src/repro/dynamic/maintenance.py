@@ -2,24 +2,26 @@
 
 The paper's related work (Lin et al., PVLDB'21; Sariyüce et al.,
 PVLDB'13) maintains the core hierarchy on dynamic graphs.  This module
-implements the classical *traversal* maintenance of the coreness array:
+implements the classical *traversal* maintenance of the coreness array
+on one engine, the level-grouped **parallel** repair of
+:mod:`repro.dynamic.batch`:
 
-* **insertion** of ``{u, v}``: only vertices with coreness
-  ``k = min(c(u), c(v))`` inside the k-*subcore* reachable from the
-  lower endpoint can gain (at most) one level.  The candidate set is
-  collected by a BFS over coreness-``k`` vertices whose *core degree*
-  (neighbors usable at level ``k+1``) exceeds ``k``; a localized
-  peeling then evicts candidates that cannot sustain degree ``k+1``,
-  and the survivors are promoted.
-* **deletion**: only vertices in the k-subcore of the endpoints can
-  lose (at most) one level; a localized peeling demotes exactly those
-  whose support collapses.
+* **insertion** of ``{u, v}``: only coreness-``k`` vertices,
+  ``k = min(c(u), c(v))``, can gain a level, and only those reachable
+  from the lower endpoint through coreness-``k`` vertices with more
+  than ``k`` neighbors of coreness ``>= k`` (never through a higher
+  core); a localized peel evicts candidates that cannot sustain degree
+  ``k+1``, and the survivors are promoted.
+* **deletion**: a frontier peel from the endpoints at level ``k``
+  demotes exactly the vertices whose support collapses, updating
+  only the support of each demoted vertex's level-``k`` neighbors.
 
-Batches go through :meth:`DynamicGraph.apply_batch` instead, which
-applies every structural mutation first and then runs the level-grouped
-**parallel** repair of :mod:`repro.dynamic.batch` — the joint subcore
-of each affected level is collected once for the whole batch rather
-than once per edge.
+Each direction sweeps the levels once; promoted or demoted vertices
+become roots of the level they move to.  :meth:`DynamicGraph.apply_batch` applies
+every structural mutation of a batch first and repairs once, so each
+affected level is repaired once for the whole batch;
+:meth:`DynamicGraph.insert_edge` and :meth:`DynamicGraph.delete_edge`
+are batches of one.
 
 The adjacency is a slack-capacity :class:`~repro.dynamic.dyncsr.DynamicCSR`
 (sorted rows over a shared buffer), so :meth:`DynamicGraph.to_graph`
@@ -34,7 +36,7 @@ decomposition.  For delta snapshotting
 coreness touched since the last :meth:`clear_dirty`.
 
 Correctness is checked property-style in the test suite against full
-recomputation after random update sequences.
+recomputation after random update sequences and generated batches.
 """
 
 from __future__ import annotations
@@ -164,40 +166,22 @@ class DynamicGraph:
     # ------------------------------------------------------------------
 
     def insert_edge(self, u: int, v: int) -> None:
-        """Add ``{u, v}`` and repair coreness (traversal insertion)."""
+        """Add ``{u, v}`` and repair coreness (a batch of one)."""
         u, v = int(u), int(v)
         self._check_endpoints(u, v)
         if self._acsr.has(u, v):
             raise GraphBuildError(f"edge ({u}, {v}) already present")
         self._acsr.insert(u, v)
-        self._note_mutation(u, v)
-
-        c = self._coreness
-        k = int(min(c[u], c[v]))
-        root = u if c[u] <= c[v] else v
-        # Candidates: the k-subcore around the root — coreness-k
-        # vertices reachable through coreness-k vertices, starting at
-        # the lower endpoint (only they can rise to k+1).
-        candidates = self._subcore(root, k)
-        self._promote(candidates, k)
+        self._repair([(u, v)], [], SimulatedPool(threads=1))
 
     def delete_edge(self, u: int, v: int) -> None:
-        """Remove ``{u, v}`` and repair coreness (traversal deletion)."""
+        """Remove ``{u, v}`` and repair coreness (a batch of one)."""
         u, v = int(u), int(v)
         self._check_endpoints(u, v)
         if not self._acsr.has(u, v):
             raise GraphBuildError(f"edge ({u}, {v}) not present")
         self._acsr.remove(u, v)
-        self._note_mutation(u, v)
-
-        c = self._coreness
-        k = int(min(c[u], c[v]))
-        # Both endpoints' k-subcores may lose support.
-        affected: set[int] = set()
-        for x in (u, v):
-            if c[x] == k:
-                affected |= self._subcore(x, k)
-        self._demote(affected, k)
+        self._repair([], [(u, v)], SimulatedPool(threads=1))
 
     # ------------------------------------------------------------------
     # batch updates
@@ -219,10 +203,10 @@ class DynamicGraph:
             if self._acsr.has(u, v):
                 report.skipped.append((u, v, "present"))
                 continue
-            before = self._dirty_core_mark()
+            before = len(self._dirty_core)
             self.insert_edge(u, v)
             report.applied_insertions.append((u, v))
-            report.changed += self._dirty_core_delta(before)
+            report.changed += len(self._dirty_core) - before
         return report
 
     def delete_edges(self, edges) -> BatchUpdateReport:
@@ -237,10 +221,10 @@ class DynamicGraph:
             if not self._acsr.has(u, v):
                 report.skipped.append((u, v, "absent"))
                 continue
-            before = self._dirty_core_mark()
+            before = len(self._dirty_core)
             self.delete_edge(u, v)
             report.applied_deletions.append((u, v))
-            report.changed += self._dirty_core_delta(before)
+            report.changed += len(self._dirty_core) - before
         return report
 
     def apply_batch(
@@ -281,137 +265,38 @@ class DynamicGraph:
                 report.applied_deletions.append((u, v))
         if not report.applied:
             return report
-        for u, v in report.applied_insertions + report.applied_deletions:
-            self._note_mutation(u, v)
         if pool is None:
             pool = SimulatedPool(threads=threads)
-        with pool.phase("dynamic.batch"):
-            changed, rounds = batch_repair(
-                self._acsr,
-                self._coreness,
-                inserted=report.applied_insertions,
-                deleted=report.applied_deletions,
-                pool=pool,
-            )
-        self._dirty_core.update(changed)
-        report.changed = len(changed)
-        report.rounds = rounds
+        report.changed, report.rounds = self._repair(
+            report.applied_insertions, report.applied_deletions, pool
+        )
         return report
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
-    def _note_mutation(self, u: int, v: int) -> None:
-        self._m_invalidate()
-        self._mutations += 1
-        self._dirty_adj.update((u, v))
-
-    def _m_invalidate(self) -> None:
+    def _repair(
+        self,
+        inserted: list[tuple[int, int]],
+        deleted: list[tuple[int, int]],
+        pool: SimulatedPool,
+    ) -> tuple[int, int]:
+        """Record applied mutations and repair coreness on ``pool``;
+        returns ``(changed vertices, repair rounds)``."""
         self._hcd_cache = None
-
-    def _dirty_core_mark(self) -> int:
-        return len(self._dirty_core)
-
-    def _dirty_core_delta(self, before: int) -> int:
-        return len(self._dirty_core) - before
+        for u, v in inserted + deleted:
+            self._mutations += 1
+            self._dirty_adj.update((u, v))
+        with pool.phase("dynamic.batch"):
+            changed, rounds = batch_repair(
+                self._acsr, self._coreness, inserted, deleted, pool
+            )
+        self._dirty_core.update(changed)
+        return len(changed), rounds
 
     def _check_endpoints(self, u: int, v: int) -> None:
         if not (0 <= u < self._n and 0 <= v < self._n):
             raise GraphBuildError(f"endpoint out of range: ({u}, {v})")
         if u == v:
             raise GraphBuildError("self-loops are not allowed")
-
-    def _subcore(self, root: int, k: int) -> set[int]:
-        """Coreness-k vertices reachable from root via coreness-k paths
-        (hopping over neighbors with higher coreness is allowed, since
-        the k-subcore is connected inside the k-core)."""
-        c = self._coreness
-        if c[root] != k:
-            return set()
-        seen = {root}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in self._acsr.neighbors(x):
-                y = int(y)
-                if c[y] == k and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-                elif c[y] > k:
-                    # traverse through the higher core: its vertices
-                    # connect k-subcore fragments of the same k-core
-                    for z in self._bridge_expand(y, k, seen):
-                        stack.append(z)
-        return seen
-
-    def _bridge_expand(self, start: int, k: int, seen: set[int]) -> list[int]:
-        """Walk the > k region from ``start``; return newly reached
-        coreness-k vertices (marked in ``seen``)."""
-        c = self._coreness
-        out: list[int] = []
-        visited_high = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in self._acsr.neighbors(x):
-                y = int(y)
-                if c[y] == k and y not in seen:
-                    seen.add(y)
-                    out.append(y)
-                elif c[y] > k and y not in visited_high:
-                    visited_high.add(y)
-                    stack.append(y)
-        return out
-
-    def _promote(self, candidates: set[int], k: int) -> None:
-        """Localized peeling at level k+1 over the candidate set.
-
-        A candidate survives if it keeps > k neighbors among
-        (surviving candidates) union (vertices of coreness > k).
-        Survivors' coreness becomes k + 1.
-        """
-        c = self._coreness
-        alive = set(candidates)
-        changed = True
-        while changed:
-            changed = False
-            for x in list(alive):
-                support = sum(
-                    1
-                    for y in self._acsr.neighbors(x)
-                    if (int(y) in alive) or c[y] > k
-                )
-                if support <= k:
-                    alive.remove(x)
-                    changed = True
-        for x in alive:
-            c[x] = k + 1
-        self._dirty_core.update(alive)
-
-    def _demote(self, affected: set[int], k: int) -> None:
-        """Localized peeling at level k over the affected set.
-
-        A vertex keeps coreness k only while it has >= k neighbors of
-        effective level >= k; evicted vertices drop to k - 1 (coreness
-        falls by at most one per deletion).
-        """
-        c = self._coreness
-        alive = set(affected)
-        dropped: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for x in list(alive):
-                support = sum(
-                    1
-                    for y in self._acsr.neighbors(x)
-                    if (c[y] > k) or (c[y] == k and int(y) not in dropped)
-                )
-                if support < k:
-                    alive.remove(x)
-                    dropped.add(x)
-                    changed = True
-        for x in dropped:
-            c[x] = k - 1
-        self._dirty_core.update(dropped)

@@ -159,21 +159,30 @@ class AtomicArray:
         return False
 
     def claim(self, ctx: ThreadContext, indices: list[int]) -> list[int]:
-        """Bulk ``0 -> 1`` CAS: ``compare_and_swap(ctx, i, 0, 1)`` per index.
+        """Bulk test-and-test-and-set ``0 -> 1``: per index in order, a
+        :meth:`load`, then ``compare_and_swap(ctx, i, 0, 1)`` only if it
+        read 0.
 
         Returns the indices this call flipped, in order.  Every index
-        pays one contended atomic, claimed or not, on the keys
+        pays one load (one ``len(indices)`` work charge, or one atomic
+        load event each while an observer is attached); only the
+        indices that read 0 pay the contended atomic, on the keys
         :meth:`compare_and_swap` uses, through one
-        :meth:`ThreadContext.atomic_row` call (per-element calls, word
-        keys included, while an observer is attached).
+        :meth:`ThreadContext.atomic_row` call.  A slot another thread
+        already claimed costs a read, never a contended CAS.
         """
-        ctx.atomic_row(self._name, indices)
         slots = self._slots
         claimed = []
         for i in indices:
             if slots[i] == 0:
                 slots[i] = 1
                 claimed.append(i)
+        if ctx.observed:
+            for i in indices:
+                ctx.atomic_load((self._name, i))
+        else:
+            ctx.work += len(indices)  # all that the loads do unobserved
+        ctx.atomic_row(self._name, claimed)
         return claimed
 
     def fetch_min(self, ctx: ThreadContext, index: int, value):

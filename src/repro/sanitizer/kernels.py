@@ -212,9 +212,8 @@ def _dynamic_workload(seed: int):
 def _kernel_dynamic_batch(pool: SimulatedPool) -> None:
     from repro.dynamic.batch import batch_repair
 
-    # batched parallel coreness maintenance: joint subcore collection,
-    # two-phase localized peels, and the verification sweeps, for a
-    # mixed insertion/deletion batch
+    # batched parallel coreness maintenance: pruned subcore collection
+    # and two-phase frontier peels, for a mixed insertion/deletion batch
     acsr, coreness, inserted, deleted = _dynamic_workload(seed=19)
     batch_repair(acsr, coreness, inserted=inserted, deleted=deleted, pool=pool)
 

@@ -147,8 +147,8 @@ class TestNormalizeBatch:
 class TestApplyBatch:
     def test_k4_from_empty_jumps_levels(self):
         # inserting all of K4 at once lifts every vertex 0 -> 3 in one
-        # batch: the promote verification sweeps must ratchet through
-        # the intermediate levels
+        # batch: the promote sweep must ratchet through the intermediate
+        # levels
         dyn = DynamicGraph(Graph.from_edges([], num_vertices=4))
         edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
         report = dyn.apply_batch(insertions=edges)
@@ -431,10 +431,10 @@ class TestDeltaSnapshots:
 
 
 def test_committed_bench_dynamic_repair_is_reproduced():
-    # the maintenance and threads sections of BENCH_dynamic.json hold
-    # only work units, sim clocks and counts, so the bench must rebuild
-    # them exactly; re-record the file (make bench-dynamic) whenever
-    # repair accounting legitimately moves
+    # the maintenance, threads and recompute sections of
+    # BENCH_dynamic.json hold only work units, sim clocks and counts, so
+    # the bench must rebuild them exactly; re-record the file (make
+    # bench-dynamic) whenever repair accounting legitimately moves
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location(
         "bench_dynamic", root / "benchmarks" / "bench_dynamic.py"
@@ -449,10 +449,12 @@ def test_committed_bench_dynamic_repair_is_reproduced():
     rebuilt = {
         "maintenance": bench._maintenance(graph, insertions, deletions),
         "threads": bench._determinism(graph, insertions, deletions),
+        "recompute": bench._recompute(graph, insertions, deletions),
     }
     assert json.loads(json.dumps(rebuilt)) == {
         "maintenance": committed["maintenance"],
         "threads": committed["threads"],
+        "recompute": committed["recompute"],
     }
 
 

@@ -13,11 +13,12 @@ one integer charge.  They are checked against the per-wedge
 formulation (one binary search and one unit charge per wedge), kept
 here as the reference.
 
-Batched dynamic repair charges each scanned row's reads and ``visited``
-CAS attempts in bulk (``ThreadContext.read_row``, ``AtomicArray.claim``).
-Its three kernels are checked against the per-access formulation, also
-kept here, and the two bulk operations against the per-element calls
-they replace.
+Batched dynamic repair charges each scanned row's reads, its
+``visited``/``touched`` loads and CAS attempts and its ``supp``
+decrements in bulk (``ThreadContext.read_row``, ``AtomicArray.claim``,
+``AtomicArray.add_row``).  Its two kernels
+are checked against the per-access formulation, also kept here, and the
+two bulk operations against the per-element calls they replace.
 
 The construction kernels (PKC, vertex rank, PHCD on both union-find
 engines, preprocessing) are slice kernels: each virtual thread hands its
@@ -699,33 +700,40 @@ def _ref_collect_subcore(pool, state, roots, k, tag):
     frontier = batch._merge_parts(seed_parts)
     members = []
     while frontier:
-        members.extend(x for x in frontier if int(coreness[x]) == k)
+        member_parts = [[] for _ in range(pool.threads)]
         next_parts = [[] for _ in range(pool.threads)]
 
         def expand(x, ctx):
             xi = int(x)
             ctx.read(("row_len", xi))
             base = state.starts[xi]
-            for j in range(state.lens[xi]):
-                y = int(indices[base + j])
+            row = [int(indices[base + j]) for j in range(state.lens[xi])]
+            for y in row:
                 ctx.read(("coreness", y))
-                if int(coreness[y]) >= k:
+            if sum(1 for y in row if int(coreness[y]) >= k) <= k:
+                return
+            member_parts[ctx.thread_id].append(xi)
+            for y in row:
+                if int(coreness[y]) == k and visited.load(ctx, y) == 0:
                     if visited.compare_and_swap(ctx, y, 0, 1):
                         next_parts[ctx.thread_id].append(y)
 
         pool.parallel_for(frontier, expand, label=f"dyn_expand:{tag}")
+        members.extend(batch._merge_parts(member_parts))
         frontier = batch._merge_parts(next_parts)
     return sorted(members)
 
 
-def _ref_peel_promote(pool, state, cand, k, tag):
+def _ref_peel(pool, state, active, k, tag, cand=None):
     coreness, indices = state.coreness, state.indices
-    alive = np.zeros(coreness.size, dtype=np.int64)
-    supp = np.zeros(coreness.size, dtype=np.int64)
-    alive_list = sorted(cand)
-    for x in alive_list:
-        alive[x] = 1
-    while alive_list:
+    live = np.zeros(coreness.size, dtype=np.int64)
+    live[list(cand) if cand is not None else coreness == k] = 1
+    need = k if cand is None else k + 1
+    status = np.zeros(coreness.size, dtype=np.int64)  # 1 counted, 2 evicted
+    supp = AtomicArray(coreness.size, name="supp")
+    out = []
+    fresh, short = sorted(active), []
+    while fresh or short:
 
         def count_support(x, ctx):
             xi = int(x)
@@ -735,78 +743,61 @@ def _ref_peel_promote(pool, state, cand, k, tag):
             for j in range(state.lens[xi]):
                 y = int(indices[base + j])
                 ctx.read(("coreness", y))
-                ctx.read(("alive", y))
-                if int(coreness[y]) > k or alive[y]:
-                    s += 1
-            ctx.write(("supp", xi))
-            supp[xi] = s
-
-        pool.parallel_for(alive_list, count_support, label=f"dyn_support:{tag}")
-        parts = [[] for _ in range(pool.threads)]
-
-        def evict(x, ctx):
-            xi = int(x)
-            ctx.read(("supp", xi))
-            if int(supp[xi]) <= k:
-                ctx.write(("alive", xi))
-                alive[xi] = 0
-                parts[ctx.thread_id].append(xi)
-
-        pool.parallel_for(alive_list, evict, label=f"dyn_evict:{tag}")
-        if not any(parts):
-            break
-        alive_list = [x for x in alive_list if alive[x]]
-    return alive_list
-
-
-def _ref_peel_demote(pool, state, cand, k, tag):
-    coreness, indices = state.coreness, state.indices
-    dropped = np.zeros(coreness.size, dtype=np.int64)
-    supp = np.zeros(coreness.size, dtype=np.int64)
-    active = sorted(cand)
-    all_dropped = []
-    while active:
-
-        def count_support(x, ctx):
-            xi = int(x)
-            ctx.read(("row_len", xi))
-            base = state.starts[xi]
-            s = 0
-            for j in range(state.lens[xi]):
-                y = int(indices[base + j])
-                ctx.read(("coreness", y))
-                ctx.read(("dropped", y))
+                ctx.read(("status", y))
                 cy = int(coreness[y])
-                if cy > k or (cy == k and not dropped[y]):
+                if cy > k or (cy == k and live[y] and status[y] != 2):
                     s += 1
-            ctx.write(("supp", xi))
-            supp[xi] = s
+            supp.add(ctx, xi, s)
 
-        pool.parallel_for(active, count_support, label=f"dyn_support:{tag}")
+        pool.parallel_for(fresh, count_support, label=f"dyn_support:{tag}")
+        status[fresh] = 1
         parts = [[] for _ in range(pool.threads)]
 
         def evict(x, ctx):
             xi = int(x)
-            ctx.read(("supp", xi))
-            if int(supp[xi]) < k:
-                ctx.write(("dropped", xi))
-                dropped[xi] = 1
+            if supp.load(ctx, xi) < need:
+                ctx.write(("status", xi))
+                status[xi] = 2
                 parts[ctx.thread_id].append(xi)
 
-        pool.parallel_for(active, evict, label=f"dyn_evict:{tag}")
-        evicted = batch._merge_parts(parts)
-        if not evicted:
+        pool.parallel_for(
+            sorted(set(fresh) | set(short)), evict, label=f"dyn_evict:{tag}"
+        )
+        gone = batch._merge_parts(parts)
+        if not gone:
             break
-        all_dropped.extend(evicted)
-        active = [x for x in active if not dropped[x]]
-    return sorted(all_dropped)
+        out.extend(gone)
+        touched = AtomicArray(coreness.size, name="touched")
+        fresh_parts = [[] for _ in range(pool.threads)]
+        short_parts = [[] for _ in range(pool.threads)]
+
+        def touch(x, ctx):
+            xi = int(x)
+            ctx.read(("row_len", xi))
+            base = state.starts[xi]
+            for j in range(state.lens[xi]):
+                y = int(indices[base + j])
+                ctx.read(("coreness", y))
+                ctx.read(("status", y))
+                if int(coreness[y]) != k or not live[y] or status[y] == 2:
+                    continue
+                if status[y] == 1:
+                    if supp.add(ctx, y, -1) - 1 == need - 1:
+                        short_parts[ctx.thread_id].append(y)
+                elif touched.load(ctx, y) == 0:
+                    if touched.compare_and_swap(ctx, y, 0, 1):
+                        fresh_parts[ctx.thread_id].append(y)
+
+        pool.parallel_for(gone, touch, label=f"dyn_touch:{tag}")
+        fresh = batch._merge_parts(fresh_parts)
+        short = batch._merge_parts(short_parts)
+    return sorted(out)
 
 
-#: the per-access formulation of the three repair kernels
+#: the per-access formulation of the two repair kernels
 REF_REPAIR_KERNELS = {
     "_collect_subcore": _ref_collect_subcore,
-    "_peel_promote": _ref_peel_promote,
-    "_peel_demote": _ref_peel_demote,
+    "_peel": _ref_peel,
 }
 
 
@@ -965,7 +956,9 @@ def _bulk_region(observer: str, bulk: bool):
                 claimed[t].extend(arr.claim(ctx, arg))
             elif op == "claim":
                 claimed[t].extend(
-                    i for i in arg if arr.compare_and_swap(ctx, i, 0, 1)
+                    i for i in arg
+                    if arr.load(ctx, i) == 0
+                    and arr.compare_and_swap(ctx, i, 0, 1)
                 )
             elif op == "read":
                 ctx.read(("flags", arg))
@@ -1001,15 +994,17 @@ def _claimed_contexts(bulk: bool) -> list[ThreadContext]:
             arr.claim(ctx, row)
         else:
             for i in row:
-                arr.compare_and_swap(ctx, i, 0, 1)
+                if arr.load(ctx, i) == 0:
+                    arr.compare_and_swap(ctx, i, 0, 1)
     return contexts
 
 
 def test_bulk_contention_matches_per_element_penalty():
     pool = SimulatedPool(threads=2)
     bulk, per_element = _claimed_contexts(True), _claimed_contexts(False)
-    # lines 0, 1 and 7 queue 2, 1 and 1 ops behind the busiest thread
-    penalty = 4 * DEFAULT_COST_MODEL.contended_atomic_cost
+    # thread 1 reads 1 and 9 as claimed and CASes 2, 3 and 62 only:
+    # lines 0 and 7 queue 2 and 1 ops behind the busiest thread
+    penalty = 3 * DEFAULT_COST_MODEL.contended_atomic_cost
     assert pool._contention_penalty(bulk) == penalty
     assert pool._contention_penalty(per_element) == penalty
     for got, want in zip(bulk, per_element):
