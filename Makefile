@@ -15,8 +15,7 @@ sanitize:
 
 ## memcheck: SimCheck sweep — kernels + seeded selftests under the memory sanitizer
 memcheck:
-	$(PYTHON) -m repro sanitize --memcheck --all-kernels
-	$(PYTHON) -m repro sanitize --memcheck --selftest
+	$(PYTHON) -m repro sanitize --memcheck --all-kernels --selftest
 
 ## lint: the full static SAN1xx-SAN3xx lint over src/ + benchmarks/, warnings gating
 lint:
@@ -24,18 +23,15 @@ lint:
 
 ## flow: SimFlow SAN4xx analysis — divergent sync, disjoint-write proofs, drift of the inferred kernel effects against flow_manifest.json
 flow:
-	$(PYTHON) -m repro sanitize --strict --flow --all-kernels
-	$(PYTHON) -m repro sanitize --flow --selftest
+	$(PYTHON) -m repro sanitize --strict --flow --all-kernels --selftest
 
 ## prove: SimProve SAN5xx certification — bounds proofs, determinism, manifest drift
 prove:
-	$(PYTHON) -m repro sanitize --strict --prove
-	$(PYTHON) -m repro sanitize --prove --selftest
+	$(PYTHON) -m repro sanitize --strict --prove --selftest
 
 ## dist: SimDist SAN6xx certification — monotonicity, BSP phases, ownership, derived wire shapes, replay safety, manifest drift
 dist:
-	$(PYTHON) -m repro sanitize --strict --dist
-	$(PYTHON) -m repro sanitize --dist --selftest
+	$(PYTHON) -m repro sanitize --strict --dist --selftest
 
 ## sanitize-reports: write the --report JSON of the seven CI sanitize families plus the flow and prove selftests into OUT (default sanitize-reports), checkout root stripped, exit codes in exit_codes.txt; `diff -r` two trees' outputs to check an analyzer refactor
 OUT ?= sanitize-reports

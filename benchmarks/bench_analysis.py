@@ -52,21 +52,21 @@ from repro.sanitizer import (  # noqa: E402
 from repro.sanitizer.detector import RaceDetector  # noqa: E402
 from repro.sanitizer.dist import (  # noqa: E402
     DEFAULT_DIST_MANIFEST_PATH,
+    DIST_MANIFEST_SCHEMA,
     analyze_dist,
-    dist_manifest_payload,
     dist_selftest,
 )
 from repro.sanitizer.flow import (  # noqa: E402
     DEFAULT_FLOW_MANIFEST_PATH,
+    FLOW_MANIFEST_SCHEMA,
     analyze_paths,
-    flow_manifest_payload,
     flow_selftest,
     infer_kernel_effects,
 )
 from repro.sanitizer.memcheck import MemChecker  # noqa: E402
 from repro.sanitizer.prove import (  # noqa: E402
     DEFAULT_MANIFEST_PATH,
-    manifest_payload,
+    MANIFEST_SCHEMA,
     prove_kernels,
     prove_selftest,
 )
@@ -166,20 +166,31 @@ def _static() -> dict:
     (effects, flow_drift), wall_effects = _timed(
         lambda: _checked(
             infer_kernel_effects,
-            flow_manifest_payload,
+            lambda effects: manifest.payload(
+                FLOW_MANIFEST_SCHEMA, kernels=effects
+            ),
             DEFAULT_FLOW_MANIFEST_PATH,
             "--flow",
         )
     )
     (prove, prove_drift), wall_prove = _timed(
         lambda: _checked(
-            prove_kernels, manifest_payload, DEFAULT_MANIFEST_PATH, "--prove"
+            prove_kernels,
+            lambda report: manifest.payload(
+                MANIFEST_SCHEMA, kernels=report.certificates
+            ),
+            DEFAULT_MANIFEST_PATH,
+            "--prove",
         )
     )
     (dist, dist_drift), wall_dist = _timed(
         lambda: _checked(
             analyze_dist,
-            dist_manifest_payload,
+            lambda report: manifest.payload(
+                DIST_MANIFEST_SCHEMA,
+                protocols=report.certificates,
+                kernels=report.kernels,
+            ),
             DEFAULT_DIST_MANIFEST_PATH,
             "--dist",
         )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -558,18 +559,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     from dataclasses import replace
+    from functools import cache
     from importlib import import_module
-    from pathlib import Path
 
-    from repro.sanitizer import (
-        KERNELS,
-        Report,
-        lint_paths,
-        manifest,
-        memcheck_selftest,
-        run_kernel,
-        selftest,
-    )
+    from repro.sanitizer import KERNELS, manifest
 
     if args.list:
         for name in KERNELS:
@@ -594,10 +587,6 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     do_lint = None
     if args.lint is not None or not explicit:
         do_lint = args.lint or list(default_scope)
-    do_selftest = args.selftest or not explicit
-    do_flow = args.flow or args.write_manifest or not explicit
-    do_prove = args.prove or args.write_manifest or not explicit
-    do_dist = args.dist or args.write_manifest or not explicit
     # SimFlow analyzes the lint scope (or the default scope when only
     # --flow was given); effect signatures cover the selected kernels
     flow_paths = do_lint or list(default_scope)
@@ -610,6 +599,21 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         or not do_kernels
         or set(do_kernels) == set(KERNELS)
         else do_kernels
+    )
+    on = {
+        family: getattr(args, family) or args.write_manifest or not explicit
+        for family in ("flow", "prove", "dist")
+    }
+    on.update(
+        races=bool(do_kernels),
+        memcheck=bool(do_kernels) and args.memcheck,
+        lint=bool(do_lint),
+        # a sani-ok / prove-assume marker is only provably dead when
+        # every family that might consume it has run — lint, flow and
+        # a full prove — so the SAN002 audit never fires on a
+        # single-family invocation
+        suppress=bool(do_lint) and on["flow"] and on["prove"] and not subset,
+        selftest=args.selftest or not explicit,
     )
 
     if args.threads < 1:
@@ -631,55 +635,38 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             print(f"no such lint path: {p}", file=sys.stderr)
         return 2
 
-    # per-family results: family -> (failure_count, summary_suffix)
-    families: dict[str, tuple[int, str]] = {}
     report_json: dict[str, object] = {
         "schema": "sanitize-report/v2",
         "threads": args.threads,
     }
-    strict = " [strict]" if args.strict else ""
-
-    def failures(errors: int, warnings: int = 0) -> int:
-        # warnings gate only under --strict
-        return errors + (warnings if args.strict else 0)
 
     def listing(lines: list) -> None:
-        for line in lines:
+        for line in lines or ["clean"]:
             print(f"  {line}")
-        if not lines:
-            print("  clean")
 
-    def manifest_step(
-        payload: dict, path: Path, flag: str, kernels: list | None = None
-    ) -> list[str]:
-        # refresh the committed manifest, or report every drift line
-        if args.write_manifest:
-            manifest.write(payload, path)
-            print(f"  manifest refreshed: {path}")
-            return []
-        drift = manifest.drift(payload, path, flag, kernels)
-        for line in drift:
-            print(f"  manifest drift: {line}")
-        return drift
+    # Each family step prints its section, stores its report_json
+    # entry and returns (errors, warnings, summary); flow, prove and
+    # dist add (committed manifest path, fresh payload or None to skip
+    # the check, kernels the drift covers or None for all).
+    kernel_rows: list[dict] = []
 
-    if do_kernels:
+    def races():
+        from repro.sanitizer import run_kernel
+
         mode = "races + memcheck" if args.memcheck else "race detection"
         print(f"== {mode} ({args.threads} virtual threads) ==")
-        kernel_rows = []
         for name in do_kernels:
             report = run_kernel(
                 name, threads=args.threads, memcheck=args.memcheck
             )
-            problems = len(report.races) + len(report.memcheck_findings)
-            status = "ok" if problems == 0 else f"{problems} FINDING(S)"
+            problems = report.races + report.memcheck_findings
+            status = f"{len(problems)} FINDING(S)" if problems else "ok"
             print(
                 f"  {name:22s} {report.regions:5d} regions "
                 f"{report.events:8d} events  {status}"
             )
-            for race in report.races:
-                print(f"    {race}")
-            for finding in report.memcheck_findings:
-                print(f"    {finding}")
+            for problem in problems:
+                print(f"    {problem}")
             kernel_rows.append(
                 {
                     "name": name,
@@ -690,66 +677,62 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
                     "nan_origins": [str(o) for o in report.nan_origins],
                 }
             )
-        races, mem, nans = (
-            sum(len(row[key]) for row in kernel_rows)
-            for key in ("races", "memcheck", "nan_origins")
-        )
-        families["races"] = (
-            races,
-            f"{races} finding(s) over {len(do_kernels)} kernel(s)",
-        )
-        if args.memcheck:
-            families["memcheck"] = (
-                mem,
-                f"{mem} finding(s), {nans} NaN origin(s)",
-            )
         report_json["kernels"] = kernel_rows
+        found = sum(len(row["races"]) for row in kernel_rows)
+        return found, 0, f"{found} finding(s) over {len(do_kernels)} kernel(s)"
 
-    # SimFlow runs before the lint report so its disjoint-write proofs
-    # can downgrade SAN201 warnings at verified sites
-    flow_report = None
-    downgrade_lines: set[tuple[str, int]] = set()
-    if do_flow:
-        from repro.sanitizer.flow import (
-            DEFAULT_FLOW_MANIFEST_PATH,
-            analyze_paths,
-            flow_manifest_payload,
-            infer_kernel_effects,
+    def memcheck():
+        mem, nans = (
+            sum(len(row[key]) for row in kernel_rows)
+            for key in ("memcheck", "nan_origins")
+        )
+        return mem, 0, f"{mem} finding(s), {nans} NaN origin(s)"
+
+    @cache
+    def flow_run():
+        module = import_module("repro.sanitizer.flow")
+        return (
+            module.analyze_paths(flow_paths),
+            module.infer_kernel_effects(subset),
         )
 
-        flow_report = analyze_paths(flow_paths)
-        flow_effects = infer_kernel_effects(subset)
-        downgrade_lines = {
-            (str(Path(p).resolve()), line)
-            for p, line in flow_report.verified_lines()
-        }
+    @cache
+    def prove_run():
+        return import_module("repro.sanitizer.prove").prove_kernels(subset)
 
-    if do_lint:
-        print(f"== lint ({', '.join(str(p) for p in do_lint)}) ==")
-        findings = lint_paths(do_lint)
+    def lint():
+        from repro.sanitizer import Report, lint_paths
+
         # a disjointness *proof* trumps the pattern checks: SAN201
         # (bare item-derived store) and SAN101 (index the lint cannot
         # relate to the item, e.g. the chunk-loop idiom) both downgrade
+        # where SimFlow verified the store
+        verified = flow_run()[0].verified_lines() if on["flow"] else set()
+        verified = {(str(Path(p).resolve()), ln) for p, ln in verified}
+        print(f"== lint ({', '.join(str(p) for p in do_lint)}) ==")
+        findings = lint_paths(do_lint)
         downgraded = [
             f
             for f in findings
             if f.code in ("SAN101", "SAN201")
-            and (str(Path(f.path).resolve()), f.line) in downgrade_lines
+            and (str(Path(f.path).resolve()), f.line) in verified
         ]
-        lint = Report([f for f in findings if f not in downgraded])
+        kept = Report([f for f in findings if f not in downgraded])
         listing(
-            lint.findings
+            kept.findings
             + [f"{f} [downgraded: verified-disjoint]" for f in downgraded]
         )
-        errors, warnings = len(lint.errors), len(lint.warnings)
-        suffix = f"{errors} error(s), {warnings} warning(s)"
-        if downgraded:
-            suffix += f", {len(downgraded)} downgraded"
-        families["lint"] = (failures(errors, warnings), suffix + strict)
-        report_json["lint"] = [str(f) for f in lint.findings]
+        report_json["lint"] = [str(f) for f in kept.findings]
         report_json["lint_downgraded"] = [str(f) for f in downgraded]
+        errors, warnings = len(kept.errors), len(kept.warnings)
+        summary = f"{errors} error(s), {warnings} warning(s)"
+        if downgraded:
+            summary += f", {len(downgraded)} downgraded"
+        return errors, warnings, summary
 
-    if flow_report is not None:
+    def flow():
+        module = import_module("repro.sanitizer.flow")
+        report, effects = flow_run()
         print(f"== flow ({', '.join(str(p) for p in flow_paths)}) ==")
         cwd = Path.cwd()
 
@@ -759,42 +742,32 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             except ValueError:
                 return path
 
-        listing([replace(f, path=rel(f.path)) for f in flow_report.findings])
-        payload = flow_manifest_payload(flow_effects)
-        flow_drift = manifest_step(
-            payload, DEFAULT_FLOW_MANIFEST_PATH, "--flow", subset
-        )
-        errors = len(flow_report.errors)
-        warnings = len(flow_report.warnings)
-        families["flow"] = (
-            failures(errors + len(flow_drift), warnings),
-            f"{errors} error(s), {warnings} warning(s), "
-            f"{len(flow_report.verified)} verified-disjoint, "
-            f"effects over {len(flow_effects)} kernel(s), "
-            f"{len(flow_drift)} drift line(s)" + strict,
+        listing([replace(f, path=rel(f.path)) for f in report.findings])
+        payload = manifest.payload(
+            module.FLOW_MANIFEST_SCHEMA, kernels=effects
         )
         report_json["flow"] = {
-            "findings": [str(f) for f in flow_report.findings],
-            "drift": flow_drift,
-            "verified_disjoint": [str(v) for v in flow_report.verified],
+            "findings": [str(f) for f in report.findings],
+            "verified_disjoint": [str(v) for v in report.verified],
             "effects": payload["kernels"],
-            "workers": flow_report.workers,
-            "files": flow_report.files,
+            "workers": report.workers,
+            "files": report.files,
         }
-
-    prove_report = None
-    prove_full = False
-    if do_prove:
-        from repro.sanitizer.prove import (
-            DEFAULT_MANIFEST_PATH,
-            manifest_payload,
-            prove_kernels,
+        errors, warnings = len(report.errors), len(report.warnings)
+        return (
+            errors,
+            warnings,
+            f"{errors} error(s), {warnings} warning(s), "
+            f"{len(report.verified)} verified-disjoint, "
+            f"effects over {len(effects)} kernel(s)",
+            (module.DEFAULT_FLOW_MANIFEST_PATH, payload, subset),
         )
 
+    def prove():
+        module = import_module("repro.sanitizer.prove")
         print("== prove (SimProve SAN5xx static certification) ==")
-        prove_full = subset is None
-        prove_report = prove_kernels(subset)
-        for name, cert in sorted(prove_report.certificates.items()):
+        report = prove_run()
+        for name, cert in sorted(report.certificates.items()):
             bounds = cert.bounds
             tag = "fully-proven" if cert.fully_proven else cert.status
             print(
@@ -803,83 +776,72 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
                 f"{bounds['unproven']:3d} unproven "
                 f"{bounds['violations']} violation(s)"
             )
-        for finding in prove_report.errors:
+        for finding in report.errors:
             print(f"  {finding}")
-        codes = [f.code for f in prove_report.findings]
-        payload = manifest_payload(prove_report)
-        drift: list[str] = []
-        if prove_full:
-            drift = manifest_step(payload, DEFAULT_MANIFEST_PATH, "--prove")
-        else:
+        payload = manifest.payload(
+            module.MANIFEST_SCHEMA, kernels=report.certificates
+        )
+        report_json["prove"] = {
+            "certificates": payload["kernels"],
+            "findings": [str(f) for f in report.findings],
+        }
+        if subset is not None:
+            payload = None
             print(
                 "  (subset proven — manifest drift check skipped; "
                 "run without --kernel to check drift)"
             )
+        codes = [f.code for f in report.findings]
         # SAN502/SAN503 are acknowledged by the committed manifest —
-        # the manifest IS the prove baseline — so --strict does not
-        # promote them; only provable OOB and unacknowledged drift gate
-        families["prove"] = (
-            len(prove_report.errors) + len(drift),
-            f"{len(prove_report.certified)} certified / "
-            f"{len(prove_report.certificates)} kernel(s), "
-            f"{len(prove_report.errors)} SAN501, "
+        # the manifest IS the prove baseline — so they are not
+        # warnings --strict promotes; only provable OOB and drift gate
+        return (
+            len(report.errors),
+            0,
+            f"{len(report.certified)} certified / "
+            f"{len(report.certificates)} kernel(s), "
+            f"{len(report.errors)} SAN501, "
             f"{codes.count('SAN502')} SAN502, "
-            f"{codes.count('SAN503')} SAN503, {len(drift)} drift line(s)",
-        )
-        report_json["prove"] = {
-            "certificates": payload["kernels"],
-            "findings": [str(f) for f in prove_report.findings],
-            "drift": drift,
-        }
-
-    if do_dist:
-        from repro.sanitizer.dist import (
-            DEFAULT_DIST_MANIFEST_PATH,
-            analyze_dist,
-            dist_manifest_payload,
+            f"{codes.count('SAN503')} SAN503",
+            (module.DEFAULT_MANIFEST_PATH, payload, None),
         )
 
+    def dist():
+        module = import_module("repro.sanitizer.dist")
         print("== dist (SimDist SAN6xx protocol certification) ==")
-        dist_report = analyze_dist()
-        for name, cert in sorted(dist_report.certificates.items()):
+        report = module.analyze_dist()
+        for name, cert in sorted(report.certificates.items()):
             print(
                 f"  {name:22s} {cert.status:12s} "
                 f"{len(cert.obligations):2d} obligation(s) "
                 f"{len(cert.sends)} send site(s) "
                 f"{len(cert.handlers)} handler(s)"
             )
-        for finding in dist_report.findings:
+        for finding in report.findings:
             print(f"  {finding}")
-        payload = dist_manifest_payload(dist_report)
-        dist_drift = manifest_step(
-            payload, DEFAULT_DIST_MANIFEST_PATH, "--dist"
-        )
-        errors = len(dist_report.errors)
-        warnings = len(dist_report.warnings)
-        classified = sum(
-            v != "unclassified" for v in dist_report.kernels.values()
-        )
-        families["dist"] = (
-            failures(errors + len(dist_drift), warnings),
-            f"{len(dist_report.certified)} certified / "
-            f"{len(dist_report.certificates)} protocol(s), "
-            f"{classified}/{len(dist_report.kernels)} kernel(s) classified, "
-            f"{errors} error(s), {warnings} warning(s), "
-            f"{len(dist_drift)} drift line(s)" + strict,
+        payload = manifest.payload(
+            module.DIST_MANIFEST_SCHEMA,
+            protocols=report.certificates,
+            kernels=report.kernels,
         )
         report_json["dist"] = {
             "certificates": payload["protocols"],
-            "findings": [str(f) for f in dist_report.findings],
+            "findings": [str(f) for f in report.findings],
             "kernels": payload["kernels"],
-            "drift": dist_drift,
         }
+        errors, warnings = len(report.errors), len(report.warnings)
+        classified = sum(v != "unclassified" for v in report.kernels.values())
+        return (
+            errors,
+            warnings,
+            f"{len(report.certified)} certified / "
+            f"{len(report.certificates)} protocol(s), "
+            f"{classified}/{len(report.kernels)} kernel(s) classified, "
+            f"{errors} error(s), {warnings} warning(s)",
+            (module.DEFAULT_DIST_MANIFEST_PATH, payload, None),
+        )
 
-    # SAN002 dead-suppression audit: a sani-ok / prove-assume marker
-    # is only provably dead when every family that might consume it has
-    # run — lint (unsuppressed pass), flow (suppressed_hits), and a
-    # full prove (used_marker_lines) — so the audit only fires in
-    # default/full mode, never on a single-family invocation
-    if do_lint and flow_report is not None and prove_full:
+    def suppress():
         from repro.sanitizer.lint import (
             ASSUME_MARKER,
             SUPPRESS_MARKER,
@@ -888,7 +850,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         )
 
         used_by_file: dict[str, set[int]] = {}
-        hits = flow_report.suppressed_hits | prove_report.used_marker_lines
+        hits = flow_run()[0].suppressed_hits | prove_run().used_marker_lines
         for p, ln in hits:
             used_by_file.setdefault(str(Path(p).resolve()), set()).add(ln)
         dead: list = []
@@ -899,47 +861,74 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
                 continue
             if SUPPRESS_MARKER not in source and ASSUME_MARKER not in source:
                 continue
-            used = used_by_file.get(str(fp.resolve()), set())
-            dead.extend(
-                dead_suppressions(
-                    source, path=str(fp), used_lines=frozenset(used)
-                )
-            )
+            used = frozenset(used_by_file.get(str(fp.resolve()), ()))
+            dead.extend(dead_suppressions(source, str(fp), used))
         print("== suppressions (SAN002 dead-marker audit) ==")
         listing(dead)
-        families["suppress"] = (
-            failures(0, len(dead)),
-            f"{len(dead)} dead suppression(s)" + strict,
-        )
         report_json["suppressions"] = [str(f) for f in dead]
+        return 0, len(dead), f"{len(dead)} dead suppression(s)"
 
-    if do_selftest:
+    def selftest():
+        from repro.sanitizer import memcheck_selftest, selftest
+
         print("== selftest (seeded-bug kernels) ==")
         checks = [("", lambda: selftest(threads=max(args.threads, 2)))]
         if args.memcheck:
             checks.append(
                 ("", lambda: memcheck_selftest(threads=max(args.threads, 4)))
             )
-        for family, on in (
-            ("flow", do_flow),
-            ("prove", do_prove),
-            ("dist", do_dist),
-        ):
-            if on:
+        for family in ("flow", "prove", "dist"):
+            if on[family]:
                 module = import_module(f"repro.sanitizer.{family}")
                 checks.append(
                     (f"[{family}] ", getattr(module, f"{family}_selftest"))
                 )
-        failed_checks = 0
+        failed = 0
         for tag, check in checks:
             ok, message = check()
             print(f"  {tag}{message}")
-            failed_checks += not ok
-        families["selftest"] = (
-            failed_checks,
-            "ok" if failed_checks == 0 else f"{failed_checks} FAILED",
-        )
-        report_json["selftest"] = failed_checks == 0
+            failed += not ok
+        report_json["selftest"] = failed == 0
+        return failed, 0, f"{failed} FAILED" if failed else "ok"
+
+    # every family in run, print and summary order, and whether its
+    # warnings gate (and its summary says so) under --strict; lint
+    # reads SimFlow's proofs, so flow's analysis runs first
+    table = (
+        ("races", races, False),
+        ("memcheck", memcheck, False),
+        ("lint", lint, True),
+        ("flow", flow, True),
+        ("prove", prove, False),
+        ("dist", dist, True),
+        ("suppress", suppress, True),
+        ("selftest", selftest, False),
+    )
+    # per-family results: family -> (failure_count, summary_suffix)
+    families: dict[str, tuple[int, str]] = {}
+    for family, step, strict in table:
+        if not on[family]:
+            continue
+        errors, warnings, summary, *checked = step()
+        if checked:
+            # refresh the committed manifest, or report every drift line
+            path, payload, kernels = checked[0]
+            drift: list[str] = []
+            if payload is not None and args.write_manifest:
+                manifest.write(payload, path)
+                print(f"  manifest refreshed: {path}")
+            elif payload is not None:
+                drift = manifest.drift(payload, path, f"--{family}", kernels)
+                for line in drift:
+                    print(f"  manifest drift: {line}")
+            errors += len(drift)
+            summary += f", {len(drift)} drift line(s)"
+            report_json[family]["drift"] = drift
+        if strict and args.strict:
+            # warnings gate only under --strict
+            errors += warnings
+            summary += " [strict]"
+        families[family] = (errors, summary)
 
     failed = any(count for count, _ in families.values())
 
@@ -1366,6 +1355,14 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    # sanitize --report, serve --json and cluster --json: a missing
+    # output directory is a usage error before any work, not a
+    # traceback after all of it
+    for flag in ("report", "json"):
+        out = getattr(args, flag, None)
+        if out and not Path(out).absolute().parent.is_dir():
+            print(f"no such directory for --{flag} {out}", file=sys.stderr)
+            return 2
     return _COMMANDS[args.command](args)
 
 

@@ -44,7 +44,14 @@ sanitize --write-manifest`` refreshes all three.
 The static analyzers (lint, flow, prove, dist) learn what each
 substrate call touches from one table, :mod:`repro.sanitizer.effects`.
 
-Entry points: ``repro sanitize`` (CLI and the only gate; ``--memcheck``
+The static families share one scaffold: a one-module index
+(``flow.ModuleIndex.of_source``), worker locals
+(``lint._WorkerInfo``), the manifest payload builder
+(:func:`repro.sanitizer.manifest.payload`) and the seeded-bug checker
+(:func:`repro.sanitizer.selftest.check_planted`).
+
+Entry points: ``repro sanitize`` (CLI and the only gate: one table
+of families and one loop over it; ``--memcheck``
 adds SimCheck, ``--flow``, ``--prove`` and ``--dist`` select SimFlow,
 SimProve and SimDist), ``pytest --sanitize [--memcheck]`` (test suite
 under the observers), :func:`repro.sanitizer.kernels.run_all_kernels`

@@ -58,10 +58,10 @@ site, so a changed message format gates as drift.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from repro.sanitizer import effects, manifest
+from repro.sanitizer import effects
 from repro.sanitizer.cfg import guarding_tests
 from repro.sanitizer.flow import (
     FlowAnalyzer,
@@ -70,7 +70,14 @@ from repro.sanitizer.flow import (
     default_index,
 )
 from repro.sanitizer.intervals import aff_const, affine_of
-from repro.sanitizer.lint import MUTATING_METHODS, Finding, Report
+from repro.sanitizer.lint import (
+    MUTATING_METHODS,
+    CertifiedReport,
+    Finding,
+    _body_locals,
+    _store_targets,
+)
+from repro.sanitizer.selftest import Planted, check_planted
 
 __all__ = [
     "ProtocolCertificate",
@@ -80,7 +87,6 @@ __all__ = [
     "analyze_protocol_source",
     "DIST_MANIFEST_SCHEMA",
     "DEFAULT_DIST_MANIFEST_PATH",
-    "dist_manifest_payload",
     "dist_selftest",
 ]
 
@@ -89,6 +95,10 @@ CLUSTER_PACKAGE = "repro.cluster"
 
 #: Module holding the ``KERNELS`` registry.
 KERNELS_MODULE = "repro.sanitizer.kernels"
+
+#: Committed proof manifest, next to this module.
+DEFAULT_DIST_MANIFEST_PATH = Path(__file__).with_name("dist_manifest.json")
+DIST_MANIFEST_SCHEMA = "dist-manifest/v1"
 
 #: ``min``-flavored callables accepted as min-combining folds.
 _MIN_ATTRS = ("minimum", "fmin", "min")
@@ -140,17 +150,11 @@ class ProtocolCertificate:
 
 
 @dataclass
-class DistReport(Report):
+class DistReport(CertifiedReport):
     """Outcome of one SimDist run over the cluster layer."""
 
-    certificates: dict[str, ProtocolCertificate] = field(default_factory=dict)
     #: kernel name -> owning protocol (or "unclassified")
     kernels: dict[str, str] = field(default_factory=dict)
-    modules: int = 0
-
-    @property
-    def certified(self) -> list[str]:
-        return manifest.certified(self.certificates)
 
 
 # ======================================================================
@@ -158,41 +162,14 @@ class DistReport(Report):
 # ======================================================================
 
 
-def _module_literal(info: ModuleInfo, name: str):
-    """Value of a module-level literal assignment, or None."""
-    for stmt in info.tree.body:
-        target = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            target = stmt.target
-        if isinstance(target, ast.Name) and target.id == name:
-            try:
-                return ast.literal_eval(stmt.value)
-            except (ValueError, TypeError, SyntaxError):
-                return None
-    return None
-
-
-def _assign_owners(tree: ast.Module) -> dict[int, str]:
-    """id(node) -> qualpath of the enclosing function (``<module>``
-    at top level; ClassDef names become qualpath prefixes so owners
-    align with :attr:`ModuleInfo.functions` keys)."""
-    owners: dict[int, str] = {id(tree): "<module>"}
-
-    def visit(node: ast.AST, prefix: str, owner: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            owners[id(child)] = owner
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{prefix}{child.name}"
-                visit(child, qual + ".", qual)
-            elif isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}{child.name}.", owner)
-            else:
-                visit(child, prefix, owner)
-
-    visit(tree, "", "<module>")
-    return owners
+def _module_literal(info: ModuleInfo | None, name: str):
+    """Value of a module-level literal assignment, or None (also when
+    the module is absent)."""
+    value = info.assigned(name) if info is not None else None
+    try:
+        return None if value is None else ast.literal_eval(value)
+    except (ValueError, TypeError, SyntaxError):
+        return None
 
 
 def _walk_local(fn: ast.AST):
@@ -204,24 +181,6 @@ def _walk_local(fn: ast.AST):
             continue
         yield node
         stack.extend(ast.iter_child_nodes(node))
-
-
-def _local_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    """Parameters plus every locally-bound name (incl. loop targets)."""
-    names: set[str] = set()
-    args = fn.args
-    for a in (
-        list(args.posonlyargs)
-        + list(args.args)
-        + list(args.kwonlyargs)
-        + ([args.vararg] if args.vararg else [])
-        + ([args.kwarg] if args.kwarg else [])
-    ):
-        names.add(a.arg)
-    for node in _walk_local(fn):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-    return names
 
 
 def _base_name_of(expr: ast.AST) -> str | None:
@@ -333,16 +292,8 @@ class DistAnalyzer:
     def __init__(self, index: ModuleIndex | None = None) -> None:
         self._index = index if index is not None else default_index()
         self._bindings_cache: dict[int, dict[str, list]] = {}
-        self._owners_cache: dict[int, dict[int, str]] = {}
 
     # -- scope machinery -----------------------------------------------
-
-    def _owners(self, info: ModuleInfo) -> dict[int, str]:
-        cached = self._owners_cache.get(id(info))
-        if cached is None:
-            cached = _assign_owners(info.tree)
-            self._owners_cache[id(info)] = cached
-        return cached
 
     def _bindings(self, fn: ast.AST) -> dict[str, list]:
         """name -> [("expr", value, 0) | ("unpack", value, idx)] in
@@ -425,7 +376,6 @@ class DistAnalyzer:
             base = _base_name_of(value)
             if base is None:
                 return None
-            owners = self._owners(info)
             candidates: list[tuple[ast.AST, str]] = []
             for node in ast.walk(info.tree):
                 if not isinstance(node, ast.Assign):
@@ -593,7 +543,6 @@ class DistAnalyzer:
             )
             return
         est_names = frozenset(spec.estimates) | frozenset(spec.live)
-        owners = self._owners(info)
         counts: dict[str, int] = {}
         for node in ast.walk(info.tree):
             if isinstance(node, (ast.Assign, ast.AugAssign)):
@@ -608,7 +557,7 @@ class DistAnalyzer:
                     base = _base_name_of(target)
                     if base is None or base not in est_names:
                         continue
-                    owner = owners.get(id(node), "<module>")
+                    owner = info.owners[id(node)]
                     if isinstance(node, ast.AugAssign):
                         self._emit(
                             report,
@@ -655,7 +604,6 @@ class DistAnalyzer:
     def _send_sites(self, info: ModuleInfo) -> list[tuple[ast.Call, str]]:
         """Every ``*.send(...)`` call whose receiver chain mentions the
         network, with its owning function qualpath, in source order."""
-        owners = self._owners(info)
         sites = []
         for node in ast.walk(info.tree):
             if (
@@ -664,14 +612,13 @@ class DistAnalyzer:
                 and node.func.attr == "send"
                 and "network" in _attr_chain(node.func.value)
             ):
-                sites.append((node, owners.get(id(node), "<module>")))
+                sites.append((node, info.owners[id(node)]))
         sites.sort(key=lambda s: (s[0].lineno, s[0].col_offset))
         return sites
 
     def _superstep_calls(
         self, info: ModuleInfo, barrier: str
     ) -> list[tuple[ast.Call, str]]:
-        owners = self._owners(info)
         out = []
         for node in ast.walk(info.tree):
             if (
@@ -679,7 +626,7 @@ class DistAnalyzer:
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == barrier
             ):
-                out.append((node, owners.get(id(node), "<module>")))
+                out.append((node, info.owners[id(node)]))
         return out
 
     def _compute_roots(
@@ -1073,12 +1020,7 @@ class DistAnalyzer:
         item = params[0].arg
         ok = True
         for node in _walk_local(worker):
-            targets: list[ast.AST] = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
+            for target in _store_targets(node):
                 if not isinstance(target, ast.Subscript):
                     continue
                 idx = _strip_value(target.slice)
@@ -1160,7 +1102,10 @@ class DistAnalyzer:
         lww: frozenset[str],
         metrics: frozenset[str],
     ) -> str:
-        locals_ = _local_names(fn)
+        args = fn.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [p for p in (args.vararg, args.kwarg) if p is not None]
+        locals_ = _body_locals(fn) | {p.arg for p in params}
         counts = {"lww": 0, "metric": 0, "local": 0}
         violated = False
 
@@ -1408,12 +1353,7 @@ class DistAnalyzer:
                 return False
 
             for node in _walk_local(fn):
-                targets: list[ast.AST] = []
-                if isinstance(node, ast.Assign):
-                    targets = node.targets
-                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                    targets = [node.target]
-                for target in targets:
+                for target in _store_targets(node):
                     bad = False
                     if isinstance(target, ast.Attribute):
                         bad = target.attr not in allowed
@@ -1493,23 +1433,13 @@ class DistAnalyzer:
 
     @staticmethod
     def _spec_from_literal(module: str, lit: dict) -> ProtocolSpec:
-        def tup(key: str) -> tuple[str, ...]:
-            return tuple(lit.get(key, ()) or ())
-
-        return ProtocolSpec(
-            name=str(lit.get("name", module.rsplit(".", 1)[-1])),
-            module=module,
-            kernels=tup("kernels"),
-            estimates=tup("estimates"),
-            live=tup("live"),
-            compute_roots=tup("compute_roots"),
-            send_scopes=tup("send_scopes"),
-            recovery_roots=tup("recovery_roots"),
-            rebuild_calls=tup("rebuild_calls"),
-            handler_roots=tup("handler_roots"),
-            metrics=tup("metrics"),
-            lww=tup("lww"),
-        )
+        declared = {
+            f.name: tuple(lit.get(f.name) or ())
+            for f in fields(ProtocolSpec)
+            if f.name not in ("name", "module")
+        }
+        name = str(lit.get("name", module.rsplit(".", 1)[-1]))
+        return ProtocolSpec(name=name, module=module, **declared)
 
     def analyze(self) -> DistReport:
         """Certify every declared protocol in the cluster layer."""
@@ -1520,37 +1450,18 @@ class DistAnalyzer:
             if name == CLUSTER_PACKAGE
             or name.startswith(CLUSTER_PACKAGE + ".")
         }
-        report.modules = len(modules)
         shard_info = modules.get(f"{CLUSTER_PACKAGE}.shard")
         network_info = modules.get(f"{CLUSTER_PACKAGE}.network")
         node_info = modules.get(f"{CLUSTER_PACKAGE}.node")
         cluster_info = modules.get(f"{CLUSTER_PACKAGE}.cluster")
         kernels_info = self._index.modules.get(KERNELS_MODULE)
-        partition = (
-            _module_literal(shard_info, "DIST_PARTITION")
-            if shard_info
-            else None
-        )
+        partition = _module_literal(shard_info, "DIST_PARTITION")
         wire_counters = tuple(
-            (_module_literal(network_info, "WIRE_COUNTERS") or ())
-            if network_info
-            else ()
+            _module_literal(network_info, "WIRE_COUNTERS") or ()
         ) or ("messages", "bytes_sent", "total_cost", "links")
-        lww = frozenset(
-            (_module_literal(node_info, "LWW_FIELDS") or ())
-            if node_info
-            else ()
-        )
-        metrics = frozenset(
-            (_module_literal(node_info, "METRIC_FIELDS") or ())
-            if node_info
-            else ()
-        )
-        barrier = (
-            _module_literal(cluster_info, "BSP_BARRIER")
-            if cluster_info
-            else None
-        ) or "superstep"
+        lww = frozenset(_module_literal(node_info, "LWW_FIELDS") or ())
+        metrics = frozenset(_module_literal(node_info, "METRIC_FIELDS") or ())
+        barrier = _module_literal(cluster_info, "BSP_BARRIER") or "superstep"
         certs: list[ProtocolCertificate] = []
         for name in sorted(modules):
             info = modules[name]
@@ -1611,38 +1522,13 @@ def analyze_protocol_source(
     partition obligations are skipped (the module stands alone), but
     SAN601/602/603/606 run in full.
     """
-    index = ModuleIndex()
-    info = ModuleInfo("dist_selftest_module", path, source)
-    index.modules[info.name] = info
-    index.by_path[path] = info
+    index, info = ModuleIndex.of_source(source, path, "dist_selftest_module")
     analyzer = DistAnalyzer(index)
     report = DistReport()
-    report.modules = 1
     spec = analyzer._spec_from_literal(info.name, protocol)
     analyzer._certify(spec, info, report)
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return report
-
-# ======================================================================
-# proof manifest (mirrors the SAN5xx prove manifest)
-# ======================================================================
-
-DIST_MANIFEST_SCHEMA = "dist-manifest/v1"
-DEFAULT_DIST_MANIFEST_PATH = Path(__file__).with_name("dist_manifest.json")
-
-
-def dist_manifest_payload(report: DistReport) -> dict:
-    """Committed-manifest shape of one analysis run."""
-    return {
-        "schema": DIST_MANIFEST_SCHEMA,
-        "version": 1,
-        "protocols": {
-            name: report.certificates[name].as_dict()
-            for name in sorted(report.certificates)
-        },
-        "kernels": dict(sorted(report.kernels.items())),
-    }
-
 
 # ======================================================================
 # seeded selftest
@@ -1653,13 +1539,7 @@ _SELFTEST_PROTOCOL = {
     "kernels": ("selftest_kernel",),
     "estimates": ("est", "committed"),
     "live": ("est",),
-    "compute_roots": (),
-    "send_scopes": (),
-    "recovery_roots": (),
-    "rebuild_calls": (),
     "handler_roots": ("exchange",),
-    "metrics": (),
-    "lww": (),
 }
 
 _NONMONO_SOURCE = """\
@@ -1675,8 +1555,6 @@ def driver(graph, cluster, est, results, frontiers):
             est[ids] = est[ids] + vals
     cluster.superstep("step", {}, exchange)
 """
-#: the planted ``est[ids] = est[ids] + vals`` (may raise the estimate)
-_NONMONO_LINE = 10
 
 _NONMONO_FIXED_SOURCE = _NONMONO_SOURCE.replace(
     "est[ids] = est[ids] + vals",
@@ -1699,11 +1577,24 @@ def driver(graph, cluster, est, results, frontiers):
             est[frontiers] = np.minimum(est[frontiers], results[s])
     cluster.superstep("step", {0: compute}, exchange)
 """
-#: the planted compute-phase ``cluster.network.send`` (escapes exchange)
-_PHASE_LINE = 8
 
 _PHASE_FIXED_SOURCE = _PHASE_SOURCE.replace(
     "        cluster.network.send(0, 1, 24)\n", ""
+)
+
+
+#: The seeded SAN6xx bugs ``dist_selftest`` must catch.
+_PLANTED = (
+    Planted(
+        "non-monotone boundary update",
+        _NONMONO_SOURCE,
+        "SAN601",
+        10,
+        _NONMONO_FIXED_SOURCE,
+    ),
+    Planted(
+        "phase-escaping send", _PHASE_SOURCE, "SAN602", 8, _PHASE_FIXED_SOURCE
+    ),
 )
 
 
@@ -1711,48 +1602,9 @@ def dist_selftest() -> tuple[bool, str]:
     """Plant a non-monotone boundary update and a phase-escaping send;
     SimDist must flag both with exact line attribution, and the fixed
     variants must certify clean."""
-    report = analyze_protocol_source(_NONMONO_SOURCE, _SELFTEST_PROTOCOL)
-    mono = [f for f in report.findings if f.code == "SAN601"]
-    if len(mono) != 1 or report.errors != mono:
-        return False, (
-            "selftest: expected exactly one SAN601 for the planted "
-            f"non-monotone update, got {[str(f) for f in report.findings]}"
-        )
-    if mono[0].line != _NONMONO_LINE:
-        return False, (
-            f"selftest: SAN601 attributed to line {mono[0].line}, "
-            f"expected {_NONMONO_LINE}"
-        )
-    if report.certificates["selftest"].status != "violations":
-        return False, "selftest: planted non-monotone source certified"
-    fixed = analyze_protocol_source(_NONMONO_FIXED_SOURCE, _SELFTEST_PROTOCOL)
-    if fixed.findings or fixed.certificates["selftest"].status != "certified":
-        return False, (
-            "selftest: min-combining fix did not certify — "
-            f"{[str(f) for f in fixed.findings]}"
-        )
-    report = analyze_protocol_source(_PHASE_SOURCE, _SELFTEST_PROTOCOL)
-    phase = [f for f in report.findings if f.code == "SAN602"]
-    if len(phase) != 1 or report.errors != phase:
-        return False, (
-            "selftest: expected exactly one SAN602 for the planted "
-            f"phase-escaping send, got {[str(f) for f in report.findings]}"
-        )
-    if phase[0].line != _PHASE_LINE:
-        return False, (
-            f"selftest: SAN602 attributed to line {phase[0].line}, "
-            f"expected {_PHASE_LINE}"
-        )
-    if report.certificates["selftest"].status != "violations":
-        return False, "selftest: planted phase-escaping source certified"
-    fixed = analyze_protocol_source(_PHASE_FIXED_SOURCE, _SELFTEST_PROTOCOL)
-    if fixed.findings or fixed.certificates["selftest"].status != "certified":
-        return False, (
-            "selftest: exchange-confined fix did not certify — "
-            f"{[str(f) for f in fixed.findings]}"
-        )
-    return True, (
-        "dist selftest passed: planted SAN601 (non-monotone boundary "
-        f"update, line {_NONMONO_LINE}) and SAN602 (phase-escaping "
-        f"send, line {_PHASE_LINE}) caught; fixed variants certified"
+    return check_planted(
+        _PLANTED,
+        lambda src: analyze_protocol_source(src, _SELFTEST_PROTOCOL),
+        lambda report: not report.findings
+        and report.certified == ["selftest"],
     )

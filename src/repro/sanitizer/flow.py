@@ -85,18 +85,18 @@ from repro.sanitizer.intervals import (
 )
 from repro.sanitizer.lint import (
     MUTATING_METHODS,
-    SAFE_BUILTINS,
     Finding,
     Report,
-    _assigned_names,
     _base_name,
     _find_workers,
     _free_names,
     _passes,
+    _store_targets,
     _suppressed_lines,
     _WorkerInfo,
     source_files,
 )
+from repro.sanitizer.selftest import Planted, check_planted
 
 __all__ = [
     "VerifiedStore",
@@ -107,7 +107,6 @@ __all__ = [
     "analyze_paths",
     "analyze_source",
     "infer_kernel_effects",
-    "flow_manifest_payload",
     "flow_selftest",
     "DEFAULT_FLOW_MANIFEST_PATH",
     "FLOW_MANIFEST_SCHEMA",
@@ -154,6 +153,24 @@ class FlowReport(Report):
         """(path, line) pairs eligible for a SAN201 downgrade."""
         return {(v.path, v.line) for v in self.verified}
 
+    def emit(
+        self,
+        info: "ModuleInfo",
+        line: int,
+        col: int,
+        code: str,
+        severity: str,
+        message: str,
+    ) -> None:
+        """Record a finding, or the hit of the suppression marker on its
+        line."""
+        if line in info.suppressed:
+            self.suppressed_hits.add((info.path, line))
+        else:
+            self.findings.append(
+                Finding(info.path, line, col, code, severity, message)
+            )
+
 
 @dataclass(frozen=True)
 class EffectSignature:
@@ -186,25 +203,41 @@ class ModuleInfo:
         self.suppressed = _suppressed_lines(source)
         #: dotted local path ("outer.inner") -> function node
         self.functions: dict[str, ast.FunctionDef] = {}
+        #: id(node) -> dotted path of the function enclosing it
+        #: (``<module>`` at top level; a class adds only a prefix)
+        self.owners: dict[int, str] = {id(self.tree): "<module>"}
         #: local alias -> (module, attr-or-None)
         self.imports: dict[str, tuple[str, str | None]] = {}
         self._collect()
 
+    def assigned(self, name: str) -> ast.expr | None:
+        """The value of the module-level assignment to ``name``."""
+        for stmt in self.tree.body:
+            target = None
+            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+                target = stmt.targets[0]
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                target = stmt.target
+            if isinstance(target, ast.Name) and target.id == name:
+                return stmt.value
+        return None
+
     def _collect(self) -> None:
-        def visit(node: ast.AST, prefix: str) -> None:
+        def visit(node: ast.AST, prefix: str, owner: str) -> None:
             for child in ast.iter_child_nodes(node):
+                self.owners[id(child)] = owner
                 if isinstance(
                     child, (ast.FunctionDef, ast.AsyncFunctionDef)
                 ):
-                    qual = f"{prefix}{child.name}" if prefix else child.name
+                    qual = f"{prefix}{child.name}"
                     self.functions[qual] = child
-                    visit(child, qual + ".")
+                    visit(child, qual + ".", qual)
                 elif isinstance(child, ast.ClassDef):
-                    visit(child, f"{prefix}{child.name}.")
+                    visit(child, f"{prefix}{child.name}.", owner)
                 else:
-                    visit(child, prefix)
+                    visit(child, prefix, owner)
 
-        visit(self.tree, "")
+        visit(self.tree, "", "<module>")
         for node in ast.walk(self.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -240,6 +273,18 @@ class ModuleIndex:
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
         self.by_path: dict[str, ModuleInfo] = {}
+
+    @classmethod
+    def of_source(
+        cls, source: str, path: str, name: str | None = None
+    ) -> tuple["ModuleIndex", ModuleInfo]:
+        """An index of one module's source text, and that module (tests
+        and seeded selftests); raises ``SyntaxError`` on bad source."""
+        info = ModuleInfo(name or Path(path).stem, path, source)
+        index = cls()
+        index.modules[info.name] = info
+        index.by_path[path] = info
+        return index, info
 
     def add_file(self, path: Path, module_name: str) -> ModuleInfo | None:
         key = str(path.resolve())
@@ -515,11 +560,12 @@ class FlowAnalyzer:
             self._analyze_worker(worker, info, report)
 
     def _worker_scope(self, info: ModuleInfo, node: ast.AST) -> tuple[str, ...]:
-        """Dotted scope of the function lexically containing ``node``."""
-        for qual, fn in info.functions.items():
-            for inner in ast.walk(fn):
-                if inner is node and inner is not fn:
-                    return tuple(qual.split("."))
+        """Dotted scope of the outermost function lexically containing
+        ``node``."""
+        parts = info.owners[id(node)].split(".")
+        for depth in range(1, len(parts) + 1):
+            if ".".join(parts[:depth]) in info.functions:
+                return tuple(parts[:depth])
         return ()
 
     def _analyze_worker(
@@ -527,7 +573,7 @@ class FlowAnalyzer:
     ) -> None:
         node = worker.node
         scope = self._worker_scope(info, node)
-        name = getattr(node, "name", "<lambda>")
+        name = worker.name
         variant = {n for n in (worker.item, worker.ctx) if n}
         ctx_names = {worker.ctx} if worker.ctx else set()
         issues = self._function_sync_issues(
@@ -784,7 +830,7 @@ class FlowAnalyzer:
     ) -> None:
         if issue.kind == "uniform":
             return
-        worker_name = getattr(worker.node, "name", "<lambda>")
+        worker_name = worker.name
         where = (
             ""
             if issue.qualname.endswith(f".{worker_name}")
@@ -815,20 +861,7 @@ class FlowAnalyzer:
             )
         # interprocedural issues carry the caller-side call line, so
         # the finding (and any suppression) lands in the worker's file
-        line = issue.line
-        if line in info.suppressed:
-            report.suppressed_hits.add((info.path, line))
-            return
-        report.findings.append(
-            Finding(
-                path=info.path,
-                line=line,
-                col=0,
-                code=code,
-                severity=severity,
-                message=message,
-            )
-        )
+        report.emit(info, issue.line, 0, code, severity, message)
 
     # -- disjoint writes -----------------------------------------------
 
@@ -842,11 +875,6 @@ class FlowAnalyzer:
         node = worker.node
         if isinstance(node, ast.Lambda):
             return  # a lambda body cannot contain a statement store
-        locals_: set[str] = set()
-        for stmt in node.body:
-            locals_ |= _assigned_names(stmt)
-        params = {p for p in (worker.item, worker.ctx) if p}
-
         # assignment counts decide which names are single-assignment
         counts: dict[str, int] = {}
         bindings: dict[str, ast.expr] = {}
@@ -968,26 +996,13 @@ class FlowAnalyzer:
                     check_stmt(stmt)
 
         def check_stmt(stmt: ast.stmt) -> None:
-            if isinstance(stmt, (ast.For, ast.AsyncFor, ast.If, ast.While)):
-                return  # only immediate (non-nested) targets below
-            if isinstance(stmt, ast.Assign):
-                targets = stmt.targets
-            elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-                targets = [stmt.target]
-            else:
-                return
-            for target in targets:
+            for target in _store_targets(stmt):
                 if isinstance(target, ast.Subscript):
                     check_store(target)
 
         def check_store(target: ast.Subscript) -> None:
             base = _base_name(target.value)
-            if (
-                base is None
-                or base in locals_
-                or base in params
-                or base in SAFE_BUILTINS
-            ):
+            if not worker.captures(base):
                 return
             line = target.lineno
             sl = target.slice
@@ -1002,24 +1017,17 @@ class FlowAnalyzer:
             else:
                 lowest = highest = env.eval(sl)
             if lowest is _NON_INJECTIVE:
-                if contiguous and line in info.suppressed:
-                    report.suppressed_hits.add((info.path, line))
-                elif contiguous:
-                    report.findings.append(
-                        Finding(
-                            path=info.path,
-                            line=line,
-                            col=target.col_offset,
-                            code="SAN403",
-                            severity="error",
-                            message=(
-                                f"store into captured {base!r} at an "
-                                "index that folds distinct items onto "
-                                "the same slot (% / // of the loop "
-                                "item): contiguous items provably "
-                                "collide across virtual threads",
-                            )[0],
-                        )
+                if contiguous:
+                    report.emit(
+                        info,
+                        line,
+                        target.col_offset,
+                        "SAN403",
+                        "error",
+                        f"store into captured {base!r} at an index that "
+                        "folds distinct items onto the same slot (% / // "
+                        "of the loop item): contiguous items provably "
+                        "collide across virtual threads",
                     )
                 return
             if not isinstance(lowest, dict):
@@ -1083,22 +1091,15 @@ class FlowAnalyzer:
         lo_aff, hi_aff = clean(lo_aff), clean(hi_aff)
 
         def emit_403(reason: str) -> None:
-            if line in info.suppressed:
-                report.suppressed_hits.add((info.path, line))
-                return
-            report.findings.append(
-                Finding(
-                    path=info.path,
-                    line=line,
-                    col=0,
-                    code="SAN403",
-                    severity="error",
-                    message=(
-                        f"store into captured {base!r} provably escapes "
-                        f"the worker's owned slice: {reason} — another "
-                        "virtual thread owns that slot"
-                    ),
-                )
+            report.emit(
+                info,
+                line,
+                0,
+                "SAN403",
+                "error",
+                f"store into captured {base!r} provably escapes the "
+                f"worker's owned slice: {reason} — another virtual thread "
+                "owns that slot",
             )
 
         def verify(mode: str) -> None:
@@ -1172,54 +1173,39 @@ class FlowAnalyzer:
     ) -> dict[str, str]:
         """Kernel name -> body-function name, parsed from the registry."""
         info = self.index.modules.get(kernels_module)
-        if info is None:
+        value = info.assigned("KERNELS") if info is not None else None
+        if not isinstance(value, ast.Dict):
             return {}
-        for node in ast.walk(info.tree):
-            target = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-            elif isinstance(node, ast.AnnAssign):
-                target = node.target
-            else:
-                continue
-            if not (
-                isinstance(target, ast.Name) and target.id == "KERNELS"
-            ):
-                continue
-            value = node.value
-            if not isinstance(value, ast.Dict):
-                continue
-            table: dict[str, str] = {}
-            for k, v in zip(value.keys, value.values):
-                if (
-                    isinstance(k, ast.Constant)
-                    and isinstance(k.value, str)
-                    and isinstance(v, ast.Name)
-                ):
-                    table[k.value] = v.id
-            return table
-        return {}
+        return {
+            k.value: v.id
+            for k, v in zip(value.keys, value.values)
+            if isinstance(k, ast.Constant)
+            and isinstance(k.value, str)
+            and isinstance(v, ast.Name)
+        }
 
-    def infer_kernel_effects(
+    def kernel_entries(
         self,
         names: list[str] | None = None,
         kernels_module: str = "repro.sanitizer.kernels",
-    ) -> dict[str, EffectSignature]:
+    ) -> dict[str, FunctionRef]:
+        """Kernel name -> resolved body function, for every registered
+        kernel in registry order (or for ``names``, in their order)."""
         table = self.kernel_table(kernels_module)
-        info = self.index.modules.get(kernels_module)
-        if info is None:
-            return {}
-        selected = names if names is not None else list(table)
-        out: dict[str, EffectSignature] = {}
-        for name in selected:
-            fn_name = table.get(name)
-            if fn_name is None:
-                continue
-            ref = self.index.get_function(kernels_module, fn_name)
-            if ref is None:
-                continue
-            out[name] = self._effects_from(ref)
-        return out
+        refs = {
+            name: self.index.get_function(kernels_module, table[name])
+            for name in (names if names is not None else table)
+            if name in table
+        }
+        return {name: ref for name, ref in refs.items() if ref is not None}
+
+    def infer_kernel_effects(
+        self, names: list[str] | None = None
+    ) -> dict[str, EffectSignature]:
+        return {
+            name: self._effects_from(ref)
+            for name, ref in self.kernel_entries(names).items()
+        }
 
     def reachable_workers(
         self, entry: FunctionRef
@@ -1272,19 +1258,6 @@ def _worker_effects(
     """(reads, writes, atomics) of one worker closure."""
     node = worker.node
     body = node.body if isinstance(node.body, list) else [node.body]
-    locals_: set[str] = set()
-    for stmt in body:
-        locals_ |= _assigned_names(stmt)
-    params = {p for p in (worker.item, worker.ctx) if p}
-
-    def captured(name: str | None) -> bool:
-        return (
-            name is not None
-            and name not in locals_
-            and name not in params
-            and name not in SAFE_BUILTINS
-        )
-
     reads: set[str] = set()
     writes: set[str] = set()
     atomics: set[str] = set()
@@ -1304,15 +1277,10 @@ def _worker_effects(
     for stmt in body:
         for inner in ast.walk(stmt):
             if isinstance(inner, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    inner.targets
-                    if isinstance(inner, ast.Assign)
-                    else [inner.target]
-                )
-                for target in targets:
+                for target in _store_targets(inner):
                     if isinstance(target, (ast.Subscript, ast.Attribute)):
                         base = _base_name(target)
-                        if captured(base):
+                        if worker.captures(base):
                             writes.add(base)  # type: ignore[arg-type]
             elif isinstance(inner, ast.Subscript) and isinstance(
                 inner.ctx, ast.Load
@@ -1320,7 +1288,7 @@ def _worker_effects(
                 if id(inner) in ann_nodes:
                     continue
                 base = _base_name(inner.value)
-                if captured(base):
+                if worker.captures(base):
                     reads.add(base)  # type: ignore[arg-type]
             elif isinstance(inner, ast.Call) and isinstance(
                 inner.func, ast.Attribute
@@ -1339,10 +1307,10 @@ def _worker_effects(
                     elif access == effects.READ:
                         reads.add(tag)
                     continue
-                if captured(base) and _passes(inner, worker.ctx):
+                if worker.captures(base) and _passes(inner, worker.ctx):
                     atomics.add(base)  # type: ignore[arg-type]
                 elif (
-                    captured(base)
+                    worker.captures(base)
                     and inner.func.attr in MUTATING_METHODS
                 ):
                     writes.add(base)  # type: ignore[arg-type]
@@ -1363,19 +1331,14 @@ def _finish(report: FlowReport) -> None:
 # ======================================================================
 
 
-def analyze_source(
-    source: str, path: str = "<string>", index: ModuleIndex | None = None
-) -> FlowReport:
+def analyze_source(source: str, path: str = "<string>") -> FlowReport:
     """SimFlow over one module's source text (tests and selftest)."""
-    analyzer = FlowAnalyzer(index=index or ModuleIndex())
     try:
-        info = ModuleInfo(Path(path).stem, path, source)
+        index, info = ModuleIndex.of_source(source, path)
     except SyntaxError:
         return FlowReport()
-    analyzer.index.modules[info.name] = info
-    analyzer.index.by_path[str(Path(path))] = info
     report = FlowReport(files=1)
-    analyzer.analyze_module(info, report)
+    FlowAnalyzer(index).analyze_module(info, report)
     _finish(report)
     return report
 
@@ -1394,15 +1357,6 @@ def infer_kernel_effects(
     return FlowAnalyzer(index=index).infer_kernel_effects(names)
 
 
-def flow_manifest_payload(effects: dict[str, EffectSignature]) -> dict:
-    """Committed-manifest shape of inferred kernel effect signatures."""
-    return {
-        "schema": FLOW_MANIFEST_SCHEMA,
-        "version": 1,
-        "kernels": {name: effects[name].as_dict() for name in sorted(effects)},
-    }
-
-
 # ======================================================================
 # seeded-bug selftest
 # ======================================================================
@@ -1418,7 +1372,6 @@ def run(pool, items, flags):
             pool.parallel_for(range(4), lambda i, c: c.charge(1))
     pool.parallel_for(items, worker, label="selftest:divergent")
 '''
-_DIVERGENT_SYNC_LINE = 5
 
 #: A chunked writer that stores one slot past its owned [start, end)
 #: slice — the canonical cross-chunk corruption bug.
@@ -1430,18 +1383,6 @@ def run(pool, out, chunks):
         for i in range(start, end):
             out[i + 1] = i
     pool.parallel_for(chunks, worker, label="selftest:cross_chunk")
-'''
-_CROSS_CHUNK_LINE = 6
-
-#: The same writer, fixed — must verify as disjoint, with no findings.
-_SAFE_CHUNK_SOURCE = '''\
-def run(pool, out, chunks):
-    def worker(chunk, ctx):
-        start, end = chunk
-        ctx.write(("out", int(start)))
-        for i in range(start, end):
-            out[i] = i
-    pool.parallel_for(chunks, worker, label="selftest:safe_chunk")
 '''
 
 
@@ -1455,82 +1396,38 @@ def run(pool, out, n):
             out[i + 1] = i
     pool.parallel_slices(range(n), worker, label="selftest:cross_slice")
 '''
-_CROSS_SLICE_LINE = 5
+
+
+#: The seeded SAN4xx bugs ``flow_selftest`` must catch.
+_PLANTED = (
+    Planted("divergent sync", _DIVERGENT_SYNC_SOURCE, "SAN401", 5),
+    Planted(
+        "cross-chunk store",
+        _CROSS_CHUNK_SOURCE,
+        "SAN403",
+        6,
+        _CROSS_CHUNK_SOURCE.replace("out[i + 1]", "out[i]"),
+    ),
+    Planted(
+        "cross-slice store",
+        _CROSS_SLICE_SOURCE,
+        "SAN403",
+        5,
+        _CROSS_SLICE_SOURCE.replace("out[i + 1]", "out[i]"),
+    ),
+)
 
 
 def flow_selftest() -> tuple[bool, str]:
     """Prove the analyzer catches every seeded SAN4xx bug.
 
     An analyzer that reports nothing is indistinguishable from one
-    that checks nothing: this runs SimFlow over three intentionally
-    buggy worker sources and requires SAN401 (divergent sync) and
-    SAN403 (cross-chunk and cross-slice stores) with exact line
-    attribution — plus fixed variants that must come back clean.
+    that checks nothing: SimFlow must flag each planted source in
+    ``_PLANTED`` with exact line attribution, and each fixed variant
+    must verify disjoint with no findings.
     """
-    divergent = analyze_source(_DIVERGENT_SYNC_SOURCE, "selftest_divergent.py")
-    hits = [
-        f
-        for f in divergent.findings
-        if f.code == "SAN401" and f.line == _DIVERGENT_SYNC_LINE
-    ]
-    if not hits:
-        return (
-            False,
-            "seeded divergent-sync bug NOT caught: expected SAN401 at "
-            f"line {_DIVERGENT_SYNC_LINE}, got "
-            f"{[str(f) for f in divergent.findings]}",
-        )
-
-    cross = analyze_source(_CROSS_CHUNK_SOURCE, "selftest_cross_chunk.py")
-    hits = [
-        f
-        for f in cross.findings
-        if f.code == "SAN403" and f.line == _CROSS_CHUNK_LINE
-    ]
-    if not hits:
-        return (
-            False,
-            "seeded cross-chunk store NOT caught: expected SAN403 at "
-            f"line {_CROSS_CHUNK_LINE}, got "
-            f"{[str(f) for f in cross.findings]}",
-        )
-
-    cross = analyze_source(_CROSS_SLICE_SOURCE, "selftest_cross_slice.py")
-    hits = [
-        f
-        for f in cross.findings
-        if f.code == "SAN403" and f.line == _CROSS_SLICE_LINE
-    ]
-    if not hits:
-        return (
-            False,
-            "seeded cross-slice store NOT caught: expected SAN403 at "
-            f"line {_CROSS_SLICE_LINE}, got "
-            f"{[str(f) for f in cross.findings]}",
-        )
-    fixed = analyze_source(
-        _CROSS_SLICE_SOURCE.replace("out[i + 1]", "out[i]"),
-        "selftest_safe_slice.py",
-    )
-    if fixed.findings or not fixed.verified:
-        return (
-            False,
-            "safe slice writer misjudged: expected verified-disjoint and "
-            f"no findings, got {[str(f) for f in fixed.findings]}",
-        )
-
-    safe = analyze_source(_SAFE_CHUNK_SOURCE, "selftest_safe_chunk.py")
-    if safe.findings or not safe.verified:
-        return (
-            False,
-            "safe chunk writer misjudged: expected verified-disjoint "
-            f"and no findings, got findings="
-            f"{[str(f) for f in safe.findings]} "
-            f"verified={[str(v) for v in safe.verified]}",
-        )
-    return (
-        True,
-        "seeded SAN401 (divergent sync) and SAN403 (cross-chunk and "
-        "cross-slice stores) all caught with exact attribution; fixed "
-        "variants verified-disjoint",
+    return check_planted(
+        _PLANTED,
+        analyze_source,
+        lambda report: not report.findings and bool(report.verified),
     )

@@ -228,6 +228,21 @@ class Report:
         return [f for f in self.findings if f.severity == "warning"]
 
 
+@dataclass
+class CertifiedReport(Report):
+    """A prove or dist report: findings plus one certificate per
+    kernel or protocol, committed to the family's manifest."""
+
+    certificates: dict = field(default_factory=dict)
+
+    @property
+    def certified(self) -> list[str]:
+        """Sorted names of the certificates whose status is certified."""
+        return sorted(
+            n for n, c in self.certificates.items() if c.status == "certified"
+        )
+
+
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
@@ -479,6 +494,22 @@ def _assigned_names(node: ast.AST) -> set[str]:
     return names
 
 
+def _store_targets(node: ast.AST) -> list:
+    """What ``node`` assigns to: every target of an ``=``, the one of
+    an augmented or annotated assignment, nothing for other nodes."""
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return [node.target]
+    return []
+
+
+def _body_locals(fn: ast.AST) -> set[str]:
+    """Every name a function's (or a lambda's) body binds as a local."""
+    body = fn.body if isinstance(fn.body, list) else [fn.body]
+    return set().union(*map(_assigned_names, body))
+
+
 def _passes(call: ast.Call, name: str | None) -> bool:
     """Whether ``call`` passes the variable ``name`` as an argument."""
     args = [*call.args, *(kw.value for kw in call.keywords)]
@@ -502,7 +533,15 @@ class _WorkerInfo:
     it yields items, and distinct threads' slices are disjoint.
     """
 
-    __slots__ = ("node", "item", "ctx", "call_line", "items", "slices")
+    __slots__ = (
+        "node",
+        "item",
+        "ctx",
+        "call_line",
+        "items",
+        "slices",
+        "locals",
+    )
 
     def __init__(
         self,
@@ -519,6 +558,22 @@ class _WorkerInfo:
         self.call_line = call_line
         self.items = items
         self.slices = slices
+        #: names the worker's body binds as locals
+        self.locals = _body_locals(node)
+
+    @property
+    def name(self) -> str:
+        return getattr(self.node, "name", "<lambda>")
+
+    def captures(self, name: str | None) -> bool:
+        """Whether ``name`` is shared state the worker captures: not a
+        local, a parameter or a safe builtin."""
+        return (
+            name is not None
+            and name not in self.locals
+            and name not in (self.item, self.ctx)
+            and name not in SAFE_BUILTINS
+        )
 
     def slice_loop(self, node: ast.AST) -> bool:
         """Whether ``node`` is a ``for`` loop or comprehension over the
@@ -600,7 +655,27 @@ def _find_workers(tree: ast.Module) -> list[_WorkerInfo]:
 # ----------------------------------------------------------------------
 
 
-class _WorkerLinter:
+class _Linter:
+    """Collects one module's findings, except on suppressed lines."""
+
+    def __init__(self, suppressed: set[int], path: str, line: int) -> None:
+        self.suppressed = suppressed
+        self.path = path
+        self.line = line  # where a finding on a line-less node lands
+        self.findings: list[Finding] = []
+
+    def _emit(
+        self, node: ast.AST, code: str, severity: str, message: str
+    ) -> None:
+        line = getattr(node, "lineno", self.line)
+        if line not in self.suppressed:
+            col = getattr(node, "col_offset", 0)
+            self.findings.append(
+                Finding(self.path, line, col, code, severity, message)
+            )
+
+
+class _WorkerLinter(_Linter):
     def __init__(
         self,
         worker: _WorkerInfo,
@@ -609,18 +684,12 @@ class _WorkerLinter:
         path: str,
         trusted_csr: set[str] | None = None,
     ) -> None:
+        super().__init__(suppressed, path, worker.call_line)
         self.w = worker
         self.atomic = atomic_names
-        self.suppressed = suppressed
-        self.path = path
         self.trusted_csr = trusted_csr or set()
-        self.findings: list[Finding] = []
         body = worker.node.body
         self.body_nodes = body if isinstance(body, list) else [body]
-        self.locals = set()
-        for stmt in self.body_nodes:
-            self.locals |= _assigned_names(stmt)
-        self.params = {p for p in (worker.item, worker.ctx) if p}
         # Subscripts inside type annotations (dict[int, ...]) are not
         # array accesses; exclude their subtrees from SAN302.
         self._annotation_nodes: set[int] = set()
@@ -716,33 +785,6 @@ class _WorkerLinter:
             for call in self._ctx_calls()
         )
 
-    # -- reporting -----------------------------------------------------
-
-    def _emit(
-        self, node: ast.AST, code: str, severity: str, message: str
-    ) -> None:
-        line = getattr(node, "lineno", self.w.call_line)
-        if line in self.suppressed:
-            return
-        self.findings.append(
-            Finding(
-                path=self.path,
-                line=line,
-                col=getattr(node, "col_offset", 0),
-                code=code,
-                severity=severity,
-                message=message,
-            )
-        )
-
-    def _is_captured(self, name: str | None) -> bool:
-        return (
-            name is not None
-            and name not in self.locals
-            and name not in self.params
-            and name not in SAFE_BUILTINS
-        )
-
     # -- rules ---------------------------------------------------------
 
     def run(self) -> list[Finding]:
@@ -755,12 +797,7 @@ class _WorkerLinter:
         for stmt in self.body_nodes:
             for node in ast.walk(stmt):
                 if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                    targets = (
-                        node.targets
-                        if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    for target in targets:
+                    for target in _store_targets(node):
                         self._check_store(target, nonlocal_names)
                 elif isinstance(node, ast.Call):
                     self._check_mutating_call(node)
@@ -799,7 +836,7 @@ class _WorkerLinter:
             return
         if isinstance(target, ast.Attribute):
             base = _base_name(target)
-            if self._is_captured(base) and base not in self.atomic:
+            if self.w.captures(base) and base not in self.atomic:
                 self._emit(
                     target,
                     "SAN103",
@@ -811,7 +848,7 @@ class _WorkerLinter:
         if not isinstance(target, ast.Subscript):
             return
         base = _base_name(target.value)
-        if not self._is_captured(base):
+        if not self.w.captures(base):
             return  # store into a worker-local container
         if base in self.atomic and not self._subscripts_data(target):
             return  # atomic wrapper API handles its own accounting
@@ -873,7 +910,7 @@ class _WorkerLinter:
             return
         base = _base_name(node.value)
         if (
-            not self._is_captured(base)
+            not self.w.captures(base)
             or base in self.atomic
             or base in self.trusted_csr
             or base == self.w.ctx
@@ -914,7 +951,7 @@ class _WorkerLinter:
         if func.attr not in MUTATING_METHODS:
             return
         base = _base_name(func.value)
-        if not self._is_captured(base) or base in self.atomic:
+        if not self.w.captures(base) or base in self.atomic:
             return
         if self._thread_local_receiver(func.value):
             return
@@ -937,32 +974,15 @@ class _WorkerLinter:
 # ----------------------------------------------------------------------
 
 
-class _ModuleLinter:
+class _ModuleLinter(_Linter):
     """Memory & numeric soundness rules over the whole module."""
 
     def __init__(
         self, tree: ast.Module, suppressed: set[int], path: str
     ) -> None:
+        super().__init__(suppressed, path, 0)
         self.tree = tree
-        self.suppressed = suppressed
-        self.path = path
         self.int_arrays = _collect_int_arrays(tree)
-        self.findings: list[Finding] = []
-
-    def _emit(self, node: ast.AST, code: str, message: str) -> None:
-        line = getattr(node, "lineno", 0)
-        if line in self.suppressed:
-            return
-        self.findings.append(
-            Finding(
-                path=self.path,
-                line=line,
-                col=getattr(node, "col_offset", 0),
-                code=code,
-                severity="warning",
-                message=message,
-            )
-        )
 
     def run(self) -> list[Finding]:
         for node in ast.walk(self.tree):
@@ -1006,6 +1026,7 @@ class _ModuleLinter:
         self._emit(
             node,
             "SAN301",
+            "warning",
             f"np.{func.attr} hands out unpoisoned memory: a missed "
             "initialization is silently read as stale garbage; use "
             "sanitizer.memcheck.san_empty so SimCheck traps "
@@ -1026,6 +1047,7 @@ class _ModuleLinter:
         self._emit(
             node,
             "SAN303",
+            "warning",
             f"narrowing astype({dtype}) silently wraps out-of-range "
             "values; use sanitizer.memcheck.checked_cast to detect "
             "overflow",
@@ -1064,6 +1086,7 @@ class _ModuleLinter:
         self._emit(
             node,
             "SAN304",
+            "warning",
             f"float expression accumulated into int array {base!r} "
             "truncates silently; accumulate in a float array or use "
             "sanitizer.memcheck.checked_sum",
@@ -1090,9 +1113,19 @@ def lint_source(source: str, path: str = "<string>") -> list[Finding]:
                 message=f"syntax error: {exc.msg}",
             )
         ]
+    findings = _rule_findings(tree, path, _suppressed_lines(source))
+    findings.extend(_bare_suppressions(source, path))
+    findings.sort(key=lambda f: (f.line, f.col, f.code))
+    return findings
+
+
+def _rule_findings(
+    tree: ast.Module, path: str, suppressed: set[int]
+) -> list[Finding]:
+    """The SAN1xx-3xx findings of one parsed module, except on the
+    ``suppressed`` lines."""
     atomic_names = _collect_atomic_names(tree)
     trusted_csr = _collect_trusted_csr(tree)
-    suppressed = _suppressed_lines(source)
     findings: list[Finding] = []
     for worker in _find_workers(tree):
         findings.extend(
@@ -1101,29 +1134,6 @@ def lint_source(source: str, path: str = "<string>") -> list[Finding]:
             ).run()
         )
     findings.extend(_ModuleLinter(tree, suppressed, path).run())
-    findings.extend(_bare_suppressions(source, path))
-    findings.sort(key=lambda f: (f.line, f.col, f.code))
-    return findings
-
-
-def _findings_unsuppressed(source: str, path: str) -> list[Finding]:
-    """The SAN1xx-3xx findings a module would get with every
-    ``# sani: ok`` marker disabled (SAN002 support: a marker is alive
-    only if this run flags its line)."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return []
-    atomic_names = _collect_atomic_names(tree)
-    trusted_csr = _collect_trusted_csr(tree)
-    findings: list[Finding] = []
-    for worker in _find_workers(tree):
-        findings.extend(
-            _WorkerLinter(
-                worker, atomic_names, set(), path, trusted_csr
-            ).run()
-        )
-    findings.extend(_ModuleLinter(tree, set(), path).run())
     return findings
 
 
@@ -1145,7 +1155,13 @@ def dead_suppressions(
     import io
     import tokenize
 
-    flagged = {f.line for f in _findings_unsuppressed(source, path)}
+    # a reasoned marker is alive if the lint with every marker
+    # disabled flags its line
+    try:
+        tree = ast.parse(source, filename=path)
+        flagged = {f.line for f in _rule_findings(tree, path, set())}
+    except SyntaxError:
+        flagged = set()
     findings: list[Finding] = []
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)

@@ -18,14 +18,24 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-__all__ = ["certified", "drift", "load", "write"]
+__all__ = ["drift", "load", "payload", "write"]
 
 _ABSENT = object()
 
 
-def certified(certificates: dict) -> list[str]:
-    """Sorted names of the certificates whose status is ``certified``."""
-    return sorted(n for n, c in certificates.items() if c.status == "certified")
+def payload(schema: str, **sections: dict) -> dict:
+    """The committed shape of one run: ``schema``, ``version`` 1 and
+    each section as a name-sorted object.  A value with ``as_dict``
+    (an effect signature, a certificate) is stored as that dict."""
+    out: dict = {"schema": schema, "version": 1}
+    for key, section in sections.items():
+        out[key] = {name: _plain(section[name]) for name in sorted(section)}
+    return out
+
+
+def _plain(value: object) -> object:
+    as_dict = getattr(value, "as_dict", None)
+    return value if as_dict is None else as_dict()
 
 
 def load(path: str | Path) -> dict | None:

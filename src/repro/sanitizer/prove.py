@@ -67,7 +67,7 @@ from copy import copy
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.sanitizer import effects, manifest
+from repro.sanitizer import effects
 from repro.sanitizer.cfg import CFG, build_cfg
 from repro.sanitizer.flow import (
     FlowAnalyzer,
@@ -91,12 +91,13 @@ from repro.sanitizer.intervals import (
 )
 from repro.sanitizer.lint import (
     _ATOMIC_CONSTRUCTORS,
+    CertifiedReport,
     Finding,
-    Report,
     _find_workers,
     _passes,
     _WorkerInfo,
 )
+from repro.sanitizer.selftest import Planted, check_planted
 
 __all__ = [
     "AtomicSite",
@@ -105,7 +106,6 @@ __all__ = [
     "KernelCertificate",
     "MANIFEST_SCHEMA",
     "ProveReport",
-    "manifest_payload",
     "prove_kernels",
     "prove_selftest",
     "prove_source",
@@ -225,16 +225,11 @@ class KernelCertificate:
 
 
 @dataclass
-class ProveReport(Report):
+class ProveReport(CertifiedReport):
     """Everything one ``--prove`` run produced."""
 
-    certificates: dict = field(default_factory=dict)
     #: (path, line) of ``# prove:`` markers consumed this run (SAN002)
     used_marker_lines: set = field(default_factory=set)
-
-    @property
-    def certified(self) -> list[str]:
-        return manifest.certified(self.certificates)
 
 
 # ======================================================================
@@ -433,14 +428,12 @@ class _WorkerScope:
     def __init__(
         self,
         worker: _WorkerInfo,
-        locals_: set,
         extents: dict,
         value_facts: dict,
         facts: SymbolFacts,
         chunk_extent: Affine | None,
     ) -> None:
         self.worker = worker
-        self.locals = locals_
         self.extents = extents
         self.value_facts = value_facts
         self.facts = facts
@@ -462,7 +455,7 @@ def _eval(node: ast.AST, env: dict, scope: _WorkerScope) -> Interval:
     if isinstance(node, ast.Name):
         if node.id in env:
             return env[node.id]
-        if node.id in self_locals(scope) or node.id == scope.worker.item:
+        if node.id in scope.worker.locals or node.id == scope.worker.item:
             return Interval.top()  # local not yet bound on this path
         return Interval.sym(node.id)  # captured name: terminal symbol
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
@@ -538,10 +531,6 @@ def _eval(node: ast.AST, env: dict, scope: _WorkerScope) -> Interval:
                 return scope.value_facts[base.id]
         return Interval.top()
     return Interval.top()
-
-
-def self_locals(scope: _WorkerScope) -> set:
-    return scope.locals
 
 
 def _iter_interval(
@@ -1004,25 +993,6 @@ class _ObligationCollector:
 # ======================================================================
 
 
-def _worker_name(worker: _WorkerInfo) -> str:
-    node = worker.node
-    return getattr(node, "name", "<lambda>")
-
-
-def _worker_locals(worker: _WorkerInfo) -> set:
-    locals_: set = set()
-    body = worker.node.body if isinstance(worker.node.body, list) else []
-    for stmt in body:
-        for sub in ast.walk(stmt):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
-                locals_.add(sub.id)
-            elif isinstance(sub, (ast.For, ast.AsyncFor)):
-                for t in ast.walk(sub.target):
-                    if isinstance(t, ast.Name):
-                        locals_.add(t.id)
-    return locals_
-
-
 def _csr_value_facts(extents: dict) -> dict:
     """The CSR trust idiom: when a kernel declares both ``indptr``
     (extent ``n + 1``) and ``indices``, loads from ``indptr`` yield
@@ -1064,13 +1034,13 @@ def _seed_item_env(
         scope.base_env[worker.item] = Interval(
             lo, aff_sub(hi, aff_const(1)), False
         )
-        used.append(f"{_worker_name(worker)}: {text}")
+        used.append(f"{worker.name}: {text}")
         return
     chunk = assumptions.chunk_at(*lines)
     if chunk is not None:
         _lo, hi, text = chunk
         scope.chunk_extent = hi
-        used.append(f"{_worker_name(worker)}: {text}")
+        used.append(f"{worker.name}: {text}")
         return
     items = worker.items
     if items is None:
@@ -1108,7 +1078,7 @@ def _seed_slice_env(
         scope.value_facts[worker.item] = Interval(
             lo, aff_sub(hi, aff_const(1)), False
         )
-        used.append(f"{_worker_name(worker)}: {text}")
+        used.append(f"{worker.name}: {text}")
         return
     if worker.items is None:
         return
@@ -1270,9 +1240,8 @@ def _prove_worker(
     node = worker.node
     if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
         return []
-    locals_ = _worker_locals(worker)
     scope = _WorkerScope(
-        worker, locals_, extents, _csr_value_facts(extents), facts, None
+        worker, extents, _csr_value_facts(extents), facts, None
     )
     scope.base_env = {}
     _seed_item_env(worker, scope, assumptions, used_assumptions)
@@ -1289,7 +1258,7 @@ def _prove_worker(
             obligations,
             kernel,
             info.path,
-            _worker_name(worker),
+            worker.name,
             info.suppressed,
             atomic_extents,
         )
@@ -1553,29 +1522,15 @@ class ProveAnalyzer:
 
     # ------------------------------------------------------------------
 
-    def prove_kernels(
-        self,
-        names: list | None = None,
-        kernels_module: str = "repro.sanitizer.kernels",
-    ) -> ProveReport:
+    def prove_kernels(self, names: list | None = None) -> ProveReport:
         from repro.sanitizer.kernels import KERNEL_EXTENTS
 
-        table = self._flow.kernel_table(kernels_module)
-        info = self.index.modules.get(kernels_module)
+        entries = self._flow.kernel_entries(names)
         report = ProveReport()
-        if info is None:
-            return report
         keyed: list = []
-        selected = names if names is not None else sorted(table)
-        for name in selected:
-            fn_name = table.get(name)
-            if fn_name is None:
-                continue
-            entry = self.index.get_function(kernels_module, fn_name)
-            if entry is None:
-                continue
+        for name in entries if names is not None else sorted(entries):
             cert, findings = self.prove_entry(
-                name, entry, KERNEL_EXTENTS.get(name, {})
+                name, entries[name], KERNEL_EXTENTS.get(name, {})
             )
             report.certificates[name] = cert
             keyed.extend(findings)
@@ -1611,8 +1566,8 @@ def prove_source(
     ``extents`` maps array/location names to extent expressions, the
     same contract as ``KERNEL_EXTENTS`` values.
     """
-    info = ModuleInfo("<prove>", path, source)
-    analyzer = ProveAnalyzer(ModuleIndex())
+    index, info = ModuleIndex.of_source(source, path, "<prove>")
+    analyzer = ProveAnalyzer(index)
     analyzer._assumptions[info.path] = _Assumptions(source)
     cert, findings = analyzer._prove_workers(
         kernel,
@@ -1623,23 +1578,6 @@ def prove_source(
     report.certificates[kernel] = cert
     report.findings = _ordered(findings)
     return report
-
-
-# ======================================================================
-# manifest
-# ======================================================================
-
-
-def manifest_payload(report: ProveReport) -> dict:
-    """Committed-manifest JSON payload for a full prove run."""
-    return {
-        "schema": MANIFEST_SCHEMA,
-        "version": 1,
-        "kernels": {
-            name: report.certificates[name].as_dict()
-            for name in sorted(report.certificates)
-        },
-    }
 
 
 # ======================================================================
@@ -1656,15 +1594,8 @@ def run_oob(pool, out, n):
         out[i + 1] = 0.0
     pool.parallel_for(range(n), worker, label="selftest:prove-oob")
 '''
-_OOB_LINE = 4
 
-_OOB_FIXED_SOURCE = '''\
-def run_oob_fixed(pool, out, n):
-    def worker(i, ctx):
-        ctx.write(("out", int(i)))
-        out[i] = 0.0
-    pool.parallel_for(range(n), worker, label="selftest:prove-oob")
-'''
+_OOB_FIXED_SOURCE = _OOB_SOURCE.replace("out[i + 1]", "out[i]")
 
 # A float fetch-add reduction: bitwise result depends on combining
 # order, so the kernel must be flagged SAN503 and refused a
@@ -1676,64 +1607,30 @@ def run_float(pool, values, n):
         sink.add(ctx, 0, values[i])
     pool.parallel_for(range(n), worker, label="selftest:prove-float")
 '''
-_FLOAT_LINE = 4
 
-_FLOAT_FIXED_SOURCE = '''\
-def run_float_fixed(pool, values, n):
-    sink = AtomicArray(4, dtype=np.int64, name="selftest_sink")
-    def worker(i, ctx):
-        sink.add(ctx, 0, values[i])
-    pool.parallel_for(range(n), worker, label="selftest:prove-float")
-'''
+_FLOAT_FIXED_SOURCE = _FLOAT_SOURCE.replace("np.float64", "np.int64")
+
+
+#: The seeded SAN5xx bugs ``prove_selftest`` must catch.
+_PLANTED = (
+    Planted("OOB store", _OOB_SOURCE, "SAN501", 4, _OOB_FIXED_SOURCE),
+    Planted(
+        "float reduction", _FLOAT_SOURCE, "SAN503", 4, _FLOAT_FIXED_SOURCE
+    ),
+)
 
 
 def prove_selftest() -> tuple[bool, str]:
     """Plant an OOB store and a float reduction; the prover must catch
-    both with exact line attribution and certify the fixed variants."""
-    oob = prove_source(_OOB_SOURCE, path="<selftest:oob>", extents={"out": "n"})
-    san501 = [f for f in oob.findings if f.code == "SAN501"]
-    if len(san501) != 1:
-        return False, f"expected 1 SAN501, got {len(san501)}"
-    if san501[0].line != _OOB_LINE:
-        return False, (
-            f"SAN501 attributed to line {san501[0].line}, expected {_OOB_LINE}"
-        )
-    cert = oob.certificates["<source>"]
-    if cert.status != "violations":
-        return False, f"planted OOB certificate status {cert.status!r}"
+    both with exact line attribution and certify the fixed variants
+    fully proven."""
 
-    fixed = prove_source(
-        _OOB_FIXED_SOURCE, path="<selftest:oob-fixed>", extents={"out": "n"}
-    )
-    fcert = fixed.certificates["<source>"]
-    if fcert.status != "certified" or not fcert.fully_proven:
-        return False, (
-            "fixed OOB variant must certify fully proven, got "
-            f"{fcert.status!r} (fully_proven={fcert.fully_proven})"
+    def clean(report: ProveReport) -> bool:
+        (cert,) = report.certificates.values()
+        return cert.status == "certified" and cert.fully_proven and not (
+            report.findings
         )
-    if [f for f in fixed.findings if f.code in ("SAN501", "SAN502")]:
-        return False, "fixed OOB variant has residual bounds findings"
 
-    flt = prove_source(_FLOAT_SOURCE, path="<selftest:float>")
-    san503 = [f for f in flt.findings if f.code == "SAN503"]
-    if len(san503) != 1:
-        return False, f"expected 1 SAN503, got {len(san503)}"
-    if san503[0].line != _FLOAT_LINE:
-        return False, (
-            f"SAN503 attributed to line {san503[0].line}, expected {_FLOAT_LINE}"
-        )
-    if flt.certificates["<source>"].status != "order-sensitive":
-        return False, "float reduction kernel must be order-sensitive"
-
-    ffixed = prove_source(_FLOAT_FIXED_SOURCE, path="<selftest:float-fixed>")
-    fxcert = ffixed.certificates["<source>"]
-    if fxcert.status != "certified" or fxcert.determinism != "commutative":
-        return False, (
-            "int64 reduction variant must certify commutative, got "
-            f"{fxcert.status!r}/{fxcert.determinism!r}"
-        )
-    return True, (
-        "planted OOB caught (SAN501 line "
-        f"{_OOB_LINE}), float reduction caught (SAN503 line {_FLOAT_LINE}), "
-        "fixed variants certified"
+    return check_planted(
+        _PLANTED, lambda src: prove_source(src, extents={"out": "n"}), clean
     )

@@ -10,15 +10,23 @@ cell.
 Region labels here carry the ``selftest:`` prefix — the pytest
 ``--sanitize`` guard and CLI gate skip races in such regions when
 deciding pass/fail, so intentional races never fail an honest build.
+
+The static families (SimFlow, SimProve, SimDist) hold the same bar
+with one checker, :func:`check_planted`, over a table of
+:class:`Planted` sources.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 from repro.parallel.scheduler import SimulatedPool
 from repro.sanitizer.detector import RaceDetector, RaceReport
 
 __all__ = [
     "SELFTEST_PREFIX",
+    "Planted",
+    "check_planted",
     "run_racy_kernel",
     "selftest",
 ]
@@ -75,3 +83,51 @@ def selftest(threads: int = 4) -> tuple[bool, str]:
         return False, f"degenerate thread pair in report: {report}"
     return True, f"seeded race detected: {report}"
 
+
+
+class Planted(NamedTuple):
+    """One seeded bug for a static analyzer: the source, the finding
+    it must raise (code and exact line), and optionally the fixed
+    source, which must come back clean."""
+
+    name: str
+    source: str
+    code: str
+    line: int
+    fixed: str | None = None
+
+
+def check_planted(
+    cases: tuple[Planted, ...],
+    analyze: Callable[[str], object],
+    clean: Callable[[object], bool],
+) -> tuple[bool, str]:
+    """Check an analyzer catches every planted bug; returns (ok, message).
+
+    ``analyze`` maps source text to a report with ``findings`` and
+    ``errors``; ``clean`` says whether a report is clean or certified.
+    Each planted source must raise exactly one finding of its code, on
+    its line, no other error, and not be clean; each fixed source must
+    be clean.
+    """
+    for case in cases:
+        report = analyze(case.source)
+        hits = [f for f in report.findings if f.code == case.code]
+        if (
+            [f.line for f in hits] != [case.line]
+            or any(f not in hits for f in report.errors)
+            or clean(report)
+        ):
+            return False, (
+                f"seeded {case.name} NOT caught: expected one {case.code} "
+                f"at line {case.line}, got {[str(f) for f in report.findings]}"
+            )
+        if case.fixed is not None:
+            fixed = analyze(case.fixed)
+            if not clean(fixed):
+                return False, (
+                    f"fixed {case.name} not clean: "
+                    f"{[str(f) for f in fixed.findings]}"
+                )
+    caught = ", ".join(f"{c.code} ({c.name}, line {c.line})" for c in cases)
+    return True, f"seeded {caught} caught; fixed variants clean"

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import functools
+import hashlib
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -95,6 +101,61 @@ def nx_coreness(graph: Graph) -> np.ndarray:
 def coreness_oracle():
     """Callable computing reference coreness with networkx."""
     return nx_coreness
+
+
+# ----------------------------------------------------------------------
+# whole-tree static analyses, run once per session
+# ----------------------------------------------------------------------
+
+def _memoize_analyses() -> None:
+    """Memoize SimFlow path analysis and effect inference, SimProve and
+    SimDist for the session: many tests analyze the same unchanged
+    tree.  The key is the call's arguments plus a digest of every
+    analyzed source, so a test that edits a copy re-analyzes; each
+    caller gets its own deep copy.  A call with an explicit ``index``
+    (an edited tree, or an in-memory table changed by the test) always
+    runs the analyzer."""
+    from repro.sanitizer import dist, flow, prove
+    from repro.sanitizer.lint import source_files
+
+    tree = Path(flow.__file__).resolve().parents[1]
+    memo: dict = {}
+
+    def digest(paths: list) -> str:
+        sha = hashlib.sha256()
+        for f in source_files([tree, *paths]):
+            sha.update(f"{f.resolve()}\0".encode() + f.read_bytes())
+        return sha.hexdigest()
+
+    def memoize(module, name: str) -> None:
+        analyze = getattr(module, name)
+        signature = inspect.signature(analyze)
+
+        @functools.wraps(analyze)
+        def memoized(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            if bound.arguments.get("index") is not None:
+                return analyze(*args, **kwargs)
+            paths = list(bound.arguments.get("paths", ()))
+            key = (
+                name,
+                repr(sorted(bound.arguments.items())),
+                tuple(str(Path(p).resolve()) for p in paths),
+                digest(paths),
+            )
+            if key not in memo:
+                memo[key] = analyze(*args, **kwargs)
+            return copy.deepcopy(memo[key])
+
+        setattr(module, name, memoized)
+
+    memoize(flow, "analyze_paths")
+    memoize(flow, "infer_kernel_effects")
+    memoize(prove, "prove_kernels")
+    memoize(dist, "analyze_dist")
+
+
+_memoize_analyses()
 
 
 # ----------------------------------------------------------------------

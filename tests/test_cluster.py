@@ -708,6 +708,19 @@ class TestClusterCLI:
         assert "bit-identical to single-node decomposition: True" in out
         assert "supersteps" in out
 
+    def test_missing_json_directory_exits_2_before_any_work(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("loaded a graph before the usage check")
+
+        monkeypatch.setattr(repro.cli, "_load_graph", no_work)
+        out = tmp_path / "missing" / "cluster.json"
+        assert main(["cluster", "--dataset", "AS", "--json", str(out)]) == 2
+        assert f"no such directory for --json {out}" in capsys.readouterr().err
+
     def test_mpm_baseline_flag(self, capsys):
         assert (
             main(["cluster", "--dataset", "AS", "--shards", "2", "--mpm"])

@@ -18,13 +18,21 @@ from repro.cli import main as cli_main
 from repro.sanitizer import manifest
 from repro.sanitizer.dist import (
     DEFAULT_DIST_MANIFEST_PATH,
+    DIST_MANIFEST_SCHEMA,
     DistAnalyzer,
     analyze_dist,
     analyze_protocol_source,
-    dist_manifest_payload,
     dist_selftest,
 )
 from repro.sanitizer.flow import ModuleIndex, ModuleInfo
+
+
+def dist_manifest_payload(report):
+    return manifest.payload(
+        DIST_MANIFEST_SCHEMA,
+        protocols=report.certificates,
+        kernels=report.kernels,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -78,22 +86,13 @@ class TestSelftest:
         assert "SAN601" in message and "SAN602" in message
 
     def test_planted_lines_attributed_exactly(self):
-        from repro.sanitizer.dist import (
-            _NONMONO_LINE,
-            _NONMONO_SOURCE,
-            _PHASE_LINE,
-            _PHASE_SOURCE,
-            _SELFTEST_PROTOCOL,
-        )
+        from repro.sanitizer.dist import _PLANTED, _SELFTEST_PROTOCOL
 
-        report = analyze_protocol_source(
-            _NONMONO_SOURCE, _SELFTEST_PROTOCOL
-        )
-        (finding,) = report.findings
-        assert (finding.code, finding.line) == ("SAN601", _NONMONO_LINE)
-        report = analyze_protocol_source(_PHASE_SOURCE, _SELFTEST_PROTOCOL)
-        (finding,) = report.findings
-        assert (finding.code, finding.line) == ("SAN602", _PHASE_LINE)
+        assert [case.code for case in _PLANTED] == ["SAN601", "SAN602"]
+        for case in _PLANTED:
+            report = analyze_protocol_source(case.source, _SELFTEST_PROTOCOL)
+            (finding,) = report.findings
+            assert (finding.code, finding.line) == (case.code, case.line)
 
 
 # ----------------------------------------------------------------------

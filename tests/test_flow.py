@@ -24,8 +24,8 @@ from repro.sanitizer.flow import (
     DEFAULT_FLOW_MANIFEST_PATH,
     FlowAnalyzer,
     ModuleIndex,
+    FLOW_MANIFEST_SCHEMA,
     analyze_source,
-    flow_manifest_payload,
     flow_selftest,
     infer_kernel_effects,
 )
@@ -415,7 +415,9 @@ class TestEffects:
     def test_declared_matches_inferred_zero_drift(self):
         # the committed manifest is the declared record of every
         # kernel's effects; a full inference must reproduce it
-        payload = flow_manifest_payload(infer_kernel_effects())
+        payload = manifest.payload(
+            FLOW_MANIFEST_SCHEMA, kernels=infer_kernel_effects()
+        )
         assert manifest.drift(payload, DEFAULT_FLOW_MANIFEST_PATH, "--flow") == []
 
     def test_pkc_signature_content(self):
@@ -428,7 +430,9 @@ class TestEffects:
         committed = _committed_copy(
             tmp_path, "pkc", "writes", lambda names: names[1:]
         )
-        payload = flow_manifest_payload(infer_kernel_effects(["pkc"]))
+        payload = manifest.payload(
+            FLOW_MANIFEST_SCHEMA, kernels=infer_kernel_effects(["pkc"])
+        )
         lines = manifest.drift(payload, committed, "--flow", ["pkc"])
         assert len(lines) == 1
         assert lines[0].startswith("kernels.pkc.writes: ")
@@ -437,7 +441,9 @@ class TestEffects:
         committed = _committed_copy(
             tmp_path, "pkc", "reads", lambda names: names + ["ghost_array"]
         )
-        payload = flow_manifest_payload(infer_kernel_effects(["pkc"]))
+        payload = manifest.payload(
+            FLOW_MANIFEST_SCHEMA, kernels=infer_kernel_effects(["pkc"])
+        )
         lines = manifest.drift(payload, committed, "--flow", ["pkc"])
         assert len(lines) == 1
         assert lines[0].startswith("kernels.pkc.reads: ")

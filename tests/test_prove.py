@@ -31,11 +31,15 @@ from repro.sanitizer import manifest
 from repro.sanitizer.dist import DEFAULT_DIST_MANIFEST_PATH
 from repro.sanitizer.prove import (
     DEFAULT_MANIFEST_PATH,
-    manifest_payload,
+    MANIFEST_SCHEMA,
     prove_kernels,
     prove_selftest,
     prove_source,
 )
+
+
+def manifest_payload(report):
+    return manifest.payload(MANIFEST_SCHEMA, kernels=report.certificates)
 
 
 def _nonneg_facts(*names: str) -> SymbolFacts:

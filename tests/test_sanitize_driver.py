@@ -109,6 +109,44 @@ def test_corrupt_manifest_is_not_missing(tmp_path, flag, committed):
     assert manifest.load(tmp_path / "absent.json") is None
 
 
+def test_missing_report_directory_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys
+):
+    import repro.sanitizer
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("linted before the usage check")
+
+    monkeypatch.setattr(repro.sanitizer, "lint_paths", no_work)
+    out = tmp_path / "missing" / "report.json"
+    lint = str(SRC / "repro" / "errors.py")
+    assert cli_main(["sanitize", "--lint", lint, "--report", str(out)]) == 2
+    assert f"no such directory for --report {out}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "module", [flow, prove, dist], ids=lambda m: m.__name__
+)
+def test_planted_selftest_cannot_pass_vacuously(module, monkeypatch):
+    # the shared checker must fail a family whose planted case names
+    # the wrong line, whose planted source is already the fix, or
+    # whose fix still carries the bug
+    family = module.__name__.rsplit(".", 1)[-1]
+    selftest = getattr(module, f"{family}_selftest")
+    planted = module._PLANTED
+    assert selftest()[0]
+    for i, case in enumerate(planted):
+        broken = [case._replace(line=case.line + 1)]
+        if case.fixed is not None:
+            broken.append(case._replace(source=case.fixed))
+            broken.append(case._replace(fixed=case.source))
+        for bad in broken:
+            cases = planted[:i] + (bad,) + planted[i + 1 :]
+            monkeypatch.setattr(module, "_PLANTED", cases)
+            ok, message = selftest()
+            assert not ok, message
+
+
 def test_runtime_import_skips_static_analyzers():
     code = (
         "import json, sys, repro.pipeline\n"

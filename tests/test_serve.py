@@ -792,6 +792,21 @@ class TestServeCli:
         assert payload["snapshot"] == {"name": "as", "version": 1}
         assert payload["requests"] == 24
 
+    def test_missing_json_directory_exits_2_before_serving(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.serve
+        from repro.cli import main
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("served before the usage check")
+
+        monkeypatch.setattr(repro.serve, "SnapshotCatalog", no_work)
+        out = tmp_path / "missing" / "report.json"
+        code = main(["serve", "--catalog", str(tmp_path), "--json", str(out)])
+        assert code == 2
+        assert f"no such directory for --json {out}" in capsys.readouterr().err
+
     def test_serve_unknown_snapshot_fails(self, tmp_path, capsys):
         from repro.cli import main
 
