@@ -1,49 +1,25 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test sanitize memcheck lint flow prove dist profile bench-analysis serve-bench bench-dynamic bench-cluster bench-e2e construct-layers cluster-layers serve-layers dynamic-layers sanitize-reports
+.PHONY: check test sanitize profile bench-analysis serve-bench bench-dynamic bench-cluster bench-e2e construct-layers cluster-layers serve-layers dynamic-layers sanitize-reports
 
-## check: the CI gate — tests, every sanitize family with its selftest (strict), kernel race+memcheck sweep, profiler selftest, analysis + serve + dynamic + cluster benches, end-to-end benchmark self-test
-check: test sanitize memcheck profile bench-analysis serve-bench bench-dynamic bench-cluster bench-e2e
+## check: the CI gate — tests, the sanitize gate, profiler selftest, analysis + serve + dynamic + cluster benches, end-to-end benchmark self-test
+check: test sanitize profile bench-analysis serve-bench bench-dynamic bench-cluster bench-e2e
 
 test:
 	$(PYTHON) -m pytest -x -q
 
-## sanitize: every family (races, lint, flow, prove, dist), the SAN002 dead-marker audit and the seeded selftests, warnings gating
+## sanitize: the one sanitize gate — races + memcheck over every kernel, lint, flow, prove and dist over src/ + benchmarks/, the SAN002 dead-marker audit, manifest drift and the seeded selftests; warnings gate
 sanitize:
-	$(PYTHON) -m repro sanitize --strict
+	$(PYTHON) -m repro sanitize
 
-## memcheck: SimCheck sweep — kernels + seeded selftests under the memory sanitizer
-memcheck:
-	$(PYTHON) -m repro sanitize --memcheck --all-kernels --selftest
-
-## lint: the full static SAN1xx-SAN3xx lint over src/ + benchmarks/, warnings gating
-lint:
-	$(PYTHON) -m repro sanitize --strict --lint
-
-## flow: SimFlow SAN4xx analysis — divergent sync, disjoint-write proofs, drift of the inferred kernel effects against flow_manifest.json
-flow:
-	$(PYTHON) -m repro sanitize --strict --flow --all-kernels --selftest
-
-## prove: SimProve SAN5xx certification — bounds proofs, determinism, manifest drift
-prove:
-	$(PYTHON) -m repro sanitize --strict --prove --selftest
-
-## dist: SimDist SAN6xx certification — monotonicity, BSP phases, ownership, derived wire shapes, replay safety, manifest drift
-dist:
-	$(PYTHON) -m repro sanitize --strict --dist --selftest
-
-## sanitize-reports: write the --report JSON of the seven CI sanitize families plus the flow and prove selftests into OUT (default sanitize-reports), checkout root stripped, exit codes in exit_codes.txt; `diff -r` two trees' outputs to check an analyzer refactor
+## sanitize-reports: write the sanitize --report JSON to OUT/sanitize.json (default OUT sanitize-reports), checkout root stripped, and its exit code to OUT/exit_codes.txt; `diff -r` two trees' outputs to check an analyzer refactor
 OUT ?= sanitize-reports
-SANITIZE_REPORTS := lint:--strict --lint|races:--strict --all-kernels|memcheck:--strict --memcheck --all-kernels|flow:--strict --flow --all-kernels|prove:--strict --prove|dist:--strict --dist|full:--strict|flow-selftest:--flow --selftest|prove-selftest:--prove --selftest
 sanitize-reports:
-	@mkdir -p $(OUT); rm -f $(OUT)/exit_codes.txt; \
-	runs='$(SANITIZE_REPORTS)'; IFS='|'; for run in $$runs; do \
-	  name=$${run%%:*}; args=$${run#*:}; IFS=' '; \
-	  $(PYTHON) -m repro sanitize $$args --report $(OUT)/$$name.json > /dev/null; \
-	  echo "$$name $$?" >> $(OUT)/exit_codes.txt; \
-	  sed -i 's|$(CURDIR)/||g' $(OUT)/$$name.json; IFS='|'; \
-	done; cat $(OUT)/exit_codes.txt
+	@mkdir -p $(OUT); \
+	$(PYTHON) -m repro sanitize --report $(OUT)/sanitize.json > /dev/null; \
+	echo "sanitize $$?" > $(OUT)/exit_codes.txt; \
+	sed -i 's|$(CURDIR)/||g' $(OUT)/sanitize.json; cat $(OUT)/exit_codes.txt
 
 ## profile: SimProf zero-perturbation selftest
 profile:

@@ -133,11 +133,11 @@ def _observer_rows() -> list[dict]:
     return rows
 
 
-def _checked(analyze, payload_of, path, flag):
+def _checked(analyze, payload_of, path, family):
     """One analysis pass plus its manifest drift check, as ``repro
     sanitize`` runs it."""
     result = analyze()
-    return result, manifest.drift(payload_of(result), path, flag)
+    return result, manifest.drift(payload_of(result), path, family)
 
 
 def _perturbation() -> dict:
@@ -170,7 +170,7 @@ def _static() -> dict:
                 FLOW_MANIFEST_SCHEMA, kernels=effects
             ),
             DEFAULT_FLOW_MANIFEST_PATH,
-            "--flow",
+            "flow",
         )
     )
     (prove, prove_drift), wall_prove = _timed(
@@ -180,7 +180,7 @@ def _static() -> dict:
                 MANIFEST_SCHEMA, kernels=report.certificates
             ),
             DEFAULT_MANIFEST_PATH,
-            "--prove",
+            "prove",
         )
     )
     (dist, dist_drift), wall_dist = _timed(
@@ -192,7 +192,7 @@ def _static() -> dict:
                 kernels=report.kernels,
             ),
             DEFAULT_DIST_MANIFEST_PATH,
-            "--dist",
+            "dist",
         )
     )
     cluster_kernels = sorted(k for k in KERNELS if k.startswith("cluster"))

@@ -8,7 +8,7 @@ Subcommands
 ``bestk``      best k for whole k-core sets (Section VI)
 ``report``     full analysis report (profile, hierarchy, best cores)
 ``datasets``   list the built-in dataset stand-ins
-``sanitize``   SimTSan races + SimCheck memcheck + SAN lint over kernels
+``sanitize``   every sanitizer family over every kernel and src/ + benchmarks/
 ``profile``    SimProf: span-trace a run, flame summary + trace exports
 ``serve``      HCDServe: replay a query trace against a snapshot catalog
 ``cluster``    SimCluster: sharded decomposition / fault-tolerant serving
@@ -101,128 +101,39 @@ def build_parser() -> argparse.ArgumentParser:
         "sanitize",
         help="race detection + memory sanitizer + lint + flow analysis",
         description=(
-            "Run the sanitizer families over the substrate: the "
-            "SimTSan race detector over the named parallel kernels, "
-            "the SimCheck memory & numeric sanitizer (--memcheck), "
-            "the static SAN1xx-SAN3xx lint pass over source trees, "
-            "the SimFlow SAN4xx CFG/dataflow analysis (--flow), the "
-            "SimProve SAN5xx static bounds/determinism certification "
-            "(--prove), the SimDist SAN6xx distributed-protocol "
-            "certification (--dist), and the seeded-bug selftests.  "
-            "With no options: all kernels, lint + flow + prove + dist "
-            "over src/ and benchmarks/, and the selftests."
+            "Run every sanitizer family over the substrate: the SimTSan "
+            "race detector and the SimCheck memory & numeric sanitizer "
+            "over every registered parallel kernel (4 virtual threads), "
+            "the static SAN1xx-SAN3xx lint, the SimFlow SAN4xx "
+            "CFG/dataflow analysis, the SimProve SAN5xx static "
+            "bounds/determinism certification and the SimDist SAN6xx "
+            "distributed-protocol certification over src/ and "
+            "benchmarks/ (relative to the working directory), the "
+            "SAN002 dead-marker audit, drift of the three committed "
+            "manifests, and the seeded-bug selftests."
         ),
         epilog=(
-            "Exit status: 0 when every family that ran is clean; "
-            "1 when ANY family reports (a race, a memcheck finding, "
-            "a lint or flow error, a SAN501 provable OOB, a SAN6xx "
-            "protocol violation, flow-, prove- or dist-manifest "
-            "drift, any warning under --strict, or a failed "
-            "selftest); 2 on usage errors.  One summary "
-            "line is printed per family."
-        ),
-    )
-    p_san.add_argument(
-        "--all-kernels",
-        action="store_true",
-        help="race-check every registered kernel",
-    )
-    p_san.add_argument(
-        "--kernel",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="race-check one kernel (repeatable; see --list)",
-    )
-    p_san.add_argument(
-        "--lint",
-        nargs="*",
-        metavar="PATH",
-        help="lint parallel workers under PATH(s) (default: src/)",
-    )
-    p_san.add_argument(
-        "--selftest",
-        action="store_true",
-        help=(
-            "only verify the seeded-bug kernels are flagged (the racy "
-            "kernel; with --memcheck also the uninit/OOB/overflow/NaN "
-            "kernel)"
-        ),
-    )
-    p_san.add_argument(
-        "--memcheck",
-        action="store_true",
-        help=(
-            "attach the SimCheck memory sanitizer to kernel runs: "
-            "poisoned-allocation uninit reads, out-of-bounds indices, "
-            "overflowing casts, NaN origins"
-        ),
-    )
-    p_san.add_argument(
-        "--flow",
-        action="store_true",
-        help=(
-            "run the SimFlow SAN4xx analysis: divergent-sync taint "
-            "over worker CFGs (SAN401/402), disjoint-write interval "
-            "proofs (SAN403 + SAN201 downgrades), and drift of the "
-            "selected kernels' inferred effects against the committed "
-            "flow_manifest.json"
-        ),
-    )
-    p_san.add_argument(
-        "--prove",
-        action="store_true",
-        help=(
-            "run the SimProve SAN5xx static certification: fixpoint "
-            "interval bounds proofs for every recorded access "
-            "(SAN501 provable OOB, SAN502 unproven), determinism "
-            "classification of combining atomics (SAN503 order-"
-            "sensitive float reductions), and drift detection "
-            "against the committed prove_manifest.json"
-        ),
-    )
-    p_san.add_argument(
-        "--dist",
-        action="store_true",
-        help=(
-            "run the SimDist SAN6xx analysis over the cluster layer: "
-            "monotonicity certification of cross-shard estimate "
-            "updates (SAN601), BSP phase discipline (SAN602), shard-"
-            "ownership disjoint-write proofs (SAN603), derivable "
-            "wire effects of every Network.send site (SAN604), "
-            "replay safety of failover-reachable handlers "
-            "(SAN606), and drift "
-            "detection against the committed dist_manifest.json"
+            "Exit status: 0 when every family is clean; 1 when ANY "
+            "family reports (a race, a memcheck finding, a lint, flow "
+            "or dist error or warning, a dead marker, a SAN501 "
+            "provable OOB, flow-, prove- or dist-manifest drift, or a "
+            "failed selftest); 2 on usage errors.  One summary line is "
+            "printed per family."
         ),
     )
     p_san.add_argument(
         "--write-manifest",
         action="store_true",
         help=(
-            "re-infer every kernel's effects, re-prove every kernel "
-            "and re-certify every protocol, refreshing the committed "
-            "flow_manifest.json, prove_manifest.json and "
-            "dist_manifest.json instead of failing on drift"
+            "refresh the committed flow_manifest.json, "
+            "prove_manifest.json and dist_manifest.json from this run "
+            "instead of failing on drift"
         ),
-    )
-    p_san.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat lint/flow warnings as failures (CI gate mode)",
     )
     p_san.add_argument(
         "--report",
         metavar="FILE",
         help="write a JSON report of every family's findings to FILE",
-    )
-    p_san.add_argument(
-        "--list", action="store_true", help="list registered kernels"
-    )
-    p_san.add_argument(
-        "--threads",
-        type=int,
-        default=4,
-        help="virtual threads for kernel runs (default 4)",
     )
 
     p_prof = sub.add_parser(
@@ -564,80 +475,13 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
     from repro.sanitizer import KERNELS, manifest
 
-    if args.list:
-        for name in KERNELS:
-            print(name)
-        return 0
-
-    # default mode: everything
-    explicit = bool(
-        args.all_kernels
-        or args.kernel
-        or args.lint is not None
-        or args.selftest
-        or args.flow
-        or args.prove
-        or args.dist
-        or args.write_manifest
-    )
-    default_scope = [p for p in ("src", "benchmarks") if Path(p).exists()]
-    do_kernels = list(args.kernel)
-    if args.all_kernels or not explicit:
-        do_kernels = list(KERNELS)
-    do_lint = None
-    if args.lint is not None or not explicit:
-        do_lint = args.lint or list(default_scope)
-    # SimFlow analyzes the lint scope (or the default scope when only
-    # --flow was given); effect signatures cover the selected kernels
-    flow_paths = do_lint or list(default_scope)
-    # a --kernel subset infers, proves and compares only its own
-    # kernels; --write-manifest always covers the full registry so a
-    # committed manifest never shrinks to a subset
-    subset = (
-        None
-        if args.write_manifest
-        or not do_kernels
-        or set(do_kernels) == set(KERNELS)
-        else do_kernels
-    )
-    on = {
-        family: getattr(args, family) or args.write_manifest or not explicit
-        for family in ("flow", "prove", "dist")
-    }
-    on.update(
-        races=bool(do_kernels),
-        memcheck=bool(do_kernels) and args.memcheck,
-        lint=bool(do_lint),
-        # a sani-ok / prove-assume marker is only provably dead when
-        # every family that might consume it has run — lint, flow and
-        # a full prove — so the SAN002 audit never fires on a
-        # single-family invocation
-        suppress=bool(do_lint) and on["flow"] and on["prove"] and not subset,
-        selftest=args.selftest or not explicit,
-    )
-
-    if args.threads < 1:
-        print(
-            f"--threads must be >= 1, got {args.threads}", file=sys.stderr
-        )
-        return 2
-
-    unknown = [name for name in do_kernels if name not in KERNELS]
-    if unknown:
-        names = ", ".join(sorted(unknown))
-        print(f"unknown kernel(s): {names}", file=sys.stderr)
-        print(f"available: {', '.join(KERNELS)}", file=sys.stderr)
-        return 2
-
-    missing = [p for p in do_lint or [] if not Path(p).exists()]
-    if missing:
-        for p in missing:
-            print(f"no such lint path: {p}", file=sys.stderr)
-        return 2
-
+    # the static families analyze src/ and benchmarks/ of the working
+    # directory; kernels, manifests and selftests come from the package
+    scope = [p for p in ("src", "benchmarks") if Path(p).exists()]
+    threads = 4  # every kernel run and seeded selftest
     report_json: dict[str, object] = {
         "schema": "sanitize-report/v2",
-        "threads": args.threads,
+        "threads": threads,
     }
 
     def listing(lines: list) -> None:
@@ -646,19 +490,15 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
     # Each family step prints its section, stores its report_json
     # entry and returns (errors, warnings, summary); flow, prove and
-    # dist add (committed manifest path, fresh payload or None to skip
-    # the check, kernels the drift covers or None for all).
+    # dist add (committed manifest path, fresh payload).
     kernel_rows: list[dict] = []
 
     def races():
         from repro.sanitizer import run_kernel
 
-        mode = "races + memcheck" if args.memcheck else "race detection"
-        print(f"== {mode} ({args.threads} virtual threads) ==")
-        for name in do_kernels:
-            report = run_kernel(
-                name, threads=args.threads, memcheck=args.memcheck
-            )
+        print(f"== races + memcheck ({threads} virtual threads) ==")
+        for name in KERNELS:
+            report = run_kernel(name, threads=threads, memcheck=True)
             problems = report.races + report.memcheck_findings
             status = f"{len(problems)} FINDING(S)" if problems else "ok"
             print(
@@ -679,7 +519,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             )
         report_json["kernels"] = kernel_rows
         found = sum(len(row["races"]) for row in kernel_rows)
-        return found, 0, f"{found} finding(s) over {len(do_kernels)} kernel(s)"
+        return found, 0, f"{found} finding(s) over {len(KERNELS)} kernel(s)"
 
     def memcheck():
         mem, nans = (
@@ -691,14 +531,11 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     @cache
     def flow_run():
         module = import_module("repro.sanitizer.flow")
-        return (
-            module.analyze_paths(flow_paths),
-            module.infer_kernel_effects(subset),
-        )
+        return module.analyze_paths(scope), module.infer_kernel_effects()
 
     @cache
     def prove_run():
-        return import_module("repro.sanitizer.prove").prove_kernels(subset)
+        return import_module("repro.sanitizer.prove").prove_kernels()
 
     def lint():
         from repro.sanitizer import Report, lint_paths
@@ -707,10 +544,12 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         # (bare item-derived store) and SAN101 (index the lint cannot
         # relate to the item, e.g. the chunk-loop idiom) both downgrade
         # where SimFlow verified the store
-        verified = flow_run()[0].verified_lines() if on["flow"] else set()
-        verified = {(str(Path(p).resolve()), ln) for p, ln in verified}
-        print(f"== lint ({', '.join(str(p) for p in do_lint)}) ==")
-        findings = lint_paths(do_lint)
+        verified = {
+            (str(Path(p).resolve()), ln)
+            for p, ln in flow_run()[0].verified_lines()
+        }
+        print(f"== lint ({', '.join(scope)}) ==")
+        findings = lint_paths(scope)
         downgraded = [
             f
             for f in findings
@@ -733,7 +572,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     def flow():
         module = import_module("repro.sanitizer.flow")
         report, effects = flow_run()
-        print(f"== flow ({', '.join(str(p) for p in flow_paths)}) ==")
+        print(f"== flow ({', '.join(scope)}) ==")
         cwd = Path.cwd()
 
         def rel(path: str) -> str:
@@ -760,7 +599,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             f"{errors} error(s), {warnings} warning(s), "
             f"{len(report.verified)} verified-disjoint, "
             f"effects over {len(effects)} kernel(s)",
-            (module.DEFAULT_FLOW_MANIFEST_PATH, payload, subset),
+            (module.DEFAULT_FLOW_MANIFEST_PATH, payload),
         )
 
     def prove():
@@ -785,16 +624,10 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             "certificates": payload["kernels"],
             "findings": [str(f) for f in report.findings],
         }
-        if subset is not None:
-            payload = None
-            print(
-                "  (subset proven — manifest drift check skipped; "
-                "run without --kernel to check drift)"
-            )
         codes = [f.code for f in report.findings]
         # SAN502/SAN503 are acknowledged by the committed manifest —
         # the manifest IS the prove baseline — so they are not
-        # warnings --strict promotes; only provable OOB and drift gate
+        # warnings that gate; only provable OOB and drift do
         return (
             len(report.errors),
             0,
@@ -803,7 +636,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             f"{len(report.errors)} SAN501, "
             f"{codes.count('SAN502')} SAN502, "
             f"{codes.count('SAN503')} SAN503",
-            (module.DEFAULT_MANIFEST_PATH, payload, None),
+            (module.DEFAULT_MANIFEST_PATH, payload),
         )
 
     def dist():
@@ -838,7 +671,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             f"{len(report.certificates)} protocol(s), "
             f"{classified}/{len(report.kernels)} kernel(s) classified, "
             f"{errors} error(s), {warnings} warning(s)",
-            (module.DEFAULT_DIST_MANIFEST_PATH, payload, None),
+            (module.DEFAULT_DIST_MANIFEST_PATH, payload),
         )
 
     def suppress():
@@ -849,12 +682,14 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             source_files,
         )
 
+        # every family that might consume a sani-ok / prove-assume
+        # marker (lint, flow, prove) has run, so an unused one is dead
         used_by_file: dict[str, set[int]] = {}
         hits = flow_run()[0].suppressed_hits | prove_run().used_marker_lines
         for p, ln in hits:
             used_by_file.setdefault(str(Path(p).resolve()), set()).add(ln)
         dead: list = []
-        for fp in source_files(do_lint):
+        for fp in source_files(scope):
             try:
                 source = fp.read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError):
@@ -872,17 +707,15 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         from repro.sanitizer import memcheck_selftest, selftest
 
         print("== selftest (seeded-bug kernels) ==")
-        checks = [("", lambda: selftest(threads=max(args.threads, 2)))]
-        if args.memcheck:
-            checks.append(
-                ("", lambda: memcheck_selftest(threads=max(args.threads, 4)))
-            )
+        checks = [
+            ("", lambda: selftest(threads=threads)),
+            ("", lambda: memcheck_selftest(threads=threads)),
+        ]
         for family in ("flow", "prove", "dist"):
-            if on[family]:
-                module = import_module(f"repro.sanitizer.{family}")
-                checks.append(
-                    (f"[{family}] ", getattr(module, f"{family}_selftest"))
-                )
+            module = import_module(f"repro.sanitizer.{family}")
+            checks.append(
+                (f"[{family}] ", getattr(module, f"{family}_selftest"))
+            )
         failed = 0
         for tag, check in checks:
             ok, message = check()
@@ -892,8 +725,8 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         return failed, 0, f"{failed} FAILED" if failed else "ok"
 
     # every family in run, print and summary order, and whether its
-    # warnings gate (and its summary says so) under --strict; lint
-    # reads SimFlow's proofs, so flow's analysis runs first
+    # warnings gate (and its summary says so); lint reads SimFlow's
+    # proofs, so flow's analysis runs first
     table = (
         ("races", races, False),
         ("memcheck", memcheck, False),
@@ -907,25 +740,22 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     # per-family results: family -> (failure_count, summary_suffix)
     families: dict[str, tuple[int, str]] = {}
     for family, step, strict in table:
-        if not on[family]:
-            continue
         errors, warnings, summary, *checked = step()
         if checked:
             # refresh the committed manifest, or report every drift line
-            path, payload, kernels = checked[0]
+            path, payload = checked[0]
             drift: list[str] = []
-            if payload is not None and args.write_manifest:
+            if args.write_manifest:
                 manifest.write(payload, path)
                 print(f"  manifest refreshed: {path}")
-            elif payload is not None:
-                drift = manifest.drift(payload, path, f"--{family}", kernels)
+            else:
+                drift = manifest.drift(payload, path, family)
                 for line in drift:
                     print(f"  manifest drift: {line}")
             errors += len(drift)
             summary += f", {len(drift)} drift line(s)"
             report_json[family]["drift"] = drift
-        if strict and args.strict:
-            # warnings gate only under --strict
+        if strict:
             errors += warnings
             summary += " [strict]"
         families[family] = (errors, summary)

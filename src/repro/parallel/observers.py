@@ -7,8 +7,9 @@ the recorded event streams, the memory checker
 (:class:`~repro.sanitizer.memcheck.MemChecker`) hooks the per-access
 read barrier, and the profiler consumes region records.
 :class:`ObserverFanout` broadcasts the observer protocol to all of
-them so ``pytest --sanitize --memcheck`` (or any other combination)
-can run every family in one pass.
+them so ``repro sanitize`` (detector and memory checker on every
+kernel run) and ``pytest --sanitize --memcheck`` run both families in
+one pass.
 
 The fanout forwards ``on_region_begin``/``on_region_end`` to every
 child in order, and the optional ``on_phase_begin``/``on_phase_end``

@@ -50,13 +50,13 @@ The static families share one scaffold: a one-module index
 (:func:`repro.sanitizer.manifest.payload`) and the seeded-bug checker
 (:func:`repro.sanitizer.selftest.check_planted`).
 
-Entry points: ``repro sanitize`` (CLI and the only gate: one table
-of families and one loop over it; ``--memcheck``
-adds SimCheck, ``--flow``, ``--prove`` and ``--dist`` select SimFlow,
-SimProve and SimDist), ``pytest --sanitize [--memcheck]`` (test suite
-under the observers), :func:`repro.sanitizer.kernels.run_all_kernels`
-(programmatic).  ``benchmarks/bench_analysis.py`` records what every
-family costs.
+Entry points: ``repro sanitize`` (CLI and the only gate: one fixed
+configuration running every family above over every kernel and
+``src/`` + ``benchmarks/``, one table of families and one loop over
+it; ``--report`` and ``--write-manifest`` are its only options),
+``pytest --sanitize [--memcheck]`` (test suite under the observers),
+:func:`repro.sanitizer.kernels.run_all_kernels` (programmatic).
+``benchmarks/bench_analysis.py`` records what every family costs.
 
 This package re-exports only the runtime half (detector, memcheck,
 kernel registry, selftest) plus the lint: every kernel imports

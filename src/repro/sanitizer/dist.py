@@ -48,7 +48,7 @@ SAN606   error     message handler reachable from a failover path has a
 =======  ========  =====================================================
 
 The certified result ships as ``dist_manifest.json`` next to this
-file; ``repro sanitize --dist`` detects drift through the shared
+file; ``repro sanitize`` detects drift through the shared
 :mod:`repro.sanitizer.manifest` checker, exactly like the SAN5xx
 proof manifest.  Each certificate's ``sends`` records the derived
 wire shape (``header_bytes + per_item_bytes * count``) of every send

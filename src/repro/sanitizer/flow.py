@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 from repro.sanitizer import effects
@@ -352,11 +353,23 @@ class ModuleIndex:
         return None
 
 
-def default_index() -> ModuleIndex:
-    """Index of the repo's own ``src`` tree (the call-graph universe)."""
+@cache
+def _package_index() -> ModuleIndex:
     index = ModuleIndex()
-    src_root = Path(__file__).resolve().parents[2]
-    index.add_tree(src_root / "repro")
+    index.add_tree(Path(__file__).resolve().parents[1])
+    return index
+
+
+def default_index() -> ModuleIndex:
+    """Index of the repo's own ``src`` tree (the call-graph universe).
+
+    The package is parsed once per process; each caller gets its own
+    file tables, because analyzing a path outside the package adds to
+    them.  Parsed modules are shared: no analyzer mutates one."""
+    package = _package_index()
+    index = ModuleIndex()
+    index.modules.update(package.modules)
+    index.by_path.update(package.by_path)
     return index
 
 
@@ -560,10 +573,10 @@ class FlowAnalyzer:
             self._analyze_worker(worker, info, report)
 
     def _worker_scope(self, info: ModuleInfo, node: ast.AST) -> tuple[str, ...]:
-        """Dotted scope of the outermost function lexically containing
+        """Dotted scope of the innermost function lexically containing
         ``node``."""
         parts = info.owners[id(node)].split(".")
-        for depth in range(1, len(parts) + 1):
+        for depth in range(len(parts), 0, -1):
             if ".".join(parts[:depth]) in info.functions:
                 return tuple(parts[:depth])
         return ()

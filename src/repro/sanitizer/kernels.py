@@ -4,8 +4,8 @@ Each kernel builds a small deterministic input graph, runs one of the
 repo's parallel algorithms on a fresh
 :class:`~repro.parallel.scheduler.SimulatedPool` watched by a
 :class:`~repro.sanitizer.detector.RaceDetector`, and reports what the
-detector saw.  The ``--all-kernels`` CLI mode runs every entry; the
-pytest ``--sanitize`` mode achieves the same coverage through the
+detector saw.  ``repro sanitize`` runs every entry; the pytest
+``--sanitize`` mode achieves the same coverage through the
 ordinary test suite instead.
 
 The graphs are intentionally small (hundreds of vertices): the
@@ -272,7 +272,7 @@ def _kernel_cluster_serve(pool: SimulatedPool) -> None:
         service.serve(synthetic_trace(12, seed=3))
 
 
-#: Registry of named kernels; order is the ``--all-kernels`` run order.
+#: Registry of named kernels; order is the ``repro sanitize`` run order.
 KERNELS: dict[str, object] = {
     "pkc": _kernel_pkc,
     "phcd": _kernel_phcd,

@@ -79,32 +79,18 @@ def _walk(old: object, new: object, key: str, out: list[str]) -> None:
         out.append(f"{key}: {_show(old)} -> {_show(new)}")
 
 
-def drift(
-    current: dict,
-    committed: str | Path,
-    flag: str,
-    kernels: list[str] | None = None,
-) -> list[str]:
+def drift(current: dict, committed: str | Path, family: str) -> list[str]:
     """Drift lines between a fresh payload and the committed file at
-    ``committed``; empty means in sync.  ``flag`` (``--flow``,
-    ``--prove`` or ``--dist``) names the family in the refresh hint.
-    ``kernels`` restricts the committed ``kernels`` object to those
-    entries, for a payload computed over a subset of the registry."""
-    fix = f"run `repro sanitize {flag} --write-manifest` and commit it"
-    name = flag.lstrip("-")
+    ``committed``; empty means in sync.  ``family`` (``flow``,
+    ``prove`` or ``dist``) names the manifest in a missing/unreadable
+    line."""
+    fix = "run `repro sanitize --write-manifest` and commit it"
     try:
         old = load(committed)
     except ValueError as exc:
-        return [f"{name} manifest {exc} — {fix}"]
+        return [f"{family} manifest {exc} — {fix}"]
     if old is None:
-        return [f"{name} manifest missing — {fix}"]
-    if kernels is not None and isinstance(old.get("kernels"), dict):
-        old = {
-            **old,
-            "kernels": {
-                k: v for k, v in old["kernels"].items() if k in kernels
-            },
-        }
+        return [f"{family} manifest missing — {fix}"]
     out: list[str] = []
     _walk(old, current, "", out)
     return out

@@ -51,7 +51,7 @@ the certificate, never silently commutative.
 :class:`KernelCertificate` — ``certified`` iff zero SAN501 and not
 order-sensitive (SAN502 residues are recorded on the certificate, not
 hidden) — committed to ``prove_manifest.json`` with line-free keys.
-``repro sanitize --prove`` regenerates and diffs against the committed
+``repro sanitize`` regenerates and diffs against the committed
 manifest; drift is an error in the 0/1/2 exit contract (refresh with
 ``--write-manifest``).  Suppression: a trailing ``# sani: ok -
 reason`` skips that line's obligations and SAN503 sites, same as
@@ -226,7 +226,7 @@ class KernelCertificate:
 
 @dataclass
 class ProveReport(CertifiedReport):
-    """Everything one ``--prove`` run produced."""
+    """Everything one SimProve run produced."""
 
     #: (path, line) of ``# prove:`` markers consumed this run (SAN002)
     used_marker_lines: set = field(default_factory=set)

@@ -661,34 +661,37 @@ class DynamicServingFeed:
 # ----------------------------------------------------------------------
 
 
-def synthetic_trace(
-    num_requests: int,
-    seed: int = 0,
-    mean_gap: float = 50.0,
-    distinct_metrics: int = 4,
-    burst: int = 4,
-) -> list[dict]:
+#: :func:`synthetic_trace` shape: mean simulated gap between bursts,
+#: the number of PBKS / best-k metrics the mix cycles through, and the
+#: most requests one burst holds
+TRACE_MEAN_GAP = 50.0
+TRACE_METRICS = 4
+TRACE_BURST = 4
+
+
+def synthetic_trace(num_requests: int, seed: int = 0) -> list[dict]:
     """A deterministic mixed workload trace.
 
-    Arrivals are bursty (geometric gaps between bursts of up to
-    ``burst`` simultaneous requests) and the query mix cycles through
-    PBKS metrics, best-k, densest, and influential queries with enough
-    repetition to exercise the result cache.  Same ``seed`` — same
-    trace, bit for bit.
+    Arrivals are bursty (geometric gaps of mean ``TRACE_MEAN_GAP``
+    between bursts of up to ``TRACE_BURST`` simultaneous requests) and
+    the query mix cycles through ``TRACE_METRICS`` PBKS metrics,
+    best-k, densest, and influential queries with enough repetition to
+    exercise the result cache.  Same ``seed`` — same trace, bit for
+    bit.
     """
     from repro.search.metrics import metric_names
 
     if num_requests < 0:
         raise ValueError("num_requests must be >= 0")
     rng = np.random.default_rng(seed)
-    metrics = metric_names()[: max(1, distinct_metrics)]
+    metrics = metric_names()[:TRACE_METRICS]
     trace: list[dict] = []
     arrival = 0.0
     remaining_in_burst = 0
     for i in range(num_requests):
         if remaining_in_burst == 0:
-            arrival += float(rng.geometric(1.0 / mean_gap))
-            remaining_in_burst = int(rng.integers(1, burst + 1))
+            arrival += float(rng.geometric(1.0 / TRACE_MEAN_GAP))
+            remaining_in_burst = int(rng.integers(1, TRACE_BURST + 1))
         remaining_in_burst -= 1
         roll = int(rng.integers(0, 10))
         if roll < 5:

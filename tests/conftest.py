@@ -6,6 +6,10 @@ import copy
 import functools
 import hashlib
 import inspect
+import io
+import json
+from contextlib import redirect_stdout
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +160,71 @@ def _memoize_analyses() -> None:
 
 
 _memoize_analyses()
+
+
+# ----------------------------------------------------------------------
+# `repro sanitize` runs: this checkout once, planted trees per test
+# ----------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@dataclass
+class SanitizeRun:
+    """Exit code, stdout and ``--report`` JSON of one ``repro
+    sanitize`` run."""
+
+    rc: int
+    out: str
+    report: dict
+
+
+def _sanitize(cwd: Path, report: Path, *argv: str) -> SanitizeRun:
+    from repro.cli import main as cli_main
+
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(stdout):
+        mp.chdir(cwd)
+        rc = cli_main(["sanitize", *argv, "--report", str(report)])
+    return SanitizeRun(rc, stdout.getvalue(), json.loads(report.read_text()))
+
+
+@pytest.fixture(scope="session")
+def sanitize_tree(tmp_path_factory) -> SanitizeRun:
+    """``repro sanitize`` over this checkout, run once per session."""
+    return _sanitize(REPO, tmp_path_factory.mktemp("sanitize") / "report.json")
+
+
+@pytest.fixture
+def sanitize_planted(tmp_path, monkeypatch):
+    """``run(files, *argv)``: ``repro sanitize`` from ``tmp_path``,
+    holding an empty ``src/`` plus ``files`` (path relative to
+    ``tmp_path`` -> text or bytes).  The static families analyze just
+    those files; kernels, manifests and selftests are the package's,
+    and kernel runs are memoized for the session."""
+    import repro.sanitizer
+
+    monkeypatch.setattr(repro.sanitizer, "run_kernel", _run_kernel_once)
+
+    def run(files: dict, *argv: str) -> SanitizeRun:
+        (tmp_path / "src").mkdir()
+        for name, content in files.items():
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content)
+        return _sanitize(tmp_path, tmp_path / "report.json", *argv)
+
+    return run
+
+
+@functools.cache
+def _run_kernel_once(name: str, threads: int, memcheck: bool):
+    from repro.sanitizer.kernels import run_kernel
+
+    return run_kernel(name, threads=threads, memcheck=memcheck)
 
 
 # ----------------------------------------------------------------------

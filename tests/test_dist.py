@@ -72,7 +72,7 @@ class TestInTree:
     def test_committed_manifest_in_sync(self):
         payload = dist_manifest_payload(analyze_dist())
         path = DEFAULT_DIST_MANIFEST_PATH
-        assert manifest.drift(payload, path, "--dist") == []
+        assert manifest.drift(payload, path, "dist") == []
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +324,7 @@ class TestWireSchemas:
         path = manifest.write(recorded, tmp_path / "dist.json")
         report = DistAnalyzer(_toy_index(current_src)).analyze()
         return report, manifest.drift(
-            dist_manifest_payload(report), path, "--dist"
+            dist_manifest_payload(report), path, "dist"
         )
 
     def test_changed_send_field_is_drift(self, tmp_path):
@@ -363,11 +363,11 @@ class TestManifest:
         path = manifest.write(payload, tmp_path / "dist.json")
         committed = manifest.load(path)
         assert committed["schema"] == "dist-manifest/v1"
-        assert manifest.drift(payload, path, "--dist") == []
+        assert manifest.drift(payload, path, "dist") == []
 
     def test_missing_manifest_names_the_fix(self, tmp_path):
         payload = dist_manifest_payload(analyze_dist())
-        lines = manifest.drift(payload, tmp_path / "absent.json", "--dist")
+        lines = manifest.drift(payload, tmp_path / "absent.json", "dist")
         assert lines and "--write-manifest" in lines[0]
 
     def test_protocol_field_tamper_detected(self, tmp_path):
@@ -375,7 +375,7 @@ class TestManifest:
         committed = json.loads(json.dumps(payload))
         committed["protocols"]["decompose"]["status"] = "violations"
         path = manifest.write(committed, tmp_path / "dist.json")
-        lines = manifest.drift(payload, path, "--dist")
+        lines = manifest.drift(payload, path, "dist")
         assert lines == [
             "protocols.decompose.status: 'violations' -> 'certified'"
         ]
@@ -388,7 +388,7 @@ class TestManifest:
         sends = committed["protocols"]["decompose"]["sends"]
         sends["decomposition.exchange#1"]["per_item_bytes"] = 4
         path = manifest.write(committed, tmp_path / "dist.json")
-        lines = manifest.drift(payload, path, "--dist")
+        lines = manifest.drift(payload, path, "dist")
         assert lines == [
             "protocols.decompose.sends.decomposition.exchange#1."
             "per_item_bytes: 4 -> 8"
@@ -397,7 +397,7 @@ class TestManifest:
         sends["decomposition.exchange#1"]["per_item_bytes"] = 8
         sends["decomposition.exchange#2"] = {"count": "n"}
         path = manifest.write(committed, tmp_path / "dist.json")
-        lines = manifest.drift(payload, path, "--dist")
+        lines = manifest.drift(payload, path, "dist")
         assert lines == [
             "protocols.decompose.sends.decomposition.exchange#2: "
             "{...} -> absent"
@@ -409,7 +409,7 @@ class TestManifest:
         committed = json.loads(path.read_text())
         del committed["protocols"]["serve"]
         path.write_text(json.dumps(committed))
-        lines = manifest.drift(payload, path, "--dist")
+        lines = manifest.drift(payload, path, "dist")
         assert lines == ["protocols.serve: absent -> {...}"]
 
     def test_committed_manifest_file_exists(self):
@@ -423,25 +423,24 @@ class TestManifest:
 # ----------------------------------------------------------------------
 
 class TestCli:
-    def test_dist_gate_clean(self, capsys):
-        assert cli_main(["sanitize", "--dist"]) == 0
-        out = capsys.readouterr().out
-        assert "SimDist SAN6xx" in out
-        assert "== OK ==" in out
+    def test_dist_gate_clean(self, sanitize_tree):
+        assert sanitize_tree.rc == 0, sanitize_tree.out
+        assert "SimDist SAN6xx" in sanitize_tree.out
+        assert "== OK ==" in sanitize_tree.out
 
-    def test_dist_strict_clean(self):
-        assert cli_main(["sanitize", "--strict", "--dist"]) == 0
-
-    def test_dist_selftest_via_cli(self, capsys):
-        assert cli_main(["sanitize", "--dist", "--selftest"]) == 0
-        assert "[dist]" in capsys.readouterr().out
-
-    def test_dist_report_json(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        assert (
-            cli_main(["sanitize", "--dist", "--report", str(out)]) == 0
+    def test_dist_strict_clean(self, sanitize_tree):
+        # dist warnings gate: the tree has none
+        dist = sanitize_tree.report["families"]["dist"]
+        assert dist["failures"] == 0
+        assert dist["summary"].endswith(
+            "0 warning(s), 0 drift line(s) [strict]"
         )
-        payload = json.loads(out.read_text())
+
+    def test_dist_selftest_via_cli(self, sanitize_tree):
+        assert "[dist] seeded SAN601" in sanitize_tree.out
+
+    def test_dist_report_json(self, sanitize_tree):
+        payload = sanitize_tree.report
         assert payload["schema"] == "sanitize-report/v2"
         assert set(payload["dist"]["certificates"]) == {
             "decompose",
@@ -453,4 +452,8 @@ class TestCli:
         )
 
     def test_usage_error_is_exit_2(self, capsys):
-        assert cli_main(["sanitize", "--dist", "--threads", "0"]) == 2
+        # family selection is gone: every run covers SimDist
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sanitize", "--dist"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dist" in capsys.readouterr().err

@@ -4,8 +4,8 @@ Covers the CFG substrate, divergent-sync taint analysis, the
 disjoint-write interval prover (verification, SAN403, and SAN201
 downgrades), kernel effect signatures against the committed
 ``flow_manifest.json``, the SAN001 suppression-hygiene lint, and the
-``repro sanitize`` CLI exit-code contract (missing path, --strict
-promotion, --flow).
+``repro sanitize`` exit-code contract for flow and lint findings
+(errors, gating warnings, SAN201 downgrades).
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.sanitizer
-from repro.cli import main as cli_main
 from repro.sanitizer import flow, manifest
 from repro.sanitizer.cfg import build_cfg
 from repro.sanitizer.flow import (
@@ -201,6 +199,18 @@ def run(pool, items):
     pool.parallel_for(items, worker)
 """
 
+#: a thread-gated nested region in a helper defined beside the worker
+LOCAL_HELPER = """
+def run(pool, items):
+    def helper(ctx):
+        if ctx.thread_id == 0:
+            pool.parallel_for(range(4), lambda i, c: c.charge(1))
+    def worker(v, ctx):
+        ctx.charge(1)
+        helper(ctx)
+    pool.parallel_for(items, worker)
+"""
+
 
 class TestDivergentSync:
     def codes(self, source: str) -> list[tuple[str, str]]:
@@ -242,6 +252,17 @@ class TestDivergentSync:
         assert "helper" in hits[0].message
         # attributed at the worker's call line, in the worker's file
         assert hits[0].line == 8
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_local_helper_resolved_in_innermost_scope(self, nested):
+        # the worker's calls resolve in the innermost enclosing
+        # function, so the helper is reached one function deeper too
+        source = LOCAL_HELPER
+        if nested:
+            body = "".join(f"    {line}\n" for line in source.splitlines())
+            source = f"def outer(pool, items):{body}    run(pool, items)\n"
+        rep = analyze_source(source, "mod_under_test.py")
+        assert [f.code for f in rep.findings] == ["SAN401"]
 
     def test_suppression_comment_silences(self):
         src = DIVERGENT_BRANCH.replace(
@@ -418,7 +439,8 @@ class TestEffects:
         payload = manifest.payload(
             FLOW_MANIFEST_SCHEMA, kernels=infer_kernel_effects()
         )
-        assert manifest.drift(payload, DEFAULT_FLOW_MANIFEST_PATH, "--flow") == []
+        committed = DEFAULT_FLOW_MANIFEST_PATH
+        assert manifest.drift(payload, committed, "flow") == []
 
     def test_pkc_signature_content(self):
         sig = infer_kernel_effects(["pkc"])["pkc"]
@@ -431,9 +453,9 @@ class TestEffects:
             tmp_path, "pkc", "writes", lambda names: names[1:]
         )
         payload = manifest.payload(
-            FLOW_MANIFEST_SCHEMA, kernels=infer_kernel_effects(["pkc"])
+            FLOW_MANIFEST_SCHEMA, kernels=infer_kernel_effects()
         )
-        lines = manifest.drift(payload, committed, "--flow", ["pkc"])
+        lines = manifest.drift(payload, committed, "flow")
         assert len(lines) == 1
         assert lines[0].startswith("kernels.pkc.writes: ")
 
@@ -442,28 +464,24 @@ class TestEffects:
             tmp_path, "pkc", "reads", lambda names: names + ["ghost_array"]
         )
         payload = manifest.payload(
-            FLOW_MANIFEST_SCHEMA, kernels=infer_kernel_effects(["pkc"])
+            FLOW_MANIFEST_SCHEMA, kernels=infer_kernel_effects()
         )
-        lines = manifest.drift(payload, committed, "--flow", ["pkc"])
+        lines = manifest.drift(payload, committed, "flow")
         assert len(lines) == 1
         assert lines[0].startswith("kernels.pkc.reads: ")
         assert "ghost_array" in lines[0]
 
-    def test_subset_run_compares_only_its_kernels(
-        self, tmp_path, monkeypatch, capsys
+    def test_changed_effect_fails_the_run(
+        self, sanitize_planted, tmp_path, monkeypatch
     ):
         committed = _committed_copy(
             tmp_path, "phcd", "writes", lambda names: names[1:]
         )
         monkeypatch.setattr(flow, "DEFAULT_FLOW_MANIFEST_PATH", committed)
-        rc = cli_main(["sanitize", "--kernel", "pkc", "--flow"])
-        out = capsys.readouterr().out
-        assert rc == 0, out
-        assert "effects over 1 kernel(s), 0 drift line(s)" in out
-        rc = cli_main(["sanitize", "--kernel", "phcd", "--flow"])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "manifest drift: kernels.phcd.writes: " in out
+        run = sanitize_planted({})
+        assert run.rc == 1
+        assert "manifest drift: kernels.phcd.writes: " in run.out
+        assert run.report["families"]["flow"]["failures"] == 1
 
 
 # ======================================================================
@@ -513,95 +531,67 @@ class TestSuppressionHygiene:
 
 
 class TestSanitizeCLI:
-    def test_missing_lint_path_exits_2(self, capsys):
-        rc = cli_main(["sanitize", "--lint", "no/such/dir"])
-        assert rc == 2
-        assert "no such lint path: no/such/dir" in capsys.readouterr().err
+    def test_strict_promotes_lint_warnings(self, sanitize_planted):
+        run = sanitize_planted({"src/warny.py": "x = 1  # sani: ok\n"})
+        assert run.rc == 1
+        assert "lint      FAILED 0 error(s), 1 warning(s) [strict]" in run.out
 
-    def test_missing_lint_path_runs_no_kernel(self, monkeypatch, capsys):
-        def run_kernel(*args, **kwargs):
-            raise AssertionError("a kernel ran before the usage check")
+    def test_flow_clean_repo_exits_0(self, sanitize_tree):
+        assert sanitize_tree.rc == 0, sanitize_tree.out
+        assert "== flow (src, benchmarks) ==" in sanitize_tree.out
+        assert "verified-disjoint" in sanitize_tree.out
 
-        monkeypatch.setattr(repro.sanitizer, "run_kernel", run_kernel)
-        rc = cli_main(["sanitize", "--all-kernels", "--lint", "no/such/path"])
-        assert rc == 2
-        assert "no such lint path: no/such/path" in capsys.readouterr().err
-
-    def test_strict_promotes_lint_warnings(self, tmp_path, capsys):
-        warn = tmp_path / "warny.py"
-        warn.write_text("x = 1  # sani: ok\n")
-        assert cli_main(["sanitize", "--lint", str(warn)]) == 0
-        capsys.readouterr()
-        assert (
-            cli_main(["sanitize", "--strict", "--lint", str(warn)]) == 1
+    def test_flow_error_exits_1(self, sanitize_planted):
+        run = sanitize_planted(
+            {
+                "src/bad_flow.py": "def run(pool, out, chunks):\n"
+                "    def worker(chunk, ctx):\n"
+                "        start, end = chunk\n"
+                "        ctx.write(('out', int(start)))\n"
+                "        for i in range(start, end):\n"
+                "            out[i + 1] = i\n"
+                "    pool.parallel_for(chunks, worker)\n"
+            }
         )
+        assert run.rc == 1
+        assert "SAN403" in run.out
+        assert run.report["families"]["flow"]["failures"] >= 1
 
-    def test_flow_clean_repo_exits_0(self, capsys):
-        rc = cli_main(["sanitize", "--flow"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "== flow" in out
-        assert "verified-disjoint" in out
-
-    def test_flow_error_exits_1(self, tmp_path, capsys):
-        bad = tmp_path / "bad_flow.py"
-        bad.write_text(
-            "def run(pool, out, chunks):\n"
-            "    def worker(chunk, ctx):\n"
-            "        start, end = chunk\n"
-            "        ctx.write(('out', int(start)))\n"
-            "        for i in range(start, end):\n"
-            "            out[i + 1] = i\n"
-            "    pool.parallel_for(chunks, worker)\n"
+    def test_flow_warning_promoted_under_strict(self, sanitize_planted):
+        run = sanitize_planted(
+            {
+                "src/nested.py": "def run(pool, items, n):\n"
+                "    def worker(v, ctx):\n"
+                "        ctx.charge(1)\n"
+                "        pool.parallel_for(range(n),"
+                " lambda i, c: c.charge(1))\n"
+                "    pool.parallel_for(items, worker)\n"
+            }
         )
-        rc = cli_main(["sanitize", "--flow", "--lint", str(bad)])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "SAN403" in out
+        assert run.rc == 1
+        assert "flow      FAILED 0 error(s), 1 warning(s)" in run.out
 
-    def test_flow_warning_promoted_under_strict(self, tmp_path, capsys):
-        warn = tmp_path / "nested.py"
-        warn.write_text(
-            "def run(pool, items, n):\n"
-            "    def worker(v, ctx):\n"
-            "        ctx.charge(1)\n"
-            "        pool.parallel_for(range(n), lambda i, c: c.charge(1))\n"
-            "    pool.parallel_for(items, worker)\n"
-        )
-        assert cli_main(["sanitize", "--flow", "--lint", str(warn)]) == 0
-        capsys.readouterr()
-        rc = cli_main(
-            ["sanitize", "--flow", "--strict", "--lint", str(warn)]
-        )
-        assert rc == 1
-
-    def test_flow_downgrades_san201_in_lint_family(self, tmp_path, capsys):
-        src = tmp_path / "plain.py"
+    def test_flow_downgrades_san201_in_lint_family(self, sanitize_planted):
         # bare item-indexed store, no ctx record: SAN201 without flow,
-        # downgraded (and annotated) when the prover runs
-        src.write_text(
-            "def run(pool, out, items):\n"
-            "    def worker(v, ctx):\n"
-            "        out[v] = v\n"
-            "    pool.parallel_for(items, worker)\n"
+        # downgraded (and annotated) because the prover verified it
+        run = sanitize_planted(
+            {
+                "src/plain.py": "def run(pool, out, items):\n"
+                "    def worker(v, ctx):\n"
+                "        out[v] = v\n"
+                "    pool.parallel_for(items, worker)\n"
+            }
         )
-        rc = cli_main(
-            ["sanitize", "--strict", "--flow", "--lint", str(src)]
-        )
-        out = capsys.readouterr().out
-        # SAN202 (no ctx call) still stands, so strict fails — but the
+        # SAN202 (no ctx call) still stands, so the run fails — but the
         # SAN201 must show as downgraded, not as an active warning
-        assert "[downgraded: verified-disjoint]" in out
-        assert rc == 1
+        assert "[downgraded: verified-disjoint]" in run.out
+        assert [f.split()[1] for f in run.report["lint_downgraded"]] == [
+            "SAN201"
+        ]
+        assert run.rc == 1
 
-    def test_report_json_includes_flow_section(self, tmp_path, capsys):
-        report = tmp_path / "report.json"
-        rc = cli_main(
-            ["sanitize", "--flow", "--report", str(report)]
-        )
-        assert rc == 0
-        data = json.loads(report.read_text())
-        assert "flow" in data
+    def test_report_json_includes_flow_section(self, sanitize_tree):
+        data = sanitize_tree.report
         assert data["flow"]["effects"]
         assert data["flow"]["drift"] == []
         assert data["flow"]["verified_disjoint"]

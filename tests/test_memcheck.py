@@ -653,55 +653,59 @@ class TestKernelGateMemcheck:
 
 
 class TestCliMemcheck:
-    def test_memcheck_kernel_clean_exit_zero(self, capsys):
-        assert cli_main(["sanitize", "--memcheck", "--kernel", "pkc"]) == 0
-        out = capsys.readouterr().out
-        assert "memcheck" in out
+    def test_memcheck_kernel_clean_exit_zero(self, sanitize_tree):
+        assert sanitize_tree.rc == 0, sanitize_tree.out
+        header = "== races + memcheck (4 virtual threads) =="
+        assert header in sanitize_tree.out
 
-    def test_memcheck_selftest_exit_zero(self, capsys):
-        assert cli_main(["sanitize", "--memcheck", "--selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "seeded race detected" in out
-        assert "seeded memcheck bugs detected" in out
+    def test_memcheck_selftest_exit_zero(self, sanitize_tree):
+        assert "seeded race detected" in sanitize_tree.out
+        assert "seeded memcheck bugs detected" in sanitize_tree.out
 
-    def test_family_summary_lines(self, capsys):
-        assert cli_main(["sanitize", "--memcheck", "--kernel", "pkc"]) == 0
-        out = capsys.readouterr().out
-        assert "-- family summary --" in out
-        assert "races" in out and "memcheck" in out
+    def test_family_summary_lines(self, sanitize_tree):
+        out = sanitize_tree.out
+        summary = out[out.index("-- family summary --") :].splitlines()
+        families = [line.split()[0] for line in summary[1:9]]
+        assert families == [
+            "races",
+            "memcheck",
+            "lint",
+            "flow",
+            "prove",
+            "dist",
+            "suppress",
+            "selftest",
+        ]
 
-    def test_report_artifact(self, tmp_path, capsys):
-        report = tmp_path / "memcheck.json"
-        assert (
-            cli_main(
-                [
-                    "sanitize",
-                    "--memcheck",
-                    "--kernel",
-                    "pkc",
-                    "--report",
-                    str(report),
-                ]
-            )
-            == 0
-        )
-        data = json.loads(report.read_text())
+    def test_report_artifact(self, sanitize_tree):
+        data = sanitize_tree.report
         assert data["ok"] is True
         assert data["families"]["memcheck"]["failures"] == 0
-        assert data["kernels"][0]["name"] == "pkc"
+        assert [row["name"] for row in data["kernels"]] == list(KERNELS)
+        assert all(not row["memcheck"] for row in data["kernels"])
 
-    def test_warnings_gate_only_under_strict(self, tmp_path, capsys):
-        warn_only = tmp_path / "warn.py"
-        warn_only.write_text("import numpy as np\nbuf = np.empty(n)\n")
-        assert cli_main(["sanitize", "--lint", str(warn_only)]) == 0
-        capsys.readouterr()
-        assert (
-            cli_main(["sanitize", "--strict", "--lint", str(warn_only)]) == 1
+    def test_warnings_gate_only_under_strict(self, sanitize_planted):
+        # every run is the strict gate: a warning-only file fails it
+        run = sanitize_planted(
+            {"src/warn.py": "import numpy as np\nbuf = np.empty(n)\n"}
         )
-        assert "SAN301" in capsys.readouterr().out
+        assert run.rc == 1
+        assert "SAN301" in run.out
+        assert "lint      FAILED 0 error(s), 1 warning(s) [strict]" in run.out
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["sanitize", "--help"])
         out = capsys.readouterr().out
         assert "exit" in out.lower()
+        # the one configuration has two options besides -h
+        usage = out.split("\n\n")[0]
+        assert usage.split() == [
+            "usage:",
+            "repro",
+            "sanitize",
+            "[-h]",
+            "[--write-manifest]",
+            "[--report",
+            "FILE]",
+        ]

@@ -470,7 +470,7 @@ class TestKernels:
         assert DEFAULT_MANIFEST_PATH.exists()
         assert (
             manifest.drift(
-                manifest_payload(report), DEFAULT_MANIFEST_PATH, "--prove"
+                manifest_payload(report), DEFAULT_MANIFEST_PATH, "prove"
             )
             == []
         )
@@ -481,7 +481,7 @@ class TestKernels:
         del payload["kernels"]["vertex_rank"]
         tampered = tmp_path / "manifest.json"
         tampered.write_text(json.dumps(payload))
-        drift = manifest.drift(manifest_payload(report), tampered, "--prove")
+        drift = manifest.drift(manifest_payload(report), tampered, "prove")
         assert (
             "kernels.pkc.determinism: 'order-sensitive' -> 'commutative'"
             in drift
@@ -504,7 +504,7 @@ class TestKernels:
 
     def test_missing_manifest_is_drift(self, report, tmp_path):
         drift = manifest.drift(
-            manifest_payload(report), tmp_path / "absent.json", "--prove"
+            manifest_payload(report), tmp_path / "absent.json", "prove"
         )
         assert drift and "missing" in drift[0]
 
@@ -521,36 +521,19 @@ def test_selftest_catches_planted_bugs():
 
 
 class TestCli:
-    def test_prove_flag_exit_zero(self, capsys):
-        from repro.cli import main
+    def test_prove_flag_exit_zero(self, sanitize_tree):
+        assert sanitize_tree.rc == 0, sanitize_tree.out
+        assert "SimProve" in sanitize_tree.out
+        assert "fully-proven" in sanitize_tree.out
+        assert "SAN503, 0 drift line(s)" in sanitize_tree.out
 
-        assert main(["sanitize", "--prove"]) == 0
-        out = capsys.readouterr().out
-        assert "SimProve" in out
-        assert "fully-proven" in out
-        assert "0 drift line(s)" in out
-
-    def test_report_schema_key(self, tmp_path, capsys):
-        from repro.cli import main
-
-        report_file = tmp_path / "report.json"
-        assert (
-            main(["sanitize", "--prove", "--report", str(report_file)])
-            == 0
-        )
-        data = json.loads(report_file.read_text())
+    def test_report_schema_key(self, sanitize_tree):
+        data = sanitize_tree.report
         assert data["schema"] == "sanitize-report/v2"
-        assert "prove" in data
+        assert data["threads"] == 4
         assert data["prove"]["drift"] == []
         certs = data["prove"]["certificates"]
         assert certs["pkc"]["fully_proven"] is True
-
-    def test_subset_prove_skips_drift(self, capsys):
-        from repro.cli import main
-
-        assert main(["sanitize", "--kernel", "pkc", "--prove"]) == 0
-        out = capsys.readouterr().out
-        assert "drift check skipped" in out
 
 
 def test_committed_flow_baseline_not_stale():

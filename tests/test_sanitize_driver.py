@@ -1,12 +1,12 @@
-"""The ``repro sanitize`` driver: shared steps and composed paths.
+"""The ``repro sanitize`` driver: one configuration, composed paths.
 
-Covers the paths single-family runs never reach: the SAN002
-dead-marker audit (lint + flow + full prove together),
+Covers what the per-family tests do not: the SAN002 dead-marker audit,
 ``--write-manifest`` reproducing the three committed manifests, a
-path-scoped flow run still checking every kernel's effects, SAN000
-for source that is not UTF-8, the shared manifest checker's
-absent-vs-unreadable distinction, and the package import set of a
-runtime process.
+narrow analysis scope still checking every kernel's effects, SAN000
+for source that is not UTF-8 in either half of the scope, the shared
+manifest checker's absent-vs-unreadable distinction, the usage errors,
+the committed analysis bench against the tree, and the package import
+set of a runtime process.
 """
 
 from __future__ import annotations
@@ -22,24 +22,20 @@ import pytest
 from repro.cli import main as cli_main
 from repro.sanitizer import KERNELS, dist, flow, manifest, prove
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
-def test_dead_marker_audit_gates_under_strict(tmp_path, capsys):
-    (tmp_path / "mod.py").write_text(
-        "x = 1  # sani: ok - nothing on this line is ever flagged\n"
-    )
-    rc = cli_main(
-        ["sanitize", "--strict", "--lint", str(tmp_path), "--flow", "--prove"]
-    )
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "SAN002" in out
-    assert "suppress  FAILED 1 dead suppression(s) [strict]" in out
+def test_dead_marker_audit_gates_under_strict(sanitize_planted):
+    marker = "# sani: ok - nothing on this line is ever flagged"
+    run = sanitize_planted({"src/mod.py": f"x = 1  {marker}\n"})
+    assert run.rc == 1
+    assert "SAN002" in run.out
+    assert "suppress  FAILED 1 dead suppression(s) [strict]" in run.out
 
 
 def test_write_manifest_reproduces_committed_files(
-    tmp_path, monkeypatch, capsys
+    sanitize_planted, tmp_path, monkeypatch
 ):
     flow_path = tmp_path / "flow_manifest.json"
     prove_path = tmp_path / "prove_manifest.json"
@@ -47,63 +43,58 @@ def test_write_manifest_reproduces_committed_files(
     monkeypatch.setattr(flow, "DEFAULT_FLOW_MANIFEST_PATH", flow_path)
     monkeypatch.setattr(prove, "DEFAULT_MANIFEST_PATH", prove_path)
     monkeypatch.setattr(dist, "DEFAULT_DIST_MANIFEST_PATH", dist_path)
-    # a kernel subset must not shrink the refreshed flow manifest
-    assert cli_main(["sanitize", "--kernel", "pkc", "--write-manifest"]) == 0
-    out = capsys.readouterr().out
+    run = sanitize_planted({}, "--write-manifest")
+    assert run.rc == 0, run.out
     for path in (flow_path, prove_path, dist_path):
-        assert f"manifest refreshed: {path}" in out
+        assert f"manifest refreshed: {path}" in run.out
     package = Path(prove.__file__).parent
     for path in (flow_path, prove_path, dist_path):
         assert path.read_bytes() == (package / path.name).read_bytes()
 
 
-def test_path_scoped_flow_run_has_no_stale_entries(capsys):
-    # the path scope narrows the analyzed files, not the effect check:
+def test_path_scoped_flow_run_has_no_stale_entries(sanitize_planted):
+    # a narrow scope narrows the analyzed files, not the effect check:
     # every kernel is still inferred and compared with the manifest
-    rc = cli_main(
-        [
-            "sanitize",
-            "--strict",
-            "--flow",
-            "--lint",
-            str(SRC / "repro" / "search"),
-        ]
+    run = sanitize_planted({"src/ok.py": "x = 1\n"})
+    assert run.rc == 0, run.out
+    assert f"effects over {len(KERNELS)} kernel(s), 0 drift line(s)" in run.out
+    assert run.report["flow"]["files"] == 1
+
+
+@pytest.mark.parametrize("benchmarks", [False, True])
+def test_non_utf8_source_is_san000(sanitize_planted, capsys, benchmarks):
+    # both halves of the scope are linted
+    where = "benchmarks" if benchmarks else "src"
+    run = sanitize_planted(
+        {
+            f"{where}/ok.py": "x = 1\n",
+            f"{where}/latin1.py": b"name = '\xe9t\xe9'\n",
+        }
     )
-    out = capsys.readouterr().out
-    assert rc == 0, out
-    assert f"effects over {len(KERNELS)} kernel(s), 0 drift line(s)" in out
-
-
-@pytest.mark.parametrize("flow", [False, True])
-def test_non_utf8_source_is_san000(tmp_path, capsys, flow):
-    (tmp_path / "ok.py").write_text("x = 1\n")
-    (tmp_path / "latin1.py").write_bytes(b"name = '\xe9t\xe9'\n")
-    argv = ["sanitize", "--lint", str(tmp_path)]
-    rc = cli_main(argv + ["--flow"] if flow else argv)
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "Traceback" not in captured.err
-    assert "latin1.py:0:0 SAN000 [error] cannot decode source" in captured.out
+    assert run.rc == 1
+    assert "Traceback" not in capsys.readouterr().err
+    san000 = f"{where}/latin1.py:0:0 SAN000 [error] cannot decode source"
+    assert san000 in run.out
+    assert run.report["families"]["lint"]["failures"] == 1
 
 
 @pytest.mark.parametrize(
-    "flag, committed",
+    "family, committed",
     [
-        ("--flow", flow.DEFAULT_FLOW_MANIFEST_PATH),
-        ("--prove", prove.DEFAULT_MANIFEST_PATH),
-        ("--dist", dist.DEFAULT_DIST_MANIFEST_PATH),
+        ("flow", flow.DEFAULT_FLOW_MANIFEST_PATH),
+        ("prove", prove.DEFAULT_MANIFEST_PATH),
+        ("dist", dist.DEFAULT_DIST_MANIFEST_PATH),
     ],
     ids=["flow", "prove", "dist"],
 )
-def test_corrupt_manifest_is_not_missing(tmp_path, flag, committed):
-    name = flag.lstrip("-")
+def test_corrupt_manifest_is_not_missing(tmp_path, family, committed):
     truncated = tmp_path / committed.name
     truncated.write_bytes(committed.read_bytes()[:100])
-    (line,) = manifest.drift({}, truncated, flag)
-    assert line.startswith(f"{name} manifest unreadable: ")
-    assert f"`repro sanitize {flag} --write-manifest`" in line
-    (line,) = manifest.drift({}, tmp_path / "absent.json", flag)
-    assert line.startswith(f"{name} manifest missing")
+    (line,) = manifest.drift({}, truncated, family)
+    assert line.startswith(f"{family} manifest unreadable: ")
+    assert "`repro sanitize --write-manifest`" in line
+    (line,) = manifest.drift({}, tmp_path / "absent.json", family)
+    assert line.startswith(f"{family} manifest missing")
     with pytest.raises(ValueError, match="unreadable"):
         manifest.load(truncated)
     assert manifest.load(tmp_path / "absent.json") is None
@@ -115,13 +106,97 @@ def test_missing_report_directory_exits_2_before_any_work(
     import repro.sanitizer
 
     def no_work(*args, **kwargs):
-        raise AssertionError("linted before the usage check")
+        raise AssertionError("a kernel ran before the usage check")
 
-    monkeypatch.setattr(repro.sanitizer, "lint_paths", no_work)
+    monkeypatch.setattr(repro.sanitizer, "run_kernel", no_work)
     out = tmp_path / "missing" / "report.json"
-    lint = str(SRC / "repro" / "errors.py")
-    assert cli_main(["sanitize", "--lint", lint, "--report", str(out)]) == 2
+    assert cli_main(["sanitize", "--report", str(out)]) == 2
     assert f"no such directory for --report {out}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--all-kernels"],
+        ["--kernel", "pkc"],
+        ["--lint", "src"],
+        ["--selftest"],
+        ["--memcheck"],
+        ["--flow"],
+        ["--prove"],
+        ["--dist"],
+        ["--strict"],
+        ["--list"],
+        ["--threads", "4"],
+    ],
+    ids=lambda argv: argv[0].lstrip("-"),
+)
+def test_removed_options_are_usage_errors(argv, monkeypatch, capsys):
+    import repro.sanitizer
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a kernel ran before the usage check")
+
+    monkeypatch.setattr(repro.sanitizer, "run_kernel", no_work)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sanitize", *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_committed_bench_coverage_matches_tree(monkeypatch):
+    # benchmarks/results/BENCH_analysis.json records what each static
+    # pass covers; re-record it (benchmarks/bench_analysis.py) whenever
+    # the tree moves a count
+    static = json.loads(
+        (ROOT / "benchmarks" / "results" / "BENCH_analysis.json").read_text()
+    )["static"]
+    monkeypatch.chdir(ROOT)
+    paths = flow.analyze_paths(["src", "benchmarks"])
+    effects = flow.infer_kernel_effects()
+    proved = prove.prove_kernels()
+    certified = dist.analyze_dist()
+    recorded = {
+        stage: {k: v for k, v in rec.items() if isinstance(v, (int, list))}
+        for stage, rec in static.items()
+        if stage in ("flow_paths", "flow_effects", "prove", "dist")
+    }
+    for rec in recorded.values():
+        rec.pop("drift_lines", None)
+    assert recorded == {
+        "flow_paths": {
+            "files": paths.files,
+            "workers": paths.workers,
+            "findings": len(paths.findings),
+            "verified_disjoint": len(paths.verified),
+        },
+        "flow_effects": {"kernels": len(effects)},
+        "prove": {
+            "kernel_names": sorted(proved.certificates),
+            "certified": len(proved.certified),
+            "fully_proven": sorted(
+                n for n, c in proved.certificates.items() if c.fully_proven
+            ),
+            "obligations": sum(
+                len(c.obligations) for c in proved.certificates.values()
+            ),
+            "san501": sum(f.code == "SAN501" for f in proved.findings),
+        },
+        "dist": {
+            "protocol_names": sorted(certified.certificates),
+            "certified": len(certified.certified),
+            "cluster_kernels": sorted(
+                k for k in KERNELS if k.startswith("cluster")
+            ),
+            "obligations": sum(
+                len(c.obligations) for c in certified.certificates.values()
+            ),
+            "send_sites": sum(
+                len(c.sends) for c in certified.certificates.values()
+            ),
+            "findings": len(certified.findings),
+        },
+    }
 
 
 @pytest.mark.parametrize(

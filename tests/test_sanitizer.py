@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cli import main as cli_main
 from repro.parallel.atomics import AtomicArray, AtomicCounter
 from repro.parallel.context import CACHELINE_WORDS
 from repro.parallel.scheduler import SimulatedPool
@@ -567,27 +566,28 @@ class TestKernelGate:
 
 
 class TestCli:
-    def test_sanitize_selftest_exit_zero(self, capsys):
-        assert cli_main(["sanitize", "--selftest"]) == 0
-        assert "seeded race detected" in capsys.readouterr().out
+    def test_sanitize_selftest_exit_zero(self, sanitize_tree):
+        assert sanitize_tree.rc == 0, sanitize_tree.out
+        assert "seeded race detected" in sanitize_tree.out
+        assert sanitize_tree.report["selftest"] is True
 
-    def test_sanitize_list(self, capsys):
-        assert cli_main(["sanitize", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "phcd" in out and "unionfind_waitfree" in out
+    def test_sanitize_single_kernel(self, sanitize_tree):
+        # every registered kernel runs under the race detector
+        rows = {row["name"]: row for row in sanitize_tree.report["kernels"]}
+        assert list(rows) == list(KERNELS)
+        assert rows["pkc"]["regions"] > 0 and not rows["pkc"]["races"]
+        assert "  pkc " in sanitize_tree.out
 
-    def test_sanitize_single_kernel(self, capsys):
-        assert cli_main(["sanitize", "--kernel", "pkc"]) == 0
-        assert "pkc" in capsys.readouterr().out
-
-    def test_sanitize_lint_failure_exits_nonzero(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(
-            "shared = []\n"
-            "def worker(v, ctx):\n"
-            "    ctx.charge(1)\n"
-            "    shared.append(v)\n"
-            "pool.parallel_for(items, worker)\n"
+    def test_sanitize_lint_failure_exits_nonzero(self, sanitize_planted):
+        run = sanitize_planted(
+            {
+                "src/bad.py": "shared = []\n"
+                "def worker(v, ctx):\n"
+                "    ctx.charge(1)\n"
+                "    shared.append(v)\n"
+                "pool.parallel_for(items, worker)\n"
+            }
         )
-        assert cli_main(["sanitize", "--lint", str(bad)]) == 1
-        assert "SAN102" in capsys.readouterr().out
+        assert run.rc == 1
+        assert "SAN102" in run.out
+        assert run.report["families"]["lint"]["failures"] >= 1

@@ -675,6 +675,22 @@ class TestTraces:
         assert synthetic_trace(30, seed=4) == synthetic_trace(30, seed=4)
         assert synthetic_trace(30, seed=4) != synthetic_trace(30, seed=5)
 
+    def test_synthetic_trace_pinned(self):
+        # every recorded bench and the serve_batch kernel replay these
+        # traces: their bytes must not move
+        import hashlib
+
+        def digest(n: int, seed: int) -> str:
+            text = json.dumps(synthetic_trace(n, seed=seed), sort_keys=True)
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert digest(200, 11) == (
+            "d9a33a01d62db5e06ecf6a0642297ba3ff0cac00965060b617fd70efd45f5770"
+        )
+        assert digest(0, 0) == (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+        )
+
     def test_save_load_round_trip(self, tmp_path):
         trace = synthetic_trace(12, seed=1)
         path = tmp_path / "trace.jsonl"
