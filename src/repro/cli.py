@@ -478,6 +478,13 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     # the static families analyze src/ and benchmarks/ of the working
     # directory; kernels, manifests and selftests come from the package
     scope = [p for p in ("src", "benchmarks") if Path(p).exists()]
+    if not scope:
+        print(
+            f"nothing to analyze: neither src/ nor benchmarks/ exists in "
+            f"{Path.cwd()}; run repro sanitize from the checkout root",
+            file=sys.stderr,
+        )
+        return 2
     threads = 4  # every kernel run and seeded selftest
     report_json: dict[str, object] = {
         "schema": "sanitize-report/v2",

@@ -28,6 +28,8 @@ from repro.graph.graph import Graph
 
 __all__ = ["HCD", "HCDBuilder", "HCDStats"]
 
+_INT64 = np.dtype(np.int64)
+
 
 @dataclass(frozen=True)
 class HCDStats:
@@ -72,15 +74,22 @@ class HCD:
         self.parent = np.asarray(parent, dtype=np.int64)
         self.tid = np.asarray(tid, dtype=np.int64)
         self._node_vertices = [
-            np.asarray(vs, dtype=np.int64) for vs in node_vertices
+            vs
+            if type(vs) is np.ndarray and vs.dtype is _INT64
+            else np.asarray(vs, dtype=np.int64)
+            for vs in node_vertices
         ]
+        # children[p]: the nodes whose parent is p, ascending — one
+        # stable sort of parent groups them with roots (< 0) first
         t = self.num_nodes
-        children: list[list[int]] = [[] for _ in range(t)]
-        for node in range(t):
-            pa = int(self.parent[node])
-            if pa >= 0:
-                children[pa].append(node)
-        self.children = children
+        order = np.argsort(self.parent, kind="stable")
+        roots = int(np.count_nonzero(self.parent < 0))
+        flat = order[roots:].tolist()
+        sizes = np.bincount(self.parent[order[roots:]], minlength=t)
+        bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+        self.children: list[list[int]] = [
+            flat[bounds[i] : bounds[i + 1]] for i in range(t)
+        ]
         self._depths: np.ndarray | None = None
         self._parent_coreness: np.ndarray | None = None
 
@@ -343,8 +352,7 @@ class HCD:
         bundles; :meth:`save` writes exactly this dictionary.
         """
         offsets = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        for node, verts in enumerate(self._node_vertices):
-            offsets[node + 1] = offsets[node] + verts.size
+        np.cumsum([verts.size for verts in self._node_vertices], out=offsets[1:])
         flat = (
             np.concatenate(self._node_vertices)
             if self.num_nodes
@@ -397,8 +405,9 @@ class HCD:
             raise HierarchyError(
                 f"parent id {int(parent.max())} outside [0, {t})"
             )
+        bounds = offsets.tolist()
         node_vertices = [
-            members[offsets[i] : offsets[i + 1]] for i in range(t)
+            members[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
         return cls(
             node_coreness=node_coreness,

@@ -34,6 +34,11 @@ __all__ = ["CheckedGraph", "validate_csr"]
 #: int64 and leave headroom for offset arithmetic (``indptr`` sums).
 MAX_ARCS = np.iinfo(np.int64).max // 4
 
+#: ``indptr`` may not describe more vertices than this: the symmetry
+#: check encodes arc ``(u, v)`` as ``u * n + v``, which must fit an
+#: int64, and ``n * n <= 2**63 - 1`` holds up to here.
+MAX_VERTICES = 3_037_000_499
+
 
 def validate_csr(indptr: np.ndarray, indices: np.ndarray) -> None:
     """Validate untrusted CSR arrays; raise :class:`GraphFormatError`.
@@ -41,14 +46,21 @@ def validate_csr(indptr: np.ndarray, indices: np.ndarray) -> None:
     Checks, all vectorized:
 
     1. shape/dtype sanity — 1-D, integer-kind, castable to int64
-       without overflow, arc count within :data:`MAX_ARCS`;
+       without overflow, arc count within :data:`MAX_ARCS`, vertex
+       count within :data:`MAX_VERTICES` (checked before any O(n)
+       allocation);
     2. ``indptr`` brackets ``indices`` (``indptr[0] == 0``,
        ``indptr[-1] == len(indices)``) and is non-decreasing;
     3. neighbor ids within ``[0, n)``;
     4. adjacency rows strictly sorted (sorted + duplicate-free);
     5. no self-loops;
     6. symmetry — every arc ``(u, v)`` has its reverse ``(v, u)``,
-       which also forces the arc count to be even (``2 m``).
+       which also forces the arc count to be even (``2 m``).  Each
+       arc is encoded as the key ``u * n + v``; checks 2-5 make the
+       forward keys strictly increasing, so one unstable sort of the
+       reversed keys ``v * n + u`` must reproduce them exactly, and
+       the first position where the two differ names the reported
+       arc.
     """
     indptr = np.asarray(indptr)
     indices = np.asarray(indices)
@@ -67,9 +79,13 @@ def validate_csr(indptr: np.ndarray, indices: np.ndarray) -> None:
         raise GraphFormatError(
             f"arc count {indices.size} exceeds the supported maximum {MAX_ARCS}"
         )
+    n = indptr.size - 1
+    if n > MAX_VERTICES:
+        raise GraphFormatError(
+            f"vertex count {n} exceeds the supported maximum {MAX_VERTICES}"
+        )
     indptr = indptr.astype(np.int64, copy=False)
     indices = indices.astype(np.int64, copy=False)
-    n = indptr.size - 1
 
     if indptr[0] != 0:
         raise GraphFormatError(f"indptr[0] must be 0, got {int(indptr[0])}")
@@ -117,12 +133,12 @@ def validate_csr(indptr: np.ndarray, indices: np.ndarray) -> None:
                     f"adjacency list of vertex {v} is not strictly "
                     f"sorted (offset {int(bad[0])})"
                 )
-        # Symmetry: the multiset of (src, dst) arcs must equal the
-        # multiset of (dst, src) arcs.  The checks above leave the arcs
-        # sorted by (src, dst), and a stable sort by dst alone sorts
-        # them by (dst, src): one sort, and arc k is the first offender.
-        rev = np.argsort(indices, kind="stable")
-        mismatch = np.flatnonzero((src != indices[rev]) | (indices != src[rev]))
+        # Symmetry: the set of (src, dst) arcs must equal the set of
+        # (dst, src) arcs.  The checks above leave the forward keys
+        # src * n + dst strictly increasing, so sorting the reverse
+        # keys once aligns the two, and arc k is the first offender.
+        reverse = np.sort(indices * n + src)
+        mismatch = np.flatnonzero(src * n + indices != reverse)
         if mismatch.size:
             k = int(mismatch[0])
             raise GraphFormatError(

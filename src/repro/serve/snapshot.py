@@ -18,7 +18,8 @@ SHA-256 checksums, build parameters, and basic shape statistics.
 On disk a snapshot is a directory with exactly two files::
 
     <dir>/manifest.json   format, build info, array checksums
-    <dir>/arrays.npz      the numpy arrays, compressed
+    <dir>/arrays.npz      the numpy arrays, stored (:func:`numpy.savez`);
+                          bundles written deflated by older builds still load
 
 Loading treats the bundle as *untrusted input*: the manifest is parsed
 and version-checked first, every array is checksum-verified against
@@ -45,7 +46,7 @@ import numpy as np
 
 from repro.core.hcd import HCD
 from repro.core.vertex_rank import VertexRankResult
-from repro.errors import HierarchyError, SnapshotError
+from repro.errors import GraphFormatError, HierarchyError, SnapshotError
 from repro.graph.checked import CheckedGraph
 from repro.graph.graph import Graph
 from repro.parallel.scheduler import SimulatedPool
@@ -191,9 +192,9 @@ class Snapshot:
         out.update(self.hcd.to_arrays())
         return out
 
-    def manifest(self) -> dict:
-        """The JSON manifest describing this snapshot."""
-        arrays = self.arrays()
+    def manifest(self, arrays: dict[str, np.ndarray] | None = None) -> dict:
+        """The JSON manifest of this snapshot; ``arrays`` defaults to :meth:`arrays`."""
+        arrays = self.arrays() if arrays is None else arrays
         return {
             "format": FORMAT_VERSION,
             "name": self.name,
@@ -218,14 +219,15 @@ class Snapshot:
     def save(self, directory: str | os.PathLike[str]) -> None:
         """Write the bundle (``manifest.json`` + ``arrays.npz``) to ``directory``.
 
-        The directory is created if needed.  Atomicity across the two
-        files is the catalog's job (stage + rename); this method only
-        guarantees each file is written whole.
+        The arrays are stored, not deflated.  The directory is created
+        if needed.  Atomicity across the two files is the catalog's job
+        (stage + rename); this method only guarantees each is whole.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(directory / ARRAYS_FILE, **self.arrays())
-        manifest = self.manifest()
+        arrays = self.arrays()
+        np.savez(directory / ARRAYS_FILE, **arrays)
+        manifest = self.manifest(arrays)
         with open(directory / MANIFEST_FILE, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -321,8 +323,6 @@ class Snapshot:
 
     @classmethod
     def _assemble(cls, manifest: dict, raw: dict[str, np.ndarray]) -> "Snapshot":
-        from repro.errors import GraphFormatError
-
         try:
             graph = CheckedGraph(raw["indptr"], raw["indices"])
         except GraphFormatError as exc:

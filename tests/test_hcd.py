@@ -204,3 +204,59 @@ class TestValidate:
             b.add_vertex(node, v)
         with pytest.raises(HierarchyError):
             b.build().validate(g, coreness)
+
+
+def _random_forest_arrays(t: int, n: int, seed: int) -> dict:
+    """Flat HCD arrays of a random ``t``-node forest over ``n`` vertices,
+    node ids shuffled so parents are not always smaller than children."""
+    rng = np.random.default_rng(seed)
+    parent = np.asarray(
+        [int(rng.integers(-1, i)) if i else -1 for i in range(t)], dtype=np.int64
+    )
+    label = rng.permutation(t)
+    shuffled = np.empty(t, dtype=np.int64)
+    shuffled[label] = np.where(parent >= 0, label[np.maximum(parent, 0)], -1)
+    tid = rng.integers(0, t, size=n) if t else np.zeros(0, dtype=np.int64)
+    order = np.argsort(tid, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(tid, minlength=t))))
+    return {
+        "node_coreness": rng.integers(1, 6, size=t),
+        "parent": shuffled,
+        "tid": tid.astype(np.int64),
+        "member_offsets": offsets.astype(np.int64),
+        "members": order.astype(np.int64),
+    }
+
+
+@pytest.mark.parametrize(
+    "t, n, seed",
+    [(0, 0, 0), (1, 1, 1), (1, 5, 2), (7, 20, 3), (40, 90, 4), (200, 500, 5)],
+)
+def test_from_arrays_matches_per_node_loop(t, n, seed):
+    arrays = _random_forest_arrays(t, n, seed)
+    hcd = HCD.from_arrays(arrays)
+    offsets, members = arrays["member_offsets"], arrays["members"]
+    want_children: list[list[int]] = [[] for _ in range(t)]
+    for node in range(t):
+        if arrays["parent"][node] >= 0:
+            want_children[int(arrays["parent"][node])].append(node)
+    assert hcd.children == want_children
+    assert all(type(c) is int for kids in hcd.children for c in kids)
+    assert hcd.roots() == [i for i in range(t) if arrays["parent"][i] < 0]
+    for node in range(t):
+        want = members[offsets[node] : offsets[node + 1]]
+        got = hcd.vertices_of(node)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    for key, arr in hcd.to_arrays().items():
+        assert np.array_equal(arr, arrays[key]), key
+
+
+def test_constructor_converts_non_int64_vertex_sets():
+    hcd = HCD(
+        node_coreness=[2, 1],
+        parent=[1, -1],
+        tid=[0, 0, 1],
+        node_vertices=[[0, 1], np.asarray([2], dtype=np.int32)],
+    )
+    assert hcd.children == [[], [0]]
+    assert all(hcd.vertices_of(i).dtype == np.int64 for i in range(2))

@@ -349,6 +349,21 @@ class TestCheckedGraphBoundaries:
         with pytest.raises(GraphFormatError, match="symmetric"):
             validate_csr(np.asarray([0, 1, 2, 3]), np.asarray([1, 2, 1]))
 
+    def test_vertex_count_bound_precedes_allocation(self):
+        from repro.graph.checked import MAX_VERTICES
+
+        # n * n of the symmetry keys must fit an int64; the bound is
+        # the largest n for which it does
+        assert MAX_VERTICES**2 <= np.iinfo(np.int64).max
+        assert (MAX_VERTICES + 1) ** 2 > np.iinfo(np.int64).max
+        # a zero-stride indptr of MAX_VERTICES + 1 vertices allocates
+        # nothing; any O(n) step before the bound would
+        indptr = np.lib.stride_tricks.as_strided(
+            np.zeros(1, dtype=np.int64), shape=(MAX_VERTICES + 2,), strides=(0,)
+        )
+        with pytest.raises(GraphFormatError, match="vertex count"):
+            validate_csr(indptr, np.asarray([], dtype=np.int64))
+
     def test_odd_arc_count_rejected(self):
         with pytest.raises(GraphFormatError):
             validate_csr(np.asarray([0, 1, 1]), np.asarray([1]))

@@ -114,6 +114,24 @@ def test_missing_report_directory_exits_2_before_any_work(
     assert f"no such directory for --report {out}" in capsys.readouterr().err
 
 
+def test_nothing_to_analyze_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys
+):
+    # neither src/ nor benchmarks/ in the working directory: a usage
+    # error, not a clean report over an empty static scope
+    import repro.sanitizer
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a kernel ran before the usage check")
+
+    monkeypatch.setattr(repro.sanitizer, "run_kernel", no_work)
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["sanitize"]) == 2
+    err = capsys.readouterr().err
+    assert "nothing to analyze" in err
+    assert str(tmp_path.resolve()) in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from repro.serve import (
     save_trace,
     synthetic_trace,
 )
-from repro.serve.snapshot import ARRAYS_FILE, MANIFEST_FILE
+from repro.serve.snapshot import ARRAY_KEYS, ARRAYS_FILE, MANIFEST_FILE
 
 
 def _graph():
@@ -210,6 +211,56 @@ class TestSnapshotCorruption:
         bad[0] = 10**6
         self._tamper_array(bundle, "counts_gt", bad)
         with pytest.raises(SnapshotError, match="degree"):
+            Snapshot.load(bundle)
+
+
+class TestSnapshotFormat:
+    """``arrays.npz`` members are stored, not deflated; bundles written
+    deflated still open, and corruption of stored data stays typed."""
+
+    @pytest.fixture
+    def bundle(self, tmp_path, snapshot):
+        path = tmp_path / "bundle"
+        snapshot.save(path)
+        return path
+
+    def test_members_are_stored(self, bundle):
+        with zipfile.ZipFile(bundle / ARRAYS_FILE) as archive:
+            infos = archive.infolist()
+        assert {info.filename for info in infos} == {
+            f"{key}.npy" for key in ARRAY_KEYS
+        }
+        assert all(info.compress_type == zipfile.ZIP_STORED for info in infos)
+
+    def test_deflated_bundle_still_opens(self, bundle, snapshot):
+        with np.load(bundle / ARRAYS_FILE) as data:
+            raw = {key: data[key] for key in data.files}
+        np.savez_compressed(bundle / ARRAYS_FILE, **raw)
+        with zipfile.ZipFile(bundle / ARRAYS_FILE) as archive:
+            assert all(
+                info.compress_type == zipfile.ZIP_DEFLATED
+                for info in archive.infolist()
+            )
+        loaded = Snapshot.load(bundle)
+        for key, arr in snapshot.arrays().items():
+            got = loaded.arrays()[key]
+            assert type(got) is np.ndarray, key
+            assert np.array_equal(arr, got), key
+
+    def test_flipped_byte_in_stored_data_is_snapshot_error(self, bundle):
+        path = bundle / ARRAYS_FILE
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("indices.npy")
+        blob = bytearray(path.read_bytes())
+        # local file header: 30 fixed bytes ending in the name and
+        # extra-field lengths, then the name, the extra field, the data
+        at = info.header_offset
+        name_len = int.from_bytes(blob[at + 26 : at + 28], "little")
+        extra_len = int.from_bytes(blob[at + 28 : at + 30], "little")
+        data_end = at + 30 + name_len + extra_len + info.file_size
+        blob[data_end - 1] ^= 0x01  # last byte of the array payload
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="arrays.npz|'indices'"):
             Snapshot.load(bundle)
 
 
