@@ -228,19 +228,24 @@ class ThreadContext:
         else:
             self.work += len(indices)
 
-    def write_row(self, name: str, indices) -> None:
+    def write_row(self, name: str, indices, values=None) -> None:
         """Charge a plain write of ``(name, i)`` for every ``i`` in ``indices``.
 
         The write counterpart of :meth:`read_row`, for slices whose
         every element owns its slot: one ``len(indices)`` charge
         unobserved, the per-element :meth:`write` calls (with native
-        ints) when observed.
+        ints) when observed.  ``values``, when given, holds the value
+        stored at each index, in order, and rides along on each
+        :meth:`write` as its ``value``.
         """
-        if self.observed:
+        if not self.observed:
+            self.work += len(indices)
+        elif values is None:
             for i in native(indices):
                 self.write((name, i))
         else:
-            self.work += len(indices)
+            for i, value in zip(native(indices), native(values), strict=True):
+                self.write((name, i), value=value)
 
     def write(
         self, location: object, units: float = 1.0, value: object = None

@@ -118,6 +118,7 @@ EFFECTS: dict[tuple[str, str], Effect] = _table(
     _ctx("read_row", READ, PER_ELEMENT, PURE_READ),
     _ctx("atomic_load", LOAD, SCALAR, PURE_READ),
     _ctx("write", WRITE, SCALAR),
+    # ``values=`` carries the stored values to memcheck, not a location
     _ctx("write_row", WRITE, PER_ELEMENT),
     _ctx("atomic", RMW, SCALAR),
     _ctx("atomic_row", CAS, PER_ELEMENT),

@@ -19,12 +19,12 @@ from repro.core.vertex_rank import VertexRankResult, compute_vertex_rank
 from repro.graph.graph import Graph
 from repro.parallel.atomics import AtomicArray
 from repro.parallel.scheduler import SimulatedPool
-from repro.search.metrics import Metric, get_metric
+from repro.search.metrics import Metric, get_metric, score_matrix
 from repro.search.preprocessing import (
     NeighborCorenessCounts,
     preprocess_neighbor_counts,
 )
-from repro.search.primary_values import GraphTotals, PrimaryValues
+from repro.search.primary_values import GraphTotals
 from repro.search.result import best_finite_index
 from repro.sanitizer.memcheck import san_empty
 
@@ -32,6 +32,7 @@ __all__ = [
     "BestKResult",
     "bestk_type_a_contributions",
     "bestk_type_b_contributions",
+    "bestk_level_scores",
     "compute_level_values",
     "find_best_k",
 ]
@@ -201,6 +202,29 @@ def bestk_type_b_contributions(
     )
 
 
+def bestk_level_scores(
+    values: np.ndarray,
+    metric: Metric,
+    totals: GraphTotals,
+    pool: SimulatedPool,
+) -> np.ndarray:
+    """Every k-core set's score: the metric once per distinct row of
+    ``values`` (:func:`~repro.search.metrics.score_matrix`), then one
+    region storing each level's score in its own slot."""
+    levels = values.shape[0]
+    scored = score_matrix(metric, values, totals)
+    scores = san_empty(levels, np.float64, name="bks_scores")
+
+    def store_levels(ks: range, ctx) -> None:
+        # each level owns its score slot; the values ride along so
+        # memcheck can name this kernel as a NaN origin
+        ctx.write_row("bks_scores", ks, values=scored[ks.start : ks.stop])
+        scores[ks.start : ks.stop] = scored[ks.start : ks.stop]
+
+    pool.parallel_slices(range(levels), store_levels, label="bestk:score")
+    return scores
+
+
 def find_best_k(
     graph: Graph,
     coreness: np.ndarray,
@@ -218,9 +242,7 @@ def find_best_k(
     if isinstance(metric, str):
         metric = get_metric(metric)
     coreness = np.asarray(coreness, dtype=np.int64)
-    n = graph.num_vertices
     totals = GraphTotals.of(graph)
-    kmax = int(coreness.max()) if n else 0
     values = compute_level_values(
         graph,
         coreness,
@@ -230,20 +252,7 @@ def find_best_k(
         need_type_b=metric.kind == "B",
     )
 
-    scores = san_empty(kmax + 1, np.float64, name="bks_scores")
-
-    def score_level(k: int, ctx) -> None:
-        n_, m_, b_, tri, trip = values[k]
-        value = metric(
-            PrimaryValues(n=n_, m=m_, b=b_, triangles=tri, triplets=trip),
-            totals,
-        )
-        # each level owns its score slot; the value rides along so
-        # memcheck can name this kernel as a NaN origin
-        ctx.write(("bks_scores", int(k)), value=value)
-        scores[k] = value
-
-    pool.parallel_for(range(kmax + 1), score_level, label="bestk:score")
+    scores = bestk_level_scores(values, metric, totals, pool)
     best = best_finite_index(scores)
     if best < 0:
         return BestKResult(

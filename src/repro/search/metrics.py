@@ -15,6 +15,11 @@ both BKS and PBKS will evaluate it unchanged — the property the paper
 highlights ("they can handle any (new) metric that is defined upon the
 primary values").
 
+A metric must be a pure function of ``(values, totals)``: PBKS, best-k
+and the serving executor score a values matrix through
+:func:`score_matrix`, which calls the metric once per *distinct* row
+and hands the result to every row with the same bits.
+
 Degenerate inputs (singleton subgraphs, triangle-free subgraphs, the
 whole graph for cut ratio) are given the standard conventional values
 so every k-core always has a well-defined score.
@@ -25,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from repro.errors import UnknownMetricError
 from repro.parallel.cost_model import ordered_sum
 from repro.search.primary_values import GraphTotals, PrimaryValues
@@ -34,6 +41,7 @@ __all__ = [
     "register_metric",
     "get_metric",
     "metric_names",
+    "score_matrix",
     "type_a_metrics",
     "type_b_metrics",
     "average_degree",
@@ -56,7 +64,10 @@ class Metric:
     kind:
         ``"A"`` or ``"B"`` (Section II-D's type-A / type-B split).
     score:
-        Callable ``(values, totals) -> float``; higher is better.
+        Callable ``(values, totals) -> float``; higher is better.  It
+        must be a pure function of its arguments: the fields of
+        ``values`` are ``np.float64`` scalars, and a matrix of primary
+        values is scored once per distinct row (:func:`score_matrix`).
     """
 
     name: str
@@ -77,6 +88,9 @@ def register_metric(
 ) -> Metric:
     """Register a (possibly user-defined) metric; returns it.
 
+    ``score`` must be a pure function of ``(values, totals)``: PBKS,
+    best-k and serving call it once per distinct row of primary values
+    (:func:`score_matrix`), not once per tree node or level.
     Re-registering a name replaces the previous definition.
     """
     if kind not in ("A", "B"):
@@ -99,6 +113,35 @@ def get_metric(name: str) -> Metric:
 def metric_names() -> list[str]:
     """All registered metric names, sorted."""
     return sorted(_REGISTRY)
+
+
+def score_matrix(
+    metric: Metric, values: np.ndarray, totals: GraphTotals
+) -> np.ndarray:
+    """Scores of every row of a ``(rows, 5)`` primary-values matrix.
+
+    Rows are keyed by their bytes, so ``-0.0`` and ``0.0`` (or two NaN
+    payloads) stay distinct rows.  ``metric`` is called once per
+    distinct row, in the order of first appearance, with the row's
+    ``np.float64`` fields; every row with the same key gets that score.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    keys = values.view(np.dtype((np.void, values.itemsize * 5))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # np.unique orders the keys by their bytes; call in row order instead
+    order = np.argsort(first)
+    scores = np.asarray(
+        [
+            metric(
+                PrimaryValues(n=n_, m=m_, b=b_, triangles=tri, triplets=trip),
+                totals,
+            )
+            for n_, m_, b_, tri, trip in zip(*values[first[order]].T)
+        ],
+        dtype=np.float64,
+    )
+    # scores[j] belongs to key order[j]; np.argsort(order) inverts that
+    return scores[np.argsort(order)[inverse]]
 
 
 def type_a_metrics() -> list[Metric]:

@@ -9,7 +9,8 @@ vertex-centric stages (Algorithm 3):
    motif member with the lowest vertex rank;
 2. a parallel bottom-up tree accumulation turns per-node contributions
    into the primary values of each node's original k-core;
-3. every node's score is evaluated in parallel and the argmax returned.
+3. every node's score is evaluated in parallel and the argmax returned
+   (the metric itself once per distinct row of primary values).
 
 Type-A metrics (Algorithm 4) need only the O(n) vertex/edge/boundary
 contributions, answered from the shared O(m) preprocessing
@@ -30,18 +31,19 @@ from repro.graph.graph import Graph
 from repro.parallel.accumulate import tree_accumulate
 from repro.parallel.atomics import AtomicArray
 from repro.parallel.scheduler import SimulatedPool
-from repro.search.metrics import Metric, get_metric
+from repro.search.metrics import Metric, get_metric, score_matrix
 from repro.search.preprocessing import (
     NeighborCorenessCounts,
     preprocess_neighbor_counts,
 )
-from repro.search.primary_values import GraphTotals, PrimaryValues
+from repro.search.primary_values import GraphTotals
 from repro.search.result import SearchResult, best_finite_index
 from repro.sanitizer.memcheck import san_empty
 
 __all__ = [
     "pbks_search",
     "pbks_node_values",
+    "pbks_node_scores",
     "pbks_type_a_contributions",
     "pbks_type_b_contributions",
 ]
@@ -250,6 +252,38 @@ def pbks_node_values(
         )
 
 
+def pbks_node_scores(
+    accumulated: np.ndarray,
+    metric: Metric,
+    totals: GraphTotals,
+    pool: SimulatedPool,
+) -> np.ndarray:
+    """Algorithm 3 line 3: every tree node's score, in parallel.
+
+    The metric is evaluated once per distinct row of ``accumulated``
+    (:func:`~repro.search.metrics.score_matrix`; numpy float64 fields on
+    purpose: a metric dividing by a zero primary value gets inf/NaN,
+    "no winner" in :func:`pbks_search`, where Python floats would raise
+    ``ZeroDivisionError``).  The region then stores each node's score
+    in its own slot.
+    """
+    t = accumulated.shape[0]
+    scored = score_matrix(metric, accumulated, totals)
+    scores = san_empty(t, np.float64, name="pbks_scores")
+
+    def store_nodes(nodes: range, ctx) -> None:
+        # each tree node owns its score slot; the values ride along so
+        # memcheck can name this kernel as a NaN origin
+        ctx.write_row(
+            "pbks_scores", nodes, values=scored[nodes.start : nodes.stop]
+        )
+        scores[nodes.start : nodes.stop] = scored[nodes.start : nodes.stop]
+
+    with pool.phase("pbks:score"):
+        pool.parallel_slices(range(t), store_nodes, label="pbks:score")
+    return scores
+
+
 def pbks_search(
     graph: Graph,
     coreness: np.ndarray,
@@ -291,24 +325,7 @@ def pbks_search(
         need_type_b=metric.kind == "B",
     )
 
-    scores = san_empty(t, np.float64, name="pbks_scores")
-
-    def score_node(i: int, ctx) -> None:
-        # numpy float64 on purpose: a metric dividing by a zero primary
-        # value gets inf/NaN ("no winner" below), where Python floats
-        # would raise ZeroDivisionError
-        n_, m_, b_, tri, trip = accumulated[i]
-        value = metric(
-            PrimaryValues(n=n_, m=m_, b=b_, triangles=tri, triplets=trip),
-            totals,
-        )
-        # each tree node owns its score slot; the value rides along so
-        # memcheck can name this kernel as a NaN origin
-        ctx.write(("pbks_scores", int(i)), value=value)
-        scores[i] = value
-
-    with pool.phase("pbks:score"):
-        pool.parallel_for(range(t), score_node, label="pbks:score")
+    scores = pbks_node_scores(accumulated, metric, totals, pool)
     best = best_finite_index(scores)
     if best < 0:
         # every score was NaN/-inf (e.g. a metric with zero denominators

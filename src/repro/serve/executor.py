@@ -12,12 +12,13 @@ three *shared passes* the planner groups queries by:
 * the influential-community index per weight specification
   (:class:`~repro.search.influential.InfluentialCommunityIndex`).
 
-Each individual query then costs only a per-node (or per-level) metric
-fold over the memoized matrix — the batching win the serving benchmark
-measures.  Because the type-A and type-B motif passes write disjoint
-columns, a matrix computed with the type-B pass serves type-A-only
-queries with bit-identical answers, so at most one node-values variant
-is ever materialized per snapshot in steady state.
+Each individual query then costs only a metric fold over the memoized
+matrix, one metric call per distinct row
+(:func:`~repro.search.metrics.score_matrix`) — the batching win the
+serving benchmark measures.  Because the type-A and type-B motif
+passes write disjoint columns, a matrix computed with the type-B pass
+serves type-A-only queries with bit-identical answers, so at most one
+node-values variant is ever materialized per snapshot in steady state.
 
 ``share_passes=False`` disables all memoization — every query repays
 its shared pass.  That is the per-query baseline the serving benchmark
@@ -34,9 +35,9 @@ from repro.parallel.scheduler import SimulatedPool
 from repro.sanitizer.memcheck import san_empty
 from repro.search.best_k import compute_level_values
 from repro.search.influential import InfluentialCommunityIndex
-from repro.search.metrics import get_metric
+from repro.search.metrics import get_metric, score_matrix
 from repro.search.pbks import pbks_node_values
-from repro.search.primary_values import GraphTotals, PrimaryValues
+from repro.search.primary_values import GraphTotals
 from repro.search.result import best_finite_index
 from repro.serve.planner import BatchPlan, Query
 from repro.serve.snapshot import Snapshot
@@ -162,30 +163,20 @@ class SnapshotExecutor:
         self, values: np.ndarray, metric_name: str, label: str
     ) -> tuple[np.ndarray, int]:
         """Score every row of a values matrix; return (scores, argmax)."""
-        metric = get_metric(metric_name)
-        totals = self._totals
+        scored = score_matrix(get_metric(metric_name), values, self._totals)
         count = values.shape[0]
         scores = san_empty(count, np.float64, name="serve_scores")
 
-        def score_rows(rows: range, ctx) -> None:
-            # the slice's rows read once, column by column, so every
-            # field is still the np.float64 scalar a registered metric
-            # has always been given
-            block = values[rows.start : rows.stop]
-            out = []
-            for i, n_, m_, b_, tri, trip in zip(rows, *block.T):
-                value = metric(
-                    PrimaryValues(n=n_, m=m_, b=b_, triangles=tri, triplets=trip),
-                    totals,
-                )
-                # each row owns its score slot; the value rides along so
-                # memcheck can name this kernel as a NaN origin
-                ctx.write(("serve_scores", i), value=value)
-                out.append(value)
-            scores[rows.start : rows.stop] = out
+        def store_rows(rows: range, ctx) -> None:
+            # each row owns its score slot; the values ride along so
+            # memcheck can name this kernel as a NaN origin
+            ctx.write_row(
+                "serve_scores", rows, values=scored[rows.start : rows.stop]
+            )
+            scores[rows.start : rows.stop] = scored[rows.start : rows.stop]
 
         if count:
-            self.pool.parallel_slices(range(count), score_rows, label=label)
+            self.pool.parallel_slices(range(count), store_rows, label=label)
         return scores, best_finite_index(scores)
 
     def _run_pbks(self, query: Query) -> QueryResult:

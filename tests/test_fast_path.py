@@ -35,7 +35,10 @@ calls they stand for.
 Serving's shared passes (the influential-index fold, best-k type A) and
 its score folds are slice kernels too, checked through one whole
 ``SnapshotExecutor.execute`` against the per-vertex and per-row kernels
-kept here.
+kept here.  PBKS's and best-k's score folds (the metric once per
+distinct row, then one store region) are checked through
+``pbks_search``/``find_best_k`` against the per-node and per-level
+kernels with the metric call inside the worker.
 """
 
 from __future__ import annotations
@@ -75,11 +78,12 @@ from repro.sanitizer.detector import RaceDetector
 from repro.sanitizer.memcheck import MemChecker, san_empty
 from repro.search import bks
 from repro.search import best_k
+from repro.search import pbks
 from repro.search.best_k import (
     bestk_type_a_contributions,
     bestk_type_b_contributions,
 )
-from repro.search.metrics import get_metric
+from repro.search.metrics import Metric, get_metric
 from repro.search.pbks import (
     pbks_type_a_contributions,
     pbks_type_b_contributions,
@@ -1739,3 +1743,145 @@ def test_score_fold_hands_metrics_float64_fields(monkeypatch):
     assert seen == {np.float64}
     assert scores.tolist() == values[:, _N].tolist()
     assert best == int(np.argmax(values[:, _N]))
+
+
+# ---------------------------------------------------------------------------
+# PBKS and best-k score folds: slice kernels vs per element
+# ---------------------------------------------------------------------------
+
+
+def _ref_pbks_node_scores(accumulated, metric, totals, pool):
+    """``pbks.pbks_node_scores`` with one worker and metric call per node."""
+    scores = san_empty(accumulated.shape[0], np.float64, name="pbks_scores")
+
+    def score_node(i: int, ctx) -> None:
+        n_, m_, b_, tri, trip = accumulated[i]
+        value = metric(
+            PrimaryValues(n=n_, m=m_, b=b_, triangles=tri, triplets=trip),
+            totals,
+        )
+        ctx.write(("pbks_scores", int(i)), value=value)
+        scores[i] = value
+
+    with pool.phase("pbks:score"):
+        pool.parallel_for(
+            range(accumulated.shape[0]), score_node, label="pbks:score"
+        )
+    return scores
+
+
+def _ref_bestk_level_scores(values, metric, totals, pool):
+    """``best_k.bestk_level_scores`` with one worker and metric call per
+    level."""
+    scores = san_empty(values.shape[0], np.float64, name="bks_scores")
+
+    def score_level(k: int, ctx) -> None:
+        n_, m_, b_, tri, trip = values[k]
+        value = metric(
+            PrimaryValues(n=n_, m=m_, b=b_, triangles=tri, triplets=trip),
+            totals,
+        )
+        ctx.write(("bks_scores", int(k)), value=value)
+        scores[k] = value
+
+    pool.parallel_for(range(values.shape[0]), score_level, label="bestk:score")
+    return scores
+
+
+#: type A and B, separability's infinite scores, and a metric that is
+#: NaN everywhere, so memcheck names each fold as a NaN origin
+SEARCH_FOLD_METRICS = (
+    "average_degree",
+    "separability",
+    "clustering_coefficient",
+    "triangle_participation",
+    Metric("all_nan", "A", lambda values, totals: values.n * np.nan),
+)
+
+
+def _run_search_folds(graph, threads, observer, reference):
+    coreness, _, hcd, counts = _prepared(graph)
+    rank_result = compute_vertex_rank(graph, coreness, SimulatedPool(2))
+
+    def body(pool):
+        outputs = []
+        with pytest.MonkeyPatch.context() as mp:
+            if reference:
+                mp.setattr(pbks, "pbks_node_scores", _ref_pbks_node_scores)
+                mp.setattr(best_k, "bestk_level_scores", _ref_bestk_level_scores)
+            for metric in SEARCH_FOLD_METRICS:
+                found = pbks.pbks_search(
+                    graph, coreness, hcd, metric, pool,
+                    counts=counts, rank_result=rank_result,
+                )
+                levels = best_k.find_best_k(
+                    graph, coreness, metric, pool,
+                    counts=counts, rank_result=rank_result,
+                )
+                outputs.append((
+                    found.scores.tobytes(), found.best_node,
+                    repr(found.best_score), levels.scores.tobytes(),
+                    levels.best_k, repr(levels.best_score),
+                ))
+        checker = MemChecker.current()
+        origins = [] if checker is None else [
+            (o.name, o.index, o.region, o.phase, o.thread, repr(o.value))
+            for o in checker.nan_origins
+        ]
+        return outputs, origins
+
+    return _captured_run(threads, observer, body)
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+@pytest.mark.parametrize("graph_name", sorted(SEARCH_GRAPHS))
+def test_search_score_folds_match_per_element_reference(graph_name, threads):
+    graph = SEARCH_GRAPHS[graph_name]()
+    for observer in SEARCH_OBSERVERS:
+        got = _run_search_folds(graph, threads, observer, reference=False)
+        want = _run_search_folds(graph, threads, observer, reference=True)
+        clock, regions, records, outputs = got
+        assert clock == want[0], observer
+        assert regions == want[1], observer
+        # per (region, thread): same histogram, same events as a multiset
+        assert records == want[2], observer
+        assert outputs == want[3], observer
+        labels = {label for label, *_ in regions}
+        assert {"pbks:score", "bestk:score"} <= labels
+        if observer in ("memcheck_units", "both"):
+            regions_named = {region for _, _, region, *_ in outputs[1]}
+            assert {"pbks:score", "bestk:score"} <= regions_named, observer
+
+
+def _value_writes(bulk, observer):
+    """Two threads store a slice of values each, with one
+    ``write_row(..., values=...)`` or with per-element ``write`` calls."""
+    values = np.array([1.0, np.nan, 2.0, np.inf, -0.0, 3.0])
+
+    def body(pool):
+        def store(rows: range, ctx) -> None:
+            if bulk:
+                ctx.write_row(
+                    "row_vals", rows, values=values[rows.start : rows.stop]
+                )
+            else:
+                for i in rows:
+                    ctx.write(("row_vals", i), value=values[i])
+
+        pool.parallel_slices(range(values.size), store, label="row_vals")
+        checker = MemChecker.current()
+        return [] if checker is None else [
+            (o.name, o.index, o.region, o.thread, repr(o.value))
+            for o in checker.nan_origins
+        ]
+
+    return _captured_run(2, observer, body)
+
+
+@pytest.mark.parametrize("observer", SEARCH_OBSERVERS)
+def test_write_row_values_match_per_element_writes(observer):
+    got = _value_writes(True, observer)
+    assert got == _value_writes(False, observer)
+    if observer in ("memcheck_units", "both"):
+        # the first non-finite value names the region and the thread
+        assert got[3] == [("row_vals", 1, "row_vals", 0, "nan")]

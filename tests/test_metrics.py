@@ -1,12 +1,18 @@
 """Tests for community scoring metrics and the registry."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import UnknownMetricError
 from repro.search.metrics import (
+    Metric,
+    combine_metrics,
     get_metric,
     metric_names,
     register_metric,
+    score_matrix,
     type_a_metrics,
     type_b_metrics,
 )
@@ -207,3 +213,129 @@ class TestCombinedMetrics:
 
         with pytest.raises(ValueError):
             combine_metrics("empty", {})
+
+
+# ---------------------------------------------------------------------------
+# score_matrix: one metric call per distinct row
+# ---------------------------------------------------------------------------
+
+#: memcheck's float trap, a NaN with its own payload
+_PAYLOAD_NAN = np.frombuffer(
+    np.uint64(0x7FF8DEADDEADDEAD).tobytes(), dtype=np.float64
+)[0]
+_FIELDS = (0.0, -0.0, 1.0, 2.5, 3.0, 40.0, np.nan, _PAYLOAD_NAN, np.inf, -np.inf)
+#: 1 / b tells -0.0 from 0.0 (-inf against inf)
+_RECIPROCAL_B = Metric("reciprocal_b", "A", lambda v, _: 1.0 / v.b)
+_COMBINED = combine_metrics(
+    "combined_for_score_matrix",
+    {"conductance": 1.0, "clustering_coefficient": 0.5, "cut_ratio": 2.0},
+    register=False,
+)
+_SCORE_MATRIX_METRICS = [get_metric(name) for name in metric_names()] + [
+    _COMBINED,
+    _RECIPROCAL_B,
+]
+
+
+@st.composite
+def _row_matrices(draw):
+    """A ``(rows, 5)`` matrix drawn from a pool of at most five rows,
+    so duplicate rows are common; 0 and 1 rows included."""
+    row = st.tuples(*[st.sampled_from(_FIELDS)] * 5)
+    pool = draw(st.lists(row, min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
+    return np.array([pool[i] for i in picks], dtype=np.float64).reshape(-1, 5)
+
+
+def _per_row(metric, values, totals):
+    return np.array(
+        [
+            metric(PrimaryValues(n=n_, m=m_, b=b_, triangles=t, triplets=p), totals)
+            for n_, m_, b_, t, p in values
+        ],
+        dtype=np.float64,
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=_row_matrices())
+@example(values=np.empty((0, 5)))
+@example(values=np.array([[3.0, -0.0, np.nan, np.inf, 1.0]]))
+def test_score_matrix_matches_per_row_loop(values):
+    for metric in _SCORE_MATRIX_METRICS:
+        with np.errstate(all="ignore"):
+            want = _per_row(metric, values, TOTALS)
+            got = score_matrix(metric, values, TOTALS)
+        assert got.dtype == np.float64 and got.shape == (values.shape[0],)
+        assert got.tobytes() == want.tobytes(), metric.name
+
+
+def test_score_matrix_keeps_signed_zeros_apart():
+    values = np.array([[1, 1, 0.0, 0, 0], [1, 1, -0.0, 0, 0]] * 3, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        got = score_matrix(_RECIPROCAL_B, values, TOTALS)
+    assert got.tolist() == [np.inf, -np.inf] * 3
+
+
+def _counting_metric():
+    """A metric recording the bytes and field types of every row it
+    is called with."""
+    calls = []
+
+    def score(values, totals):
+        fields = values.as_tuple()
+        calls.append((np.array(fields).tobytes(), {type(x) for x in fields}))
+        return float(values.n + values.m)
+
+    return Metric("counting", "B", score), calls
+
+
+def test_score_matrix_calls_metric_once_per_distinct_row():
+    values = np.array(
+        [[1, 0, 0, 0, 0], [3, 2, 1, 0, 0], [1, 0, 0, 0, 0], [3, 2, 1, 0, 0]],
+        dtype=np.float64,
+    )
+    metric, calls = _counting_metric()
+    assert score_matrix(metric, values, TOTALS).tolist() == [1.0, 5.0, 1.0, 5.0]
+    # in the order of first appearance (the second row's bytes sort first)
+    assert [row for row, _ in calls] == [values[0].tobytes(), values[1].tobytes()]
+    calls.clear()
+    assert score_matrix(metric, np.empty((0, 5)), TOTALS).shape == (0,)
+    assert calls == []
+
+
+@pytest.fixture(scope="module")
+def _searched():
+    from repro.core.decomposition import core_decomposition
+    from repro.core.lcps import lcps_build_hcd
+    from repro.graph.generators import rmat
+
+    # 71 tree nodes, 10 distinct rows of primary values
+    graph = rmat(8, 4, seed=7)
+    coreness = core_decomposition(graph)
+    return graph, coreness, lcps_build_hcd(graph, coreness)
+
+
+def test_pbks_search_scores_each_distinct_row_once_with_float64_fields(_searched):
+    from repro.parallel.scheduler import SimulatedPool
+    from repro.search.pbks import pbks_search
+
+    graph, coreness, hcd = _searched
+    metric, calls = _counting_metric()
+    result = pbks_search(graph, coreness, hcd, metric, SimulatedPool(threads=4))
+    rows = [row.tobytes() for row in result.values]
+    assert len(set(rows)) < len(rows)  # the test needs duplicate rows
+    assert sorted(row for row, _ in calls) == sorted(set(rows))
+    assert set().union(*(types for _, types in calls)) == {np.float64}
+
+
+def test_find_best_k_scores_each_distinct_row_once_with_float64_fields(_searched):
+    from repro.parallel.scheduler import SimulatedPool
+    from repro.search.best_k import find_best_k
+
+    graph, coreness, _ = _searched
+    metric, calls = _counting_metric()
+    result = find_best_k(graph, coreness, metric, SimulatedPool(threads=4))
+    rows = [row.tobytes() for row in result.values]
+    assert sorted(row for row, _ in calls) == sorted(set(rows))
+    assert set().union(*(types for _, types in calls)) == {np.float64}
