@@ -84,7 +84,7 @@ def _mutation_batch(graph):
 
 def _pool_work(pool: SimulatedPool) -> int:
     """Total charged work units (compute + atomics) across all regions."""
-    return sum(r.work_total + r.atomic_ops for r in pool.regions)
+    return pool.work_since(0, 0)
 
 
 def _maintenance(graph, insertions, deletions) -> dict:

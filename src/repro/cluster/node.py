@@ -25,8 +25,10 @@ class SimNode:
     kernel runs a single externally-watched pool can be aliased into
     every node (``pool=...``); nodes execute sequentially in
     simulation, so sharing is observationally equivalent.  Serving
-    counts a replica's regions once, in the router's dispatch cost,
-    even when they land on the router's own pool.
+    counts a replica's regions once, in the router's dispatch cost
+    (:meth:`SimulatedPool.work_since` over the node's pool), even when
+    they land on the router's own pool: the replay loop's cursor skips
+    whatever a dispatch ran.
 
     Fault state lives here too: ``slow_factor`` scales the node's
     compute deltas on the cluster clock, ``crash_at`` arms a
@@ -50,21 +52,6 @@ class SimNode:
         self.service = None        # per-node HCDService (serving only)
         self.crashes = 0
         self.recoveries = 0
-
-    def work_cursor(self) -> int:
-        """Position in the pool's region log, for work-unit deltas."""
-        return len(self.pool.regions)
-
-    def work_since(self, cursor: int) -> float:
-        """Work units (charges + atomics) recorded since ``cursor``.
-
-        Work units are partition-independent, so anything measured
-        through this is bit-identical across per-node thread counts.
-        """
-        total = 0.0
-        for stats in self.pool.regions[cursor:]:
-            total += stats.work_total + stats.atomic_ops
-        return total
 
     def __repr__(self) -> str:
         state = "up" if self.alive else "down"

@@ -16,12 +16,12 @@ primary replica.  That step has three distribution-only stages:
   request latency;
 * **hedging**: when a dispatch costs more than ``hedge_timeout`` work
   units and another replica is alive, the router (deterministically)
-  issues a backup request after ``hedge_backoff`` and completes at
+  issues a backup request after ``HEDGE_BACKOFF`` and completes at
   whichever copy finishes first — the classic tail-at-scale mitigation,
   and the benchmark's tail-latency win under one slow node;
 * **failover**: a node whose armed ``crash_at`` fires before or during
   a dispatch is marked dead, the in-flight work is lost, and the next
-  replica answers after ``failover_penalty``; a dead node with
+  replica answers after ``FAILOVER_PENALTY``; a dead node with
   ``recover_at`` set later *re-registers from the snapshot catalog*
   (a fresh :class:`HCDService` over the latest published version) and
   rejoins its replica set.
@@ -47,7 +47,7 @@ from repro.cluster.node import SimNode
 from repro.parallel.scheduler import SimulatedPool
 from repro.serve.cache import CacheStats
 from repro.serve.catalog import SnapshotCatalog
-from repro.serve.planner import QueryPlanner
+from repro.serve.planner import Query
 from repro.serve.service import (
     HCDService,
     ServiceConfig,
@@ -61,6 +61,14 @@ __all__ = [
     "ClusterService",
     "DIST_PROTOCOL",
 ]
+
+#: work units from the hedge timeout to the backup request
+HEDGE_BACKOFF = 200.0
+#: work units the router pays on discovering a crashed replica
+FAILOVER_PENALTY = 500.0
+#: routing-message bytes per routed query / per returned answer
+REQUEST_BYTES = 48
+RESPONSE_BYTES = 96
 
 #: Declared protocol facts for SimDist (SAN6xx).  The router carries
 #: no shared numeric estimates (answers come from immutable published
@@ -93,17 +101,12 @@ class ClusterServiceConfig:
     """Topology and distribution knobs of the serving router.
 
     ``hedge_timeout`` is in work units; ``float("inf")`` (the default)
-    disables hedging.  ``request_bytes``/``response_bytes`` size the
-    routing messages per query/answer for the network charges.
+    disables hedging.
     """
 
     num_shards: int = 2
     replicas: int = 2
     hedge_timeout: float = float("inf")
-    hedge_backoff: float = 200.0
-    failover_penalty: float = 500.0
-    request_bytes: int = 48
-    response_bytes: int = 96
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -168,7 +171,6 @@ class ClusterService:
         self.name = name
         self.config = config or ClusterServiceConfig()
         self.service_config = service_config or ServiceConfig()
-        self.planner = QueryPlanner()
         total = self.config.num_shards * self.config.replicas
         # node ids 0..total-1 are replicas (shard-major); the extra
         # node is the router itself
@@ -235,40 +237,39 @@ class ClusterService:
     # ------------------------------------------------------------------
 
     def _dispatch_attempt(
-        self, node: SimNode, sub_plan
+        self, node: SimNode, queries: dict[str, Query]
     ) -> tuple[dict, dict, float, float]:
-        """Send one sub-batch to one replica; cost includes routing.
+        """Send one shard's queries to one replica; cost includes routing.
 
         Returns ``(results, statuses, cost, pool_delta)`` where cost is
         in work units (slow-scaled) and ``pool_delta`` is the node's
         sim-clock consumption for the cluster clock.
         """
         network = self.cluster.network
-        config = self.config
         request_cost = network.send(
             self.router.node_id,
             node.node_id,
-            config.request_bytes * max(sub_plan.distinct, 1),  # per routed query
+            REQUEST_BYTES * max(len(queries), 1),  # per routed query
         )
-        cursor = node.work_cursor()
+        cursor = node.pool.region_count
         pool_mark = node.pool.mark()
-        results, statuses = node.service.answer(sub_plan)
-        work = node.work_since(cursor) * node.slow_factor
+        results, statuses = node.service.answer(queries)
+        work = node.pool.work_since(cursor, 0.0) * node.slow_factor
         pool_delta = node.pool.elapsed_since(pool_mark) * node.slow_factor
         response_cost = network.send(
             node.node_id,
             self.router.node_id,
-            config.response_bytes * max(len(results), 1),  # per answer
+            RESPONSE_BYTES * max(len(results), 1),  # per answer
         )
         return results, statuses, request_cost + work + response_cost, pool_delta
 
     def _dispatch_group(
-        self, shard: int, sub_plan, now: float
+        self, shard: int, queries: dict[str, Query], now: float
     ) -> tuple[dict, dict, float, float, dict]:
-        """Answer one shard's sub-batch with failover and hedging.
+        """Answer one shard's queries with failover and hedging.
 
         Walks the replica set primary-first; crashed replicas cost
-        ``failover_penalty`` and the next replica recomputes.  Returns
+        ``FAILOVER_PENALTY`` and the next replica recomputes.  Returns
         ``(results, statuses, cost, pool_delta, events)``; an empty
         results dict with empty statuses means every replica was dead.
         """
@@ -287,11 +288,11 @@ class ClusterService:
                 node.crashes += 1
                 events["failovers"] += 1
                 self.failovers += 1
-                cost += config.failover_penalty
+                cost += FAILOVER_PENALTY
                 continue
             events["dispatches"] += 1
             results, statuses, attempt, delta = self._dispatch_attempt(
-                node, sub_plan
+                node, queries
             )
             pool_delta += delta
             if (
@@ -306,7 +307,7 @@ class ClusterService:
                 node.crashes += 1
                 events["failovers"] += 1
                 self.failovers += 1
-                cost += lost + config.failover_penalty
+                cost += lost + FAILOVER_PENALTY
                 continue
             hedge_partner = next(
                 (
@@ -321,11 +322,11 @@ class ClusterService:
                 # the timeout and the batch completes at whichever
                 # replica answers first
                 h_results, h_statuses, h_attempt, h_delta = (
-                    self._dispatch_attempt(hedge_partner, sub_plan)
+                    self._dispatch_attempt(hedge_partner, queries)
                 )
                 pool_delta += h_delta
                 hedged_cost = (
-                    config.hedge_timeout + config.hedge_backoff + h_attempt
+                    config.hedge_timeout + HEDGE_BACKOFF + h_attempt
                 )
                 events["hedges"] += 1
                 self.hedges += 1
@@ -343,18 +344,18 @@ class ClusterService:
     # ------------------------------------------------------------------
 
     def _route(
-        self, report: ClusterReport, plan, now: float
+        self, report: ClusterReport, queries: dict[str, Query], now: float
     ) -> tuple[dict, dict, float]:
-        """Split ``plan`` by shard and answer each group on its replicas.
+        """Split ``queries`` by shard and answer each group on its replicas.
 
         The dispatch step of :func:`~repro.serve.service.replay_trace`:
         per-shard stats go to ``report.per_shard`` and the batch is one
         serving superstep on the cluster clock.
         """
-        groups: dict[int, list[str]] = {}
-        for fingerprint in plan.queries:
+        groups: dict[int, dict[str, Query]] = {}
+        for fingerprint, query in queries.items():
             shard = shard_of(fingerprint, self.config.num_shards)
-            groups.setdefault(shard, []).append(fingerprint)
+            groups.setdefault(shard, {})[fingerprint] = query
         answers: dict[str, object] = {}
         statuses: dict[str, str] = {}
         comms0 = self.cluster.network.total_cost
@@ -362,20 +363,16 @@ class ClusterService:
         bytes0 = self.cluster.network.bytes_sent
         group_costs: dict[int, float] = {}
         group_deltas: dict[int, float] = {}
-        for shard in sorted(groups):
-            fps = groups[shard]
-            sub_plan = self.planner.plan(
-                [(plan.requesters[fp][0], plan.queries[fp]) for fp in fps]
-            )
+        for shard, group in sorted(groups.items()):
             results, group_statuses, cost, pool_delta, events = (
-                self._dispatch_group(shard, sub_plan, now)
+                self._dispatch_group(shard, group, now)
             )
             answers.update(results)
             statuses.update(group_statuses)
             group_costs[shard] = cost
             group_deltas[shard] = pool_delta
             stats = report.per_shard[shard]
-            stats["requests"] += len(fps)
+            stats["requests"] += len(group)
             stats["work"] += cost
             for key, count in events.items():
                 stats[key] += count
@@ -398,10 +395,13 @@ class ClusterService:
         )
         return answers, statuses, now + max(group_costs.values(), default=0.0)
 
-    def serve(self, trace: list[dict], refresh: bool = True) -> ClusterReport:
-        """Replay a trace through the sharded router; see module docs."""
+    def serve(self, trace: list[dict]) -> ClusterReport:
+        """Replay a trace through the sharded router; see module docs.
+
+        Every live replica first moves to the catalog's latest version.
+        """
         for node in self.cluster.nodes[:-1]:
-            if refresh and node.alive and node.service is not None:
+            if node.alive and node.service is not None:
                 node.service.refresh()
         pool = self.router.pool
         report = ClusterReport(
@@ -418,7 +418,6 @@ class ClusterService:
             trace,
             report,
             pool,
-            self.planner,
             self.service_config,
             partial(self._route, report),
             prefix="cluster",

@@ -189,6 +189,22 @@ class SimulatedPool:
         """``len(regions)`` without copying the record list."""
         return len(self._regions)
 
+    def work_since(self, cursor: int, start: float) -> float:
+        """``start`` plus the work units of every region from ``cursor``.
+
+        A region's work units are its charges plus its atomic ops; they
+        are partition-independent, so the result is bit-identical at
+        every thread count.  Regions are added one at a time in log
+        order (a pre-summed cost can differ from that float sum in the
+        last bit), walking the log in place from ``cursor``, a
+        :attr:`region_count` taken earlier.
+        """
+        regions = self._regions
+        for index in range(cursor, len(regions)):
+            stats = regions[index]
+            start += stats.work_total + stats.atomic_ops
+        return start
+
     @property
     def last_region(self) -> RegionStats | None:
         """The most recently completed region's record, or ``None``."""

@@ -164,7 +164,7 @@ def _kernel_vertex_rank(pool: SimulatedPool) -> None:
 
 def _kernel_serve_batch(pool: SimulatedPool) -> None:
     from repro.serve.executor import SnapshotExecutor
-    from repro.serve.planner import QueryPlanner, normalize_request
+    from repro.serve.planner import normalize_request, plan_batch
     from repro.serve.snapshot import build_snapshot
 
     # the full serving execute path: snapshot build (decomposition +
@@ -179,10 +179,10 @@ def _kernel_serve_batch(pool: SimulatedPool) -> None:
         {"kind": "best_k", "metric": "average_degree"},
         {"kind": "influential", "k": 2, "r": 2, "weights": "degree"},
     ]
-    plan = QueryPlanner().plan(
+    plan = plan_batch(
         [(rid, normalize_request(req)) for rid, req in enumerate(requests)]
     )
-    SnapshotExecutor(snapshot, pool).execute(plan)
+    SnapshotExecutor(snapshot, pool).execute(plan.queries)
 
 
 def _dynamic_workload(seed: int):

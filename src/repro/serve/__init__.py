@@ -15,7 +15,7 @@ section 10.
 from repro.serve.cache import CacheStats, ResultCache
 from repro.serve.catalog import SnapshotCatalog
 from repro.serve.executor import QueryResult, SnapshotExecutor
-from repro.serve.planner import BatchPlan, Query, QueryPlanner, normalize_request
+from repro.serve.planner import BatchPlan, Query, normalize_request, plan_batch
 from repro.serve.service import (
     DynamicServingFeed,
     HCDService,
@@ -40,7 +40,6 @@ __all__ = [
     "FORMAT_VERSION",
     "HCDService",
     "Query",
-    "QueryPlanner",
     "QueryResult",
     "RequestRecord",
     "ResultCache",
@@ -52,6 +51,7 @@ __all__ = [
     "build_snapshot",
     "load_trace",
     "normalize_request",
+    "plan_batch",
     "save_trace",
     "snapshot_from_dynamic",
     "synthetic_trace",

@@ -16,6 +16,12 @@ dynamic-graph feed) publishes a *new* version, and result-cache entries
 keyed on the old ``(name, version)`` pair can simply never be returned
 for the new one.
 
+Retention: after each publish the catalog keeps the newest
+``KEEP_VERSIONS`` published versions of that name and deletes the older
+ones, so a dynamic feed's catalog stays bounded.  A reader that
+resolved an earlier latest version can still open it until
+``KEEP_VERSIONS - 1`` newer versions have been published.
+
 Staleness detection is a directory scan: a service holding version
 ``v`` asks :meth:`SnapshotCatalog.is_stale` whether some ``v' > v``
 has been published and reopens if so.
@@ -31,7 +37,11 @@ from pathlib import Path
 from repro.errors import SnapshotError
 from repro.serve.snapshot import MANIFEST_FILE, Snapshot
 
-__all__ = ["SnapshotCatalog"]
+__all__ = ["SnapshotCatalog", "KEEP_VERSIONS"]
+
+#: published versions of one name that survive a publish (at least 2,
+#: so the version a reader resolved just before a publish stays open)
+KEEP_VERSIONS = 4
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 _VERSION_RE = re.compile(r"^v(\d{8})$")
@@ -128,7 +138,8 @@ class SnapshotCatalog:
         The bundle is staged under a hidden directory and renamed into
         place, so concurrent readers never observe a half-written
         version.  Stale stage directories from crashed publishes are
-        removed first.
+        removed first; published versions older than the newest
+        ``KEEP_VERSIONS`` are deleted after the rename.
         """
         name = _check_name(name or snapshot.name)
         base = self.root / name
@@ -157,7 +168,28 @@ class SnapshotCatalog:
                 shutil.rmtree(stage)
                 stage = next_stage
                 final = self.path(name, version)
+        self._prune(name, version)
         return version
+
+    def _prune(self, name: str, written: int) -> None:
+        """Delete published versions of ``name`` beyond the newest
+        ``KEEP_VERSIONS``, never ``written``.  Manifest-less ``v…``
+        directories are not published and are left alone."""
+        published = [
+            (version, path)
+            for version, path in self._version_dirs(name)
+            if _is_published(path)
+        ]
+        for version, path in published[:-KEEP_VERSIONS]:
+            if version == written:
+                continue
+            # unpublish first: a reader never sees a half-deleted bundle
+            # as a published version.  A concurrent publisher may be
+            # pruning the same bundle, and the new version is already
+            # published, so a failed delete only leaves an unpublished
+            # directory behind, as a crashed publish does
+            Path(path, MANIFEST_FILE).unlink(missing_ok=True)
+            shutil.rmtree(path, ignore_errors=True)
 
     def open(self, name: str, version: int | None = None) -> Snapshot:
         """Load ``name`` at ``version`` (default: the latest).

@@ -2,8 +2,8 @@
 
 The executor is where build-once/query-many pays off.  It holds a
 single shared :class:`~repro.pipeline.DecompositionResult` per snapshot
-(never re-deriving coreness or the HCD per query) and memoizes the
-three *shared passes* the planner groups queries by:
+(never re-deriving coreness or the HCD per query) and memoizes, in one
+table, the three *shared passes* it groups a batch's queries by:
 
 * the PBKS node-values traversal
   (:func:`~repro.search.pbks.pbks_node_values`),
@@ -27,6 +27,7 @@ compares against; answers are identical either way.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ from repro.search.metrics import get_metric, score_matrix
 from repro.search.pbks import pbks_node_values
 from repro.search.primary_values import GraphTotals
 from repro.search.result import best_finite_index
-from repro.serve.planner import BatchPlan, Query
+from repro.serve.planner import Query
 from repro.serve.snapshot import Snapshot
 
 __all__ = ["QueryResult", "SnapshotExecutor"]
@@ -91,49 +92,52 @@ class SnapshotExecutor:
         # the snapshot's one decomposition, reused by every query
         self.deco = snapshot.decomposition(pool)
         self._totals = GraphTotals.of(snapshot.graph)
-        self._node_values: dict[bool, np.ndarray] = {}
-        self._level_values: dict[bool, np.ndarray] = {}
-        self._influence: dict[str, InfluentialCommunityIndex] = {}
+        self._passes: dict[tuple[str, object], object] = {}
 
     # ------------------------------------------------------------------
     # shared passes (memoized)
     # ------------------------------------------------------------------
 
-    def _ensure_node_values(self, need_b: bool) -> np.ndarray:
-        if need_b in self._node_values:
-            return self._node_values[need_b]
-        if not need_b and True in self._node_values:
-            # type-A columns are bit-identical in the type-B variant
-            return self._node_values[True]
-        values = pbks_node_values(
-            self.deco.graph,
-            self.deco.coreness,
-            self.deco.hcd,
-            self.pool,
-            counts=self.snapshot.counts,
-            rank_result=self.deco.rank_result,
-            need_type_b=need_b,
-        )
-        if self.share_passes:
-            self._node_values[need_b] = values
-        return values
+    def _shared_pass(self, key: tuple[str, object]):
+        """The shared pass ``key`` names, memoized per snapshot.
 
-    def _ensure_level_values(self, need_b: bool) -> np.ndarray:
-        if need_b in self._level_values:
-            return self._level_values[need_b]
-        if not need_b and True in self._level_values:
-            return self._level_values[True]
-        values = compute_level_values(
-            self.deco.graph,
-            self.deco.coreness,
-            self.pool,
-            counts=self.snapshot.counts,
-            rank_result=self.deco.rank_result,
-            need_type_b=need_b,
-        )
+        ``("pbks", need_b)`` is the node-values matrix, ``("best_k",
+        need_b)`` the level-values matrix, ``("influential", spec)``
+        the influence index of one weight specification.
+        """
+        if key in self._passes:
+            return self._passes[key]
+        kind, arg = key
+        if arg is False and (kind, True) in self._passes:
+            # type-A columns are bit-identical in the type-B variant
+            return self._passes[(kind, True)]
+        deco = self.deco
+        if kind == "pbks":
+            value = pbks_node_values(
+                deco.graph,
+                deco.coreness,
+                deco.hcd,
+                self.pool,
+                counts=self.snapshot.counts,
+                rank_result=deco.rank_result,
+                need_type_b=arg,
+            )
+        elif kind == "best_k":
+            value = compute_level_values(
+                deco.graph,
+                deco.coreness,
+                self.pool,
+                counts=self.snapshot.counts,
+                rank_result=deco.rank_result,
+                need_type_b=arg,
+            )
+        else:
+            value = InfluentialCommunityIndex(
+                deco.hcd, self._influence_weights(arg), self.pool
+            )
         if self.share_passes:
-            self._level_values[need_b] = values
-        return values
+            self._passes[key] = value
+        return value
 
     def _influence_weights(self, spec: str) -> np.ndarray:
         graph = self.deco.graph
@@ -144,16 +148,6 @@ class SnapshotExecutor:
         if spec == "uniform":
             return np.ones(graph.num_vertices, dtype=np.float64)
         raise ValueError(f"unknown weight spec {spec!r}")
-
-    def _influence_index(self, spec: str) -> InfluentialCommunityIndex:
-        if spec in self._influence:
-            return self._influence[spec]
-        index = InfluentialCommunityIndex(
-            self.deco.hcd, self._influence_weights(spec), self.pool
-        )
-        if self.share_passes:
-            self._influence[spec] = index
-        return index
 
     # ------------------------------------------------------------------
     # per-query folds
@@ -180,7 +174,7 @@ class SnapshotExecutor:
         return scores, best_finite_index(scores)
 
     def _run_pbks(self, query: Query) -> QueryResult:
-        values = self._ensure_node_values(query.needs_type_b)
+        values = self._shared_pass(("pbks", query.needs_type_b))
         scores, best = self._score_fold(
             values, query.metric, label=f"serve:score:{query.metric}"
         )
@@ -203,7 +197,7 @@ class SnapshotExecutor:
         )
 
     def _run_best_k(self, query: Query) -> QueryResult:
-        values = self._ensure_level_values(query.needs_type_b)
+        values = self._shared_pass(("best_k", query.needs_type_b))
         scores, best = self._score_fold(
             values, query.metric, label=f"serve:score:{query.metric}"
         )
@@ -224,7 +218,7 @@ class SnapshotExecutor:
         )
 
     def _run_influential(self, query: Query) -> QueryResult:
-        index = self._influence_index(query.weights)
+        index = self._shared_pass(("influential", query.weights))
         communities = index.top_r(query.k, query.r)
         with self.pool.serial_region("serve:topr") as ctx:
             ctx.charge(max(1, len(communities)))
@@ -260,22 +254,30 @@ class SnapshotExecutor:
             return self._run_best_k(query)
         return self._run_influential(query)
 
-    def execute(self, plan: BatchPlan) -> dict[str, QueryResult]:
-        """Answer every distinct query of a plan, keyed by fingerprint.
+    def execute(self, queries: Mapping[str, Query]) -> dict[str, QueryResult]:
+        """Answer every distinct query, keyed by fingerprint.
 
-        Shared passes run (at most) once up front — triggering them for
-        the whole plan before folding keeps the per-metric folds cheap
-        and the work sequence deterministic regardless of which query
-        happened to arrive first.
+        Shared passes run (at most) once up front, in a fixed order:
+        the node pass, the level pass, then one influence index per
+        weight specification in first-appearance order.  A pass runs
+        with the type-B motif columns if any query riding on it needs
+        them.  Triggering them for the whole batch before folding keeps
+        the per-metric folds cheap and the work sequence deterministic
+        regardless of which query happened to arrive first.
         """
         if self.share_passes:
-            if plan.node_metrics:
-                self._ensure_node_values(plan.node_need_b)
-            if plan.level_metrics:
-                self._ensure_level_values(plan.level_need_b)
-            for spec in plan.influential:
-                self._influence_index(spec)
-        results: dict[str, QueryResult] = {}
-        for fingerprint, query in plan.queries.items():
-            results[fingerprint] = self.run_query(query)
-        return results
+            need_b: dict[str, bool] = {}
+            specs: dict[str, None] = {}
+            for query in queries.values():
+                if query.kind == "influential":
+                    specs[query.weights] = None
+                else:
+                    need_b[query.kind] = (
+                        need_b.get(query.kind, False) or query.needs_type_b
+                    )
+            for kind in ("pbks", "best_k"):
+                if kind in need_b:
+                    self._shared_pass((kind, need_b[kind]))
+            for spec in specs:
+                self._shared_pass(("influential", spec))
+        return {fp: self.run_query(query) for fp, query in queries.items()}

@@ -1,33 +1,20 @@
-"""Query normalization, fingerprinting, dedup, and batch planning.
+"""Query normalization, fingerprinting, and in-flight dedup.
 
 Requests arrive as loose dictionaries (a workload trace line, a CLI
 flag set).  The planner turns each into a canonical immutable
 :class:`Query`, derives its **fingerprint** (the cache-key component),
-coalesces identical in-flight queries, and groups the distinct ones by
-the *shared pass* they can ride on:
-
-* ``node_scores`` — PBKS-style best-core queries.  All of them share
-  one hierarchy traversal (contributions + bottom-up accumulation,
-  :func:`repro.search.pbks.pbks_node_values`); each metric then costs
-  only a per-node score fold.  ``densest`` is normalized into this
-  group (PBKS-D *is* PBKS with the average-degree metric), so a
-  densest request and an equivalent pbks request dedupe.
-* ``level_scores`` — best-k queries over k-core sets, sharing the
-  per-level pass (:func:`repro.search.best_k.compute_level_values`).
-* ``influential`` — top-r influential-community queries, grouped by
-  weight specification; each group shares one
-  :class:`~repro.search.influential.InfluentialCommunityIndex` build,
-  after which every ``(k, r)`` pair is an index-only fold.
-
-A group needs the type-B motif pass only if some member metric is
-type B; type-A columns are bit-identical either way, so batching can
-never change an answer.
+and coalesces identical in-flight queries into one
+:class:`BatchPlan`.  ``densest`` is normalized to PBKS under the
+average-degree metric (PBKS-D *is* PBKS with that metric), so a
+densest request and an equivalent pbks request dedupe.  Which shared
+pass each distinct query rides on is the executor's decision
+(:meth:`~repro.serve.executor.SnapshotExecutor.execute`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from repro.errors import UnknownMetricError, WorkloadError
 from repro.search.metrics import get_metric
@@ -35,9 +22,9 @@ from repro.search.metrics import get_metric
 __all__ = [
     "Query",
     "BatchPlan",
-    "QueryPlanner",
     "WEIGHT_SPECS",
     "normalize_request",
+    "plan_batch",
 ]
 
 #: deterministic per-vertex weight specifications for influential queries
@@ -132,21 +119,16 @@ def normalize_request(request: Mapping, where: str = "request") -> Query:
 
 @dataclass
 class BatchPlan:
-    """Execution plan for one batch of coalesced queries.
+    """One batch of coalesced queries.
 
-    ``queries`` maps fingerprint to the distinct :class:`Query`;
-    ``requesters`` maps fingerprint to the request ids riding on it
-    (length > 1 means in-flight dedup coalesced identical queries).
-    The group fields are the executor's work list.
+    ``queries`` maps fingerprint to the distinct :class:`Query`, in
+    first-appearance order; ``requesters`` maps fingerprint to the
+    request ids riding on it (length > 1 means in-flight dedup
+    coalesced identical queries).
     """
 
     queries: dict[str, Query] = field(default_factory=dict)
     requesters: dict[str, list[int]] = field(default_factory=dict)
-    node_metrics: list[str] = field(default_factory=list)
-    level_metrics: list[str] = field(default_factory=list)
-    influential: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
-    node_need_b: bool = False
-    level_need_b: bool = False
 
     @property
     def distinct(self) -> int:
@@ -158,35 +140,15 @@ class BatchPlan:
         """Requests answered by another identical in-flight query."""
         return sum(len(rids) - 1 for rids in self.requesters.values())
 
-    def is_empty(self) -> bool:
-        return not self.queries
 
-
-class QueryPlanner:
-    """Stateless planner: normalized queries in, batch plan out."""
-
-    def plan(self, batch: list[tuple[int, Query]]) -> BatchPlan:
-        """Coalesce and group a batch of ``(request id, query)`` pairs.
-
-        Order within each group follows first appearance in the batch,
-        so planning is deterministic for a deterministic workload.
-        """
-        plan = BatchPlan()
-        for rid, query in batch:
-            fp = query.fingerprint
-            if fp in plan.queries:
-                plan.requesters[fp].append(rid)
-                continue
+def plan_batch(batch: list[tuple[int, Query]]) -> BatchPlan:
+    """Coalesce a batch of ``(request id, query)`` pairs by fingerprint."""
+    plan = BatchPlan()
+    for rid, query in batch:
+        fp = query.fingerprint
+        if fp in plan.requesters:
+            plan.requesters[fp].append(rid)
+        else:
             plan.queries[fp] = query
             plan.requesters[fp] = [rid]
-            if query.kind == "pbks":
-                plan.node_metrics.append(query.metric)
-                plan.node_need_b = plan.node_need_b or query.needs_type_b
-            elif query.kind == "best_k":
-                plan.level_metrics.append(query.metric)
-                plan.level_need_b = plan.level_need_b or query.needs_type_b
-            else:
-                plan.influential.setdefault(query.weights, []).append(
-                    (query.k, query.r)
-                )
-        return plan
+    return plan

@@ -49,7 +49,7 @@ from repro.parallel.scheduler import SimulatedPool
 from repro.serve.cache import ResultCache
 from repro.serve.catalog import SnapshotCatalog
 from repro.serve.executor import QueryResult, SnapshotExecutor
-from repro.serve.planner import BatchPlan, QueryPlanner, normalize_request
+from repro.serve.planner import Query, normalize_request, plan_batch
 from repro.serve.snapshot import snapshot_from_dynamic
 
 __all__ = [
@@ -70,22 +70,23 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
+#: per-item work-unit charges of the bookkeeping stages (per arrival,
+#: per batched request, per distinct query probed), so admission
+#: control, planning and cache probes show up in latencies (and in
+#: SimProf) instead of being free
+ADMIT_COST = 1
+PLAN_COST = 2
+PROBE_COST = 1
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tunable knobs of the serving loop.
-
-    The ``*_cost`` fields are per-item work-unit charges for the
-    bookkeeping stages, so admission control and cache probes show up
-    in latencies (and in SimProf) instead of being free.
-    """
+    """Tunable knobs of the serving loop."""
 
     queue_capacity: int = 64
     max_batch: int = 16
     cache_capacity: int = 256
     share_passes: bool = True
-    admit_cost: int = 1
-    plan_cost: int = 2
-    probe_cost: int = 1
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
@@ -249,39 +250,27 @@ class ServiceReport:
 # ----------------------------------------------------------------------
 
 
-def _advance(
-    now: float, pool: SimulatedPool, cursor: int
-) -> tuple[float, int]:
-    """``(now, cursor)`` advanced past ``pool``'s regions from ``cursor``.
-
-    Regions are added one at a time: a pre-summed cost can differ from
-    that float sum in the last bit.
-    """
-    regions = pool.regions
-    for stats in regions[cursor:]:
-        now += stats.work_total + stats.atomic_ops
-    return now, len(regions)
-
-
 def replay_trace(
     trace: list[dict],
     report: ServiceReport,
     pool: SimulatedPool,
-    planner: QueryPlanner,
     config: ServiceConfig,
-    dispatch: Callable[[BatchPlan, float], tuple[dict, dict, float]],
+    dispatch: Callable[[dict[str, Query], float], tuple[dict, dict, float]],
     prefix: str = "serve",
 ) -> None:
     """Replay ``trace`` into ``report``: the one serving loop.
 
     Cycles admit -> plan (``{prefix}.admit``/``{prefix}.plan`` phases
-    on ``pool``) -> dispatch -> complete.  ``dispatch(plan, now)``
-    answers a batch starting at work-unit time ``now`` and returns
-    ``(answers, statuses, completion)`` keyed on fingerprint; a
-    fingerprint without an answer is recorded as ``"failed"``.  The
-    clock jumps to ``completion``, and the loop's region cursor skips
-    whatever the dispatch step ran on ``pool``: that work is already
-    in ``completion``, and every region is counted once.
+    on ``pool``) -> dispatch -> complete.  ``dispatch(queries, now)``
+    answers a batch's distinct queries (fingerprint -> :class:`Query`)
+    starting at work-unit time ``now`` and returns ``(answers,
+    statuses, completion)`` keyed on fingerprint; a fingerprint without
+    an answer is recorded as ``"failed"``.  The clock advances by the
+    work units of the loop's own regions
+    (:meth:`~repro.parallel.scheduler.SimulatedPool.work_since`) and
+    jumps to ``completion`` after a dispatch; the loop's region cursor
+    skips whatever the dispatch step ran on ``pool``: that work is
+    already in ``completion``, and every region is counted once.
     """
     pending: deque[tuple[int, float, dict]] = deque()
     last_arrival = float("-inf")
@@ -322,7 +311,7 @@ def replay_trace(
         if arrivals:
             with pool.phase(f"{prefix}.admit"):
                 with pool.serial_region(f"{prefix}:admit") as ctx:
-                    ctx.charge(config.admit_cost * len(arrivals))
+                    ctx.charge(ADMIT_COST * len(arrivals))
             for rid, arrival, entry in arrivals:
                 if len(queue) >= config.queue_capacity:
                     report.shed += 1
@@ -338,7 +327,8 @@ def replay_trace(
                     )
                 else:
                     queue.append((rid, arrival, entry))
-            now, cursor = _advance(now, pool, cursor)
+            now = pool.work_since(cursor, now)
+            cursor = pool.region_count
         if not queue:
             continue
 
@@ -350,7 +340,7 @@ def replay_trace(
         normalized = []
         with pool.phase(f"{prefix}.plan"):
             with pool.serial_region(f"{prefix}:plan") as ctx:
-                ctx.charge(config.plan_cost * len(taken))
+                ctx.charge(PLAN_COST * len(taken))
         for rid, arrival, entry in taken:
             try:
                 query = normalize_request(entry, where=f"trace[{rid}]")
@@ -368,12 +358,12 @@ def replay_trace(
                 )
                 continue
             normalized.append((rid, arrival, query))
-        plan = planner.plan([(rid, q) for rid, _, q in normalized])
+        plan = plan_batch([(rid, q) for rid, _, q in normalized])
         report.coalesced += plan.coalesced
-        now, cursor = _advance(now, pool, cursor)
+        now = pool.work_since(cursor, now)
 
         # ---- dispatch -------------------------------------------------
-        answers, statuses, now = dispatch(plan, now)
+        answers, statuses, now = dispatch(plan.queries, now)
         cursor = pool.region_count
 
         # ---- complete -------------------------------------------------
@@ -444,7 +434,6 @@ class HCDService:
         self.name = name
         self.config = config or ServiceConfig()
         self.pool = pool or SimulatedPool(threads=threads)
-        self.planner = QueryPlanner()
         self.cache = ResultCache(self.config.cache_capacity)
         self.snapshot = catalog.open(name)
         self.executor = SnapshotExecutor(
@@ -473,13 +462,16 @@ class HCDService:
 
     # ------------------------------------------------------------------
 
-    def answer(self, plan) -> tuple[dict[str, QueryResult], dict[str, str]]:
-        """Answer one planned batch: cache probe, then execute misses.
+    def answer(
+        self, queries: dict[str, Query]
+    ) -> tuple[dict[str, QueryResult], dict[str, str]]:
+        """Answer distinct queries: cache probe, then execute misses.
 
-        This is the replica-side path — the cluster router plans and
-        routes, each replica answers its shard's sub-plan through this
-        method.  Returns ``(results, statuses)`` keyed on fingerprint;
-        a status is ``"hit"`` (result cache) or ``"ok"`` (executed).
+        ``queries`` maps fingerprint to :class:`Query`.  This is the
+        replica-side path — the cluster router plans and routes, each
+        replica answers its shard's queries through this method.
+        Returns ``(results, statuses)`` keyed on fingerprint; a status
+        is ``"hit"`` (result cache) or ``"ok"`` (executed).
         Answers depend only on the snapshot and the queries, never on
         batch composition, which is what makes sharded serving
         byte-identical to a single service.
@@ -487,26 +479,20 @@ class HCDService:
         pool = self.pool
         results: dict[str, QueryResult] = {}
         statuses: dict[str, str] = {}
-        if plan.is_empty():
+        if not queries:
             return results, statuses
         with pool.phase("serve.cache"):
             with pool.serial_region("serve:cache") as ctx:
-                ctx.charge(self.config.probe_cost * plan.distinct)
-        for fingerprint in list(plan.queries):
+                ctx.charge(PROBE_COST * len(queries))
+        for fingerprint in queries:
             cached = self.cache.get(self._cache_key(fingerprint))
             if cached is not None:
                 results[fingerprint] = cached
                 statuses[fingerprint] = "hit"
-        misses = {
-            fp: q for fp, q in plan.queries.items() if fp not in results
-        }
+        misses = {fp: q for fp, q in queries.items() if fp not in results}
         if misses:
-            miss_plan = self.planner.plan(
-                [(rid, q) for fp, q in misses.items()
-                 for rid in plan.requesters[fp][:1]]
-            )
             with pool.phase("serve.execute"):
-                computed = self.executor.execute(miss_plan)
+                computed = self.executor.execute(misses)
             for fingerprint, result in computed.items():
                 self.cache.put(self._cache_key(fingerprint), result)
                 results[fingerprint] = result
@@ -516,15 +502,14 @@ class HCDService:
     # ------------------------------------------------------------------
 
     def _dispatch(
-        self, plan: BatchPlan, now: float
+        self, queries: dict[str, Query], now: float
     ) -> tuple[dict[str, QueryResult], dict[str, str], float]:
         """The single-node dispatch step: :meth:`answer`, timed in work units."""
         cursor = self.pool.region_count
-        answers, statuses = self.answer(plan)
-        now, _ = _advance(now, self.pool, cursor)
-        return answers, statuses, now
+        answers, statuses = self.answer(queries)
+        return answers, statuses, self.pool.work_since(cursor, now)
 
-    def serve(self, trace: list[dict], refresh: bool = True) -> ServiceReport:
+    def serve(self, trace: list[dict]) -> ServiceReport:
         """Replay a request trace and report latencies and cache stats.
 
         ``trace`` entries are mappings with an ``arrival`` work-unit
@@ -532,16 +517,14 @@ class HCDService:
         :func:`~repro.serve.planner.normalize_request`.  Arrivals must
         be non-decreasing (:class:`WorkloadError` otherwise).  The loop
         is :func:`replay_trace`; this service's dispatch step is
-        :meth:`answer`.
+        :meth:`answer`.  It first moves to the catalog's latest version
+        (:meth:`refresh`).
         """
-        if refresh:
-            self.refresh()
+        self.refresh()
         report = ServiceReport(
             snapshot=self.snapshot.version_id, threads=self.pool.threads
         )
-        replay_trace(
-            trace, report, self.pool, self.planner, self.config, self._dispatch
-        )
+        replay_trace(trace, report, self.pool, self.config, self._dispatch)
         report.cache = self.cache.stats().as_dict()
         return report
 

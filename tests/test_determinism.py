@@ -106,11 +106,11 @@ def test_serve_batch_results_identical_across_thread_counts(tmp_path):
     on the work partition)."""
     from repro.serve import (
         HCDService,
-        QueryPlanner,
         SnapshotCatalog,
         SnapshotExecutor,
         build_snapshot,
         normalize_request,
+        plan_batch,
         synthetic_trace,
     )
 
@@ -125,7 +125,7 @@ def test_serve_batch_results_identical_across_thread_counts(tmp_path):
         {"kind": "best_k", "metric": "internal_density"},
         {"kind": "influential", "k": 2, "r": 3, "weights": "coreness"},
     ]
-    plan = QueryPlanner().plan(
+    plan = plan_batch(
         [(i, normalize_request(r)) for i, r in enumerate(requests)]
     )
     trace = synthetic_trace(48, seed=3)
@@ -135,7 +135,7 @@ def test_serve_batch_results_identical_across_thread_counts(tmp_path):
     for threads in THREADS:
         snapshot = catalog.open("det")
         executor = SnapshotExecutor(snapshot, SimulatedPool(threads=threads))
-        batch_results.append(executor.execute(plan))
+        batch_results.append(executor.execute(plan.queries))
         report = HCDService(catalog, "det", threads=threads).serve(trace)
         signature = report.as_dict()
         # the pool clock is the one legitimately thread-dependent field

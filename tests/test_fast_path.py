@@ -95,7 +95,7 @@ from repro.search.preprocessing import (
 from repro.search.primary_values import PrimaryValues
 from repro.search.result import best_finite_index
 from repro.serve.executor import SnapshotExecutor
-from repro.serve.planner import QueryPlanner, normalize_request
+from repro.serve.planner import normalize_request, plan_batch
 from repro.serve.snapshot import build_snapshot
 from repro.truss import truss_decomposition, truss_hierarchy
 from repro.unionfind.pivot import PivotUnionFind
@@ -1687,7 +1687,7 @@ SERVE_REQUESTS = (
 
 
 def _run_serve(graph, threads, observer, reference):
-    plan = QueryPlanner().plan(
+    plan = plan_batch(
         [(rid, normalize_request(dict(r))) for rid, r in enumerate(SERVE_REQUESTS)]
     )
 
@@ -1698,9 +1698,13 @@ def _run_serve(graph, threads, observer, reference):
                 mp.setattr(best_k, "bestk_type_a_contributions", _ref_contribute_a)
                 mp.setattr(SnapshotExecutor, "_score_fold", _ref_score_fold)
             executor = SnapshotExecutor(snapshot, pool)
-            results = executor.execute(plan)
+            results = executor.execute(plan.queries)
         answers = repr(sorted((fp, r.as_dict()) for fp, r in results.items()))
-        levels = [v.tobytes() for v in executor._level_values.values()]
+        levels = [
+            v.tobytes()
+            for (kind, _), v in executor._passes.items()
+            if kind == "best_k"
+        ]
         return answers, levels
 
     return _captured_run(threads, observer, body)
@@ -1738,7 +1742,7 @@ def test_score_fold_hands_metrics_float64_fields(monkeypatch):
     )
     snapshot = build_snapshot(rmat(8, 4, seed=7), pool=SimulatedPool(2))
     executor = SnapshotExecutor(snapshot, SimulatedPool(threads=4))
-    values = executor._ensure_node_values(False)
+    values = executor._shared_pass(("pbks", False))
     scores, best = executor._score_fold(values, "probe", "serve:score:probe")
     assert seen == {np.float64}
     assert scores.tolist() == values[:, _N].tolist()

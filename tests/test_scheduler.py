@@ -302,6 +302,65 @@ class TestOrderedSums:
         assert geometric_mean([math.exp(x) for x in logs]) == 1.0
 
 
+class TestWorkSince:
+    """``work_since`` is a left fold of region work units from a cursor."""
+
+    @staticmethod
+    def _pool():
+        # fractional charges: the sum depends on the order of addition
+        pool = SimulatedPool(threads=3)
+        pool.parallel_for(
+            range(7), lambda v, ctx: ctx.charge(0.1 * (v + 1)), label="a"
+        )
+        with pool.serial_region("b") as ctx:
+            ctx.charge(1 / 3)
+            ctx.atomic(("x", 0))
+        pool.parallel_for(range(5), lambda v, ctx: ctx.atomic(("y", v % 2)), label="c")
+        with pool.serial_region("d") as ctx:
+            ctx.charge(2.7)
+        return pool
+
+    @staticmethod
+    def _fold(pool, cursor, start):
+        for stats in pool.regions[cursor:]:
+            start += stats.work_total + stats.atomic_ops
+        return start
+
+    @pytest.mark.parametrize("cursor", [0, 1, 2, 4])
+    @pytest.mark.parametrize("start", [0.0, 0.1, 12345.678])
+    def test_equals_per_region_left_fold(self, cursor, start):
+        pool = self._pool()
+        assert pool.work_since(cursor, start) == self._fold(pool, cursor, start)
+
+    def test_cursor_in_the_middle_counts_only_later_regions(self):
+        pool = self._pool()
+        cursor = pool.region_count
+        assert pool.work_since(cursor, 0.7) == 0.7
+        with pool.serial_region("e") as ctx:
+            ctx.charge(0.2)
+        assert pool.work_since(cursor, 0.7) == 0.7 + 0.2
+
+    def test_aliased_router_and_replica_count_each_region_once(self):
+        # the router's replay loop and a replica share one pool: the
+        # replica's regions enter the dispatch cost once, and the loop's
+        # cursor, retaken after the dispatch, skips them
+        pool = SimulatedPool(threads=2)
+        with pool.serial_region("router:admit") as ctx:
+            ctx.charge(1.5)
+        now = pool.work_since(0, 0.25)
+        replica_cursor = pool.region_count
+        pool.parallel_for(
+            range(4), lambda v, ctx: ctx.charge(0.3), label="replica:answer"
+        )
+        now += pool.work_since(replica_cursor, 0.0)
+        router_cursor = pool.region_count
+        with pool.serial_region("router:plan") as ctx:
+            ctx.charge(2.2)
+        now = pool.work_since(router_cursor, now)
+        admit, answer, plan = (r.work_total for r in pool.regions)
+        assert now == ((0.25 + admit) + (0.0 + answer)) + plan
+
+
 class TestParallelSlices:
     """One worker call per virtual thread, the same region record."""
 

@@ -22,7 +22,6 @@ from repro.search.pbks import pbks_search
 from repro.serve import (
     DynamicServingFeed,
     HCDService,
-    QueryPlanner,
     ResultCache,
     ServiceConfig,
     Snapshot,
@@ -31,9 +30,11 @@ from repro.serve import (
     build_snapshot,
     load_trace,
     normalize_request,
+    plan_batch,
     save_trace,
     synthetic_trace,
 )
+from repro.serve.catalog import KEEP_VERSIONS
 from repro.serve.snapshot import ARRAY_KEYS, ARRAYS_FILE, MANIFEST_FILE
 
 
@@ -445,30 +446,10 @@ class TestPlanner:
 
     def test_plan_coalesces_identical_queries(self):
         q = normalize_request({"kind": "pbks", "metric": "average_degree"})
-        plan = QueryPlanner().plan([(0, q), (1, q), (2, q)])
+        plan = plan_batch([(0, q), (1, q), (2, q)])
         assert plan.distinct == 1
         assert plan.coalesced == 2
         assert plan.requesters[q.fingerprint] == [0, 1, 2]
-
-    def test_plan_groups_by_shared_pass(self):
-        reqs = [
-            {"kind": "pbks", "metric": "average_degree"},
-            {"kind": "pbks", "metric": "clustering_coefficient"},
-            {"kind": "best_k", "metric": "average_degree"},
-            {"kind": "influential", "k": 2, "r": 1, "weights": "degree"},
-            {"kind": "influential", "k": 3, "r": 2, "weights": "degree"},
-        ]
-        plan = QueryPlanner().plan(
-            [(i, normalize_request(r)) for i, r in enumerate(reqs)]
-        )
-        assert plan.node_metrics == [
-            "average_degree",
-            "clustering_coefficient",
-        ]
-        assert plan.node_need_b  # clustering_coefficient is type B
-        assert plan.level_metrics == ["average_degree"]
-        assert not plan.level_need_b
-        assert plan.influential == {"degree": [(2, 1), (3, 2)]}
 
 
 # ----------------------------------------------------------------------
@@ -540,17 +521,68 @@ class TestExecutor:
             (1, normalize_request({"kind": "pbks", "metric": "internal_density"})),
             (2, normalize_request({"kind": "best_k", "metric": "average_degree"})),
         ]
-        plan = QueryPlanner().plan(reqs)
+        plan = plan_batch(reqs)
         shared_pool = SimulatedPool(threads=4)
         baseline_pool = SimulatedPool(threads=4)
         shared = SnapshotExecutor(snapshot, shared_pool, share_passes=True)
         baseline = SnapshotExecutor(
             snapshot, baseline_pool, share_passes=False
         )
-        r_shared = shared.execute(plan)
-        r_base = baseline.execute(plan)
+        r_shared = shared.execute(plan.queries)
+        r_base = baseline.execute(plan.queries)
         assert r_shared == r_base
         assert shared_pool.clock < baseline_pool.clock
+
+    def test_execute_runs_each_shared_pass_once(self, snapshot, monkeypatch):
+        # the node pass runs once, with the type-B columns because one
+        # pbks metric is type B, and the type-A pbks query reuses it;
+        # the level pass runs without them (type-A best-k only); one
+        # influence index per weight spec, in first-appearance order
+        from repro.serve import executor as executor_module
+
+        calls = []
+        for name in (
+            "pbks_node_values",
+            "compute_level_values",
+            "InfluentialCommunityIndex",
+        ):
+            real = getattr(executor_module, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append((_name, kwargs.get("need_type_b")))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(executor_module, name, spy)
+        reqs = [
+            {"kind": "influential", "k": 2, "r": 1, "weights": "uniform"},
+            {"kind": "pbks", "metric": "average_degree"},
+            {"kind": "best_k", "metric": "average_degree"},
+            {"kind": "pbks", "metric": "clustering_coefficient"},
+            {"kind": "influential", "k": 2, "r": 1, "weights": "degree"},
+            {"kind": "influential", "k": 3, "r": 2, "weights": "uniform"},
+        ]
+        plan = plan_batch(
+            [(i, normalize_request(r)) for i, r in enumerate(reqs)]
+        )
+        executor = SnapshotExecutor(snapshot, SimulatedPool(threads=4))
+        results = executor.execute(plan.queries)
+        assert calls == [
+            ("pbks_node_values", True),
+            ("compute_level_values", False),
+            ("InfluentialCommunityIndex", None),
+            ("InfluentialCommunityIndex", None),
+        ]
+        assert list(executor._passes) == [
+            ("pbks", True),
+            ("best_k", False),
+            ("influential", "uniform"),
+            ("influential", "degree"),
+        ]
+        assert list(results) == list(plan.queries)
+        unshared = SnapshotExecutor(
+            snapshot, SimulatedPool(threads=4), share_passes=False
+        )
+        assert results == unshared.execute(plan.queries)
 
     def test_type_a_reuses_type_b_matrix(self, snapshot):
         pool = SimulatedPool(threads=2)
@@ -814,6 +846,40 @@ class TestDynamicFeed:
         # same version again -> now it hits
         third = service.serve([dict(entry)])
         assert third.hits == 1
+
+    def test_feed_catalog_keeps_newest_versions(self, tmp_path):
+        dyn = DynamicGraph(_graph())
+        cat = SnapshotCatalog(tmp_path)
+        feed = DynamicServingFeed(dyn, cat, name="live", threads=2)
+        feed.publish()
+        # a crashed publish: an old manifest-less v-directory, which
+        # never counts as published and is left in place
+        crashed = cat.path("live", 2)
+        crashed.mkdir()
+        (crashed / ARRAYS_FILE).write_bytes(b"partial")
+        rounds = KEEP_VERSIONS + 3
+        for _ in range(rounds):
+            # a stale stage directory, swept by the next publish
+            (tmp_path / "live" / ".stage-v99999999").mkdir(exist_ok=True)
+            u, v = self._absent_edge(dyn)
+            feed.insert_edge(u, v)
+        latest = rounds + 2  # v2 was taken by the crashed directory
+        assert cat.versions("live") == list(
+            range(latest - KEEP_VERSIONS + 1, latest + 1)
+        )
+        entries = sorted(p.name for p in (tmp_path / "live").iterdir())
+        assert entries == ["v00000002"] + [
+            f"v{version:08d}" for version in cat.versions("live")
+        ]
+        snap = cat.open("live")
+        assert snap.version == latest
+        assert np.array_equal(
+            snap.coreness, core_decomposition(dyn.to_graph())
+        )
+        oldest = latest - KEEP_VERSIONS + 1
+        assert cat.open("live", oldest).version == oldest
+        with pytest.raises(SnapshotError, match="no version"):
+            cat.open("live", oldest - 1)
 
     @staticmethod
     def _absent_edge(dyn):
