@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test sanitize profile bench-analysis serve-bench bench-dynamic bench-cluster bench-e2e construct-layers cluster-layers serve-layers dynamic-layers sanitize-reports
+.PHONY: check test sanitize profile bench-analysis serve-bench bench-dynamic bench-cluster bench-e2e construct-layers cluster-layers serve-layers dynamic-layers sanitize-reports profile-reports
 
 ## check: the CI gate — tests, the sanitize gate, profiler selftest, analysis + serve + dynamic + cluster benches, end-to-end benchmark self-test
 check: test sanitize profile bench-analysis serve-bench bench-dynamic bench-cluster bench-e2e
@@ -14,12 +14,21 @@ sanitize:
 	$(PYTHON) -m repro sanitize
 
 ## sanitize-reports: write the sanitize --report JSON to OUT/sanitize.json (default OUT sanitize-reports), checkout root stripped, and its exit code to OUT/exit_codes.txt; `diff -r` two trees' outputs to check an analyzer refactor
-OUT ?= sanitize-reports
+sanitize-reports: OUT ?= sanitize-reports
 sanitize-reports:
 	@mkdir -p $(OUT); \
 	$(PYTHON) -m repro sanitize --report $(OUT)/sanitize.json > /dev/null; \
 	echo "sanitize $$?" > $(OUT)/exit_codes.txt; \
 	sed -i 's|$(CURDIR)/||g' $(OUT)/sanitize.json; cat $(OUT)/exit_codes.txt
+
+## profile-reports: write `repro profile --dataset AS --threads 8` (profile.json, trace.json) and `repro cluster --dataset AS --shards 4 --serve 64 --build --json` (cluster.json, catalog in a temporary directory) to OUT (default profile-reports); `diff -r` two trees' outputs to check a cost-model refactor
+profile-reports: OUT ?= profile-reports
+profile-reports:
+	@mkdir -p $(OUT); catalog=$$(mktemp -d); \
+	$(PYTHON) -m repro profile --dataset AS --threads 8 --out $(OUT) > /dev/null && \
+	$(PYTHON) -m repro cluster --dataset AS --shards 4 --serve 64 --build \
+		--catalog $$catalog --json $(OUT)/cluster.json > /dev/null; \
+	status=$$?; rm -rf $$catalog; ls $(OUT); exit $$status
 
 ## profile: SimProf zero-perturbation selftest
 profile:

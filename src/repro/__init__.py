@@ -31,7 +31,6 @@ from repro.core.phcd import phcd_build_hcd
 from repro.core.pkc import pkc_core_decomposition
 from repro.graph.builder import GraphBuilder
 from repro.graph.graph import Graph
-from repro.parallel.cost_model import CostModel
 from repro.parallel.scheduler import SimulatedPool
 from repro.pipeline import DecompositionResult, decompose, search_best_core
 from repro.dynamic.maintenance import DynamicGraph
@@ -54,7 +53,6 @@ __all__ = [
     "GraphBuilder",
     "HCD",
     "SimulatedPool",
-    "CostModel",
     "core_decomposition",
     "pkc_core_decomposition",
     "lcps_build_hcd",

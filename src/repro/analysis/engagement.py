@@ -33,27 +33,33 @@ __all__ = [
     "pearson_correlation",
 ]
 
+#: Engagement before the coreness, depth and noise terms.
+BASE_ENGAGEMENT = 2.0
+
+#: Engagement gained per unit of coreness.
+CORENESS_WEIGHT = 1.5
+
+#: Engagement gained per level of HCD depth.
+DEPTH_WEIGHT = 0.8
+
 
 def synthesize_engagement(
     coreness: np.ndarray,
     hcd: HCD | None = None,
-    base: float = 2.0,
-    coreness_weight: float = 1.5,
-    depth_weight: float = 0.8,
     noise: float = 1.0,
     seed: int = 0,
 ) -> np.ndarray:
     """Per-vertex synthetic engagement values.
 
-    ``engagement(v) = base + coreness_weight * c(v)
-    + depth_weight * depth(tid(v)) + Gaussian(0, noise)``, clipped at 0.
+    ``engagement(v) = BASE_ENGAGEMENT + CORENESS_WEIGHT * c(v)
+    + DEPTH_WEIGHT * depth(tid(v)) + Gaussian(0, noise)``, clipped at 0.
     """
     coreness = np.asarray(coreness, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    values = base + coreness_weight * coreness
+    values = BASE_ENGAGEMENT + CORENESS_WEIGHT * coreness
     if hcd is not None and hcd.num_nodes:
         depths = hcd.depths()
-        values = values + depth_weight * depths[hcd.tid].astype(np.float64)
+        values = values + DEPTH_WEIGHT * depths[hcd.tid].astype(np.float64)
     values = values + rng.normal(0.0, noise, size=coreness.size)
     return np.maximum(values, 0.0)
 

@@ -13,7 +13,7 @@ from repro.cluster.decomposition import (
     DistributedReport,
     distributed_core_decomposition,
 )
-from repro.cluster.network import Network, NetworkConfig, WIRE_COUNTERS
+from repro.cluster.network import Network, WIRE_COUNTERS
 from repro.cluster.node import LWW_FIELDS, METRIC_FIELDS, SimNode
 from repro.cluster.shard import (
     DIST_PARTITION,
@@ -27,7 +27,6 @@ __all__ = [
     "SuperstepRecord",
     "SimNode",
     "Network",
-    "NetworkConfig",
     "ShardedGraph",
     "ShardPart",
     "shard_graph",

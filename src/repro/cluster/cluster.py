@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.cluster.network import Network, NetworkConfig
+from repro.cluster.network import Network
 from repro.cluster.node import SimNode
 from repro.parallel.scheduler import SimulatedPool
 
@@ -65,7 +65,6 @@ class SimCluster:
         self,
         num_nodes: int,
         threads: int = 4,
-        network: NetworkConfig | None = None,
         pool: SimulatedPool | None = None,
     ) -> None:
         if num_nodes < 1:
@@ -73,7 +72,7 @@ class SimCluster:
         self.nodes = [
             SimNode(i, threads=threads, pool=pool) for i in range(num_nodes)
         ]
-        self.network = Network(num_nodes, network)
+        self.network = Network(num_nodes)
         self.compute_clock = 0.0
         self.comms_clock = 0.0
         self.supersteps: list[SuperstepRecord] = []
@@ -90,9 +89,6 @@ class SimCluster:
 
     def node(self, node_id: int) -> SimNode:
         return self.nodes[node_id]
-
-    def alive_nodes(self) -> list[SimNode]:
-        return [node for node in self.nodes if node.alive]
 
     # ------------------------------------------------------------------
     # fault injection

@@ -1,18 +1,16 @@
 """The simulated interconnect: a deterministic network cost model.
 
-Every message between two nodes is charged
+Every message between two distinct nodes is charged
 
-    ``latency * hops(src, dst) + nbytes * byte_cost``
+    ``LATENCY + nbytes * BYTE_COST``
 
 in the same simulated work units the pools charge, so communication
 and computation compose on one cluster clock (see
-:class:`~repro.cluster.cluster.SimCluster`).  ``hops`` depends on the
-configured topology:
-
-* ``"switch"`` — every pair of distinct nodes is one hop apart (a
-  non-blocking crossbar; the common datacenter abstraction);
-* ``"ring"`` — nodes sit on a cycle and a message pays the shorter
-  ring distance, which makes partition locality measurable.
+:class:`~repro.cluster.cluster.SimCluster`).  The topology is a switch:
+every pair of distinct nodes is one hop apart (a non-blocking crossbar;
+the common datacenter abstraction).  Like the pools' unit costs
+(:mod:`repro.parallel.cost_model`), the two charges are fixed
+constants.
 
 Sends where ``src == dst`` are local handoffs: free and not counted.
 The network keeps per-link message/byte counters so benchmarks can
@@ -23,11 +21,16 @@ it is purely deterministic — same sends, same totals, bit for bit.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
-__all__ = ["NetworkConfig", "Network", "WIRE_COUNTERS"]
+__all__ = ["Network", "WIRE_COUNTERS", "LATENCY", "BYTE_COST"]
 
-_TOPOLOGIES = ("switch", "ring")
+#: Charge of one message, on top of its bytes: roughly one short
+#: parallel region, deliberately expensive enough that a partitioning
+#: with a large edge cut shows up in the cluster clock.
+LATENCY = 500.0
+
+#: Charge per message byte: bandwidth of 8 bytes per work unit.
+BYTE_COST = 0.125
 
 #: The only fields the wire-accounting path (send/cost/reset) may
 #: write.  SimDist (SAN604) proves nothing else is mutated there, so
@@ -35,42 +38,13 @@ _TOPOLOGIES = ("switch", "ring")
 WIRE_COUNTERS = ("messages", "bytes_sent", "total_cost", "links")
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Tunable charges of the interconnect.
-
-    The defaults make one message cost roughly one short parallel
-    region (latency 500 work units) with bandwidth at 8 bytes per
-    work unit — deliberately expensive enough that a partitioning
-    with a large edge cut shows up in the cluster clock.
-    """
-
-    latency: float = 500.0
-    byte_cost: float = 0.125
-    topology: str = "switch"
-
-    def __post_init__(self) -> None:
-        if self.latency < 0:
-            raise ValueError("latency must be >= 0")
-        if self.byte_cost < 0:
-            raise ValueError("byte_cost must be >= 0")
-        if self.topology not in _TOPOLOGIES:
-            raise ValueError(
-                f"unknown topology {self.topology!r}; "
-                f"expected one of {_TOPOLOGIES}"
-            )
-
-
 class Network:
     """Message charges and counters between ``num_nodes`` endpoints."""
 
-    def __init__(
-        self, num_nodes: int, config: NetworkConfig | None = None
-    ) -> None:
+    def __init__(self, num_nodes: int) -> None:
         if num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
         self.num_nodes = int(num_nodes)
-        self.config = config or NetworkConfig()
         self.messages = 0
         self.bytes_sent = 0
         self.total_cost = 0.0
@@ -86,15 +60,8 @@ class Network:
         return node
 
     def hops(self, src: int, dst: int) -> int:
-        """Link distance between two endpoints under the topology."""
-        src = self._check_endpoint(src)
-        dst = self._check_endpoint(dst)
-        if src == dst:
-            return 0
-        if self.config.topology == "switch":
-            return 1
-        around = abs(src - dst)
-        return min(around, self.num_nodes - around)
+        """Link distance between two endpoints: 0 to itself, else 1."""
+        return int(self._check_endpoint(src) != self._check_endpoint(dst))
 
     def _check_nbytes(self, src: int, dst: int, nbytes: int) -> int:
         """Validate a message size, naming the offending site."""
@@ -120,10 +87,9 @@ class Network:
     def cost(self, src: int, dst: int, nbytes: int) -> float:
         """Charge for one message, without sending it."""
         nbytes = self._check_nbytes(src, dst, nbytes)
-        hops = self.hops(src, dst)
-        if hops == 0:
+        if self.hops(src, dst) == 0:
             return 0.0
-        return self.config.latency * hops + nbytes * self.config.byte_cost
+        return LATENCY + nbytes * BYTE_COST
 
     def send(self, src: int, dst: int, nbytes: int) -> float:
         """Charge and count one ``src -> dst`` message of ``nbytes``.
@@ -144,7 +110,7 @@ class Network:
         return charged
 
     def reset(self) -> None:
-        """Zero every counter (the configuration is kept)."""
+        """Zero every counter."""
         self.messages = 0
         self.bytes_sent = 0
         self.total_cost = 0.0
@@ -153,9 +119,9 @@ class Network:
     def stats(self) -> dict:
         """JSON-ready counter snapshot."""
         return {
-            "topology": self.config.topology,
-            "latency": self.config.latency,
-            "byte_cost": self.config.byte_cost,
+            "topology": "switch",
+            "latency": LATENCY,
+            "byte_cost": BYTE_COST,
             "messages": self.messages,
             "bytes": self.bytes_sent,
             "cost": self.total_cost,
@@ -168,6 +134,6 @@ class Network:
     def __repr__(self) -> str:
         return (
             f"Network(nodes={self.num_nodes}, "
-            f"topology={self.config.topology!r}, "
+            "topology='switch', "
             f"messages={self.messages}, bytes={self.bytes_sent})"
         )

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 
 from repro.cluster.cluster import SimCluster, SuperstepRecord
-from repro.cluster.network import NetworkConfig
 from repro.cluster.node import SimNode
 from repro.parallel.scheduler import SimulatedPool
 from repro.serve.cache import CacheStats
@@ -164,7 +163,6 @@ class ClusterService:
         config: ClusterServiceConfig | None = None,
         service_config: ServiceConfig | None = None,
         threads: int = 4,
-        network: NetworkConfig | None = None,
         pool: SimulatedPool | None = None,
     ) -> None:
         self.catalog = catalog
@@ -174,9 +172,7 @@ class ClusterService:
         total = self.config.num_shards * self.config.replicas
         # node ids 0..total-1 are replicas (shard-major); the extra
         # node is the router itself
-        self.cluster = SimCluster(
-            total + 1, threads=threads, network=network, pool=pool
-        )
+        self.cluster = SimCluster(total + 1, threads=threads, pool=pool)
         self.router = self.cluster.nodes[total]
         for node in self.cluster.nodes[:total]:
             node.service = HCDService(

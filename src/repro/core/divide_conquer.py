@@ -32,6 +32,9 @@ from repro.parallel.scheduler import SimulatedPool
 
 __all__ = ["DncResult", "dnc_build_hcd"]
 
+#: Label-propagation rounds of the partitioning step.
+PARTITION_ITERATIONS = 5
+
 
 @dataclass
 class DncResult:
@@ -53,7 +56,6 @@ def dnc_build_hcd(
     coreness: np.ndarray,
     pool: SimulatedPool,
     num_parts: int | None = None,
-    partition_iterations: int = 5,
 ) -> DncResult:
     """Run the divide-and-conquer paradigm end to end on ``pool``.
 
@@ -68,7 +70,7 @@ def dnc_build_hcd(
     # Step 2: partition.
     mark = pool.mark()
     labels = label_propagation_partition(
-        graph, parts, pool, iterations=partition_iterations
+        graph, parts, pool, iterations=PARTITION_ITERATIONS
     )
     partition_time = pool.elapsed_since(mark)
 

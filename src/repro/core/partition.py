@@ -19,19 +19,22 @@ from repro.parallel.scheduler import SimulatedPool
 
 __all__ = ["label_propagation_partition"]
 
+#: A vertex may not move into a part already holding this many times
+#: the ideal ``n / num_parts`` vertices.
+BALANCE_SLACK = 1.10
+
 
 def label_propagation_partition(
     graph: Graph,
     num_parts: int,
     pool: SimulatedPool,
     iterations: int = 10,
-    balance_slack: float = 1.10,
 ) -> np.ndarray:
     """Partition vertices into ``num_parts`` labels via label propagation.
 
     Each iteration every vertex adopts the label most common among its
-    neighbors, unless the target part is over ``balance_slack`` times
-    the ideal size.  Returns the final label array.
+    neighbors, unless the target part is over :data:`BALANCE_SLACK`
+    times the ideal size.  Returns the final label array.
     """
     n = graph.num_vertices
     if num_parts < 1:
@@ -39,7 +42,7 @@ def label_propagation_partition(
     labels = (np.arange(n, dtype=np.int64) * num_parts) // max(n, 1)
     if n == 0 or num_parts == 1:
         return labels
-    capacity = int(balance_slack * n / num_parts) + 1
+    capacity = int(BALANCE_SLACK * n / num_parts) + 1
     indptr, indices = graph.indptr, graph.indices
     sizes = np.bincount(labels, minlength=num_parts)
 

@@ -34,6 +34,9 @@ from repro.graph.graph import Graph, row_offsets
 
 __all__ = ["DynamicCSR"]
 
+#: fractional headroom granted to every row on layout and compaction
+_SLACK = 0.25
+
 #: minimum slack capacity granted to any row
 _MIN_CAP = 4
 
@@ -73,15 +76,15 @@ class DynamicCSR:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_graph(cls, graph: Graph, slack: float = 0.25) -> "DynamicCSR":
+    def from_graph(cls, graph: Graph) -> "DynamicCSR":
         """Lay out a graph's rows consecutively with per-row slack.
 
-        ``slack`` is the fractional headroom per row (at least
+        Each row gets :data:`_SLACK` fractional headroom (at least
         :data:`_MIN_CAP` slots), so a burst of insertions rarely forces
         relocation right away.
         """
         degs = graph.degrees().astype(np.int64)
-        caps = degs + np.maximum((degs * slack).astype(np.int64), _MIN_CAP)
+        caps = degs + np.maximum((degs * _SLACK).astype(np.int64), _MIN_CAP)
         starts = np.concatenate([[0], np.cumsum(caps)[:-1]]).astype(np.int64)
         tail = int(caps.sum())
         buf = np.zeros(max(tail, 1), dtype=np.int64)
@@ -227,10 +230,10 @@ class DynamicCSR:
         if self._dead > _DEAD_FRACTION * self._buf.size:
             self.compact()
 
-    def compact(self, slack: float = 0.25) -> None:
+    def compact(self) -> None:
         """Rebuild the buffer with fresh per-row slack, dropping dead space."""
         degs = self._lens
-        caps = degs + np.maximum((degs * slack).astype(np.int64), _MIN_CAP)
+        caps = degs + np.maximum((degs * _SLACK).astype(np.int64), _MIN_CAP)
         starts = np.concatenate([[0], np.cumsum(caps)[:-1]]).astype(np.int64)
         tail = int(caps.sum())
         buf = np.zeros(max(tail, 1), dtype=np.int64)

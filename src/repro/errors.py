@@ -42,10 +42,6 @@ class UnknownDatasetError(ReproError, KeyError):
     """A dataset stand-in name is not present in the registry."""
 
 
-class SearchError(ReproError):
-    """A subgraph-search computation received invalid input."""
-
-
 class ServeError(ReproError):
     """The HCDServe serving layer was misused or hit an invalid state."""
 

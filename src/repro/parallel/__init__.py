@@ -7,15 +7,12 @@ from repro.parallel.accumulate import (
 )
 from repro.parallel.atomics import AtomicArray, AtomicCounter, AtomicList, AtomicSet
 from repro.parallel.context import ThreadContext
-from repro.parallel.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.parallel.scheduler import RegionStats, SimulatedPool
 
 __all__ = [
     "SimulatedPool",
     "RegionStats",
     "ThreadContext",
-    "CostModel",
-    "DEFAULT_COST_MODEL",
     "AtomicCounter",
     "AtomicArray",
     "AtomicSet",

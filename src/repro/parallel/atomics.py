@@ -39,6 +39,7 @@ from repro.parallel.context import (
     ThreadContext,
     native,
 )
+from repro.parallel.cost_model import FIND_CHARGE
 
 __all__ = ["AtomicCounter", "AtomicArray", "AtomicSet", "AtomicList", "PROBE_CHARGE"]
 
@@ -367,7 +368,7 @@ class AtomicSet:
         the calls made.  Unobserved, the pivots come from one uncharged
         ``uf.pivots`` call over the concatenated rows (the same finds in
         the same order) and the addends are replayed on one local in
-        per-element order: 1, then per ``y`` ``scan``, ``uf.FIND_CHARGE``,
+        per-element order: 1, then per ``y`` ``scan``, :data:`FIND_CHARGE`,
         :data:`PROBE_CHARGE` and the bucket CAS of a new pivot, stored
         back once (:meth:`ThreadContext.commit_row`).
         """
@@ -380,7 +381,6 @@ class AtomicSet:
                         self.add_if_absent(ctx, uf.get_pivot(y, ctx))
             return
         pivots = iter(uf.pivots([y for row in rows for y in row], level, floor))
-        find = uf.FIND_CHARGE
         items, name, buckets = self._items, self._name, self._buckets
         contended = []
         work = ctx.work
@@ -390,7 +390,7 @@ class AtomicSet:
                 work += scan
                 if level[y] >= floor:
                     pvt = next(pivots)
-                    work += find
+                    work += FIND_CHARGE
                     work += PROBE_CHARGE
                     if pvt not in items:
                         work += 1

@@ -60,7 +60,7 @@ Event kinds are small ints so hot paths append plain tuples:
 
 from __future__ import annotations
 
-from repro.parallel.cost_model import CostModel
+from repro.parallel.cost_model import ATOMIC_COST, OP_COST
 
 __all__ = [
     "ThreadContext",
@@ -115,18 +115,16 @@ class ThreadContext:
         "thread_id",
         "work",
         "atomic_ops",
-        "_cost",
         "_atomic_locations",
         "_events",
         "_memcheck",
         "observed",
     )
 
-    def __init__(self, thread_id: int, cost_model: CostModel) -> None:
+    def __init__(self, thread_id: int) -> None:
         self.thread_id = thread_id
         self.work = 0.0
         self.atomic_ops = 0
-        self._cost = cost_model
         #: location-key -> number of atomic ops by this thread
         self._atomic_locations: dict[object, int] = {}
         #: memory-access event stream (None = recording disabled)
@@ -381,10 +379,7 @@ class ThreadContext:
     @property
     def local_time(self) -> float:
         """Simulated time of this thread, excluding contention effects."""
-        return (
-            self.work * self._cost.op_cost
-            + self.atomic_ops * self._cost.atomic_cost
-        )
+        return self.work * OP_COST + self.atomic_ops * ATOMIC_COST
 
     @property
     def atomic_locations(self) -> dict[object, int]:

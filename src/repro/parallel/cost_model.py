@@ -4,26 +4,34 @@ The paper benchmarks C++/OpenMP code on a 40-core Xeon.  This machine
 has one core and CPython's GIL, so wall-clock speedups are not
 observable; instead every algorithm *charges* its abstract operations
 (array reads/writes, union-find ops, atomic updates) to a
-:class:`CostModel`, and :class:`~repro.parallel.scheduler.SimulatedPool`
-converts per-thread charges into a simulated elapsed time:
+:class:`~repro.parallel.context.ThreadContext`, and
+:class:`~repro.parallel.scheduler.SimulatedPool` converts per-thread
+charges into a simulated elapsed time:
 
-``region_time = max(per-thread work) * op_cost
+``region_time = max(per-thread work * OP_COST + atomics * ATOMIC_COST)
               + contention penalty on shared atomic locations
-              + spawn_cost * threads + barrier_cost``
+              + SPAWN_COST * threads + BARRIER_COST``
 
 The constants below are fixed once for the whole repository (they are
-*not* fitted per dataset or per experiment); DESIGN.md Section 5
-describes the calibration.  The per-dataset and per-algorithm variation
-in every reproduced table comes from real operation counts of real
-algorithm executions.
+*not* fitted per dataset or per experiment, and no caller can set
+them); DESIGN.md Section 5 describes the calibration.  The per-dataset
+and per-algorithm variation in every reproduced table comes from real
+operation counts of real algorithm executions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-__all__ = ["CostModel", "DEFAULT_COST_MODEL", "ordered_sum"]
+__all__ = [
+    "OP_COST",
+    "ATOMIC_COST",
+    "CONTENDED_ATOMIC_COST",
+    "SPAWN_COST",
+    "BARRIER_COST",
+    "FIND_CHARGE",
+    "ordered_sum",
+]
 
 
 def ordered_sum(values: Iterable[float]) -> float:
@@ -41,44 +49,28 @@ def ordered_sum(values: Iterable[float]) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Constants converting operation charges to simulated nanoseconds.
+#: Simulated time per charged unit of ordinary work (one array access,
+#: comparison or pointer chase).
+OP_COST = 1.0
 
-    Attributes
-    ----------
-    op_cost:
-        Simulated time per charged unit of ordinary work (one array
-        access / comparison / pointer chase).
-    atomic_cost:
-        Surcharge per atomic operation (uncontended CAS / fetch-add),
-        on top of its ``op_cost`` charge.
-    contended_atomic_cost:
-        Serialized cost per atomic operation that loses the cache line
-        to another thread; added to the region's critical path.
-    spawn_cost:
-        Per-thread cost of launching work in a parallel region (OpenMP
-        fork overhead).
-    barrier_cost:
-        Cost of the implicit barrier closing each parallel region.
-    """
+#: Surcharge per atomic operation (uncontended CAS / fetch-add), on top
+#: of its ``OP_COST`` charge.
+ATOMIC_COST = 2.0
 
-    op_cost: float = 1.0
-    atomic_cost: float = 2.0
-    contended_atomic_cost: float = 8.0
-    spawn_cost: float = 0.5
-    barrier_cost: float = 25.0
+#: Serialized cost per atomic operation that loses the cache line to
+#: another thread; added to the region's critical path.
+CONTENDED_ATOMIC_COST = 8.0
 
-    def scaled(self, factor: float) -> "CostModel":
-        """A copy with every constant multiplied by ``factor``."""
-        return CostModel(
-            op_cost=self.op_cost * factor,
-            atomic_cost=self.atomic_cost * factor,
-            contended_atomic_cost=self.contended_atomic_cost * factor,
-            spawn_cost=self.spawn_cost * factor,
-            barrier_cost=self.barrier_cost * factor,
-        )
+#: Per-thread cost of launching work in a parallel region (OpenMP fork
+#: overhead).
+SPAWN_COST = 0.5
 
+#: Cost of the implicit barrier closing each parallel region.
+BARRIER_COST = 25.0
 
-#: The calibration used by every benchmark in this repository.
-DEFAULT_COST_MODEL = CostModel()
+#: Work units of one union-find ``find``: path compression keeps the
+#: hop count near-constant, so every find charges this flat amortized
+#: rate (:mod:`repro.unionfind`, and :meth:`AtomicSet.add_pivots
+#: <repro.parallel.atomics.AtomicSet.add_pivots>`, which calls
+#: ``get_pivot`` once per scanned neighbor).
+FIND_CHARGE = 0.3

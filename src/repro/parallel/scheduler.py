@@ -25,12 +25,44 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from repro.errors import SchedulerError
 from repro.parallel.context import ThreadContext
-from repro.parallel.cost_model import DEFAULT_COST_MODEL, CostModel, ordered_sum
+from repro.parallel.cost_model import (
+    BARRIER_COST,
+    CONTENDED_ATOMIC_COST,
+    SPAWN_COST,
+    ordered_sum,
+)
 
-__all__ = ["SimulatedPool", "RegionStats"]
+__all__ = ["SimulatedPool", "RegionStats", "contended_locations"]
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+def contended_locations(
+    contexts: Sequence[ThreadContext],
+) -> dict[object, tuple[int, int]]:
+    """Per-location ``(ops, queued)`` of a region's queueing atomics.
+
+    For each location, the ops issued beyond the single busiest
+    thread's share must queue behind it; each queued op costs
+    ``CONTENDED_ATOMIC_COST`` on the region's critical path.  Only a
+    location hit by more than one thread queues, so the map holds
+    exactly the locations with ``queued > 0``.
+    """
+    if len(contexts) <= 1:
+        return {}
+    totals: dict[object, int] = {}
+    maxima: dict[object, int] = {}
+    for ctx in contexts:
+        for loc, ops in ctx.atomic_locations.items():
+            totals[loc] = totals.get(loc, 0) + ops
+            if ops > maxima.get(loc, 0):
+                maxima[loc] = ops
+    return {
+        loc: (total, total - maxima[loc])
+        for loc, total in totals.items()
+        if total > maxima[loc]
+    }
 
 
 class RegionStats:
@@ -85,19 +117,15 @@ class SimulatedPool:
     threads:
         Number of virtual threads; 1 reproduces serial execution (plus
         region overheads, as a real 1-thread OpenMP run would pay).
-    cost_model:
-        Constants converting charges to simulated time.
+
+    The constants converting charges to simulated time are fixed in
+    :mod:`repro.parallel.cost_model`.
     """
 
-    def __init__(
-        self,
-        threads: int = 1,
-        cost_model: CostModel | None = None,
-    ) -> None:
+    def __init__(self, threads: int = 1) -> None:
         if threads < 1:
             raise SchedulerError(f"threads must be >= 1, got {threads}")
         self.threads = int(threads)
-        self.cost_model = cost_model or DEFAULT_COST_MODEL
         self._clock = 0.0
         self._regions: list[RegionStats] = []
         self._in_region = False
@@ -313,9 +341,7 @@ class SimulatedPool:
         if chunking not in ("static", "dynamic"):
             raise SchedulerError(f"unknown chunking {chunking!r}")
         count = len(items)
-        contexts = [
-            ThreadContext(t, self.cost_model) for t in range(self.threads)
-        ]
+        contexts = [ThreadContext(t) for t in range(self.threads)]
         if chunking == "static":
             slices = [items[r.start : r.stop] for r in self.partition(count)]
         else:
@@ -347,17 +373,13 @@ class SimulatedPool:
         self, label: str, items: int, contexts: list[ThreadContext]
     ) -> None:
         """Fold per-thread charges into a region record and the clock."""
-        cost = self.cost_model
         work_total = ordered_sum(ctx.work for ctx in contexts)
         work_max = max(ctx.work for ctx in contexts)
         atomic_ops = sum(ctx.atomic_ops for ctx in contexts)
         local_max = max(ctx.local_time for ctx in contexts)
         penalty = self._contention_penalty(contexts)
         elapsed = (
-            local_max
-            + penalty
-            + cost.spawn_cost * self.threads
-            + cost.barrier_cost
+            local_max + penalty + SPAWN_COST * self.threads + BARRIER_COST
         )
         self._clock += elapsed
         self._regions.append(
@@ -373,24 +395,13 @@ class SimulatedPool:
             )
         )
 
-    def _contention_penalty(self, contexts: list[ThreadContext]) -> float:
-        """Serialized time for atomics shared across threads.
-
-        For each location, the ops issued beyond the single busiest
-        thread's share must queue behind it; each queued op costs
-        ``contended_atomic_cost`` on the region's critical path.
-        """
-        if self.threads == 1:
-            return 0.0
-        totals: dict[object, int] = {}
-        maxima: dict[object, int] = {}
-        for ctx in contexts:
-            for loc, ops in ctx.atomic_locations.items():
-                totals[loc] = totals.get(loc, 0) + ops
-                if ops > maxima.get(loc, 0):
-                    maxima[loc] = ops
-        queued = sum(total - maxima[loc] for loc, total in totals.items())
-        return queued * self.cost_model.contended_atomic_cost
+    @staticmethod
+    def _contention_penalty(contexts: Sequence[ThreadContext]) -> float:
+        """Serialized time of the atomics queued across threads."""
+        queued = 0
+        for _, waiting in contended_locations(contexts).values():
+            queued += waiting
+        return queued * CONTENDED_ATOMIC_COST
 
     @contextmanager
     def serial_region(self, label: str = "serial") -> Iterator[ThreadContext]:
@@ -402,7 +413,7 @@ class SimulatedPool:
         """
         if self._in_region:
             raise SchedulerError("nested regions are not supported")
-        ctx = ThreadContext(0, self.cost_model)
+        ctx = ThreadContext(0)
         observer = self._observer
         if observer is not None:
             observer.on_region_begin(label, [ctx])

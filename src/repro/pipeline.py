@@ -23,7 +23,7 @@ from repro.core.phcd import phcd_build_hcd
 from repro.core.pkc import pkc_core_decomposition
 from repro.core.vertex_rank import VertexRankResult, compute_vertex_rank
 from repro.graph.graph import Graph
-from repro.parallel.cost_model import CostModel, ordered_sum
+from repro.parallel.cost_model import ordered_sum
 from repro.parallel.scheduler import SimulatedPool
 from repro.search.bks import bks_search
 from repro.search.pbks import pbks_search
@@ -54,7 +54,6 @@ class DecompositionResult:
 def decompose(
     graph: Graph,
     threads: int = 1,
-    cost_model: CostModel | None = None,
     parallel: bool | None = None,
     pool: SimulatedPool | None = None,
 ) -> DecompositionResult:
@@ -67,11 +66,11 @@ def decompose(
     (the paper's PHCD(1) serial-performance comparison).
 
     Pass ``pool`` to supply a pre-built pool — e.g. one with a SimProf
-    tracer or SimTSan observer already attached; ``threads`` and
-    ``cost_model`` are then ignored in favor of the pool's own.
+    tracer or SimTSan observer already attached; ``threads`` is then
+    ignored in favor of the pool's own.
     """
     if pool is None:
-        pool = SimulatedPool(threads=threads, cost_model=cost_model)
+        pool = SimulatedPool(threads=threads)
     else:
         threads = pool.threads
     if parallel is None:
@@ -109,7 +108,6 @@ def search_best_core(
     graph: Graph,
     metric: str,
     threads: int = 1,
-    cost_model: CostModel | None = None,
     parallel: bool | None = None,
     pool: SimulatedPool | None = None,
     deco: DecompositionResult | None = None,
@@ -128,8 +126,8 @@ def search_best_core(
     :class:`DecompositionResult` (a snapshot's
     :meth:`~repro.serve.snapshot.Snapshot.decomposition`) and only the
     search stage runs per call.  ``graph`` must be the decomposed
-    graph; ``threads``/``cost_model`` are ignored in favor of the
-    decomposition's own pool (or ``pool`` when also given).
+    graph; ``threads`` is ignored in favor of the decomposition's own
+    pool (or ``pool`` when also given).
     """
     if deco is not None:
         if deco.graph is not graph:
@@ -147,13 +145,7 @@ def search_best_core(
                 phase_times=dict(deco.phase_times),
             )
     else:
-        deco = decompose(
-            graph,
-            threads=threads,
-            cost_model=cost_model,
-            parallel=parallel,
-            pool=pool,
-        )
+        deco = decompose(graph, threads=threads, parallel=parallel, pool=pool)
     pool = deco.pool
     threads = pool.threads
     use_parallel = parallel if parallel is not None else threads > 1

@@ -20,7 +20,14 @@ browser at hand.
 
 from __future__ import annotations
 
-from repro.parallel.cost_model import ordered_sum
+from repro.parallel.cost_model import (
+    ATOMIC_COST,
+    BARRIER_COST,
+    CONTENDED_ATOMIC_COST,
+    OP_COST,
+    SPAWN_COST,
+    ordered_sum,
+)
 from repro.profiler.tracer import Span, SpanTracer
 
 __all__ = ["profile_report", "flame_summary", "phase_table"]
@@ -70,9 +77,7 @@ def _imbalance(thread_work: list[float]) -> float:
     return max(thread_work) * len(thread_work) / total
 
 
-def _finalize_phase(
-    path: str, agg: dict, contended_cost: float, top: int
-) -> dict:
+def _finalize_phase(path: str, agg: dict, top: int) -> dict:
     hot = sorted(
         agg["_locations"].items(),
         key=lambda kv: (-kv[1][1], -kv[1][0], repr(kv[0])),
@@ -91,7 +96,7 @@ def _finalize_phase(
                 "location": repr(loc),
                 "ops": ops,
                 "queued": queued,
-                "penalty": queued * contended_cost,
+                "penalty": queued * CONTENDED_ATOMIC_COST,
             }
             for loc, (ops, queued) in hot
         ],
@@ -110,7 +115,6 @@ def profile_report(
     pool clock (up to float associativity; the bitwise-exact check is
     ``totals.region_elapsed_sum``).
     """
-    contended_cost = pool.cost_model.contended_atomic_cost
     phases: dict[str, dict] = {}
     order: list[str] = []
 
@@ -137,11 +141,11 @@ def profile_report(
         "threads": pool.threads,
         "clock": pool.clock,
         "cost_model": {
-            "op_cost": pool.cost_model.op_cost,
-            "atomic_cost": pool.cost_model.atomic_cost,
-            "contended_atomic_cost": contended_cost,
-            "spawn_cost": pool.cost_model.spawn_cost,
-            "barrier_cost": pool.cost_model.barrier_cost,
+            "op_cost": OP_COST,
+            "atomic_cost": ATOMIC_COST,
+            "contended_atomic_cost": CONTENDED_ATOMIC_COST,
+            "spawn_cost": SPAWN_COST,
+            "barrier_cost": BARRIER_COST,
         },
         "totals": {
             "region_elapsed_sum": tracer.total_elapsed(),
@@ -151,7 +155,7 @@ def profile_report(
             "imbalance": _imbalance(totals["thread_work"]),
         },
         "phases": [
-            _finalize_phase(path, phases[path], contended_cost, top)
+            _finalize_phase(path, phases[path], top)
             for path in order
         ],
         "spans": [root.to_dict() for root in tracer.roots],

@@ -33,6 +33,8 @@ Attaching or detaching it therefore changes ``pool.clock`` by exactly
 from __future__ import annotations
 
 from repro.parallel.context import ThreadContext
+from repro.parallel.cost_model import BARRIER_COST, SPAWN_COST
+from repro.parallel.scheduler import contended_locations
 
 __all__ = ["Span", "SpanTracer"]
 
@@ -271,12 +273,11 @@ class SpanTracer:
         span.atomic_ops = int(stats.atomic_ops)
         span.thread_work = [float(ctx.work) for ctx in contexts]
         span.thread_time = [float(ctx.local_time) for ctx in contexts]
-        cost = pool.cost_model
         if stats.kind == "serial":
             spawn = barrier = 0.0
         else:
-            spawn = cost.spawn_cost * stats.threads
-            barrier = cost.barrier_cost
+            spawn = SPAWN_COST * stats.threads
+            barrier = BARRIER_COST
         contention = float(stats.contention_penalty)
         span.costs = {
             "work": stats.elapsed - spawn - barrier - contention,
@@ -284,37 +285,10 @@ class SpanTracer:
             "barrier": barrier,
             "contention": contention,
         }
-        span.contention = self._contended_locations(contexts)
+        span.contention = contended_locations(contexts)
         self._open(span)
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _contended_locations(
-        contexts: list[ThreadContext],
-    ) -> dict[object, tuple[int, int]]:
-        """Per-location ``(ops, queued)`` over the region's contexts.
-
-        Mirrors the scheduler's contention formula: ops beyond the
-        busiest thread's share queue on the critical path.  Locations
-        touched by a single thread never queue and are omitted.
-        """
-        if len(contexts) <= 1:
-            return {}
-        totals: dict[object, int] = {}
-        maxima: dict[object, int] = {}
-        hit_by: dict[object, int] = {}
-        for ctx in contexts:
-            for loc, ops in ctx.atomic_locations.items():
-                totals[loc] = totals.get(loc, 0) + ops
-                hit_by[loc] = hit_by.get(loc, 0) + 1
-                if ops > maxima.get(loc, 0):
-                    maxima[loc] = ops
-        return {
-            loc: (total, total - maxima[loc])
-            for loc, total in totals.items()
-            if hit_by[loc] > 1
-        }
 
     def _clock(self) -> float:
         return self._pool.clock if self._pool is not None else 0.0

@@ -239,10 +239,6 @@ class RaceDetector:
             return True
         return False
 
-    @property
-    def race_count(self) -> int:
-        return len(self.races)
-
     def summary(self) -> str:
         """One-line human summary of the watch."""
         return (

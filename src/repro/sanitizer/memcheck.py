@@ -480,10 +480,6 @@ class MemChecker:
             )
         )
 
-    @property
-    def finding_count(self) -> int:
-        return len(self.findings)
-
     def summary(self) -> str:
         """One-line human summary of the watch."""
         return (

@@ -63,14 +63,8 @@ def _greedy_coloring_order(
     return ordered, colors
 
 
-def maximum_clique(graph: Graph, initial_bound: int = 0) -> np.ndarray:
-    """Vertices of a maximum clique (sorted ascending).
-
-    ``initial_bound`` seeds the incumbent size (e.g. from a heuristic)
-    to tighten pruning; the returned clique always has at least
-    ``max(initial_bound, 1)`` vertices if the graph is non-empty only
-    when such a clique exists — otherwise the true maximum is returned.
-    """
+def maximum_clique(graph: Graph) -> np.ndarray:
+    """Vertices of a maximum clique (sorted ascending)."""
     n = graph.num_vertices
     if n == 0:
         return np.empty(0, dtype=np.int64)
@@ -82,7 +76,7 @@ def maximum_clique(graph: Graph, initial_bound: int = 0) -> np.ndarray:
     ]
 
     best: list[int] = []
-    best_size = max(int(initial_bound), 0)
+    best_size = 0
 
     # Degeneracy order: process vertices by ascending coreness so each
     # root call only explores later, higher-core candidates.

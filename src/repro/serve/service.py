@@ -343,7 +343,7 @@ def replay_trace(
                 ctx.charge(PLAN_COST * len(taken))
         for rid, arrival, entry in taken:
             try:
-                query = normalize_request(entry, where=f"trace[{rid}]")
+                query = normalize_request(entry)
             except WorkloadError:
                 report.invalid += 1
                 report.records.append(

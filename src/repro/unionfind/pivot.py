@@ -17,7 +17,7 @@ word keys ``("ufp", name, slot)`` (parent links) and ``("ufpv", name,
 root)`` (pivots): in a concurrent union-find every one of these is a
 CAS or an atomic load, so cross-thread overlap is synchronized by
 construction.  The events ride on the existing flat charges
-(:data:`FIND_CHARGE`, the per-union atomic) via
+(:data:`~repro.parallel.cost_model.FIND_CHARGE`, the per-union atomic) via
 :meth:`~repro.parallel.context.ThreadContext.record`, so simulated
 timings are unchanged by recording.  The event keys are built only
 while ``ctx.observed`` is true; the charges never depend on it.
@@ -36,13 +36,9 @@ from repro.parallel.context import (
     EV_ATOMIC_WRITE,
     ThreadContext,
 )
+from repro.parallel.cost_model import FIND_CHARGE
 
-__all__ = ["PivotUnionFind", "FIND_CHARGE"]
-
-#: Work units charged per find: with path compression the amortized
-#: traversal is O(alpha(n)) hops over hot, cached parent slots — less
-#: than one full random access on average.
-FIND_CHARGE = 0.3
+__all__ = ["PivotUnionFind"]
 
 
 class PivotUnionFind:
@@ -57,10 +53,6 @@ class PivotUnionFind:
     """
 
     __slots__ = ("parent", "rank", "pivot", "_ranks", "_components", "_name")
-
-    #: Work units of one charged find, for row operations of other
-    #: structures that replay :meth:`get_pivot` on a local.
-    FIND_CHARGE = FIND_CHARGE
 
     def __init__(self, ranks: np.ndarray, name: str = "puf") -> None:
         size = int(np.asarray(ranks).size)

@@ -33,7 +33,7 @@ from repro.parallel.context import (
     EV_ATOMIC_WRITE,
     ThreadContext,
 )
-from repro.unionfind.pivot import FIND_CHARGE
+from repro.parallel.cost_model import FIND_CHARGE
 
 __all__ = ["SimulatedWaitFreeUnionFind"]
 
@@ -95,10 +95,6 @@ class SimulatedWaitFreeUnionFind:
         "cas_attempts",
         "_name",
     )
-
-    #: Work units of one charged find, for row operations of other
-    #: structures that replay :meth:`get_pivot` on a local.
-    FIND_CHARGE = FIND_CHARGE
 
     def __init__(
         self,

@@ -8,13 +8,12 @@ from repro.parallel import accumulate
 from repro.parallel.accumulate import tree_accumulate, tree_depths
 from repro.parallel.atomics import AtomicArray, AtomicCounter, AtomicList, AtomicSet
 from repro.parallel.context import ThreadContext
-from repro.parallel.cost_model import DEFAULT_COST_MODEL
 from repro.parallel.scheduler import SimulatedPool
 
 
 @pytest.fixture
 def ctx():
-    return ThreadContext(0, DEFAULT_COST_MODEL)
+    return ThreadContext(0)
 
 
 class TestAtomicCounter:

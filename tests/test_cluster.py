@@ -18,12 +18,12 @@ from repro.cluster import (
     ClusterService,
     ClusterServiceConfig,
     Network,
-    NetworkConfig,
     SimCluster,
     SimNode,
     distributed_core_decomposition,
     shard_graph,
 )
+from repro.cluster.network import BYTE_COST, LATENCY
 from repro.core.decomposition import core_decomposition
 from repro.core.distributed import mpm_core_decomposition
 from repro.graph.generators import powerlaw_cluster
@@ -52,20 +52,14 @@ class TestNetwork:
         assert net.hops(2, 1) == 1
         assert net.hops(1, 1) == 0
 
-    def test_ring_distance(self):
-        net = Network(6, NetworkConfig(topology="ring"))
-        assert net.hops(0, 1) == 1
-        assert net.hops(0, 3) == 3
-        assert net.hops(0, 5) == 1  # wraps around
-
     def test_cost_is_latency_plus_bytes(self):
-        net = Network(2, NetworkConfig(latency=100.0, byte_cost=0.5))
-        assert net.cost(0, 1, 40) == 100.0 + 20.0
+        net = Network(2)
+        assert net.cost(0, 1, 40) == LATENCY + 40 * BYTE_COST
 
     def test_send_counts_and_charges(self):
         net = Network(3)
         charged = net.send(0, 2, 80)
-        assert charged == net.config.latency + 80 * net.config.byte_cost
+        assert charged == LATENCY + 80 * BYTE_COST
         assert net.messages == 1
         assert net.bytes_sent == 80
         assert net.total_cost == charged
@@ -101,10 +95,6 @@ class TestNetwork:
         with pytest.raises(ValueError):
             net.hops(0, 5)
 
-    def test_bad_topology_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkConfig(topology="torus")
-
     def test_negative_nbytes_rejected(self):
         net = Network(2)
         with pytest.raises(ValueError, match=r"0->1.*>= 0"):
@@ -125,13 +115,6 @@ class TestNetwork:
         net = Network(2)
         net.send(0, 1, np.int64(8))
         assert net.bytes_sent == 8
-
-    def test_ring_and_switch_disagree_beyond_neighbors(self):
-        ring = Network(6, NetworkConfig(topology="ring"))
-        switch = Network(6)
-        assert switch.hops(0, 3) == 1
-        assert ring.hops(0, 3) == 3
-        assert ring.cost(0, 3, 0) == 3 * ring.config.latency
 
     def test_reset_stats_round_trip(self):
         net = Network(3)

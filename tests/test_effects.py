@@ -30,7 +30,6 @@ from repro.parallel.context import (
     EV_WRITE,
     ThreadContext,
 )
-from repro.parallel.cost_model import DEFAULT_COST_MODEL
 from repro.parallel.scheduler import SimulatedPool
 from repro.sanitizer import effects
 from repro.unionfind.pivot import PivotUnionFind
@@ -225,7 +224,7 @@ def test_every_structure_entry_has_a_recipe():
 )
 def test_recorded_events_match_declared_access(key):
     eff = effects.EFFECTS[key]
-    ctx = ThreadContext(0, DEFAULT_COST_MODEL)
+    ctx = ThreadContext(0)
     ctx.begin_recording()
     RECIPES[key](ctx)
     events = ctx.end_recording()

@@ -71,7 +71,7 @@ from repro.nucleus import nucleus_decomposition, nucleus_hierarchy
 from repro.parallel import atomics
 from repro.parallel.atomics import AtomicArray, AtomicSet
 from repro.parallel.context import SLICE_VECTOR_MIN, ThreadContext, native
-from repro.parallel.cost_model import DEFAULT_COST_MODEL
+from repro.parallel.cost_model import CONTENDED_ATOMIC_COST
 from repro.parallel.observers import ObserverFanout
 from repro.parallel.scheduler import SimulatedPool
 from repro.sanitizer.detector import RaceDetector
@@ -203,7 +203,7 @@ def test_contention_still_charged_when_unobserved():
 
 class TestObservedFlag:
     def _ctx(self):
-        return ThreadContext(0, DEFAULT_COST_MODEL)
+        return ThreadContext(0)
 
     def test_default_unobserved(self):
         assert self._ctx().observed is False
@@ -264,7 +264,7 @@ class TestObservedFlag:
     def test_observed_is_not_a_parameter(self):
         # derived, never configured: no constructor argument sets it
         with pytest.raises(TypeError):
-            ThreadContext(0, DEFAULT_COST_MODEL, observed=True)
+            ThreadContext(0, observed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -991,7 +991,7 @@ def test_bulk_operations_match_per_element_calls(observer):
 
 
 def _claimed_contexts(bulk: bool) -> list[ThreadContext]:
-    contexts = [ThreadContext(t, DEFAULT_COST_MODEL) for t in range(2)]
+    contexts = [ThreadContext(t) for t in range(2)]
     arr = AtomicArray(64, name="v")
     for ctx, row in zip(contexts, ([0, 1, 8, 9, 10, 63], [1, 2, 3, 9, 62])):
         if bulk:
@@ -1008,7 +1008,7 @@ def test_bulk_contention_matches_per_element_penalty():
     bulk, per_element = _claimed_contexts(True), _claimed_contexts(False)
     # thread 1 reads 1 and 9 as claimed and CASes 2, 3 and 62 only:
     # lines 0 and 7 queue 2 and 1 ops behind the busiest thread
-    penalty = 3 * DEFAULT_COST_MODEL.contended_atomic_cost
+    penalty = 3 * CONTENDED_ATOMIC_COST
     assert pool._contention_penalty(bulk) == penalty
     assert pool._contention_penalty(per_element) == penalty
     for got, want in zip(bulk, per_element):
@@ -1386,7 +1386,7 @@ def test_union_find_row_ops_match_per_element_calls(engine, rate, observer):
 
 
 def _add_row_contexts(bulk):
-    contexts = [ThreadContext(t, DEFAULT_COST_MODEL) for t in range(2)]
+    contexts = [ThreadContext(t) for t in range(2)]
     arr = AtomicArray(16, name="deg")
     arr.data[:] = 3
     reached = []
@@ -1412,7 +1412,7 @@ def _vectorized_contexts(bulk):
     with repeats (their numpy paths), a short one and an empty one, or
     the per-element calls."""
     rng = np.random.default_rng(11)
-    contexts = [ThreadContext(t, DEFAULT_COST_MODEL) for t in range(2)]
+    contexts = [ThreadContext(t) for t in range(2)]
     deg = AtomicArray(40, name="deg")
     deg.data[:] = rng.integers(0, 12, 40)
     vals = AtomicArray(40, dtype=np.float64, name="vals")

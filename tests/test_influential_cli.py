@@ -12,7 +12,6 @@ from repro.graph.generators import complete_graph, rmat, star_graph
 from repro.graph.graph import Graph
 from repro.parallel.atomics import AtomicArray
 from repro.parallel.context import ThreadContext, native
-from repro.parallel.cost_model import DEFAULT_COST_MODEL
 from repro.parallel.observers import ObserverFanout
 from repro.parallel.scheduler import SimulatedPool
 from repro.sanitizer.detector import RaceDetector
@@ -385,7 +384,7 @@ def _fetch_min_contexts(palette, bulk, observed):
     """Two threads folding palette values into a shared array with
     repeated indices, by ``fetch_min_many`` or per-element ``fetch_min``."""
     rng = np.random.default_rng(5)
-    contexts = [ThreadContext(t, DEFAULT_COST_MODEL) for t in range(2)]
+    contexts = [ThreadContext(t) for t in range(2)]
     arr = AtomicArray(20, dtype=np.float64, name="mins")
     arr.data[:] = np.inf
     arr.data[:4] = (0.0, -0.0, math.nan, 1.0)  # ties and a NaN start

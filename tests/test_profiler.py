@@ -10,6 +10,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.graph.io import write_edge_list
 from repro.parallel.atomics import AtomicArray
+from repro.parallel.cost_model import CONTENDED_ATOMIC_COST
 from repro.parallel.scheduler import SchedulerError, SimulatedPool
 from repro.pipeline import search_best_core
 from repro.profiler import (
@@ -142,7 +143,7 @@ class TestContentionAttribution:
     def test_penalty_matches_scheduler(self):
         tracer, pool = self._contended_run()
         (span,) = tracer.region_spans()
-        contended = pool.cost_model.contended_atomic_cost
+        contended = CONTENDED_ATOMIC_COST
         total_queued = sum(q for _, q in span.contention.values())
         assert total_queued * contended == pytest.approx(
             span.costs["contention"]

@@ -7,7 +7,7 @@ from repro.parallel.context import ThreadContext
 import math
 
 from repro.analysis.stats import geometric_mean
-from repro.parallel.cost_model import DEFAULT_COST_MODEL, CostModel, ordered_sum
+from repro.parallel.cost_model import BARRIER_COST, SPAWN_COST, ordered_sum
 from repro.parallel.scheduler import SimulatedPool
 from repro.pipeline import DecompositionResult
 from repro.profiler.report import _imbalance
@@ -97,14 +97,13 @@ class TestClock:
 
     def test_region_elapsed_is_max_thread(self):
         # two threads, one does 100 work, the other 1 -> elapsed ~ 100
-        cm = CostModel(op_cost=1.0, spawn_cost=0.0, barrier_cost=0.0)
-        pool = SimulatedPool(threads=2, cost_model=cm)
+        pool = SimulatedPool(threads=2)
 
         def work(x, ctx):
             ctx.charge(100 if ctx.thread_id == 0 else 1)
 
         pool.parallel_for([0, 1], work)
-        assert pool.clock == pytest.approx(100.0)
+        assert pool.clock == pytest.approx(100 + 2 * SPAWN_COST + BARRIER_COST)
 
     def test_more_threads_faster_on_balanced_work(self):
         def work(x, ctx):
@@ -197,8 +196,7 @@ class TestClock:
 
 class TestContention:
     def test_contended_atomics_penalized(self):
-        cm = CostModel(spawn_cost=0.0, barrier_cost=0.0)
-        pool = SimulatedPool(threads=4, cost_model=cm)
+        pool = SimulatedPool(threads=4)
 
         def work(x, ctx):
             ctx.atomic("hot")  # all threads hit the same location
@@ -208,8 +206,7 @@ class TestContention:
         assert region.contention_penalty > 0
 
     def test_uncontended_atomics_not_penalized(self):
-        cm = CostModel(spawn_cost=0.0, barrier_cost=0.0)
-        pool = SimulatedPool(threads=4, cost_model=cm)
+        pool = SimulatedPool(threads=4)
 
         def work(x, ctx):
             ctx.atomic("relaxed", contended=False)
@@ -227,8 +224,7 @@ class TestContention:
         assert pool.regions[-1].contention_penalty == 0
 
     def test_distinct_locations_no_penalty(self):
-        cm = CostModel(spawn_cost=0.0, barrier_cost=0.0)
-        pool = SimulatedPool(threads=4, cost_model=cm)
+        pool = SimulatedPool(threads=4)
         pool.parallel_for(
             list(range(16)), lambda x, ctx: ctx.atomic(("loc", x))
         )
@@ -236,13 +232,8 @@ class TestContention:
 
 
 class TestCostModel:
-    def test_scaled(self):
-        scaled = DEFAULT_COST_MODEL.scaled(2.0)
-        assert scaled.op_cost == 2 * DEFAULT_COST_MODEL.op_cost
-        assert scaled.barrier_cost == 2 * DEFAULT_COST_MODEL.barrier_cost
-
     def test_context_local_time(self):
-        ctx = ThreadContext(0, CostModel(op_cost=1.0, atomic_cost=2.0))
+        ctx = ThreadContext(0)
         ctx.charge(10)
         ctx.atomic("x")
         # atomic adds 1 work + 2 atomic surcharge

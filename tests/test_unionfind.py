@@ -8,7 +8,6 @@ from repro.core.phcd import phcd_build_hcd
 from repro.errors import ReproError, UnionFindError
 from repro.graph.generators import erdos_renyi
 from repro.parallel.context import ThreadContext
-from repro.parallel.cost_model import DEFAULT_COST_MODEL
 from repro.parallel.scheduler import SimulatedPool
 from repro.unionfind.pivot import PivotUnionFind
 from repro.unionfind.sequential import UnionFind
@@ -86,7 +85,7 @@ class TestPivot:
                 assert uf.get_pivot(int(x)) == expected
 
     def test_charges_context(self):
-        ctx = ThreadContext(0, DEFAULT_COST_MODEL)
+        ctx = ThreadContext(0)
         uf = PivotUnionFind(_ranks(4))
         uf.union(0, 1, ctx)
         assert ctx.work > 0
@@ -137,7 +136,7 @@ class TestWaitFree:
             wf = SimulatedWaitFreeUnionFind(_ranks(20), failure_rate=rate, seed=7)
             start = wf._failures._state
             wf.union_rows(list(range(19)), [[x + 1] for x in range(19)],
-                          [0] * 20, 0, ThreadContext(0, DEFAULT_COST_MODEL), 0.2)
+                          [0] * 20, 0, ThreadContext(0), 0.2)
             for x in range(19):
                 wf.union(x, (x + 2) % 20)
             draws.append((wf._failures._state != start, wf.cas_attempts))
@@ -161,7 +160,7 @@ class TestWaitFree:
         assert wf.num_components == 4
 
     def test_charges_cas_as_contended_atomic(self):
-        ctx = ThreadContext(0, DEFAULT_COST_MODEL)
+        ctx = ThreadContext(0)
         wf = SimulatedWaitFreeUnionFind(_ranks(4))
         wf.union(0, 1, ctx)
         assert ctx.atomic_ops >= 1
@@ -203,5 +202,5 @@ class TestFailureRateValidation:
     @pytest.mark.parametrize("rate", [0.0, 0.5, 0.999])
     def test_valid_rates_terminate(self, rate):
         wf = SimulatedWaitFreeUnionFind(_ranks(4), failure_rate=rate, seed=2)
-        wf.union(0, 1, ThreadContext(0, DEFAULT_COST_MODEL))
+        wf.union(0, 1, ThreadContext(0))
         assert wf.same_set(0, 1)
