@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test sanitize profile bench-analysis serve-bench bench-dynamic bench-cluster bench-e2e construct-layers cluster-layers serve-layers dynamic-layers sanitize-reports profile-reports
+.PHONY: check test sanitize profile bench-analysis serve-bench bench-dynamic bench-cluster bench-e2e construct-layers cluster-layers serve-layers dynamic-layers sanitize-reports profile-reports ab-pairs
 
 ## check: the CI gate — tests, the sanitize gate, profiler selftest, analysis + serve + dynamic + cluster benches, end-to-end benchmark self-test
 check: test sanitize profile bench-analysis serve-bench bench-dynamic bench-cluster bench-e2e
@@ -70,3 +70,10 @@ serve-layers:
 ## dynamic-layers: the same breakdown of the dynamic workload (batched repair, delta publish, reader refresh, time to visibility) on seed SEED; writes nothing
 dynamic-layers:
 	$(PYTHON) benchmarks/construct_layers.py --workload dynamic --seed $(SEED)
+
+## ab-pairs: PAIRS (default 10) alternating pairs of `run.py --workload WORKLOAD` (default serve) on seed SEED (required: a claim needs a seed not used while developing, so the layer targets' default 41 does not apply), the parent checkout PARENT (a `git archive` copy) against this one; prints each end-to-end metric's medians, quartiles, pairs won, compare.py's verdict and the claim rule; writes nothing
+ab-pairs: WORKLOAD ?= serve
+ab-pairs: PAIRS ?= 10
+ab-pairs:
+	@test -n "$(PARENT)" -a "$(origin SEED)" != file || { echo "usage: make ab-pairs PARENT=dir SEED=s [WORKLOAD=serve] [PAIRS=10]"; exit 2; }
+	$(PYTHON) benchmarks/ab_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS)

@@ -12,9 +12,13 @@ original cores of the HCD nodes whose parent falls below ``k``.
 the influence of every tree node's original core, and ranks every
 node once by (influence, core size, node id).  Afterwards any
 ``(k, r)`` query is answered from the index alone, with no graph
-access: one vectorized pass over the |T| tree nodes selects the
-candidate cores (:meth:`~repro.core.hcd.HCD.maximal_core_nodes`) and a
-sort of the candidates by their precomputed rank picks the top ``r``.
+access.  The first query of a ``k`` selects the candidate cores with
+one vectorized pass over the |T| tree nodes
+(:meth:`~repro.core.hcd.HCD.maximal_core_nodes`) and sorts them by
+their precomputed rank; the ranked list is kept, so every later query
+of that ``k`` (any ``r``) is a slice of it.  An index holds at most
+kmax + 3 such lists (every ``k > kmax`` shares one), each as long as
+the number of maximal k-cores.
 """
 
 from __future__ import annotations
@@ -128,6 +132,10 @@ class InfluentialCommunityIndex:
             (np.arange(t), self._core_sizes, -self._influence, ~weighted)
         )
         self._rank = np.argsort(order)
+        self._kmax = hcd.kmax
+        #: k (clamped, see _ranked_cores) -> every maximal k-core, best first,
+        #: as (node, reported influence, core size)
+        self._ranked: dict[int, list[tuple[int, float, int]]] = {}
 
     # ------------------------------------------------------------------
 
@@ -151,16 +159,40 @@ class InfluentialCommunityIndex:
         """
         if r < 1:
             return []
-        candidates = np.asarray(self._hcd.maximal_core_nodes(k), dtype=np.int64)
-        best = candidates[np.argsort(self._rank[candidates])[:r]]
         return [
             InfluentialCommunity(node=node, k=k, influence=influence, size=size)
-            for node, influence, size in zip(
-                best.tolist(),
-                self._reported[best].tolist(),
-                self._core_sizes[best].tolist(),
-            )
+            for node, influence, size in self._ranked_cores(k)[:r]
         ]
+
+    def _ranked_cores(self, k: int) -> list[tuple[int, float, int]]:
+        """Every maximal k-core as ``(node, influence, size)``, best first.
+
+        Memoized per ``k``.  ``k`` is clamped first so that no query,
+        however large or small its ``k``, grows the memo past kmax + 3
+        lists: every ``k > kmax`` selects nothing, every ``k`` in
+        ``(ROOT_PARENT_CORENESS, 0]`` selects the roots and every
+        smaller ``k`` selects nothing again.  ``_rank`` is a
+        permutation, so a slice of the full sort equals a sort cut to
+        ``r``.
+        """
+        key = min(k, self._kmax + 1)
+        if key < 0:
+            root = HCD.ROOT_PARENT_CORENESS
+            key = 0 if key > root else root
+        ranked = self._ranked.get(key)
+        if ranked is None:
+            best = np.asarray(self._hcd.maximal_core_nodes(key), dtype=np.int64)
+            if best.size > 1:  # a lone candidate (most k) needs no sort
+                best = best[np.argsort(self._rank[best])]
+            ranked = list(
+                zip(
+                    best.tolist(),
+                    self._reported[best].tolist(),
+                    self._core_sizes[best].tolist(),
+                )
+            )
+            self._ranked[key] = ranked
+        return ranked
 
     def members(self, community: InfluentialCommunity) -> np.ndarray:
         """Vertex set of a returned community."""

@@ -22,9 +22,12 @@ ones, so a dynamic feed's catalog stays bounded.  A reader that
 resolved an earlier latest version can still open it until
 ``KEEP_VERSIONS - 1`` newer versions have been published.
 
-Staleness detection is a directory scan: a service holding version
-``v`` asks :meth:`SnapshotCatalog.is_stale` whether some ``v' > v``
-has been published and reopens if so.
+Staleness detection probes one slot: a service holding version ``v``
+asks :meth:`SnapshotCatalog.is_stale` whether some ``v' > v`` has been
+published, and the answer normally comes from two ``stat`` calls on
+the slots ``v+1`` and ``v`` (the catalog directory is listed only when
+those two are inconclusive).  Nothing is cached in the process, so a
+publish from another process is seen on the next call.
 """
 
 from __future__ import annotations
@@ -68,6 +71,9 @@ class SnapshotCatalog:
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # the staleness probe joins strings: a Path join costs as much
+        # as the stat it feeds
+        self._root = os.fspath(self.root)
 
     # ------------------------------------------------------------------
     # enumeration
@@ -109,9 +115,8 @@ class SnapshotCatalog:
         """Newest published version of ``name``, or ``None``.
 
         Probes manifests from the newest entry down and stops at the
-        first complete bundle, so the staleness check a service makes
-        on every ``serve()`` costs one listing and (normally) one
-        ``stat``, however many versions are kept.
+        first complete bundle: one listing and (normally) one ``stat``,
+        however many versions are kept.
         """
         for version, path in reversed(self._version_dirs(name)):
             if _is_published(path):
@@ -119,9 +124,35 @@ class SnapshotCatalog:
         return None
 
     def is_stale(self, name: str, version: int) -> bool:
-        """Whether a newer version than ``version`` has been published."""
+        """Whether a newer version than ``version`` has been published.
+
+        Probes the next slot instead of listing the directory:
+
+        - slot ``v+1`` exists and holds a manifest: stale;
+        - slot ``v+1`` is absent and ``v`` holds its manifest: not stale;
+        - anything else (a manifest-less ``v+1``, such as a bundle
+          whose delete failed half way, or ``v`` itself pruned): the
+          full :meth:`latest_version` listing decides.
+
+        The second rule is sound because :meth:`publish` claims slots
+        upward from latest + 1 and moves past a slot only when it
+        exists, so a published ``w > v+1`` implies that slot ``v+1``
+        existed; and :meth:`_prune` unpublishes in ascending order, so
+        a removed ``v+1`` implies that ``v``'s manifest is gone too.
+        Stage directories (``.stage-v...``) are never probed.  Both
+        common answers cost two ``stat`` calls and no listing.
+        """
+        _check_name(name)
+        version = int(version)
+        base = f"{self._root}/{name}/v"
+        following = f"{base}{version + 1:08d}"
+        if os.path.exists(following):
+            if os.path.exists(f"{following}/{MANIFEST_FILE}"):
+                return True
+        elif os.path.exists(f"{base}{version:08d}/{MANIFEST_FILE}"):
+            return False
         latest = self.latest_version(name)
-        return latest is not None and latest > int(version)
+        return latest is not None and latest > version
 
     def path(self, name: str, version: int) -> Path:
         """Bundle directory of ``name`` at ``version``."""

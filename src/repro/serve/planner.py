@@ -50,13 +50,16 @@ class Query:
     k: int = 0                # influential
     r: int = 0                # influential
     weights: str = ""         # influential
+    #: canonical identity string — the cache-key component; derived
+    #: from the fields above once, at construction (``replace`` too)
+    fingerprint: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def fingerprint(self) -> str:
-        """Canonical identity string — the cache-key component."""
+    def __post_init__(self) -> None:
         if self.kind == "influential":
-            return f"influential k={self.k} r={self.r} weights={self.weights}"
-        return f"{self.kind} metric={self.metric}"
+            fingerprint = f"influential k={self.k} r={self.r} weights={self.weights}"
+        else:
+            fingerprint = f"{self.kind} metric={self.metric}"
+        object.__setattr__(self, "fingerprint", fingerprint)
 
     @property
     def needs_type_b(self) -> bool:

@@ -286,7 +286,16 @@ def replay_trace(
                 f"trace[{rid}]: field 'arrival' must be a number, "
                 f"got {arrival!r}"
             )
-        arrival = float(arrival)
+        try:
+            arrival = float(arrival)
+        except OverflowError:  # an int beyond the float range
+            arrival = math.inf
+        if not math.isfinite(arrival):
+            # json reads NaN and Infinity: a NaN arrival is never <=
+            # the clock, so admission would never take it
+            raise WorkloadError(
+                f"trace[{rid}]: field 'arrival' must be finite, got {arrival!r}"
+            )
         if arrival < last_arrival:
             raise WorkloadError(
                 f"trace[{rid}]: field 'arrival' decreased "
@@ -515,10 +524,10 @@ class HCDService:
         ``trace`` entries are mappings with an ``arrival`` work-unit
         timestamp plus the query fields of
         :func:`~repro.serve.planner.normalize_request`.  Arrivals must
-        be non-decreasing (:class:`WorkloadError` otherwise).  The loop
-        is :func:`replay_trace`; this service's dispatch step is
-        :meth:`answer`.  It first moves to the catalog's latest version
-        (:meth:`refresh`).
+        be finite and non-decreasing (:class:`WorkloadError`
+        otherwise).  The loop is :func:`replay_trace`; this service's
+        dispatch step is :meth:`answer`.  It first moves to the
+        catalog's latest version (:meth:`refresh`).
         """
         self.refresh()
         report = ServiceReport(

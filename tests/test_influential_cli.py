@@ -247,6 +247,35 @@ class TestVectorizedQueries:
                 )
 
 
+    @pytest.mark.parametrize("weighting", ["seed0", "seed1", "all-nan"])
+    def test_top_r_memo_cold_and_warm(self, name, weighting):
+        hcd = _index_hcd(name)
+        if weighting == "all-nan":
+            weights = np.full(hcd.num_vertices, math.nan)
+        else:
+            weights = _awkward_weights(hcd, int(weighting[-1]))
+        index = InfluentialCommunityIndex(hcd, weights)
+        ks = list(range(1, hcd.kmax + 3))
+        # cold memo ascending, then warm descending and ascending again
+        for order in (ks, ks[::-1], ks):
+            for k in order:
+                count = len(hcd.maximal_core_nodes(k))
+                for r in (1, 3, count + 1):
+                    _same_answers(
+                        index.top_r(k, r), _loop_top_r(hcd, weights, k, r)
+                    )
+        assert index.top_r(10**100, 5) == []
+        assert len(index._ranked) <= hcd.kmax + 1
+        # below every parent coreness: one more list, empty
+        assert index.top_r(-(10**100), 5) == []
+        assert len(index._ranked) <= hcd.kmax + 2
+        # an answer list is the caller's: changing it changes no later answer
+        answer = index.top_r(1, 3)
+        want = list(answer)
+        answer.clear()
+        assert index.top_r(1, 3) == want
+
+
 # ----------------------------------------------------------------------
 # the index fold against the per-vertex (numpy scalar) formulation
 # ----------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import zipfile
 from pathlib import Path
 
@@ -35,6 +39,7 @@ from repro.serve import (
     synthetic_trace,
 )
 from repro.serve.catalog import KEEP_VERSIONS
+from repro.serve.planner import Query
 from repro.serve.snapshot import ARRAY_KEYS, ARRAYS_FILE, MANIFEST_FILE
 
 
@@ -298,11 +303,12 @@ class TestCatalog:
         assert not catalog.is_stale("base", 2)
 
     @staticmethod
-    def _probes_of_is_stale(monkeypatch, cat, version):
-        """Filesystem calls one ``is_stale`` makes: stats and listings."""
+    def _probes_of_is_stale(monkeypatch, cat, version, calls=None):
+        """Filesystem calls one ``is_stale`` makes: stats and listings
+        (their names are appended to ``calls`` when it is given)."""
         import os
 
-        calls = []
+        calls = [] if calls is None else calls
         for fn in ("stat", "lstat", "scandir", "listdir"):
             real = getattr(os, fn)
 
@@ -339,6 +345,96 @@ class TestCatalog:
         small.publish(snapshot, name="s")
         small.publish(snapshot, name="s")
         assert self._probes_of_is_stale(monkeypatch, small, 1) == (True, probes)
+
+    def test_not_stale_probe_makes_two_stats_and_no_listing(
+        self, tmp_path, monkeypatch, snapshot
+    ):
+        cat = SnapshotCatalog(tmp_path)
+        for _ in range(3):
+            cat.publish(snapshot, name="s")
+        calls = []
+        stale, probes = self._probes_of_is_stale(monkeypatch, cat, 3, calls)
+        assert not stale
+        assert probes <= 2 and set(calls) <= {"stat", "lstat"}, calls
+        # the stale answer costs the same
+        calls.clear()
+        assert self._probes_of_is_stale(monkeypatch, cat, 2, calls)[0]
+        assert len(calls) <= 2 and set(calls) <= {"stat", "lstat"}, calls
+
+    def test_publish_from_another_process_is_seen(self, tmp_path, snapshot):
+        import repro
+
+        cat = SnapshotCatalog(tmp_path)
+        cat.publish(snapshot, name="s")
+        assert not cat.is_stale("s", 1)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        script = (
+            "import sys\n"
+            "from repro.serve import SnapshotCatalog\n"
+            "cat = SnapshotCatalog(sys.argv[1])\n"
+            "print(cat.publish(cat.open('s')))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["2"]
+        # the catalog object made before the publish sees it at once
+        assert cat.is_stale("s", 1)
+        assert not cat.is_stale("s", 2)
+
+    def test_manifest_less_next_slot_falls_back_to_listing(
+        self, tmp_path, monkeypatch, snapshot
+    ):
+        cat = SnapshotCatalog(tmp_path)
+        cat.publish(snapshot, name="s")
+        # slot 2 without a manifest (a bundle whose delete failed half
+        # way); the next publish takes slot 3
+        cat.path("s", 2).mkdir()
+        (cat.path("s", 2) / ARRAYS_FILE).write_bytes(b"partial")
+        calls = []
+        stale, _ = self._probes_of_is_stale(monkeypatch, cat, 1, calls)
+        assert not stale and "scandir" in calls
+        assert cat.publish(snapshot, name="s") == 3
+        calls.clear()
+        stale, _ = self._probes_of_is_stale(monkeypatch, cat, 1, calls)
+        assert stale and "scandir" in calls
+        assert not cat.is_stale("s", 3)
+
+    def test_pruned_reader_version_reads_stale(self, tmp_path, snapshot):
+        cat = SnapshotCatalog(tmp_path)
+        reader = cat.publish(snapshot, name="s")
+        for published in range(KEEP_VERSIONS + 1):
+            cat.publish(snapshot, name="s")
+            assert cat.is_stale("s", reader), published
+        # both the reader's slot and the one after it are gone
+        assert not cat.path("s", reader).exists()
+        assert not cat.path("s", reader + 1).exists()
+        assert cat.is_stale("s", reader)
+        latest = cat.latest_version("s")
+        assert latest == KEEP_VERSIONS + 2
+        assert not cat.is_stale("s", latest)
+
+    def test_stage_directory_does_not_read_stale(self, tmp_path, snapshot):
+        cat = SnapshotCatalog(tmp_path)
+        cat.publish(snapshot, name="s")
+        # a crashed publish of v2 left its stage directory, manifest
+        # included, behind
+        stage = tmp_path / "s" / ".stage-v00000002"
+        stage.mkdir()
+        (stage / MANIFEST_FILE).write_bytes(
+            (cat.path("s", 1) / MANIFEST_FILE).read_bytes()
+        )
+        assert not cat.is_stale("s", 1)
+        assert cat.latest_version("s") == 1
 
     def test_crashed_publish_without_manifest_is_skipped(
         self, tmp_path, snapshot
@@ -443,6 +539,47 @@ class TestPlanner:
     def test_non_mapping_rejected(self):
         with pytest.raises(WorkloadError, match="object"):
             normalize_request("pbks")
+
+    def test_query_identity(self):
+        a = Query(kind="influential", k=2, r=3, weights="degree")
+        b = Query(kind="influential", k=2, r=3, weights="degree")
+        assert a == b and hash(a) == hash(b)
+        # hashed and compared on the five request fields, as before
+        assert hash(a) == hash(("influential", "", 2, 3, "degree"))
+        assert a != Query(kind="influential", k=2, r=4, weights="degree")
+        assert repr(a) == (
+            "Query(kind='influential', metric='', k=2, r=3, weights='degree')"
+        )
+        assert a.fingerprint == "influential k=2 r=3 weights=degree"
+        moved = dataclasses.replace(a, k=5)
+        assert moved.fingerprint == "influential k=5 r=3 weights=degree"
+        assert moved == Query(kind="influential", k=5, r=3, weights="degree")
+        assert dataclasses.replace(a) == a
+        pbks = Query(kind="pbks", metric="average_degree")
+        assert pbks.fingerprint == "pbks metric=average_degree"
+        assert dataclasses.replace(pbks, kind="best_k").fingerprint == (
+            "best_k metric=average_degree"
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.fingerprint = "other"
+        with pytest.raises(TypeError):
+            Query(kind="pbks", fingerprint="pbks metric=x")
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ({"kind": "densest"}, {"kind": "search"}),
+            ({"kind": "bestk"}, {"kind": "best_k", "metric": "average_degree"}),
+            (
+                {"kind": "influential"},
+                {"kind": "influential", "k": 1, "r": 1, "weights": "degree"},
+            ),
+        ],
+    )
+    def test_alike_requests_share_a_fingerprint(self, left, right):
+        a, b = normalize_request(left), normalize_request(right)
+        assert a == b and hash(a) == hash(b)
+        assert a.fingerprint == b.fingerprint
 
     def test_plan_coalesces_identical_queries(self):
         q = normalize_request({"kind": "pbks", "metric": "average_degree"})
@@ -715,6 +852,35 @@ class TestService:
         with pytest.raises(WorkloadError) as excinfo:
             service.serve(trace)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "text, shown",
+        [
+            ("NaN", "nan"),
+            ("Infinity", "inf"),
+            ("-Infinity", "-inf"),
+            ("1e999", "inf"),
+            # an integer beyond the float range
+            ("1" + "0" * 400, "inf"),
+        ],
+        ids=["nan", "inf", "-inf", "1e999", "10**400"],
+    )
+    def test_non_finite_arrival_rejected(
+        self, serve_with, tmp_path, text, shown
+    ):
+        # json reads NaN and Infinity; a NaN arrival never compares
+        # <= the clock, so the replay would wait for it forever
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"kind": "densest", "arrival": 0}\n'
+            f'{{"kind": "densest", "arrival": {text}}}\n'
+        )
+        trace = load_trace(path)
+        with pytest.raises(WorkloadError) as excinfo:
+            serve_with().serve(trace)
+        assert str(excinfo.value) == (
+            f"trace[1]: field 'arrival' must be finite, got {shown}"
+        )
 
     def test_latency_percentiles_ordered(self, catalog):
         service = HCDService(catalog, "base", threads=4)
