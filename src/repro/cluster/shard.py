@@ -31,17 +31,11 @@ __all__ = ["ShardPart", "ShardedGraph", "shard_graph", "DIST_PARTITION"]
 STRATEGIES = ("range", "lp")
 
 #: Partition facts for SimDist (SAN603): which builder derives the
-#: owned/ghost/boundary sets, and which array names the owner map.
-#: The analyzer seeds its shard-indexed domain from these — owned rows
-#: are selected by owner-equality, so owned sets are pairwise disjoint
-#: and per-shard writes confined to owned slots cannot collide.
-DIST_PARTITION = {
-    "builder": "shard_graph",
-    "owner": "owner",
-    "owned": "owned",
-    "boundary": "boundary",
-    "ghosts": "ghosts",
-}
+#: owned sets, and which array names the owner map.  The analyzer
+#: proves the builder selects owned rows by owner-equality, so owned
+#: sets are pairwise disjoint and per-shard writes confined to owned
+#: slots cannot collide; frontier inserts must be keyed by the owner map.
+DIST_PARTITION = {"builder": "shard_graph", "owner": "owner"}
 
 
 @dataclass

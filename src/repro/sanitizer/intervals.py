@@ -110,13 +110,17 @@ def aff_is_const(a: Affine) -> bool:
 
 
 def affine_of(
-    node: ast.AST, leaf: Callable[[str], Affine | None]
+    node: ast.AST,
+    leaf: Callable[[str], Affine | None],
+    opaque: Callable[[ast.AST], Affine | None] | None = None,
 ) -> Affine | None:
     """Affine form of an expression AST; None when non-affine.
 
     Int constants, ``+``, ``-``, unary ``-`` and multiplication by a
     constant stay affine; ``leaf`` maps each ``Name`` to its form (or
-    None).  Subscripts, calls, floats and bools all fail closed.
+    None).  Every other node (subscripts, calls, attributes, other
+    operators, floats, bools) goes to ``opaque``, and fails closed
+    without one.
     """
     if isinstance(node, ast.Constant):
         value = node.value
@@ -126,23 +130,25 @@ def affine_of(
     if isinstance(node, ast.Name):
         return leaf(node.id)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        inner = affine_of(node.operand, leaf)
+        inner = affine_of(node.operand, leaf, opaque)
         return None if inner is None else aff_neg(inner)
-    if not isinstance(node, ast.BinOp):
-        return None
-    left = affine_of(node.left, leaf)
-    right = affine_of(node.right, leaf)
+    if not (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult))
+    ):
+        return None if opaque is None else opaque(node)
+    left = affine_of(node.left, leaf, opaque)
+    right = affine_of(node.right, leaf, opaque)
     if left is None or right is None:
         return None
     if isinstance(node.op, ast.Add):
         return aff_add(left, right)
     if isinstance(node.op, ast.Sub):
         return aff_sub(left, right)
-    if isinstance(node.op, ast.Mult):
-        if aff_is_const(left):
-            return aff_scale(right, left.get("", 0))
-        if aff_is_const(right):
-            return aff_scale(left, right.get("", 0))
+    if aff_is_const(left):
+        return aff_scale(right, left.get("", 0))
+    if aff_is_const(right):
+        return aff_scale(left, right.get("", 0))
     return None
 
 
