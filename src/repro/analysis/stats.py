@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 from repro.parallel.cost_model import ordered_sum
 
-__all__ = ["format_table", "geometric_mean", "speedup", "format_seconds", "ascii_series"]
+__all__ = ["format_table", "geometric_mean", "speedup", "ascii_series"]
 
 
 def format_table(
@@ -46,11 +46,6 @@ def speedup(baseline: float, candidate: float) -> float:
     if candidate <= 0:
         return float("inf")
     return baseline / candidate
-
-
-def format_seconds(sim_time: float, scale: float = 1e9) -> str:
-    """Render a simulated-nanosecond clock as seconds, paper style."""
-    return f"{sim_time / scale:.3f}"
 
 
 _SPARK_LEVELS = " .:-=+*#%@"

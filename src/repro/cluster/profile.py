@@ -30,7 +30,7 @@ from repro.profiler.export import chrome_trace
 from repro.profiler.report import profile_report
 from repro.profiler.tracer import SpanTracer
 
-__all__ = ["ClusterProfiler", "cluster_write_artifacts"]
+__all__ = ["ClusterProfiler"]
 
 
 class ClusterProfiler:
@@ -150,10 +150,3 @@ class ClusterProfiler:
             json.dumps(self.chrome_trace()) + "\n", encoding="utf-8"
         )
         return paths
-
-
-def cluster_write_artifacts(
-    profiler: ClusterProfiler, out_dir: str | Path, prefix: str = "cluster_"
-) -> dict[str, Path]:
-    """Functional alias of :meth:`ClusterProfiler.write_artifacts`."""
-    return profiler.write_artifacts(out_dir, prefix=prefix)

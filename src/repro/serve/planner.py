@@ -69,18 +69,18 @@ class Query:
         return False
 
 
-def normalize_request(request: Mapping, where: str = "request") -> Query:
+def normalize_request(request: Mapping) -> Query:
     """Canonicalize a raw request mapping into a :class:`Query`.
 
     Raises :class:`~repro.errors.WorkloadError` naming the offending
-    field (and ``where``, e.g. a trace line) on anything malformed.
+    field on anything malformed.
     """
     if not isinstance(request, Mapping):
-        raise WorkloadError(f"{where}: request must be an object, got {type(request).__name__}")
+        raise WorkloadError(f"request: request must be an object, got {type(request).__name__}")
     raw_kind = request.get("kind")
     if not isinstance(raw_kind, str) or raw_kind not in _KIND_ALIASES:
         raise WorkloadError(
-            f"{where}: field 'kind' must be one of "
+            "request: field 'kind' must be one of "
             f"{sorted(set(_KIND_ALIASES))}, got {raw_kind!r}"
         )
     kind = _KIND_ALIASES[raw_kind]
@@ -89,7 +89,7 @@ def normalize_request(request: Mapping, where: str = "request") -> Query:
         # densest request and the equivalent pbks request coalesce.
         if "metric" in request and request["metric"] != "average_degree":
             raise WorkloadError(
-                f"{where}: field 'metric' is not accepted for kind 'densest'"
+                "request: field 'metric' is not accepted for kind 'densest'"
             )
         return Query(kind="pbks", metric="average_degree")
     if kind in ("pbks", "best_k"):
@@ -101,7 +101,7 @@ def normalize_request(request: Mapping, where: str = "request") -> Query:
             # name; anything else escaping get_metric is a real bug
             # and must not be masked as a workload error
             raise WorkloadError(
-                f"{where}: field 'metric' names no registered metric: {metric!r}"
+                f"request: field 'metric' names no registered metric: {metric!r}"
             ) from None
         return Query(kind=kind, metric=metric)
     # influential
@@ -109,12 +109,12 @@ def normalize_request(request: Mapping, where: str = "request") -> Query:
     r = request.get("r", 1)
     weights = request.get("weights", "degree")
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise WorkloadError(f"{where}: field 'k' must be an integer >= 1, got {k!r}")
+        raise WorkloadError(f"request: field 'k' must be an integer >= 1, got {k!r}")
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise WorkloadError(f"{where}: field 'r' must be an integer >= 1, got {r!r}")
+        raise WorkloadError(f"request: field 'r' must be an integer >= 1, got {r!r}")
     if weights not in WEIGHT_SPECS:
         raise WorkloadError(
-            f"{where}: field 'weights' must be one of {list(WEIGHT_SPECS)}, "
+            f"request: field 'weights' must be one of {list(WEIGHT_SPECS)}, "
             f"got {weights!r}"
         )
     return Query(kind="influential", k=int(k), r=int(r), weights=str(weights))

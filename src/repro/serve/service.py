@@ -40,7 +40,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -97,8 +97,7 @@ class ServiceConfig:
             raise ValueError("cache_capacity must be >= 0")
 
 
-@dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """Outcome of one trace request."""
 
     rid: int
@@ -109,21 +108,14 @@ class RequestRecord:
     batch: int         # batch index that answered it (-1 if never batched)
 
     def as_dict(self) -> dict:
-        return {
-            "rid": self.rid,
-            "fingerprint": self.fingerprint,
-            "status": self.status,
-            "arrival": self.arrival,
-            "latency": self.latency,
-            "batch": self.batch,
-        }
+        return self._asdict()
 
 
-def _percentile(latencies: list[float], q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not latencies:
+def _percentile(ordered: list[float], q: float) -> float:
+    """Nearest-rank percentile of ascending ``ordered`` (deterministic,
+    no interpolation)."""
+    if not ordered:
         return 0.0
-    ordered = sorted(latencies)
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return float(ordered[rank - 1])
 
@@ -177,15 +169,15 @@ class ServiceReport:
 
     @property
     def p50(self) -> float:
-        return _percentile(self.latencies, 50)
+        return _percentile(sorted(self.latencies), 50)
 
     @property
     def p95(self) -> float:
-        return _percentile(self.latencies, 95)
+        return _percentile(sorted(self.latencies), 95)
 
     @property
     def p99(self) -> float:
-        return _percentile(self.latencies, 99)
+        return _percentile(sorted(self.latencies), 99)
 
     @property
     def throughput(self) -> float:
@@ -219,6 +211,7 @@ class ServiceReport:
 
     def as_dict(self) -> dict:
         """JSON-ready summary (the deterministic replay signature)."""
+        ordered = sorted(self.latencies)
         return {
             "snapshot": {"name": self.snapshot[0], "version": self.snapshot[1]},
             "threads": self.threads,
@@ -232,10 +225,10 @@ class ServiceReport:
             "coalesced": self.coalesced,
             "batches": self.batches,
             "latency": {
-                "p50": self.p50,
-                "p95": self.p95,
-                "p99": self.p99,
-                "histogram": self.histogram(),
+                "p50": _percentile(ordered, 50),
+                "p95": _percentile(ordered, 95),
+                "p99": _percentile(ordered, 99),
+                "histogram": _histogram(ordered),
             },
             "throughput": self.throughput,
             "work_units": self.work_units,
@@ -304,6 +297,8 @@ def replay_trace(
         last_arrival = arrival
         pending.append((rid, arrival, entry))
 
+    # every rid gets exactly one record: shed, invalid or completed
+    records: list = [None] * len(trace)
     queue: deque[tuple[int, float, dict]] = deque()
     clock_mark = pool.mark()
     cursor = pool.region_count
@@ -324,15 +319,8 @@ def replay_trace(
             for rid, arrival, entry in arrivals:
                 if len(queue) >= config.queue_capacity:
                     report.shed += 1
-                    report.records.append(
-                        RequestRecord(
-                            rid=rid,
-                            fingerprint="",
-                            status="shed",
-                            arrival=arrival,
-                            latency=0.0,
-                            batch=-1,
-                        )
+                    records[rid] = RequestRecord(
+                        rid, "", "shed", arrival, 0.0, -1
                     )
                 else:
                     queue.append((rid, arrival, entry))
@@ -355,15 +343,8 @@ def replay_trace(
                 query = normalize_request(entry)
             except WorkloadError:
                 report.invalid += 1
-                report.records.append(
-                    RequestRecord(
-                        rid=rid,
-                        fingerprint="",
-                        status="invalid",
-                        arrival=arrival,
-                        latency=0.0,
-                        batch=batch_id,
-                    )
+                records[rid] = RequestRecord(
+                    rid, "", "invalid", arrival, 0.0, batch_id
                 )
                 continue
             normalized.append((rid, arrival, query))
@@ -402,18 +383,16 @@ def replay_trace(
                 report.computed += 1
             if answered:
                 report.results[rid] = answers[fingerprint]
-            report.records.append(
-                RequestRecord(
-                    rid=rid,
-                    fingerprint=fingerprint,
-                    status=status,
-                    arrival=arrival,
-                    latency=now - arrival if answered else 0.0,
-                    batch=batch_id,
-                )
+            records[rid] = RequestRecord(
+                rid,
+                fingerprint,
+                status,
+                arrival,
+                now - arrival if answered else 0.0,
+                batch_id,
             )
 
-    report.records.sort(key=lambda r: r.rid)
+    report.records = records
     report.work_units = now
     report.sim_clock = pool.elapsed_since(clock_mark)
 

@@ -499,8 +499,8 @@ def snapshot_from_dynamic(
     graph = dyn.to_graph()
     coreness = np.array(dyn.coreness, dtype=np.int64)
     n = graph.num_vertices
-    dirty_adj = set(getattr(dyn, "dirty_adjacency", frozenset()))
-    dirty_core = set(getattr(dyn, "dirty_coreness", frozenset()))
+    dirty_adj = set(dyn.dirty_adjacency)
+    dirty_core = set(dyn.dirty_coreness)
     delta = previous is not None and previous.graph.num_vertices == n
     reused: list[str] = []
 
@@ -524,9 +524,7 @@ def snapshot_from_dynamic(
     else:
         with pool.phase("preprocessing"):
             counts = preprocess_neighbor_counts(graph, coreness, pool)
-    clear = getattr(dyn, "clear_dirty", None)
-    if clear is not None:
-        clear()
+    dyn.clear_dirty()
     return Snapshot(
         graph=graph,
         coreness=coreness,
@@ -537,7 +535,7 @@ def snapshot_from_dynamic(
         build_info={
             "threads": pool.threads,
             "algorithm": "dynamic+phcd",
-            "source": f"dynamic(mutations={getattr(dyn, 'mutation_count', 0)})",
+            "source": f"dynamic(mutations={dyn.mutation_count})",
             "delta": ",".join(reused) if reused else ("full" if delta else ""),
         },
     )
