@@ -44,10 +44,10 @@ def main() -> None:
     print(f"\nnucleus hierarchy: {hierarchy.num_nodes} nodes")
     print(f"total simulated time: {pool.clock:.0f}")
 
-    deepest = int(np.argmax(hierarchy.node_level))
-    k = int(hierarchy.node_level[deepest])
-    members = vertices_of_nucleus(hierarchy, deepest)
-    tris = hierarchy.reconstruct(deepest)
+    deepest = int(np.argmax(hierarchy.node_coreness))
+    k = int(hierarchy.node_coreness[deepest])
+    members = vertices_of_nucleus(index, hierarchy, deepest)
+    tris = hierarchy.reconstruct_core(deepest)
     print(
         f"\ndeepest community: a {k}-(3,4)-nucleus with {tris.size} "
         f"triangles over {members.size} vertices"

@@ -24,7 +24,6 @@ Quick start::
 """
 
 from repro.core.decomposition import core_decomposition
-from repro.core.element_hierarchy import ElementHierarchy
 from repro.core.hcd import HCD
 from repro.core.lcps import lcps_build_hcd
 from repro.core.phcd import phcd_build_hcd
@@ -70,7 +69,6 @@ __all__ = [
     "InfluentialCommunityIndex",
     "ecc_decomposition",
     "k_edge_connected_components",
-    "ElementHierarchy",
     "nucleus_decomposition",
     "nucleus_hierarchy",
     "anchored_k_core",

@@ -28,19 +28,24 @@ Algorithm 2 with elements in the role of vertices:
 * a pivot union-find over element ids groups shell elements into tree
   nodes and finds parents — PHCD's four steps unchanged.
 
+The forest is assembled through :class:`~repro.core.hcd.HCDBuilder`
+and returned as an :class:`~repro.core.hcd.HCD` over element ids:
+``node_coreness`` is the element level, ``tid`` maps element to node,
+and ``vertices_of`` / ``reconstruct_core`` return element ids, so the
+core, truss and nucleus hierarchies share one forest type and one
+structural check (:meth:`~repro.core.hcd.HCD.validate_levels`).
+
 Every region label, sanitizer name and atomic/write key is derived from
 the ``prefix`` and ``slot`` strings.  Core PHCD (:mod:`repro.core.phcd`)
-keeps its own specialised loop: it runs on the wait-free union-find and
-the construction hot path.
+keeps its own link loop: it runs on the wait-free union-find and the
+construction hot path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
-
 import numpy as np
 
+from repro.core.hcd import HCD, HCDBuilder
 from repro.errors import HierarchyError
 from repro.parallel.atomics import AtomicArray, AtomicSet
 from repro.parallel.scheduler import SimulatedPool
@@ -48,94 +53,10 @@ from repro.sanitizer.memcheck import san_empty
 from repro.unionfind.pivot import PivotUnionFind
 
 __all__ = [
-    "ElementHierarchy",
     "motif_supports",
     "peel_levels",
     "build_element_hierarchy",
 ]
-
-
-@dataclass
-class ElementHierarchy:
-    """Forest over motif-connected components of one element level.
-
-    Mirrors the HCD index: ``node_level[i]`` is node i's k, ``parent[i]``
-    its parent (-1 for roots), ``elem_node[e]`` the node holding element
-    ``e``, and :meth:`members_of` / :meth:`reconstruct` recover node
-    contents / whole components as element ids of ``index``.
-    """
-
-    index: Any
-    node_level: np.ndarray
-    parent: np.ndarray
-    elem_node: np.ndarray
-    _members: list[list[int]]
-    children: list[list[int]] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.children = [[] for _ in range(self.num_nodes)]
-        for node in range(self.num_nodes):
-            pa = int(self.parent[node])
-            if pa >= 0:
-                self.children[pa].append(node)
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.node_level.size)
-
-    def members_of(self, node: int) -> np.ndarray:
-        """Element ids stored directly in ``node``."""
-        return np.asarray(self._members[node], dtype=np.int64)
-
-    def subtree_nodes(self, node: int) -> list[int]:
-        out = []
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            out.append(cur)
-            stack.extend(self.children[cur])
-        return out
-
-    def reconstruct(self, node: int) -> np.ndarray:
-        """All element ids of the node's original component (subtree)."""
-        flat = [e for i in self.subtree_nodes(node) for e in self._members[i]]
-        return np.asarray(sorted(flat), dtype=np.int64)
-
-    def canonical_form(self):
-        """Order-independent content description (for equality tests)."""
-
-        def content(node: int) -> tuple:
-            if node < 0:
-                return (-1, ())
-            return (int(self.node_level[node]), tuple(sorted(self._members[node])))
-
-        return sorted(
-            content(node) + content(int(self.parent[node]))
-            for node in range(self.num_nodes)
-        )
-
-    def validate(self, levels: np.ndarray) -> None:
-        """Structural checks: partition, level classes, monotone parents."""
-        n = len(self.index)
-        seen = np.zeros(n, dtype=bool)
-        for node in range(self.num_nodes):
-            k = int(self.node_level[node])
-            for e in self._members[node]:
-                if seen[e]:
-                    raise HierarchyError(f"element {e} in two nodes")
-                seen[e] = True
-                if int(levels[e]) != k:
-                    raise HierarchyError(
-                        f"element {e} level {levels[e]} in k={k} node"
-                    )
-                if int(self.elem_node[e]) != node:
-                    raise HierarchyError(f"elem_node({e}) != {node}")
-            pa = int(self.parent[node])
-            if pa >= 0 and int(self.node_level[pa]) >= k:
-                raise HierarchyError("parent level must be smaller")
-        if n and not bool(seen.all()):
-            missing = int(np.flatnonzero(~seen)[0])
-            raise HierarchyError(f"element {missing} missing from hierarchy")
 
 
 def motif_supports(index) -> np.ndarray:
@@ -201,12 +122,14 @@ def build_element_hierarchy(
     floor: int,
     prefix: str,
     slot: str,
-) -> ElementHierarchy:
+) -> HCD:
     """Build the element hierarchy with PHCD's four steps.
 
     ``levels`` holds one level >= ``floor`` per element of ``index``;
     anything else raises :class:`HierarchyError`.  Regions are labelled
-    ``{prefix}:step{1,1b,2,2b,3,4}_k{k}``.
+    ``{prefix}:step{1,1b,2,2b,3,4}_k{k}``.  The forest is an
+    :class:`~repro.core.hcd.HCD` over element ids: ``node_coreness``
+    holds the levels, ``tid`` maps element to node.
     """
     n = len(index)
     levels = np.asarray(levels, dtype=np.int64)
@@ -226,18 +149,10 @@ def build_element_hierarchy(
         shells[int(levels[i])].append(i)
 
     uf = PivotUnionFind(rank, name=f"{prefix}_uf")
-    elem_node = np.full(n, -1, dtype=np.int64)
+    builder = HCDBuilder(n)
+    tid = builder.tid  # shared alias; builder maintains it
     slot_key = f"{prefix}_{slot}"
-    node_arr = AtomicArray.from_array(elem_node, name=slot_key)
-    node_level: list[int] = []
-    node_parent: list[int] = []
-    node_members: list[list[int]] = []
-
-    def new_node(k: int) -> int:
-        node_level.append(k)
-        node_parent.append(-1)
-        node_members.append([])
-        return len(node_level) - 1
+    node_arr = AtomicArray.from_array(builder.tid, name=slot_key)
 
     def live_motifs(i: int, k: int, ctx):
         """Motifs through ``i`` whose elements all have level >= k."""
@@ -304,18 +219,18 @@ def build_element_hierarchy(
             if node < 0:
                 # create-node race between shell elements of one
                 # component: allocate, publish via CAS, loser re-reads
-                fresh = new_node(k)
+                fresh = builder.new_node(k)
                 ctx.atomic((f"{prefix}_nodes",), contended=False)
                 if node_arr.compare_and_swap(ctx, pvt, -1, fresh):
                     node = fresh
                 else:
                     node = int(node_arr.load(ctx, pvt))
             if i != pvt:
-                # each shell element owns its elem_node slot this round
+                # each shell element owns its tid slot this round
                 ctx.write((slot_key, int(i)), 0.0)
-                elem_node[i] = node
+                tid[i] = node
             ctx.atomic((f"{prefix}_members", node), contended=False)
-            node_members[node].append(i)  # sani: ok - tail append, charged atomic above
+            builder.add_member(node, i)
 
         pool.parallel_for(shell, group, label=f"{prefix}:step3_k{k}")
 
@@ -324,15 +239,10 @@ def build_element_hierarchy(
             pvt = uf.get_pivot(old_pivot, ctx)
             child = int(node_arr.load(ctx, old_pivot))
             parent = int(node_arr.load(ctx, pvt))
+            # distinct old pivots map to distinct child nodes
             ctx.write((f"{prefix}_parent", child), 0.0)
-            node_parent[child] = parent  # sani: ok - distinct old pivots, distinct children
+            builder.set_parent(child, parent)
 
         pool.parallel_for(list(kpc_pivot), attach, label=f"{prefix}:step4_k{k}")
 
-    return ElementHierarchy(
-        index=index,
-        node_level=np.asarray(node_level, dtype=np.int64),
-        parent=np.asarray(node_parent, dtype=np.int64),
-        elem_node=elem_node,
-        _members=node_members,
-    )
+    return builder.build()

@@ -11,10 +11,13 @@ nested in (Definition 2).  :class:`HCD` is the index of Figure 2:
 * ``tid(v)``  — :attr:`tid`
 
 Construction algorithms (:mod:`repro.core.lcps`,
-:mod:`repro.core.phcd`) assemble an HCD through :class:`HCDBuilder`;
-the index itself is immutable and exposes traversal, reconstruction of
-original k-cores, canonicalization (for cross-algorithm equality
-tests), and a full structural :meth:`validate` used by the test suite.
+:mod:`repro.core.phcd`, and the truss and nucleus hierarchies of
+:mod:`repro.core.element_hierarchy`, whose elements play the role of
+vertices) assemble an HCD through :class:`HCDBuilder`; the index
+itself is immutable and exposes traversal, reconstruction of original
+k-cores, canonicalization (for cross-algorithm equality tests), a
+vectorized structural :meth:`validate_levels`, and the full
+:meth:`validate` used by the test suite.
 """
 
 from __future__ import annotations
@@ -263,10 +266,51 @@ class HCD:
             ),
         )
 
+    def validate_levels(self, levels: np.ndarray) -> None:
+        """Check the forest's structure against per-id ``levels``.
+
+        One vectorized pass raising :class:`HierarchyError` unless
+
+        1. the node member sets partition the ids and agree with ``tid``;
+        2. every node is non-empty and holds only ids of its own level;
+        3. every parent's level is strictly smaller than its child's.
+
+        Element forests (truss, nucleus) call it directly; :meth:`validate`
+        runs it before its graph-reconstruction checks.
+        """
+        levels = np.asarray(levels, dtype=np.int64)
+        if levels.shape != self.tid.shape:
+            raise HierarchyError(
+                f"levels have shape {levels.shape} for {self.num_vertices} ids"
+            )
+        arrays = self.to_arrays()
+        offsets = arrays["member_offsets"]
+        _check_forest(self.tid, self.parent, offsets, arrays["members"])
+        empty = np.flatnonzero(offsets[1:] == offsets[:-1])
+        if empty.size:
+            raise HierarchyError(f"tree node {int(empty[0])} is empty")
+        bad = np.flatnonzero(levels != self.node_coreness[self.tid])
+        if bad.size:
+            v = int(bad[0])
+            raise HierarchyError(
+                f"id {v} has level {int(levels[v])} in a "
+                f"{int(self.node_coreness[self.tid[v]])}-node"
+            )
+        child = np.flatnonzero(self.parent >= 0)
+        pk = self.node_coreness[self.parent[child]]
+        bad = np.flatnonzero(pk >= self.node_coreness[child])
+        if bad.size:
+            node = int(child[bad[0]])
+            raise HierarchyError(
+                f"parent level {int(pk[bad[0]])} >= child {node}'s "
+                f"{int(self.node_coreness[node])}"
+            )
+
     def validate(self, graph: Graph, coreness: np.ndarray) -> None:
         """Check every HCD invariant; raise :class:`HierarchyError` if broken.
 
-        Invariants checked (Definitions 1-3):
+        Invariants checked (Definitions 1-3), the first three by
+        :meth:`validate_levels` with ``coreness`` as the levels:
 
         1. the node vertex sets partition ``V`` and agree with ``tid``;
         2. every vertex in a node has coreness equal to the node's k;
@@ -277,32 +321,7 @@ class HCD:
         6. the parent's reconstructed core strictly contains the child's.
         """
         coreness = np.asarray(coreness, dtype=np.int64)
-        n = graph.num_vertices
-        seen = np.zeros(n, dtype=bool)
-        for node in range(self.num_nodes):
-            k = int(self.node_coreness[node])
-            verts = self._node_vertices[node]
-            if verts.size == 0:
-                raise HierarchyError(f"tree node {node} is empty")
-            for v in verts:
-                v = int(v)
-                if seen[v]:
-                    raise HierarchyError(f"vertex {v} appears in two tree nodes")
-                seen[v] = True
-                if int(self.tid[v]) != node:
-                    raise HierarchyError(f"tid({v}) != owning node {node}")
-                if int(coreness[v]) != k:
-                    raise HierarchyError(
-                        f"vertex {v} has coreness {coreness[v]} in a {k}-node"
-                    )
-            pa = int(self.parent[node])
-            if pa >= 0 and int(self.node_coreness[pa]) >= k:
-                raise HierarchyError(
-                    f"parent coreness {self.node_coreness[pa]} >= child {k}"
-                )
-        if not bool(seen.all()):
-            missing = int(np.flatnonzero(~seen)[0])
-            raise HierarchyError(f"vertex {missing} missing from the HCD")
+        self.validate_levels(coreness)
 
         # Reconstruction checks against the direct definition.
         for node in range(self.num_nodes):
@@ -371,9 +390,11 @@ class HCD:
         """Rebuild an index from :meth:`to_arrays` output.
 
         The arrays are treated as untrusted (they may come off disk):
-        missing keys, a malformed member-offsets CSR, or out-of-range
-        values raise :class:`HierarchyError` naming the offender
-        instead of detonating as a numpy indexing error.
+        missing keys, a malformed member-offsets CSR, out-of-range ids
+        or members that do not partition the ids by ``tid`` raise
+        :class:`HierarchyError` naming the offender instead of
+        detonating as a numpy indexing error (or a negative id silently
+        wrapping to the last node).
         """
         for key in cls.ARRAY_KEYS:
             if key not in arrays:
@@ -401,10 +422,7 @@ class HCD:
         if np.any(np.diff(offsets) < 0):
             v = int(np.flatnonzero(np.diff(offsets) < 0)[0])
             raise HierarchyError(f"member_offsets decreases at node {v}")
-        if parent.size and int(parent.max()) >= t:
-            raise HierarchyError(
-                f"parent id {int(parent.max())} outside [0, {t})"
-            )
+        _check_forest(tid, parent, offsets, members)
         bounds = offsets.tolist()
         node_vertices = [
             members[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
@@ -438,6 +456,43 @@ class HCD:
         return (
             f"HCD(nodes={self.num_nodes}, vertices={self.num_vertices}, "
             f"kmax={self.kmax})"
+        )
+
+
+def _check_forest(
+    tid: np.ndarray, parent: np.ndarray, offsets: np.ndarray, members: np.ndarray
+) -> None:
+    """Vectorized id-range and partition check of flat forest arrays.
+
+    ``tid`` must lie in ``[0, t)``, ``parent`` in ``[-1, t)`` and the
+    members in ``[0, n)``; every id must be listed exactly once, by the
+    node its ``tid`` names.  ``offsets`` is the member CSR over the
+    ``t = parent.size`` nodes; ``n = tid.size``.
+    """
+    t, n = parent.size, tid.size
+    for name, arr, lo, hi in (
+        ("tid", tid, 0, t),
+        ("parent", parent, -1, t),
+        ("member id", members, 0, n),
+    ):
+        if arr.ndim != 1:
+            raise HierarchyError(f"{name} array must be 1-D, got {arr.shape}")
+        if arr.size and (int(arr.min()) < lo or int(arr.max()) >= hi):
+            at = int(np.flatnonzero((arr < lo) | (arr >= hi))[0])
+            raise HierarchyError(
+                f"{name} {int(arr[at])} at [{at}] outside [{lo}, {hi})"
+            )
+    counts = np.bincount(members, minlength=n)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        v = int(bad[0])
+        raise HierarchyError(f"id {v} listed {int(counts[v])} times, not once")
+    owner = np.repeat(np.arange(t, dtype=np.int64), np.diff(offsets))
+    bad = np.flatnonzero(tid[members] != owner)
+    if bad.size:
+        v = int(members[bad[0]])
+        raise HierarchyError(
+            f"tid({v}) = {int(tid[v])} but node {int(owner[bad[0]])} lists it"
         )
 
 

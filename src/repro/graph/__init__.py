@@ -1,7 +1,7 @@
 """Graph substrate: CSR storage, builders, I/O, generators, properties."""
 
 from repro.graph.builder import GraphBuilder
-from repro.graph.checked import CheckedGraph, validate_csr
+from repro.graph.checked import validate_csr
 from repro.graph.graph import Graph
 from repro.graph.io import (
     load_npz,
@@ -14,7 +14,6 @@ from repro.graph.io import (
 
 __all__ = [
     "Graph",
-    "CheckedGraph",
     "validate_csr",
     "GraphBuilder",
     "read_edge_list",

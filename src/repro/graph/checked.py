@@ -1,23 +1,19 @@
-"""Checked CSR views for untrusted graph inputs.
+"""The one CSR validator, for untrusted graph inputs.
 
-:class:`~repro.graph.graph.Graph` validates its invariants with a
-Python-level loop that is thorough but (a) quadratic-ish on large
-inputs and (b) raises the *internal* :class:`~repro.errors.GraphBuildError`,
-which callers reasonably treat as "library bug", not "bad file".
-Untrusted inputs — npz files from disk, METIS/edge-list parses, any
-CSR arrays that crossed a serialization boundary — deserve a
-different contract: **every** structural property is verified with
-vectorized numpy checks, and violations raise
-:class:`~repro.errors.GraphFormatError` with a message naming the
-first offending vertex/offset, so a corrupted file is a clean input
-error instead of an out-of-range index detonating deep inside a
-kernel (or worse, a negative index silently wrapping around).
+Untrusted inputs — npz files from disk, snapshot bundles, any CSR
+arrays that crossed a serialization boundary — get **every**
+structural property verified with vectorized numpy checks, and
+violations raise :class:`~repro.errors.GraphFormatError` with a
+message naming the first offending vertex/offset, so a corrupted file
+is a clean input error instead of an out-of-range index detonating
+deep inside a kernel (or worse, a negative index silently wrapping
+around).
 
-:func:`validate_csr` is the checker; :class:`CheckedGraph` is a
-:class:`Graph` subclass that runs it on construction.  The io load
-paths (:func:`repro.graph.io.load_npz`) route through
-:class:`CheckedGraph`, so ``Graph(..., validate=False)`` remains an
-internal-only fast path for arrays built by code that proves the
+:class:`~repro.graph.graph.Graph` runs :func:`validate_csr` whenever
+it is constructed with ``validate=True`` (the default), which is how
+the load paths (:func:`repro.graph.io.load_npz`, the serving
+snapshot) build their graphs; ``Graph(..., validate=False)`` remains
+an internal-only fast path for arrays built by code that proves the
 invariants by construction.
 """
 
@@ -26,9 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.graph import Graph
 
-__all__ = ["CheckedGraph", "validate_csr"]
+__all__ = ["validate_csr"]
 
 #: ``indices`` may not exceed this many entries: ``2 * m`` must fit an
 #: int64 and leave headroom for offset arithmetic (``indptr`` sums).
@@ -150,32 +145,3 @@ def validate_csr(indptr: np.ndarray, indices: np.ndarray) -> None:
             f"arc count {indices.size} is odd; a symmetric simple graph "
             f"stores every edge twice"
         )
-
-
-class CheckedGraph(Graph):
-    """A :class:`Graph` whose CSR arrays were fully validated.
-
-    Constructing one from untrusted ``indptr``/``indices`` runs
-    :func:`validate_csr` (raising :class:`GraphFormatError` on any
-    structural violation) and only then builds the immutable graph —
-    skipping the slower Python-loop invariant checker, which the
-    vectorized pass subsumes.
-
-    The resulting object *is* a :class:`Graph` (``isinstance`` holds),
-    so it flows through every kernel unchanged; the subclass only
-    exists to mark provenance and carry the checked constructor.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        validate_csr(indptr, indices)
-        super().__init__(indptr, indices, validate=False)
-
-    @classmethod
-    def wrap(cls, graph: Graph) -> "CheckedGraph":
-        """Re-validate an existing graph's arrays as untrusted input."""
-        return cls(graph.indptr, graph.indices)
-
-    def __repr__(self) -> str:
-        return f"CheckedGraph(n={self.num_vertices}, m={self.num_edges})"

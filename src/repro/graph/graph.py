@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import GraphBuildError, GraphFormatError
+from repro.graph.checked import validate_csr
 
 __all__ = ["Graph", "row_offsets"]
 
@@ -44,8 +45,11 @@ class Graph:
         ``{u, v}`` appears twice: as ``v`` in ``u``'s list and as ``u``
         in ``v``'s list.
     validate:
-        When true (the default), check the CSR invariants.  Internal
-        constructors that already guarantee the invariants pass false.
+        When true (the default), treat the arrays as untrusted and run
+        :func:`~repro.graph.checked.validate_csr` on them, which raises
+        :class:`~repro.errors.GraphFormatError` naming the first
+        violation.  Internal constructors that already guarantee the
+        invariants pass false.
     """
 
     __slots__ = ("_indptr", "_indices", "_n", "_m")
@@ -56,6 +60,8 @@ class Graph:
         indices: np.ndarray,
         validate: bool = True,
     ) -> None:
+        if validate:
+            validate_csr(indptr, indices)
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int64)
         if indptr.ndim != 1 or indices.ndim != 1:
@@ -66,8 +72,6 @@ class Graph:
         self._indices = indices
         self._n = int(indptr.size - 1)
         self._m = int(indices.size // 2)
-        if validate:
-            self._check_invariants()
         self._indptr.setflags(write=False)
         self._indices.setflags(write=False)
 
@@ -139,36 +143,6 @@ class Graph:
         """Return an edgeless graph with ``num_vertices`` vertices."""
         indptr = np.zeros(int(num_vertices) + 1, dtype=np.int64)
         return cls(indptr, np.empty(0, dtype=np.int64), validate=False)
-
-    # ------------------------------------------------------------------
-    # invariants
-    # ------------------------------------------------------------------
-
-    def _check_invariants(self) -> None:
-        indptr, indices, n = self._indptr, self._indices, self._n
-        if indptr[0] != 0 or indptr[-1] != indices.size:
-            raise GraphBuildError("indptr endpoints do not bracket indices")
-        if np.any(np.diff(indptr) < 0):
-            raise GraphBuildError("indptr must be non-decreasing")
-        if indices.size:
-            if indices.min() < 0 or indices.max() >= n:
-                raise GraphBuildError("neighbor id out of range")
-        for v in range(n):
-            row = indices[indptr[v] : indptr[v + 1]]
-            if row.size == 0:
-                continue
-            if np.any(row[:-1] >= row[1:]):
-                raise GraphBuildError(
-                    f"adjacency list of vertex {v} is not strictly sorted"
-                )
-            if np.any(row == v):
-                raise GraphBuildError(f"self-loop at vertex {v}")
-        # Symmetry: every (u, v) arc must have the reverse arc.
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        fwd = set(zip(src.tolist(), indices.tolist()))
-        for a, b in fwd:
-            if (b, a) not in fwd:
-                raise GraphBuildError(f"missing reverse arc for ({a}, {b})")
 
     # ------------------------------------------------------------------
     # basic accessors

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.builder import GraphBuilder
-from repro.graph.checked import CheckedGraph
 from repro.graph.graph import Graph
 
 __all__ = [
@@ -166,11 +165,12 @@ def load_npz(path: str | os.PathLike[str]) -> Graph:
     """Load a graph previously stored with :func:`save_npz`.
 
     The file is *untrusted input*: the CSR arrays are fully validated
-    through :class:`~repro.graph.checked.CheckedGraph`, so a corrupted
+    by :func:`~repro.graph.checked.validate_csr` (the default
+    ``Graph(indptr, indices)`` construction), so a corrupted
     or hand-edited npz raises :class:`~repro.errors.GraphFormatError`
     instead of smuggling out-of-range indices into the kernels.
     """
     with np.load(Path(path)) as data:
         if "indptr" not in data or "indices" not in data:
             raise GraphFormatError("npz file missing 'indptr'/'indices' arrays")
-        return CheckedGraph(data["indptr"], data["indices"])
+        return Graph(data["indptr"], data["indices"])

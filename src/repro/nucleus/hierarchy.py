@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.element_hierarchy import ElementHierarchy, build_element_hierarchy
+from repro.core.element_hierarchy import build_element_hierarchy
+from repro.core.hcd import HCD
 from repro.graph.graph import Graph
 from repro.parallel.scheduler import SimulatedPool
 from repro.nucleus.decomposition import TriangleIndex, nucleus_decomposition
@@ -27,8 +28,12 @@ def nucleus_hierarchy(
     theta: np.ndarray | None = None,
     pool: SimulatedPool | None = None,
     index: TriangleIndex | None = None,
-) -> ElementHierarchy:
-    """Build the (3,4)-nucleus hierarchy with the PHCD paradigm."""
+) -> HCD:
+    """Build the (3,4)-nucleus hierarchy with the PHCD paradigm.
+
+    The result is an :class:`~repro.core.hcd.HCD` over triangle ids of
+    ``index``.
+    """
     pool = pool or SimulatedPool(threads=1)
     index = index or TriangleIndex(graph)
     if theta is None:
@@ -38,7 +43,9 @@ def nucleus_hierarchy(
     )
 
 
-def vertices_of_nucleus(hierarchy: ElementHierarchy, node: int) -> np.ndarray:
+def vertices_of_nucleus(
+    index: TriangleIndex, hierarchy: HCD, node: int
+) -> np.ndarray:
     """Distinct corners of the node's nucleus triangles."""
-    tris = hierarchy.index.triangles[hierarchy.reconstruct(node)]
+    tris = index.triangles[hierarchy.reconstruct_core(node)]
     return np.unique(tris.reshape(-1))

@@ -65,8 +65,8 @@ Escapes
   containing ``0``) is exempt from SAN301 — empty sentinels hold no
   readable memory.
 * Names assigned from ``<graph>.indptr`` / ``<graph>.indices`` are
-  *trusted CSR arrays* (validated by construction or via
-  ``CheckedGraph``) and exempt from SAN302, so the ubiquitous
+  *trusted CSR arrays* (validated by construction or by
+  ``validate_csr``) and exempt from SAN302, so the ubiquitous
   ``indices[indptr[v]:indptr[v+1]]`` idiom stays clean.
 * A trailing ``# sani: ok`` comment suppresses all findings on that
   line; a reason is required, e.g. ``# sani: ok - permutation
@@ -309,8 +309,8 @@ def _collect_trusted_csr(tree: ast.Module) -> set[str]:
     """Names assigned from ``<x>.indptr`` / ``<x>.indices`` (or their
     ``.tolist()``) anywhere.
 
-    Those arrays come out of a validated :class:`Graph` (or a
-    ``CheckedGraph`` for untrusted inputs), so data-dependent indexing
+    Those arrays come out of a validated :class:`Graph` (untrusted
+    inputs pass ``validate_csr`` first), so data-dependent indexing
     *with* them — ``indices[indptr[v]:indptr[v+1]]`` — is the trusted
     CSR traversal idiom, exempt from SAN302.
     """

@@ -24,11 +24,13 @@ On disk a snapshot is a directory with exactly two files::
 Loading treats the bundle as *untrusted input*: the manifest is parsed
 and version-checked first, every array is checksum-verified against
 it, the graph CSR goes through :func:`repro.graph.checked.validate_csr`
-(via :class:`~repro.graph.checked.CheckedGraph`), and the HCD arrays
-through :meth:`HCD.from_arrays`.  Every failure raises a typed
-:class:`~repro.errors.SnapshotError` naming the offending file or
-field — a truncated npz or a flipped bit is a clean input error, never
-a bare ``zipfile``/``numpy`` exception detonating inside a kernel.
+(run by the default ``Graph(indptr, indices)`` construction), and the
+HCD arrays through :meth:`HCD.from_arrays`, which range-checks every
+id and checks that the members partition the vertices by ``tid``.
+Every failure raises a typed :class:`~repro.errors.SnapshotError`
+naming the offending file or field — a truncated npz or a flipped bit
+is a clean input error, never a bare ``zipfile``/``numpy`` exception
+detonating inside a kernel.
 
 Versioning, atomic publication, and staleness detection live in
 :mod:`repro.serve.catalog`.
@@ -47,7 +49,6 @@ import numpy as np
 from repro.core.hcd import HCD
 from repro.core.vertex_rank import VertexRankResult
 from repro.errors import GraphFormatError, HierarchyError, SnapshotError
-from repro.graph.checked import CheckedGraph
 from repro.graph.graph import Graph
 from repro.parallel.scheduler import SimulatedPool
 from repro.search.preprocessing import (
@@ -324,7 +325,7 @@ class Snapshot:
     @classmethod
     def _assemble(cls, manifest: dict, raw: dict[str, np.ndarray]) -> "Snapshot":
         try:
-            graph = CheckedGraph(raw["indptr"], raw["indices"])
+            graph = Graph(raw["indptr"], raw["indices"])
         except GraphFormatError as exc:
             raise SnapshotError(f"array 'indptr'/'indices': invalid graph CSR: {exc}") from exc
         n = graph.num_vertices

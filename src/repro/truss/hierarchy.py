@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.element_hierarchy import ElementHierarchy, build_element_hierarchy
+from repro.core.element_hierarchy import build_element_hierarchy
+from repro.core.hcd import HCD
 from repro.graph.graph import Graph
 from repro.parallel.scheduler import SimulatedPool
 from repro.truss.decomposition import EdgeIndex, truss_decomposition
@@ -30,7 +31,7 @@ def truss_hierarchy(
     trussness: np.ndarray | None = None,
     pool: SimulatedPool | None = None,
     index: EdgeIndex | None = None,
-) -> ElementHierarchy:
+) -> HCD:
     """Build the truss hierarchy with the PHCD paradigm on edges.
 
     ``trussness`` may be precomputed (else it is computed here, charged
@@ -38,7 +39,8 @@ def truss_hierarchy(
     its own 2-truss class, so, following Huang et al., the forest keeps
     *triangle* connectivity for k >= 3 and groups the 2-level by the
     edges' subgraph connectivity: one root per connected chunk of the
-    graph.
+    graph.  The result is an :class:`~repro.core.hcd.HCD` over edge ids
+    of ``index``.
     """
     pool = pool or SimulatedPool(threads=1)
     index = index or EdgeIndex(graph)

@@ -26,8 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.element_hierarchy import ElementHierarchy
-from repro.graph.graph import Graph
+from repro.core.hcd import HCD
 from repro.parallel.atomics import AtomicArray
 from repro.parallel.scheduler import SimulatedPool
 from repro.search.result import best_finite_index
@@ -63,34 +62,37 @@ class TrussSearchResult:
     best_score: float
     scores: np.ndarray
     values: np.ndarray  # (|T|, 2): accumulated (m, triangles) per node
-    hierarchy: ElementHierarchy
+    hierarchy: HCD
+    index: EdgeIndex
 
     def best_edges(self) -> np.ndarray:
         """Edge ids of the winning community."""
         if self.best_node < 0:
             return np.empty(0, dtype=np.int64)
-        return self.hierarchy.reconstruct(self.best_node)
+        return self.hierarchy.reconstruct_core(self.best_node)
 
     def best_vertices(self) -> np.ndarray:
         """Distinct endpoints of the winning community's edges."""
-        edges = self.hierarchy.index.edges[self.best_edges()]
+        edges = self.index.edges[self.best_edges()]
         return np.unique(edges.reshape(-1))
 
 
 def best_truss(
-    graph: Graph,
-    hierarchy: ElementHierarchy,
+    index: EdgeIndex,
+    hierarchy: HCD,
     trussness: np.ndarray,
     pool: SimulatedPool,
     metric: str = "average_support",
 ) -> TrussSearchResult:
-    """Find the best-scoring k-truss community on ``pool``."""
+    """Find the best-scoring k-truss community on ``pool``.
+
+    ``hierarchy`` is the truss forest over the edge ids of ``index``.
+    """
     if metric not in TRUSS_METRICS:
         raise KeyError(
             f"unknown truss metric {metric!r}; known: {sorted(TRUSS_METRICS)}"
         )
     score_fn = TRUSS_METRICS[metric]
-    index: EdgeIndex = hierarchy.index
     t = hierarchy.num_nodes
     trussness = np.asarray(trussness, dtype=np.int64)
     if t == 0:
@@ -102,12 +104,13 @@ def best_truss(
             scores=np.empty(0),
             values=np.empty((0, 2)),
             hierarchy=hierarchy,
+            index=index,
         )
 
     contributions = AtomicArray(t * 2, dtype=np.float64, name="truss_vals")
 
     def contribute(eid: int, ctx) -> None:
-        node = int(hierarchy.elem_node[eid])
+        node = int(hierarchy.tid[eid])
         ctx.charge(1)
         contributions.add(ctx, node * 2, 1.0)  # one edge
         # triangles charged to the min-(trussness, id)-rank edge
@@ -131,10 +134,7 @@ def best_truss(
 
     # bottom-up accumulation over the truss forest
     values = contributions.data.reshape(t, 2).copy()
-    order = sorted(
-        range(t), key=lambda node: -int(hierarchy.node_level[node])
-    )
-    for node in order:
+    for node in hierarchy.nodes_bottom_up():
         pa = int(hierarchy.parent[node])
         if pa >= 0:
             values[pa] += values[node]
@@ -149,9 +149,10 @@ def best_truss(
     return TrussSearchResult(
         metric_name=metric,
         best_node=best,
-        best_k=int(hierarchy.node_level[best]) if best >= 0 else -1,
+        best_k=int(hierarchy.node_coreness[best]) if best >= 0 else -1,
         best_score=float(scores[best]) if best >= 0 else float("-inf"),
         scores=scores,
         values=values,
         hierarchy=hierarchy,
+        index=index,
     )

@@ -92,7 +92,7 @@ def definitional_hierarchy(index, levels, floor):
 
 def hierarchy_nodes(h):
     return sorted(
-        (int(h.node_level[i]), frozenset(int(e) for e in h.members_of(i)))
+        (int(h.node_coreness[i]), frozenset(int(e) for e in h.vertices_of(i)))
         for i in range(h.num_nodes)
     )
 
@@ -106,7 +106,7 @@ def test_nodes_match_definitional_oracle(adapter, graph, threads):
     index = index_cls(g)
     levels = decompose(g, index)
     h = build(g, levels, SimulatedPool(threads=threads), index=index)
-    h.validate(levels)
+    h.validate_levels(levels)
     assert hierarchy_nodes(h) == definitional_hierarchy(index, levels, floor)
 
 
@@ -156,10 +156,10 @@ def digest(adapter: str, graph: str, threads: int) -> dict[str, str]:
         "clock": repr(float(pool.clock)),
         "regions": _sha(regions),
         "levels": _sha(levels.tolist()),
-        "node_level": _sha(h.node_level.tolist()),
+        "node_level": _sha(h.node_coreness.tolist()),
         "parent": _sha(h.parent.tolist()),
-        "elem_node": _sha(h.elem_node.tolist()),
-        "members": _sha([h.members_of(i).tolist() for i in range(h.num_nodes)]),
+        "elem_node": _sha(h.tid.tolist()),
+        "members": _sha([h.vertices_of(i).tolist() for i in range(h.num_nodes)]),
     }
 
 

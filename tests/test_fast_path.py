@@ -134,11 +134,8 @@ def _element_pipeline(graph, pool):
     ):
         levels = decompose(graph, pool=pool)
         h = build(graph, levels, pool)
-        members = [e for i in range(h.num_nodes) for e in h.members_of(i)]
-        outputs.extend([
-            levels, h.node_level, h.parent, h.elem_node,
-            np.asarray(members, dtype=np.int64),
-        ])
+        outputs.append(levels)
+        outputs.extend(h.to_arrays().values())
     return outputs
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import GraphBuildError, GraphFormatError
+from repro.errors import GraphFormatError
 from repro.graph.graph import Graph
 
 
@@ -59,25 +59,25 @@ class TestInvariants:
     def test_constructor_validates_sorted_rows(self):
         indptr = np.array([0, 2, 3, 3], dtype=np.int64)
         indices = np.array([2, 1, 0], dtype=np.int64)  # row 0 unsorted? 2,1
-        with pytest.raises(GraphBuildError):
+        with pytest.raises(GraphFormatError):
             Graph(indptr, indices)
 
     def test_constructor_validates_symmetry(self):
         indptr = np.array([0, 1, 1], dtype=np.int64)
         indices = np.array([1], dtype=np.int64)  # 0->1 but no 1->0
-        with pytest.raises(GraphBuildError):
+        with pytest.raises(GraphFormatError):
             Graph(indptr, indices)
 
     def test_constructor_rejects_self_loop(self):
         indptr = np.array([0, 1], dtype=np.int64)
         indices = np.array([0], dtype=np.int64)
-        with pytest.raises(GraphBuildError):
+        with pytest.raises(GraphFormatError):
             Graph(indptr, indices)
 
     def test_constructor_rejects_out_of_range(self):
         indptr = np.array([0, 1], dtype=np.int64)
         indices = np.array([7], dtype=np.int64)
-        with pytest.raises(GraphBuildError):
+        with pytest.raises(GraphFormatError):
             Graph(indptr, indices)
 
     def test_arrays_read_only(self, triangle):

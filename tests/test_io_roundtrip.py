@@ -25,7 +25,7 @@ from repro.search.influential import InfluentialCommunityIndex
 from repro.search.metrics import register_metric
 from repro.search.pbks import pbks_search
 from repro.search.result import best_finite_index
-from repro.truss.decomposition import truss_decomposition
+from repro.truss.decomposition import EdgeIndex, truss_decomposition
 from repro.truss.hierarchy import truss_hierarchy
 from repro.truss.search import TRUSS_METRICS, best_truss
 
@@ -227,12 +227,15 @@ class TestNanMetricGuards:
 
     def test_truss_all_nan(self, paper_like_graph):
         pool = SimulatedPool(threads=2)
-        trussness = truss_decomposition(paper_like_graph, pool=pool)
-        hierarchy = truss_hierarchy(paper_like_graph, trussness, pool=pool)
+        index = EdgeIndex(paper_like_graph)
+        trussness = truss_decomposition(paper_like_graph, index, pool)
+        hierarchy = truss_hierarchy(
+            paper_like_graph, trussness, pool=pool, index=index
+        )
         TRUSS_METRICS["_test_nan"] = lambda m, tri: float("nan")
         try:
             result = best_truss(
-                paper_like_graph,
+                index,
                 hierarchy,
                 trussness,
                 pool,

@@ -1,4 +1,4 @@
-"""Tests for SimCheck: traps, barrier, checked casts, CheckedGraph, SAN3xx."""
+"""Tests for SimCheck: traps, barrier, checked casts, CSR validation, SAN3xx."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.errors import GraphFormatError, MemcheckError, NumericSoundnessError
-from repro.graph import CheckedGraph, Graph, validate_csr
+from repro.graph import Graph, validate_csr
 from repro.graph.generators import erdos_renyi
 from repro.graph.io import load_npz, read_metis, save_npz
 from repro.parallel.scheduler import SimulatedPool
@@ -305,28 +305,24 @@ class TestSeededAcceptance:
 
 class TestCheckedGraphBoundaries:
     def test_empty_graph(self):
-        g = CheckedGraph(np.asarray([0]), np.asarray([], dtype=np.int64))
+        g = Graph(np.asarray([0]), np.asarray([], dtype=np.int64))
         assert g.num_vertices == 0 and g.num_edges == 0
 
     def test_single_vertex_no_edges(self):
-        g = CheckedGraph(np.asarray([0, 0]), np.asarray([], dtype=np.int64))
+        g = Graph(np.asarray([0, 0]), np.asarray([], dtype=np.int64))
         assert g.num_vertices == 1 and g.num_edges == 0
 
     def test_isolated_vertices_between_edges(self):
         # vertices 0-1 joined, 2 isolated, 3-4 joined
         indptr = np.asarray([0, 1, 2, 2, 3, 4])
         indices = np.asarray([1, 0, 4, 3])
-        g = CheckedGraph(indptr, indices)
+        g = Graph(indptr, indices)
         assert g.num_vertices == 5 and g.num_edges == 2
         assert g.degree(2) == 0
 
-    def test_is_a_graph(self):
-        g = CheckedGraph(np.asarray([0, 1, 2]), np.asarray([1, 0]))
-        assert isinstance(g, Graph)
-
     def test_wrap_revalidates(self):
         g = erdos_renyi(40, 0.1, seed=1)
-        checked = CheckedGraph.wrap(g)
+        checked = Graph(g.indptr, g.indices)
         assert checked.num_edges == g.num_edges
 
     def test_self_loop_rejected(self):
@@ -494,7 +490,6 @@ class TestUntrustedIo:
         path = tmp_path / "g.npz"
         save_npz(g, path)
         loaded = load_npz(path)
-        assert isinstance(loaded, CheckedGraph)
         assert loaded.num_edges == g.num_edges
 
     def test_corrupted_npz_rejected(self, tmp_path):

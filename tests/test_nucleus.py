@@ -133,10 +133,10 @@ class TestNucleusHierarchy:
         index = TriangleIndex(g)
         theta = nucleus_decomposition(g, index)
         h = nucleus_hierarchy(g, theta, SimulatedPool(), index=index)
-        h.validate(theta)
-        deep = [i for i in range(h.num_nodes) if h.node_level[i] == 2]
+        h.validate_levels(theta)
+        deep = [i for i in range(h.num_nodes) if h.node_coreness[i] == 2]
         assert len(deep) == 2
-        sides = {frozenset(vertices_of_nucleus(h, i).tolist()) for i in deep}
+        sides = {frozenset(vertices_of_nucleus(index, h, i).tolist()) for i in deep}
         assert sides == {frozenset(range(5)), frozenset(range(5, 10))}
 
     def test_nested_levels(self):
@@ -147,8 +147,8 @@ class TestNucleusHierarchy:
         index = TriangleIndex(g)
         theta = nucleus_decomposition(g, index)
         h = nucleus_hierarchy(g, theta, SimulatedPool(threads=2), index=index)
-        h.validate(theta)
-        assert int(h.node_level.max()) >= 3
+        h.validate_levels(theta)
+        assert int(h.node_coreness.max()) >= 3
 
     @pytest.mark.parametrize("threads", [1, 3, 6])
     def test_thread_invariance(self, threads):
@@ -167,10 +167,10 @@ class TestNucleusHierarchy:
         theta = nucleus_decomposition(g, index)
         h = nucleus_hierarchy(g, theta, SimulatedPool(), index=index)
         for node in range(h.num_nodes):
-            k = int(h.node_level[node])
-            tris = h.reconstruct(node)
+            k = int(h.node_coreness[node])
+            tris = h.reconstruct_core(node)
             assert np.all(theta[tris] >= k)
-            own = h.members_of(node)
+            own = h.vertices_of(node)
             assert np.all(theta[own] == k)
 
     def test_empty_graph(self):

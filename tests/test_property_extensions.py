@@ -58,12 +58,12 @@ def test_truss_hierarchy_invariants(edges, threads):
     th = truss_hierarchy(
         g, trussness, SimulatedPool(threads=threads), index=index
     )
-    th.validate(trussness)
-    # partition + parent monotonicity are inside validate; additionally
+    th.validate_levels(trussness)
+    # partition + parent monotonicity are inside validate_levels; additionally
     # every reconstructed community's edges share one trussness floor
     for node in range(th.num_nodes):
-        k = int(th.node_level[node])
-        edges_of = th.reconstruct(node)
+        k = int(th.node_coreness[node])
+        edges_of = th.reconstruct_core(node)
         assert np.all(trussness[edges_of] >= k)
 
 

@@ -16,8 +16,9 @@ import pytest
 
 from repro.cluster import ClusterService, ClusterServiceConfig
 from repro.core.decomposition import core_decomposition
+from repro.core.hcd import HCD
 from repro.dynamic import DynamicGraph
-from repro.errors import SnapshotError, WorkloadError
+from repro.errors import HierarchyError, SnapshotError, WorkloadError
 from repro.graph.generators import powerlaw_cluster
 from repro.parallel.scheduler import SimulatedPool
 from repro.search.best_k import find_best_k
@@ -90,6 +91,47 @@ class TestSnapshotRoundTrip:
             rb.best_score,
             rb.size,
         )
+
+
+#: one corruption per structural check of ``HCD.from_arrays``
+HCD_CORRUPTIONS = (
+    "tid_negative",
+    "parent_below_root",
+    "member_out_of_range",
+    "vertex_listed_twice",
+    "member_in_other_node",
+)
+
+
+def _corrupted_hcd_array(hcd, case):
+    """``(key, array)``: one of ``hcd``'s flat arrays with ``case`` applied."""
+    arrays = {key: arr.copy() for key, arr in hcd.to_arrays().items()}
+    tid, members = arrays["tid"], arrays["members"]
+    if case == "tid_negative":
+        tid[0] = -1  # would wrap to the last node
+        return "tid", tid
+    if case == "parent_below_root":
+        arrays["parent"][0] = -2
+        return "parent", arrays["parent"]
+    if case == "member_out_of_range":
+        members[0] = 10**6
+        return "members", members
+    if case == "vertex_listed_twice":
+        members[1] = members[0]  # and members[1]'s vertex nowhere
+        return "members", members
+    assert case == "member_in_other_node"
+    v = int(members[0])
+    tid[v] = (tid[v] + 1) % hcd.num_nodes
+    return "tid", tid
+
+
+@pytest.mark.parametrize("case", HCD_CORRUPTIONS)
+def test_hcd_load_rejects_corrupt_arrays(tmp_path, snapshot, case):
+    key, bad = _corrupted_hcd_array(snapshot.hcd, case)
+    path = tmp_path / "hcd.npz"
+    np.savez(path, **{**snapshot.hcd.to_arrays(), key: bad})
+    with pytest.raises(HierarchyError):
+        HCD.load(path)
 
 
 class TestSnapshotCorruption:
@@ -209,6 +251,13 @@ class TestSnapshotCorruption:
         bad = snapshot.hcd.parent.copy()
         bad[0] = 10**6
         self._tamper_array(bundle, "parent", bad)
+        with pytest.raises(SnapshotError, match="HCD"):
+            Snapshot.load(bundle)
+
+    @pytest.mark.parametrize("case", HCD_CORRUPTIONS)
+    def test_invalid_hcd_partition(self, bundle, snapshot, case):
+        key, bad = _corrupted_hcd_array(snapshot.hcd, case)
+        self._tamper_array(bundle, key, bad)
         with pytest.raises(SnapshotError, match="HCD"):
             Snapshot.load(bundle)
 

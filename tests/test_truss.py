@@ -82,7 +82,7 @@ class TestTrussHierarchy:
         index = EdgeIndex(g)
         trussness = truss_decomposition(g, index)
         th = truss_hierarchy(g, trussness, SimulatedPool(threads=threads), index=index)
-        th.validate(trussness)
+        th.validate_levels(trussness)
         assert hierarchy_nodes(th) == definitional_hierarchy(index, trussness, 2)
 
     def test_thread_invariance(self):
@@ -100,10 +100,10 @@ class TestTrussHierarchy:
         trussness = truss_decomposition(g, index)
         th = truss_hierarchy(g, trussness, SimulatedPool(threads=2), index=index)
         for node in range(th.num_nodes):
-            k = int(th.node_level[node])
-            edges = th.reconstruct(node)
+            k = int(th.node_coreness[node])
+            edges = th.reconstruct_core(node)
             assert np.all(trussness[edges] >= k)
-            own = th.members_of(node)
+            own = th.vertices_of(node)
             assert np.all(trussness[own] == k)
 
     def test_two_cliques_give_two_deep_nodes(self):
@@ -113,10 +113,10 @@ class TestTrussHierarchy:
         g = Graph.from_edges(edges)
         trussness = truss_decomposition(g)
         th = truss_hierarchy(g, trussness, SimulatedPool())
-        ks = sorted(int(k) for k in th.node_level)
+        ks = sorted(int(k) for k in th.node_coreness)
         assert ks == [2, 5, 5]
         # both K5 nodes hang under the level-2 root
-        root = [i for i in range(3) if th.node_level[i] == 2][0]
+        root = [i for i in range(3) if th.node_coreness[i] == 2][0]
         assert sorted(th.children[root]) == [
             i for i in range(3) if i != root
         ]
@@ -128,8 +128,8 @@ class TestTrussHierarchy:
         g = Graph.from_edges(edges)
         trussness = truss_decomposition(g)
         th = truss_hierarchy(g, trussness, SimulatedPool(threads=2))
-        th.validate(trussness)
-        ks = sorted(int(k) for k in th.node_level)
+        th.validate_levels(trussness)
+        ks = sorted(int(k) for k in th.node_coreness)
         assert ks[-1] == 6
         assert 3 in ks
 

@@ -22,7 +22,7 @@ def setting():
 
 
 def community_subgraph(index, hierarchy, node):
-    eids = hierarchy.reconstruct(node)
+    eids = hierarchy.reconstruct_core(node)
     pairs = [tuple(int(x) for x in index.edges[e]) for e in eids]
     vs = sorted({x for pair in pairs for x in pair})
     remap = {v: i for i, v in enumerate(vs)}
@@ -33,8 +33,8 @@ def community_subgraph(index, hierarchy, node):
 
 class TestValuesOracle:
     def test_every_node_matches_direct_recount(self, setting):
-        g, index, trussness, hierarchy = setting
-        res = best_truss(g, hierarchy, trussness, SimulatedPool(threads=3))
+        _, index, trussness, hierarchy = setting
+        res = best_truss(index, hierarchy, trussness, SimulatedPool(threads=3))
         for node in range(hierarchy.num_nodes):
             sub = community_subgraph(index, hierarchy, node)
             m_, tri = res.values[node]
@@ -43,10 +43,10 @@ class TestValuesOracle:
 
     @pytest.mark.parametrize("threads", [1, 4, 8])
     def test_thread_invariance(self, setting, threads):
-        g, _, trussness, hierarchy = setting
-        base = best_truss(g, hierarchy, trussness, SimulatedPool(threads=1))
+        _, index, trussness, hierarchy = setting
+        base = best_truss(index, hierarchy, trussness, SimulatedPool(threads=1))
         other = best_truss(
-            g, hierarchy, trussness, SimulatedPool(threads=threads)
+            index, hierarchy, trussness, SimulatedPool(threads=threads)
         )
         assert np.allclose(base.scores, other.scores)
         assert base.best_node == other.best_node
@@ -54,10 +54,10 @@ class TestValuesOracle:
 
 class TestBestTruss:
     def test_best_is_argmax(self, setting):
-        g, _, trussness, hierarchy = setting
+        _, index, trussness, hierarchy = setting
         for metric in TRUSS_METRICS:
             res = best_truss(
-                g, hierarchy, trussness, SimulatedPool(), metric=metric
+                index, hierarchy, trussness, SimulatedPool(), metric=metric
             )
             assert res.best_score == pytest.approx(float(res.scores.max()))
             assert res.metric_name == metric
@@ -70,23 +70,23 @@ class TestBestTruss:
         index = EdgeIndex(g)
         trussness = truss_decomposition(g, index)
         hierarchy = truss_hierarchy(g, trussness, SimulatedPool(), index=index)
-        res = best_truss(g, hierarchy, trussness, SimulatedPool())
+        res = best_truss(index, hierarchy, trussness, SimulatedPool())
         assert res.best_k == 6
         assert set(res.best_vertices().tolist()) == set(range(11, 17))
         # K6 average support: each edge in 4 triangles
         assert res.best_score == pytest.approx(4.0)
 
     def test_unknown_metric(self, setting):
-        g, _, trussness, hierarchy = setting
+        _, index, trussness, hierarchy = setting
         with pytest.raises(KeyError):
-            best_truss(g, hierarchy, trussness, SimulatedPool(), metric="nope")
+            best_truss(index, hierarchy, trussness, SimulatedPool(), metric="nope")
 
     def test_empty_graph(self):
         g = Graph.empty(2)
         index = EdgeIndex(g)
         trussness = truss_decomposition(g, index)
         hierarchy = truss_hierarchy(g, trussness, SimulatedPool(), index=index)
-        res = best_truss(g, hierarchy, trussness, SimulatedPool())
+        res = best_truss(index, hierarchy, trussness, SimulatedPool())
         assert res.best_node == -1
         assert res.best_edges().size == 0
 
@@ -97,7 +97,7 @@ class TestBestTruss:
         trussness = truss_decomposition(g, index)
         hierarchy = truss_hierarchy(g, trussness, SimulatedPool(), index=index)
         res = best_truss(
-            g, hierarchy, trussness, SimulatedPool(), metric="triangle_density"
+            index, hierarchy, trussness, SimulatedPool(), metric="triangle_density"
         )
         assert res.best_k == 3
         assert res.best_score == pytest.approx(1.0 / 3.0)
