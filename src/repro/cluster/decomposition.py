@@ -148,11 +148,13 @@ def _local_refine(
             if not changed.size:
                 break
             # a drop wakes the vertex and its shard-local neighbors;
-            # remote neighbors wait for the exchange
+            # remote neighbors wait for the exchange.  A mask lists the
+            # woken ids once, ascending
             nbrs = graph.gather_rows(changed)[0]
-            front = np.unique(
-                np.concatenate([changed, nbrs[owner[nbrs] == shard_id]])
-            )
+            woken = np.zeros(local.size, dtype=bool)
+            woken[changed] = True
+            woken[nbrs[owner[nbrs] == shard_id]] = True
+            front = np.flatnonzero(woken)
     changed_ids = np.flatnonzero(local != committed).astype(np.int64)
     return changed_ids, local[changed_ids], rounds
 

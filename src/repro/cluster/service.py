@@ -23,8 +23,12 @@ primary replica.  That step has three distribution-only stages:
   a dispatch is marked dead, the in-flight work is lost, and the next
   replica answers after ``FAILOVER_PENALTY``; a dead node with
   ``recover_at`` set later *re-registers from the snapshot catalog*
-  (a fresh :class:`HCDService` over the latest published version) and
-  rejoins its replica set.
+  (a fresh :class:`HCDService` that reopens the latest published
+  version) and rejoins its replica set.
+
+The router opens the snapshot once and hands that one read-only
+:class:`~repro.serve.snapshot.Snapshot` to every replica; only a
+recovery reopens it.
 
 Because every replica serves the same snapshot and
 :meth:`HCDService.answer` depends only on (snapshot, queries), the
@@ -174,9 +178,15 @@ class ClusterService:
         # node is the router itself
         self.cluster = SimCluster(total + 1, threads=threads, pool=pool)
         self.router = self.cluster.nodes[total]
+        # one open for every replica: a loaded snapshot is read-only
+        snapshot = catalog.open(name)
         for node in self.cluster.nodes[:total]:
             node.service = HCDService(
-                catalog, name, config=self.service_config, pool=node.pool
+                catalog,
+                name,
+                config=self.service_config,
+                pool=node.pool,
+                snapshot=snapshot,
             )
         self.failovers = 0
         self.hedges = 0
@@ -395,10 +405,17 @@ class ClusterService:
         """Replay a trace through the sharded router; see module docs.
 
         Every live replica first moves to the catalog's latest version.
+        The replicas mostly hold one shared snapshot, so the catalog is
+        probed once per version they hold, not once per replica.
         """
+        stale: dict[int, bool] = {}
         for node in self.cluster.nodes[:-1]:
             if node.alive and node.service is not None:
-                node.service.refresh()
+                version = node.service.snapshot.version
+                if version not in stale:
+                    stale[version] = self.catalog.is_stale(self.name, version)
+                if stale[version]:
+                    node.service.refresh()
         pool = self.router.pool
         report = ClusterReport(
             snapshot=self.replica_nodes(0)[0].service.snapshot.version_id,

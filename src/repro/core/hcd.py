@@ -141,9 +141,7 @@ class HCD:
 
     def nodes_bottom_up(self) -> list[int]:
         """Node ids ordered deepest-first (children before parents)."""
-        depths = self.depths()
-        order = np.argsort(depths, kind="stable")[::-1]
-        return [int(i) for i in order]
+        return np.argsort(self.depths(), kind="stable")[::-1].tolist()
 
     def nodes_top_down(self) -> list[int]:
         """Node ids ordered shallowest-first (parents before children)."""
@@ -276,17 +274,27 @@ class HCD:
         3. every parent's level is strictly smaller than its child's.
 
         Element forests (truss, nucleus) call it directly; :meth:`validate`
-        runs it before its graph-reconstruction checks.
+        runs it before its graph-reconstruction checks.  Check 1 is the
+        one :meth:`from_arrays` makes; :meth:`check_levels` is the rest.
         """
+        arrays = self.to_arrays()
+        _check_forest(
+            self.tid, self.parent, arrays["member_offsets"], arrays["members"]
+        )
+        self.check_levels(levels)
+
+    def check_levels(self, levels: np.ndarray) -> None:
+        """Checks 2 and 3 of :meth:`validate_levels`, on a forest whose
+        members are known to partition the ids by ``tid`` (any index
+        :meth:`from_arrays` returns)."""
         levels = np.asarray(levels, dtype=np.int64)
         if levels.shape != self.tid.shape:
             raise HierarchyError(
                 f"levels have shape {levels.shape} for {self.num_vertices} ids"
             )
-        arrays = self.to_arrays()
-        offsets = arrays["member_offsets"]
-        _check_forest(self.tid, self.parent, offsets, arrays["members"])
-        empty = np.flatnonzero(offsets[1:] == offsets[:-1])
+        # the members partition the ids by tid, so tid counts the sizes
+        sizes = np.bincount(self.tid, minlength=self.num_nodes)
+        empty = np.flatnonzero(sizes == 0)
         if empty.size:
             raise HierarchyError(f"tree node {int(empty[0])} is empty")
         bad = np.flatnonzero(levels != self.node_coreness[self.tid])
@@ -394,11 +402,29 @@ class HCD:
         or members that do not partition the ids by ``tid`` raise
         :class:`HierarchyError` naming the offender instead of
         detonating as a numpy indexing error (or a negative id silently
-        wrapping to the last node).
+        wrapping to the last node).  Every array must hold integers
+        that fit an int64 (the rule of
+        :func:`~repro.graph.checked.validate_csr`).  The index is
+        immutable: the int64 arrays it keeps are marked read-only, and
+        so are the caller's arrays where they are already int64 (the
+        index shares them).
         """
         for key in cls.ARRAY_KEYS:
             if key not in arrays:
                 raise HierarchyError(f"HCD arrays missing {key!r}")
+            arr = np.asarray(arrays[key])
+            # validate_csr's rule: integers that fit an int64, never a
+            # float whose fraction the int64 cast would drop
+            if arr.dtype.kind not in "iu":
+                raise HierarchyError(
+                    f"{key} must be an integer array, got dtype {arr.dtype}"
+                )
+            if (
+                arr.dtype.kind == "u"
+                and arr.size
+                and int(arr.max()) > np.iinfo(np.int64).max
+            ):
+                raise HierarchyError(f"{key} values overflow int64")
         node_coreness = np.asarray(arrays["node_coreness"], dtype=np.int64)
         parent = np.asarray(arrays["parent"], dtype=np.int64)
         tid = np.asarray(arrays["tid"], dtype=np.int64)
@@ -423,6 +449,9 @@ class HCD:
             v = int(np.flatnonzero(np.diff(offsets) < 0)[0])
             raise HierarchyError(f"member_offsets decreases at node {v}")
         _check_forest(tid, parent, offsets, members)
+        # frozen before slicing, so that every member view is too
+        for arr in (node_coreness, parent, tid, members):
+            arr.setflags(write=False)
         bounds = offsets.tolist()
         node_vertices = [
             members[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])

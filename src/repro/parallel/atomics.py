@@ -211,14 +211,25 @@ class AtomicArray:
         adds one atomic op and tallies its cache line in order, as the
         per-element CAS does.  "Improving" is ``value < slot``, as in
         :meth:`fetch_min`: NaN never wins and the first stored of
-        ``0.0``/``-0.0`` stays.  With an observer attached it makes the
+        ``0.0``/``-0.0`` stays.  At least :data:`SLICE_VECTOR_MIN`
+        indices take the vectorized prefix-record fold
+        (:func:`_ordered_min`).  With an observer attached it makes the
         per-element :meth:`fetch_min` calls.
         """
         if ctx.observed:
             for i, value in zip(native(indices), native(values)):
                 self.fetch_min(ctx, i, value)
             return
-        data, slots, name = self._data, self._slots, self._name
+        name = self._name
+        if len(indices) >= SLICE_VECTOR_MIN:
+            lines, counts = _ordered_min(self._data, indices, values)
+            ctx.commit_row(
+                ctx.work + len(indices),
+                [(name, line) for line in lines],
+                counts,
+            )
+            return
+        data, slots = self._data, self._slots
         contended = []
         for i, value in zip(native(indices), native(values)):
             if value < slots[i]:
@@ -432,6 +443,46 @@ def _ordered_add(data: np.ndarray, indices, delta: int, hit: int) -> list[int]:
     counts = np.diff(np.append(starts, grouped.size))
     data[grouped[starts]] += counts * delta
     return idx[reached].tolist()
+
+
+def _ordered_min(
+    data: np.ndarray, indices, values
+) -> tuple[list[int], list[int]]:
+    """``data[i] = min(data[i], v)`` for every ``(i, v)`` pair, in order,
+    with the per-element test ``v < data[i]``; returns the cache lines
+    of the improving pairs with their counts, in first-appearance order.
+
+    Pair ``j`` improves iff its value is below the slot's start value
+    and below every earlier non-NaN value aimed at that slot: after one
+    sort by (slot, value, position) those are the entries whose
+    position is a running minimum within their slot (NaN sorts last,
+    so it never blocks one).  The value a slot ends with is its last
+    improving one, which is the first of its group in that order; it is
+    stored once per slot, with its own bits.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    vals = np.asarray(values)
+    size = idx.size
+    # rank by (value, position): a stable sort keeps equal values
+    # (0.0 and -0.0 among them) in position order and puts NaN last
+    rank = np.zeros(size, dtype=np.int64)
+    rank[np.argsort(vals, kind="stable")] = np.arange(size)
+    order = np.argsort(idx * size + rank)
+    grouped = idx[order]
+    first = np.concatenate(([True], grouped[1:] != grouped[:-1]))
+    # keys ascend with the group, and within one they fall as the
+    # position grows: a running maximum marks the prefix records
+    keys = np.cumsum(first) * (size + 1) + (size - order)
+    record = keys == np.maximum.accumulate(keys)
+    record &= vals[order] < data[grouped]
+    improving = np.sort(order[record])
+    store = order[first & record]
+    data[idx[store]] = vals[store]
+    lines, at, counts = np.unique(
+        idx[improving] // CACHELINE_WORDS, return_index=True, return_counts=True
+    )
+    seen = np.argsort(at)
+    return lines[seen].tolist(), counts[seen].tolist()
 
 
 class AtomicList:

@@ -319,7 +319,9 @@ class ThreadContext:
         self.atomic_ops += len(suffixes)
         self.work += len(suffixes)
 
-    def commit_row(self, work: float, contended: list) -> None:
+    def commit_row(
+        self, work: float, contended: list, counts: list | None = None
+    ) -> None:
         """Store back the charges a row operation replayed on locals.
 
         ``work`` is the new running total: the row operation copied
@@ -328,16 +330,23 @@ class ThreadContext:
         sum rounds identically (docs/cost_model.md, "Replaying a
         fractional row").  ``contended`` lists the location key of every
         contended atomic it charged, in charge order; each counts one
-        atomic op and is tallied as :meth:`atomic` would.  The atomic's
-        own work unit must already be in ``work``.  Unobserved runs
-        only: with an observer attached, row and slice operations make
-        the per-element calls instead.
+        atomic op and is tallied as :meth:`atomic` would.  With
+        ``counts``, ``contended`` lists each key once, in order of first
+        charge, and ``counts[j]`` atomics were charged on key ``j``.
+        The atomic's own work unit must already be in ``work``.
+        Unobserved runs only: with an observer attached, row and slice
+        operations make the per-element calls instead.
         """
         self.work = work
-        self.atomic_ops += len(contended)
         locations = self._atomic_locations
-        for key in contended:
-            locations[key] = locations.get(key, 0) + 1
+        if counts is None:
+            self.atomic_ops += len(contended)
+            for key in contended:
+                locations[key] = locations.get(key, 0) + 1
+            return
+        self.atomic_ops += sum(counts)
+        for key, count in zip(contended, counts):
+            locations[key] = locations.get(key, 0) + count
 
     def record(self, kind: int, location: object) -> None:
         """Append a raw access event without charging.

@@ -50,7 +50,7 @@ from repro.serve.cache import ResultCache
 from repro.serve.catalog import SnapshotCatalog
 from repro.serve.executor import QueryResult, SnapshotExecutor
 from repro.serve.planner import Query, normalize_request, plan_batch
-from repro.serve.snapshot import snapshot_from_dynamic
+from repro.serve.snapshot import Snapshot, snapshot_from_dynamic
 
 __all__ = [
     "ServiceConfig",
@@ -405,7 +405,9 @@ def replay_trace(
 class HCDService:
     """Build-once/query-many serving of one named snapshot.
 
-    Opens the latest published version of ``name`` from the catalog;
+    Opens the latest published version of ``name`` from the catalog,
+    or serves ``snapshot``, a version of ``name`` that is already open
+    (loaded snapshots are read-only, so services may share one);
     :meth:`refresh` reopens when the catalog has a newer version (the
     result cache needs no flush — its keys embed the version).
     """
@@ -417,13 +419,21 @@ class HCDService:
         threads: int = 4,
         config: ServiceConfig | None = None,
         pool: SimulatedPool | None = None,
+        *,
+        snapshot: Snapshot | None = None,
     ) -> None:
+        if snapshot is None:
+            snapshot = catalog.open(name)
+        elif snapshot.name != name:
+            raise ValueError(
+                f"snapshot {snapshot.name!r} given for service of {name!r}"
+            )
         self.catalog = catalog
         self.name = name
         self.config = config or ServiceConfig()
         self.pool = pool or SimulatedPool(threads=threads)
         self.cache = ResultCache(self.config.cache_capacity)
-        self.snapshot = catalog.open(name)
+        self.snapshot = snapshot
         self.executor = SnapshotExecutor(
             self.snapshot, self.pool, share_passes=self.config.share_passes
         )

@@ -26,7 +26,9 @@ and version-checked first, every array is checksum-verified against
 it, the graph CSR goes through :func:`repro.graph.checked.validate_csr`
 (run by the default ``Graph(indptr, indices)`` construction), and the
 HCD arrays through :meth:`HCD.from_arrays`, which range-checks every
-id and checks that the members partition the vertices by ``tid``.
+id and checks that the members partition the vertices by ``tid``, and
+:meth:`HCD.check_levels`, which checks every node's level against the
+stored coreness.  Every array of a loaded snapshot is read-only.
 Every failure raises a typed :class:`~repro.errors.SnapshotError`
 naming the offending file or field — a truncated npz or a flipped bit
 is a clean input error, never a bare ``zipfile``/``numpy`` exception
@@ -324,6 +326,10 @@ class Snapshot:
 
     @classmethod
     def _assemble(cls, manifest: dict, raw: dict[str, np.ndarray]) -> "Snapshot":
+        # replicas may share one loaded snapshot: none may write into
+        # it.  Frozen first, so that every view taken below is too
+        for arr in raw.values():
+            arr.setflags(write=False)
         try:
             graph = Graph(raw["indptr"], raw["indices"])
         except GraphFormatError as exc:
@@ -339,12 +345,10 @@ class Snapshot:
             raise SnapshotError("array 'coreness': negative coreness value")
         try:
             hcd = HCD.from_arrays(raw)
+            # the levels a query walks must be the stored coreness
+            hcd.check_levels(coreness)
         except HierarchyError as exc:
             raise SnapshotError(f"HCD arrays invalid: {exc}") from exc
-        if hcd.num_vertices != n:
-            raise SnapshotError(
-                f"array 'tid': HCD indexes {hcd.num_vertices} vertices, graph has {n}"
-            )
         degrees = graph.degrees()
         gt = np.asarray(raw["counts_gt"], dtype=np.int64)
         eq = np.asarray(raw["counts_eq"], dtype=np.int64)
@@ -358,11 +362,10 @@ class Snapshot:
         counts = NeighborCorenessCounts(gt=gt, eq=eq, lt=lt)
         rank = np.asarray(raw["rank"], dtype=np.int64)
         vsort = np.asarray(raw["vsort"], dtype=np.int64)
-        rank_result = VertexRankResult(
-            rank=rank,
-            shells=_shells_from_coreness(coreness),
-            vsort=vsort,
-        )
+        shells = _shells_from_coreness(coreness)
+        for arr in (coreness, gt, eq, lt, rank, vsort, *shells):
+            arr.setflags(write=False)
+        rank_result = VertexRankResult(rank=rank, shells=shells, vsort=vsort)
         return cls(
             graph=graph,
             coreness=coreness,

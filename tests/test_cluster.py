@@ -440,6 +440,60 @@ class TestClusterService:
         assert service.cluster.nodes[0].service is not None
         assert report.answers_digest() == reference.answers_digest()
 
+    def test_one_open_per_router_and_per_recovery(
+        self, serve_setup, monkeypatch
+    ):
+        catalog, trace, reference = serve_setup
+        opened = []
+        real_open = SnapshotCatalog.open
+
+        def counted(self, *args, **kwargs):
+            snapshot = real_open(self, *args, **kwargs)
+            opened.append(snapshot)
+            return snapshot
+
+        monkeypatch.setattr(SnapshotCatalog, "open", counted)
+        service = ClusterService(
+            catalog,
+            "as",
+            config=ClusterServiceConfig(num_shards=2, replicas=2),
+        )
+        assert len(opened) == 1
+        replicas = service.cluster.nodes[:-1]
+        assert all(node.service.snapshot is opened[0] for node in replicas)
+        service.crash(0, at=300.0)
+        service.serve(trace)
+        service.recover(0)
+        assert len(opened) == 2
+        recovered = replicas[0].service.snapshot
+        assert recovered is opened[1] and recovered is not opened[0]
+        assert all(node.service.snapshot is opened[0] for node in replicas[1:])
+        report = service.serve(trace)
+        assert report.answers_digest() == reference.answers_digest()
+
+    def test_serve_moves_live_replicas_to_a_new_version(self, tmp_path):
+        catalog = SnapshotCatalog(tmp_path / "catalog")
+        catalog.publish(build_snapshot(_graph(), name="g"))
+        service = ClusterService(
+            catalog, "g", config=ClusterServiceConfig(num_shards=1, replicas=3)
+        )
+        service.crash(0, at=0.0)
+        trace = synthetic_trace(12, seed=3)
+        assert service.serve(trace).snapshot == ("g", 1)
+        assert not service.cluster.nodes[0].alive
+        catalog.publish(build_snapshot(_graph(), name="g"))
+        service.serve(trace)
+        replicas = service.cluster.nodes[:-1]
+        # the dead replica stays on its version
+        assert [node.service.snapshot.version for node in replicas] == [1, 2, 2]
+
+    def test_service_rejects_snapshot_of_another_name(self, serve_setup):
+        catalog, _, _ = serve_setup
+        snapshot = catalog.open("as")
+        snapshot.name = "other"
+        with pytest.raises(ValueError, match="other"):
+            HCDService(catalog, "as", snapshot=snapshot)
+
     def test_slow_node_hedges_and_stays_identical(self, serve_setup):
         catalog, trace, reference = serve_setup
         config = ClusterServiceConfig(

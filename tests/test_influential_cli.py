@@ -10,8 +10,9 @@ from repro.core.lcps import lcps_build_hcd
 from repro.core.local_search import local_core_search
 from repro.graph.generators import complete_graph, rmat, star_graph
 from repro.graph.graph import Graph
+from repro.parallel import atomics
 from repro.parallel.atomics import AtomicArray
-from repro.parallel.context import ThreadContext, native
+from repro.parallel.context import SLICE_VECTOR_MIN, ThreadContext, native
 from repro.parallel.observers import ObserverFanout
 from repro.parallel.scheduler import SimulatedPool
 from repro.sanitizer.detector import RaceDetector
@@ -421,7 +422,7 @@ def _fetch_min_contexts(palette, bulk, observed):
     for ctx in contexts:
         if observed:
             ctx.begin_recording()
-        for size in (40, 3, 0):
+        for size in (SLICE_VECTOR_MIN, 40, 3, 0):
             idx = rng.integers(0, 20, size)
             vals = values[rng.integers(0, values.size, size)]
             if bulk:
@@ -449,6 +450,29 @@ def test_fetch_min_many_matches_per_element_fetch_min(palette, observed):
     assert got == want
     stats = got[1]
     assert all(atomic_ops > 0 for _, atomic_ops, _ in stats)
+
+
+def test_fetch_min_many_takes_both_paths(monkeypatch):
+    """Fails if the comparison above stops reaching the vectorized
+    fold, or stops leaving slices below the crossover in Python."""
+    sizes = []
+    vectorized = []
+    bulk = AtomicArray.fetch_min_many
+    ordered = atomics._ordered_min
+
+    def spy_bulk(self, ctx, indices, values):
+        sizes.append(len(indices))
+        return bulk(self, ctx, indices, values)
+
+    def spy_ordered(data, indices, values):
+        vectorized.append(len(indices))
+        return ordered(data, indices, values)
+
+    monkeypatch.setattr(AtomicArray, "fetch_min_many", spy_bulk)
+    monkeypatch.setattr(atomics, "_ordered_min", spy_ordered)
+    _fetch_min_contexts(AWKWARD, bulk=True, observed=False)
+    assert vectorized == [n for n in sizes if n >= SLICE_VECTOR_MIN]
+    assert vectorized and any(0 < n < SLICE_VECTOR_MIN for n in sizes)
 
 
 class TestCli:

@@ -125,6 +125,27 @@ def _corrupted_hcd_array(hcd, case):
     return "tid", tid
 
 
+@pytest.mark.parametrize(
+    "key,convert,message",
+    [
+        # the fraction would be cut off by an int64 cast
+        ("node_coreness", lambda a: a + 0.9, "integer"),
+        ("members", lambda a: a.astype(np.float64), "integer"),
+        # a root's -1 as uint64 would wrap back to -1 in the cast
+        ("parent", lambda a: a.astype(np.uint64), "overflow"),
+    ],
+    ids=["fractional_levels", "float_members", "uint64_parent"],
+)
+def test_hcd_load_rejects_non_int64_arrays(
+    tmp_path, snapshot, key, convert, message
+):
+    arrays = snapshot.hcd.to_arrays()
+    path = tmp_path / "hcd.npz"
+    np.savez(path, **{**arrays, key: convert(arrays[key])})
+    with pytest.raises(HierarchyError, match=f"{key}.*{message}"):
+        HCD.load(path)
+
+
 @pytest.mark.parametrize("case", HCD_CORRUPTIONS)
 def test_hcd_load_rejects_corrupt_arrays(tmp_path, snapshot, case):
     key, bad = _corrupted_hcd_array(snapshot.hcd, case)
@@ -260,6 +281,82 @@ class TestSnapshotCorruption:
         self._tamper_array(bundle, key, bad)
         with pytest.raises(SnapshotError, match="HCD"):
             Snapshot.load(bundle)
+
+    def test_root_level_above_its_coreness(self, bundle, snapshot):
+        # a k-core query walks node levels: a root raised by 10 would
+        # answer k beyond kmax with its whole component
+        hcd = snapshot.hcd
+        root = hcd.roots()[0]
+        level = int(hcd.node_coreness[root])
+        bad = hcd.node_coreness.copy()
+        bad[root] = level + 10
+        self._tamper_array(bundle, "node_coreness", bad)
+        with pytest.raises(
+            SnapshotError, match=f"HCD.*level {level} in a {level + 10}-node"
+        ):
+            Snapshot.load(bundle)
+
+    def test_parent_level_not_below_child(self, bundle, snapshot):
+        # coreness and node levels agree, but a child sits at its
+        # parent's level
+        hcd = snapshot.hcd
+        child = int(np.flatnonzero(hcd.parent >= 0)[0])
+        level = int(hcd.node_coreness[hcd.parent[child]])
+        node_coreness = hcd.node_coreness.copy()
+        node_coreness[child] = level
+        coreness = snapshot.coreness.copy()
+        coreness[hcd.vertices_of(child)] = level
+        self._tamper_array(bundle, "node_coreness", node_coreness)
+        self._tamper_array(bundle, "coreness", coreness)
+        with pytest.raises(SnapshotError, match="HCD.*parent level"):
+            Snapshot.load(bundle)
+
+    def test_empty_tree_node(self, bundle, snapshot):
+        # one more root with no members: the partition still holds
+        arrays = snapshot.hcd.to_arrays()
+        offsets = arrays["member_offsets"]
+        self._tamper_array(
+            bundle, "node_coreness", np.append(arrays["node_coreness"], 1)
+        )
+        self._tamper_array(bundle, "parent", np.append(arrays["parent"], -1))
+        self._tamper_array(
+            bundle, "member_offsets", np.append(offsets, offsets[-1])
+        )
+        with pytest.raises(SnapshotError, match="HCD.*empty"):
+            Snapshot.load(bundle)
+
+    def test_fractional_node_levels(self, bundle, snapshot):
+        bad = snapshot.hcd.node_coreness + 0.9
+        self._tamper_array(bundle, "node_coreness", bad)
+        with pytest.raises(SnapshotError, match="HCD.*integer"):
+            Snapshot.load(bundle)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_loaded_arrays_are_read_only(self, bundle, snapshot, dtype):
+        # an int32 bundle is converted on load: the copies are frozen too
+        for key, arr in snapshot.arrays().items():
+            if arr.dtype != dtype:
+                self._tamper_array(bundle, key, arr.astype(dtype))
+        loaded = Snapshot.load(bundle)
+        hcd, counts, ranks = loaded.hcd, loaded.counts, loaded.rank_result
+        held = [
+            loaded.graph.indptr,
+            loaded.graph.indices,
+            loaded.coreness,
+            hcd.node_coreness,
+            hcd.parent,
+            hcd.tid,
+            *(hcd.vertices_of(node) for node in range(hcd.num_nodes)),
+            counts.gt,
+            counts.eq,
+            counts.lt,
+            ranks.rank,
+            ranks.vsort,
+            *ranks.shells,
+        ]
+        for arr in held:
+            with pytest.raises(ValueError, match="read-only"):
+                arr.fill(0)
 
     def test_counts_exceeding_degree(self, bundle, snapshot):
         bad = np.asarray(snapshot.counts.gt, dtype=np.int64).copy()
