@@ -1,13 +1,17 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test sanitize profile bench-analysis serve-bench bench-dynamic bench-cluster bench-e2e construct-layers cluster-layers serve-layers dynamic-layers sanitize-reports profile-reports ab-pairs
+.PHONY: check test test-sanitize sanitize profile bench-analysis serve-bench bench-dynamic bench-cluster bench-e2e construct-layers cluster-layers serve-layers dynamic-layers sanitize-reports profile-reports ab-pairs
 
-## check: the CI gate — tests, the sanitize gate, profiler selftest, analysis + serve + dynamic + cluster benches, end-to-end benchmark self-test
-check: test sanitize profile bench-analysis serve-bench bench-dynamic bench-cluster bench-e2e
+## check: the CI gate — tests, the sanitize gate, profiler selftest, analysis + serve + dynamic + cluster benches, end-to-end benchmark self-test, the suite under the race detector
+check: test sanitize profile bench-analysis serve-bench bench-dynamic bench-cluster bench-e2e test-sanitize
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+## test-sanitize: the whole suite under the race detector (pytest --sanitize), CI's last check step
+test-sanitize:
+	$(PYTHON) -m pytest -x -q --sanitize
 
 ## sanitize: the one sanitize gate — races + memcheck over every kernel, lint, flow, prove and dist over src/ + benchmarks/, the SAN002 dead-marker audit, manifest drift and the seeded selftests; warnings gate
 sanitize:

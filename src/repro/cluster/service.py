@@ -417,8 +417,15 @@ class ClusterService:
                 if stale[version]:
                     node.service.refresh()
         pool = self.router.pool
+        # label the report with a version a live replica serves; a dead
+        # one was never refreshed
+        replicas = self.replica_nodes(0)
+        live = [
+            node for node in replicas
+            if node.alive and node.service is not None
+        ]
         report = ClusterReport(
-            snapshot=self.replica_nodes(0)[0].service.snapshot.version_id,
+            snapshot=(live or replicas)[0].service.snapshot.version_id,
             threads=pool.threads,
             num_shards=self.config.num_shards,
             replicas=self.config.replicas,

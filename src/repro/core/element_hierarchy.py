@@ -26,19 +26,15 @@ Algorithm 2 with elements in the role of vertices:
 * a motif carries connectivity at level ``k`` iff all its elements have
   level >= k; at the ``floor`` level ``outer_neighbors`` glue too;
 * a pivot union-find over element ids groups shell elements into tree
-  nodes and finds parents — PHCD's four steps unchanged.
+  nodes and finds parents.
 
-The forest is assembled through :class:`~repro.core.hcd.HCDBuilder`
-and returned as an :class:`~repro.core.hcd.HCD` over element ids:
-``node_coreness`` is the element level, ``tid`` maps element to node,
-and ``vertices_of`` / ``reconstruct_core`` return element ids, so the
-core, truss and nucleus hierarchies share one forest type and one
-structural check (:meth:`~repro.core.hcd.HCD.validate_levels`).
-
-Every region label, sanitizer name and atomic/write key is derived from
-the ``prefix`` and ``slot`` strings.  Core PHCD (:mod:`repro.core.phcd`)
-keeps its own link loop: it runs on the wait-free union-find and the
-construction hot path.
+Only steps 1-2, which walk motif companions, live here.  The rounds
+and steps 3-4 are core PHCD's own :func:`~repro.core.phcd.link_levels`,
+so the three hierarchies share one link loop, one forest type
+(:class:`~repro.core.hcd.HCD` over element ids: ``node_coreness`` is
+the element level, ``tid`` maps element to node) and one structural
+check (:meth:`~repro.core.hcd.HCD.validate_levels`).  Region labels
+and sanitizer names derive from ``prefix``.
 """
 
 from __future__ import annotations
@@ -46,8 +42,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.hcd import HCD, HCDBuilder
-from repro.errors import HierarchyError
-from repro.parallel.atomics import AtomicArray, AtomicSet
+from repro.core.phcd import check_levels, link_levels
+from repro.parallel.atomics import AtomicSet
 from repro.parallel.scheduler import SimulatedPool
 from repro.sanitizer.memcheck import san_empty
 from repro.unionfind.pivot import PivotUnionFind
@@ -121,23 +117,18 @@ def build_element_hierarchy(
     *,
     floor: int,
     prefix: str,
-    slot: str,
 ) -> HCD:
     """Build the element hierarchy with PHCD's four steps.
 
-    ``levels`` holds one level >= ``floor`` per element of ``index``;
-    anything else raises :class:`HierarchyError`.  Regions are labelled
-    ``{prefix}:step{1,1b,2,2b,3,4}_k{k}``.  The forest is an
+    ``levels`` holds one integer level >= ``floor`` per element of
+    ``index``; anything else raises :class:`HierarchyError`.  Steps 1-2
+    run here as regions ``{prefix}:step{1,1b,2,2b}_k{k}``, steps 3-4 in
+    :func:`~repro.core.phcd.link_levels`.  The forest is an
     :class:`~repro.core.hcd.HCD` over element ids: ``node_coreness``
     holds the levels, ``tid`` maps element to node.
     """
     n = len(index)
-    levels = np.asarray(levels, dtype=np.int64)
-    if levels.shape != (n,) or int(levels.min(initial=floor)) < floor:
-        raise HierarchyError(
-            f"{prefix} levels must be {n} entries >= {floor}, got shape "
-            f"{levels.shape}, min {levels.min(initial=floor)}"
-        )
+    levels = check_levels(levels, n, floor, f"{prefix} levels")
 
     kmax = int(levels.max(initial=floor))
     # element rank: (level, id) — Definition 4 transplanted to elements
@@ -147,12 +138,7 @@ def build_element_hierarchy(
     shells: list[list[int]] = [[] for _ in range(kmax + 1)]
     for i in range(n):
         shells[int(levels[i])].append(i)
-
     uf = PivotUnionFind(rank, name=f"{prefix}_uf")
-    builder = HCDBuilder(n)
-    tid = builder.tid  # shared alias; builder maintains it
-    slot_key = f"{prefix}_{slot}"
-    node_arr = AtomicArray.from_array(builder.tid, name=slot_key)
 
     def live_motifs(i: int, k: int, ctx):
         """Motifs through ``i`` whose elements all have level >= k."""
@@ -162,12 +148,7 @@ def build_element_hierarchy(
             if all(levels[x] >= k for x in motif):
                 yield motif
 
-    for k in range(kmax, floor - 1, -1):
-        shell = shells[k]
-        if not shell:
-            continue
-        kpc_pivot = AtomicSet(name=f"{prefix}_kpc_{k}")
-
+    def link_rows(k: int, shell: list[int], kpc_pivot: AtomicSet) -> None:
         # Step 1: capture pivots of higher components this shell will
         # absorb.  A motif only carries k-level connectivity when all
         # its elements have level >= k; any companion strictly above k
@@ -212,37 +193,6 @@ def build_element_hierarchy(
                 shell, connect_outer, label=f"{prefix}:step2b_k{k}"
             )
 
-        # Step 3: group shell elements into nodes by pivot.
-        def group(i: int, ctx) -> None:
-            pvt = uf.get_pivot(i, ctx)
-            node = int(node_arr.load(ctx, pvt))
-            if node < 0:
-                # create-node race between shell elements of one
-                # component: allocate, publish via CAS, loser re-reads
-                fresh = builder.new_node(k)
-                ctx.atomic((f"{prefix}_nodes",), contended=False)
-                if node_arr.compare_and_swap(ctx, pvt, -1, fresh):
-                    node = fresh
-                else:
-                    node = int(node_arr.load(ctx, pvt))
-            if i != pvt:
-                # each shell element owns its tid slot this round
-                ctx.write((slot_key, int(i)), 0.0)
-                tid[i] = node
-            ctx.atomic((f"{prefix}_members", node), contended=False)
-            builder.add_member(node, i)
-
-        pool.parallel_for(shell, group, label=f"{prefix}:step3_k{k}")
-
-        # Step 4: attach captured children under the new nodes.
-        def attach(old_pivot: int, ctx) -> None:
-            pvt = uf.get_pivot(old_pivot, ctx)
-            child = int(node_arr.load(ctx, old_pivot))
-            parent = int(node_arr.load(ctx, pvt))
-            # distinct old pivots map to distinct child nodes
-            ctx.write((f"{prefix}_parent", child), 0.0)
-            builder.set_parent(child, parent)
-
-        pool.parallel_for(list(kpc_pivot), attach, label=f"{prefix}:step4_k{k}")
-
-    return builder.build()
+    return link_levels(
+        pool, shells, floor, uf, HCDBuilder(n), prefix, link_rows
+    )

@@ -17,6 +17,15 @@ runs four parallel steps over the k-shell (Section III-D):
 4. **find parents** — each captured old pivot's node gets the new
    pivot's node as parent.
 
+:func:`link_levels` runs the rounds once for every hierarchy: it owns
+the descending-``k`` loop, the per-round ``kpc_pivot`` set, the ``tid``
+array and steps 3-4.  A hierarchy supplies only steps 1-2, the part
+that depends on where its rows come from: :func:`phcd_build_hcd` scans
+CSR slices on the wait-free union-find, and the truss and nucleus
+hierarchies (:mod:`repro.core.element_hierarchy`) walk motif
+companions on the pivot DSU.  :func:`check_levels` is the one level
+check all three entries make before any work.
+
 Total work is O(m) union-find operations — near-linear, matching the
 paper's O(n sqrt(p) + m alpha(n) + F) bound on the wait-free structure.
 
@@ -28,23 +37,48 @@ contention — see ``benchmarks/bench_ablations.py``.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.core.hcd import HCD, HCDBuilder
 from repro.core.vertex_rank import VertexRankResult, compute_vertex_rank
+from repro.errors import HierarchyError
 from repro.graph.graph import Graph
 from repro.parallel.atomics import AtomicArray, AtomicSet
 from repro.parallel.scheduler import SimulatedPool
 from repro.unionfind.pivot import PivotUnionFind
 from repro.unionfind.waitfree import SimulatedWaitFreeUnionFind
 
-__all__ = ["phcd_build_hcd", "SCAN_CHARGE"]
+__all__ = ["phcd_build_hcd", "link_levels", "check_levels", "SCAN_CHARGE"]
 
 #: Work units per sequentially-scanned adjacency entry.  PHCD streams
 #: each shell's CSR rows in order, so the hardware prefetcher hides most
 #: of the latency — the contrast with LCPS's random-access priority
 #: updates that Table III's serial comparison rests on.
 SCAN_CHARGE = 0.2
+
+
+def check_levels(levels, n: int, floor: int, what: str) -> np.ndarray:
+    """``levels`` as int64, checked to hold one integer >= ``floor`` per id.
+
+    The one entry check of every hierarchy build, made before any work:
+    a non-integer dtype (the rule of :meth:`HCD.from_arrays`), a shape
+    other than ``(n,)`` or a level below ``floor`` raises
+    :class:`HierarchyError`.
+    """
+    levels = np.asarray(levels)
+    if levels.dtype.kind not in "iu":
+        raise HierarchyError(
+            f"{what} must be an integer array, got dtype {levels.dtype}"
+        )
+    levels = levels.astype(np.int64, copy=False)
+    if levels.shape != (n,) or int(levels.min(initial=floor)) < floor:
+        raise HierarchyError(
+            f"{what} must be {n} entries >= {floor}, got shape "
+            f"{levels.shape}, min {levels.min(initial=floor)}"
+        )
+    return levels
 
 
 def phcd_build_hcd(
@@ -61,7 +95,8 @@ def phcd_build_hcd(
     Parameters
     ----------
     graph, coreness:
-        The input graph and its (precomputed) core decomposition.
+        The input graph and its (precomputed) core decomposition: one
+        non-negative integer per vertex, else :class:`HierarchyError`.
     pool:
         Simulated thread pool; all four steps of every round run as
         parallel regions on it.
@@ -78,16 +113,13 @@ def phcd_build_hcd(
         The wait-free engine rejects a rate outside ``[0, 1)`` with
         :class:`~repro.errors.UnionFindError`.
     """
-    coreness = np.asarray(coreness, dtype=np.int64)
     n = graph.num_vertices
-    builder = HCDBuilder(n)
+    coreness = check_levels(coreness, n, 0, "coreness")
     if n == 0:
-        return builder.build()
+        return HCDBuilder(0).build()
     if rank_result is None:
         rank_result = compute_vertex_rank(graph, coreness, pool)
     ranks = rank_result.rank
-    shells = rank_result.shells
-    kmax = rank_result.kmax
     # the CSR as native ints, listed once: the slice kernels cut each
     # row out of the list without a numpy scalar read
     indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
@@ -103,109 +135,118 @@ def phcd_build_hcd(
     else:
         uf = PivotUnionFind(ranks)
 
+    # the kernels scan native ints: one conversion per call, not per read
+    coreness_list = coreness.tolist()
+
+    def link_rows(k: int, shell: list[int], kpc_pivot: AtomicSet) -> None:
+        # --- Step 1: pivots of components the shell will absorb ---
+        def collect_child_pivots(vs: list[int], ctx) -> None:
+            rows = [indices[indptr[v] : indptr[v + 1]] for v in vs]
+            # the pivot of every neighbor above k
+            kpc_pivot.add_pivots(
+                ctx, uf, rows, coreness_list, k + 1, SCAN_CHARGE
+            )
+
+        # slices of the shell's vertex ids  # prove: slice of [0, n)
+        pool.parallel_slices(
+            shell, collect_child_pivots, label=f"phcd:step1_k{k}"
+        )
+
+        # --- Step 2: union shell into the growing graph -----------
+        def connect(vs: list[int], ctx) -> None:
+            rows = [indices[indptr[v] : indptr[v + 1]] for v in vs]
+            # union with every neighbor of coreness >= k
+            uf.union_rows(vs, rows, coreness_list, k, ctx, SCAN_CHARGE)
+
+        # slices of the shell's vertex ids  # prove: slice of [0, n)
+        pool.parallel_slices(shell, connect, label=f"phcd:step2_k{k}")
+
+    # native-int shells: the slice kernels read list items, not numpy
+    # scalars
+    shells = [shell.tolist() for shell in rank_result.shells]
+    return link_levels(
+        pool, shells, 0, uf, HCDBuilder(n), "phcd", link_rows
+    )
+
+
+def link_levels(
+    pool: SimulatedPool,
+    shells: list[list[int]],
+    floor: int,
+    uf: PivotUnionFind | SimulatedWaitFreeUnionFind,
+    builder: HCDBuilder,
+    prefix: str,
+    link_rows: Callable[[int, list[int], AtomicSet], None],
+) -> HCD:
+    """Algorithm 2's rounds over ``shells``, ``k`` descending to ``floor``.
+
+    ``shells[k]`` lists the ids of level ``k``; ``uf`` is a pivot
+    union-find over the same ids.  Each non-empty round runs under a
+    SimProf ``{prefix}:level-{k}`` phase (attribution only — the phase
+    never charges the clock): ``link_rows(k, shell, kpc_pivot)`` runs
+    the hierarchy's steps 1-2, capturing the pivots of the components
+    the shell absorbs into ``kpc_pivot`` and uniting the shell into
+    ``uf``; steps 3-4 (regions ``{prefix}:step3_k{k}`` and
+    ``{prefix}:step4_k{k}``) then create the round's tree nodes and
+    attach the captured children.  Returns ``builder``'s forest.
+    """
     # tid(v) = -1 marks "no tree node yet" (the paper's infinity).
     # All cross-thread tid traffic goes through the atomic wrapper so
     # it is charged and visible to the race detector; per-item stores
     # use recorded plain writes (each shell vertex owns its own slot).
     tid = builder.tid  # shared alias; builder maintains it
     tid_arr = AtomicArray.from_array(builder.tid, name="tid")
-    # the kernels scan native ints: one conversion per call, not per read
-    coreness_list = coreness.tolist()
 
-    for k in range(kmax, -1, -1):
+    for k in range(len(shells) - 1, floor - 1, -1):
         shell = shells[k]
-        if shell.size == 0:
+        if not shell:
             continue
-        with pool.phase(f"phcd:level-{k}"):
-            _phcd_level(
-                pool, k, shell, builder, uf, tid, tid_arr,
-                kpc_pivot=AtomicSet(name=f"kpc_pivot_k{k}"),
-                coreness=coreness_list, indptr=indptr, indices=indices,
+        with pool.phase(f"{prefix}:level-{k}"):
+            kpc_pivot = AtomicSet(name=f"kpc_pivot_k{k}")
+            link_rows(k, shell, kpc_pivot)
+
+            # --- Step 3: one tree node per distinct pivot ----------
+            def group_by_pivot(vs: list[int], ctx) -> None:
+                for v in vs:
+                    pvt = uf.get_pivot(v, ctx)
+                    node = tid_arr.load(ctx, pvt)
+                    if node < 0:
+                        # Two threads holding vertices of one component
+                        # race to create its node: allocate, then
+                        # publish via CAS — the loser re-reads the
+                        # winner's node.  (On the sequential substrate
+                        # the CAS never loses; a real backend would
+                        # also retire the orphaned allocation.)
+                        fresh = builder.new_node(k)
+                        ctx.atomic(("hcd_nodes",), contended=False)
+                        if tid_arr.compare_and_swap(ctx, pvt, -1, fresh):
+                            node = fresh
+                        else:
+                            node = tid_arr.load(ctx, pvt)
+                    if v != pvt:
+                        # each shell vertex owns its own tid slot
+                        ctx.write(("tid", v), 0.0)
+                        tid[v] = node
+                    # member append: relaxed fetch-add on the node's tail
+                    ctx.atomic(("node_members", node), contended=False)
+                    builder.add_member(node, v)
+
+            # slices of the shell's vertex ids
+            pool.parallel_slices(
+                shell, group_by_pivot, label=f"{prefix}:step3_k{k}"
+            )
+
+            # --- Step 4: attach child tree nodes under the new nodes
+            def attach_parent(old_pivot: int, ctx) -> None:
+                pvt = uf.get_pivot(old_pivot, ctx)
+                child = int(tid_arr.load(ctx, old_pivot))
+                parent = int(tid_arr.load(ctx, pvt))
+                # distinct old pivots map to distinct child nodes
+                ctx.write(("hcd_parent", child), 0.0)
+                builder.set_parent(child, parent)
+
+            pool.parallel_for(
+                list(kpc_pivot), attach_parent, label=f"{prefix}:step4_k{k}"
             )
 
     return builder.build()
-
-
-def _phcd_level(
-    pool, k, shell, builder, uf, tid, tid_arr, kpc_pivot,
-    coreness, indptr, indices,
-) -> None:
-    """One round of Algorithm 2: the four parallel steps over a shell.
-
-    Factored out of :func:`phcd_build_hcd` so each round runs under a
-    SimProf ``phcd:level-k`` phase annotation (attribution only — the
-    phase context manager never charges the clock).
-    """
-    shell_list = shell.tolist()
-
-    # --- Step 1: pivots of components the shell will absorb -------
-    def collect_child_pivots(vs: list[int], ctx) -> None:
-        rows = [indices[indptr[v] : indptr[v + 1]] for v in vs]
-        # the pivot of every neighbor above k
-        kpc_pivot.add_pivots(ctx, uf, rows, coreness, k + 1, SCAN_CHARGE)
-
-    # slices of the shell's vertex ids  # prove: slice of [0, n)
-    pool.parallel_slices(
-        shell_list,
-        collect_child_pivots,
-        label=f"phcd:step1_k{k}",
-    )
-
-    # --- Step 2: union shell into the growing graph ---------------
-    def connect(vs: list[int], ctx) -> None:
-        rows = [indices[indptr[v] : indptr[v + 1]] for v in vs]
-        # union with every neighbor of coreness >= k
-        uf.union_rows(vs, rows, coreness, k, ctx, SCAN_CHARGE)
-
-    # slices of the shell's vertex ids  # prove: slice of [0, n)
-    pool.parallel_slices(
-        shell_list,
-        connect,
-        label=f"phcd:step2_k{k}",
-    )
-
-    # --- Step 3: one tree node per distinct pivot ------------------
-    def group_by_pivot(vs: list[int], ctx) -> None:
-        for v in vs:
-            pvt = uf.get_pivot(v, ctx)
-            node = tid_arr.load(ctx, pvt)
-            if node < 0:
-                # Two threads holding vertices of one component race
-                # to create its node: allocate, then publish via CAS —
-                # the loser re-reads the winner's node.  (On the
-                # sequential substrate the CAS never loses; a real
-                # backend would also retire the orphaned allocation.)
-                fresh = builder.new_node(k)
-                ctx.atomic(("hcd_nodes",), contended=False)
-                if tid_arr.compare_and_swap(ctx, pvt, -1, fresh):
-                    node = fresh
-                else:
-                    node = tid_arr.load(ctx, pvt)
-            if v != pvt:
-                # each shell vertex owns its own tid slot this round
-                ctx.write(("tid", v), 0.0)
-                tid[v] = node
-            # member append: relaxed fetch-add on the node's tail
-            ctx.atomic(("node_members", node), contended=False)
-            builder.add_member(node, v)
-
-    # slices of the shell's vertex ids
-    pool.parallel_slices(
-        shell_list,
-        group_by_pivot,
-        label=f"phcd:step3_k{k}",
-    )
-
-    # --- Step 4: attach child tree nodes under the new nodes -------
-    def attach_parent(old_pivot: int, ctx) -> None:
-        pvt = uf.get_pivot(old_pivot, ctx)
-        child = int(tid_arr.load(ctx, old_pivot))
-        parent = int(tid_arr.load(ctx, pvt))
-        # distinct old pivots map to distinct child nodes
-        ctx.write(("hcd_parent", child), 0.0)
-        builder.set_parent(child, parent)
-
-    pool.parallel_for(
-        list(kpc_pivot), attach_parent, label=f"phcd:step4_k{k}"
-    )
-

@@ -39,7 +39,7 @@ def nucleus_hierarchy(
     if theta is None:
         theta = nucleus_decomposition(graph, index, pool)
     return build_element_hierarchy(
-        index, theta, pool, floor=0, prefix="nucleus", slot="tid"
+        index, theta, pool, floor=0, prefix="nucleus"
     )
 
 

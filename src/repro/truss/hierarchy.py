@@ -47,5 +47,5 @@ def truss_hierarchy(
     if trussness is None:
         trussness = truss_decomposition(graph, index, pool)
     return build_element_hierarchy(
-        index, trussness, pool, floor=2, prefix="truss", slot="eid"
+        index, trussness, pool, floor=2, prefix="truss"
     )

@@ -482,7 +482,7 @@ class TestClusterService:
         assert service.serve(trace).snapshot == ("g", 1)
         assert not service.cluster.nodes[0].alive
         catalog.publish(build_snapshot(_graph(), name="g"))
-        service.serve(trace)
+        assert service.serve(trace).snapshot == ("g", 2)
         replicas = service.cluster.nodes[:-1]
         # the dead replica stays on its version
         assert [node.service.snapshot.version for node in replicas] == [1, 2, 2]

@@ -16,7 +16,13 @@ from repro.core.local_search import local_core_search, rc_build_hcd
 from repro.core.lower_bound import lower_bound_cost
 from repro.core.partition import label_propagation_partition
 from repro.core.phcd import phcd_build_hcd
-from repro.graph.generators import core_chain, erdos_renyi, powerlaw_cluster
+from repro.errors import HierarchyError
+from repro.graph.generators import (
+    core_chain,
+    erdos_renyi,
+    powerlaw_cluster,
+    rmat,
+)
 from repro.graph.graph import Graph
 from repro.parallel.scheduler import SimulatedPool
 
@@ -129,6 +135,24 @@ class TestPHCD:
             Graph.empty(0), np.array([], dtype=np.int64), SimulatedPool()
         )
         assert hcd.num_nodes == 0
+
+    @pytest.mark.parametrize(
+        "bad", ["short", "long", "negative", "float", "two_d"]
+    )
+    def test_malformed_coreness_raises_before_any_work(self, bad):
+        g = rmat(6, 4, seed=1)
+        c = core_decomposition(g)
+        coreness = {
+            "short": c[:-1],
+            "long": np.append(c, 0),
+            "negative": np.where(np.arange(c.size) == 3, -1, c),
+            "float": c + 0.5,
+            "two_d": c[:, None],
+        }[bad]
+        pool = SimulatedPool(threads=4)
+        with pytest.raises(HierarchyError, match="coreness"):
+            phcd_build_hcd(g, coreness, pool)
+        assert pool.region_count == 0
 
     def test_deterministic_across_runs(self, random_graph):
         coreness = core_decomposition(random_graph)

@@ -2,7 +2,9 @@
 
 * a definitional oracle over the element-index interface, run against
   both adapters;
-* malformed level arrays raise :class:`HierarchyError`;
+* malformed level arrays raise :class:`HierarchyError` before any work;
+* core, truss and nucleus run every link step inside its level's phase
+  (the one link loop, :func:`repro.core.phcd.link_levels`);
 * a byte-identity gate: digests of every region record, the simulated
   clock, the level arrays and the hierarchy arrays must equal
   ``tests/data/element_hierarchy_golden.json``, recorded from the two
@@ -18,6 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.decomposition import core_decomposition
+from repro.core.phcd import phcd_build_hcd
 from repro.errors import HierarchyError
 from repro.graph.generators import (
     complete_graph,
@@ -110,7 +114,7 @@ def test_nodes_match_definitional_oracle(adapter, graph, threads):
     assert hierarchy_nodes(h) == definitional_hierarchy(index, levels, floor)
 
 
-@pytest.mark.parametrize("bad", ["below_floor", "short", "two_d"])
+@pytest.mark.parametrize("bad", ["below_floor", "short", "two_d", "float"])
 @pytest.mark.parametrize("adapter", sorted(ADAPTERS))
 def test_malformed_levels_raise(adapter, bad):
     index_cls, _, build, floor = ADAPTERS[adapter]
@@ -121,9 +125,55 @@ def test_malformed_levels_raise(adapter, bad):
         "below_floor": np.full(n, floor - 1),
         "short": np.full(n - 1, floor),
         "two_d": np.full((n, 1), floor),
+        "float": np.full(n, floor + 0.5),
     }[bad]
-    with pytest.raises(HierarchyError):
-        build(g, levels, SimulatedPool(), index=index)
+    pool = SimulatedPool()
+    with pytest.raises(HierarchyError, match=f"{adapter} levels"):
+        build(g, levels, pool, index=index)
+    assert pool.region_count == 0
+
+
+class PhaseRecorder:
+    """Region observer noting the phases open at every region."""
+
+    def __init__(self, pool: SimulatedPool) -> None:
+        self.pool = pool
+        self.regions: list[tuple[str, tuple[str, ...]]] = []
+
+    def on_region_begin(self, label, contexts) -> None:
+        self.regions.append((label, self.pool.phase_stack))
+
+    def on_region_end(self, label, contexts) -> None:
+        pass
+
+
+def _build(prefix, g, pool):
+    if prefix == "phcd":
+        return phcd_build_hcd(g, core_decomposition(g), pool)
+    index_cls, decompose, build, _ = ADAPTERS[prefix]
+    index = index_cls(g)
+    return build(g, decompose(g, index), pool, index=index)
+
+
+@pytest.mark.parametrize("prefix", ["phcd", "truss", "nucleus"])
+def test_every_step_runs_in_its_level_phase(prefix):
+    """One link loop: each ``{prefix}:stepN_k{k}`` region runs inside
+    the ``{prefix}:level-{k}`` phase of the same ``k``."""
+    pool = SimulatedPool(threads=4)
+    recorder = PhaseRecorder(pool)
+    pool.set_observer(recorder)
+    _build(prefix, rmat(8, 8, seed=0), pool)
+    steps = [
+        (label, phases)
+        for label, phases in recorder.regions
+        if label.startswith(f"{prefix}:step")
+    ]
+    assert {label.split("_k")[0] for label, _ in steps} >= {
+        f"{prefix}:step{n}" for n in (1, 2, 3, 4)
+    }
+    for label, phases in steps:
+        k = label.rsplit("_k", 1)[1]
+        assert phases == (f"{prefix}:level-{k}",), label
 
 
 def _sha(value) -> str:
