@@ -7,7 +7,7 @@ export PYTHONPATH := src
 check: test sanitize profile bench-analysis serve-bench bench-dynamic bench-cluster bench-e2e test-sanitize
 
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=15
 
 ## test-sanitize: the whole suite under the race detector (pytest --sanitize), CI's last check step
 test-sanitize:

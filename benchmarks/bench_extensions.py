@@ -16,8 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from common import THREADS, emit, paper_table, sim_seconds
-from repro.core.park import park_core_decomposition
-from repro.core.pkc import pkc_core_decomposition
+from repro.core.pkc import park_core_decomposition, pkc_core_decomposition
 from repro.parallel.scheduler import SimulatedPool
 from repro.search.influential import InfluentialCommunityIndex
 from repro.truss.decomposition import EdgeIndex, truss_decomposition
@@ -67,7 +66,7 @@ def test_extension_cd_engines(lab, benchmark):
     import numpy as np
 
     from repro.core.distributed import mpm_core_decomposition
-    from repro.core.julienne import julienne_core_decomposition
+    from repro.core.pkc import julienne_core_decomposition
 
     b = lab.bundle("LJ")
 

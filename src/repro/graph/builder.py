@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable
 
 from repro.errors import GraphBuildError
+from repro.graph.checked import check_vertex_count
 from repro.graph.graph import Graph
 
 __all__ = ["GraphBuilder"]
@@ -108,6 +109,8 @@ class GraphBuilder:
                     max(self._targets, default=-1),
                 )
                 n = max(self._min_vertices, max_seen + 1)
+        if n is not None:
+            check_vertex_count(n)
         pairs = list(zip(self._sources, self._targets))
         return Graph.from_edges(pairs, num_vertices=n)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 
-__all__ = ["validate_csr"]
+__all__ = ["MAX_VERTICES", "check_vertex_count", "validate_csr"]
 
 #: ``indices`` may not exceed this many entries: ``2 * m`` must fit an
 #: int64 and leave headroom for offset arithmetic (``indptr`` sums).
@@ -33,6 +33,17 @@ MAX_ARCS = np.iinfo(np.int64).max // 4
 #: check encodes arc ``(u, v)`` as ``u * n + v``, which must fit an
 #: int64, and ``n * n <= 2**63 - 1`` holds up to here.
 MAX_VERTICES = 3_037_000_499
+
+
+def check_vertex_count(n: int) -> int:
+    """``n`` when it is a vertex count in ``[0, MAX_VERTICES]``; raise
+    :class:`GraphFormatError` otherwise.  Graph constructors call it
+    before allocating anything of size ``n``."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise GraphFormatError(
+            f"vertex count {n} is outside the supported range [0, {MAX_VERTICES}]"
+        )
+    return n
 
 
 def validate_csr(indptr: np.ndarray, indices: np.ndarray) -> None:

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import GraphBuildError, GraphFormatError
-from repro.graph.checked import validate_csr
+from repro.graph.checked import check_vertex_count, validate_csr
 
 __all__ = ["Graph", "row_offsets"]
 
@@ -91,10 +91,12 @@ class Graph:
         the resulting graph is symmetric.  ``num_vertices`` may be passed
         to include isolated vertices beyond the largest endpoint id.
         """
-        pairs = np.asarray(list(edges), dtype=np.int64)
+        try:
+            pairs = np.asarray(list(edges), dtype=np.int64)
+        except OverflowError as exc:
+            raise GraphFormatError("vertex ids must fit int64") from exc
         if pairs.size == 0:
-            n = int(num_vertices or 0)
-            return cls.empty(n)
+            return cls.empty(int(num_vertices or 0))
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise GraphFormatError("edges must be (u, v) pairs")
         if pairs.min() < 0:
@@ -105,7 +107,7 @@ class Graph:
             raise GraphFormatError(
                 f"num_vertices={n} too small for max vertex id {max_id}"
             )
-        return cls._from_edge_array(pairs, n)
+        return cls._from_edge_array(pairs, check_vertex_count(n))
 
     @classmethod
     def _from_edge_array(cls, pairs: np.ndarray, n: int) -> "Graph":
@@ -141,7 +143,8 @@ class Graph:
     @classmethod
     def empty(cls, num_vertices: int = 0) -> "Graph":
         """Return an edgeless graph with ``num_vertices`` vertices."""
-        indptr = np.zeros(int(num_vertices) + 1, dtype=np.int64)
+        n = check_vertex_count(int(num_vertices))
+        indptr = np.zeros(n + 1, dtype=np.int64)
         return cls(indptr, np.empty(0, dtype=np.int64), validate=False)
 
     # ------------------------------------------------------------------

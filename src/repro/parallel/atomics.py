@@ -41,7 +41,14 @@ from repro.parallel.context import (
 )
 from repro.parallel.cost_model import FIND_CHARGE
 
-__all__ = ["AtomicCounter", "AtomicArray", "AtomicSet", "AtomicList", "PROBE_CHARGE"]
+__all__ = [
+    "AtomicCounter",
+    "AtomicArray",
+    "AtomicSet",
+    "AtomicList",
+    "PROBE_CHARGE",
+    "reached",
+]
 
 #: Work units of :meth:`AtomicSet.add_if_absent`'s membership probe.
 PROBE_CHARGE = 0.3
@@ -237,43 +244,47 @@ class AtomicArray:
                 contended.append((name, i // CACHELINE_WORDS))
         ctx.commit_row(ctx.work + len(indices), contended)
 
-    def add_row(
-        self, ctx: ThreadContext, indices, delta: int, hit: int
-    ) -> list[int]:
-        """:meth:`add` of ``delta`` at every index in order; returns the
-        indices whose fetch-add result reached ``hit`` (``old + delta ==
-        hit``), in order.
+    def fetch_add_row(self, ctx: ThreadContext, indices, delta: int):
+        """:meth:`add` of ``delta`` at every index in order; returns each
+        fetch-add's previous value, in order.
 
-        The handoffs of a level-synchronous peel, decided on the
-        fetch-add results, never on a re-read of the slots.  ``indices``
-        is one row or a whole slice's rows (a list or an int64 array);
-        the array must hold integers, and ``delta`` and ``hit`` are
-        ints.  Unobserved, the ``len(indices)`` relaxed atomics are one
-        charge, equal to the per-element ones while every addend of the
-        region's ``work`` is an integer (docs/cost_model.md, "When a bulk
-        charge is exact"); at least :data:`SLICE_VECTOR_MIN` indices take
-        the vectorized ordered fetch-add (:func:`_ordered_add`).  With an
-        observer attached it makes the per-element :meth:`add` calls.
+        ``indices`` is one row or a whole slice's rows (a list or an
+        int64 array); the array must hold integers, and ``delta`` is an
+        int.  The results are a list, or an int64 array from
+        :data:`SLICE_VECTOR_MIN` indices up, where the vectorized
+        ordered fetch-add (:func:`_ordered_add`) runs.  Unobserved, the
+        ``len(indices)`` relaxed atomics are one charge, equal to the
+        per-element ones while every addend of the region's ``work`` is
+        an integer (docs/cost_model.md, "When a bulk charge is exact").
+        With an observer attached it makes the per-element :meth:`add`
+        calls.
         """
         if ctx.observed:
-            return [
-                i for i in native(indices)
-                if self.add(ctx, i, delta) + delta == hit
-            ]
+            return [self.add(ctx, i, delta) for i in native(indices)]
         # all that atomic(None, units=len(indices), contended=False)
         # does with no observer
         ctx.atomic_ops += len(indices)
         ctx.work += len(indices)
         if len(indices) >= SLICE_VECTOR_MIN:
-            return _ordered_add(self._data, indices, delta, hit)
+            return _ordered_add(self._data, indices, delta)
         slots = self._slots
-        reached = []
+        olds = []
         for i in native(indices):
-            new = slots[i] + delta
-            slots[i] = new
-            if new == hit:
-                reached.append(i)
-        return reached
+            old = slots[i]
+            slots[i] = old + delta
+            olds.append(old)
+        return olds
+
+    def add_row(
+        self, ctx: ThreadContext, indices, delta: int, hit: int
+    ) -> list[int]:
+        """:meth:`fetch_add_row`, returning only the indices whose
+        fetch-add result reached ``hit`` (``old + delta == hit``), in
+        order: the handoffs of a level-synchronous peel, decided on the
+        fetch-add results, never on a re-read of the slots.
+        """
+        olds = self.fetch_add_row(ctx, indices, delta)
+        return reached(indices, olds, hit - delta)
 
     def load_le(self, ctx: ThreadContext, indices, bound) -> list[int]:
         """:meth:`load` of every index in order; returns the indices
@@ -420,29 +431,36 @@ class AtomicSet:
         return iter(sorted(self._items))
 
 
-def _ordered_add(data: np.ndarray, indices, delta: int, hit: int) -> list[int]:
+def _ordered_add(data: np.ndarray, indices, delta: int) -> np.ndarray:
     """``data[i] += delta`` for every ``i`` in ``indices``, in order, on an
-    integer array; returns the indices whose result reached ``hit``.
+    integer array; returns each entry's previous value, in order.
 
-    The ``j``-th occurrence of an index (from 0) leaves its start value
-    plus ``(j + 1) * delta``, which integer arithmetic makes exact
-    whatever the grouping.
+    The ``j``-th occurrence of an index (from 0) finds its start value
+    plus ``j * delta``, which integer arithmetic makes exact whatever
+    the grouping.
     """
     idx = np.asarray(indices, dtype=np.int64)
-    if not idx.size:
-        return []
     order = np.argsort(idx, kind="stable")
     grouped = idx[order]
     first = np.concatenate(([True], grouped[1:] != grouped[:-1]))
     positions = np.arange(grouped.size)
     # occurrence number of each entry among the entries of its index
     seen = positions - np.maximum.accumulate(np.where(first, positions, 0))
-    results = data[grouped] + (seen + 1) * delta
-    reached = np.sort(order[results == hit])
+    olds = np.zeros(idx.size, dtype=data.dtype)
+    olds[order] = data[grouped] + seen * delta
     starts = np.flatnonzero(first)
     counts = np.diff(np.append(starts, grouped.size))
     data[grouped[starts]] += counts * delta
-    return idx[reached].tolist()
+    return olds
+
+
+def reached(indices, olds, value) -> list[int]:
+    """The entries of ``indices`` whose fetch-add found ``value``
+    (``olds`` as :meth:`AtomicArray.fetch_add_row` returns them), in
+    order, as native ints."""
+    if isinstance(olds, np.ndarray):
+        return np.asarray(indices)[olds == value].tolist()
+    return [i for i, old in zip(native(indices), olds) if old == value]
 
 
 def _ordered_min(
@@ -498,6 +516,21 @@ class AtomicList:
         """Atomically append ``item``."""
         ctx.atomic(self._key)
         self._items.append(item)
+
+    def append_row(self, ctx: ThreadContext, items: list) -> None:
+        """:meth:`append` of every item, in order.
+
+        Unobserved, the ``len(items)`` contended atomics on the tail
+        pointer are one charge and one tally of its key, exact while
+        every addend of the region's ``work`` is an integer; with an
+        observer attached it makes the per-element calls.
+        """
+        if ctx.observed:
+            for item in items:
+                self.append(ctx, item)
+        elif items:
+            ctx.commit_row(ctx.work + len(items), [self._key], [len(items)])
+            self._items.extend(items)
 
     def snapshot(self) -> list:
         """Copy of the current contents."""

@@ -79,11 +79,11 @@ __all__ = [
 #: cache line.
 CACHELINE_WORDS = 8
 
-#: PKC's peel and the slice operations it calls
+#: The level-synchronous peel and the slice operations it calls
 #: (:meth:`~repro.parallel.atomics.AtomicArray.load_le`,
-#: :meth:`~repro.parallel.atomics.AtomicArray.add_row`) take their numpy
-#: path for sequences of at least this many elements and loop in Python
-#: below it, where numpy's fixed cost per call exceeds the per-element
+#: :meth:`~repro.parallel.atomics.AtomicArray.fetch_add_row`) take their
+#: numpy path for sequences of at least this many elements and loop in
+#: Python below it, where numpy's fixed cost per call exceeds the per-element
 #: work it saves (docs/cost_model.md, "Slice operations", has the
 #: measured crossover).  A constant, not a parameter: both paths charge
 #: the same, so it moves wall time only.

@@ -132,6 +132,7 @@ EFFECTS: dict[tuple[str, str], Effect] = _table(
     _recv("AtomicCounter", "load", LOAD, None, None, PURE_READ),
     _recv(_ARRAY, "add", RMW, SCALAR, 1, DTYPE),
     _recv(_ARRAY, "add_row", RMW, PER_ELEMENT, 1, DTYPE),
+    _recv(_ARRAY, "fetch_add_row", RMW, PER_ELEMENT, 1, DTYPE),
     _recv(_ARRAY, "add_many", RMW, PER_ELEMENT, 1, DTYPE),
     _recv(_ARRAY, "store", STORE, SCALAR, 1, ORDER_SENSITIVE),
     _recv(_ARRAY, "compare_and_swap", CAS, SCALAR, 1, COMMUTATIVE),
@@ -143,6 +144,7 @@ EFFECTS: dict[tuple[str, str], Effect] = _table(
     _recv("AtomicSet", "add_if_absent", CAS, SCALAR, 1, COMMUTATIVE),
     _recv("AtomicSet", "add_pivots", CAS, PER_ELEMENT, 2, COMMUTATIVE),
     _recv("AtomicList", "append", APPEND, None, None, ORDER_SENSITIVE),
+    _recv("AtomicList", "append_row", APPEND, None, None, ORDER_SENSITIVE),
     *_uf("PivotUnionFind"),
     *_uf("SimulatedWaitFreeUnionFind"),
 )

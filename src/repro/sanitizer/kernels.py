@@ -311,7 +311,7 @@ _CSR_EXTENTS: dict[str, str] = {
     "indices": "2 * m",
     "coreness": "n",
     "settled": "n",
-    "pkc_core": "n",
+    "peel_core": "n",
 }
 
 KERNEL_EXTENTS: dict[str, dict[str, str]] = {

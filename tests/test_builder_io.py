@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import GraphBuildError, GraphFormatError
 from repro.graph.builder import GraphBuilder
+from repro.graph.checked import MAX_VERTICES
 from repro.graph.graph import Graph
 from repro.graph.io import (
     load_npz,
@@ -65,6 +66,41 @@ class TestBuilder:
     def test_build_with_explicit_n(self):
         g = GraphBuilder().add_edge(0, 1).build(num_vertices=10)
         assert g.num_vertices == 10
+
+
+class TestVertexRange:
+    """A vertex count outside ``[0, MAX_VERTICES]`` or an id beyond int64
+    is a typed input error, raised before anything of that size is
+    allocated."""
+
+    def test_edge_list_id_beyond_vertex_range(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("1 99999999999999\n")
+        with pytest.raises(GraphFormatError, match="vertex count"):
+            read_edge_list(path)
+
+    def test_edge_list_id_beyond_int64(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("1 99999999999999999999999999\n")
+        with pytest.raises(GraphFormatError, match="int64"):
+            read_edge_list(path)
+
+    def test_from_edges_vertex_count(self):
+        with pytest.raises(GraphFormatError, match="vertex count"):
+            Graph.from_edges([(0, 1)], num_vertices=10**14)
+        with pytest.raises(GraphFormatError, match="vertex count"):
+            Graph.from_edges([], num_vertices=-1)
+
+    @pytest.mark.parametrize("n", [-1, MAX_VERTICES + 1])
+    def test_empty_vertex_count(self, n):
+        with pytest.raises(GraphFormatError, match="vertex count"):
+            Graph.empty(n)
+
+    def test_builder_vertex_count(self):
+        with pytest.raises(GraphFormatError, match="vertex count"):
+            GraphBuilder().add_vertex(10**14).build()
+        with pytest.raises(GraphFormatError, match="vertex count"):
+            GraphBuilder().add_edge(0, 1).build(num_vertices=10**14)
 
 
 class TestEdgeList:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.decomposition import core_decomposition, k_core_members, shell_sizes
-from repro.core.park import park_core_decomposition
-from repro.core.pkc import pkc_core_decomposition
+from repro.core.pkc import park_core_decomposition, pkc_core_decomposition
 from repro.core.vertex_rank import compute_vertex_rank
 from repro.graph.generators import (
     barabasi_albert,
@@ -82,12 +81,6 @@ class TestParallelDecomposition:
         expected = core_decomposition(random_graph)
         got = park_core_decomposition(random_graph, SimulatedPool(threads=threads))
         assert np.array_equal(got, expected)
-
-    def test_pkc_empty(self):
-        assert pkc_core_decomposition(Graph.empty(0), SimulatedPool()).size == 0
-
-    def test_park_empty(self):
-        assert park_core_decomposition(Graph.empty(0), SimulatedPool()).size == 0
 
     def test_pkc_isolated(self):
         g = Graph.from_edges([(0, 1)], num_vertices=3)

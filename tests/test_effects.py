@@ -178,6 +178,9 @@ RECIPES = {
     ("AtomicCounter", "load"): lambda c: AtomicCounter(name="ctr").load(c),
     ("AtomicArray", "add"): lambda c: _array().add(c, 1, 2),
     ("AtomicArray", "add_row"): lambda c: _array().add_row(c, [1, 1, 2], 1, 7),
+    ("AtomicArray", "fetch_add_row"): lambda c: _array().fetch_add_row(
+        c, [1, 1, 2], -1
+    ),
     ("AtomicArray", "add_many"): lambda c: _array().add_many(c, [1, 2], [3, 4]),
     ("AtomicArray", "store"): lambda c: _array().store(c, 1, 0),
     ("AtomicArray", "compare_and_swap"): lambda c: _array().compare_and_swap(
@@ -199,6 +202,9 @@ RECIPES = {
         c, _uf(PivotUnionFind), [[3, 4], [5]], [1] * 8, 1, 0.2
     ),
     ("AtomicList", "append"): lambda c: AtomicList(name="lst").append(c, 1),
+    ("AtomicList", "append_row"): lambda c: AtomicList(name="lst").append_row(
+        c, [1, 2]
+    ),
 }
 for _e in (PivotUnionFind, SimulatedWaitFreeUnionFind):
     RECIPES.update({
@@ -270,12 +276,12 @@ def test_prove_reads_the_table(index, monkeypatch):
         return prove_kernels(["pkc"], index).certificates["pkc"].as_dict()
 
     before = pkc()
-    monkeypatch.delitem(effects.EFFECTS, ("AtomicArray", "add_row"))
+    monkeypatch.delitem(effects.EFFECTS, ("AtomicArray", "fetch_add_row"))
     after = pkc()
-    add_row = "pkc.py:pkc_core_decomposition:degree.add_row"
-    peel = "atomic:pkc.py:process:pkc_deg[*nbrs]"
-    assert before["atomics"][add_row] == "commutative"
-    assert after["atomics"][add_row] == "assumed"
+    fetch_add = "pkc.py:_peel:degree.fetch_add_row"
+    peel = "atomic:pkc.py:process:peel_deg[*nbrs]"
+    assert before["atomics"][fetch_add] == "commutative"
+    assert after["atomics"][fetch_add] == "assumed"
     assert peel in before["obligations"] and peel not in after["obligations"]
     assert before["determinism"] == "commutative"
     assert after["determinism"] == "assumed"

@@ -1023,7 +1023,7 @@ def _ref_pkc(graph, pool):
     n = graph.num_vertices
     coreness = np.zeros(n, dtype=np.int64)
     indptr, indices = graph.indptr, graph.indices
-    degree = AtomicArray(n, dtype=np.int64, name="pkc_deg")
+    degree = AtomicArray(n, dtype=np.int64, name="peel_deg")
     degree.data[:] = graph.degrees()
     settled = np.zeros(n, dtype=bool)
     remaining, k = n, 0
@@ -1043,7 +1043,7 @@ def _ref_pkc(graph, pool):
                 next_parts = [[] for _ in range(pool.threads)]
 
                 def process(v, ctx):
-                    ctx.write(("pkc_core", int(v)))
+                    ctx.write(("peel_core", int(v)))
                     coreness[v] = k
                     for u in indices[indptr[v] : indptr[v + 1]].tolist():
                         ctx.charge(1)

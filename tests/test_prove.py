@@ -456,7 +456,7 @@ class TestKernels:
         cert = report.certificates["pkc"]
         assert cert.fully_proven
         assert cert.determinism == "commutative"
-        assert "pkc_deg" in cert.proven_arrays
+        assert "peel_deg" in cert.proven_arrays
 
     def test_float_reduction_flagged_order_sensitive(self, report):
         # tree_accumulate's float64 sink.add: bit-identity across
